@@ -10,6 +10,7 @@ are rejected at parse time with positions.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
@@ -48,6 +49,7 @@ from .processes import (
     Send,
     SetTimer,
     UNIT,
+    subterms,
     validate_process,
 )
 from .sessiontypes import (
@@ -72,6 +74,12 @@ _KEYWORDS = {
     "after", "new", "inf", "dual", "of", "clocks", "type", "process",
     "system",
 }
+
+# The deepest nesting of constraints, types and processes accepted.  The
+# parser and every recursive walker over the trees it builds take at most
+# a few stack frames per level, so this keeps them all well inside
+# Python's default recursion limit; deeper input is a parse error.
+MAX_NESTING = 50
 
 _TWO_CHAR = ("<=", ">=", "!=", "->")
 _ONE_CHAR = "{}()[]<>,.;:!?=-+|*/"
@@ -154,10 +162,25 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
+def _nesting(method):
+    """Count each active call of a recursive parse method as one level."""
+
+    @functools.wraps(method)
+    def counted(self, *args):
+        self.deeper()
+        try:
+            return method(self, *args)
+        finally:
+            self.depth -= 1
+
+    return counted
+
+
 class _Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0  # current nesting, bounded by MAX_NESTING
 
     # -- token plumbing ------------------------------------------------------
 
@@ -192,6 +215,11 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def deeper(self) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+
     # -- rationals -----------------------------------------------------------
 
     def at_number(self) -> bool:
@@ -217,20 +245,28 @@ class _Parser:
 
     # -- constraints ----------------------------------------------------------
 
+    # Each operator of a chain nests everything before it one level deeper.
     def parse_constraint(self) -> Constraint:
+        depth = self.depth
         left = self.parse_conjunct()
         while self.at("or"):
             self.advance()
+            self.deeper()
             left = Or(left, self.parse_conjunct())
+        self.depth = depth
         return left
 
     def parse_conjunct(self) -> Constraint:
+        depth = self.depth
         left = self.parse_unary()
         while self.at("and"):
             self.advance()
+            self.deeper()
             left = And(left, self.parse_unary())
+        self.depth = depth
         return left
 
+    @_nesting
     def parse_unary(self) -> Constraint:
         if self.at("not"):
             self.advance()
@@ -293,6 +329,7 @@ class _Parser:
 
     # -- types ----------------------------------------------------------------
 
+    @_nesting
     def parse_type(self, bound: Tuple[str, ...] = ()) -> TypeNode:
         tok = self.peek()
         if self.at("end"):
@@ -447,6 +484,7 @@ class _Parser:
             return parts[0]
         return Par(tuple(parts))
 
+    @_nesting
     def parse_process_seq(self) -> ProcNode:
         tok = self.peek()
         if self.at("end"):
@@ -722,35 +760,13 @@ def parse_process(source: str) -> ProcNode:
     return node
 
 
-def _check_unique_defs(node: ProcNode, seen: Optional[set] = None) -> None:
-    from .processes import Def as _Def, Par as _Par, Scope as _Scope
-    from .processes import (DelayConstraint as _DC, DelayExact as _DE,
-                            IfTimer as _If, ReceiveAfter as _RA, Send as _Send,
-                            SetTimer as _Set)
-
-    if seen is None:
-        seen = set()
-    if isinstance(node, _Def):
-        if node.name in seen:
-            raise ParseError(f"duplicate definition {node.name!r}")
-        seen.add(node.name)
-        _check_unique_defs(node.body, seen)
-        _check_unique_defs(node.cont, seen)
-    elif isinstance(node, _Par):
-        for part in node.parts:
-            _check_unique_defs(part, seen)
-    elif isinstance(node, _Scope):
-        _check_unique_defs(node.body, seen)
-    elif isinstance(node, (_Set, _Send, _DC, _DE)):
-        _check_unique_defs(node.cont, seen)
-    elif isinstance(node, _RA):
-        for branch in node.branches:
-            _check_unique_defs(branch.cont, seen)
-        if node.timeout is not None:
-            _check_unique_defs(node.timeout, seen)
-    elif isinstance(node, _If):
-        _check_unique_defs(node.then_branch, seen)
-        _check_unique_defs(node.else_branch, seen)
+def _check_unique_defs(node: ProcNode) -> None:
+    seen = set()
+    for sub in subterms(node):
+        if isinstance(sub, Def):
+            if sub.name in seen:
+                raise ParseError(f"duplicate definition {sub.name!r}")
+            seen.add(sub.name)
 
 
 def parse_valuation(source: str) -> Dict[str, Fraction]:

@@ -11,6 +11,13 @@ passes through the partial function ``phi``: it decrements active
 timeouts and delays, distributes over parallel compositions only when no
 component is waiting on an endpoint whose inbound buffer is non-empty,
 and is undefined over sends, conditionals, timer sets and calls.
+
+Which fields of a node are subterms is decided in one place, the shape
+table ``_SHAPES``: each node kind's child slots, how to rebuild it from new
+children, and which children are active (the positions of ``Par``,
+``Scope`` and ``Def`` through which time passes and where redexes are
+found).  Every traversal takes its recursion from ``children``,
+``map_children`` or ``subterms`` and keeps only its own special cases.
 """
 
 from __future__ import annotations
@@ -18,7 +25,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from operator import is_
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .constraints import Constraint, boundary_delays, eval_constraint
 from .errors import SpecError
@@ -201,6 +211,104 @@ P_ERR = PErr()
 
 
 # ---------------------------------------------------------------------------
+# Node shapes: the one place that knows which fields are subterms
+# ---------------------------------------------------------------------------
+
+class _Shape(NamedTuple):
+    children: Callable[[ProcNode], Tuple[ProcNode, ...]]
+    rebuild: Callable[[ProcNode, Sequence[ProcNode]], ProcNode]
+    # Children from this index on are active: time passes through them and
+    # redexes are found in them.  None: the node itself is a redex or
+    # blocks time.
+    active: Optional[int]
+
+
+def _recv_children(p: ReceiveAfter) -> Tuple[ProcNode, ...]:
+    kids = tuple(b.cont for b in p.branches)
+    return kids if p.timeout is None else kids + (p.timeout,)
+
+
+def _recv_rebuild(p: ReceiveAfter, kids: Sequence[ProcNode]) -> ReceiveAfter:
+    branches = tuple(b if b.cont is k else Branch(b.label, b.binder, k)
+                     for b, k in zip(p.branches, kids))
+    timeout = None if p.timeout is None else kids[-1]
+    return ReceiveAfter(p.endpoint, branches, p.after, timeout)
+
+
+_SHAPES: Dict[type, _Shape] = {
+    SetTimer: _Shape(lambda p: (p.cont,),
+                     lambda p, k: SetTimer(p.timer, k[0]), None),
+    Send: _Shape(lambda p: (p.cont,),
+                 lambda p, k: Send(p.endpoint, p.label, p.value, k[0]), None),
+    ReceiveAfter: _Shape(_recv_children, _recv_rebuild, None),
+    IfTimer: _Shape(lambda p: (p.then_branch, p.else_branch),
+                    lambda p, k: IfTimer(p.cond, k[0], k[1]), None),
+    DelayConstraint: _Shape(lambda p: (p.cont,),
+                            lambda p, k: DelayConstraint(p.var, p.cond, k[0]),
+                            None),
+    DelayExact: _Shape(lambda p: (p.cont,),
+                       lambda p, k: DelayExact(p.duration, k[0]), None),
+    Def: _Shape(lambda p: (p.body, p.cont),
+                lambda p, k: Def(p.name, p.val_params, p.timer_params,
+                                 p.chan_params, k[0], k[1]), 1),
+    Scope: _Shape(lambda p: (p.body,),
+                  lambda p, k: Scope(p.left, p.right, k[0]), 0),
+    Par: _Shape(lambda p: p.parts, lambda p, k: Par(tuple(k)), 0),
+}
+
+# The node kinds without subterms.
+_LEAVES = (Call, PEnd, PErr, Buffer)
+
+# The node kinds with active children: Par, Scope and Def.
+_ACTIVE_KINDS = frozenset(kind for kind, shape in _SHAPES.items()
+                          if shape.active is not None)
+
+
+def children(p: ProcNode, active: bool = False) -> Tuple[ProcNode, ...]:
+    """The direct subterms of p in source order (only the active ones if
+    active is set)."""
+    shape = _SHAPES.get(type(p))
+    if shape is None:
+        return ()
+    if not active:
+        return shape.children(p)
+    return () if shape.active is None else shape.children(p)[shape.active:]
+
+
+def map_children(p: ProcNode, f: Callable[[ProcNode], ProcNode],
+                 active: bool = False) -> ProcNode:
+    """p with f applied to each child (each active child if active is set).
+
+    f is called once per child, in source order.  Returns p itself when f
+    returns every child unchanged, so a walk that changes nothing allocates
+    nothing.
+    """
+    shape = _SHAPES.get(type(p))
+    if shape is None:
+        return p
+    kids = shape.children(p)
+    if not active:
+        new = tuple(map(f, kids))
+    elif shape.active is None:
+        return p
+    else:
+        new = kids[:shape.active] + tuple(map(f, kids[shape.active:]))
+    if all(map(is_, new, kids)):
+        return p
+    return shape.rebuild(p, new)
+
+
+def subterms(p: ProcNode, active: bool = False) -> Iterator[ProcNode]:
+    """p and its subterms in preorder (through active children only if
+    active is set)."""
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node, active)))
+
+
+# ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
 
@@ -284,16 +392,16 @@ def runtime_normalize(p: ProcNode) -> ProcNode:
 
 
 def _normalize(p: ProcNode, reorder: bool) -> ProcNode:
-    if isinstance(p, DelayExact):
-        cont = _normalize(p.cont, reorder)
-        if p.duration == 0:
-            return cont
-        return DelayExact(p.duration, cont)
-    if isinstance(p, Par):
+    def walk(node: ProcNode) -> ProcNode:
+        node = map_children(node, walk)
+        kind = type(node)
+        if kind is DelayExact and node.duration == 0:
+            return node.cont
+        if kind is not Par:
+            return node
         flat: List[ProcNode] = []
-        for part in p.parts:
-            part = _normalize(part, reorder)
-            if isinstance(part, Par):
+        for part in node.parts:
+            if type(part) is Par:
                 flat.extend(part.parts)
             else:
                 flat.append(part)
@@ -301,29 +409,11 @@ def _normalize(p: ProcNode, reorder: bool) -> ProcNode:
             flat.sort(key=format_process)
         if len(flat) == 1:
             return flat[0]
+        if len(flat) == len(node.parts) and all(map(is_, flat, node.parts)):
+            return node
         return Par(tuple(flat))
-    if isinstance(p, Scope):
-        return Scope(p.left, p.right, _normalize(p.body, reorder))
-    if isinstance(p, SetTimer):
-        return SetTimer(p.timer, _normalize(p.cont, reorder))
-    if isinstance(p, Send):
-        return Send(p.endpoint, p.label, p.value, _normalize(p.cont, reorder))
-    if isinstance(p, ReceiveAfter):
-        return ReceiveAfter(
-            p.endpoint,
-            tuple(Branch(b.label, b.binder, _normalize(b.cont, reorder))
-                  for b in p.branches),
-            p.after,
-            None if p.timeout is None else _normalize(p.timeout, reorder))
-    if isinstance(p, IfTimer):
-        return IfTimer(p.cond, _normalize(p.then_branch, reorder),
-                       _normalize(p.else_branch, reorder))
-    if isinstance(p, DelayConstraint):
-        return DelayConstraint(p.var, p.cond, _normalize(p.cont, reorder))
-    if isinstance(p, Def):
-        return Def(p.name, p.val_params, p.timer_params, p.chan_params,
-                   _normalize(p.body, reorder), _normalize(p.cont, reorder))
-    return p
+
+    return walk(p)
 
 
 # ---------------------------------------------------------------------------
@@ -334,32 +424,26 @@ def wait_set(p: ProcNode) -> FrozenSet[str]:
     """Endpoints on which the process is waiting to receive."""
     if isinstance(p, ReceiveAfter):
         return frozenset({p.endpoint})
-    if isinstance(p, Scope):
-        return wait_set(p.body) - {p.left, p.right}
-    if isinstance(p, Def):
-        return wait_set(p.cont)
-    if isinstance(p, Par):
-        out: FrozenSet[str] = frozenset()
-        for part in p.parts:
-            out |= wait_set(part)
-        return out
-    return frozenset()
+    return _union_active(p, wait_set)
 
 
 def neq_set(p: ProcNode) -> FrozenSet[str]:
     """Endpoints whose inbound queue is non-empty."""
     if isinstance(p, Buffer):
         return frozenset({p.dst}) if p.items else frozenset()
+    return _union_active(p, neq_set)
+
+
+def _union_active(p: ProcNode, f: Callable[[ProcNode], FrozenSet[str]]
+                  ) -> FrozenSet[str]:
+    """The union of f over the active children of p, without the endpoints
+    that p binds."""
+    out: FrozenSet[str] = frozenset()
+    for child in children(p, active=True):
+        out |= f(child)
     if isinstance(p, Scope):
-        return neq_set(p.body) - {p.left, p.right}
-    if isinstance(p, Def):
-        return neq_set(p.cont)
-    if isinstance(p, Par):
-        out: FrozenSet[str] = frozenset()
-        for part in p.parts:
-            out |= neq_set(part)
-        return out
-    return frozenset()
+        out -= {p.left, p.right}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,19 +485,16 @@ def phi(t: Fraction, p: ProcNode, rho: Optional[Mapping[str, Fraction]] = None,
     rho = rho or {}
     if isinstance(p, (PEnd, PErr, Buffer)):
         return p
-    if isinstance(p, Scope):
-        return Scope(p.left, p.right, phi(t, p.body, rho, elapsed))
-    if isinstance(p, Def):
-        return Def(p.name, p.val_params, p.timer_params, p.chan_params,
-                   p.body, phi(t, p.cont, rho, elapsed))
-    if isinstance(p, Par):
-        for i, a in enumerate(p.parts):
-            for j, b in enumerate(p.parts):
-                if i != j and wait_set(a) & neq_set(b):
-                    raise PhiUndefined(
-                        f"endpoint {sorted(wait_set(a) & neq_set(b))[0]!r} is "
-                        "waiting on a non-empty queue", p)
-        return Par(tuple(phi(t, part, rho, elapsed) for part in p.parts))
+    if type(p) in _ACTIVE_KINDS:
+        if isinstance(p, Par):
+            for i, a in enumerate(p.parts):
+                for j, b in enumerate(p.parts):
+                    if i != j and wait_set(a) & neq_set(b):
+                        raise PhiUndefined(
+                            f"endpoint {sorted(wait_set(a) & neq_set(b))[0]!r} "
+                            "is waiting on a non-empty queue", p)
+        return map_children(p, lambda child: phi(t, child, rho, elapsed),
+                            active=True)
     if isinstance(p, ReceiveAfter):
         p = _resolve_after(p, rho, elapsed)
         if p.after is None:
@@ -444,40 +525,24 @@ def time_step(rho: TimerEnv, p: ProcNode, t: Fraction) -> Tuple[TimerEnv, ProcNo
 
 def subst_value(p: ProcNode, binder: str, value: Value) -> ProcNode:
     """Replace references to a receive binder with the received value."""
+    target = Name(binder)
 
     def walk(node: ProcNode) -> ProcNode:
-        if isinstance(node, Send):
-            new_value = value if node.value == Name(binder) else node.value
-            return Send(node.endpoint, node.label, new_value, walk(node.cont))
-        if isinstance(node, ReceiveAfter):
-            branches = []
-            for b in node.branches:
-                if b.binder == binder:  # shadowed
-                    branches.append(b)
-                else:
-                    branches.append(Branch(b.label, b.binder, walk(b.cont)))
-            timeout = None if node.timeout is None else walk(node.timeout)
-            return ReceiveAfter(node.endpoint, tuple(branches), node.after, timeout)
         if isinstance(node, Call):
-            args = tuple(value if v == Name(binder) else v for v in node.val_args)
+            args = tuple(value if v == target else v for v in node.val_args)
             return Call(node.name, args, node.timer_args, node.chan_args)
+        if isinstance(node, Send) and node.value == target:
+            node = Send(node.endpoint, node.label, value, node.cont)
+        # A definition's value parameter or a branch's binder of the same
+        # name shadows the binder in that child.
         if isinstance(node, Def):
-            body = node.body if binder in node.val_params else walk(node.body)
-            return Def(node.name, node.val_params, node.timer_params,
-                       node.chan_params, body, walk(node.cont))
-        if isinstance(node, SetTimer):
-            return SetTimer(node.timer, walk(node.cont))
-        if isinstance(node, IfTimer):
-            return IfTimer(node.cond, walk(node.then_branch), walk(node.else_branch))
-        if isinstance(node, DelayConstraint):
-            return DelayConstraint(node.var, node.cond, walk(node.cont))
-        if isinstance(node, DelayExact):
-            return DelayExact(node.duration, walk(node.cont))
-        if isinstance(node, Scope):
-            return Scope(node.left, node.right, walk(node.body))
-        if isinstance(node, Par):
-            return Par(tuple(walk(part) for part in node.parts))
-        return node
+            shadowed = iter((binder in node.val_params, False))
+        elif isinstance(node, ReceiveAfter):
+            shadowed = iter([b.binder == binder for b in node.branches] + [False])
+        else:
+            return map_children(node, walk)
+        return map_children(
+            node, lambda child: child if next(shadowed) else walk(child))
 
     return walk(p)
 
@@ -486,59 +551,55 @@ def rename_names(p: ProcNode, mapping: Mapping[str, str]) -> ProcNode:
     """Rename endpoints and timers (used when a call instantiates a body)."""
     from .constraints import map_clocks
 
-    def ren(name: str, m: Mapping[str, str]) -> str:
-        return m.get(name, name)
-
     def walk(node: ProcNode, m: Mapping[str, str]) -> ProcNode:
         if not m:
             return node
+        # A definition's timer and channel parameters and a session's
+        # endpoints are bound in its body.
+        if isinstance(node, Def):
+            bound = set(node.timer_params) | set(node.chan_params)
+            maps = iter(({k: v for k, v in m.items() if k not in bound}, m))
+        elif isinstance(node, Scope):
+            maps = iter(({k: v for k, v in m.items()
+                          if k not in (node.left, node.right)},))
+        else:
+            maps = repeat(m)
+        node = map_children(node, lambda child: walk(child, next(maps)))
+        return rename_fields(node, m)
+
+    def rename_fields(node: ProcNode, m: Mapping[str, str]) -> ProcNode:
+        def ren(name: str) -> str:
+            return m.get(name, name)
+
+        def ren_value(v: Value) -> Value:
+            return Name(m[v.id]) if isinstance(v, Name) and v.id in m else v
+
         if isinstance(node, SetTimer):
-            return SetTimer(ren(node.timer, m), walk(node.cont, m))
+            return SetTimer(ren(node.timer), node.cont)
         if isinstance(node, Send):
-            value = node.value
-            if isinstance(value, Name) and value.id in m:
-                value = Name(m[value.id])
-            return Send(ren(node.endpoint, m), node.label, value, walk(node.cont, m))
+            return Send(ren(node.endpoint), node.label, ren_value(node.value),
+                        node.cont)
         if isinstance(node, ReceiveAfter):
             after = node.after
             if isinstance(after, LinearExpr):
                 after = LinearExpr(after.const,
-                                   tuple((ren(n, m), c) for n, c in after.coeffs),
+                                   tuple((ren(n), c) for n, c in after.coeffs),
                                    after.infinite)
-            return ReceiveAfter(
-                ren(node.endpoint, m),
-                tuple(Branch(b.label, b.binder, walk(b.cont, m))
-                      for b in node.branches),
-                after,
-                None if node.timeout is None else walk(node.timeout, m))
+            return ReceiveAfter(ren(node.endpoint), node.branches, after,
+                                node.timeout)
         if isinstance(node, IfTimer):
-            return IfTimer(map_clocks(node.cond, m),
-                           walk(node.then_branch, m), walk(node.else_branch, m))
+            return IfTimer(map_clocks(node.cond, m), node.then_branch,
+                           node.else_branch)
         if isinstance(node, DelayConstraint):
             inner = {k: v for k, v in m.items() if k != node.var}
             return DelayConstraint(node.var, map_clocks(node.cond, inner),
-                                   walk(node.cont, m))
-        if isinstance(node, DelayExact):
-            return DelayExact(node.duration, walk(node.cont, m))
-        if isinstance(node, Def):
-            shadowed = set(node.timer_params) | set(node.chan_params)
-            inner = {k: v for k, v in m.items() if k not in shadowed}
-            return Def(node.name, node.val_params, node.timer_params,
-                       node.chan_params, walk(node.body, inner), walk(node.cont, m))
+                                   node.cont)
         if isinstance(node, Call):
-            vals = tuple(Name(m[v.id]) if isinstance(v, Name) and v.id in m else v
-                         for v in node.val_args)
-            return Call(node.name, vals,
-                        tuple(ren(t, m) for t in node.timer_args),
-                        tuple(ren(c, m) for c in node.chan_args))
-        if isinstance(node, Scope):
-            inner = {k: v for k, v in m.items()
-                     if k not in (node.left, node.right)}
-            return Scope(node.left, node.right, walk(node.body, inner))
-        if isinstance(node, Par):
-            return Par(tuple(walk(part, m) for part in node.parts))
+            return Call(node.name, tuple(map(ren_value, node.val_args)),
+                        tuple(map(ren, node.timer_args)),
+                        tuple(map(ren, node.chan_args)))
         if isinstance(node, Buffer):
-            return Buffer(ren(node.src, m), ren(node.dst, m), node.items)
+            return Buffer(ren(node.src), ren(node.dst), node.items)
         return node
 
     return walk(p, dict(mapping))
@@ -565,29 +626,8 @@ def instantiate_call(defn: Def, call: Call) -> ProcNode:
 # ---------------------------------------------------------------------------
 
 def set_timers_of(p: ProcNode) -> FrozenSet[str]:
-    out = set()
-    if isinstance(p, SetTimer):
-        out.add(p.timer)
-        out |= set_timers_of(p.cont)
-    elif isinstance(p, Send):
-        out |= set_timers_of(p.cont)
-    elif isinstance(p, ReceiveAfter):
-        for b in p.branches:
-            out |= set_timers_of(b.cont)
-        if p.timeout is not None:
-            out |= set_timers_of(p.timeout)
-    elif isinstance(p, IfTimer):
-        out |= set_timers_of(p.then_branch) | set_timers_of(p.else_branch)
-    elif isinstance(p, (DelayConstraint, DelayExact)):
-        out |= set_timers_of(p.cont)
-    elif isinstance(p, Def):
-        out |= set_timers_of(p.body) | set_timers_of(p.cont)
-    elif isinstance(p, Scope):
-        out |= set_timers_of(p.body)
-    elif isinstance(p, Par):
-        for part in p.parts:
-            out |= set_timers_of(part)
-    return frozenset(out)
+    return frozenset(node.timer for node in subterms(p)
+                     if isinstance(node, SetTimer))
 
 
 def validate_process(p: ProcNode) -> None:
@@ -597,6 +637,7 @@ def validate_process(p: ProcNode) -> None:
     """
 
     def walk(node: ProcNode, defs_in_scope) -> None:
+        kids = children(node)
         if isinstance(node, Scope):
             body = node.body
             parts = body.parts if isinstance(body, Par) else (body,)
@@ -613,8 +654,7 @@ def validate_process(p: ProcNode) -> None:
                 raise SpecError(
                     f"timer(s) {sorted(shared)} set by more than one "
                     "parallel component")
-            for part in others:
-                walk(part, defs_in_scope)
+            kids = others
         elif isinstance(node, Par):
             timer_sets = [set_timers_of(part) for part in node.parts]
             for i in range(len(timer_sets)):
@@ -624,66 +664,44 @@ def validate_process(p: ProcNode) -> None:
                         raise SpecError(
                             f"timer(s) {sorted(shared)} set by more than one "
                             "parallel component")
-            for part in node.parts:
-                walk(part, defs_in_scope)
         elif isinstance(node, Def):
-            walk(node.body, defs_in_scope | {node.name})
-            walk(node.cont, defs_in_scope | {node.name})
+            defs_in_scope = defs_in_scope | {node.name}
         elif isinstance(node, Call):
             if node.name not in defs_in_scope:
                 raise SpecError(f"call to undefined process {node.name!r}")
-        elif isinstance(node, SetTimer):
-            walk(node.cont, defs_in_scope)
-        elif isinstance(node, Send):
-            walk(node.cont, defs_in_scope)
-        elif isinstance(node, ReceiveAfter):
-            for b in node.branches:
-                walk(b.cont, defs_in_scope)
-            if node.timeout is not None:
-                walk(node.timeout, defs_in_scope)
-        elif isinstance(node, IfTimer):
-            walk(node.then_branch, defs_in_scope)
-            walk(node.else_branch, defs_in_scope)
-        elif isinstance(node, (DelayConstraint, DelayExact)):
-            walk(node.cont, defs_in_scope)
+        for child in kids:
+            walk(child, defs_in_scope)
 
     walk(p, frozenset())
-
-
 
 
 # ---------------------------------------------------------------------------
 # Instantaneous reduction
 # ---------------------------------------------------------------------------
 
-# A path addresses a subterm: each step is ("par", index), ("scope",) or
-# ("def",) for a definition's continuation.
+# A path addresses a subterm through active children: each step is
+# ("par", index), ("scope",) or ("def",) for a definition's continuation.
 Path = Tuple[Tuple, ...]
+
+
+def _active_slot(term: ProcNode, step: Tuple) -> int:
+    """The index among the children of term that a path step addresses."""
+    return _SHAPES[type(term)].active + (step[1] if len(step) > 1 else 0)
 
 
 def _get(term: ProcNode, path: Path) -> ProcNode:
     for step in path:
-        if step[0] == "par":
-            term = term.parts[step[1]]
-        elif step[0] == "scope":
-            term = term.body
-        else:
-            term = term.cont
+        term = children(term)[_active_slot(term, step)]
     return term
 
 
 def _replace(term: ProcNode, path: Path, new: ProcNode) -> ProcNode:
     if not path:
         return new
-    step, rest = path[0], path[1:]
-    if step[0] == "par":
-        parts = list(term.parts)
-        parts[step[1]] = _replace(parts[step[1]], rest, new)
-        return Par(tuple(parts))
-    if step[0] == "scope":
-        return Scope(term.left, term.right, _replace(term.body, rest, new))
-    return Def(term.name, term.val_params, term.timer_params,
-               term.chan_params, term.body, _replace(term.cont, rest, new))
+    kids = list(children(term))
+    i = _active_slot(term, path[0])
+    kids[i] = _replace(kids[i], path[1:], new)
+    return _SHAPES[type(term)].rebuild(term, kids)
 
 
 @dataclass(frozen=True)
@@ -776,17 +794,12 @@ class _DelayPicker:
                 raise SpecError(
                     f"scheduled delay {t} does not satisfy {cond}")
             return t
-        from .constraints import atoms_of
-
-        horizon = max([abs(a.const) for a in atoms_of(cond)] or [Fraction(0)]) + 2
-        pool = [t for t in boundary_delays({var: Fraction(0)}, [cond], horizon)
-                if eval_constraint({var: t}, cond)]
+        pool = det_candidates(var, cond)  # sorted
         if not pool:
             raise SpecError(f"unsatisfiable delay constraint {cond}")
-        ordered = sorted(pool)
-        if len(ordered) > 1:
-            i = self.rng.randrange(len(ordered) - 1)
-            interior = (ordered[i] + ordered[i + 1]) / 2
+        if len(pool) > 1:
+            i = self.rng.randrange(len(pool) - 1)
+            interior = (pool[i] + pool[i + 1]) / 2
             if eval_constraint({var: interior}, cond):
                 pool = pool + [interior]
         return self.rng.choice(pool)
@@ -851,51 +864,17 @@ def _apply_redex(root: ProcNode, redex: Redex, rho: TimerEnv,
 def _scan_defs(term: ProcNode, name: str) -> Optional[Def]:
     """Find a definition by name anywhere in the term (for standalone
     stepping; the scheduler keeps its own registry)."""
-    found: List[Def] = []
-
-    def walk(node: ProcNode) -> None:
-        if found:
-            return
-        if isinstance(node, Def):
-            if node.name == name:
-                found.append(node)
-                return
-            walk(node.body)
-            walk(node.cont)
-        elif isinstance(node, Par):
-            for part in node.parts:
-                walk(part)
-        elif isinstance(node, Scope):
-            walk(node.body)
-        elif isinstance(node, (SetTimer, Send, DelayConstraint, DelayExact)):
-            walk(node.cont)
-        elif isinstance(node, ReceiveAfter):
-            for b in node.branches:
-                walk(b.cont)
-            if node.timeout is not None:
-                walk(node.timeout)
-        elif isinstance(node, IfTimer):
-            walk(node.then_branch)
-            walk(node.else_branch)
-
-    walk(term)
-    return found[0] if found else None
+    return next((node for node in subterms(term)
+                 if isinstance(node, Def) and node.name == name), None)
 
 
 def resolve_active(root: ProcNode, rho: TimerEnv) -> ProcNode:
     """Freeze the timeout expression of every active receive to a number."""
 
     def walk(node: ProcNode) -> ProcNode:
-        if isinstance(node, Par):
-            return Par(tuple(walk(part) for part in node.parts))
-        if isinstance(node, Scope):
-            return Scope(node.left, node.right, walk(node.body))
-        if isinstance(node, Def):
-            return Def(node.name, node.val_params, node.timer_params,
-                       node.chan_params, node.body, walk(node.cont))
         if isinstance(node, ReceiveAfter) and isinstance(node.after, LinearExpr):
             return _resolve_after(node, rho, Fraction(0))
-        return node
+        return map_children(node, walk, active=True)
 
     return walk(root)
 
@@ -970,36 +949,21 @@ def is_completed(p: ProcNode) -> bool:
         return True
     if isinstance(p, Buffer):
         return not p.items
-    if isinstance(p, Par):
-        return all(is_completed(part) for part in p.parts)
-    if isinstance(p, Scope):
-        return is_completed(p.body)
-    if isinstance(p, Def):
-        return is_completed(p.cont)
-    return False
+    return (type(p) in _ACTIVE_KINDS
+            and all(map(is_completed, children(p, active=True))))
 
 
 def _time_candidates(root: ProcNode) -> List[Fraction]:
     """Durations after which something changes: pending exact delays and
     finite active timeouts."""
     out: List[Fraction] = []
-
-    def walk(node: ProcNode) -> None:
-        if isinstance(node, Par):
-            for part in node.parts:
-                walk(part)
-        elif isinstance(node, Scope):
-            walk(node.body)
-        elif isinstance(node, Def):
-            walk(node.cont)
-        elif isinstance(node, DelayExact):
+    for node in subterms(root, active=True):
+        if isinstance(node, DelayExact):
             if node.duration > 0:
                 out.append(node.duration)
         elif isinstance(node, ReceiveAfter):
             if isinstance(node.after, Fraction) and node.after > 0:
                 out.append(node.after)
-
-    walk(root)
     return out
 
 

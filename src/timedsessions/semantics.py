@@ -43,7 +43,9 @@ from .sessiontypes import (
     Var,
     dual,
     format_type,
+    guard_atoms,
     has_diagonal_atoms,
+    map_continuations,
     max_constant,
     type_clocks,
 )
@@ -140,16 +142,9 @@ class ProgressReport:
 def _subst_type(node: TypeNode, var: str, repl: TypeNode) -> TypeNode:
     if isinstance(node, Var):
         return repl if node.var == var else node
-    if isinstance(node, Rec):
-        if node.var == var:  # shadowed
-            return node
-        return Rec(node.var, _subst_type(node.body, var, repl))
-    if isinstance(node, Choice):
-        return Choice(tuple(
-            ChoiceOption(o.direction, o.label, o.payload, o.guard, o.resets,
-                         _subst_type(o.continuation, var, repl))
-            for o in node.options))
-    return node
+    if isinstance(node, Rec) and node.var == var:  # shadowed
+        return node
+    return map_continuations(node, lambda n: _subst_type(n, var, repl))
 
 
 def unfold_head(node: TypeNode) -> TypeNode:
@@ -443,23 +438,7 @@ def compatible(sys: System) -> Tuple[bool, str]:
 # ---------------------------------------------------------------------------
 
 def _constants_are_integers(node: TypeNode) -> bool:
-    from .constraints import atoms_of
-
-    def walk(n: TypeNode) -> bool:
-        if isinstance(n, Choice):
-            for opt in n.options:
-                if any(a.const.denominator != 1 for a in atoms_of(opt.guard)):
-                    return False
-                if not walk(opt.continuation):
-                    return False
-                if isinstance(opt.payload, Delegate) and not walk(opt.payload.session):
-                    return False
-            return True
-        if isinstance(n, Rec):
-            return walk(n.body)
-        return True
-
-    return walk(node)
+    return all(atom.const.denominator == 1 for atom in guard_atoms(node))
 
 
 def region_canonical(sys: System, cap: Fraction) -> System:

@@ -17,13 +17,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple, Union
+from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
+                    Optional, Tuple, Union)
 
 from .constraints import (
     And,
+    Atom,
     Constraint,
     TRUE,
     atom_eq,
+    atoms_of,
     clocks_of,
     conj,
     disj,
@@ -125,65 +128,71 @@ def option(direction: str, label: str, guard: Constraint = TRUE,
 # Structural helpers
 # ---------------------------------------------------------------------------
 
+def type_options(node: TypeNode, delegated: bool = False
+                 ) -> Iterator[ChoiceOption]:
+    """Every option of every choice in the type (and, if delegated is set,
+    in the sessions its payloads delegate)."""
+    stack = [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Rec):
+            stack.append(node.body)
+        elif isinstance(node, Choice):
+            for opt in node.options:
+                yield opt
+                stack.append(opt.continuation)
+                if delegated and isinstance(opt.payload, Delegate):
+                    stack.append(opt.payload.session)
+
+
+def guard_atoms(node: TypeNode) -> Iterator[Atom]:
+    """The atoms of every guard, delegated sessions included."""
+    for opt in type_options(node, delegated=True):
+        yield from atoms_of(opt.guard)
+
+
 def type_clocks(node: TypeNode) -> set:
     """All clock names mentioned in guards and resets (not delegated bodies)."""
     out: set = set()
-    if isinstance(node, Choice):
-        for opt in node.options:
-            out |= clocks_of(opt.guard)
-            out |= set(opt.resets)
-            out |= type_clocks(opt.continuation)
-    elif isinstance(node, Rec):
-        out |= type_clocks(node.body)
+    for opt in type_options(node):
+        out |= clocks_of(opt.guard)
+        out |= opt.resets
     return out
 
 
 def max_constant(node: TypeNode) -> Fraction:
     """Largest guard constant, used for default horizons and clock capping."""
-    from .constraints import atoms_of
-
-    best = Fraction(0)
-    if isinstance(node, Choice):
-        for opt in node.options:
-            for atom in atoms_of(opt.guard):
-                best = max(best, abs(atom.const))
-            best = max(best, max_constant(opt.continuation))
-            if isinstance(opt.payload, Delegate):
-                best = max(best, max_constant(opt.payload.session))
-    elif isinstance(node, Rec):
-        best = max(best, max_constant(node.body))
-    return best
+    return max((abs(atom.const) for atom in guard_atoms(node)),
+               default=Fraction(0))
 
 
 def has_diagonal_atoms(node: TypeNode) -> bool:
-    from .constraints import atoms_of
+    return any(atom.sub is not None for atom in guard_atoms(node))
 
-    if isinstance(node, Choice):
-        for opt in node.options:
-            if any(atom.sub is not None for atom in atoms_of(opt.guard)):
-                return True
-            if has_diagonal_atoms(opt.continuation):
-                return True
-            if isinstance(opt.payload, Delegate):
-                if has_diagonal_atoms(opt.payload.session):
-                    return True
-        return False
+
+_OPPOSITE = {SEND: RECV, RECV: SEND}
+
+
+def map_continuations(node: TypeNode, f: Callable[[TypeNode], TypeNode],
+                      directions: Optional[Mapping[str, str]] = None
+                      ) -> TypeNode:
+    """node with f applied to the body of a recursion or to the continuation
+    of every option of a choice, and each option's direction looked up in
+    directions if given."""
     if isinstance(node, Rec):
-        return has_diagonal_atoms(node.body)
-    return False
+        return Rec(node.var, f(node.body))
+    if isinstance(node, Choice):
+        return Choice(tuple(
+            ChoiceOption(directions[o.direction] if directions else o.direction,
+                         o.label, o.payload, o.guard, o.resets,
+                         f(o.continuation))
+            for o in node.options))
+    return node
 
 
 def dual(node: TypeNode) -> TypeNode:
     """Swap every send with a receive; everything else is preserved."""
-    if isinstance(node, Choice):
-        return Choice(tuple(
-            ChoiceOption(RECV if opt.direction == SEND else SEND,
-                         opt.label, opt.payload, opt.guard, opt.resets,
-                         dual(opt.continuation))
-            for opt in node.options))
-    if isinstance(node, Rec):
-        return Rec(node.var, dual(node.body))
-    return node
+    return map_continuations(node, dual, _OPPOSITE)
 
 
 # ---------------------------------------------------------------------------

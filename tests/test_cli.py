@@ -3,7 +3,10 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from timedsessions.cli import main
+from timedsessions.parser import MAX_NESTING
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -49,6 +52,30 @@ def test_parse_error_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "check", str(bad), "Broken")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("command, source", [
+    ("check", "type T = !a(" + "not " * 3000 + "x>1).end"),
+    ("check", "type T = !a(" + " and ".join(["x>1"] * 3000) + ").end"),
+    ("run", "process T = " + "set(x)." * 3000 + "end"),
+], ids=["negations", "conjunction", "timer-sets"])
+def test_deep_nesting_exits_2(capsys, tmp_path, command, source):
+    deep = tmp_path / "deep.toast"
+    deep.write_text(source)
+    code, _, err = run_cli(capsys, command, str(deep), "T")
+    assert code == 2
+    assert f"nesting deeper than {MAX_NESTING} levels" in err
+
+
+def test_nesting_just_under_the_limit_parses(capsys, tmp_path):
+    deep = tmp_path / "deep.toast"
+    # the type, each negation and the atom are one level each
+    deep.write_text("type S = !a(" + "not " * (MAX_NESTING - 2) + "x>1).end\n"
+                    "process P = " + "set(x)." * (MAX_NESTING - 1) + "end\n")
+    code, out, _ = run_cli(capsys, "check", str(deep), "S")
+    assert (code, out) == (0, "S: well-formed\n")
+    code, out, _ = run_cli(capsys, "run", str(deep), "P")
+    assert code == 0 and "status: completed" in out
 
 
 def test_unknown_name_exits_2(capsys):

@@ -34,6 +34,7 @@ from timedsessions.processes import (
     neq_set,
     phi,
     run,
+    runtime_normalize,
     struct_normalize,
     time_step,
     wait_set,
@@ -90,6 +91,32 @@ def test_parse_rejects_undefined_call():
         parse_process("X<>")
 
 
+@pytest.mark.parametrize("source", [
+    # a duplicate definition in a receive branch, a timeout body, an else branch
+    "def X(;;) = end in from p recv { m -> def X(;;) = end in end }",
+    "def X(;;) = end in from p recv { m -> end } after 1 { def X(;;) = end in end }",
+    "def X(;;) = end in if (x>1) then { end } else { def X(;;) = end in end }",
+    # one timer set in a timeout body and in an else branch of the peer
+    "new (p,q) { from p recv { m -> end } after 1 { set(x).end }"
+    " | if (y>1) then { end } else { set(x).end } | pq:[] | qp:[] }",
+    # an undefined call in a timeout body
+    "from p recv { m -> end } after 1 { X<> }",
+], ids=["def-in-branch", "def-in-timeout", "def-in-else", "timer-in-timeout-and-else",
+        "call-in-timeout"])
+def test_parse_checks_reach_every_child_position(source):
+    with pytest.raises(ParseError):
+        parse_process(source)
+
+
+def test_every_process_node_kind_has_a_shape():
+    from typing import get_args
+
+    from timedsessions.processes import _LEAVES, _SHAPES, ProcNode
+
+    assert set(get_args(ProcNode)) == set(_SHAPES) | set(_LEAVES)
+    assert not set(_SHAPES) & set(_LEAVES)
+
+
 def test_parse_unbraced_single_branch():
     node = parse_process("from p recv m -> end after 3 { end }")
     assert isinstance(node, ReceiveAfter)
@@ -118,6 +145,17 @@ def test_normalize_idempotent():
         p = random_phi_term(rng)
         once = struct_normalize(p)
         assert struct_normalize(once) == once
+
+
+def test_normalize_returns_normal_terms_unchanged():
+    rng = random.Random(2)
+    for _ in range(200):
+        p = random_phi_term(rng)
+        q = struct_normalize(p)
+        assert struct_normalize(q) is q
+        assert runtime_normalize(q) is q
+        r = runtime_normalize(p)
+        assert runtime_normalize(r) is r
 
 
 # ---------------------------------------------------------------------------

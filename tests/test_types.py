@@ -234,6 +234,18 @@ def test_delegation_round_trip():
     assert parse_type(format_type(node)) == node
 
 
+def test_type_walks_look_through_delegation_except_for_clocks():
+    from timedsessions.semantics import _constants_are_integers
+    from timedsessions.sessiontypes import (has_diagonal_atoms, max_constant,
+                                            type_clocks)
+
+    node = parse_type("!a<(z<1, ?b(z-w>7/2).end)>(x<2).end")
+    assert type_clocks(node) == {"x"}
+    assert max_constant(node) == F(7, 2)
+    assert has_diagonal_atoms(node)
+    assert not _constants_are_integers(node)
+
+
 def test_parse_errors_carry_positions():
     with pytest.raises(ParseError) as info:
         parse_type("{ !a(x>1).end ,\n   ?b(x< ).end }")
