@@ -75,10 +75,15 @@ _KEYWORDS = {
     "system",
 }
 
-# The deepest nesting of constraints, types and processes accepted.  The
-# parser and every recursive walker over the trees it builds take at most
-# a few stack frames per level, so this keeps them all well inside
-# Python's default recursion limit; deeper input is a parse error.
+# The deepest nesting of constraints, types and processes accepted.  Each
+# type or process constructor counts one level, and a constraint counts
+# the height of the tree it builds (``x<1``, sugar for ``not x>1 and not
+# x=1``, counts three).  Parenthesised groups build no node; their nesting
+# is bounded by the same constant on its own.  The parser and every
+# recursive walker over the built trees take at most a few stack frames
+# per level, so this keeps them all well inside Python's default recursion
+# limit; deeper input is a parse error.  A printed term nests no deeper
+# than its tree, so whatever is accepted prints to text that parses again.
 MAX_NESTING = 50
 
 _TWO_CHAR = ("<=", ">=", "!=", "->")
@@ -162,6 +167,15 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
+def _height(c: Constraint) -> int:
+    """Height of a small constraint tree: the sugar of one comparison."""
+    if isinstance(c, Not):
+        return 1 + _height(c.inner)
+    if isinstance(c, (And, Or)):
+        return 1 + max(_height(c.left), _height(c.right))
+    return 1
+
+
 def _nesting(method):
     """Count each active call of a recursive parse method as one level."""
 
@@ -180,7 +194,8 @@ class _Parser:
     def __init__(self, source: str):
         self.tokens = tokenize(source)
         self.pos = 0
-        self.depth = 0  # current nesting, bounded by MAX_NESTING
+        self.depth = 0  # enclosing constructors and negations
+        self.parens = 0  # enclosing parenthesised constraints
 
     # -- token plumbing ------------------------------------------------------
 
@@ -215,10 +230,13 @@ class _Parser:
         tok = self.peek()
         return ParseError(message, tok.line, tok.col)
 
+    def too_deep(self) -> ParseError:
+        return self.error(f"nesting deeper than {MAX_NESTING} levels")
+
     def deeper(self) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise self.error(f"nesting deeper than {MAX_NESTING} levels")
+            raise self.too_deep()
 
     # -- rationals -----------------------------------------------------------
 
@@ -245,44 +263,59 @@ class _Parser:
 
     # -- constraints ----------------------------------------------------------
 
-    # Each operator of a chain nests everything before it one level deeper.
+    # Each constraint parser returns the node with the height of its tree,
+    # and that height plus the enclosing levels must stay within the limit.
     def parse_constraint(self) -> Constraint:
-        depth = self.depth
-        left = self.parse_conjunct()
+        return self._disjunction()[0]
+
+    def _disjunction(self) -> Tuple[Constraint, int]:
+        left, height = self._conjunction()
         while self.at("or"):
             self.advance()
-            self.deeper()
-            left = Or(left, self.parse_conjunct())
-        self.depth = depth
-        return left
+            right, right_height = self._conjunction()
+            left = Or(left, right)
+            height = self._within(1 + max(height, right_height))
+        return left, height
 
-    def parse_conjunct(self) -> Constraint:
-        depth = self.depth
-        left = self.parse_unary()
+    def _conjunction(self) -> Tuple[Constraint, int]:
+        left, height = self._unary()
         while self.at("and"):
             self.advance()
-            self.deeper()
-            left = And(left, self.parse_unary())
-        self.depth = depth
-        return left
+            right, right_height = self._unary()
+            left = And(left, right)
+            height = self._within(1 + max(height, right_height))
+        return left, height
 
-    @_nesting
-    def parse_unary(self) -> Constraint:
+    def _unary(self) -> Tuple[Constraint, int]:
         if self.at("not"):
             self.advance()
-            return Not(self.parse_unary())
-        if self.at("true"):
-            self.advance()
-            return TRUE
-        if self.at("false"):
-            self.advance()
-            return FALSE
+            self.deeper()  # the negation encloses its operand
+            inner, height = self._unary()
+            self.depth -= 1
+            return Not(inner), self._within(height + 1)
         if self.at("("):
             self.advance()
-            inner = self.parse_constraint()
+            self.parens += 1
+            if self.parens > MAX_NESTING:
+                raise self.too_deep()
+            inner = self._disjunction()
             self.expect(")")
+            self.parens -= 1
             return inner
-        return self.parse_relation()
+        if self.at("true"):
+            self.advance()
+            node = TRUE
+        elif self.at("false"):
+            self.advance()
+            node = FALSE
+        else:
+            node = self.parse_relation()
+        return node, self._within(_height(node))
+
+    def _within(self, height: int) -> int:
+        if self.depth + height > MAX_NESTING:
+            raise self.too_deep()
+        return height
 
     _REL_BUILDERS = {
         ">": atom_gt, ">=": atom_ge, "<": atom_lt, "<=": atom_le,

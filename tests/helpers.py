@@ -14,6 +14,7 @@ from typing import Iterable, List, Mapping, Sequence
 from timedsessions.constraints import Constraint, eval_constraint, shift
 
 QUARTERS = [Fraction(n, 4) for n in range(0, 29)]  # 0 .. 7 in quarter steps
+TWELFTHS = [Fraction(n, 12) for n in range(0, 85)]  # 0 .. 7 in twelfth steps
 
 
 def grid_valuations(clocks: Sequence[str],

@@ -1,12 +1,18 @@
 """Command-line interface: verdicts, exit codes, and report envelopes."""
 
 import json
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from timedsessions.cli import main
-from timedsessions.parser import MAX_NESTING
+from timedsessions.constraints import And, Not, Or
+from timedsessions.errors import ParseError
+from timedsessions.generate import random_constraint
+from timedsessions.parser import MAX_NESTING, parse_constraint, parse_type
+from timedsessions.sessiontypes import format_type
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -76,6 +82,64 @@ def test_nesting_just_under_the_limit_parses(capsys, tmp_path):
     assert (code, out) == (0, "S: well-formed\n")
     code, out, _ = run_cli(capsys, "run", str(deep), "P")
     assert code == 0 and "status: completed" in out
+
+
+@pytest.mark.parametrize("guard", [
+    "not " * 24 + "x<1",
+    "not " * 48 + "x>1",
+    " and ".join(["x>1"] * 49),
+], ids=["negations-over-strict", "negations", "conjunction"])
+def test_accepted_guard_prints_to_text_that_parses(guard):
+    node = parse_type(f"!a({guard}).end")
+    assert parse_type(format_type(node)) == node
+
+
+def test_random_constraints_round_trip():
+    rng = random.Random(67)
+    constants = [Fraction(n, d) for n in range(-3, 12) for d in (1, 2, 3)]
+    for _ in range(300):
+        c = random_constraint(rng, ["x", "y"], constants, max_depth=6)
+        assert parse_constraint(str(c)) == c
+        node = parse_type(f"!a({c}).end")
+        assert parse_type(format_type(node)) == node
+
+
+def _height(c):
+    if isinstance(c, Not):
+        return 1 + _height(c.inner)
+    if isinstance(c, (And, Or)):
+        return 1 + max(_height(c.left), _height(c.right))
+    return 1
+
+
+def test_constraints_at_the_limit_round_trip():
+    # a guard of height MAX_NESTING - 1 under one type level is accepted,
+    # prints to text that parses, and one level more is rejected
+    rng = random.Random(71)
+    for _ in range(60):
+        c = random_constraint(rng, ["x", "y"], max_depth=0)
+        while _height(c) < MAX_NESTING - 1:
+            atom = random_constraint(rng, ["x", "y"], max_depth=0)
+            if _height(atom) > _height(c):
+                continue
+            c = rng.choice([Not(c), And(c, atom), And(atom, c),
+                            Or(c, atom), Or(atom, c)])
+        node = parse_type(f"!a({c}).end")
+        assert node.options[0].guard == c
+        assert parse_type(format_type(node)) == node
+        with pytest.raises(ParseError, match="nesting deeper"):
+            parse_type(f"!a({Not(c)}).end")
+
+
+def test_exponential_dnf_guard_is_decided(capsys, tmp_path):
+    # 2^25 DNF conjuncts, all empty: the entry constraint is unsatisfiable
+    guard = " and ".join(f"(x={k} or x-y={k})" for k in range(1, 26))
+    spec = tmp_path / "dnf.toast"
+    spec.write_text(f"type S = !a({guard}).end\n")
+    code, out, _ = run_cli(capsys, "check", str(spec), "S")
+    assert code == 1
+    assert "S: ill-formed" in out
+    assert "initial valuation outside entry constraint" in out
 
 
 def test_unknown_name_exits_2(capsys):
