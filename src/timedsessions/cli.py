@@ -36,13 +36,15 @@ EXIT_USAGE = 2
 EXIT_BOUND = 3
 
 
-def _load(path: str):
-    source = Path(path).read_text(encoding="utf-8")
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
-    return parse_spec_file(source), digest
+def _load(args):
+    """Parse args.file; args.digest names the input as soon as it is read,
+    so that an error envelope can name it too."""
+    source = Path(args.file).read_text(encoding="utf-8")
+    args.digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
+    return parse_spec_file(source), args.digest
 
 
-def _envelope(command: str, digest: str, verdict: str, diagnostics,
+def _envelope(command: str, digest: str | None, verdict: str, diagnostics,
               started: float) -> dict:
     return {
         "command": command,
@@ -73,7 +75,7 @@ def _sys_action_json(action) -> dict:
 
 def cmd_check(args) -> int:
     started = time.monotonic()
-    spec, digest = _load(args.file)
+    spec, digest = _load(args)
     if args.type_name not in spec.types:
         raise ParseError(f"unknown type {args.type_name!r}")
     node = spec.types[args.type_name]
@@ -92,7 +94,7 @@ def cmd_check(args) -> int:
 
 def cmd_dual(args) -> int:
     started = time.monotonic()
-    spec, digest = _load(args.file)
+    spec, digest = _load(args)
     if args.type_name not in spec.types:
         raise ParseError(f"unknown type {args.type_name!r}")
     text = format_type(dual(spec.types[args.type_name]))
@@ -109,7 +111,7 @@ def _limits(args) -> ExploreLimits:
 
 def cmd_progress(args) -> int:
     started = time.monotonic()
-    spec, digest = _load(args.file)
+    spec, digest = _load(args)
     left, right = spec.resolve_system(args.system_name)
     system = make_system(left, right, spec.clocks)
     report = check_progress(system, _limits(args), monitor=args.monitor)
@@ -137,7 +139,7 @@ def cmd_progress(args) -> int:
 
 def cmd_compat(args) -> int:
     started = time.monotonic()
-    spec, digest = _load(args.file)
+    spec, digest = _load(args)
     left, right = spec.resolve_system(args.system_name)
     system = make_system(left, right, spec.clocks)
     ok, why = compatible(system)
@@ -150,7 +152,7 @@ def cmd_compat(args) -> int:
 
 def cmd_run(args) -> int:
     started = time.monotonic()
-    spec, digest = _load(args.file)
+    spec, digest = _load(args)
     if args.process_name not in spec.processes:
         raise ParseError(f"unknown process {args.process_name!r}")
     node = spec.processes[args.process_name]
@@ -176,7 +178,7 @@ def cmd_run(args) -> int:
 
 def cmd_simulate(args) -> int:
     started = time.monotonic()
-    spec, digest = _load(args.file)
+    spec, digest = _load(args)
     left, right = spec.resolve_system(args.system_name)
     system = make_system(left, right, spec.clocks)
     rng = random.Random(args.seed)
@@ -284,10 +286,14 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_PASS
+    args.digest = None
+    started = time.monotonic()
     try:
         return args.func(args)
-    except (ParseError, SpecError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, SpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _emit(args, _envelope(args.command, args.digest, "error",
+                              {"message": str(exc)}, started), [])
         return EXIT_USAGE
 
 

@@ -24,7 +24,6 @@ from .constraints import (
     Valuation,
     apply_reset,
     boundary_delays,
-    disj,
     eval_constraint,
     shift,
     zero_valuation,
@@ -42,15 +41,13 @@ from .sessiontypes import (
     TypeNode,
     Var,
     dual,
-    format_type,
     guard_atoms,
     has_diagonal_atoms,
-    map_continuations,
     max_constant,
     type_clocks,
 )
 from .rational import format_rational
-from .zones import constraint_equiv, past, to_zones
+from .zones import constraint_equiv, to_zones
 
 # ---------------------------------------------------------------------------
 # States
@@ -139,18 +136,13 @@ class ProgressReport:
 # Configurations
 # ---------------------------------------------------------------------------
 
-def _subst_type(node: TypeNode, var: str, repl: TypeNode) -> TypeNode:
-    if isinstance(node, Var):
-        return repl if node.var == var else node
-    if isinstance(node, Rec) and node.var == var:  # shadowed
-        return node
-    return map_continuations(node, lambda n: _subst_type(n, var, repl))
-
-
 def unfold_head(node: TypeNode) -> TypeNode:
-    """Unfold recursive definitions until the head is a choice or end."""
+    """Unfold recursive definitions until the head is a choice or end.
+
+    Each recursion is unfolded once (``Rec.unfolded``), so repeated calls on
+    the same node return the same object and continuations stay stable."""
     while isinstance(node, Rec):
-        node = _subst_type(node.body, node.var, node)
+        node = node.unfolded
     if isinstance(node, Var):
         raise SpecError(f"unguarded recursion variable {node.var!r} at head")
     return node
@@ -179,28 +171,12 @@ def config_tick(config: Config, t: Fraction) -> Config:
     return Config(shift(config.nu, Fraction(t)), config.node)
 
 
-_GAMMA_HEAD_CACHE: Dict[TypeNode, object] = {}
-
-
-def _gamma_of_head(node: TypeNode):
-    """past of the disjunction of the unfolded head's guards (cached)."""
-    head = unfold_head(node)
-    if isinstance(head, End):
-        return None
-    cached = _GAMMA_HEAD_CACHE.get(head)
-    if cached is None:
-        cached = past(disj(*[opt.guard for opt in head.options]))
-        _GAMMA_HEAD_CACHE[head] = cached
-    return cached
-
-
 def is_future_enabled(state) -> bool:
-    """Can some delay enable a communication action?  Decided exactly via
-    the past of the head guards; end is never future-enabled."""
-    gamma_head = _gamma_of_head(state.node)
-    if gamma_head is None:
-        return False
-    return eval_constraint(state.nu, gamma_head)
+    """Can some delay enable a communication action?  Decided exactly by the
+    entry constraint of the unfolded head (``Choice.entry``, the past of its
+    guards); end is never future-enabled."""
+    head = unfold_head(state.node)
+    return isinstance(head, Choice) and eval_constraint(state.nu, head.entry)
 
 
 # ---------------------------------------------------------------------------
@@ -466,21 +442,12 @@ def region_canonical(sys: System, cap: Fraction) -> System:
                   QConfig(new_nus[1], sys.right.node, sys.right.queue))
 
 
-_TYPE_DIGEST_CACHE: Dict[TypeNode, str] = {}
-
-
-def _type_digest(node: TypeNode) -> str:
-    cached = _TYPE_DIGEST_CACHE.get(node)
-    if cached is None:
-        cached = format_type(unfold_head(node))
-        _TYPE_DIGEST_CACHE[node] = cached
-    return cached
-
-
 def digest_qconfig(qc: QConfig) -> str:
     nu = ",".join(f"{k}={format_rational(v)}" for k, v in sorted(qc.nu.items()))
     queue = ";".join(str(m) for m in qc.queue)
-    return f"({nu} | {_type_digest(qc.node)} | [{queue}])"
+    head = unfold_head(qc.node)
+    printed = head.printed if isinstance(head, Choice) else "end"
+    return f"({nu} | {printed} | [{queue}])"
 
 
 def digest_system(sys: System) -> str:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
                     Optional, Tuple, Union)
 
@@ -95,11 +96,27 @@ class Choice:
         if not self.options:
             raise SpecError("a choice needs at least one option")
 
+    @cached_property
+    def entry(self) -> Constraint:
+        """gamma of the choice: the past of the disjunction of its guards."""
+        return past(disj(*[opt.guard for opt in self.options]))
+
+    @cached_property
+    def printed(self) -> str:
+        """format_type of the choice, rendered once."""
+        return format_type(self)
+
 
 @dataclass(frozen=True)
 class Rec:
     var: str
     body: "TypeNode"
+
+    @cached_property
+    def unfolded(self) -> "TypeNode":
+        """body[rec/var], built once: unfolding it again reaches this same
+        object, so the unfoldings of a type form a finite graph."""
+        return _subst_type(self.body, self.var, self)
 
 
 @dataclass(frozen=True)
@@ -190,6 +207,14 @@ def map_continuations(node: TypeNode, f: Callable[[TypeNode], TypeNode],
     return node
 
 
+def _subst_type(node: TypeNode, var: str, repl: TypeNode) -> TypeNode:
+    if isinstance(node, Var):
+        return repl if node.var == var else node
+    if isinstance(node, Rec) and node.var == var:  # shadowed
+        return node
+    return map_continuations(node, lambda n: _subst_type(n, var, repl))
+
+
 def dual(node: TypeNode) -> TypeNode:
     """Swap every send with a receive; everything else is preserved."""
     return map_continuations(node, dual, _OPPOSITE)
@@ -251,7 +276,7 @@ def gamma(node: TypeNode, env: Optional[Mapping[str, Constraint]] = None) -> Con
         env[node.var] = gamma_of_head(node.body, env)
         return gamma(node.body, env)
     assert isinstance(node, Choice)
-    return past(disj(*[opt.guard for opt in node.options]))
+    return node.entry
 
 
 def gamma_of_head(node: TypeNode, env: Optional[Mapping[str, Constraint]] = None) -> Constraint:

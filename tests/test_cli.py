@@ -1,5 +1,6 @@
 """Command-line interface: verdicts, exit codes, and report envelopes."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -244,3 +245,99 @@ def test_json_run_envelope(capsys):
     assert code == 0
     envelope = json.loads(out)
     assert envelope["diagnostics"]["elapsed"] == "3"
+
+
+# Exact `progress` output on the fixture systems: verdict, states visited,
+# reason and every trace line.  A change to exploration order, to state
+# identity or to the state digests shows here.
+PINNED_PROGRESS = [
+    ("unsafe_mixed.toast", "unsafe", 1,
+     "unsafe: counterexample (8 states)\n"
+     "  reachable non-final state with no action after any admissible delay\n"
+     "0 comm-l(b) (x=0 | end | []) || "
+     "(x=0 | { !a((not (x>5) and not (x=5))) , ?b(x=0) } | [b])\n"
+     "1 comm-r(a) (x=0 | end | [a]) || (x=0 | end | [b])\n"),
+    ("weak_persistency.toast", "weak", 0, "weak: ok (15 states)\n"),
+    ("end_only.toast", "finished", 0, "finished: ok (1 states)\n"),
+    ("unbounded_send.toast", "flood", 3,
+     "flood: bound-exceeded (18 states)\n  queue bound exceeded\n"),
+    ("throttling.toast", "throttle2", 0, "throttle2: ok (32 states)\n"),
+    ("mixed_pingpong.toast", "mpp", 0, "mpp: ok (35 states)\n"),
+]
+
+
+@pytest.mark.parametrize("fixture, system, code, text", PINNED_PROGRESS,
+                         ids=[p[1] for p in PINNED_PROGRESS])
+def test_progress_output_on_fixtures_is_pinned(capsys, fixture, system, code,
+                                               text):
+    assert run_cli(capsys, "progress", fx(fixture), system) == (code, text, "")
+
+
+def test_simulate_digests_on_a_recursive_fixture_are_pinned(capsys):
+    # every state digest prints the unfolded head of each side's type; the
+    # output is long, so its sha256 is pinned
+    code, out, _ = run_cli(capsys, "simulate", fx("throttling.toast"),
+                           "throttle2", "--trace-len", "6", "--seed", "3")
+    assert code == 0 and out.count("\n") == 7
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "495ab04fd214dda0804de1c833e600394d0779be4ab4dc213ff3beab9f483785")
+
+
+def test_directory_exits_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "check", str(tmp_path), "S")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
+def test_unreadable_file_exits_2(capsys, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    code, out, err = run_cli(capsys, "check", fx("junk.toast"), "S")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Permission denied" in err
+
+
+def test_non_utf8_file_exits_2(capsys, tmp_path):
+    bad = tmp_path / "latin1.toast"
+    bad.write_bytes(b"type S = !caf\xe9.end\n")
+    code, out, err = run_cli(capsys, "check", str(bad), "S")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "utf-8" in err
+
+
+def _error_envelope(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    envelope = json.loads(out)
+    assert err == f"error: {envelope['diagnostics']['message']}\n"
+    assert envelope["verdict"] == "error"
+    assert envelope["command"] == argv[0]
+    assert set(envelope) == {"command", "input", "verdict", "diagnostics",
+                             "timing"}
+    return envelope
+
+
+def test_json_error_envelope_on_parse_error(capsys, tmp_path):
+    bad = tmp_path / "bad.toast"
+    bad.write_text("type Broken = rec a . a")
+    envelope = _error_envelope(capsys, "check", str(bad), "Broken")
+    assert envelope["input"] is not None
+    assert envelope["diagnostics"] == {
+        "message": "1:15: unguarded recursion rec 'a'"}
+
+
+def test_json_error_envelope_on_unknown_type(capsys):
+    envelope = _error_envelope(capsys, "dual", fx("junk.toast"), "Nope")
+    assert envelope["diagnostics"] == {"message": "unknown type 'Nope'"}
+    ok_code, ok_out, _ = run_cli(capsys, "dual", fx("junk.toast"), "S",
+                                 "--json")
+    assert ok_code == 0
+    assert envelope["input"] == json.loads(ok_out)["input"]
+
+
+def test_json_error_envelope_on_directory(capsys, tmp_path):
+    envelope = _error_envelope(capsys, "progress", str(tmp_path), "sys")
+    assert envelope["input"] is None
+    assert "Is a directory" in envelope["diagnostics"]["message"]

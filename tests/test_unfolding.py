@@ -1,0 +1,120 @@
+"""Memoised unfolding and entry constraints against fresh substitution.
+
+The reference below rebuilds body[rec/var] on every call, as unfolding did
+before it was memoised on the nodes; the memoised heads must print the
+same, come back as the same object, and carry the same entry constraint.
+"""
+
+import dataclasses
+import random
+from fractions import Fraction
+from pathlib import Path
+
+from helpers import grid_valuations
+from timedsessions.constraints import disj, eval_constraint
+from timedsessions.generate import random_type
+from timedsessions.parser import parse_constraint, parse_spec_file, parse_type
+from timedsessions.semantics import QConfig, is_future_enabled, unfold_head
+from timedsessions.sessiontypes import (RECV, SEND, Choice, End, Rec, Var,
+                                        dual, format_type, gamma, option)
+from timedsessions.zones import past
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+HALVES = [Fraction(n, 2) for n in range(0, 13)]  # 0 .. 6 in half steps
+DEPTH = 4
+
+
+def reference_subst(node, var, repl):
+    if isinstance(node, Var):
+        return repl if node.var == var else node
+    if isinstance(node, Rec):
+        if node.var == var:  # shadowed
+            return node
+        return Rec(node.var, reference_subst(node.body, var, repl))
+    if isinstance(node, Choice):
+        return Choice(tuple(
+            dataclasses.replace(
+                o, continuation=reference_subst(o.continuation, var, repl))
+            for o in node.options))
+    return node
+
+
+def reference_unfold(node):
+    while isinstance(node, Rec):
+        node = reference_subst(node.body, node.var, node)
+    return node
+
+
+def has_nested_rec(node, under_rec=False):
+    if isinstance(node, Rec):
+        return under_rec or has_nested_rec(node.body, True)
+    if isinstance(node, Choice):
+        return any(has_nested_rec(o.continuation, under_rec)
+                   for o in node.options)
+    return False
+
+
+def check_heads(node, valuations):
+    """Follow the continuations of unfolded heads to DEPTH, the memoised
+    type and the reference tree in lockstep; return the heads checked."""
+    checked = 0
+    frontier = [(node, node)]
+    for _ in range(DEPTH):
+        successors = []
+        for memo, ref in frontier:
+            head, ref_head = unfold_head(memo), reference_unfold(ref)
+            assert format_type(head) == format_type(ref_head)
+            assert unfold_head(memo) is head
+            checked += 1
+            if isinstance(head, End):
+                assert isinstance(ref_head, End)
+                assert not any(is_future_enabled(QConfig(nu, memo))
+                               for nu in valuations)
+                continue
+            assert gamma(head) is head.entry
+            expected = past(disj(*[o.guard for o in ref_head.options]))
+            for nu in valuations:
+                assert (is_future_enabled(QConfig(nu, memo))
+                        == eval_constraint(nu, expected)), (format_type(head), nu)
+            successors.extend(zip((o.continuation for o in head.options),
+                                  (o.continuation for o in ref_head.options)))
+        frontier = successors
+    return checked
+
+
+def test_memoised_unfolding_matches_fresh_substitution_on_random_types():
+    rng = random.Random(20240806)
+    valuations = grid_valuations(("x", "y"), HALVES)
+    nested = 0
+    for _ in range(40):
+        node = random_type(rng, ("x", "y"), 3, 5)
+        nested += has_nested_rec(node)
+        assert check_heads(node, valuations) >= 1
+        check_heads(dual(node), valuations)
+    assert nested > 0
+
+
+def test_memoised_unfolding_matches_fresh_substitution_on_fixtures():
+    # the parser rejects shadowing, so the shadowed binder is built directly
+    inner = Rec("a", Choice((
+        option(RECV, "n", parse_constraint("x>1"), {"x"}, continuation=Var("a")),
+        option(SEND, "o", parse_constraint("x=1")))))
+    types = [
+        parse_type("rec a . rec b . { ?d(x<=1).a , !e(1<x).b }"),
+        Rec("a", Choice((option(SEND, "m", parse_constraint("x<1"),
+                                continuation=inner),))),
+    ]
+    for path in sorted(FIXTURES.glob("*.toast")):
+        types.extend(parse_spec_file(path.read_text()).types.values())
+    valuations = grid_valuations(("x", "y"), HALVES)
+    for node in types:
+        check_heads(node, valuations)
+        check_heads(dual(node), valuations)
+
+
+def test_unfolding_is_built_once_per_recursion():
+    node = parse_type("rec t . { ?ping(x<=3,{x}).t , !pong(x>3,{x}).t }")
+    head = unfold_head(node)
+    assert all(o.continuation is node for o in head.options)
+    assert unfold_head(head.options[0].continuation) is head
+    assert head.printed is unfold_head(node).printed
