@@ -216,8 +216,23 @@ def cmd_simulate(args) -> int:
     return EXIT_VIOLATION
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejected; its usage text is already on
+    stderr."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach ``main``, so that under
+    ``--json`` they produce an envelope too.  The stderr text is argparse's."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="timedsessions",
         description="Verify and simulate timed session types with safe "
                     "mixed-choice")
@@ -281,13 +296,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code else EXIT_PASS
-    args.digest = None
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse names the subcommand in args before it parses the
+    # subcommand's own arguments, so a usage error can name it.
+    args = argparse.Namespace(digest=None)
     started = time.monotonic()
+    try:
+        build_parser().parse_args(argv, args)
+    except SystemExit as exc:  # --help
+        return EXIT_USAGE if exc.code else EXIT_PASS
+    except _UsageError as exc:
+        args.json = "--json" in argv
+        _emit(args, _envelope(getattr(args, "command", None), None, "error",
+                              {"message": str(exc)}, started), [])
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (ParseError, SpecError, OSError, ValueError) as exc:

@@ -392,28 +392,36 @@ def runtime_normalize(p: ProcNode) -> ProcNode:
 
 
 def _normalize(p: ProcNode, reorder: bool) -> ProcNode:
+    """The normal form of p: ``_normal_node`` applied bottom-up to every
+    node, so every subterm of a normal term is normal."""
     def walk(node: ProcNode) -> ProcNode:
-        node = map_children(node, walk)
-        kind = type(node)
-        if kind is DelayExact and node.duration == 0:
-            return node.cont
-        if kind is not Par:
-            return node
-        flat: List[ProcNode] = []
-        for part in node.parts:
-            if type(part) is Par:
-                flat.extend(part.parts)
-            else:
-                flat.append(part)
-        if reorder:
-            flat.sort(key=format_process)
-        if len(flat) == 1:
-            return flat[0]
-        if len(flat) == len(node.parts) and all(map(is_, flat, node.parts)):
-            return node
-        return Par(tuple(flat))
+        return _normal_node(map_children(node, walk), reorder)
 
     return walk(p)
+
+
+def _normal_node(node: ProcNode, reorder: bool = False) -> ProcNode:
+    """The normal form of a node whose children are normal: delay(0) is
+    dropped, a parallel part that is itself parallel is spliced in, and a
+    composition of one part is that part."""
+    kind = type(node)
+    if kind is DelayExact and node.duration == 0:
+        return node.cont
+    if kind is not Par:
+        return node
+    flat: List[ProcNode] = []
+    for part in node.parts:
+        if type(part) is Par:
+            flat.extend(part.parts)
+        else:
+            flat.append(part)
+    if reorder:
+        flat.sort(key=format_process)
+    if len(flat) == 1:
+        return flat[0]
+    if len(flat) == len(node.parts) and all(map(is_, flat, node.parts)):
+        return node
+    return Par(tuple(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -704,6 +712,21 @@ def _replace(term: ProcNode, path: Path, new: ProcNode) -> ProcNode:
     return _SHAPES[type(term)].rebuild(term, kids)
 
 
+def _replace_normal(term: ProcNode, path: Path, new: ProcNode) -> ProcNode:
+    """The normal form of term with new at path, where term is normal and
+    new is normal below its head.
+
+    Every other subterm is already normal, so only new's head and the nodes
+    on path are renormalised, bottom-up, as ``_normalize`` would.
+    """
+    if not path:
+        return _normal_node(new)
+    kids = list(children(term))
+    i = _active_slot(term, path[0])
+    kids[i] = _replace_normal(kids[i], path[1:], new)
+    return _normal_node(_SHAPES[type(term)].rebuild(term, kids))
+
+
 @dataclass(frozen=True)
 class Redex:
     kind: str      # set | if | send | recv | det | def | call | err | stuck
@@ -808,33 +831,47 @@ class _DelayPicker:
 def _apply_redex(root: ProcNode, redex: Redex, rho: TimerEnv,
                  registry: Dict[str, Def],
                  picker: Optional[_DelayPicker]) -> Tuple[TimerEnv, ProcNode]:
+    """One instant step from the normal term root: the timers after it and
+    the normal form of the term it leads to."""
+    rho, root, new = _reduce(root, redex, rho, registry, picker)
+    return rho, _replace_normal(root, redex.path, new)
+
+
+def _reduce(root: ProcNode, redex: Redex, rho: TimerEnv,
+            registry: Dict[str, Def], picker: Optional[_DelayPicker]
+            ) -> Tuple[TimerEnv, ProcNode, ProcNode]:
+    """The timers after the step, root with the step's buffer updated, and
+    the subterm that replaces the redex at redex.path.
+
+    Every such subterm is a subterm of root, or a renaming or substitution
+    of one, so it is normal below its head when root is normal.
+    """
     node = _get(root, redex.path)
     if redex.kind == "def":
         assert isinstance(node, Def)
         registry[node.name] = node
-        return rho, _replace(root, redex.path, node.cont)
+        return rho, root, node.cont
     if redex.kind == "set":
         assert isinstance(node, SetTimer)
         new_rho = dict(rho)
         new_rho[node.timer] = Fraction(0)
-        return new_rho, _replace(root, redex.path, node.cont)
+        return new_rho, root, node.cont
     if redex.kind == "if":
         assert isinstance(node, IfTimer)
         if eval_constraint(rho, node.cond):
-            return rho, _replace(root, redex.path, node.then_branch)
-        return rho, _replace(root, redex.path, node.else_branch)
+            return rho, root, node.then_branch
+        return rho, root, node.else_branch
     if redex.kind == "send":
         assert isinstance(node, Send) and redex.buffer_path is not None
         buf = _get(root, redex.buffer_path)
         assert isinstance(buf, Buffer)
         new_buf = Buffer(buf.src, buf.dst, buf.items + ((node.label, node.value),))
-        root = _replace(root, redex.buffer_path, new_buf)
-        return rho, _replace(root, redex.path, node.cont)
+        return rho, _replace(root, redex.buffer_path, new_buf), node.cont
     if redex.kind == "recv":
         assert isinstance(node, ReceiveAfter)
         if redex.buffer_path is None:  # timeout expiry (after 0, empty queue)
             assert node.timeout is not None
-            return rho, _replace(root, redex.path, node.timeout)
+            return rho, root, node.timeout
         buf = _get(root, redex.buffer_path)
         assert isinstance(buf, Buffer) and buf.items
         label, value = buf.items[0]
@@ -844,20 +881,19 @@ def _apply_redex(root: ProcNode, redex: Redex, rho: TimerEnv,
             cont = subst_value(cont, branch.binder, value)
         root = _replace(root, redex.buffer_path,
                         Buffer(buf.src, buf.dst, buf.items[1:]))
-        return rho, _replace(root, redex.path, cont)
+        return rho, root, cont
     if redex.kind == "det":
         assert isinstance(node, DelayConstraint)
         if picker is None:
             raise SpecError("delay(constraint) needs a resolution policy")
         t = picker.pick(node.var, node.cond)
-        return rho, _replace(root, redex.path, DelayExact(t, node.cont))
+        return rho, root, DelayExact(t, node.cont)
     if redex.kind == "call":
         assert isinstance(node, Call)
         defn = registry.get(node.name) or _scan_defs(root, node.name)
         if defn is None:
             raise SpecError(f"call to undefined process {node.name!r}")
-        body = instantiate_call(defn, node)
-        return rho, _replace(root, redex.path, body)
+        return rho, root, instantiate_call(defn, node)
     raise SpecError(f"redex kind {redex.kind!r} is not reducible")
 
 
@@ -902,11 +938,10 @@ def instant_step(rho: TimerEnv, p: ProcNode) -> List[Tuple[TimerEnv, ProcNode]]:
         if redex.kind == "det":
             node = _get(p, redex.path)
             for t in det_candidates(node.var, node.cond):
-                new_p = _replace(p, redex.path, DelayExact(t, node.cont))
-                results.append((rho, runtime_normalize(new_p)))
+                results.append((rho, _replace_normal(
+                    p, redex.path, DelayExact(t, node.cont))))
             continue
-        new_rho, new_p = _apply_redex(p, redex, rho, {}, None)
-        results.append((new_rho, runtime_normalize(new_p)))
+        results.append(_apply_redex(p, redex, rho, {}, None))
     return results
 
 
@@ -972,6 +1007,11 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
 
     Instant steps are exhausted in leftmost order before the unique enabled
     time step fires; delay(constraint) durations are resolved by the policy.
+
+    An instant step rewrites one redex and at most one buffer, so it only
+    renormalises the nodes on the redex's path (``_replace_normal``) and
+    only resolves the timeouts of the subterm it put there.  A time step
+    normalises and resolves the whole term.
     """
     policy = policy or RunPolicy()
     picker = _DelayPicker(policy.seed, policy.delay_resolution)
@@ -979,7 +1019,12 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     trace: List[str] = []
     elapsed = Fraction(0)
     rho: TimerEnv = {}
-    term = runtime_normalize(program)
+    # The term is fresh put in at path into base.  Every active receive of
+    # base has its timeout resolved; those of fresh are resolved at the top
+    # of the next iteration, so a run that stops first returns them as
+    # expressions.  After a time step the whole term is fresh.
+    base = fresh = runtime_normalize(program)
+    path: Path = ()
     steps = 0
 
     def result(status: str, detail: str) -> RunResult:
@@ -987,8 +1032,9 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
 
     while steps < policy.fuel:
         try:
-            term = resolve_active(term, rho)
+            term = _replace_normal(base, path, resolve_active(fresh, rho))
         except SpecError as exc:
+            term = _replace_normal(base, path, fresh)
             return result(RunStatus.ERROR, str(exc))
         redexes = _collect_redexes(term)
         for redex in redexes:
@@ -1001,22 +1047,20 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         if redexes:
             redex = redexes[0]
             steps += 1
-            before = term
             try:
-                rho, term = _apply_redex(term, redex, rho, registry, picker)
+                rho, base, new = _reduce(term, redex, rho, registry, picker)
             except SpecError as exc:
                 return result(RunStatus.ERROR, str(exc))
             if redex.kind == "det":
-                resolved = _get(term, redex.path)
-                trace.append(f"{steps} det delay({format_rational(resolved.duration)})"
+                trace.append(f"{steps} det delay({format_rational(new.duration)})"
                              f" for {redex.detail}")
             elif redex.kind == "if":
-                taken = "then" if eval_constraint(rho, _get(before, redex.path).cond) \
+                taken = "then" if eval_constraint(rho, _get(term, redex.path).cond) \
                     else "else"
                 trace.append(f"{steps} if ({redex.detail}) -> {taken}")
             else:
                 trace.append(f"{steps} {redex.kind} {redex.detail}")
-            term = runtime_normalize(term)
+            path, fresh = redex.path, _normal_node(new)
             continue
         if is_completed(term):
             return result(RunStatus.COMPLETED, "all components terminated")
@@ -1026,11 +1070,13 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         t = min(candidates)
         steps += 1
         try:
-            rho, term = time_step(rho, term, t)
+            rho, base = time_step(rho, term, t)
         except PhiUndefined as exc:
             return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
+        path, fresh = (), base
         elapsed += t
         trace.append(f"{steps} delay({format_rational(t)})")
+    term = _replace_normal(base, path, fresh)
     return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")
 
 

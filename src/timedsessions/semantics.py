@@ -315,10 +315,14 @@ def system_steps(sys: System, horizon: Optional[Fraction] = None
         else:
             out.append((SysAction("recv-r", action.message),
                         System(sys.left, right2)))
+    # An admitted delay passed qconfig_time on both sides, whose successor
+    # is the shifted configuration.
+    left, right = sys.left, sys.right
     for t in admissible_delays(sys, horizon):
-        left2, _ = qconfig_time(sys.left, t)
-        right2, _ = qconfig_time(sys.right, t)
-        out.append((SysAction("wait", t=t), System(left2, right2)))
+        out.append((SysAction("wait", t=t),
+                    System(QConfig(shift(left.nu, t), left.node, left.queue),
+                           QConfig(shift(right.nu, t), right.node,
+                                   right.queue))))
     return out
 
 

@@ -11,8 +11,8 @@ So the tighter of two bounds is the smaller int, their sum is
 ``((a & -2) + (b & -2)) | (a & b & 1)``, the negation of a bound is
 ``1 - b``, and a zone is empty when some ``m[i][i] < 1``.  Zones of
 different scales are rescaled to the least common multiple before they are
-combined, and bounds are decoded to ``Fraction`` for membership tests and
-for rendering back to constraints.
+combined.  Membership tests compare ints at a common scale too; bounds are
+decoded to ``Fraction`` only for rendering back to constraints.
 
 ``to_zones`` walks the negation normal form of a constraint depth-first,
 left to right, tightening one canonical zone per branch in O(n^2) and
@@ -173,21 +173,26 @@ class Zone:
     # -- queries -------------------------------------------------------------
 
     def contains(self, nu: Mapping[str, Fraction]) -> bool:
+        """Is nu in the zone?  Decided in ints at the LCM of the zone's scale
+        and the denominators of nu, where v_i - v_j meets the encoded bound
+        b exactly when ``2 (v_i - v_j) + 1 <= b``."""
         if self.empty:
             return False
-        values = [Fraction(0)]
+        values = []
         for clock in self.clocks:
             if clock not in nu:
                 raise SpecError(f"valuation lacks clock {clock!r}")
-            values.append(Fraction(nu[clock]))
-        n = len(values)
-        for i in range(n):
-            for j in range(n):
-                value, strict = self.bound(i, j)
-                if value is None:
-                    continue
-                diff = values[i] - values[j]
-                if not (diff < value if strict else diff <= value):
+            value = nu[clock]
+            values.append(value if isinstance(value, (int, Fraction))
+                          else Fraction(value))
+        scale = lcm(self.scale, *(value.denominator for value in values))
+        factor = scale // self.scale
+        ints = [0] + [value.numerator * (scale // value.denominator)
+                      for value in values]
+        for row, v_i in zip(self.m, ints):
+            for bound, v_j in zip(row, ints):
+                if (bound is not None and 2 * (v_i - v_j) + 1
+                        > (bound & -2) * factor + (bound & 1)):
                     return False
         return True
 

@@ -341,3 +341,33 @@ def test_json_error_envelope_on_directory(capsys, tmp_path):
     envelope = _error_envelope(capsys, "progress", str(tmp_path), "sys")
     assert envelope["input"] is None
     assert "Is a directory" in envelope["diagnostics"]["message"]
+
+
+@pytest.mark.parametrize("argv,command,message", [
+    (["check"], "check",
+     "the following arguments are required: file, type_name"),
+    (["progress", fx("mixed_pingpong.toast"), "mpp", "--depth", "abc"],
+     "progress", "argument --depth: invalid int value: 'abc'"),
+    (["bogus"], None, "argument command: invalid choice: 'bogus'"),
+], ids=["missing-positional", "bad-int", "unknown-command"])
+def test_json_error_envelope_on_usage_error(capsys, argv, command, message):
+    code, out, err = run_cli(capsys, *argv, "--json")
+    assert code == 2
+    envelope = json.loads(out)
+    assert set(envelope) == {"command", "input", "verdict", "diagnostics",
+                             "timing"}
+    assert envelope["verdict"] == "error"
+    assert envelope["command"] == command
+    assert envelope["input"] is None
+    assert envelope["diagnostics"]["message"].startswith(message)
+    # argparse's own usage text, as without --json
+    assert err.startswith("usage: timedsessions")
+    assert err.endswith(f"error: {envelope['diagnostics']['message']}\n")
+    assert run_cli(capsys, *argv)[:2] == (2, "")
+
+
+def test_help_exits_0_without_an_envelope(capsys):
+    with_json = run_cli(capsys, "check", "--help", "--json")
+    assert with_json[0] == 0
+    assert with_json[1].startswith("usage: timedsessions check")
+    assert '"verdict"' not in with_json[1]

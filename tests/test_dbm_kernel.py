@@ -138,3 +138,51 @@ def test_incremental_tighten_matches_full_closure():
         assert_agrees(zone, closed)
         tightened += 1
     assert tightened > 200
+
+
+def reference_contains(bounds, point):
+    """Does point (reference clock first) meet every (value, strict) bound?"""
+    for i, row in enumerate(bounds):
+        for j, (value, strict) in enumerate(row):
+            if value is None:
+                continue
+            diff = point[i] - point[j]
+            if not (diff < value if strict else diff <= value):
+                return False
+    return True
+
+
+def test_contains_matches_fraction_reference():
+    """Valuations on halves, thirds and twelfths against zones at scales 1,
+    2, 3 and 6, with bounds on, just above and just below the point."""
+    rng = random.Random(13)
+    on_strict = on_weak = inside = 0
+    trials = 3000
+    for _ in range(trials):
+        n = rng.randint(2, 4)
+        scale = rng.choice((1, 2, 3, 6))
+        den = rng.choice((2, 3, 12))
+        point = [F(0)] + [F(rng.randint(0, 6 * den), den) for _ in range(n - 1)]
+        bounds = [[LE_ZERO if i == j else INF for j in range(n)]
+                  for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if i == j or rng.random() < 0.4:
+                    continue
+                diff = point[i] - point[j]
+                value = F(round(diff * scale) + rng.choice((-1, 0, 0, 1, 1)),
+                          scale)
+                strict = rng.random() < 0.5
+                bounds[i][j] = (value, strict)
+                if value == diff:
+                    on_strict += strict
+                    on_weak += not strict
+        m = [[None if b[0] is None else encode_bound(b[0], b[1], scale)
+              for b in row] for row in bounds]
+        clocks = tuple(f"c{k}" for k in range(1, n))
+        zone = Zone(clocks, m, scale=scale)
+        expected = reference_contains(bounds, point)
+        assert zone.contains(dict(zip(clocks, point[1:]))) == expected
+        inside += expected
+    assert on_strict > 500 and on_weak > 500
+    assert trials // 10 < inside < trials - trials // 10
