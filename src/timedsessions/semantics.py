@@ -292,14 +292,9 @@ def default_horizon(sys: System) -> Fraction:
     return max(max_constant(sys.left.node), max_constant(sys.right.node)) + 2
 
 
-def system_steps(sys: System, horizon: Optional[Fraction] = None
-                 ) -> List[Tuple[SysAction, System]]:
-    """All system transitions: asynchronous deliveries, queue consumptions,
-    and the admissible sampled waits.  A final|final system has no steps."""
-    if sys.left.is_final() and sys.right.is_final():
-        return []
-    if horizon is None:
-        horizon = default_horizon(sys)
+def tau_steps(sys: System) -> List[Tuple[SysAction, System]]:
+    """The internal transitions: asynchronous deliveries and queue
+    consumptions, both sides always computed."""
     out: List[Tuple[SysAction, System]] = []
     for action, left2 in qconfig_steps(sys.left):
         if action.direction == SEND:
@@ -315,6 +310,18 @@ def system_steps(sys: System, horizon: Optional[Fraction] = None
         else:
             out.append((SysAction("recv-r", action.message),
                         System(sys.left, right2)))
+    return out
+
+
+def system_steps(sys: System, horizon: Optional[Fraction] = None
+                 ) -> List[Tuple[SysAction, System]]:
+    """All system transitions: the internal ones of ``tau_steps`` and the
+    admissible sampled waits.  A final|final system has no steps."""
+    if sys.left.is_final() and sys.right.is_final():
+        return []
+    if horizon is None:
+        horizon = default_horizon(sys)
+    out = tau_steps(sys)
     # An admitted delay passed qconfig_time on both sides, whose successor
     # is the shifted configuration.
     left, right = sys.left, sys.right
@@ -330,25 +337,9 @@ def system_steps(sys: System, horizon: Optional[Fraction] = None
 # Compatibility
 # ---------------------------------------------------------------------------
 
-_SEM_EQUAL_CACHE: Dict[Tuple[TypeNode, TypeNode, Tuple[str, ...]], bool] = {}
-
-
-def _semantically_equal(a: TypeNode, b: TypeNode,
-                        assumed: Set[Tuple[TypeNode, TypeNode]],
-                        clocks) -> bool:
-    """Coinductive equality up to unfolding, with guards compared as zone
-    sets rather than syntax.  Top-level queries are cached."""
-    if not assumed:
-        key = (a, b, tuple(sorted(clocks)))
-        cached = _SEM_EQUAL_CACHE.get(key)
-        if cached is None:
-            cached = _sem_equal_rec(a, b, frozenset(), clocks)
-            _SEM_EQUAL_CACHE[key] = cached
-        return cached
-    return _sem_equal_rec(a, b, frozenset(assumed), clocks)
-
-
 def _sem_equal_rec(a: TypeNode, b: TypeNode, assumed, clocks) -> bool:
+    """Coinductive equality up to unfolding, with guards compared as zone
+    sets rather than syntax."""
     if (a, b) in assumed:
         return True
     assumed = assumed | {(a, b)}
@@ -396,7 +387,8 @@ def compatible(sys: System) -> Tuple[bool, str]:
         if left.nu != right.nu:
             return False, "valuations differ with empty queues"
         clocks = set(left.nu) | set(right.nu)
-        if not _semantically_equal(left.node, dual(right.node), set(), clocks):
+        if not _sem_equal_rec(left.node, dual(right.node), frozenset(),
+                              clocks):
             return False, "types are not dual"
         return True, "dual types and same clock valuations"
     side, other, tag = ((left, right, "left") if left.queue
@@ -528,13 +520,13 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
         if not final:
             passes = any(action.is_tau for action, _ in steps)
             if not passes:
+                # a wait followed by an internal action
                 for action, succ in steps:
                     try:
-                        succ_steps = system_steps(succ, horizon)
+                        passes = bool(tau_steps(succ))
                     except ProtocolError:
                         continue
-                    if any(a.is_tau for a, _ in succ_steps):
-                        passes = True
+                    if passes:
                         break
             if not passes:
                 return ProgressReport(

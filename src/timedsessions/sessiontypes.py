@@ -10,7 +10,10 @@ disjunction of its head guards) and checks three conditions at every
 choice: feasibility (each option's reset image can still drive its
 continuation), mixed-choice safety (differently-directed options are never
 enabled at the same reachable instant), and delegation (delegated sessions
-are well-formed from their initial constraint).
+are well-formed from their initial constraint).  The checker works on
+ZoneSets throughout: the reachable region, the guards and the entry
+constraints are zoned over the type's clocks, and zones are rendered back
+to constraints only in the memoised ``Choice.entry``.
 """
 
 from __future__ import annotations
@@ -22,11 +25,11 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
                     Optional, Tuple, Union)
 
 from .constraints import (
-    And,
     Atom,
     Constraint,
     TRUE,
     atom_eq,
+    atom_ge,
     atoms_of,
     clocks_of,
     conj,
@@ -35,7 +38,7 @@ from .constraints import (
     zero_valuation,
 )
 from .errors import SpecError
-from .zones import entails, future, is_sat, past, reset_constraint
+from .zones import ZoneSet, past, to_zones, zoneset_entails, zoneset_meet
 
 # ---------------------------------------------------------------------------
 # Payload sorts
@@ -316,16 +319,18 @@ def initial_reach(nu: Mapping[str, Fraction]) -> Constraint:
             parts.append(atom_eq(a, Fraction(nu[a]) - Fraction(nu[b]), b))
     if ordered:
         first = ordered[0]
-        base = Fraction(nu[first])
-        from .constraints import atom_ge
-
-        parts.append(atom_ge(first, base))
+        parts.append(atom_ge(first, Fraction(nu[first])))
     return conj(*parts)
 
 
 class _WfChecker:
-    """One checking pass; reach-tracking may be disabled for the conservative
-    second pass when a recursion is re-entered outside its analysed reach."""
+    """One checking pass over ZoneSets on the sorted clock tuple ``clocks``.
+
+    ``reach`` is the region of valuations a subterm can be entered with, and
+    ``reach_env`` binds each recursion variable to the reach its binder was
+    analysed with.  Reach-tracking is disabled for the conservative second
+    pass when a recursion is re-entered outside its analysed reach; the
+    reach is then universal throughout."""
 
     def __init__(self, clocks, track_reach: bool):
         self.clocks = tuple(sorted(clocks))
@@ -333,10 +338,13 @@ class _WfChecker:
         self.violations: List[Violation] = []
         self.reach_escaped = False
 
+    def zones(self, c: Constraint) -> ZoneSet:
+        return to_zones(c, self.clocks)
+
     def check(self, node: TypeNode, path: Tuple[str, ...],
               gamma_env: Dict[str, Constraint],
-              reach_env: Dict[str, Constraint],
-              reach: Constraint) -> None:
+              reach_env: Dict[str, ZoneSet],
+              reach: ZoneSet) -> None:
         if isinstance(node, End):
             return
         if isinstance(node, Var):
@@ -344,8 +352,8 @@ class _WfChecker:
                 self.violations.append(
                     Violation(path, "unbound-var", node.var))
                 return
-            bound_reach = reach_env[node.var]
-            if self.track_reach and not entails(reach, bound_reach, self.clocks):
+            if self.track_reach and not zoneset_entails(
+                    reach, reach_env[node.var]):
                 self.reach_escaped = True
             return
         if isinstance(node, Rec):
@@ -367,6 +375,7 @@ class _WfChecker:
                     Violation(path, "duplicate-label", opt.label))
             seen_labels.add(opt.label)
         options = node.options
+        guards = [self.zones(opt.guard) for opt in options]
         # (mixed-choice) differently-directed options must be time-disjoint
         # at every valuation this choice can actually be reached with.
         for i in range(len(options)):
@@ -374,57 +383,51 @@ class _WfChecker:
                 a, b = options[i], options[j]
                 if a.direction == b.direction:
                     continue
-                overlap = And(a.guard, b.guard)
-                if self.track_reach:
-                    overlap = And(reach, overlap)
-                if is_sat(overlap, self.clocks):
+                if zoneset_meet(reach, zoneset_meet(guards[i], guards[j])):
                     self.violations.append(Violation(
                         path, "mixed-choice", f"{a.label}/{b.label}"))
-        for opt in options:
+        for opt, guard in zip(options, guards):
             opt_path = path + (opt.label,)
-            genv = dict(gamma_env)
             try:
-                cont_gamma = gamma(opt.continuation, genv)
+                cont_gamma = gamma(opt.continuation, gamma_env)
             except SpecError as exc:
                 self.violations.append(
                     Violation(opt_path, "unbound-var", str(exc)))
                 continue
             # (feasibility) the reset image of the guard must still permit
             # the continuation to act.
-            reset_image = reset_constraint(opt.guard, opt.resets, self.clocks)
-            if not entails(reset_image, cont_gamma, self.clocks):
+            if not zoneset_entails([z.reset(opt.resets) for z in guard],
+                                   self.zones(cont_gamma)):
                 self.violations.append(Violation(
                     opt_path, "feasibility", str(cont_gamma)))
             # (delegation) delegated sessions are checked from scratch.
             if isinstance(opt.payload, Delegate):
-                inner = opt.payload
-                inner_clocks = sorted(set(self.clocks)
-                                      | type_clocks(inner.session)
-                                      | clocks_of(inner.init_constraint))
-                try:
-                    inner_gamma = gamma(inner.session, {})
-                except SpecError as exc:
-                    self.violations.append(
-                        Violation(opt_path, "unbound-var", str(exc)))
-                    inner_gamma = None
-                if inner_gamma is not None:
-                    if not entails(inner.init_constraint, inner_gamma, inner_clocks):
-                        self.violations.append(Violation(
-                            opt_path, "delegation", str(inner_gamma)))
-                    sub = _WfChecker(inner_clocks, self.track_reach)
-                    sub_reach = future(inner.init_constraint, inner_clocks)
-                    sub.check(inner.session, opt_path, {}, {}, sub_reach)
-                    self.violations.extend(sub.violations)
-                    self.reach_escaped |= sub.reach_escaped
+                self.check_delegation(opt.payload, opt_path)
             if self.track_reach:
-                entered = And(reach, opt.guard)
-                next_reach = future(
-                    reset_constraint(entered, opt.resets, self.clocks),
-                    self.clocks)
+                next_reach = [z.reset(opt.resets).up()
+                              for z in zoneset_meet(reach, guard)]
             else:
-                next_reach = TRUE
-            reach_env2 = dict(reach_env)
-            self.check(opt.continuation, opt_path, genv, reach_env2, next_reach)
+                next_reach = reach
+            self.check(opt.continuation, opt_path, gamma_env, reach_env,
+                       next_reach)
+
+    def check_delegation(self, inner: Delegate, path: Tuple[str, ...]) -> None:
+        """Check a delegated session from scratch, from the up-closure of
+        its init zones, over its clocks and this pass's."""
+        try:
+            inner_gamma = gamma(inner.session, {})
+        except SpecError as exc:
+            self.violations.append(Violation(path, "unbound-var", str(exc)))
+            return
+        sub = _WfChecker(set(self.clocks) | type_clocks(inner.session)
+                         | clocks_of(inner.init_constraint), self.track_reach)
+        init = sub.zones(inner.init_constraint)
+        if not zoneset_entails(init, sub.zones(inner_gamma)):
+            self.violations.append(Violation(
+                path, "delegation", str(inner_gamma)))
+        sub.check(inner.session, path, {}, {}, [z.up() for z in init])
+        self.violations.extend(sub.violations)
+        self.reach_escaped |= sub.reach_escaped
 
 
 def check_well_formed(node: TypeNode,
@@ -448,12 +451,12 @@ def check_well_formed(node: TypeNode,
             nu[name] = Fraction(0)
 
     checker = _WfChecker(clock_set, track_reach=True)
-    checker.check(node, (), {}, {}, initial_reach(nu))
+    checker.check(node, (), {}, {}, checker.zones(initial_reach(nu)))
     if checker.reach_escaped:
         # A recursion is re-entered outside the reach it was analysed with;
         # fall back to a conservative pass with no reach restriction.
         checker = _WfChecker(clock_set, track_reach=False)
-        checker.check(node, (), {}, {}, TRUE)
+        checker.check(node, (), {}, {}, checker.zones(TRUE))
 
     violations = list(checker.violations)
     try:

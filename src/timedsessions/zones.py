@@ -21,6 +21,12 @@ in two; the splits of a branch are made once its conjunction is complete,
 so the zones come out in the order of the disjunctive normal form.
 Satisfiability, entailment, the past operator and reset images are then
 decided zone by zone.
+
+A ZoneSet (a list of non-empty zones over one clock tuple) is the working
+form: ``zoneset_meet`` and ``zoneset_entails`` decide on it directly, and
+``Zone.reset``/``Zone.up``/``Zone.down`` map it zone by zone.  ``past``,
+``future`` and ``reset_constraint`` render their result back to a
+``Constraint`` and are the print boundary.
 """
 
 from __future__ import annotations
@@ -300,23 +306,11 @@ def _bounds_to_atoms(clock: str, sub: Optional[str],
 
 ZoneSet = List[Zone]
 
-_ZONE_CACHE: dict = {}
-
 
 def to_zones(c: Constraint, clocks: Optional[Iterable[str]] = None) -> ZoneSet:
-    """Equivalent ZoneSet, built by a pruned depth-first walk of c.
-
-    Results are cached per (constraint, clock set); callers must not mutate
-    the returned zones.
-    """
-    universe = set(clocks_of(c))
-    if clocks is not None:
-        universe |= set(clocks)
-    ordered = tuple(sorted(universe))
-    key = (c, ordered)
-    cached = _ZONE_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Equivalent ZoneSet over the clocks of c and clocks, built by a pruned
+    depth-first walk of c."""
+    ordered = tuple(sorted(clocks_of(c) | set(clocks or ())))
     index = {clock: k for k, clock in enumerate(ordered, 1)}
     scale = 1
     for atom in atoms_of(c):
@@ -363,9 +357,6 @@ def to_zones(c: Constraint, clocks: Optional[Iterable[str]] = None) -> ZoneSet:
                 raise TypeError(f"not a constraint: {node!r}")
         else:
             _split(zone, splits, result)
-    if len(_ZONE_CACHE) > 50000:
-        _ZONE_CACHE.clear()
-    _ZONE_CACHE[key] = result
     return result
 
 
@@ -390,6 +381,16 @@ def _split(zone: Zone, splits, out: ZoneSet) -> None:
         piece.tighten(i, j, k)                   # x_i - x_j < c
         if not piece.empty:
             stack.append((piece, at + 1))
+
+
+def nonempty(zones: Iterable[Zone]) -> ZoneSet:
+    """The zones that are not empty, as a ZoneSet."""
+    return [zone for zone in zones if not zone.empty]
+
+
+def zoneset_meet(a: ZoneSet, b: ZoneSet) -> ZoneSet:
+    """The intersection of two ZoneSets: their non-empty pairwise meets."""
+    return nonempty(x.intersect(y) for x in a for y in b)
 
 
 def zoneset_contains(zones: ZoneSet, nu: Mapping[str, Fraction]) -> bool:
@@ -442,23 +443,25 @@ def zone_minus(w: Zone, z: Zone) -> List[Zone]:
     return pieces
 
 
-def entails(c1: Constraint, c2: Constraint,
-            clocks: Optional[Iterable[str]] = None) -> bool:
-    """c1 |= c2, decided as unsatisfiability of c1 and not c2.
+def zoneset_entails(zs1: ZoneSet, zs2: ZoneSet) -> bool:
+    """zs1 within zs2, decided as emptiness of zs1 minus each zone of zs2.
 
-    The negation is distributed bound-wise over c2's zones, so entailment
+    The negation is distributed bound-wise over zs2's zones, so entailment
     never builds the disjunctive normal form of a negated zone union.
     """
-    universe = clocks_of(c1) | clocks_of(c2)
-    if clocks is not None:
-        universe |= set(clocks)
-    ordered = sorted(universe)
-    remaining = to_zones(c1, ordered)
-    for z in to_zones(c2, ordered):
+    remaining = zs1
+    for z in zs2:
         remaining = [piece for w in remaining for piece in zone_minus(w, z)]
         if not remaining:
             return True
     return not remaining
+
+
+def entails(c1: Constraint, c2: Constraint,
+            clocks: Optional[Iterable[str]] = None) -> bool:
+    """c1 |= c2, decided on their ZoneSets over the union of their clocks."""
+    ordered = sorted(clocks_of(c1) | clocks_of(c2) | set(clocks or ()))
+    return zoneset_entails(to_zones(c1, ordered), to_zones(c2, ordered))
 
 
 def constraint_equiv(c1: Constraint, c2: Constraint,
@@ -468,28 +471,23 @@ def constraint_equiv(c1: Constraint, c2: Constraint,
 
 def past(c: Constraint, clocks: Optional[Iterable[str]] = None) -> Constraint:
     """Weakest constraint holding now iff c holds after some delay."""
-    zones = [zone.down() for zone in to_zones(c, clocks)]
-    zones = [zone for zone in zones if not zone.empty]
-    return zoneset_to_constraint(zones)
+    return zoneset_to_constraint(
+        nonempty(zone.down() for zone in to_zones(c, clocks)))
 
 
 def future(c: Constraint, clocks: Optional[Iterable[str]] = None) -> Constraint:
     """Delay closure upward: satisfiable now or after the clocks advance."""
-    zones = [zone.up() for zone in to_zones(c, clocks)]
-    zones = [zone for zone in zones if not zone.empty]
-    return zoneset_to_constraint(zones)
+    return zoneset_to_constraint(
+        nonempty(zone.up() for zone in to_zones(c, clocks)))
 
 
 def reset_constraint(c: Constraint, resets: Iterable[str],
                      clocks: Optional[Iterable[str]] = None) -> Constraint:
     """Image of c under zeroing the reset set."""
     resets = list(resets)
-    universe = clocks_of(c) | set(resets)
-    if clocks is not None:
-        universe |= set(clocks)
-    zones = [zone.reset(resets) for zone in to_zones(c, universe)]
-    zones = [zone for zone in zones if not zone.empty]
-    return zoneset_to_constraint(zones)
+    universe = set(resets) | set(clocks or ())
+    return zoneset_to_constraint(
+        nonempty(zone.reset(resets) for zone in to_zones(c, universe)))
 
 
 def trajectory_zone(nu: Mapping[str, Fraction], t: Fraction,
