@@ -380,15 +380,24 @@ def compatible(sys: System) -> Tuple[bool, str]:
     agree and the types are dual; (3)/(4) a queued head message is
     receivable immediately and the drained system is compatible again.
     """
+    return _compatible(sys, {})
+
+
+def _compatible(sys: System, memo: Dict) -> Tuple[bool, str]:
+    """`compatible`, keeping in ``memo`` the duality of each pair of type
+    objects it decides, with the pair itself so that no id is reused."""
     left, right = sys.left, sys.right
     if left.queue and right.queue:
         return False, "both queues non-empty"
     if not left.queue and not right.queue:
         if left.nu != right.nu:
             return False, "valuations differ with empty queues"
-        clocks = set(left.nu) | set(right.nu)
-        if not _sem_equal_rec(left.node, dual(right.node), frozenset(),
-                              clocks):
+        clocks = frozenset(left.nu) | frozenset(right.nu)
+        key = (id(left.node), id(right.node), clocks)
+        if key not in memo:
+            memo[key] = (left.node, right.node, _sem_equal_rec(
+                left.node, dual(right.node), frozenset(), clocks))
+        if not memo[key][2]:
             return False, "types are not dual"
         return True, "dual types and same clock valuations"
     side, other, tag = ((left, right, "left") if left.queue
@@ -402,7 +411,7 @@ def compatible(sys: System) -> Tuple[bool, str]:
     drained = QConfig(apply_reset(side.nu, opt.resets), opt.continuation,
                       side.queue[1:])
     rebuilt = System(drained, other) if tag == "left" else System(other, drained)
-    return compatible(rebuilt)
+    return _compatible(rebuilt, memo)
 
 
 # ---------------------------------------------------------------------------
@@ -495,6 +504,10 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
         steps.reverse()
         return steps
 
+    # the types of one exploration are stable objects, and monitor mode asks
+    # for the duality of the same few pairs of them on every state
+    dual_memo: Dict = {}
+
     def monitor_state(state: System, key: str) -> None:
         for tag, qc in (("left", state.left), ("right", state.right)):
             dirs = {a.direction
@@ -502,7 +515,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
             if len(dirs) > 1:
                 violations.append(
                     f"send and receive both enabled on {tag} at {key}")
-        ok, why = compatible(state)
+        ok, why = _compatible(state, dual_memo)
         if not ok:
             violations.append(f"incompatible state ({why}) at {key}")
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import combinations
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
                     Optional, Tuple, Union)
 
@@ -28,17 +29,15 @@ from .constraints import (
     Atom,
     Constraint,
     TRUE,
-    atom_eq,
-    atom_ge,
     atoms_of,
     clocks_of,
-    conj,
     disj,
     eval_constraint,
     zero_valuation,
 )
 from .errors import SpecError
-from .zones import ZoneSet, past, to_zones, zoneset_entails, zoneset_meet
+from .zones import (ZoneSet, past, to_zones, trajectory_zone, zoneset_entails,
+                    zoneset_meet)
 
 # ---------------------------------------------------------------------------
 # Payload sorts
@@ -310,19 +309,6 @@ class WfReport:
         assert self.verdict == (not self.violations)
 
 
-def initial_reach(nu: Mapping[str, Fraction]) -> Constraint:
-    """Constraint describing {nu + t | t >= 0}: the trajectory from nu."""
-    ordered = sorted(nu)
-    parts: List[Constraint] = []
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            parts.append(atom_eq(a, Fraction(nu[a]) - Fraction(nu[b]), b))
-    if ordered:
-        first = ordered[0]
-        parts.append(atom_ge(first, Fraction(nu[first])))
-    return conj(*parts)
-
-
 class _WfChecker:
     """One checking pass over ZoneSets on the sorted clock tuple ``clocks``.
 
@@ -378,14 +364,11 @@ class _WfChecker:
         guards = [self.zones(opt.guard) for opt in options]
         # (mixed-choice) differently-directed options must be time-disjoint
         # at every valuation this choice can actually be reached with.
-        for i in range(len(options)):
-            for j in range(i + 1, len(options)):
-                a, b = options[i], options[j]
-                if a.direction == b.direction:
-                    continue
-                if zoneset_meet(reach, zoneset_meet(guards[i], guards[j])):
-                    self.violations.append(Violation(
-                        path, "mixed-choice", f"{a.label}/{b.label}"))
+        for (a, ga), (b, gb) in combinations(zip(options, guards), 2):
+            if (a.direction != b.direction
+                    and zoneset_meet(reach, zoneset_meet(ga, gb))):
+                self.violations.append(Violation(
+                    path, "mixed-choice", f"{a.label}/{b.label}"))
         for opt, guard in zip(options, guards):
             opt_path = path + (opt.label,)
             try:
@@ -412,8 +395,9 @@ class _WfChecker:
                        next_reach)
 
     def check_delegation(self, inner: Delegate, path: Tuple[str, ...]) -> None:
-        """Check a delegated session from scratch, from the up-closure of
-        its init zones, over its clocks and this pass's."""
+        """Check a delegated session from scratch, over its clocks and this
+        pass's: from the up-closure of its init zones, or from the universal
+        region in the conservative pass."""
         try:
             inner_gamma = gamma(inner.session, {})
         except SpecError as exc:
@@ -425,7 +409,9 @@ class _WfChecker:
         if not zoneset_entails(init, sub.zones(inner_gamma)):
             self.violations.append(Violation(
                 path, "delegation", str(inner_gamma)))
-        sub.check(inner.session, path, {}, {}, [z.up() for z in init])
+        sub.check(inner.session, path, {}, {},
+                  [z.up() for z in init] if self.track_reach
+                  else sub.zones(TRUE))
         self.violations.extend(sub.violations)
         self.reach_escaped |= sub.reach_escaped
 
@@ -451,7 +437,10 @@ def check_well_formed(node: TypeNode,
             nu[name] = Fraction(0)
 
     checker = _WfChecker(clock_set, track_reach=True)
-    checker.check(node, (), {}, {}, checker.zones(initial_reach(nu)))
+    # the trajectory {nu + t | t >= 0}: nu's first unit of it, closed upward
+    reach = ([trajectory_zone(nu, 1, include_end=True).up()] if nu
+             else checker.zones(TRUE))
+    checker.check(node, (), {}, {}, reach)
     if checker.reach_escaped:
         # A recursion is re-entered outside the reach it was analysed with;
         # fall back to a conservative pass with no reach restriction.

@@ -271,6 +271,23 @@ def test_progress_weak_persistency_ok():
     assert report.invariant_violations == []
 
 
+def test_monitor_flags_states_whose_types_are_not_dual():
+    # the peer expects b under x<8, not x<9, so every state before b is
+    # delivered pairs types that are not dual; monitor mode decides each
+    # state's pair once per exploration and must flag the same states as
+    # the public compatible would
+    s = parse_type("!a(x<5).?b(x<9).end")
+    t = parse_type("!a(x<5).?b(x<8).end")
+    report = check_progress(make_system(s, dual(t)), monitor=True)
+    assert report.verdict == "ok" and report.states_visited == 38
+    assert len(report.invariant_violations) == 18
+    assert all(v.startswith("incompatible state (types are not dual)")
+               for v in report.invariant_violations)
+    assert compatible(make_system(s, dual(t))) == (False, "types are not dual")
+    assert check_progress(make_system(t, dual(t)),
+                          monitor=True).invariant_violations == []
+
+
 def test_progress_unsafe_mixed_choice_counterexample():
     sys = make_system(parse_type(UNSAFE_LEFT), parse_type(UNSAFE_RIGHT))
     report = check_progress(sys)
