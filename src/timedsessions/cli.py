@@ -231,6 +231,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an int no smaller than minimum.  A value below it
+    is a usage error, like a value that is not an int at all."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: ..."
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="timedsessions",
@@ -258,10 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("progress", help="bounded progress verification")
     p.add_argument("file")
     p.add_argument("system_name")
-    p.add_argument("--depth", type=int, default=64)
-    p.add_argument("--queue", type=int, default=8)
+    p.add_argument("--depth", type=_int_at_least(1), default=64)
+    p.add_argument("--queue", type=_int_at_least(1), default=8)
     p.add_argument("--horizon", help="delay sampling horizon (rational)")
-    p.add_argument("--states", type=int, default=100000)
+    p.add_argument("--states", type=_int_at_least(1), default=100000)
     p.add_argument("--monitor", action="store_true",
                    help="assert the run-time invariants at every state")
     common(p)
@@ -277,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("process_name")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--fuel", type=int, default=10000)
+    p.add_argument("--fuel", type=_int_at_least(0), default=10000)
     p.add_argument("--delays",
                    help="comma-separated durations resolving delay(c) "
                         "constraints in order")
@@ -287,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="random walk over system steps")
     p.add_argument("file")
     p.add_argument("system_name")
-    p.add_argument("--trace-len", type=int, default=20)
+    p.add_argument("--trace-len", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--queue", type=int, default=8)
+    p.add_argument("--queue", type=_int_at_least(1), default=8)
     common(p)
     p.set_defaults(func=cmd_simulate)
     return parser

@@ -220,27 +220,36 @@ def eval_constraint(nu: Mapping[str, Fraction], c: Constraint) -> bool:
 # ---------------------------------------------------------------------------
 
 def boundary_delays(nu: Mapping[str, Fraction], guards, horizon: Fraction):
-    """Delay samples that cover every region boundary any guard can cross.
+    """Delay samples that cover every region boundary any guard can cross:
+    the ``sample_delays`` of the guards' single-clock atoms.  Difference
+    atoms contribute nothing: they are invariant under uniform delay."""
+    return sample_delays(nu, [(atom.clock, atom.const) for guard in guards
+                              for atom in atoms_of(guard) if atom.sub is None],
+                         horizon)
 
-    Contains 0, the distance to every single-clock atom boundary within the
-    horizon, the midpoints of consecutive collected values, and one sample
-    beyond all boundaries.  Difference atoms contribute nothing: they are
-    invariant under uniform delay.
+
+def sample_delays(nu: Mapping[str, Fraction], bounds, horizon: Fraction):
+    """Sorted delay samples for the (clock, const) boundaries in bounds.
+
+    Contains 0, the distance to every boundary within the horizon, the
+    midpoints of consecutive collected values, and one sample beyond all
+    boundaries.
     """
     horizon = Fraction(horizon)
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     collected = {Fraction(0)}
-    for guard in guards:
-        for atom in atoms_of(guard):
-            if atom.sub is not None:
-                continue
-            if atom.clock not in nu:
-                raise SpecError(f"unknown clock {atom.clock!r} in guard")
-            boundary = max(Fraction(0), atom.const - nu[atom.clock])
-            if boundary <= horizon:
-                collected.add(boundary)
+    for clock, const in bounds:
+        if clock not in nu:
+            raise SpecError(f"unknown clock {clock!r} in guard")
+        boundary = const - nu[clock]
+        if boundary <= horizon:
+            collected.add(max(Fraction(0), boundary))
     ordered = sorted(collected)
-    midpoints = [(a + b) / 2 for a, b in zip(ordered, ordered[1:])]
+    samples = [ordered[0]]
+    for a, b in zip(ordered, ordered[1:]):
+        samples += ((a + b) / 2, b)
     beyond = min(horizon, ordered[-1] + 1)
-    return sorted(set(ordered) | set(midpoints) | {beyond})
+    if beyond > ordered[-1]:  # else the horizon is the last boundary
+        samples.append(beyond)
+    return samples

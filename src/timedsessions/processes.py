@@ -813,6 +813,8 @@ class _DelayPicker:
                 raise SpecError("delay-resolution schedule exhausted")
             t = self.schedule[self.position]
             self.position += 1
+            if t < 0:
+                raise SpecError(f"scheduled delay {t} is negative")
             if not eval_constraint({var: t}, cond):
                 raise SpecError(
                     f"scheduled delay {t} does not satisfy {cond}")

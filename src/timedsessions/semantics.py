@@ -10,21 +10,26 @@ are consumed as internal steps, and time passes only when both sides agree.
 
 Progress of a system is verified empirically by breadth-first exploration
 with memoized states, sampling delays at guard boundaries, midpoints and
-one point beyond every boundary.
+one point beyond every boundary.  The sampled waits are admitted by delay
+windows: from a point valuation the delays into a zone form one interval,
+so each side's time rule admits an initial interval of delays, read off
+its entry and queue-head guard ZoneSets once per state (``delay_bound``).
+``qconfig_time`` stays the single-delay rule and the reference for it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .constraints import (
     Valuation,
     apply_reset,
-    boundary_delays,
     eval_constraint,
+    sample_delays,
     shift,
     zero_valuation,
 )
@@ -264,28 +269,70 @@ def make_system(left: TypeNode, right: TypeNode, clocks=None) -> System:
     return System(QConfig(dict(nu), left), QConfig(dict(nu), right))
 
 
-def system_guards(sys: System):
-    return ([opt.guard for opt in head_options(sys.left.node)],
-            [opt.guard for opt in head_options(sys.right.node)])
+def delay_bound(qc: QConfig, first: Fraction
+                ) -> Optional[Tuple[Fraction, bool]]:
+    """The delays t > 0 that ``qconfig_time`` admits on qc, as their upper
+    end (value, closed), or None when it admits every delay.
+
+    Persistency: ``Choice.entry`` is past-closed, so from nu inside it the
+    delays that stay inside form one initial interval, ending at the largest
+    upper end of nu's windows against ``entry_zones``; from nu outside it
+    no window is non-empty and persistency imposes nothing.  Urgency: the
+    queue head's guard holds somewhere in [0, t) exactly when t exceeds the
+    smallest lower end of nu's windows against its ``guard_zones``.  As in
+    ``qconfig_time``, the queue head is looked up (and a mismatched payload
+    raises ``ProtocolError``) only when persistency admits ``first``, the
+    smallest delay asked about.
+    """
+    bound = None
+    head = unfold_head(qc.node)
+    if isinstance(head, Choice):
+        windows = _windows(head.entry_zones, qc.nu)
+        if windows and all(hi is not None for _, hi, _ in windows):
+            bound = max((Fraction(hi >> 1, scale), bool(hi & 1))
+                        for _, hi, scale in windows)
+            if (first, True) > bound:  # no delay asked about passes
+                return bound
+    opt = _head_receive_option(qc)
+    if opt is not None:
+        starts = [Fraction(-(lo >> 1), scale)
+                  for lo, _, scale in _windows(opt.guard_zones, qc.nu)]
+        if starts:
+            urgent = (min(starts), True)
+            bound = urgent if bound is None else min(bound, urgent)
+    return bound
+
+
+def _windows(zones, nu: Valuation) -> list:
+    """The non-empty delay windows of nu against each zone."""
+    return [window for window in (zone.delay_window(nu) for zone in zones)
+            if window is not None]
+
+
+def _clock_bounds(node: TypeNode):
+    head = unfold_head(node)
+    return head.clock_bounds if isinstance(head, Choice) else ()
 
 
 def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
-    """Positive boundary-sample delays that both sides accept."""
-    left_guards, right_guards = system_guards(sys)
-    candidates: Set[Fraction] = set()
-    candidates.update(boundary_delays(sys.left.nu, left_guards + right_guards,
-                                      horizon))
-    candidates.update(boundary_delays(sys.right.nu, left_guards + right_guards,
-                                      horizon))
-    out = []
-    for t in sorted(candidates):
-        if t <= 0:
-            continue
-        ok_l, _ = qconfig_time(sys.left, t)
-        ok_r, _ = qconfig_time(sys.right, t)
-        if ok_l is not None and ok_r is not None:
-            out.append(t)
-    return out
+    """Positive boundary-sample delays that both sides accept.
+
+    Each side admits the delays up to its ``delay_bound``, so the admitted
+    samples are the sorted samples up to the tighter of the two bounds."""
+    bounds = _clock_bounds(sys.left.node) + _clock_bounds(sys.right.node)
+    samples = set(sample_delays(sys.left.nu, bounds, horizon))
+    if sys.right.nu != sys.left.nu:
+        samples.update(sample_delays(sys.right.nu, bounds, horizon))
+    samples = sorted(samples)[1:]  # every sample is >= 0, and 0 is one
+    if not samples:
+        return []
+    ends = [end for end in (delay_bound(sys.left, samples[0]),
+                            delay_bound(sys.right, samples[0]))
+            if end is not None]
+    if not ends:
+        return samples
+    value, closed = min(ends)
+    return samples[:(bisect_right if closed else bisect_left)(samples, value)]
 
 
 def default_horizon(sys: System) -> Fraction:

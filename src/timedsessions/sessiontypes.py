@@ -89,6 +89,11 @@ class ChoiceOption:
     resets: FrozenSet[str]
     continuation: "TypeNode"
 
+    @cached_property
+    def guard_zones(self) -> ZoneSet:
+        """The guard as a ZoneSet over its own clocks, built once."""
+        return to_zones(self.guard)
+
 
 @dataclass(frozen=True)
 class Choice:
@@ -102,6 +107,19 @@ class Choice:
     def entry(self) -> Constraint:
         """gamma of the choice: the past of the disjunction of its guards."""
         return past(disj(*[opt.guard for opt in self.options]))
+
+    @cached_property
+    def entry_zones(self) -> ZoneSet:
+        """``entry`` as a ZoneSet over its own clocks, built once."""
+        return to_zones(self.entry)
+
+    @cached_property
+    def clock_bounds(self) -> Tuple[Tuple[str, Fraction], ...]:
+        """The (clock, const) of every single-clock guard atom, in order and
+        without repeats: the boundaries a delay can cross."""
+        return tuple(dict.fromkeys(
+            (atom.clock, atom.const) for opt in self.options
+            for atom in atoms_of(opt.guard) if atom.sub is None))
 
     @cached_property
     def printed(self) -> str:

@@ -11,8 +11,10 @@ So the tighter of two bounds is the smaller int, their sum is
 ``((a & -2) + (b & -2)) | (a & b & 1)``, the negation of a bound is
 ``1 - b``, and a zone is empty when some ``m[i][i] < 1``.  Zones of
 different scales are rescaled to the least common multiple before they are
-combined.  Membership tests compare ints at a common scale too; bounds are
-decoded to ``Fraction`` only for rendering back to constraints.
+combined.  Membership tests compare ints at a common scale too, and so
+does ``Zone.delay_window``, the interval of delays that carry a point
+valuation into a zone; bounds are decoded to ``Fraction`` only for
+rendering back to constraints.
 
 ``to_zones`` walks the negation normal form of a constraint depth-first,
 left to right, tightening one canonical zone per branch in O(n^2) and
@@ -178,12 +180,11 @@ class Zone:
 
     # -- queries -------------------------------------------------------------
 
-    def contains(self, nu: Mapping[str, Fraction]) -> bool:
-        """Is nu in the zone?  Decided in ints at the LCM of the zone's scale
-        and the denominators of nu, where v_i - v_j meets the encoded bound
-        b exactly when ``2 (v_i - v_j) + 1 <= b``."""
-        if self.empty:
-            return False
+    def _point(self, nu: Mapping[str, Fraction]
+               ) -> Tuple[int, int, List[int]]:
+        """(scale, factor, ints): the LCM of the zone's scale and the
+        denominators of nu, the factor that rescales a bound to it, and nu
+        at that scale with the reference clock's 0 first."""
         values = []
         for clock in self.clocks:
             if clock not in nu:
@@ -192,15 +193,52 @@ class Zone:
             values.append(value if isinstance(value, (int, Fraction))
                           else Fraction(value))
         scale = lcm(self.scale, *(value.denominator for value in values))
-        factor = scale // self.scale
-        ints = [0] + [value.numerator * (scale // value.denominator)
-                      for value in values]
+        return scale, scale // self.scale, [0] + [
+            value.numerator * (scale // value.denominator) for value in values]
+
+    def contains(self, nu: Mapping[str, Fraction]) -> bool:
+        """Is nu in the zone?  Decided in ints at the LCM of the zone's scale
+        and the denominators of nu, where v_i - v_j meets the encoded bound
+        b exactly when ``2 (v_i - v_j) + 1 <= b``."""
+        if self.empty:
+            return False
+        _, factor, ints = self._point(nu)
         for row, v_i in zip(self.m, ints):
             for bound, v_j in zip(row, ints):
                 if (bound is not None and 2 * (v_i - v_j) + 1
                         > (bound & -2) * factor + (bound & 1)):
                     return False
         return True
+
+    def delay_window(self, nu: Mapping[str, Fraction]
+                     ) -> Optional[Tuple[int, Optional[int], int]]:
+        """The delays t >= 0 with nu + t in the zone, or None if there are
+        none.  They form one interval, returned as ``(lo, hi, scale)``: -t
+        meets the encoded bound lo and t meets hi (None: no upper end), both
+        at scale.  Decided in ints as in ``contains``: the bounds on a clock
+        alone bound t, and the clock differences do not move with t."""
+        if self.empty:
+            return None
+        scale, factor, ints = self._point(nu)
+        lo, hi = LE_ZERO, None  # -t <= 0, t unbounded
+        for i, (row, v_i) in enumerate(zip(self.m, ints)):
+            for j, (bound, v_j) in enumerate(zip(row, ints)):
+                if bound is None or i == j:
+                    continue
+                bound = (bound & -2) * factor + (bound & 1)
+                if j == 0:    # v_i + t meets bound
+                    bound -= 2 * v_i
+                    if hi is None or bound < hi:
+                        hi = bound
+                elif i == 0:  # -(v_j + t) meets bound
+                    bound += 2 * v_j
+                    if bound < lo:
+                        lo = bound
+                elif 2 * (v_i - v_j) + 1 > bound:
+                    return None
+        if hi is not None and ((lo & -2) + (hi & -2)) | (lo & hi & 1) < LE_ZERO:
+            return None
+        return lo, hi, scale
 
     def intersect(self, other: "Zone") -> "Zone":
         if self.clocks != other.clocks:

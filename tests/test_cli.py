@@ -371,3 +371,54 @@ def test_help_exits_0_without_an_envelope(capsys):
     assert with_json[0] == 0
     assert with_json[1].startswith("usage: timedsessions check")
     assert '"verdict"' not in with_json[1]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["simulate", fx("throttling.toast"), "throttle2", "--trace-len", "-1"],
+     "argument --trace-len: must be at least 0, got -1"),
+    (["simulate", fx("throttling.toast"), "throttle2", "--queue", "0"],
+     "argument --queue: must be at least 1, got 0"),
+    (["progress", fx("throttling.toast"), "throttle2", "--queue", "0"],
+     "argument --queue: must be at least 1, got 0"),
+    (["progress", fx("throttling.toast"), "throttle2", "--depth", "0"],
+     "argument --depth: must be at least 1, got 0"),
+    (["progress", fx("throttling.toast"), "throttle2", "--states", "-3"],
+     "argument --states: must be at least 1, got -3"),
+    (["run", fx("mixed_pingpong.toast"), "Main", "--fuel", "-5"],
+     "argument --fuel: must be at least 0, got -5"),
+], ids=["trace-len", "simulate-queue", "progress-queue", "depth", "states",
+        "fuel"])
+def test_out_of_range_counts_are_usage_errors(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"usage: timedsessions {argv[0]}")
+    assert err.endswith(f"error: {message}\n")
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    envelope = json.loads(out)
+    assert code == 2
+    assert (envelope["command"], envelope["verdict"], envelope["input"],
+            envelope["diagnostics"]) == (argv[0], "error", None,
+                                         {"message": message})
+
+
+def test_smallest_accepted_counts(capsys):
+    code, out, _ = run_cli(capsys, "simulate", fx("throttling.toast"),
+                           "throttle2", "--trace-len", "0")
+    assert (code, out) == (0, "verdict: ok\n")
+    code, out, _ = run_cli(capsys, "run", fx("mixed_pingpong.toast"), "Main",
+                           "--fuel", "0")
+    assert (code, out) == (3, "status: fuel-exhausted (fuel exhausted) "
+                              "after 0 time units\n")
+    code, out, _ = run_cli(capsys, "progress", fx("end_only.toast"),
+                           "finished", "--depth", "1", "--queue", "1",
+                           "--states", "1")
+    assert (code, out) == (0, "finished: ok (1 states)\n")
+
+
+def test_negative_scheduled_delay_is_an_error(capsys):
+    code, out, _ = run_cli(capsys, "run", fx("mixed_pingpong.toast"), "Main",
+                           "--delays=-1")
+    assert code == 1
+    assert out.endswith("status: error (scheduled delay -1 is negative) "
+                        "after 0 time units\n")
+    assert "det delay(-1)" not in out

@@ -1,0 +1,216 @@
+"""Delay windows against the single-delay time rule.
+
+`Zone.delay_window` is checked against membership of the shifted valuation
+and against the `trajectory_zone` sweep, and `semantics.delay_bound` (the
+per-side bound `admissible_delays` filters with) against `qconfig_time` on
+every boundary sample, the midpoints between samples and the window
+endpoints themselves.  Valuations are drawn in halves and thirds, guards
+mix open and closed endpoints, equalities, differences and `true`.  Once
+a type has been explored, admitting waits on its states compiles nothing
+again and never asks the single-delay rule.
+"""
+
+import random
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from timedsessions import constraints, semantics, sessiontypes, zones
+from timedsessions.constraints import (TRUE, Not, atom_eq, atom_ge, atom_gt,
+                                       atom_le, atom_lt, conj, sample_delays,
+                                       shift)
+from timedsessions.errors import ProtocolError
+from timedsessions.generate import random_constraint, well_formed_types
+from timedsessions.parser import parse_spec_file
+from timedsessions.semantics import (Message, QConfig, delay_bound,
+                                     qconfig_time, unfold_head)
+from timedsessions.sessiontypes import (BOOL, END, NONE, RECV, SEND, Choice,
+                                        max_constant, option)
+from timedsessions.zones import to_zones, trajectory_zone
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+GRID = sorted({F(n, 2) for n in range(12)} | {F(n, 3) for n in range(18)})
+CONSTANTS = [c for c in GRID if c <= 4]
+BUILDERS = (atom_gt, atom_ge, atom_lt, atom_le, atom_eq)
+
+
+def random_guard(rng, clocks):
+    """true, an interval with open or closed ends, or a random constraint
+    over halves and thirds."""
+    if not clocks or rng.random() < 0.1:
+        return TRUE if rng.random() < 0.8 else Not(TRUE)
+    roll = rng.random()
+    clock = rng.choice(clocks)
+    if roll < 0.4:
+        low, high = sorted(rng.sample(CONSTANTS, 2))
+        return conj(rng.choice((atom_gt, atom_ge))(clock, low),
+                    rng.choice((atom_lt, atom_le))(clock, high))
+    if roll < 0.55:
+        return rng.choice(BUILDERS)(clock, rng.choice(CONSTANTS))
+    return random_constraint(rng, clocks, CONSTANTS, max_depth=2)
+
+
+def random_nu(rng, clocks):
+    return {clock: rng.choice(GRID) for clock in clocks}
+
+
+def decoded(bound, scale):
+    return F(bound >> 1, scale), bool(bound & 1)
+
+
+def meets(value, bound, scale):
+    limit, closed = decoded(bound, scale)
+    return value < limit or (closed and value == limit)
+
+
+def in_window(window, t):
+    lo, hi, scale = window
+    return meets(-t, lo, scale) and (hi is None or meets(t, hi, scale))
+
+
+def window_ends(window):
+    lo, hi, scale = window
+    ends = [-decoded(lo, scale)[0]]
+    if hi is not None:
+        ends.append(decoded(hi, scale)[0])
+    return ends
+
+
+def probe_points(samples, extra):
+    """Every sample, the midpoints between samples, each extra point and
+    points a little to either side of it."""
+    points = set(samples) | set(extra)
+    points |= {e + d for e in extra for d in (F(-1, 7), F(1, 7))}
+    ordered = sorted(points)
+    points |= {(a + b) / 2 for a, b in zip(ordered, ordered[1:])}
+    return sorted(t for t in points if t > 0)
+
+
+CLOCK_SETS = [("x", "y"), ("x",), ()]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_delay_window_is_the_set_of_delays_into_the_zone(seed):
+    rng = random.Random(seed)
+    checked = 0
+    for _ in range(100):
+        clocks = rng.choice(CLOCK_SETS[:2])
+        nu = random_nu(rng, clocks)
+        for zone in to_zones(random_guard(rng, clocks)):
+            window = zone.delay_window(nu)
+            ends = window_ends(window) if window else []
+            for t in probe_points(sorted(GRID), ends):
+                inside = zone.contains(shift(nu, t))
+                assert (window is not None and in_window(window, t)) == inside
+                # some delay in [0, t) reaches the zone: the window's lower
+                # end, open or closed, lies before t
+                own = {clock: nu[clock] for clock in zone.clocks}
+                swept = not (zone.intersect(
+                    trajectory_zone(own, t, include_end=False))
+                    if own else zone).empty
+                assert swept == (window is not None
+                                 and window_ends(window)[0] < t)
+                checked += 1
+    assert checked > 1000
+
+
+def random_qconfig(rng):
+    clocks = rng.choice(CLOCK_SETS)
+    nu = random_nu(rng, clocks)
+    if rng.random() < 0.15:
+        node = END
+    else:
+        labels = rng.sample("abc", rng.randint(1, 3))
+        node = Choice(tuple(
+            option(rng.choice((SEND, RECV)), label, random_guard(rng, clocks))
+            for label in labels))
+    options = node.options if isinstance(node, Choice) else ()
+    receives = [opt.label for opt in options if opt.direction == RECV]
+    roll = rng.random()
+    if roll < 0.35:
+        queue = ()
+    elif roll < 0.75 and receives:
+        queue = (Message(rng.choice(receives), NONE), Message("z", NONE))
+    elif roll < 0.9 or not receives:
+        queue = (Message("z", NONE),)  # no option receives it
+    else:
+        queue = (Message(rng.choice(receives), BOOL),)  # wrong payload sort
+    return QConfig(nu, node, queue)
+
+
+def test_delay_bound_agrees_with_qconfig_time():
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(500):
+        qc = random_qconfig(rng)
+        head = unfold_head(qc.node)
+        bounds = head.clock_bounds if isinstance(head, Choice) else ()
+        samples = sample_delays(qc.nu, bounds, max_constant(qc.node) + 2)
+        ends = []
+        if isinstance(head, Choice):
+            zones = list(head.entry_zones)
+            zones += [z for opt in head.options for z in opt.guard_zones]
+            windows = [zone.delay_window(qc.nu) for zone in zones]
+            ends = [e for window in windows if window
+                    for e in window_ends(window)]
+        points = probe_points(samples, ends)
+        first = points[0]
+        try:
+            bound = delay_bound(qc, first)
+        except ProtocolError:
+            with pytest.raises(ProtocolError):
+                qconfig_time(qc, first)
+            kinds.add("protocol-error")
+            continue
+        if bound is not None:
+            points = probe_points(points, [bound[0]])
+        for t in points:
+            if t < first:
+                continue
+            try:
+                after, reason = qconfig_time(qc, t)
+            except ProtocolError:
+                pytest.fail(f"qconfig_time raised at {t} but delay_bound "
+                            f"did not at {first}")
+            admitted = bound is None or (t, True) <= bound
+            assert admitted == (after is not None), (qc, t, bound, reason)
+            kinds.add(reason or "admitted")
+        kinds.add("bounded" if bound is not None else "unbounded")
+        if not qc.nu:
+            kinds.add("no clocks")
+    assert kinds >= {"admitted", "persistency", "urgency", "protocol-error",
+                     "bounded", "unbounded", "no clocks"}
+
+
+def _forbidden(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"{name} called on a warm state")
+    return call
+
+
+def test_admissible_delays_on_warm_types_compiles_nothing(monkeypatch):
+    """Once a type's nodes have been explored, admitting waits neither asks
+    the single-delay rule nor zones or walks a guard again."""
+    spec = parse_spec_file((FIXTURES / "mixed_pingpong.toast").read_text())
+    pairs = [spec.resolve_system("mpp")]
+    pairs += [(node, sessiontypes.dual(node))
+              for node in well_formed_types(3, seed=5)]
+    states = []
+    for left, right in pairs:
+        frontier = [semantics.make_system(left, right, clocks=("x", "y"))]
+        while frontier and len(states) < 150 * len(pairs):
+            state = frontier.pop(0)
+            states.append(state)
+            frontier += [succ for _, succ in semantics.system_steps(state)
+                         if len(succ.left.queue) + len(succ.right.queue) < 3]
+    expected = [semantics.admissible_delays(s, F(8)) for s in states]
+    for module, name in ((semantics, "qconfig_time"),
+                         (semantics, "_receivable_during"),
+                         (zones, "to_zones"), (sessiontypes, "to_zones"),
+                         (zones, "trajectory_zone"),
+                         (constraints, "atoms_of"),
+                         (sessiontypes, "atoms_of")):
+        monkeypatch.setattr(module, name, _forbidden(name))
+    assert [semantics.admissible_delays(s, F(8)) for s in states] == expected
+    assert any(expected) and not all(expected)

@@ -465,6 +465,15 @@ def test_run_delay_schedule_exhaustion_is_error():
     assert res.status == RunStatus.ERROR
 
 
+def test_run_negative_scheduled_delay_is_error():
+    # z<2 holds at z=-1, so only the sign check rejects the delay
+    program = parse_process("delay(z<2). end")
+    res = run(program, RunPolicy(delay_resolution=[F(-1)]))
+    assert res.status == RunStatus.ERROR
+    assert res.detail == "scheduled delay -1 is negative"
+    assert res.trace == [] and res.elapsed == 0
+
+
 def test_is_completed_requires_empty_buffers():
     done = parse_process("new (p,q) { end | end | pq:[] | qp:[] }")
     assert is_completed(done)

@@ -1,0 +1,75 @@
+"""Progress exploration pinned on a seeded sample of the stored corpora.
+
+`check_progress` of S | dual(S) is run on 40 systems drawn from each
+corpus in ``perfbench/corpus`` (well-formed and singly-ill-formed types),
+and the sha256 of every (verdict, states visited, trace, reason) is
+compared with a digest taken while `admissible_delays` still asked
+`qconfig_time` about every sampled delay.  A change in the admitted waits,
+in their order or in state identity shows here.
+
+`simulate` picks a step by drawing an index into the step list, so the
+order of that list is pinned through seeded `simulate` runs too.
+"""
+
+import contextlib
+import hashlib
+import io
+import random
+from pathlib import Path
+
+import pytest
+
+from timedsessions.cli import main
+from timedsessions.parser import parse_type
+from timedsessions.semantics import ExploreLimits, check_progress, make_system
+from timedsessions.sessiontypes import dual
+
+ROOT = Path(__file__).resolve().parent.parent
+CORPORA = ROOT / "perfbench" / "corpus"
+FIXTURES = ROOT / "fixtures"
+
+PINNED_CORPUS = {
+    "progress-20240801-20240802.txt":
+        "87ee6017a2495cc4e7a46609d3f8f71922c3912032c885757d48dfa954bb6111",
+    "progress-20240901-20240902.txt":
+        "2efff5a35582d6b72d2223c37b05bdf5fd0ca80f64df4f4b35f0b30d7367c313",
+}
+
+
+def _report_line(printed: str) -> str:
+    node = parse_type(printed)
+    report = check_progress(make_system(node, dual(node), clocks=("x", "y")),
+                            ExploreLimits())
+    return repr((report.verdict, report.states_visited,
+                 [(str(action), key) for action, key in report.trace],
+                 report.reason))
+
+
+@pytest.mark.parametrize("corpus", sorted(PINNED_CORPUS))
+def test_progress_on_a_corpus_sample_is_pinned(corpus):
+    rows = (CORPORA / corpus).read_text().splitlines()
+    chosen = sorted(random.Random(11).sample(range(len(rows)), 40))
+    text = "\n".join(_report_line(rows[n].split("\t")[-1]) for n in chosen)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CORPUS[corpus]
+
+
+SIMULATED = [
+    ("throttling.toast", "throttle2"),
+    ("mixed_pingpong.toast", "mpp"),
+    ("weak_persistency.toast", "weak"),
+    ("unsafe_mixed.toast", "unsafe"),
+    ("pingpong.toast", "pp"),
+]
+PINNED_SIMULATE = (
+    "b26b9bf07e9db51851c2513bf39f4eba1cdfddb358479af577d0977c8f213c1a")
+
+
+def test_simulate_walks_are_pinned():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for fixture, system in SIMULATED:
+            for seed in range(6):
+                print(main(["simulate", str(FIXTURES / fixture), system,
+                            "--trace-len", "25", "--seed", str(seed)]))
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        PINNED_SIMULATE)
