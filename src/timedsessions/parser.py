@@ -258,6 +258,8 @@ class _Parser:
         if self.at("/") and self.peek(1).kind == "num":
             self.advance()
             den = self.advance()
+            if not int(den.text):
+                raise ParseError("zero denominator", den.line, den.col)
             value = Fraction(value, int(den.text))
         return -value if negative else value
 
@@ -812,7 +814,11 @@ def parse_valuation(source: str) -> Dict[str, Fraction]:
     while True:
         name = parser.expect_id("clock name").text
         parser.expect("=")
+        at = parser.peek()
         out[name] = parser.parse_number()
+        if out[name] < 0:
+            raise ParseError(f"clock {name!r} cannot be negative", at.line,
+                             at.col)
         if parser.at(","):
             parser.advance()
             continue

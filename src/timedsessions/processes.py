@@ -744,12 +744,12 @@ def _collect_redexes(root: ProcNode) -> List[Redex]:
     out: List[Redex] = []
 
     def walk(node: ProcNode, path: Path,
-             buffers: Dict[Tuple[str, str], Path]) -> None:
+             buffers: Dict[Tuple[str, str], Tuple[Path, Buffer]]) -> None:
         if isinstance(node, Par):
             local = dict(buffers)
             for i, part in enumerate(node.parts):
                 if isinstance(part, Buffer):
-                    local[(part.src, part.dst)] = path + (("par", i),)
+                    local[(part.src, part.dst)] = (path + (("par", i),), part)
             for i, part in enumerate(node.parts):
                 walk(part, path + (("par", i),), local)
         elif isinstance(node, Scope):
@@ -761,16 +761,15 @@ def _collect_redexes(root: ProcNode) -> List[Redex]:
         elif isinstance(node, SetTimer):
             out.append(Redex("set", node.timer, path))
         elif isinstance(node, Send):
-            for chan, buf_path in buffers.items():
+            for chan, (buf_path, _) in buffers.items():
                 if chan[0] == node.endpoint:
                     out.append(Redex("send", f"{node.endpoint}!{node.label}",
                                      path, buf_path))
                     return
         elif isinstance(node, ReceiveAfter):
-            for chan, buf_path in buffers.items():
+            for chan, (buf_path, buf) in buffers.items():
                 if chan[1] != node.endpoint:
                     continue
-                buf = _get(root, buf_path)
                 if not buf.items:
                     continue
                 label = buf.items[0][0]

@@ -35,7 +35,6 @@ from .constraints import (
 )
 from .errors import ProtocolError, SpecError
 from .sessiontypes import (
-    Choice,
     ChoiceOption,
     Delegate,
     End,
@@ -52,7 +51,7 @@ from .sessiontypes import (
     type_clocks,
 )
 from .rational import format_rational
-from .zones import constraint_equiv, to_zones
+from .zones import constraint_equiv
 
 # ---------------------------------------------------------------------------
 # States
@@ -153,16 +152,11 @@ def unfold_head(node: TypeNode) -> TypeNode:
     return node
 
 
-def head_options(node: TypeNode) -> Tuple[ChoiceOption, ...]:
-    head = unfold_head(node)
-    return head.options if isinstance(head, Choice) else ()
-
-
 def config_comm_steps(config: Config) -> List[Tuple[CommAction, Config]]:
     """Enabled communication actions of a configuration: one per option
     whose guard the valuation satisfies."""
     out: List[Tuple[CommAction, Config]] = []
-    for opt in head_options(config.node):
+    for opt in unfold_head(config.node).options:
         if eval_constraint(config.nu, opt.guard):
             action = CommAction(opt.direction, Message(opt.label, opt.payload))
             out.append((action,
@@ -181,7 +175,7 @@ def is_future_enabled(state) -> bool:
     entry constraint of the unfolded head (``Choice.entry``, the past of its
     guards); end is never future-enabled."""
     head = unfold_head(state.node)
-    return isinstance(head, Choice) and eval_constraint(state.nu, head.entry)
+    return bool(head.options) and eval_constraint(state.nu, head.entry)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +195,7 @@ def _head_receive_option(qc: QConfig) -> Optional[ChoiceOption]:
     if not qc.queue:
         return None
     head = qc.queue[0]
-    for opt in head_options(qc.node):
+    for opt in unfold_head(qc.node).options:
         if opt.direction == RECV and opt.label == head.label:
             if opt.payload != head.sort:
                 raise ProtocolError(
@@ -252,8 +246,8 @@ def _receivable_during(nu: Valuation, opt: ChoiceOption, t: Fraction) -> bool:
     from .zones import trajectory_zone
 
     window = trajectory_zone(nu, t, include_end=False)
-    for zone in to_zones(opt.guard, nu.keys()):
-        if not zone.intersect(window).empty:
+    for zone in opt.guard_zones:
+        if not zone.widened(nu).intersect(window).empty:
             return True
     return False
 
@@ -285,14 +279,12 @@ def delay_bound(qc: QConfig, first: Fraction
     smallest delay asked about.
     """
     bound = None
-    head = unfold_head(qc.node)
-    if isinstance(head, Choice):
-        windows = _windows(head.entry_zones, qc.nu)
-        if windows and all(hi is not None for _, hi, _ in windows):
-            bound = max((Fraction(hi >> 1, scale), bool(hi & 1))
-                        for _, hi, scale in windows)
-            if (first, True) > bound:  # no delay asked about passes
-                return bound
+    windows = _windows(unfold_head(qc.node).entry_zones, qc.nu)
+    if windows and all(hi is not None for _, hi, _ in windows):
+        bound = max((Fraction(hi >> 1, scale), bool(hi & 1))
+                    for _, hi, scale in windows)
+        if (first, True) > bound:  # no delay asked about passes
+            return bound
     opt = _head_receive_option(qc)
     if opt is not None:
         starts = [Fraction(-(lo >> 1), scale)
@@ -309,17 +301,13 @@ def _windows(zones, nu: Valuation) -> list:
             if window is not None]
 
 
-def _clock_bounds(node: TypeNode):
-    head = unfold_head(node)
-    return head.clock_bounds if isinstance(head, Choice) else ()
-
-
 def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
     """Positive boundary-sample delays that both sides accept.
 
     Each side admits the delays up to its ``delay_bound``, so the admitted
     samples are the sorted samples up to the tighter of the two bounds."""
-    bounds = _clock_bounds(sys.left.node) + _clock_bounds(sys.right.node)
+    bounds = (unfold_head(sys.left.node).clock_bounds
+              + unfold_head(sys.right.node).clock_bounds)
     samples = set(sample_delays(sys.left.nu, bounds, horizon))
     if sys.right.nu != sys.left.nu:
         samples.update(sample_delays(sys.right.nu, bounds, horizon))
@@ -384,39 +372,34 @@ def system_steps(sys: System, horizon: Optional[Fraction] = None
 # Compatibility
 # ---------------------------------------------------------------------------
 
-def _sem_equal_rec(a: TypeNode, b: TypeNode, assumed, clocks) -> bool:
+def _sem_equal_rec(a: TypeNode, b: TypeNode, assumed) -> bool:
     """Coinductive equality up to unfolding, with guards compared as zone
     sets rather than syntax."""
     if (a, b) in assumed:
         return True
     assumed = assumed | {(a, b)}
     ha, hb = unfold_head(a), unfold_head(b)
-    if isinstance(ha, End) or isinstance(hb, End):
-        return isinstance(ha, End) and isinstance(hb, End)
-    assert isinstance(ha, Choice) and isinstance(hb, Choice)
-    if len(ha.options) != len(hb.options):
+    if len(ha.options) != len(hb.options):  # end has none, a choice some
         return False
     by_label = {opt.label: opt for opt in hb.options}
     for oa in ha.options:
         ob = by_label.get(oa.label)
-        if ob is None or oa.direction != ob.direction or oa.resets != ob.resets:
-            return False
-        if not _payload_equal(oa.payload, ob.payload, assumed, clocks):
-            return False
-        if not constraint_equiv(oa.guard, ob.guard, clocks):
-            return False
-        if not _sem_equal_rec(oa.continuation, ob.continuation, assumed,
-                              clocks):
+        if (ob is None or oa.direction != ob.direction
+                or oa.resets != ob.resets
+                or not _payload_equal(oa.payload, ob.payload, assumed)
+                or not constraint_equiv(oa.guard, ob.guard)
+                or not _sem_equal_rec(oa.continuation, ob.continuation,
+                                      assumed)):
             return False
     return True
 
 
-def _payload_equal(a: PayloadSort, b: PayloadSort, assumed, clocks) -> bool:
+def _payload_equal(a: PayloadSort, b: PayloadSort, assumed) -> bool:
     if isinstance(a, Delegate) != isinstance(b, Delegate):
         return False
     if isinstance(a, Delegate):
-        return (constraint_equiv(a.init_constraint, b.init_constraint, clocks)
-                and _sem_equal_rec(a.session, b.session, assumed, clocks))
+        return (constraint_equiv(a.init_constraint, b.init_constraint)
+                and _sem_equal_rec(a.session, b.session, assumed))
     return a == b
 
 
@@ -439,11 +422,10 @@ def _compatible(sys: System, memo: Dict) -> Tuple[bool, str]:
     if not left.queue and not right.queue:
         if left.nu != right.nu:
             return False, "valuations differ with empty queues"
-        clocks = frozenset(left.nu) | frozenset(right.nu)
-        key = (id(left.node), id(right.node), clocks)
+        key = (id(left.node), id(right.node))
         if key not in memo:
             memo[key] = (left.node, right.node, _sem_equal_rec(
-                left.node, dual(right.node), frozenset(), clocks))
+                left.node, dual(right.node), frozenset()))
         if not memo[key][2]:
             return False, "types are not dual"
         return True, "dual types and same clock valuations"
@@ -497,9 +479,7 @@ def region_canonical(sys: System, cap: Fraction) -> System:
 def digest_qconfig(qc: QConfig) -> str:
     nu = ",".join(f"{k}={format_rational(v)}" for k, v in sorted(qc.nu.items()))
     queue = ";".join(str(m) for m in qc.queue)
-    head = unfold_head(qc.node)
-    printed = head.printed if isinstance(head, Choice) else "end"
-    return f"({nu} | {printed} | [{queue}])"
+    return f"({nu} | {unfold_head(qc.node).printed} | [{queue}])"
 
 
 def digest_system(sys: System) -> str:
@@ -536,7 +516,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
     visited: Dict[str, int] = {start_key: 0}
     parents: Dict[str, Tuple[Optional[str], Optional[SysAction]]] = {
         start_key: (None, None)}
-    frontier = deque([(start, 0)])
+    frontier = deque([(start, start_key, 0)])
     violations: List[str] = []
     bound_reason = ""
 
@@ -567,8 +547,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
             violations.append(f"incompatible state ({why}) at {key}")
 
     while frontier:
-        state, depth = frontier.popleft()
-        key = digest_system(state)
+        state, key, depth = frontier.popleft()
         if monitor:
             monitor_state(state, key)
         try:
@@ -614,7 +593,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
                 continue
             visited[succ_key] = depth + 1
             parents[succ_key] = (key, action)
-            frontier.append((succ, depth + 1))
+            frontier.append((succ, succ_key, depth + 1))
 
     if bound_reason:
         return ProgressReport("bound-exceeded", len(visited), [],

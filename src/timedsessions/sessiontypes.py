@@ -11,9 +11,11 @@ choice: feasibility (each option's reset image can still drive its
 continuation), mixed-choice safety (differently-directed options are never
 enabled at the same reachable instant), and delegation (delegated sessions
 are well-formed from their initial constraint).  The checker works on
-ZoneSets throughout: the reachable region, the guards and the entry
-constraints are zoned over the type's clocks, and zones are rendered back
-to constraints only in the memoised ``Choice.entry``.
+ZoneSets throughout: each option compiles its guard once
+(``ChoiceOption.guard_zones``) and each choice its entry constraint, the
+down-closure of those guards (``Choice.entry_zones``); the checker widens
+them to the type's clocks, and ``Choice.entry`` renders the entry back to a
+constraint only for witnesses.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from .constraints import (
     TRUE,
     atoms_of,
     clocks_of,
-    disj,
     eval_constraint,
     zero_valuation,
 )
 from .errors import SpecError
-from .zones import (ZoneSet, past, to_zones, trajectory_zone, zoneset_entails,
-                    zoneset_meet)
+from .zones import (Zone, ZoneSet, to_zones, trajectory_zone, zoneset_entails,
+                    zoneset_meet, zoneset_to_constraint)
 
 # ---------------------------------------------------------------------------
 # Payload sorts
@@ -104,14 +105,17 @@ class Choice:
             raise SpecError("a choice needs at least one option")
 
     @cached_property
-    def entry(self) -> Constraint:
-        """gamma of the choice: the past of the disjunction of its guards."""
-        return past(disj(*[opt.guard for opt in self.options]))
+    def entry_zones(self) -> ZoneSet:
+        """gamma of the choice, the past of the disjunction of its guards:
+        the down-closure of the guard ZoneSets over the guards' clocks."""
+        clocks = set().union(*(clocks_of(opt.guard) for opt in self.options))
+        return [zone.widened(clocks).down()
+                for opt in self.options for zone in opt.guard_zones]
 
     @cached_property
-    def entry_zones(self) -> ZoneSet:
-        """``entry`` as a ZoneSet over its own clocks, built once."""
-        return to_zones(self.entry)
+    def entry(self) -> Constraint:
+        """``entry_zones`` rendered as a constraint, for witnesses."""
+        return zoneset_to_constraint(self.entry_zones)
 
     @cached_property
     def clock_bounds(self) -> Tuple[Tuple[str, Fraction], ...]:
@@ -146,7 +150,13 @@ class Var:
 
 @dataclass(frozen=True)
 class End:
-    pass
+    """The terminated type: a head with no options, enterable at any time."""
+
+    options = ()
+    clock_bounds = ()
+    printed = "end"
+    entry = TRUE
+    entry_zones = property(lambda self: [Zone.universal(())])
 
 
 TypeNode = Union[Choice, Rec, Var, End]
@@ -278,33 +288,25 @@ def _format_option(opt: ChoiceOption) -> str:
 # The entry-time constraint (gamma)
 # ---------------------------------------------------------------------------
 
-def gamma(node: TypeNode, env: Optional[Mapping[str, Constraint]] = None) -> Constraint:
-    """Constraint over clocks characterising when the type can still act.
-
-    Choices yield the past of the disjunction of their guards, end is always
-    enterable, recursion variables take their binding, and a recursive
-    definition takes the entry constraint of its body's head.
-    """
-    env = dict(env or {})
-    if isinstance(node, End):
-        return TRUE
-    if isinstance(node, Var):
-        if node.var not in env:
-            raise SpecError(f"unbound recursion variable {node.var!r}")
-        return env[node.var]
-    if isinstance(node, Rec):
-        env[node.var] = gamma_of_head(node.body, env)
-        return gamma(node.body, env)
-    assert isinstance(node, Choice)
-    return node.entry
-
-
-def gamma_of_head(node: TypeNode, env: Optional[Mapping[str, Constraint]] = None) -> Constraint:
-    """gamma of the first non-recursive constructor (guards do not depend on
-    continuations, so this needs no fixpoint)."""
+def gamma_head(node: TypeNode,
+               env: Optional[Mapping[str, TypeNode]] = None) -> TypeNode:
+    """The choice or end whose ``entry`` is gamma, the constraint over clocks
+    under which the type can still act: a recursion takes the head of its
+    body and a recursion variable the head bound to it in env (guards do not
+    depend on continuations, so this needs no fixpoint)."""
     while isinstance(node, Rec):
         node = node.body
-    return gamma(node, env)
+    if isinstance(node, Var):
+        if env is None or node.var not in env:
+            raise SpecError(f"unbound recursion variable {node.var!r}")
+        return env[node.var]
+    return node
+
+
+def gamma(node: TypeNode,
+          env: Optional[Mapping[str, TypeNode]] = None) -> Constraint:
+    """gamma of the type as a constraint: the entry of its ``gamma_head``."""
+    return gamma_head(node, env).entry
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +336,8 @@ class _WfChecker:
     ``reach_env`` binds each recursion variable to the reach its binder was
     analysed with.  Reach-tracking is disabled for the conservative second
     pass when a recursion is re-entered outside its analysed reach; the
-    reach is then universal throughout."""
+    reach is then universal throughout.  Guards and entry constraints are
+    the ZoneSets compiled on the type nodes, widened to ``clocks``."""
 
     def __init__(self, clocks, track_reach: bool):
         self.clocks = tuple(sorted(clocks))
@@ -342,15 +345,13 @@ class _WfChecker:
         self.violations: List[Violation] = []
         self.reach_escaped = False
 
-    def zones(self, c: Constraint) -> ZoneSet:
-        return to_zones(c, self.clocks)
+    def widened(self, zones: ZoneSet) -> ZoneSet:
+        return [zone.widened(self.clocks) for zone in zones]
 
     def check(self, node: TypeNode, path: Tuple[str, ...],
-              gamma_env: Dict[str, Constraint],
+              gamma_env: Dict[str, TypeNode],
               reach_env: Dict[str, ZoneSet],
               reach: ZoneSet) -> None:
-        if isinstance(node, End):
-            return
         if isinstance(node, Var):
             if node.var not in gamma_env:
                 self.violations.append(
@@ -364,14 +365,14 @@ class _WfChecker:
             genv = dict(gamma_env)
             renv = dict(reach_env)
             try:
-                genv[node.var] = gamma_of_head(node.body, genv)
+                genv[node.var] = gamma_head(node.body, genv)
             except SpecError as exc:
                 self.violations.append(Violation(path, "unbound-var", str(exc)))
                 return
             renv[node.var] = reach
             self.check(node.body, path, genv, renv, reach)
             return
-        assert isinstance(node, Choice)
+        # a choice, or end, which has no options
         seen_labels = set()
         for opt in node.options:
             if opt.label in seen_labels:
@@ -379,7 +380,7 @@ class _WfChecker:
                     Violation(path, "duplicate-label", opt.label))
             seen_labels.add(opt.label)
         options = node.options
-        guards = [self.zones(opt.guard) for opt in options]
+        guards = [self.widened(opt.guard_zones) for opt in options]
         # (mixed-choice) differently-directed options must be time-disjoint
         # at every valuation this choice can actually be reached with.
         for (a, ga), (b, gb) in combinations(zip(options, guards), 2):
@@ -390,7 +391,7 @@ class _WfChecker:
         for opt, guard in zip(options, guards):
             opt_path = path + (opt.label,)
             try:
-                cont_gamma = gamma(opt.continuation, gamma_env)
+                cont = gamma_head(opt.continuation, gamma_env)
             except SpecError as exc:
                 self.violations.append(
                     Violation(opt_path, "unbound-var", str(exc)))
@@ -398,9 +399,9 @@ class _WfChecker:
             # (feasibility) the reset image of the guard must still permit
             # the continuation to act.
             if not zoneset_entails([z.reset(opt.resets) for z in guard],
-                                   self.zones(cont_gamma)):
+                                   self.widened(cont.entry_zones)):
                 self.violations.append(Violation(
-                    opt_path, "feasibility", str(cont_gamma)))
+                    opt_path, "feasibility", str(cont.entry)))
             # (delegation) delegated sessions are checked from scratch.
             if isinstance(opt.payload, Delegate):
                 self.check_delegation(opt.payload, opt_path)
@@ -417,19 +418,19 @@ class _WfChecker:
         pass's: from the up-closure of its init zones, or from the universal
         region in the conservative pass."""
         try:
-            inner_gamma = gamma(inner.session, {})
+            inner_head = gamma_head(inner.session)
         except SpecError as exc:
             self.violations.append(Violation(path, "unbound-var", str(exc)))
             return
         sub = _WfChecker(set(self.clocks) | type_clocks(inner.session)
                          | clocks_of(inner.init_constraint), self.track_reach)
-        init = sub.zones(inner.init_constraint)
-        if not zoneset_entails(init, sub.zones(inner_gamma)):
+        init = to_zones(inner.init_constraint, sub.clocks)
+        if not zoneset_entails(init, sub.widened(inner_head.entry_zones)):
             self.violations.append(Violation(
-                path, "delegation", str(inner_gamma)))
+                path, "delegation", str(inner_head.entry)))
         sub.check(inner.session, path, {}, {},
                   [z.up() for z in init] if self.track_reach
-                  else sub.zones(TRUE))
+                  else [Zone.universal(sub.clocks)])
         self.violations.extend(sub.violations)
         self.reach_escaped |= sub.reach_escaped
 
@@ -457,17 +458,17 @@ def check_well_formed(node: TypeNode,
     checker = _WfChecker(clock_set, track_reach=True)
     # the trajectory {nu + t | t >= 0}: nu's first unit of it, closed upward
     reach = ([trajectory_zone(nu, 1, include_end=True).up()] if nu
-             else checker.zones(TRUE))
+             else [Zone.universal(checker.clocks)])
     checker.check(node, (), {}, {}, reach)
     if checker.reach_escaped:
         # A recursion is re-entered outside the reach it was analysed with;
         # fall back to a conservative pass with no reach restriction.
         checker = _WfChecker(clock_set, track_reach=False)
-        checker.check(node, (), {}, {}, checker.zones(TRUE))
+        checker.check(node, (), {}, {}, [Zone.universal(checker.clocks)])
 
     violations = list(checker.violations)
     try:
-        if not eval_constraint(nu, gamma(node, {})):
+        if not eval_constraint(nu, gamma(node)):
             violations.append(Violation((), "feasibility",
                                         "initial valuation outside entry constraint"))
     except SpecError as exc:

@@ -25,10 +25,13 @@ Satisfiability, entailment, the past operator and reset images are then
 decided zone by zone.
 
 A ZoneSet (a list of non-empty zones over one clock tuple) is the working
-form: ``zoneset_meet`` and ``zoneset_entails`` decide on it directly, and
-``Zone.reset``/``Zone.up``/``Zone.down`` map it zone by zone.  ``past``,
-``future`` and ``reset_constraint`` render their result back to a
-``Constraint`` and are the print boundary.
+form: ``zoneset_meet`` and ``zoneset_entails`` decide on it directly,
+``Zone.reset``/``Zone.up``/``Zone.down`` map it zone by zone and
+``Zone.widened`` adds clocks.  Each of these, and a meet, which tightens by
+the other zone's bounds, keeps a canonical zone canonical without a closure
+(Bengtsson & Yi), so ``Zone.canonicalize`` runs only on a matrix built from
+scratch.  ``past``, ``future`` and ``reset_constraint`` render their result
+back to a ``Constraint`` and are the print boundary.
 """
 
 from __future__ import annotations
@@ -241,18 +244,36 @@ class Zone:
         return lo, hi, scale
 
     def intersect(self, other: "Zone") -> "Zone":
+        """The meet: this zone tightened by each bound of the other."""
         if self.clocks != other.clocks:
             raise SpecError("zone clock sets differ")
-        if self.empty or other.empty:
-            out = self.copy()
-            out.empty = True
-            return out
         scale = lcm(self.scale, other.scale)
-        m = [[a if b is None or (a is not None and a < b) else b
-              for a, b in zip(mine, theirs)]
-             for mine, theirs in zip(self.rescaled(scale).m,
-                                     other.rescaled(scale).m)]
-        return Zone(self.clocks, m, scale=scale).canonicalize()
+        out = self.copy().rescaled(scale)
+        out.empty |= other.empty
+        for i, row in enumerate(other.rescaled(scale).m):
+            for j, bound in enumerate(row):
+                if out.empty:
+                    return out
+                if bound is not None:
+                    out.tighten(i, j, bound)
+        return out
+
+    def widened(self, clocks: Iterable[str]) -> "Zone":
+        """This canonical zone over its clocks and the given ones, which it
+        leaves unconstrained (self if they add none).  A new clock y is at
+        least 0, so x_i - y meets x_i's upper bound, and the matrix stays
+        canonical."""
+        ordered = tuple(sorted(set(self.clocks).union(clocks)))
+        if ordered == self.clocks:
+            return self
+        n = len(ordered) + 1
+        m = [[LE_ZERO if i == j else None for j in range(n)] for i in range(n)]
+        where = [0] + [ordered.index(clock) + 1 for clock in self.clocks]
+        for row, i in zip(self.m, where):
+            m[i] = [row[0]] * n
+            for bound, j in zip(row, where):
+                m[i][j] = bound
+        return Zone(ordered, m, self.empty, self.scale)
 
     # -- timed operations ----------------------------------------------------
 
@@ -268,17 +289,17 @@ class Zone:
                 if j != i and b is not None and b < best:
                     best = b
             m[0][i] = best
-        return out.canonicalize()
+        return out
 
     def up(self) -> "Zone":
         """Delay successor: valuations reachable from this zone by waiting."""
         out = self.copy()
         for i in range(1, len(out.m)):
             out.m[i][0] = None
-        return out.canonicalize()
+        return out
 
     def reset(self, resets: Iterable[str]) -> "Zone":
-        """Image under zeroing the given clocks (on a canonical zone)."""
+        """Image under zeroing the given clocks."""
         out = self.copy()
         m = out.m
         for clock in resets:
@@ -287,7 +308,7 @@ class Zone:
                 m[x][j] = m[0][j]
                 m[j][x] = m[j][0]
             m[x][x] = LE_ZERO
-        return out.canonicalize()
+        return out
 
     # -- rendering -----------------------------------------------------------
 
@@ -421,14 +442,10 @@ def _split(zone: Zone, splits, out: ZoneSet) -> None:
             stack.append((piece, at + 1))
 
 
-def nonempty(zones: Iterable[Zone]) -> ZoneSet:
-    """The zones that are not empty, as a ZoneSet."""
-    return [zone for zone in zones if not zone.empty]
-
-
 def zoneset_meet(a: ZoneSet, b: ZoneSet) -> ZoneSet:
     """The intersection of two ZoneSets: their non-empty pairwise meets."""
-    return nonempty(x.intersect(y) for x in a for y in b)
+    meets = (x.intersect(y) for x in a for y in b)
+    return [zone for zone in meets if not zone.empty]
 
 
 def zoneset_contains(zones: ZoneSet, nu: Mapping[str, Fraction]) -> bool:
@@ -509,14 +526,12 @@ def constraint_equiv(c1: Constraint, c2: Constraint,
 
 def past(c: Constraint, clocks: Optional[Iterable[str]] = None) -> Constraint:
     """Weakest constraint holding now iff c holds after some delay."""
-    return zoneset_to_constraint(
-        nonempty(zone.down() for zone in to_zones(c, clocks)))
+    return zoneset_to_constraint([zone.down() for zone in to_zones(c, clocks)])
 
 
 def future(c: Constraint, clocks: Optional[Iterable[str]] = None) -> Constraint:
     """Delay closure upward: satisfiable now or after the clocks advance."""
-    return zoneset_to_constraint(
-        nonempty(zone.up() for zone in to_zones(c, clocks)))
+    return zoneset_to_constraint([zone.up() for zone in to_zones(c, clocks)])
 
 
 def reset_constraint(c: Constraint, resets: Iterable[str],
@@ -525,7 +540,7 @@ def reset_constraint(c: Constraint, resets: Iterable[str],
     resets = list(resets)
     universe = set(resets) | set(clocks or ())
     return zoneset_to_constraint(
-        nonempty(zone.reset(resets) for zone in to_zones(c, universe)))
+        [zone.reset(resets) for zone in to_zones(c, universe)])
 
 
 def trajectory_zone(nu: Mapping[str, Fraction], t: Fraction,

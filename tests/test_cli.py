@@ -422,3 +422,32 @@ def test_negative_scheduled_delay_is_an_error(capsys):
     assert out.endswith("status: error (scheduled delay -1 is negative) "
                         "after 0 time units\n")
     assert "det delay(-1)" not in out
+
+
+@pytest.mark.parametrize("source, argv, position", [
+    ("clocks x;\ntype T = !a(x<1/0).end", ("check", "T"), "2:17"),
+    ("process P = delay(1/0).end", ("run", "P"), "1:21"),
+    ("type S = ?a(x<1).end", ("check", "S", "--at", "x=1/0"), "1:5"),
+], ids=["guard", "delay", "valuation"])
+def test_zero_denominator_is_a_parse_error(capsys, tmp_path, source, argv,
+                                           position):
+    spec = tmp_path / "zero.toast"
+    spec.write_text(source)
+    argv = (argv[0], str(spec)) + argv[1:]
+    message = f"{position}: zero denominator"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    envelope = _error_envelope(capsys, *argv)
+    assert envelope["diagnostics"] == {"message": message}
+
+
+def test_negative_clock_value_is_a_parse_error(capsys):
+    argv = ("check", fx("weak_persistency.toast"), "S", "--at", "x=0,y=-1/2")
+    code, out, err = run_cli(capsys, *argv)
+    message = "1:7: clock 'y' cannot be negative"
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert _error_envelope(capsys, *argv)["diagnostics"] == {
+        "message": message}
+    code, _, _ = run_cli(capsys, "check", fx("weak_persistency.toast"), "S",
+                         "--at", "x=0,y=-0")
+    assert code == 0

@@ -186,3 +186,82 @@ def test_contains_matches_fraction_reference():
         inside += expected
     assert on_strict > 500 and on_weak > 500
     assert trials // 10 < inside < trials - trials // 10
+
+
+def canonical_pair(rng, n, integer):
+    """A random non-empty canonical zone of nonnegative clocks and the
+    oracle's closed bounds of it, or None when the random DBM is empty."""
+    bounds = random_bounds(rng, n, integer)
+    for j in range(1, n):
+        if tighter(LE_ZERO, bounds[0][j]):
+            bounds[0][j] = LE_ZERO
+    closed, empty = oracle_closure(bounds)
+    if empty:
+        return None
+    return encoded_zone(bounds).canonicalize(), closed
+
+
+def canonical_pairs(seed, trials=600):
+    rng = random.Random(seed)
+    for trial in range(trials):
+        pair = canonical_pair(rng, rng.randint(2, 4), trial % 2 == 0)
+        if pair is not None:
+            yield rng, pair
+
+
+def test_up_of_a_canonical_zone_is_the_closure_of_dropping_upper_bounds():
+    checked = 0
+    for _, (zone, closed) in canonical_pairs(17):
+        raw = [row[:] for row in closed]
+        for i in range(1, len(raw)):
+            raw[i][0] = INF
+        assert_agrees(zone.up(), raw)
+        checked += 1
+    assert checked > 200
+
+
+def test_down_of_a_canonical_zone_is_the_closure_of_dropping_lower_bounds():
+    checked = 0
+    for _, (zone, closed) in canonical_pairs(19):
+        raw = [row[:] for row in closed]
+        for j in range(1, len(raw)):
+            raw[0][j] = LE_ZERO
+        assert_agrees(zone.down(), raw)
+        checked += 1
+    assert checked > 200
+
+
+def test_reset_of_a_canonical_zone_is_the_closure_of_freeing_then_zeroing():
+    checked = 0
+    for rng, (zone, closed) in canonical_pairs(23):
+        n = len(closed)
+        resets = rng.sample(range(1, n), rng.randint(1, n - 1))
+        raw = [row[:] for row in closed]
+        for x in resets:
+            for k in range(n):
+                if k != x:
+                    raw[x][k] = raw[k][x] = INF
+            raw[x][0] = raw[0][x] = LE_ZERO
+        assert_agrees(zone.reset(zone.clocks[x - 1] for x in resets), raw)
+        checked += 1
+    assert checked > 200
+
+
+def test_intersect_of_canonical_zones_is_the_closure_of_the_tighter_bounds():
+    rng = random.Random(29)
+    met = empties = 0
+    for trial in range(1200):
+        n = rng.randint(2, 4)
+        first = canonical_pair(rng, n, trial % 2 == 0)
+        second = canonical_pair(rng, n, trial % 3 == 0)
+        if first is None or second is None:
+            continue
+        (a, closed_a), (b, closed_b) = first, second
+        raw = [[x if tighter(x, y) else y for x, y in zip(row_a, row_b)]
+               for row_a, row_b in zip(closed_a, closed_b)]
+        meet = a.intersect(b)
+        assert_agrees(meet, raw)
+        met += 1
+        empties += meet.empty
+        assert not a.empty and not b.empty  # the operands are untouched
+    assert met > 200 and 0 < empties < met

@@ -3,19 +3,26 @@
 The well-formedness checker meets, resets, delays and compares ZoneSets
 directly; the same questions asked through constraints (``is_sat``,
 ``reset_constraint``, ``future``, ``entails``) must get the same answers.
-Constants mix thirds and halves, so zones of different scales meet.
+Constants mix thirds and halves, so zones of different scales meet.  The
+checker widens the ZoneSets compiled on the type nodes to the type's
+clocks, which must give the zones built over those clocks directly, and a
+choice's entry, compiled from its guards' ZoneSets, must print as the past
+of the disjunction of its guards.
 """
 
 import random
 from fractions import Fraction
 
-from timedsessions.constraints import And
-from timedsessions.generate import random_constraint
+from timedsessions.constraints import And, disj
+from timedsessions.generate import random_constraint, random_type
+from timedsessions.semantics import unfold_head
+from timedsessions.sessiontypes import RECV, SEND, Choice, dual, option
 from timedsessions.zones import (
     constraint_equiv,
     entails,
     future,
     is_sat,
+    past,
     reset_constraint,
     to_zones,
     zoneset_entails,
@@ -69,3 +76,41 @@ def test_zoneset_entails_matches_entails():
             assert got == entails(lhs_c, guard, CLOCKS)
             agreed += got
     assert agreed > 0
+
+
+def test_widened_zones_are_the_zones_built_over_the_wider_clocks():
+    rng = random.Random(20241019)
+    widened = 0
+    for _ in range(CASES):
+        clocks = rng.sample(("x", "y", "z"), rng.randint(1, 3))
+        c = random_constraint(rng, clocks, CONSTANTS, max_depth=2)
+        wider = rng.sample(("w", "x", "y", "z"), rng.randint(0, 4))
+        zones = to_zones(c)
+        assert [zone.widened(wider) for zone in zones] == to_zones(c, wider)
+        widened += any(set(wider) - set(zone.clocks) for zone in zones)
+    assert widened > CASES // 2
+
+
+def random_choice(rng):
+    clocks = rng.sample(("x", "y", "z"), rng.randint(1, 3))
+    return Choice(tuple(
+        option(rng.choice((SEND, RECV)), f"l{k}",
+               random_constraint(rng, rng.sample(clocks, rng.randint(
+                   1, len(clocks))), CONSTANTS, max_depth=2))
+        for k in range(rng.randint(1, 3))))
+
+
+def test_entry_prints_as_the_past_of_the_disjunction_of_the_guards():
+    rng = random.Random(20241020)
+    choices = [random_choice(rng) for _ in range(CASES)]
+    for _ in range(40):
+        node = random_type(rng, ("x", "y"), 3, 5)
+        heads = [unfold_head(node), unfold_head(dual(node))]
+        for _ in range(3):  # heads reached through up to three options
+            choices += [head for head in heads if isinstance(head, Choice)]
+            heads = [unfold_head(opt.continuation)
+                     for head in heads for opt in head.options]
+    for choice in choices:
+        expected = past(disj(*[opt.guard for opt in choice.options]))
+        assert str(choice.entry) == str(expected)
+    assert len(choices) > CASES
