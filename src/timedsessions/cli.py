@@ -28,7 +28,7 @@ from .semantics import (
     make_system,
     system_steps,
 )
-from .sessiontypes import check_well_formed, dual, format_type
+from .sessiontypes import check_well_formed, dual, format_type, type_clocks
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -80,6 +80,11 @@ def cmd_check(args) -> int:
         raise ParseError(f"unknown type {args.type_name!r}")
     node = spec.types[args.type_name]
     nu = parse_valuation(args.at) if args.at else None
+    known = set(spec.clocks) | type_clocks(node)  # others at 0 are as if unset
+    unknown = sorted(c for c, v in (nu or {}).items() if v and c not in known)
+    if unknown:
+        raise SpecError(f"--at: clock {unknown[0]!r} is not declared and "
+                        f"{args.type_name} does not use it")
     report = check_well_formed(node, nu, clocks=spec.clocks)
     diags = [{"path": list(v.path), "condition": v.condition,
               "witness": v.witness} for v in report.violations]

@@ -257,6 +257,8 @@ class _Parser:
         value = Fraction(tok.text) if "." in tok.text else Fraction(int(tok.text))
         if self.at("/") and self.peek(1).kind == "num":
             self.advance()
+            if "." in self.peek().text:
+                raise self.error("denominator must be an integer")
             den = self.advance()
             if not int(den.text):
                 raise ParseError("zero denominator", den.line, den.col)
@@ -812,6 +814,8 @@ def parse_valuation(source: str) -> Dict[str, Fraction]:
         return out
     parser = _Parser(source)
     while True:
+        if parser.peek().text in out:
+            raise parser.error(f"clock {parser.peek().text!r} given twice")
         name = parser.expect_id("clock name").text
         parser.expect("=")
         at = parser.peek()

@@ -23,6 +23,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .constraints import (
@@ -46,7 +47,6 @@ from .sessiontypes import (
     Var,
     dual,
     guard_atoms,
-    has_diagonal_atoms,
     max_constant,
     type_clocks,
 )
@@ -447,33 +447,25 @@ def _compatible(sys: System, memo: Dict) -> Tuple[bool, str]:
 # State canonicalization (region representatives)
 # ---------------------------------------------------------------------------
 
-def _constants_are_integers(node: TypeNode) -> bool:
-    return all(atom.const.denominator == 1 for atom in guard_atoms(node))
-
-
-def region_canonical(sys: System, cap: Fraction) -> System:
+def region_canonical(sys: System, cap: Fraction, scale: int = 1) -> System:
     """Replace both valuations jointly by the canonical representative of
-    their region: cap values above the largest constant + 1 and renormalize
-    the ordered fractional parts.  Sound only for diagonal-free integer
-    guards, where regions are bisimilar for guard satisfaction and delay
-    boundaries."""
-    entries: List[Tuple[int, str, str]] = []  # (which side, clock)
-    values: List[Fraction] = []
-    for side_idx, qc in ((0, sys.left), (1, sys.right)):
+    their region with time scaled by ``scale``: cap values at cap, split
+    each scaled value into a whole part and a remainder, and renormalize the
+    ordered remainders.  Sound for diagonal-free guards whose constants the
+    scale makes integers (Alur & Dill 1994); at scale 1, integer regions."""
+    parts = {}
+    for side, qc in enumerate((sys.left, sys.right)):
         for clock, value in qc.nu.items():
-            entries.append((side_idx, clock))
-            values.append(min(value, cap))
-    fracs = sorted({v - int(v) for v in values if v != int(v)})
-    rank = {f: Fraction(i + 1, len(fracs) + 1) for i, f in enumerate(fracs)}
-    new_values = []
-    for v in values:
-        frac = v - int(v)
-        new_values.append(Fraction(int(v)) + (rank[frac] if frac else Fraction(0)))
-    new_nus: List[Valuation] = [{}, {}]
-    for (side_idx, clock), v in zip(entries, new_values):
-        new_nus[side_idx][clock] = v
-    return System(QConfig(new_nus[0], sys.left.node, sys.left.queue),
-                  QConfig(new_nus[1], sys.right.node, sys.right.queue))
+            num, den = min(value, cap).as_integer_ratio()
+            whole, rem = divmod(num * scale, den)
+            parts[side, clock] = whole, Fraction(rem, den) if rem else 0
+    rems = sorted({rem for _, rem in parts.values()} | {0})
+    k, rank = len(rems), {rem: i for i, rem in enumerate(rems)}
+    nus: Tuple[Valuation, Valuation] = ({}, {})
+    for (side, clock), (whole, rem) in parts.items():
+        nus[side][clock] = Fraction(whole * k + rank[rem], k * scale)
+    return System(QConfig(nus[0], sys.left.node, sys.left.queue),
+                  QConfig(nus[1], sys.right.node, sys.right.queue))
 
 
 def digest_qconfig(qc: QConfig) -> str:
@@ -496,24 +488,23 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
     act, possibly after an admissible delay.
 
     Visited states are memoized on (unfolded types, queues, valuation); on
-    diagonal-free integer-constant systems valuations are first replaced by
-    canonical region representatives so exploration terminates.  Exceeding
-    any bound makes the verdict bound-exceeded, never ok.
+    diagonal-free systems valuations are first replaced by their region
+    representatives with time scaled by the LCM of the guard constants'
+    denominators, so exploration terminates.  Exceeding any bound makes the
+    verdict bound-exceeded, never ok.
     """
     limits = limits or ExploreLimits()
     horizon = limits.horizon if limits.horizon is not None else default_horizon(sys)
-    canonical_ok = (not has_diagonal_atoms(sys.left.node)
-                    and not has_diagonal_atoms(sys.right.node)
-                    and _constants_are_integers(sys.left.node)
-                    and _constants_are_integers(sys.right.node))
-    cap = max(max_constant(sys.left.node), max_constant(sys.right.node)) + 1
+    atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
+    diagonal = any(atom.sub is not None for atom in atoms)
+    scale = lcm(*(atom.const.denominator for atom in atoms))
+    cap = max((abs(atom.const) for atom in atoms), default=Fraction(0)) + 1
 
     def canon(state: System) -> System:
-        return region_canonical(state, cap) if canonical_ok else state
+        return state if diagonal else region_canonical(state, cap, scale)
 
     start = canon(sys)
     start_key = digest_system(start)
-    visited: Dict[str, int] = {start_key: 0}
     parents: Dict[str, Tuple[Optional[str], Optional[SysAction]]] = {
         start_key: (None, None)}
     frontier = deque([(start, start_key, 0)])
@@ -553,7 +544,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
         try:
             steps = system_steps(state, horizon)
         except ProtocolError as exc:
-            return ProgressReport("counterexample", len(visited),
+            return ProgressReport("counterexample", len(parents),
                                   build_trace(key), str(exc), violations)
         final = state.left.is_final() and state.right.is_final()
         if not final:
@@ -569,7 +560,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
                         break
             if not passes:
                 return ProgressReport(
-                    "counterexample", len(visited), build_trace(key),
+                    "counterexample", len(parents), build_trace(key),
                     "reachable non-final state with no action after any "
                     "admissible delay", violations)
         for action, succ in steps:
@@ -583,19 +574,18 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
                 continue
             succ = canon(succ)
             succ_key = digest_system(succ)
-            if succ_key in visited:
+            if succ_key in parents:
                 continue
-            if len(visited) >= limits.max_states:
+            if len(parents) >= limits.max_states:
                 bound_reason = "state bound exceeded"
                 continue
             if depth + 1 > limits.max_depth:
                 bound_reason = "depth bound exceeded"
                 continue
-            visited[succ_key] = depth + 1
             parents[succ_key] = (key, action)
             frontier.append((succ, succ_key, depth + 1))
 
     if bound_reason:
-        return ProgressReport("bound-exceeded", len(visited), [],
+        return ProgressReport("bound-exceeded", len(parents), [],
                               bound_reason, violations)
-    return ProgressReport("ok", len(visited), [], "", violations)
+    return ProgressReport("ok", len(parents), [], "", violations)

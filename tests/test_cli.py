@@ -451,3 +451,67 @@ def test_negative_clock_value_is_a_parse_error(capsys):
     code, _, _ = run_cli(capsys, "check", fx("weak_persistency.toast"), "S",
                          "--at", "x=0,y=-0")
     assert code == 0
+
+
+@pytest.mark.parametrize("source, argv, position", [
+    ("clocks x;\ntype T = !a(x<1/1.5).end", ("check", "T"), "2:17"),
+    ("process P = delay(1/1.5).end", ("run", "P"), "1:21"),
+    ("type S = ?a(x<1).end", ("check", "S", "--at", "x=1/1.5"), "1:5"),
+], ids=["guard", "delay", "valuation"])
+def test_decimal_denominator_is_a_parse_error(capsys, tmp_path, source, argv,
+                                              position):
+    spec = tmp_path / "decimal.toast"
+    spec.write_text(source)
+    argv = (argv[0], str(spec)) + argv[1:]
+    message = f"{position}: denominator must be an integer"
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    envelope = _error_envelope(capsys, *argv)
+    assert envelope["diagnostics"] == {"message": message}
+
+
+@pytest.mark.parametrize("at, message", [
+    ("X=6", "--at: clock 'X' is not declared and S2 does not use it"),
+    ("x=6,x=0", "1:5: clock 'x' given twice"),
+], ids=["typo", "repeated"])
+def test_check_at_rejects_unknown_and_repeated_clocks(capsys, at, message):
+    argv = ("check", fx("junk.toast"), "S2", "--at", at)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert _error_envelope(capsys, *argv)["diagnostics"] == {
+        "message": message}
+    code, _, _ = run_cli(capsys, "check", fx("junk.toast"), "S2", "--at",
+                         "x=6")
+    assert code == 1
+
+
+def test_check_at_accepts_declared_or_used_clocks(capsys, tmp_path):
+    spec = tmp_path / "clocks.toast"
+    spec.write_text("clocks x, z;\ntype S = ?a(x<1).end\n"
+                    "type U = ?a(y<1).end")
+    # declared but unused, used but undeclared, and an unknown clock at 0,
+    # which means what leaving it out means
+    for name, at in (("S", "z=1/2"), ("U", "y=1/2"), ("S", "x=0,y=0")):
+        assert run_cli(capsys, "check", str(spec), name, "--at", at)[0] == 0
+    code, _, err = run_cli(capsys, "check", str(spec), "S", "--at", "y=1/2")
+    assert code == 2 and "'y' is not declared" in err
+
+
+RATIONAL_SPEC = """\
+clocks x, y;
+type S = rec r . !a(x<1, {x}).?b(x<3/2, {x}).r
+system s = S | dual of S
+"""
+
+
+def test_progress_on_rational_constants_is_pinned(capsys, tmp_path):
+    # canonicalised at scale 2, the loop closes after 104 states
+    spec = tmp_path / "rational.toast"
+    spec.write_text(RATIONAL_SPEC)
+    assert run_cli(capsys, "progress", str(spec), "s") == (
+        0, "s: ok (104 states)\n", "")
+    code, out, _ = run_cli(capsys, "progress", str(spec), "s", "--json")
+    envelope = json.loads(out)
+    assert (code, envelope["verdict"], envelope["diagnostics"]) == (
+        0, "ok", {"states": 104, "reason": "", "trace": [],
+                  "invariant_violations": []})

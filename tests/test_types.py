@@ -235,7 +235,6 @@ def test_delegation_round_trip():
 
 
 def test_type_walks_look_through_delegation_except_for_clocks():
-    from timedsessions.semantics import _constants_are_integers
     from timedsessions.sessiontypes import (has_diagonal_atoms, max_constant,
                                             type_clocks)
 
@@ -243,7 +242,6 @@ def test_type_walks_look_through_delegation_except_for_clocks():
     assert type_clocks(node) == {"x"}
     assert max_constant(node) == F(7, 2)
     assert has_diagonal_atoms(node)
-    assert not _constants_are_integers(node)
 
 
 def test_parse_errors_carry_positions():
