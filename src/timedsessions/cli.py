@@ -17,9 +17,9 @@ import time
 from pathlib import Path
 
 from .errors import ParseError, ProtocolError, SpecError
-from .parser import parse_spec_file, parse_valuation
+from .parser import parse_rational, parse_spec_file, parse_valuation
 from .processes import RunPolicy, RunStatus, run as run_process
-from .rational import format_rational, parse_rational
+from .rational import format_rational
 from .semantics import (
     ExploreLimits,
     check_progress,
@@ -108,18 +108,14 @@ def cmd_dual(args) -> int:
     return EXIT_PASS
 
 
-def _limits(args) -> ExploreLimits:
-    horizon = parse_rational(args.horizon) if args.horizon else None
-    return ExploreLimits(max_depth=args.depth, max_queue=args.queue,
-                         horizon=horizon, max_states=args.states)
-
-
 def cmd_progress(args) -> int:
     started = time.monotonic()
     spec, digest = _load(args)
     left, right = spec.resolve_system(args.system_name)
     system = make_system(left, right, spec.clocks)
-    report = check_progress(system, _limits(args), monitor=args.monitor)
+    limits = ExploreLimits(max_depth=args.depth, max_queue=args.queue,
+                           max_states=args.states)
+    report = check_progress(system, limits, monitor=args.monitor)
     trace = [dict(_sys_action_json(action), state=state)
              for action, state in report.trace]
     diags = {"states": report.states_visited, "reason": report.reason,
@@ -280,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("system_name")
     p.add_argument("--depth", type=_int_at_least(1), default=64)
     p.add_argument("--queue", type=_int_at_least(1), default=8)
-    p.add_argument("--horizon", help="delay sampling horizon (rational)")
     p.add_argument("--states", type=_int_at_least(1), default=100000)
     p.add_argument("--monitor", action="store_true",
                    help="assert the run-time invariants at every state")

@@ -806,6 +806,15 @@ def _check_unique_defs(node: ProcNode) -> None:
             seen.add(sub.name)
 
 
+def parse_rational(source: str) -> Fraction:
+    """Parse one number as the DSL writes it: ``p``, ``p/q`` or a finite
+    decimal, possibly negative."""
+    parser = _Parser(source)
+    value = parser.parse_number()
+    parser.expect("")
+    return value
+
+
 def parse_valuation(source: str) -> Dict[str, Fraction]:
     """Parse ``x=3,y=1/2`` into a valuation."""
     out: Dict[str, Fraction] = {}

@@ -25,12 +25,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import repeat
 from operator import is_
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
-from .constraints import Constraint, boundary_delays, eval_constraint
+from .constraints import Constraint, atoms_of, boundary_delays, eval_constraint
 from .errors import SpecError
 from .rational import format_rational
 
@@ -148,6 +149,16 @@ class DelayConstraint:
     var: str
     cond: Constraint
     cont: "ProcNode"
+
+    @cached_property
+    def candidates(self) -> Tuple[Fraction, ...]:
+        """Durations it may resolve to, sorted and computed once: the
+        satisfying boundary samples of the constraint."""
+        horizon = max([abs(a.const) for a in atoms_of(self.cond)]
+                      or [Fraction(0)]) + 2
+        return tuple(t for t in boundary_delays({self.var: Fraction(0)},
+                                                [self.cond], horizon)
+                     if eval_constraint({self.var: t}, self.cond))
 
 
 @dataclass(frozen=True)
@@ -806,7 +817,8 @@ class _DelayPicker:
         self.schedule = [Fraction(x) for x in schedule] if schedule is not None else None
         self.position = 0
 
-    def pick(self, var: str, cond: Constraint) -> Fraction:
+    def pick(self, node: DelayConstraint) -> Fraction:
+        var, cond = node.var, node.cond
         if self.schedule is not None:
             if self.position >= len(self.schedule):
                 raise SpecError("delay-resolution schedule exhausted")
@@ -818,14 +830,14 @@ class _DelayPicker:
                 raise SpecError(
                     f"scheduled delay {t} does not satisfy {cond}")
             return t
-        pool = det_candidates(var, cond)  # sorted
+        pool = node.candidates
         if not pool:
             raise SpecError(f"unsatisfiable delay constraint {cond}")
         if len(pool) > 1:
             i = self.rng.randrange(len(pool) - 1)
             interior = (pool[i] + pool[i + 1]) / 2
             if eval_constraint({var: interior}, cond):
-                pool = pool + [interior]
+                pool = pool + (interior,)
         return self.rng.choice(pool)
 
 
@@ -887,7 +899,7 @@ def _reduce(root: ProcNode, redex: Redex, rho: TimerEnv,
         assert isinstance(node, DelayConstraint)
         if picker is None:
             raise SpecError("delay(constraint) needs a resolution policy")
-        t = picker.pick(node.var, node.cond)
+        t = picker.pick(node)
         return rho, root, DelayExact(t, node.cont)
     if redex.kind == "call":
         assert isinstance(node, Call)
@@ -916,16 +928,6 @@ def resolve_active(root: ProcNode, rho: TimerEnv) -> ProcNode:
     return walk(root)
 
 
-def det_candidates(var: str, cond: Constraint) -> List[Fraction]:
-    """Durations a delay(constraint) may resolve to: the satisfying boundary
-    samples of the constraint."""
-    from .constraints import atoms_of
-
-    horizon = max([abs(a.const) for a in atoms_of(cond)] or [Fraction(0)]) + 2
-    return [t for t in boundary_delays({var: Fraction(0)}, [cond], horizon)
-            if eval_constraint({var: t}, cond)]
-
-
 def instant_step(rho: TimerEnv, p: ProcNode) -> List[Tuple[TimerEnv, ProcNode]]:
     """All one-step instantaneous reductions of p (deterministic order).
 
@@ -938,7 +940,7 @@ def instant_step(rho: TimerEnv, p: ProcNode) -> List[Tuple[TimerEnv, ProcNode]]:
             continue
         if redex.kind == "det":
             node = _get(p, redex.path)
-            for t in det_candidates(node.var, node.cond):
+            for t in node.candidates:
                 results.append((rho, _replace_normal(
                     p, redex.path, DelayExact(t, node.cont))))
             continue

@@ -1,31 +1,15 @@
 """Exact rational time values.
 
 All time arithmetic in the toolkit is done with `fractions.Fraction`;
-floating point is never used.  This module only adds the surface-syntax
-conversions (``p/q`` or finite decimals such as ``1.5``).
+floating point is never used.  This module only renders them in the
+surface syntax, which ``parser.parse_rational`` reads back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-__all__ = ["Rational", "parse_rational", "format_rational"]
-
-Rational = Fraction
-
-
-def parse_rational(text: str) -> Fraction:
-    """Parse ``p``, ``p/q`` or a finite decimal into an exact Fraction."""
-    text = text.strip()
-    try:
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return Fraction(int(num), int(den))
-        if "." in text:
-            return Fraction(text)  # decimal string parse is exact
-        return Fraction(int(text))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a rational literal: {text!r}") from exc
+__all__ = ["format_rational"]
 
 
 def format_rational(value: Fraction) -> str:

@@ -118,12 +118,10 @@ class SysAction:
 class ExploreLimits:
     max_depth: int = 64
     max_queue: int = 8
-    horizon: Optional[Fraction] = None  # None: max guard constant + 2
     max_states: int = 100000
 
     def __post_init__(self) -> None:
-        if (self.max_depth <= 0 or self.max_queue <= 0 or self.max_states <= 0
-                or (self.horizon is not None and self.horizon <= 0)):
+        if self.max_depth <= 0 or self.max_queue <= 0 or self.max_states <= 0:
             raise ValueError("exploration limits must be positive")
 
 
@@ -208,10 +206,11 @@ def _head_receive_option(qc: QConfig) -> Optional[ChoiceOption]:
 def qconfig_steps(qc: QConfig) -> List[Tuple[CommAction, QConfig]]:
     """Send actions (queue untouched) plus the receive of the queue head
     when its label matches an enabled receive option."""
-    out: List[Tuple[CommAction, QConfig]] = []
-    for action, config in config_comm_steps(Config(qc.nu, qc.node)):
-        if action.direction == SEND:
-            out.append((action, QConfig(config.nu, config.node, qc.queue)))
+    out = [(CommAction(SEND, Message(opt.label, opt.payload)),
+            QConfig(apply_reset(qc.nu, opt.resets), opt.continuation,
+                    qc.queue))
+           for opt in unfold_head(qc.node).options
+           if opt.direction == SEND and eval_constraint(qc.nu, opt.guard)]
     opt = _head_receive_option(qc)
     if opt is not None and eval_constraint(qc.nu, opt.guard):
         out.append((CommAction(RECV, qc.queue[0]),
@@ -324,6 +323,10 @@ def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
 
 
 def default_horizon(sys: System) -> Fraction:
+    """The delay sampling horizon: the largest guard constant + 2.  Clocks
+    are never negative, so no boundary lies further away than the largest
+    constant, and the sample beyond the last one fits too: a larger horizon
+    samples the same delays, a smaller one would cut boundaries."""
     return max(max_constant(sys.left.node), max_constant(sys.right.node)) + 2
 
 
@@ -494,11 +497,11 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
     verdict bound-exceeded, never ok.
     """
     limits = limits or ExploreLimits()
-    horizon = limits.horizon if limits.horizon is not None else default_horizon(sys)
     atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
     diagonal = any(atom.sub is not None for atom in atoms)
     scale = lcm(*(atom.const.denominator for atom in atoms))
     cap = max((abs(atom.const) for atom in atoms), default=Fraction(0)) + 1
+    horizon = cap + 1  # default_horizon(sys)
 
     def canon(state: System) -> System:
         return state if diagonal else region_canonical(state, cap, scale)
@@ -528,8 +531,8 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
 
     def monitor_state(state: System, key: str) -> None:
         for tag, qc in (("left", state.left), ("right", state.right)):
-            dirs = {a.direction
-                    for a, _ in config_comm_steps(Config(qc.nu, qc.node))}
+            dirs = {opt.direction for opt in unfold_head(qc.node).options
+                    if eval_constraint(qc.nu, opt.guard)}
             if len(dirs) > 1:
                 violations.append(
                     f"send and receive both enabled on {tag} at {key}")

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import shlex
 from fractions import Fraction
 from pathlib import Path
 
@@ -349,7 +350,9 @@ def test_json_error_envelope_on_directory(capsys, tmp_path):
     (["progress", fx("mixed_pingpong.toast"), "mpp", "--depth", "abc"],
      "progress", "argument --depth: invalid int value: 'abc'"),
     (["bogus"], None, "argument command: invalid choice: 'bogus'"),
-], ids=["missing-positional", "bad-int", "unknown-command"])
+    (["progress", fx("weak_persistency.toast"), "weak", "--horizon", "1"],
+     "progress", "unrecognized arguments: --horizon 1"),
+], ids=["missing-positional", "bad-int", "unknown-command", "horizon"])
 def test_json_error_envelope_on_usage_error(capsys, argv, command, message):
     code, out, err = run_cli(capsys, *argv, "--json")
     assert code == 2
@@ -422,6 +425,25 @@ def test_negative_scheduled_delay_is_an_error(capsys):
     assert out.endswith("status: error (scheduled delay -1 is negative) "
                         "after 0 time units\n")
     assert "det delay(-1)" not in out
+
+
+@pytest.mark.parametrize("delays, message", [
+    ("1_000", "1:2: expected '', found '_000'"),
+    (".5", "1:1: expected a number"),
+], ids=["underscore", "leading-point"])
+def test_delays_outside_the_number_grammar_are_parse_errors(capsys, delays,
+                                                            message):
+    argv = ("run", fx("mixed_pingpong.toast"), "Main", f"--delays={delays}")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert _error_envelope(capsys, *argv)["diagnostics"] == {
+        "message": message}
+
+
+def test_delays_read_numbers_as_the_dsl_does(capsys):
+    _, out, _ = run_cli(capsys, "run", fx("mixed_pingpong.toast"), "Main",
+                        "--delays", "1.5/2")
+    assert "7 det delay(3/4) for" in out
 
 
 @pytest.mark.parametrize("source, argv, position", [
@@ -515,3 +537,22 @@ def test_progress_on_rational_constants_is_pinned(capsys, tmp_path):
     assert (code, envelope["verdict"], envelope["diagnostics"]) == (
         0, "ok", {"states": 104, "reason": "", "trace": [],
                   "invariant_violations": []})
+
+
+def readme_commands():
+    """The ``timedsessions`` lines of the README's command-line block, with
+    continued lines joined and comments dropped, as argument lists."""
+    readme = (FIXTURES.parent / "README.md").read_text()
+    block = readme.split("## Command line")[1].split("```sh\n")[1]
+    block = block.split("```")[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("timedsessions ")]
+
+
+def test_readme_commands_run(capsys, monkeypatch):
+    monkeypatch.chdir(FIXTURES.parent)
+    commands = readme_commands()
+    assert commands
+    for argv in commands:
+        assert main(argv) in (0, 1), argv

@@ -13,8 +13,8 @@ from timedsessions.constraints import (
     zero_valuation,
 )
 from timedsessions.errors import SpecError
-from timedsessions.parser import parse_constraint
-from timedsessions.rational import format_rational, parse_rational
+from timedsessions.parser import parse_constraint, parse_rational
+from timedsessions.rational import format_rational
 
 F = Fraction
 

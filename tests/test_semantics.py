@@ -1,11 +1,13 @@
 """Configuration, queue, and system transitions plus the progress checker."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from timedsessions.constraints import zero_valuation
 from timedsessions.errors import ProtocolError
+from timedsessions.generate import random_type, random_valuation
 from timedsessions.parser import parse_type
 from timedsessions.semantics import (
     Config,
@@ -102,6 +104,33 @@ def test_config_comm_steps_applies_resets():
     steps = config_comm_steps(Config({"x": F(2)}, parse_type("!a(x<3,{x}).end")))
     [(action, config)] = steps
     assert config.nu == {"x": F(0)}
+
+
+def test_qconfig_sends_are_the_layer_one_sends_with_the_queue_kept():
+    # layer one is the oracle: a queued configuration sends what its
+    # configuration without the queue sends, and keeps the queue
+    rng = random.Random(41)
+    sending = 0
+    for _ in range(300):
+        node = random_type(rng, ("x", "y"), 3, 5)
+        for _ in range(rng.randint(0, 3)):
+            options = unfold_head(node).options
+            if options:
+                node = rng.choice(options).continuation
+        messages = [Message(opt.label, opt.payload)
+                    for opt in unfold_head(node).options
+                    if opt.direction == RECV] + [Message("z", NONE)]
+        queue = tuple(rng.choice(messages) for _ in range(rng.randint(0, 2)))
+        nu = random_valuation(rng, ("x", "y"))
+        want = [(action, config.nu, config.node, queue)
+                for action, config in config_comm_steps(Config(nu, node))
+                if action.direction == SEND]
+        got = [(action, qc.nu, qc.node, qc.queue)
+               for action, qc in qconfig_steps(QConfig(nu, node, queue))
+               if action.direction == SEND]
+        assert got == want
+        sending += bool(want)
+    assert sending > 50
 
 
 def test_config_tick():
