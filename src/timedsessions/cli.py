@@ -17,8 +17,8 @@ import time
 from pathlib import Path
 
 from .errors import ParseError, ProtocolError, SpecError
-from .parser import parse_rational, parse_spec_file, parse_valuation
-from .processes import RunPolicy, RunStatus, run as run_process
+from .parser import parse_rationals, parse_spec_file, parse_valuation
+from .processes import RunPolicy, run as run_process
 from .rational import format_rational
 from .semantics import (
     ExploreLimits,
@@ -35,32 +35,20 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
 
-
-def _load(args):
-    """Parse args.file; args.digest names the input as soon as it is read,
-    so that an error envelope can name it too."""
-    source = Path(args.file).read_text(encoding="utf-8")
-    args.digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
-    return parse_spec_file(source), args.digest
+# The exit code of each verdict that is not a violation.
+EXIT_CODES = {"well-formed": EXIT_PASS, "ok": EXIT_PASS,
+              "compatible": EXIT_PASS, "completed": EXIT_PASS,
+              "bound-exceeded": EXIT_BOUND, "fuel-exhausted": EXIT_BOUND}
 
 
-def _envelope(command: str, digest: str | None, verdict: str, diagnostics,
-              started: float) -> dict:
-    return {
-        "command": command,
-        "input": digest,
-        "verdict": verdict,
-        "diagnostics": diagnostics,
-        "timing": round(time.monotonic() - started, 6),
-    }
-
-
-def _emit(args, envelope: dict, text_lines) -> None:
-    if args.json:
-        print(json.dumps(envelope, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
+def _named(spec, kind: str, name: str):
+    """The type or process the command names, or its system as a System."""
+    if kind == "system":
+        return make_system(*spec.resolve_system(name), spec.clocks)
+    table = spec.types if kind == "type" else spec.processes
+    if name not in table:
+        raise ParseError(f"unknown {kind} {name!r}")
+    return table[name]
 
 
 def _sys_action_json(action) -> dict:
@@ -73,46 +61,33 @@ def _sys_action_json(action) -> dict:
     return out
 
 
-def cmd_check(args) -> int:
-    started = time.monotonic()
-    spec, digest = _load(args)
-    if args.type_name not in spec.types:
-        raise ParseError(f"unknown type {args.type_name!r}")
-    node = spec.types[args.type_name]
+# Each command takes the parsed arguments, the spec and what its name
+# argument names, and returns (verdict, diagnostics, text lines).
+
+def cmd_check(args, spec, node):
     nu = parse_valuation(args.at) if args.at else None
     known = set(spec.clocks) | type_clocks(node)  # others at 0 are as if unset
     unknown = sorted(c for c, v in (nu or {}).items() if v and c not in known)
     if unknown:
         raise SpecError(f"--at: clock {unknown[0]!r} is not declared and "
-                        f"{args.type_name} does not use it")
+                        f"{args.name} does not use it")
     report = check_well_formed(node, nu, clocks=spec.clocks)
     diags = [{"path": list(v.path), "condition": v.condition,
               "witness": v.witness} for v in report.violations]
     verdict = "well-formed" if report.verdict else "ill-formed"
-    lines = [f"{args.type_name}: {verdict}"]
+    lines = [f"{args.name}: {verdict}"]
     for v in report.violations:
         lines.append(f"  {v.condition} at [{' '.join(v.path) or 'root'}]: "
                      f"{v.witness}")
-    _emit(args, _envelope("check", digest, verdict, diags, started), lines)
-    return EXIT_PASS if report.verdict else EXIT_VIOLATION
+    return verdict, diags, lines
 
 
-def cmd_dual(args) -> int:
-    started = time.monotonic()
-    spec, digest = _load(args)
-    if args.type_name not in spec.types:
-        raise ParseError(f"unknown type {args.type_name!r}")
-    text = format_type(dual(spec.types[args.type_name]))
-    _emit(args, _envelope("dual", digest, "ok", {"type": text}, started),
-          [text])
-    return EXIT_PASS
+def cmd_dual(args, spec, node):
+    text = format_type(dual(node))
+    return "ok", {"type": text}, [text]
 
 
-def cmd_progress(args) -> int:
-    started = time.monotonic()
-    spec, digest = _load(args)
-    left, right = spec.resolve_system(args.system_name)
-    system = make_system(left, right, spec.clocks)
+def cmd_progress(args, spec, system):
     limits = ExploreLimits(max_depth=args.depth, max_queue=args.queue,
                            max_states=args.states)
     report = check_progress(system, limits, monitor=args.monitor)
@@ -121,7 +96,7 @@ def cmd_progress(args) -> int:
     diags = {"states": report.states_visited, "reason": report.reason,
              "trace": trace,
              "invariant_violations": report.invariant_violations}
-    lines = [f"{args.system_name}: {report.verdict} "
+    lines = [f"{args.name}: {report.verdict} "
              f"({report.states_visited} states)"]
     if report.reason:
         lines.append(f"  {report.reason}")
@@ -129,37 +104,17 @@ def cmd_progress(args) -> int:
         lines.append(f"{depth} {action} {state}")
     for violation in report.invariant_violations:
         lines.append(f"  invariant: {violation}")
-    _emit(args, _envelope("progress", digest, report.verdict, diags, started),
-          lines)
-    if report.verdict == "ok":
-        return EXIT_PASS
-    if report.verdict == "bound-exceeded":
-        return EXIT_BOUND
-    return EXIT_VIOLATION
+    return report.verdict, diags, lines
 
 
-def cmd_compat(args) -> int:
-    started = time.monotonic()
-    spec, digest = _load(args)
-    left, right = spec.resolve_system(args.system_name)
-    system = make_system(left, right, spec.clocks)
+def cmd_compat(args, spec, system):
     ok, why = compatible(system)
     verdict = "compatible" if ok else "incompatible"
-    _emit(args, _envelope("compat", digest, verdict, {"explanation": why},
-                          started),
-          [f"{args.system_name}: {verdict} ({why})"])
-    return EXIT_PASS if ok else EXIT_VIOLATION
+    return verdict, {"explanation": why}, [f"{args.name}: {verdict} ({why})"]
 
 
-def cmd_run(args) -> int:
-    started = time.monotonic()
-    spec, digest = _load(args)
-    if args.process_name not in spec.processes:
-        raise ParseError(f"unknown process {args.process_name!r}")
-    node = spec.processes[args.process_name]
-    schedule = None
-    if args.delays:
-        schedule = [parse_rational(x) for x in args.delays.split(",")]
+def cmd_run(args, spec, node):
+    schedule = parse_rationals(args.delays) if args.delays else None
     policy = RunPolicy(seed=args.seed, fuel=args.fuel,
                        delay_resolution=schedule)
     result = run_process(node, policy)
@@ -169,19 +124,10 @@ def cmd_run(args) -> int:
     lines = list(result.trace)
     lines.append(f"status: {result.status} ({result.detail}) after "
                  f"{format_rational(result.elapsed)} time units")
-    _emit(args, _envelope("run", digest, result.status, diags, started), lines)
-    if result.status == RunStatus.COMPLETED:
-        return EXIT_PASS
-    if result.status == RunStatus.FUEL_EXHAUSTED:
-        return EXIT_BOUND
-    return EXIT_VIOLATION
+    return result.status, diags, lines
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    spec, digest = _load(args)
-    left, right = spec.resolve_system(args.system_name)
-    system = make_system(left, right, spec.clocks)
+def cmd_simulate(args, spec, system):
     rng = random.Random(args.seed)
     lines = []
     trace = []
@@ -208,13 +154,7 @@ def cmd_simulate(args) -> int:
         trace.append(dict(_sys_action_json(action),
                           state=digest_system(system)))
     lines.append(f"verdict: {verdict}")
-    _emit(args, _envelope("simulate", digest, verdict,
-                          {"trace": trace}, started), lines)
-    if verdict == "ok":
-        return EXIT_PASS
-    if verdict == "bound-exceeded":
-        return EXIT_BOUND
-    return EXIT_VIOLATION
+    return verdict, {"trace": trace}, lines
 
 
 class _UsageError(Exception):
@@ -254,59 +194,44 @@ def build_parser() -> argparse.ArgumentParser:
                     "mixed-choice")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--json", action="store_true",
-                       help="emit a machine-readable report envelope")
+    def command(name, kind, func, help):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("file")
+        p.add_argument("name", metavar=f"{kind}_name")
+        p.set_defaults(func=func, kind=kind)
+        return p
 
-    p = sub.add_parser("check", help="decide well-formedness of a type")
-    p.add_argument("file")
-    p.add_argument("type_name")
+    p = command("check", "type", cmd_check, "decide well-formedness of a type")
     p.add_argument("--at", help="initial valuation, e.g. x=0,y=1/2")
-    common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("dual", help="print the dual of a type")
-    p.add_argument("file")
-    p.add_argument("type_name")
-    common(p)
-    p.set_defaults(func=cmd_dual)
+    command("dual", "type", cmd_dual, "print the dual of a type")
 
-    p = sub.add_parser("progress", help="bounded progress verification")
-    p.add_argument("file")
-    p.add_argument("system_name")
+    p = command("progress", "system", cmd_progress,
+                "bounded progress verification")
     p.add_argument("--depth", type=_int_at_least(1), default=64)
     p.add_argument("--queue", type=_int_at_least(1), default=8)
     p.add_argument("--states", type=_int_at_least(1), default=100000)
     p.add_argument("--monitor", action="store_true",
                    help="assert the run-time invariants at every state")
-    common(p)
-    p.set_defaults(func=cmd_progress)
 
-    p = sub.add_parser("compat", help="decide system compatibility")
-    p.add_argument("file")
-    p.add_argument("system_name")
-    common(p)
-    p.set_defaults(func=cmd_compat)
+    command("compat", "system", cmd_compat, "decide system compatibility")
 
-    p = sub.add_parser("run", help="interpret a process")
-    p.add_argument("file")
-    p.add_argument("process_name")
+    p = command("run", "process", cmd_run, "interpret a process")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fuel", type=_int_at_least(0), default=10000)
     p.add_argument("--delays",
                    help="comma-separated durations resolving delay(c) "
                         "constraints in order")
-    common(p)
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("simulate", help="random walk over system steps")
-    p.add_argument("file")
-    p.add_argument("system_name")
+    p = command("simulate", "system", cmd_simulate,
+                "random walk over system steps")
     p.add_argument("--trace-len", type=_int_at_least(0), default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--queue", type=_int_at_least(1), default=8)
-    common(p)
-    p.set_defaults(func=cmd_simulate)
+
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true",
+                       help="emit a machine-readable report envelope")
     return parser
 
 
@@ -318,20 +243,32 @@ def main(argv=None) -> int:
     started = time.monotonic()
     try:
         build_parser().parse_args(argv, args)
+        source = Path(args.file).read_text(encoding="utf-8")
+        args.digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
+        spec = parse_spec_file(source)
+        verdict, diagnostics, lines = args.func(
+            args, spec, _named(spec, args.kind, args.name))
+        code = EXIT_CODES.get(verdict, EXIT_VIOLATION)
     except SystemExit as exc:  # --help
         return EXIT_USAGE if exc.code else EXIT_PASS
     except _UsageError as exc:
         args.json = "--json" in argv
-        _emit(args, _envelope(getattr(args, "command", None), None, "error",
-                              {"message": str(exc)}, started), [])
-        return EXIT_USAGE
-    try:
-        return args.func(args)
+        verdict, diagnostics, lines = "error", {"message": str(exc)}, []
+        code = EXIT_USAGE
     except (ParseError, SpecError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        _emit(args, _envelope(args.command, args.digest, "error",
-                              {"message": str(exc)}, started), [])
-        return EXIT_USAGE
+        verdict, diagnostics, lines = "error", {"message": str(exc)}, []
+        code = EXIT_USAGE
+    if args.json:
+        print(json.dumps({"command": getattr(args, "command", None),
+                          "input": args.digest, "verdict": verdict,
+                          "diagnostics": diagnostics,
+                          "timing": round(time.monotonic() - started, 6)},
+                         sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 if __name__ == "__main__":

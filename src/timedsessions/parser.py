@@ -1,19 +1,23 @@
 """Parsers for the constraint, type, and process DSLs and for spec files.
 
-One hand-written tokenizer feeds recursive-descent parsers.  Surface sugar
+One token pattern feeds recursive-descent parsers.  Surface sugar
 (derived comparators, bounded intervals, omitted guards/resets/payloads,
 single-option choices without braces) is desugared here; the ASTs carry
 only the core forms.  Scoping problems (duplicate labels, unbound or
-shadowed recursion variables, unguarded recursion, malformed sessions)
+shadowed recursion variables, unguarded recursion, malformed sessions,
+undefined calls, duplicate definitions, timers set by two parallel parts)
 are rejected at parse time with positions.
 """
 
 from __future__ import annotations
 
 import functools
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from itertools import combinations
+from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
+                    Tuple)
 
 from .constraints import (
     And,
@@ -28,6 +32,7 @@ from .constraints import (
     atom_le,
     atom_lt,
     atom_ne,
+    clocks_of,
 )
 from .errors import ParseError
 from .processes import (
@@ -49,8 +54,7 @@ from .processes import (
     Send,
     SetTimer,
     UNIT,
-    subterms,
-    validate_process,
+    children,
 )
 from .sessiontypes import (
     BOOL,
@@ -66,6 +70,8 @@ from .sessiontypes import (
     STR,
     TypeNode,
     Var,
+    dual,
+    type_clocks,
 )
 
 _KEYWORDS = {
@@ -86,12 +92,20 @@ _KEYWORDS = {
 # than its tree, so whatever is accepted prints to text that parses again.
 MAX_NESTING = 50
 
-_TWO_CHAR = ("<=", ">=", "!=", "->")
-_ONE_CHAR = "{}()[]<>,.;:!?=-+|*/"
+# One token per match: layout and comments, a string, a number, a name, a
+# symbol, or (any other character) an error.  Names start with a letter or
+# an underscore; the pattern cannot say "letter", so tokenize checks it.
+_TOKEN = re.compile(r"""
+    (?P<layout>[ \t\r\n]+|//[^\n]*)
+  | "(?P<str>[^"\n]*)"
+  | (?P<num>\d+(?:\.\d+)?)
+  | (?P<id>\w+)
+  | (?P<sym><=|>=|!=|->|[{}()\[\]<>,.;:!?=+|*/-])
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # id | num | str | sym | eof
     text: str
     line: int
@@ -100,70 +114,22 @@ class Token:
 
 def tokenize(source: str) -> List[Token]:
     tokens: List[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0  # line_start: the offset of the line's column 1
+    for match in _TOKEN.finditer(source):
+        kind = match.lastgroup
+        text = match.group(kind)
+        if kind == "layout":
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = match.start() + text.rindex("\n") + 1
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if source.startswith("//", i):
-            while i < n and source[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col
-        if ch == '"':
-            j = i + 1
-            while j < n and source[j] != '"':
-                if source[j] == "\n":
-                    raise ParseError("unterminated string", start_line, start_col)
-                j += 1
-            if j >= n:
-                raise ParseError("unterminated string", start_line, start_col)
-            tokens.append(Token("str", source[i + 1:j], start_line, start_col))
-            col += j + 1 - i
-            i = j + 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            if j < n and source[j] == "." and j + 1 < n and source[j + 1].isdigit():
-                j += 1
-                while j < n and source[j].isdigit():
-                    j += 1
-            tokens.append(Token("num", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            tokens.append(Token("id", source[i:j], start_line, start_col))
-            col += j - i
-            i = j
-            continue
-        two = source[i:i + 2]
-        if two in _TWO_CHAR:
-            tokens.append(Token("sym", two, start_line, start_col))
-            i += 2
-            col += 2
-            continue
-        if ch in _ONE_CHAR:
-            tokens.append(Token("sym", ch, start_line, start_col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("eof", "", line, col))
+        col = match.start() - line_start + 1
+        if kind == "bad" or (kind == "id" and not text[0].isalpha()
+                             and text[0] != "_"):
+            raise ParseError("unterminated string" if text == '"' else
+                             f"unexpected character {text[0]!r}", line, col)
+        tokens.append(Token(kind, text, line, col))
+    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
     return tokens
 
 
@@ -219,12 +185,15 @@ class _Parser:
                              tok.line, tok.col)
         return self.advance()
 
-    def expect_id(self, what: str = "identifier") -> Token:
+    def name(self, what: str) -> str:
         tok = self.peek()
         if tok.kind != "id" or tok.text in _KEYWORDS:
             raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
                              tok.line, tok.col)
-        return self.advance()
+        return self.advance().text
+
+    def clock_name(self) -> str:
+        return self.name("clock name")
 
     def error(self, message: str) -> ParseError:
         tok = self.peek()
@@ -237,6 +206,42 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise self.too_deep()
+
+    # -- lists ---------------------------------------------------------------
+
+    def separated(self, item: Callable[[], object], sep: str) -> list:
+        """One or more items separated by sep."""
+        items = [item()]
+        while self.at(sep):
+            self.advance()
+            items.append(item())
+        return items
+
+    def braced(self, item: Callable[[], object]) -> list:
+        """Items separated by commas in braces, or one item without them."""
+        if not self.at("{"):
+            return [item()]
+        self.advance()
+        items = self.separated(item, ",")
+        self.expect("}")
+        return items
+
+    def grouped(self, close: str, item: Callable[[int], object],
+                groups: int) -> List[tuple]:
+        """Items up to ``close`` in ``groups`` groups separated by ``;``,
+        missing groups empty; ``item(i)`` reads one item of group i.  Commas
+        between items are optional and may repeat."""
+        out: List[list] = [[]]
+        while not self.at(close):
+            if self.at(","):
+                self.advance()
+            elif self.at(";") and len(out) < groups:
+                self.advance()
+                out.append([])
+            else:
+                out[-1].append(item(len(out) - 1))
+        self.advance()
+        return [tuple(g) for g in out] + [()] * (groups - len(out))
 
     # -- rationals -----------------------------------------------------------
 
@@ -264,6 +269,23 @@ class _Parser:
                 raise ParseError("zero denominator", den.line, den.col)
             value = Fraction(value, int(den.text))
         return -value if negative else value
+
+    def parse_valuation(self) -> Dict[str, Fraction]:
+        out: Dict[str, Fraction] = {}
+
+        def entry() -> None:
+            if self.peek().text in out:
+                raise self.error(f"clock {self.peek().text!r} given twice")
+            name = self.clock_name()
+            self.expect("=")
+            at = self.peek()
+            out[name] = self.parse_number()
+            if out[name] < 0:
+                raise ParseError(f"clock {name!r} cannot be negative", at.line,
+                                 at.col)
+
+        self.separated(entry, ",")
+        return out
 
     # -- constraints ----------------------------------------------------------
 
@@ -353,12 +375,16 @@ class _Parser:
         return tok.text
 
     def _clock_expr(self) -> Tuple[str, Optional[str]]:
-        clock = self.expect_id("clock name").text
-        if self.at("-"):
-            self.advance()
-            sub = self.expect_id("clock name").text
-            return clock, sub
-        return clock, None
+        tok = self.peek()
+        clock = self.clock_name()
+        if not self.at("-"):
+            return clock, None
+        self.advance()
+        sub = self.clock_name()
+        if sub == clock:
+            raise ParseError(f"clock {clock!r} compared with itself", tok.line,
+                             tok.col)
+        return clock, sub
 
     def _build(self, op: str, clock: str, sub: Optional[str],
                const: Fraction) -> Constraint:
@@ -374,7 +400,7 @@ class _Parser:
             return END
         if self.at("rec"):
             self.advance()
-            var = self.expect_id("recursion variable").text
+            var = self.name("recursion variable")
             if var in bound:
                 raise ParseError(f"recursion variable {var!r} shadows an "
                                  "enclosing binding", tok.line, tok.col)
@@ -388,21 +414,10 @@ class _Parser:
                 raise ParseError(f"unguarded recursion rec {var!r}",
                                  tok.line, tok.col)
             return node
-        if self.at("{"):
-            self.advance()
-            options = [self.parse_option(bound)]
-            while self.at(","):
-                self.advance()
-                options.append(self.parse_option(bound))
-            self.expect("}")
-            labels = [opt.label for opt in options]
-            for label in labels:
-                if labels.count(label) > 1:
-                    raise ParseError(f"duplicate label {label!r} in choice",
-                                     tok.line, tok.col)
+        if self.at("{") or self.at("!") or self.at("?"):
+            options = self.braced(lambda: self.parse_option(bound))
+            _check_unique_labels(options, "duplicate label {!r} in choice", tok)
             return Choice(tuple(options))
-        if self.at("!") or self.at("?"):
-            return Choice((self.parse_option(bound),))
         if tok.kind == "id" and tok.text not in _KEYWORDS:
             self.advance()
             if tok.text not in bound:
@@ -416,7 +431,7 @@ class _Parser:
         if not (self.at("!") or self.at("?")):
             raise self.error("expected ! or ?")
         self.advance()
-        label = self.expect_id("label").text
+        label = self.name("label")
         payload = NONE
         if self.at("<"):
             self.advance()
@@ -457,12 +472,7 @@ class _Parser:
 
     def parse_reset_set(self) -> Tuple[str, ...]:
         self.expect("{")
-        names: List[str] = []
-        if not self.at("}"):
-            names.append(self.expect_id("clock name").text)
-            while self.at(","):
-                self.advance()
-                names.append(self.expect_id("clock name").text)
+        names = [] if self.at("}") else self.separated(self.clock_name, ",")
         self.expect("}")
         return tuple(names)
 
@@ -484,7 +494,7 @@ class _Parser:
                 value = self.parse_number()
                 if self.at("*"):
                     self.advance()
-                    name = self.expect_id("timer name").text
+                    name = self.name("timer name")
                     if value.denominator != 1:
                         raise self.error("timer coefficients must be integers")
                     coeffs[name] = coeffs.get(name, 0) + sign * int(value)
@@ -512,14 +522,16 @@ class _Parser:
 
     # -- processes ---------------------------------------------------------------
 
+    def parse_program(self) -> ProcNode:
+        """A whole process, checked as _check_program says."""
+        start = self.peek()
+        node = self.parse_process()
+        _check_program(node, start)
+        return node
+
     def parse_process(self) -> ProcNode:
-        parts = [self.parse_process_seq()]
-        while self.at("|"):
-            self.advance()
-            parts.append(self.parse_process_seq())
-        if len(parts) == 1:
-            return parts[0]
-        return Par(tuple(parts))
+        parts = self.separated(self.parse_process_seq, "|")
+        return parts[0] if len(parts) == 1 else Par(tuple(parts))
 
     @_nesting
     def parse_process_seq(self) -> ProcNode:
@@ -533,41 +545,24 @@ class _Parser:
         if self.at("set"):
             self.advance()
             self.expect("(")
-            timer = self.expect_id("timer name").text
+            timer = self.name("timer name")
             self.expect(")")
             self.expect(".")
             return SetTimer(timer, self.parse_process_seq())
         if self.at("to"):
             self.advance()
-            endpoint = self.expect_id("endpoint").text
+            endpoint = self.name("endpoint")
             self.expect("!")
-            label = self.expect_id("label").text
-            value = UNIT
-            if self.at("("):
-                self.advance()
-                if not self.at(")"):
-                    value = self.parse_value()
-                self.expect(")")
+            label = self.name("label")
+            value = self.parse_payload()
             self.expect(".")
             return Send(endpoint, label, value, self.parse_process_seq())
         if self.at("from"):
             self.advance()
-            endpoint = self.expect_id("endpoint").text
+            endpoint = self.name("endpoint")
             self.expect("recv")
-            if self.at("{"):
-                self.advance()
-                branches = [self.parse_branch()]
-                while self.at(","):
-                    self.advance()
-                    branches.append(self.parse_branch())
-                self.expect("}")
-            else:
-                branches = [self.parse_branch()]  # single branch, no braces
-            labels = [b.label for b in branches]
-            for label in labels:
-                if labels.count(label) > 1:
-                    raise ParseError(f"duplicate receive label {label!r}",
-                                     tok.line, tok.col)
+            branches = self.braced(self.parse_branch)
+            _check_unique_labels(branches, "duplicate receive label {!r}", tok)
             after = None
             timeout = None
             if self.at("after"):
@@ -600,8 +595,6 @@ class _Parser:
                 self.expect(".")
                 return DelayExact(duration, self.parse_process_seq())
             cond = self.parse_constraint()
-            from .constraints import clocks_of
-
             vars_used = clocks_of(cond)
             if len(vars_used) != 1:
                 raise self.error("delay constraints range over exactly one "
@@ -612,45 +605,36 @@ class _Parser:
                                    self.parse_process_seq())
         if self.at("def"):
             self.advance()
-            name = self.expect_id("process name").text
+            name = self.name("process name")
             self.expect("(")
-            groups: List[Tuple[str, ...]] = []
-            current: List[str] = []
-            while not self.at(")"):
-                if self.at(";"):
-                    self.advance()
-                    groups.append(tuple(current))
-                    current = []
-                    continue
-                if self.at(","):
-                    self.advance()
-                    continue
-                current.append(self.expect_id("parameter").text)
-            self.expect(")")
-            groups.append(tuple(current))
-            while len(groups) < 3:
-                groups.append(())
-            if len(groups) > 3:
-                raise self.error("definitions take three parameter groups "
-                                 "(values; timers; channels)")
+            # values; timers; channels
+            params = self.grouped(")", lambda _: self.name("parameter"), 3)
             self.expect("=")
             body = self.parse_process_seq()
             self.expect("in")
-            cont = self.parse_process_seq()
-            return Def(name, groups[0], groups[1], groups[2], body, cont)
+            return Def(name, *params, body, self.parse_process_seq())
         if self.at("new"):
             self.advance()
             self.expect("(")
-            left = self.expect_id("endpoint").text
+            left = self.name("endpoint")
             self.expect(",")
-            right = self.expect_id("endpoint").text
+            right = self.name("endpoint")
             if left == right:
                 raise self.error("session endpoints must be distinct")
             self.expect(")")
             self.expect("{")
-            body = self.parse_session_body(left, right)
+            parts = self.separated(
+                lambda: self.parse_session_component(left, right), "|")
             self.expect("}")
-            return Scope(left, right, body)
+            # two processes and the two directed buffers
+            channels = {(p.src, p.dst) for p in parts if isinstance(p, Buffer)}
+            if (len(parts) != 4 or channels != {(left, right), (right, left)}
+                    or sum(isinstance(p, Buffer) for p in parts) != 2):
+                raise ParseError(
+                    f"malformed session shape under new ({left},{right}): "
+                    "expected two processes and the two directed buffers",
+                    tok.line, tok.col)
+            return Scope(left, right, Par(tuple(parts)))
         if tok.kind == "id" and tok.text not in _KEYWORDS:
             if self.peek(1).text == "<":
                 return self.parse_call()
@@ -667,37 +651,32 @@ class _Parser:
         return self.parse_process_seq()
 
     def parse_branch(self) -> Branch:
-        label = self.expect_id("label").text
+        label = self.name("label")
         binder = None
         if self.at("("):
             self.advance()
-            binder = self.expect_id("binder").text
+            binder = self.name("binder")
             self.expect(")")
         self.expect("->")
         cont = self.parse_block()
         return Branch(label, binder, cont)
 
     def parse_call(self) -> Call:
-        name = self.expect_id("process name").text
+        name = self.name("process name")
         self.expect("<")
-        groups: List[List] = [[], [], []]
-        index = 0
-        while not self.at(">"):
-            if self.at(";"):
-                self.advance()
-                index += 1
-                if index > 2:
-                    raise self.error("calls take three argument groups")
-                continue
-            if self.at(","):
-                self.advance()
-                continue
-            if index == 0:
-                groups[0].append(self.parse_value())
-            else:
-                groups[index].append(self.expect_id("argument").text)
-        self.expect(">")
-        return Call(name, tuple(groups[0]), tuple(groups[1]), tuple(groups[2]))
+        # values; timers; channels
+        args = self.grouped(
+            ">", lambda i: self.name("argument") if i else self.parse_value(), 3)
+        return Call(name, *args)
+
+    def parse_payload(self):
+        """The ``(value)`` after a message label; without one, the unit."""
+        if not self.at("("):
+            return UNIT
+        self.advance()
+        value = UNIT if self.at(")") else self.parse_value()
+        self.expect(")")
+        return value
 
     def parse_value(self):
         tok = self.peek()
@@ -724,16 +703,6 @@ class _Parser:
             return Name(tok.text)
         raise self.error("expected a value")
 
-    def parse_session_body(self, left: str, right: str) -> ProcNode:
-        parts: List[ProcNode] = []
-        while True:
-            parts.append(self.parse_session_component(left, right))
-            if self.at("|"):
-                self.advance()
-                continue
-            break
-        return Par(tuple(parts)) if len(parts) != 1 else parts[0]
-
     def parse_session_component(self, left: str, right: str) -> ProcNode:
         tok = self.peek()
         if (tok.kind == "id" and tok.text not in _KEYWORDS
@@ -749,95 +718,106 @@ class _Parser:
                     f"{left!r} and {right!r}", tok.line, tok.col)
             self.expect(":")
             self.expect("[")
-            items: List[Tuple[str, object]] = []
-            while not self.at("]"):
-                if self.at(","):
-                    self.advance()
-                    continue
-                label = self.expect_id("label").text
-                value = UNIT
-                if self.at("("):
-                    self.advance()
-                    if not self.at(")"):
-                        value = self.parse_value()
-                    self.expect(")")
-                items.append((label, value))
-            self.expect("]")
-            return Buffer(src, dst, tuple(items))
+            items = self.grouped(
+                "]", lambda _: (self.name("label"), self.parse_payload()), 1)[0]
+            return Buffer(src, dst, items)
         return self.parse_process_seq()
+
+    # -- spec files --------------------------------------------------------------
+
+    def system_ref(self) -> Tuple[str, bool]:
+        dual_of = self.at("dual")
+        if dual_of:
+            self.advance()
+            self.expect("of")
+        return self.name("type name"), dual_of
+
+    def parse_system(self) -> SystemDecl:
+        left, left_dual = self.system_ref()
+        self.expect("|")
+        right, right_dual = self.system_ref()
+        return SystemDecl(left, right, left_dual, right_dual)
+
+
+def _check_unique_labels(items, message: str, tok: Token) -> None:
+    labels = [item.label for item in items]
+    for label in labels:
+        if labels.count(label) > 1:
+            raise ParseError(message.format(label), tok.line, tok.col)
+
+
+def _check_program(node: ProcNode, start: Token) -> None:
+    """Reject a call outside the scope of its definition, a definition name
+    used twice and a timer set by two parallel parts, at the process's first
+    token.  One walk, which returns the timers each subterm sets."""
+    defined = set()
+
+    def fail(message: str) -> ParseError:
+        return ParseError(message, start.line, start.col)
+
+    def walk(node: ProcNode, scope: FrozenSet[str]) -> FrozenSet[str]:
+        if isinstance(node, Def):
+            if node.name in defined:
+                raise fail(f"duplicate definition {node.name!r}")
+            defined.add(node.name)
+            scope = scope | {node.name}
+        elif isinstance(node, Call) and node.name not in scope:
+            raise fail(f"call to undefined process {node.name!r}")
+        sets = [walk(child, scope) for child in children(node)]
+        if isinstance(node, Par):
+            for a, b in combinations(sets, 2):
+                if a & b:
+                    raise fail(f"timer(s) {sorted(a & b)} set by more than one "
+                               "parallel component")
+        timers = frozenset().union(*sets)
+        return timers | {node.timer} if isinstance(node, SetTimer) else timers
+
+    walk(node, frozenset())
 
 
 # ---------------------------------------------------------------------------
 # Entry points
 # ---------------------------------------------------------------------------
 
-def parse_constraint(source: str) -> Constraint:
+def _parse_all(source: str, rule: Callable[[_Parser], object]):
+    """What rule reads from source, which it must read to the end."""
     parser = _Parser(source)
-    node = parser.parse_constraint()
-    parser.expect("")
-    return node
+    result = rule(parser)
+    tok = parser.peek()
+    if tok.kind != "eof":
+        raise ParseError(f"expected end of input, found {tok.text!r}",
+                         tok.line, tok.col)
+    return result
+
+
+def parse_constraint(source: str) -> Constraint:
+    return _parse_all(source, _Parser.parse_constraint)
 
 
 def parse_type(source: str) -> TypeNode:
-    parser = _Parser(source)
-    node = parser.parse_type()
-    parser.expect("")
-    return node
+    return _parse_all(source, _Parser.parse_type)
 
 
 def parse_process(source: str) -> ProcNode:
-    parser = _Parser(source)
-    node = parser.parse_process()
-    parser.expect("")
-    try:
-        validate_process(node)
-    except Exception as exc:  # surface as a parse-time rejection
-        raise ParseError(str(exc)) from exc
-    _check_unique_defs(node)
-    return node
-
-
-def _check_unique_defs(node: ProcNode) -> None:
-    seen = set()
-    for sub in subterms(node):
-        if isinstance(sub, Def):
-            if sub.name in seen:
-                raise ParseError(f"duplicate definition {sub.name!r}")
-            seen.add(sub.name)
+    return _parse_all(source, _Parser.parse_program)
 
 
 def parse_rational(source: str) -> Fraction:
     """Parse one number as the DSL writes it: ``p``, ``p/q`` or a finite
     decimal, possibly negative."""
-    parser = _Parser(source)
-    value = parser.parse_number()
-    parser.expect("")
-    return value
+    return _parse_all(source, _Parser.parse_number)
+
+
+def parse_rationals(source: str) -> List[Fraction]:
+    """Parse comma-separated numbers, as ``parse_rational`` reads each."""
+    return _parse_all(
+        source, lambda parser: parser.separated(parser.parse_number, ","))
 
 
 def parse_valuation(source: str) -> Dict[str, Fraction]:
     """Parse ``x=3,y=1/2`` into a valuation."""
-    out: Dict[str, Fraction] = {}
     source = source.strip()
-    if not source:
-        return out
-    parser = _Parser(source)
-    while True:
-        if parser.peek().text in out:
-            raise parser.error(f"clock {parser.peek().text!r} given twice")
-        name = parser.expect_id("clock name").text
-        parser.expect("=")
-        at = parser.peek()
-        out[name] = parser.parse_number()
-        if out[name] < 0:
-            raise ParseError(f"clock {name!r} cannot be negative", at.line,
-                             at.col)
-        if parser.at(","):
-            parser.advance()
-            continue
-        break
-    parser.expect("")
-    return out
+    return _parse_all(source, _Parser.parse_valuation) if source else {}
 
 
 # ---------------------------------------------------------------------------
@@ -860,8 +840,6 @@ class SpecFile:
     systems: Dict[str, SystemDecl] = field(default_factory=dict)
 
     def resolve_system(self, name: str) -> Tuple[TypeNode, TypeNode]:
-        from .sessiontypes import dual as dual_of
-
         if name not in self.systems:
             raise ParseError(f"unknown system {name!r}")
         decl = self.systems[name]
@@ -871,75 +849,38 @@ class SpecFile:
         left = self.types[decl.left]
         right = self.types[decl.right]
         if decl.left_dual:
-            left = dual_of(left)
+            left = dual(left)
         if decl.right_dual:
-            right = dual_of(right)
+            right = dual(right)
         return left, right
 
 
 def parse_spec_file(source: str) -> SpecFile:
     parser = _Parser(source)
     spec = SpecFile()
+    declarations = {"type": (spec.types, _Parser.parse_type),
+                    "process": (spec.processes, _Parser.parse_program),
+                    "system": (spec.systems, _Parser.parse_system)}
     declared_clocks: List[str] = []
     while parser.peek().kind != "eof":
-        if parser.at("clocks"):
-            parser.advance()
-            declared_clocks.append(parser.expect_id("clock name").text)
-            while parser.at(","):
-                parser.advance()
-                declared_clocks.append(parser.expect_id("clock name").text)
+        keyword = parser.peek().text
+        if not parser.at(keyword) or keyword not in ("clocks", *declarations):
+            raise parser.error("expected clocks, type, process, or system")
+        parser.advance()
+        if keyword == "clocks":
+            declared_clocks += parser.separated(parser.clock_name, ",")
             parser.expect(";")
             continue
-        if parser.at("type"):
-            parser.advance()
-            name = parser.expect_id("type name").text
-            if name in spec.types:
-                raise parser.error(f"duplicate type name {name!r}")
-            parser.expect("=")
-            spec.types[name] = parser.parse_type()
-            continue
-        if parser.at("process"):
-            parser.advance()
-            name = parser.expect_id("process name").text
-            if name in spec.processes:
-                raise parser.error(f"duplicate process name {name!r}")
-            parser.expect("=")
-            node = parser.parse_process()
-            try:
-                validate_process(node)
-            except Exception as exc:
-                raise parser.error(str(exc)) from exc
-            _check_unique_defs(node)
-            spec.processes[name] = node
-            continue
-        if parser.at("system"):
-            parser.advance()
-            name = parser.expect_id("system name").text
-            if name in spec.systems:
-                raise parser.error(f"duplicate system name {name!r}")
-            parser.expect("=")
-            left_dual, left = _parse_system_ref(parser)
-            parser.expect("|")
-            right_dual, right = _parse_system_ref(parser)
-            spec.systems[name] = SystemDecl(left, right, left_dual, right_dual)
-            continue
-        raise parser.error("expected clocks, type, process, or system")
+        table, rule = declarations[keyword]
+        name = parser.name(f"{keyword} name")
+        if name in table:
+            raise parser.error(f"duplicate {keyword} name {name!r}")
+        parser.expect("=")
+        table[name] = rule(parser)
     if not declared_clocks:
-        inferred = set()
-        from .sessiontypes import type_clocks
-
-        for node in spec.types.values():
-            inferred |= type_clocks(node)
-        declared_clocks = sorted(inferred)
+        declared_clocks = sorted(set().union(*map(type_clocks,
+                                                  spec.types.values())))
     spec.clocks = tuple(dict.fromkeys(declared_clocks))
     for name in spec.systems:
         spec.resolve_system(name)  # fail fast on dangling references
     return spec
-
-
-def _parse_system_ref(parser: _Parser) -> Tuple[bool, str]:
-    if parser.at("dual"):
-        parser.advance()
-        parser.expect("of")
-        return True, parser.expect_id("type name").text
-    return False, parser.expect_id("type name").text

@@ -641,60 +641,6 @@ def instantiate_call(defn: Def, call: Call) -> ProcNode:
 
 
 # ---------------------------------------------------------------------------
-# Program validation (session shape, timer disjointness, call scoping)
-# ---------------------------------------------------------------------------
-
-def set_timers_of(p: ProcNode) -> FrozenSet[str]:
-    return frozenset(node.timer for node in subterms(p)
-                     if isinstance(node, SetTimer))
-
-
-def validate_process(p: ProcNode) -> None:
-    """Syntactic checks: session shape, pairwise-disjoint timers, call scoping.
-
-    Raises SpecError on the first problem found.
-    """
-
-    def walk(node: ProcNode, defs_in_scope) -> None:
-        kids = children(node)
-        if isinstance(node, Scope):
-            body = node.body
-            parts = body.parts if isinstance(body, Par) else (body,)
-            buffers = [x for x in parts if isinstance(x, Buffer)]
-            others = [x for x in parts if not isinstance(x, Buffer)]
-            channels = {(b.src, b.dst) for b in buffers}
-            expected = {(node.left, node.right), (node.right, node.left)}
-            if len(parts) != 4 or len(others) != 2 or channels != expected:
-                raise SpecError(
-                    f"malformed session shape under new ({node.left},{node.right}): "
-                    "expected two processes and the two directed buffers")
-            shared = set_timers_of(others[0]) & set_timers_of(others[1])
-            if shared:
-                raise SpecError(
-                    f"timer(s) {sorted(shared)} set by more than one "
-                    "parallel component")
-            kids = others
-        elif isinstance(node, Par):
-            timer_sets = [set_timers_of(part) for part in node.parts]
-            for i in range(len(timer_sets)):
-                for j in range(i + 1, len(timer_sets)):
-                    shared = timer_sets[i] & timer_sets[j]
-                    if shared:
-                        raise SpecError(
-                            f"timer(s) {sorted(shared)} set by more than one "
-                            "parallel component")
-        elif isinstance(node, Def):
-            defs_in_scope = defs_in_scope | {node.name}
-        elif isinstance(node, Call):
-            if node.name not in defs_in_scope:
-                raise SpecError(f"call to undefined process {node.name!r}")
-        for child in kids:
-            walk(child, defs_in_scope)
-
-    walk(p, frozenset())
-
-
-# ---------------------------------------------------------------------------
 # Instantaneous reduction
 # ---------------------------------------------------------------------------
 

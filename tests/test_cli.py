@@ -428,9 +428,10 @@ def test_negative_scheduled_delay_is_an_error(capsys):
 
 
 @pytest.mark.parametrize("delays, message", [
-    ("1_000", "1:2: expected '', found '_000'"),
+    ("1_000", "1:2: expected end of input, found '_000'"),
     (".5", "1:1: expected a number"),
-], ids=["underscore", "leading-point"])
+    ("1,1_000", "1:4: expected end of input, found '_000'"),
+], ids=["underscore", "leading-point", "column-in-list"])
 def test_delays_outside_the_number_grammar_are_parse_errors(capsys, delays,
                                                             message):
     argv = ("run", fx("mixed_pingpong.toast"), "Main", f"--delays={delays}")
@@ -556,3 +557,50 @@ def test_readme_commands_run(capsys, monkeypatch):
     assert commands
     for argv in commands:
         assert main(argv) in (0, 1), argv
+
+
+def test_valuation_end_of_input_error_names_it(capsys):
+    argv = ("check", fx("weak_persistency.toast"), "S", "--at", "x=1_0")
+    message = "1:4: expected end of input, found '_0'"
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert _error_envelope(capsys, *argv)["diagnostics"] == {
+        "message": message}
+
+
+def test_non_decimal_digit_is_a_positioned_parse_error(capsys, tmp_path):
+    spec = tmp_path / "digit.toast"
+    spec.write_text("type T = !a(x<²).end")
+    argv = ("check", str(spec), "T")
+    message = "1:15: unexpected character '²'"
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+    assert _error_envelope(capsys, *argv)["diagnostics"] == {
+        "message": message}
+
+
+def test_a_clock_compared_with_itself_exits_2(capsys, tmp_path):
+    # Read as a diagonal guard, this atom switched off region
+    # canonicalisation: progress ended bound-exceeded after 3,735 states.
+    spec = tmp_path / "self.toast"
+    spec.write_text("clocks x;\ntype D = rec t . !a(x-x<1, {x}).?b(x<2).t\n"
+                    "system d = D | dual of D\n")
+    message = "2:21: clock 'x' compared with itself"
+    for argv in (("check", str(spec), "D"), ("progress", str(spec), "d")):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+        assert _error_envelope(capsys, *argv)["diagnostics"] == {
+            "message": message}
+
+
+def test_preflight_exit_codes_follow_the_verdict_table(capsys):
+    import importlib.util
+
+    from timedsessions.cli import EXIT_CODES
+
+    path = FIXTURES.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    assert len(bench.PREFLIGHT) == 16
+    for (command, fixture, *rest), want in bench.PREFLIGHT:
+        code, out, _ = run_cli(capsys, command, fx(fixture), *rest, "--json")
+        verdict = json.loads(out)["verdict"]
+        assert code == want == EXIT_CODES.get(verdict, 1), (fixture, verdict)

@@ -108,6 +108,49 @@ def test_parse_checks_reach_every_child_position(source):
         parse_process(source)
 
 
+def test_stray_commas_in_parameters_arguments_and_buffers():
+    lenient = parse_process(
+        "new (p,q) { def X(,v,,;t,;c,) = end in X<,1,,;t;p,> "
+        "| end | pq:[,a,,b(2),] | qp:[,] }")
+    strict = parse_process(
+        "new (p,q) { def X(v;t;c) = end in X<1;t;p> "
+        "| end | pq:[a b(2)] | qp:[] }")
+    assert lenient == strict
+
+
+@pytest.mark.parametrize("source", [
+    "def X(v;t;c;d) = end in X<1;t;p>",
+    "def X(v;t;c) = end in X<1;t;p;q>",
+], ids=["parameters", "arguments"])
+def test_a_fourth_group_is_rejected(source):
+    with pytest.raises(ParseError):
+        parse_process(source)
+
+
+# Each program check reports the same message through parse_process and
+# through a spec file, at the first token of the process.
+@pytest.mark.parametrize("source, message", [
+    ("new (p,q) { end | end | pq:[] }",
+     "malformed session shape under new (p,q): expected two processes and "
+     "the two directed buffers"),
+    ("new (p,q) { set(x).end | set(x).end | pq:[] | qp:[] }",
+     "timer(s) ['x'] set by more than one parallel component"),
+    ("def X(;;) = end in from p recv { m -> def X(;;) = end in end }",
+     "duplicate definition 'X'"),
+    ("from p recv { m -> end } after 1 { X<> }",
+     "call to undefined process 'X'"),
+], ids=["session", "timer", "definition", "call"])
+def test_program_checks_read_the_same_in_a_spec_file(source, message):
+    from timedsessions.parser import parse_spec_file
+
+    with pytest.raises(ParseError) as alone:
+        parse_process(source)
+    with pytest.raises(ParseError) as in_spec:
+        parse_spec_file(f"type T = end\nprocess P = {source}\n")
+    assert str(alone.value) == f"1:1: {message}"
+    assert str(in_spec.value) == f"2:13: {message}"
+
+
 def test_every_process_node_kind_has_a_shape():
     from typing import get_args
 

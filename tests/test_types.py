@@ -249,3 +249,29 @@ def test_parse_errors_carry_positions():
         parse_type("{ !a(x>1).end ,\n   ?b(x< ).end }")
     assert info.value.line == 2
     assert info.value.col > 0
+
+
+def test_end_of_input_error_names_it():
+    with pytest.raises(ParseError) as info:
+        parse_type("end end")
+    assert str(info.value) == "1:5: expected end of input, found 'end'"
+
+
+def test_empty_reset_set_is_no_reset():
+    assert parse_type("!a({}).end") == parse_type("!a.end")
+    assert parse_type("!a(x<1, {}).end") == parse_type("!a(x<1).end")
+
+
+def test_trailing_comma_in_a_choice_is_rejected():
+    with pytest.raises(ParseError) as info:
+        parse_type("{ !a.end , ?b.end , }")
+    assert str(info.value) == "1:21: expected ! or ?"
+
+
+@pytest.mark.parametrize("guard", ["x-x<1", "1<x-x", "0<=y-y<=2", "x<1 and y-y=0"])
+def test_a_clock_compared_with_itself_is_rejected(guard):
+    with pytest.raises(ParseError) as info:
+        parse_type(f"!a({guard}).end")
+    clock = guard.split("-")[0][-1]
+    assert str(info.value).endswith(f": clock {clock!r} compared with itself")
+    assert info.value.col == 4 + guard.index(f"{clock}-{clock}")
