@@ -81,6 +81,8 @@ _KEYWORDS = {
     "system",
 }
 
+_SORTS = {"Nat": NAT, "Bool": BOOL, "Str": STR, "None": NONE}
+
 # The deepest nesting of constraints, types and processes accepted.  Each
 # type or process constructor counts one level, and a constraint counts
 # the height of the tree it builds (``x<1``, sugar for ``not x>1 and not
@@ -133,6 +135,14 @@ def tokenize(source: str) -> List[Token]:
     return tokens
 
 
+def _shown(tok: Token) -> str:
+    """The token as an error message names it: a string literal with its
+    quotes, so that it is not taken for the symbol or name it spells."""
+    if tok.kind == "eof":
+        return "end of input"
+    return f'"{tok.text}"' if tok.kind == "str" else tok.text
+
+
 def _height(c: Constraint) -> int:
     """Height of a small constraint tree: the sugar of one comparison."""
     if isinstance(c, Not):
@@ -179,17 +189,14 @@ class _Parser:
         return tok
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok.text != text:
-            raise ParseError(f"expected {text!r}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+        if not self.at(text):
+            raise self.error(f"expected {text!r}, found {_shown(self.peek())!r}")
         return self.advance()
 
     def name(self, what: str) -> str:
         tok = self.peek()
         if tok.kind != "id" or tok.text in _KEYWORDS:
-            raise ParseError(f"expected {what}, found {tok.text or 'end of input'!r}",
-                             tok.line, tok.col)
+            raise self.error(f"expected {what}, found {_shown(tok)!r}")
         return self.advance().text
 
     def clock_name(self) -> str:
@@ -357,7 +364,7 @@ class _Parser:
             op1 = self._relop()
             clock, sub = self._clock_expr()
             first = self._build(self._FLIP[op1], clock, sub, low)
-            if self.peek().text in self._REL_BUILDERS:
+            if self._at_relop():
                 op2 = self._relop()
                 high = self.parse_number()
                 return And(first, self._build(op2, clock, sub, high))
@@ -367,12 +374,15 @@ class _Parser:
         const = self.parse_number()
         return self._build(op, clock, sub, const)
 
-    def _relop(self) -> str:
+    def _at_relop(self) -> bool:
         tok = self.peek()
-        if tok.text not in self._REL_BUILDERS:
-            raise self.error(f"expected a comparison, found {tok.text!r}")
-        self.advance()
-        return tok.text
+        return tok.kind == "sym" and tok.text in self._REL_BUILDERS
+
+    def _relop(self) -> str:
+        if not self._at_relop():
+            raise self.error(
+                f"expected a comparison, found {_shown(self.peek())!r}")
+        return self.advance().text
 
     def _clock_expr(self) -> Tuple[str, Optional[str]]:
         tok = self.peek()
@@ -457,9 +467,9 @@ class _Parser:
 
     def parse_sort(self, bound: Tuple[str, ...]):
         tok = self.peek()
-        if tok.text in ("Nat", "Bool", "Str", "None"):
+        if tok.kind == "id" and tok.text in _SORTS:
             self.advance()
-            return {"Nat": NAT, "Bool": BOOL, "Str": STR, "None": NONE}[tok.text]
+            return _SORTS[tok.text]
         if self.at("("):
             self.advance()
             init = self.parse_constraint()
@@ -636,7 +646,7 @@ class _Parser:
                     tok.line, tok.col)
             return Scope(left, right, Par(tuple(parts)))
         if tok.kind == "id" and tok.text not in _KEYWORDS:
-            if self.peek(1).text == "<":
+            if self.at("<", 1):
                 return self.parse_call()
             raise self.error(f"unexpected identifier {tok.text!r} (a buffer "
                              "only appears inside new (...) { ... })")
@@ -694,7 +704,7 @@ class _Parser:
         if self.at("false"):
             self.advance()
             return False
-        if self.at("(") and self.peek(1).text == ")":
+        if self.at("(") and self.at(")", 1):
             self.advance()
             self.advance()
             return UNIT
@@ -706,7 +716,7 @@ class _Parser:
     def parse_session_component(self, left: str, right: str) -> ProcNode:
         tok = self.peek()
         if (tok.kind == "id" and tok.text not in _KEYWORDS
-                and self.peek(1).text == ":"):
+                and self.at(":", 1)):
             channel = self.advance().text
             if channel == left + right:
                 src, dst = left, right
@@ -785,7 +795,7 @@ def _parse_all(source: str, rule: Callable[[_Parser], object]):
     result = rule(parser)
     tok = parser.peek()
     if tok.kind != "eof":
-        raise ParseError(f"expected end of input, found {tok.text!r}",
+        raise ParseError(f"expected end of input, found {_shown(tok)!r}",
                          tok.line, tok.col)
     return result
 

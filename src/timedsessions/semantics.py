@@ -8,9 +8,13 @@ the queue head is receivable).  Layer three composes two queued
 configurations: sends deliver into the peer queue atomically, queue heads
 are consumed as internal steps, and time passes only when both sides agree.
 
-Progress of a system is verified empirically by breadth-first exploration
-with memoized states, sampling delays at guard boundaries, midpoints and
-one point beyond every boundary.  The sampled waits are admitted by delay
+Progress of a system is verified empirically by breadth-first exploration,
+sampling delays at guard boundaries, midpoints and one point beyond every
+boundary.  One canonicaliser per system (``canonicaliser``) maps each state
+to its region representative, and states are memoized on a tuple key
+(``state_key``: per side the valuation, the printed form of the unfolded
+head and the queue), rendered to a digest string only for output
+(``render_key``, ``digest_system``).  The sampled waits are admitted by delay
 windows: from a point valuation the delays into a zone form one interval,
 so each side's time rule admits an initial interval of delays, read off
 its entry and queue-head guard ZoneSets once per state (``delay_bound``).
@@ -24,7 +28,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .constraints import (
     Valuation,
@@ -471,14 +475,42 @@ def region_canonical(sys: System, cap: Fraction, scale: int = 1) -> System:
                   QConfig(nus[1], sys.right.node, sys.right.queue))
 
 
-def digest_qconfig(qc: QConfig) -> str:
-    nu = ",".join(f"{k}={format_rational(v)}" for k, v in sorted(qc.nu.items()))
-    queue = ";".join(str(m) for m in qc.queue)
-    return f"({nu} | {unfold_head(qc.node).printed} | [{queue}])"
+def canonicaliser(sys: System) -> Callable[[System], System]:
+    """The state map of ``check_progress`` on sys: ``region_canonical`` at
+    the LCM of the guard constants' denominators, capped one above the
+    largest constant, or the identity when a guard compares two clocks
+    (regions at one cap are not sound for diagonal guards)."""
+    atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
+    if any(atom.sub is not None for atom in atoms):
+        return lambda state: state
+    scale = lcm(*(atom.const.denominator for atom in atoms))
+    cap = max((abs(atom.const) for atom in atoms), default=Fraction(0)) + 1
+    return lambda state: region_canonical(state, cap, scale)
+
+
+def state_key(sys: System) -> tuple:
+    """The identity of a state: for each side, its valuation as sorted
+    items, the printed form of its unfolded head and its queue.  The
+    printed form, not the head object, because heads that print the same
+    act the same, and two paths can build two such heads."""
+    return _side_key(sys.left), _side_key(sys.right)
+
+
+def _side_key(qc: QConfig) -> tuple:
+    return tuple(sorted(qc.nu.items())), unfold_head(qc.node).printed, qc.queue
+
+
+def render_key(key: tuple) -> str:
+    """A state key as text: the state digest of traces and messages."""
+    return " || ".join(
+        "({} | {} | [{}])".format(
+            ",".join(f"{k}={format_rational(v)}" for k, v in nu), printed,
+            ";".join(map(str, queue)))
+        for nu, printed, queue in key)
 
 
 def digest_system(sys: System) -> str:
-    return f"{digest_qconfig(sys.left)} || {digest_qconfig(sys.right)}"
+    return render_key(state_key(sys))
 
 
 # ---------------------------------------------------------------------------
@@ -490,37 +522,31 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
     """Breadth-first verification that every reachable state is final or can
     act, possibly after an admissible delay.
 
-    Visited states are memoized on (unfolded types, queues, valuation); on
-    diagonal-free systems valuations are first replaced by their region
-    representatives with time scaled by the LCM of the guard constants'
-    denominators, so exploration terminates.  Exceeding any bound makes the
-    verdict bound-exceeded, never ok.
+    States are mapped by ``canonicaliser(sys)`` (region representatives on
+    diagonal-free systems, so exploration terminates) and memoized on their
+    ``state_key``; a key is rendered to a digest only for a trace or a
+    monitor message.  Exceeding any bound makes the verdict bound-exceeded,
+    never ok.
     """
     limits = limits or ExploreLimits()
-    atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
-    diagonal = any(atom.sub is not None for atom in atoms)
-    scale = lcm(*(atom.const.denominator for atom in atoms))
-    cap = max((abs(atom.const) for atom in atoms), default=Fraction(0)) + 1
-    horizon = cap + 1  # default_horizon(sys)
-
-    def canon(state: System) -> System:
-        return state if diagonal else region_canonical(state, cap, scale)
+    canon = canonicaliser(sys)
+    horizon = default_horizon(sys)
 
     start = canon(sys)
-    start_key = digest_system(start)
-    parents: Dict[str, Tuple[Optional[str], Optional[SysAction]]] = {
+    start_key = state_key(start)
+    parents: Dict[tuple, Tuple[Optional[tuple], Optional[SysAction]]] = {
         start_key: (None, None)}
     frontier = deque([(start, start_key, 0)])
     violations: List[str] = []
     bound_reason = ""
 
-    def build_trace(key: str) -> List[Tuple[SysAction, str]]:
+    def build_trace(key: tuple) -> List[Tuple[SysAction, str]]:
         steps: List[Tuple[SysAction, str]] = []
         while True:
             parent, action = parents[key]
             if parent is None:
                 break
-            steps.append((action, key))
+            steps.append((action, render_key(key)))
             key = parent
         steps.reverse()
         return steps
@@ -529,16 +555,17 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
     # for the duality of the same few pairs of them on every state
     dual_memo: Dict = {}
 
-    def monitor_state(state: System, key: str) -> None:
+    def monitor_state(state: System, key: tuple) -> None:
         for tag, qc in (("left", state.left), ("right", state.right)):
             dirs = {opt.direction for opt in unfold_head(qc.node).options
                     if eval_constraint(qc.nu, opt.guard)}
             if len(dirs) > 1:
-                violations.append(
-                    f"send and receive both enabled on {tag} at {key}")
+                violations.append(f"send and receive both enabled on {tag} "
+                                  f"at {render_key(key)}")
         ok, why = _compatible(state, dual_memo)
         if not ok:
-            violations.append(f"incompatible state ({why}) at {key}")
+            violations.append(
+                f"incompatible state ({why}) at {render_key(key)}")
 
     while frontier:
         state, key, depth = frontier.popleft()
@@ -569,14 +596,14 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
         for action, succ in steps:
             if monitor and action.kind == "wait" and action.t > 0:
                 if state.left.queue or state.right.queue:
-                    violations.append(
-                        f"wait({action.t}) taken with non-empty queue at {key}")
+                    violations.append(f"wait({action.t}) taken with non-empty "
+                                      f"queue at {render_key(key)}")
             if (len(succ.left.queue) > limits.max_queue
                     or len(succ.right.queue) > limits.max_queue):
                 bound_reason = "queue bound exceeded"
                 continue
             succ = canon(succ)
-            succ_key = digest_system(succ)
+            succ_key = state_key(succ)
             if succ_key in parents:
                 continue
             if len(parents) >= limits.max_states:

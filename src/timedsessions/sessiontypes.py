@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from operator import is_
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
                     Optional, Tuple, Union)
 
@@ -213,10 +214,6 @@ def max_constant(node: TypeNode) -> Fraction:
                default=Fraction(0))
 
 
-def has_diagonal_atoms(node: TypeNode) -> bool:
-    return any(atom.sub is not None for atom in guard_atoms(node))
-
-
 _OPPOSITE = {SEND: RECV, RECV: SEND}
 
 
@@ -225,19 +222,32 @@ def map_continuations(node: TypeNode, f: Callable[[TypeNode], TypeNode],
                       ) -> TypeNode:
     """node with f applied to the body of a recursion or to the continuation
     of every option of a choice, and each option's direction looked up in
-    directions if given."""
+    directions if given.
+
+    Returns node itself, and each option itself, when f returns every child
+    unchanged and no direction changes, so a walk that changes nothing
+    builds nothing and keeps what the nodes compiled."""
     if isinstance(node, Rec):
-        return Rec(node.var, f(node.body))
+        body = f(node.body)
+        return node if body is node.body else Rec(node.var, body)
     if isinstance(node, Choice):
-        return Choice(tuple(
-            ChoiceOption(directions[o.direction] if directions else o.direction,
-                         o.label, o.payload, o.guard, o.resets,
-                         f(o.continuation))
-            for o in node.options))
+        options = []
+        for o in node.options:
+            direction = directions[o.direction] if directions else o.direction
+            continuation = f(o.continuation)
+            if direction != o.direction or continuation is not o.continuation:
+                o = ChoiceOption(direction, o.label, o.payload, o.guard,
+                                 o.resets, continuation)
+            options.append(o)
+        if all(map(is_, options, node.options)):
+            return node
+        return Choice(tuple(options))
     return node
 
 
 def _subst_type(node: TypeNode, var: str, repl: TypeNode) -> TypeNode:
+    """node[repl/var].  Subtrees in which var is not free come back as the
+    same objects, so the unfoldings of a type form a finite graph."""
     if isinstance(node, Var):
         return repl if node.var == var else node
     if isinstance(node, Rec) and node.var == var:  # shadowed

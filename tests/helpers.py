@@ -1,7 +1,7 @@
-"""Shared sampling oracles for the test suite.
+"""Shared sampling oracles and the counterexample replay of the test suite.
 
-These deliberately avoid the zone engine: satisfaction is decided by the
-structural evaluator over grids of exact rationals, so the zone-based
+The oracles deliberately avoid the zone engine: satisfaction is decided by
+the structural evaluator over grids of exact rationals, so the zone-based
 operations can be checked against an independent route.
 """
 
@@ -12,6 +12,8 @@ from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence
 
 from timedsessions.constraints import Constraint, eval_constraint, shift
+from timedsessions.semantics import (canonicaliser, default_horizon,
+                                     digest_system, system_steps)
 
 QUARTERS = [Fraction(n, 4) for n in range(0, 29)]  # 0 .. 7 in quarter steps
 TWELFTHS = [Fraction(n, 12) for n in range(0, 85)]  # 0 .. 7 in twelfth steps
@@ -34,3 +36,25 @@ def past_by_sampling(nu: Mapping[str, Fraction], constraint: Constraint,
                      delays: Iterable[Fraction] = QUARTERS) -> bool:
     """Does some sampled delay make the constraint true from nu?"""
     return any(eval_constraint(shift(nu, t), constraint) for t in delays)
+
+
+def replays_to_stuck(system, trace) -> bool:
+    """Replay a progress counterexample from system through the same
+    canonicaliser and horizon as ``check_progress``: every step must match
+    both the printed action and the state digest, and the last state must
+    be non-final with no internal action now or after any single step."""
+    canon, horizon = canonicaliser(system), default_horizon(system)
+    state = canon(system)
+    for action, digest in trace:
+        matches = [succ for a, succ in system_steps(state, horizon)
+                   if str(a) == str(action)
+                   and digest_system(canon(succ)) == digest]
+        if not matches:
+            return False
+        state = canon(matches[0])
+    if state.left.is_final() and state.right.is_final():
+        return False
+    steps = system_steps(state, horizon)
+    return not any(a.is_tau for a, _ in steps) and all(
+        not any(a.is_tau for a, _ in system_steps(succ, horizon))
+        for _, succ in steps)

@@ -8,7 +8,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import QUARTERS
+from helpers import QUARTERS, replays_to_stuck
 from timedsessions.constraints import eval_constraint, shift, zero_valuation
 from timedsessions.generate import (
     HALVES,
@@ -36,18 +36,10 @@ from timedsessions.semantics import (
     System,
     admissible_delays,
     check_progress,
-    digest_system,
     make_system,
     qconfig_time,
-    region_canonical,
-    system_steps,
 )
-from timedsessions.sessiontypes import (
-    STR,
-    check_well_formed,
-    dual,
-    max_constant,
-)
+from timedsessions.sessiontypes import STR, check_well_formed, dual
 from timedsessions.zones import entails, past, to_zones, zoneset_contains
 
 F = Fraction
@@ -125,25 +117,6 @@ def test_criterion_4_weak_persistency():
 
 # -- 5 and 6 ----------------------------------------------------------------
 
-def _canon(system, cap):
-    return region_canonical(system, cap)
-
-
-def _replay(system, trace, horizon):
-    """Independently replay a counterexample trace by digests."""
-    cap = max(max_constant(system.left.node),
-              max_constant(system.right.node)) + 1
-    state = _canon(system, cap)
-    for action, digest in trace:
-        successors = system_steps(state, horizon)
-        matches = [succ for a, succ in successors
-                   if digest_system(_canon(succ, cap)) == digest
-                   and str(a) == str(action)]
-        assert matches, f"trace step {action} not reproducible"
-        state = _canon(matches[0], cap)
-    return state
-
-
 def test_criterion_5_and_6_empirical_progress():
     budget_start = time.monotonic()
     types = well_formed_types(200, seed=20240801)
@@ -168,17 +141,7 @@ def test_criterion_5_and_6_empirical_progress():
         if report.verdict != "counterexample":
             continue
         found += 1
-        from timedsessions.semantics import default_horizon
-
-        final = _replay(system, report.trace, default_horizon(system))
-        not_final = not (final.left.is_final() and final.right.is_final())
-        steps = system_steps(final, default_horizon(system))
-        no_tau_now = not any(a.is_tau for a, _ in steps)
-        no_tau_later = all(
-            not any(a2.is_tau for a2, _ in system_steps(succ,
-                                                        default_horizon(succ)))
-            for a, succ in steps)
-        assert not_final and no_tau_now and no_tau_later
+        assert replays_to_stuck(system, report.trace), report.trace
         confirmed += 1
     elapsed = time.monotonic() - budget_start
     assert elapsed < 300, f"budget exceeded: {elapsed:.0f}s"

@@ -493,6 +493,21 @@ def test_decimal_denominator_is_a_parse_error(capsys, tmp_path, source, argv,
     assert envelope["diagnostics"] == {"message": message}
 
 
+@pytest.mark.parametrize("source, message", [
+    ('!a(x"<"1).end', """1:14: expected a comparison, found '"<"'"""),
+    ('!a<"Nat">.end', "1:13: expected a payload sort (Nat, Bool, Str, None "
+                      "or a delegation)"),
+    ('!a(x<1")".end', """1:16: expected ')', found '")"'"""),
+    ('rec t "." !a.t', """1:16: expected '.', found '"."'"""),
+], ids=["relation", "sort", "closing", "rec-dot"])
+def test_a_string_literal_is_no_symbol_or_sort(capsys, tmp_path, source,
+                                               message):
+    spec = tmp_path / "quoted.toast"
+    spec.write_text(f"type T = {source}")
+    code, out, err = run_cli(capsys, "check", str(spec), "T")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("at, message", [
     ("X=6", "--at: clock 'X' is not declared and S2 does not use it"),
     ("x=6,x=0", "1:5: clock 'x' given twice"),

@@ -12,23 +12,21 @@ a system by d must not change its verdict.
 import random
 import re
 from fractions import Fraction
-from math import lcm
 from pathlib import Path
 
 import pytest
 
+from helpers import replays_to_stuck
 from timedsessions.parser import parse_type
 from timedsessions.semantics import (
     QConfig,
     System,
     check_progress,
-    default_horizon,
     digest_system,
     make_system,
     region_canonical,
-    system_steps,
 )
-from timedsessions.sessiontypes import dual, guard_atoms
+from timedsessions.sessiontypes import dual
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,29 +122,6 @@ def scaled_type(printed: str, d: int) -> str:
     return re.sub(r"(?<=[<>=])(\d+)", rf"\1/{d}", printed)
 
 
-def replays_to_stuck(system, trace, horizon, scale, cap):
-    """Replay a counterexample by digests, canonicalising at the given
-    scale, and check that its last state is non-final with no internal
-    action now or after any single step."""
-    def canon(state):
-        return region_canonical(state, cap, scale)
-
-    state = canon(system)
-    for action, digest in trace:
-        matches = [succ for a, succ in system_steps(state, horizon)
-                   if str(a) == str(action)
-                   and digest_system(canon(succ)) == digest]
-        if not matches:
-            return False
-        state = canon(matches[0])
-    if state.left.is_final() and state.right.is_final():
-        return False
-    steps = system_steps(state, horizon)
-    return not any(a.is_tau for a, _ in steps) and all(
-        not any(a.is_tau for a, _ in system_steps(succ, horizon))
-        for _, succ in steps)
-
-
 # The verdicts of `check_progress` on the seeded sample of each corpus that
 # test_progress_pinned.py pins, one letter each (ok, counterexample).
 SAMPLE_VERDICTS = {
@@ -168,9 +143,4 @@ def test_dividing_constants_and_horizon_keeps_the_verdict(corpus):
             report = check_progress(system)
             assert report.verdict == VERDICTS[letter], (printed, d)
             if report.verdict == "counterexample":
-                consts = [atom.const for atom in guard_atoms(node)]
-                scale = lcm(*(c.denominator for c in consts))
-                cap = max(consts, default=F(0)) + 1
-                assert replays_to_stuck(system, report.trace,
-                                        default_horizon(system), scale,
-                                        cap), (printed, d)
+                assert replays_to_stuck(system, report.trace), (printed, d)

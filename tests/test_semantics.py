@@ -2,13 +2,14 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from timedsessions.constraints import zero_valuation
 from timedsessions.errors import ProtocolError
 from timedsessions.generate import random_type, random_valuation
-from timedsessions.parser import parse_type
+from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import (
     Config,
     ExploreLimits,
@@ -16,15 +17,19 @@ from timedsessions.semantics import (
     QConfig,
     System,
     admissible_delays,
+    canonicaliser,
     check_progress,
     compatible,
     config_comm_steps,
     config_tick,
+    default_horizon,
+    digest_system,
     enqueue,
     is_future_enabled,
     make_system,
     qconfig_steps,
     qconfig_time,
+    state_key,
     system_steps,
     unfold_head,
 )
@@ -39,6 +44,7 @@ from timedsessions.sessiontypes import (
 )
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 WEAK_PERSISTENCY = "{ !data<Str>(x<3).end , ?timeout(x>4).end }"
 UNSAFE_LEFT = "{ ?a(x<5).end , !b(x=0).end }"
@@ -300,6 +306,20 @@ def test_progress_weak_persistency_ok():
     assert report.invariant_violations == []
 
 
+def test_progress_renders_a_state_only_for_output(monkeypatch):
+    """States are identified by their keys; a digest, and the rationals in
+    it, is rendered only for a trace or a monitor message."""
+    from timedsessions import semantics
+
+    def render(value):
+        raise AssertionError(f"rendered {value}")
+
+    monkeypatch.setattr(semantics, "format_rational", render)
+    s = parse_type(WEAK_PERSISTENCY)
+    report = check_progress(make_system(s, dual(s)), monitor=True)
+    assert report.verdict == "ok" and report.invariant_violations == []
+
+
 def test_monitor_flags_states_whose_types_are_not_dual():
     # the peer expects b under x<8, not x<9, so every state before b is
     # delivered pairs types that are not dual; monitor mode decides each
@@ -403,3 +423,29 @@ def test_urgency_boundary_with_open_guard():
     sender = QConfig({"x": F(2)}, parse_type("end"))
     report = check_progress(System(at_boundary, sender))
     assert report.verdict == "counterexample"
+
+
+def test_state_keys_and_digests_tell_the_same_states_apart():
+    """Walk a few levels of every fixture system, raw and canonical: two
+    states have equal keys exactly when they have equal digests."""
+    states = []
+    for path in sorted(FIXTURES.glob("*.toast")):
+        spec = parse_spec_file(path.read_text())
+        for name in spec.systems:
+            system = make_system(*spec.resolve_system(name), spec.clocks)
+            canon, horizon = canonicaliser(system), default_horizon(system)
+            frontier = [system]
+            for _ in range(10):
+                states += frontier + [canon(state) for state in frontier]
+                successors = []
+                for state in frontier:
+                    try:
+                        successors += [succ for _, succ in
+                                       system_steps(state, horizon)]
+                    except ProtocolError:
+                        pass
+                frontier = successors[:100]
+    pairs = {(state_key(state), digest_system(state)) for state in states}
+    assert len(pairs) > 250
+    assert len({key for key, _ in pairs}) == len(pairs)
+    assert len({digest for _, digest in pairs}) == len(pairs)

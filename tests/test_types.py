@@ -235,13 +235,15 @@ def test_delegation_round_trip():
 
 
 def test_type_walks_look_through_delegation_except_for_clocks():
-    from timedsessions.sessiontypes import (has_diagonal_atoms, max_constant,
-                                            type_clocks)
+    from timedsessions.semantics import canonicaliser, make_system
+    from timedsessions.sessiontypes import max_constant, type_clocks
 
     node = parse_type("!a<(z<1, ?b(z-w>7/2).end)>(x<2).end")
     assert type_clocks(node) == {"x"}
     assert max_constant(node) == F(7, 2)
-    assert has_diagonal_atoms(node)
+    # the delegated diagonal guard keeps the valuations raw
+    system = make_system(node, dual(node))
+    assert canonicaliser(system)(system) is system
 
 
 def test_parse_errors_carry_positions():

@@ -3,6 +3,8 @@
 The reference below rebuilds body[rec/var] on every call, as unfolding did
 before it was memoised on the nodes; the memoised heads must print the
 same, come back as the same object, and carry the same entry constraint.
+Substitution keeps every subtree in which the variable is not free, so the
+heads reachable from a type are finitely many objects, one per printed form.
 """
 
 import dataclasses
@@ -15,11 +17,14 @@ from timedsessions.constraints import disj, eval_constraint
 from timedsessions.generate import random_type
 from timedsessions.parser import parse_constraint, parse_spec_file, parse_type
 from timedsessions.semantics import QConfig, is_future_enabled, unfold_head
-from timedsessions.sessiontypes import (RECV, SEND, Choice, End, Rec, Var,
-                                        dual, format_type, gamma, option)
+from timedsessions.sessiontypes import (END, RECV, SEND, Choice, End, Rec,
+                                        Var, dual, format_type, gamma,
+                                        map_continuations, option)
 from timedsessions.zones import past
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+CORPORA = ROOT / "perfbench" / "corpus"
 HALVES = [Fraction(n, 2) for n in range(0, 13)]  # 0 .. 6 in half steps
 DEPTH = 4
 
@@ -118,3 +123,50 @@ def test_unfolding_is_built_once_per_recursion():
     assert all(o.continuation is node for o in head.options)
     assert unfold_head(head.options[0].continuation) is head
     assert head.printed is unfold_head(node).printed
+
+
+def head_graph(node, limit=100):
+    """The unfolded heads reachable from node, told apart by identity, or
+    None when there are more than limit of them."""
+    heads = {}
+    stack = [unfold_head(node)]
+    while stack:
+        head = stack.pop()
+        if id(head) in heads:
+            continue
+        if len(heads) == limit:
+            return None
+        heads[id(head)] = head
+        stack.extend(unfold_head(o.continuation) for o in head.options)
+    return list(heads.values())
+
+
+def test_the_heads_of_every_corpus_type_are_one_per_printed_form():
+    total = 0
+    for corpus in sorted(CORPORA.glob("*.txt")):
+        for row in corpus.read_text().splitlines():
+            node = parse_type(row.split("\t")[-1])
+            for side in (node, dual(node)):
+                heads = head_graph(side)
+                assert heads is not None, format_type(side)
+                assert len({head.printed for head in heads}) == len(heads)
+                total += len(heads)
+    assert total == 4550
+
+
+def test_a_nested_recursion_reaches_its_first_head_again():
+    first = unfold_head(parse_type("rec r1 . !g.rec r2 . ?e.r1"))
+    second = unfold_head(first.options[0].continuation)
+    assert unfold_head(second.options[0].continuation) is first
+
+
+def test_map_continuations_keeps_what_it_does_not_change():
+    node = parse_type("rec t . { ?ping(x<=3,{x}).t , !pong(x>3,{x}).end }")
+    head = node.body
+    assert map_continuations(node, lambda n: n) is node
+    assert map_continuations(head, lambda n: n) is head
+    assert map_continuations(head, lambda n: n, {SEND: SEND, RECV: RECV}) is head
+    ended = map_continuations(head, lambda n: END)
+    assert ended is not head and ended.options[1] is head.options[1]
+    flipped = map_continuations(head, lambda n: n, {SEND: RECV, RECV: SEND})
+    assert [o.direction for o in flipped.options] == [SEND, RECV]
