@@ -11,7 +11,11 @@ are consumed as internal steps, and time passes only when both sides agree.
 Progress of a system is verified empirically by breadth-first exploration,
 sampling delays at guard boundaries, midpoints and one point beyond every
 boundary.  One canonicaliser per system (``canonicaliser``) maps each state
-to its region representative, and states are memoized on a tuple key
+to its region representative under the clock ceilings of each side's head
+(``Choice.clock_ceilings``, after Behrmann et al., TACAS 2003): a clock no
+guard reads before its next reset is inactive and set to 0 (Daws & Yovine,
+RTSS 1996), every other clock is capped one above its ceiling.  States
+are memoized on a tuple key
 (``state_key``: per side the valuation, the printed form of the unfolded
 head and the queue), rendered to a digest string only for output
 (``render_key``, ``digest_system``).  The sampled waits are admitted by delay
@@ -38,21 +42,20 @@ from .constraints import (
     shift,
     zero_valuation,
 )
-from .errors import ProtocolError, SpecError
+from .errors import ProtocolError
 from .sessiontypes import (
     ChoiceOption,
     Delegate,
     End,
     PayloadSort,
     RECV,
-    Rec,
     SEND,
     TypeNode,
-    Var,
     dual,
     guard_atoms,
     max_constant,
     type_clocks,
+    unfold_head,
 )
 from .rational import format_rational
 from .zones import constraint_equiv
@@ -141,18 +144,6 @@ class ProgressReport:
 # ---------------------------------------------------------------------------
 # Configurations
 # ---------------------------------------------------------------------------
-
-def unfold_head(node: TypeNode) -> TypeNode:
-    """Unfold recursive definitions until the head is a choice or end.
-
-    Each recursion is unfolded once (``Rec.unfolded``), so repeated calls on
-    the same node return the same object and continuations stay stable."""
-    while isinstance(node, Rec):
-        node = node.unfolded
-    if isinstance(node, Var):
-        raise SpecError(f"unguarded recursion variable {node.var!r} at head")
-    return node
-
 
 def config_comm_steps(config: Config) -> List[Tuple[CommAction, Config]]:
     """Enabled communication actions of a configuration: one per option
@@ -417,17 +408,21 @@ def compatible(sys: System) -> Tuple[bool, str]:
     agree and the types are dual; (3)/(4) a queued head message is
     receivable immediately and the drained system is compatible again.
     """
-    return _compatible(sys, {})
+    return _compatible(sys, {}, lambda state: state)
 
 
-def _compatible(sys: System, memo: Dict) -> Tuple[bool, str]:
-    """`compatible`, keeping in ``memo`` the duality of each pair of type
-    objects it decides, with the pair itself so that no id is reused."""
+def _compatible(sys: System, memo: Dict,
+                canon: Callable[[System], System]) -> Tuple[bool, str]:
+    """`compatible` with the valuations of clause (2) compared after the
+    state map canon, so that the clocks it leaves inactive do not count,
+    keeping in ``memo`` the duality of each pair of type objects it
+    decides, with the pair itself so that no id is reused."""
     left, right = sys.left, sys.right
     if left.queue and right.queue:
         return False, "both queues non-empty"
     if not left.queue and not right.queue:
-        if left.nu != right.nu:
+        mapped = canon(sys)
+        if mapped.left.nu != mapped.right.nu:
             return False, "valuations differ with empty queues"
         key = (id(left.node), id(right.node))
         if key not in memo:
@@ -447,7 +442,7 @@ def _compatible(sys: System, memo: Dict) -> Tuple[bool, str]:
     drained = QConfig(apply_reset(side.nu, opt.resets), opt.continuation,
                       side.queue[1:])
     rebuilt = System(drained, other) if tag == "left" else System(other, drained)
-    return _compatible(rebuilt, memo)
+    return _compatible(rebuilt, memo, canon)
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +451,23 @@ def _compatible(sys: System, memo: Dict) -> Tuple[bool, str]:
 
 def region_canonical(sys: System, cap: Fraction, scale: int = 1) -> System:
     """Replace both valuations jointly by the canonical representative of
-    their region with time scaled by ``scale``: cap values at cap, split
-    each scaled value into a whole part and a remainder, and renormalize the
-    ordered remainders.  Sound for diagonal-free guards whose constants the
-    scale makes integers (Alur & Dill 1994); at scale 1, integer regions."""
+    their region with time scaled by ``scale``.  Each side reads the
+    ``clock_ceilings`` of its unfolded head: a clock without a ceiling is
+    set to 0, every other clock is capped at the smaller of cap and its
+    ceiling + 1; each scaled value is split into a whole part and a
+    remainder, and the ordered remainders are renormalized.  Sound for
+    diagonal-free guards whose constants the scale makes integers (Alur &
+    Dill 1994, with the per-location ceilings of Behrmann, Bouyer, Fleury &
+    Larsen 2003); at scale 1, integer regions."""
     parts = {}
     for side, qc in enumerate((sys.left, sys.right)):
+        ceilings = unfold_head(qc.node).clock_ceilings
         for clock, value in qc.nu.items():
-            num, den = min(value, cap).as_integer_ratio()
+            if clock not in ceilings:  # inactive
+                parts[side, clock] = 0, 0
+                continue
+            num, den = min(value, cap,
+                           ceilings[clock] + 1).as_integer_ratio()
             whole, rem = divmod(num * scale, den)
             parts[side, clock] = whole, Fraction(rem, den) if rem else 0
     rems = sorted({rem for _, rem in parts.values()} | {0})
@@ -478,8 +482,9 @@ def region_canonical(sys: System, cap: Fraction, scale: int = 1) -> System:
 def canonicaliser(sys: System) -> Callable[[System], System]:
     """The state map of ``check_progress`` on sys: ``region_canonical`` at
     the LCM of the guard constants' denominators, capped one above the
-    largest constant, or the identity when a guard compares two clocks
-    (regions at one cap are not sound for diagonal guards)."""
+    largest constant and per clock one above the ceilings of each side's
+    head, or the identity when a guard compares two clocks (these regions
+    are not sound for diagonal guards)."""
     atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
     if any(atom.sub is not None for atom in atoms):
         return lambda state: state
@@ -562,7 +567,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
             if len(dirs) > 1:
                 violations.append(f"send and receive both enabled on {tag} "
                                   f"at {render_key(key)}")
-        ok, why = _compatible(state, dual_memo)
+        ok, why = _compatible(state, dual_memo, canon)
         if not ok:
             violations.append(
                 f"incompatible state ({why}) at {render_key(key)}")

@@ -127,6 +127,40 @@ class Choice:
             for atom in atoms_of(opt.guard) if atom.sub is None))
 
     @cached_property
+    def clock_ceilings(self) -> Dict[str, Fraction]:
+        """M_h(x) of this head h for each clock x: the largest constant
+        compared with x in a guard reachable from h before x is reset, a
+        diagonal atom counting for both of its clocks.  A clock without
+        one is inactive at h.  The least fixpoint over the heads reachable
+        from h; delegated sessions are not followed, since no exploration
+        runs them."""
+        heads, stack = {id(self): self}, [self]
+        while stack:
+            for opt in stack.pop().options:
+                head = unfold_head(opt.continuation)
+                if id(head) not in heads:
+                    heads[id(head)] = head
+                    stack.append(head)
+        ceilings: Dict[int, Dict[str, Fraction]] = {key: {} for key in heads}
+        changed = True
+        while changed:
+            changed = False
+            for key, head in heads.items():
+                mine = ceilings[key]
+                for opt in head.options:
+                    after = ceilings[id(unfold_head(opt.continuation))]
+                    read = [(clock, abs(atom.const))
+                            for atom in atoms_of(opt.guard)
+                            for clock in (atom.clock, atom.sub) if clock]
+                    read += [(clock, const) for clock, const in after.items()
+                             if clock not in opt.resets]
+                    for clock, const in read:
+                        if const > mine.get(clock, -1):
+                            mine[clock] = const
+                            changed = True
+        return ceilings[id(self)]
+
+    @cached_property
     def printed(self) -> str:
         """format_type of the choice, rendered once."""
         return format_type(self)
@@ -155,6 +189,7 @@ class End:
 
     options = ()
     clock_bounds = ()
+    clock_ceilings = {}
     printed = "end"
     entry = TRUE
     entry_zones = property(lambda self: [Zone.universal(())])
@@ -175,6 +210,18 @@ def option(direction: str, label: str, guard: Constraint = TRUE,
 # ---------------------------------------------------------------------------
 # Structural helpers
 # ---------------------------------------------------------------------------
+
+def unfold_head(node: TypeNode) -> TypeNode:
+    """Unfold recursive definitions until the head is a choice or end.
+
+    Each recursion is unfolded once (``Rec.unfolded``), so repeated calls on
+    the same node return the same object and continuations stay stable."""
+    while isinstance(node, Rec):
+        node = node.unfolded
+    if isinstance(node, Var):
+        raise SpecError(f"unguarded recursion variable {node.var!r} at head")
+    return node
+
 
 def type_options(node: TypeNode, delegated: bool = False
                  ) -> Iterator[ChoiceOption]:

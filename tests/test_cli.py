@@ -258,11 +258,11 @@ PINNED_PROGRESS = [
      "0 comm-l(b) (x=0 | end | []) || "
      "(x=0 | { !a((not (x>5) and not (x=5))) , ?b(x=0) } | [b])\n"
      "1 comm-r(a) (x=0 | end | [a]) || (x=0 | end | [b])\n"),
-    ("weak_persistency.toast", "weak", 0, "weak: ok (15 states)\n"),
+    ("weak_persistency.toast", "weak", 0, "weak: ok (12 states)\n"),
     ("end_only.toast", "finished", 0, "finished: ok (1 states)\n"),
     ("unbounded_send.toast", "flood", 3,
-     "flood: bound-exceeded (18 states)\n  queue bound exceeded\n"),
-    ("throttling.toast", "throttle2", 0, "throttle2: ok (32 states)\n"),
+     "flood: bound-exceeded (9 states)\n  queue bound exceeded\n"),
+    ("throttling.toast", "throttle2", 0, "throttle2: ok (31 states)\n"),
     ("mixed_pingpong.toast", "mpp", 0, "mpp: ok (35 states)\n"),
 ]
 
@@ -543,15 +543,15 @@ system s = S | dual of S
 
 
 def test_progress_on_rational_constants_is_pinned(capsys, tmp_path):
-    # canonicalised at scale 2, the loop closes after 104 states
+    # canonicalised at scale 2, the loop closes after 12 states
     spec = tmp_path / "rational.toast"
     spec.write_text(RATIONAL_SPEC)
     assert run_cli(capsys, "progress", str(spec), "s") == (
-        0, "s: ok (104 states)\n", "")
+        0, "s: ok (12 states)\n", "")
     code, out, _ = run_cli(capsys, "progress", str(spec), "s", "--json")
     envelope = json.loads(out)
     assert (code, envelope["verdict"], envelope["diagnostics"]) == (
-        0, "ok", {"states": 104, "reason": "", "trace": [],
+        0, "ok", {"states": 12, "reason": "", "trace": [],
                   "invariant_violations": []})
 
 

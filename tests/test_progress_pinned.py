@@ -3,9 +3,9 @@
 `check_progress` of S | dual(S) is run on 40 systems drawn from each
 corpus in ``perfbench/corpus`` (well-formed and singly-ill-formed types),
 and the sha256 of every (verdict, states visited, trace, reason) is
-compared with a digest taken while `admissible_delays` still asked
-`qconfig_time` about every sampled delay.  A change in the admitted waits,
-in their order or in state identity shows here.
+compared with a digest taken when states were first canonicalised against
+the clock ceilings of their heads (`Choice.clock_ceilings`).  A change in
+the admitted waits, in their order or in state identity shows here.
 
 `simulate` picks a step by drawing an index into the step list, so the
 order of that list is pinned through seeded `simulate` runs too.
@@ -30,9 +30,9 @@ FIXTURES = ROOT / "fixtures"
 
 PINNED_CORPUS = {
     "progress-20240801-20240802.txt":
-        "87ee6017a2495cc4e7a46609d3f8f71922c3912032c885757d48dfa954bb6111",
+        "916ce2e8fddaaafb664ffa7929df715bc10c07dcd694f94c31c36c859a33e236",
     "progress-20240901-20240902.txt":
-        "2efff5a35582d6b72d2223c37b05bdf5fd0ca80f64df4f4b35f0b30d7367c313",
+        "c36fa20942a8a354d399566c54b2fb0a17b00a8b21ef1b083901757607ce3326",
 }
 
 

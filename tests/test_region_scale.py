@@ -32,6 +32,11 @@ F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
 CORPORA = ROOT / "perfbench" / "corpus"
 CLOCKS = ("x", "y", "z")
+# A head that reads x, y and z against 108: their ceilings exceed every cap
+# drawn here (9 * 12, scaled caps included), so every clock is active and
+# the cap alone bounds it, as in the arithmetic that reference_canonical
+# states.
+ACTIVE = parse_type("rec r . !a(x<108 and y<108 and z<108).r")
 
 
 def reference_canonical(sys: System, cap: Fraction) -> System:
@@ -60,7 +65,7 @@ def random_system(rng, denominator):
     """Two valuations over the same one to three clocks, on a grid of the
     given denominator between 0 and 7."""
     clocks = CLOCKS[:rng.randint(1, 3)]
-    node = parse_type("end")
+    node = ACTIVE
 
     def nu():
         return {c: F(rng.randint(0, 7 * denominator), denominator)
@@ -102,7 +107,7 @@ def test_scale_d_is_the_scale_one_form_of_the_scaled_valuations(denominator):
 
 
 def test_scaled_values_keep_their_whole_part_and_remainder_order():
-    node = parse_type("end")
+    node = ACTIVE
     sys = System(QConfig({"x": F(1, 2), "y": F(7, 6)}, node),
                  QConfig({"x": F(1, 2), "y": F(9)}, node))
     # at scale 2 the values are 1, 2 + 1/3, 1 and 5 (capped): remainders

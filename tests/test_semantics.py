@@ -328,7 +328,7 @@ def test_monitor_flags_states_whose_types_are_not_dual():
     s = parse_type("!a(x<5).?b(x<9).end")
     t = parse_type("!a(x<5).?b(x<8).end")
     report = check_progress(make_system(s, dual(t)), monitor=True)
-    assert report.verdict == "ok" and report.states_visited == 38
+    assert report.verdict == "ok" and report.states_visited == 29
     assert len(report.invariant_violations) == 18
     assert all(v.startswith("incompatible state (types are not dual)")
                for v in report.invariant_violations)
