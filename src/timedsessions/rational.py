@@ -1,8 +1,11 @@
 """Exact rational time values.
 
-All time arithmetic in the toolkit is done with `fractions.Fraction`;
-floating point is never used.  This module only renders them in the
-surface syntax, which ``parser.parse_rational`` reads back.
+Time values are `fractions.Fraction` at the toolkit's interfaces and in
+the process interpreter; the zone kernel and the progress explorer compute
+with ints over a common denominator and turn their results back into
+`Fraction` at the print boundary.  Floating point is never used.  This
+module only renders the values in the surface syntax, which
+``parser.parse_rational`` reads back.
 """
 
 from __future__ import annotations

@@ -10,39 +10,49 @@ are consumed as internal steps, and time passes only when both sides agree.
 
 Progress of a system is verified empirically by breadth-first exploration,
 sampling delays at guard boundaries, midpoints and one point beyond every
-boundary.  One canonicaliser per system (``canonicaliser``) maps each state
-to its region representative under the clock ceilings of each side's head
+boundary.  The exploration runs on int states (``_Space``): one common
+denominator den, each side's clock values over it as an int tuple in
+sorted clock order, and each side's printed head and queue
+(``state_key``).  After every step a state is reduced so that
+gcd(den, *L, *R) == 1, so equal valuations give equal states.  The waits
+from a state are sampled at S = 2·lcm(den, d), d the LCM of the guard
+constants' denominators, where every boundary, midpoint and the horizon is
+an int.  The sampled waits are admitted by delay windows: from a point the
+delays into a zone form one interval, so each side's time rule admits an
+initial interval of delays, read off its entry and queue-head guard zones
+once per state (``zones.window_at``); a guard holds where one of its
+windows contains 0.  Each state is then mapped to its region
+representative under the clock ceilings of each side's head
 (``Choice.clock_ceilings``, after Behrmann et al., TACAS 2003): a clock no
 guard reads before its next reset is inactive and set to 0 (Daws & Yovine,
-RTSS 1996), every other clock is capped one above its ceiling.  States
-are memoized on a tuple key
-(``state_key``: per side the valuation, the printed form of the unfolded
-head and the queue), rendered to a digest string only for output
-(``render_key``, ``digest_system``).  The sampled waits are admitted by delay
-windows: from a point valuation the delays into a zone form one interval,
-so each side's time rule admits an initial interval of delays, read off
-its entry and queue-head guard ZoneSets once per state (``delay_bound``).
-``qconfig_time`` stays the single-delay rule and the reference for it.
+RTSS 1996), every other clock is capped one above its ceiling.  A system
+with a diagonal guard keeps its exact values, only reduced.
+
+``Fraction`` remains only at the boundary: the digest text
+(``render_key``), the t of a wait action, the System a monitored state is
+converted to, and the public converters onto the one int step relation
+(``system_steps``, ``tau_steps``, ``admissible_delays``, ``delay_bound``,
+``region_canonical``, ``canonicaliser``, ``state_key``,
+``digest_system``).  ``qconfig_steps`` and ``qconfig_time`` stay the
+single-step rules in ``Fraction`` and the reference for them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .constraints import (
     Valuation,
     apply_reset,
     eval_constraint,
-    sample_delays,
     shift,
     zero_valuation,
 )
-from .errors import ProtocolError
+from .errors import ProtocolError, SpecError
 from .sessiontypes import (
     ChoiceOption,
     Delegate,
@@ -58,7 +68,7 @@ from .sessiontypes import (
     unfold_head,
 )
 from .rational import format_rational
-from .zones import constraint_equiv
+from .zones import LE_ZERO, constraint_equiv, window_at
 
 # ---------------------------------------------------------------------------
 # States
@@ -257,66 +267,6 @@ def make_system(left: TypeNode, right: TypeNode, clocks=None) -> System:
     return System(QConfig(dict(nu), left), QConfig(dict(nu), right))
 
 
-def delay_bound(qc: QConfig, first: Fraction
-                ) -> Optional[Tuple[Fraction, bool]]:
-    """The delays t > 0 that ``qconfig_time`` admits on qc, as their upper
-    end (value, closed), or None when it admits every delay.
-
-    Persistency: ``Choice.entry`` is past-closed, so from nu inside it the
-    delays that stay inside form one initial interval, ending at the largest
-    upper end of nu's windows against ``entry_zones``; from nu outside it
-    no window is non-empty and persistency imposes nothing.  Urgency: the
-    queue head's guard holds somewhere in [0, t) exactly when t exceeds the
-    smallest lower end of nu's windows against its ``guard_zones``.  As in
-    ``qconfig_time``, the queue head is looked up (and a mismatched payload
-    raises ``ProtocolError``) only when persistency admits ``first``, the
-    smallest delay asked about.
-    """
-    bound = None
-    windows = _windows(unfold_head(qc.node).entry_zones, qc.nu)
-    if windows and all(hi is not None for _, hi, _ in windows):
-        bound = max((Fraction(hi >> 1, scale), bool(hi & 1))
-                    for _, hi, scale in windows)
-        if (first, True) > bound:  # no delay asked about passes
-            return bound
-    opt = _head_receive_option(qc)
-    if opt is not None:
-        starts = [Fraction(-(lo >> 1), scale)
-                  for lo, _, scale in _windows(opt.guard_zones, qc.nu)]
-        if starts:
-            urgent = (min(starts), True)
-            bound = urgent if bound is None else min(bound, urgent)
-    return bound
-
-
-def _windows(zones, nu: Valuation) -> list:
-    """The non-empty delay windows of nu against each zone."""
-    return [window for window in (zone.delay_window(nu) for zone in zones)
-            if window is not None]
-
-
-def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
-    """Positive boundary-sample delays that both sides accept.
-
-    Each side admits the delays up to its ``delay_bound``, so the admitted
-    samples are the sorted samples up to the tighter of the two bounds."""
-    bounds = (unfold_head(sys.left.node).clock_bounds
-              + unfold_head(sys.right.node).clock_bounds)
-    samples = set(sample_delays(sys.left.nu, bounds, horizon))
-    if sys.right.nu != sys.left.nu:
-        samples.update(sample_delays(sys.right.nu, bounds, horizon))
-    samples = sorted(samples)[1:]  # every sample is >= 0, and 0 is one
-    if not samples:
-        return []
-    ends = [end for end in (delay_bound(sys.left, samples[0]),
-                            delay_bound(sys.right, samples[0]))
-            if end is not None]
-    if not ends:
-        return samples
-    value, closed = min(ends)
-    return samples[:(bisect_right if closed else bisect_left)(samples, value)]
-
-
 def default_horizon(sys: System) -> Fraction:
     """The delay sampling horizon: the largest guard constant + 2.  Clocks
     are never negative, so no boundary lies further away than the largest
@@ -325,25 +275,494 @@ def default_horizon(sys: System) -> Fraction:
     return max(max_constant(sys.left.node), max_constant(sys.right.node)) + 2
 
 
+# ---------------------------------------------------------------------------
+# The int state space
+# ---------------------------------------------------------------------------
+
+def _holds(zones, point, scale: int) -> bool:
+    """Does a guard hold on an int point?  It does when the delay window of
+    one of its zones contains 0."""
+    for zone in zones:
+        window = window_at(zone, point, scale)
+        if (window is not None and window[0] >= LE_ZERO
+                and (window[1] is None or window[1] >= LE_ZERO)):
+            return True
+    return False
+
+
+def _windows(zones, point, scale: int) -> list:
+    """The non-empty delay windows of an int point against each zone."""
+    return [window for window in (window_at(zone, point, scale)
+                                  for zone in zones) if window is not None]
+
+
+def _cuts(point, bounds, step: int, horizon: int) -> List[int]:
+    """The sorted distances from an int point to the boundaries (i, c) that
+    lie within the horizon, 0 for one already passed, and 0 itself;
+    c is at the space's scale d and ``step`` takes it to the point's."""
+    cuts = {0}
+    for i, const in bounds:
+        boundary = const * step - point[i]
+        if boundary <= horizon:
+            cuts.add(boundary if boundary > 0 else 0)
+    return sorted(cuts)
+
+
+def _encode(sys: System) -> tuple:
+    """The int state of a system: ``(den, L, printed_l, queue_l, R,
+    printed_r, queue_r)``, L and R the clock values over their least common
+    denominator den in sorted clock order, which leaves
+    gcd(den, *L, *R) == 1."""
+    left, right = sys.left, sys.right
+    clocks = sorted(left.nu)
+    if sorted(right.nu) != clocks:
+        raise SpecError("the two sides of a system have different clocks")
+    values = [left.nu[clock] for clock in clocks] + [
+        right.nu[clock] for clock in clocks]
+    den = lcm(*(value.denominator for value in values))
+    ints = [value.numerator * (den // value.denominator) for value in values]
+    n = len(clocks)
+    return (den, tuple(ints[:n]), unfold_head(left.node).printed, left.queue,
+            tuple(ints[n:]), unfold_head(right.node).printed, right.queue)
+
+
+def _reduced(den: int, ints: List[int], state: tuple) -> tuple:
+    """state with its values replaced by ints over den, both divided by
+    their gcd."""
+    g = gcd(den, *ints)
+    if g > 1:
+        den, ints = den // g, [value // g for value in ints]
+    n = len(state[1])
+    return (den, tuple(ints[:n]), state[2], state[3], tuple(ints[n:]),
+            state[5], state[6])
+
+
+def render_key(key: tuple, clocks) -> str:
+    """A state key as text, its clocks named in order: the state digest of
+    traces and messages."""
+    den, left, pl, ql, right, pr, qr = key
+    return " || ".join(
+        "({} | {} | [{}])".format(
+            ",".join(f"{clock}={format_rational(Fraction(value, den))}"
+                     for clock, value in zip(clocks, values)),
+            printed, ";".join(map(str, queue)))
+        for values, printed, queue in ((left, pl, ql), (right, pr, qr)))
+
+
+def _action(action: tuple) -> SysAction:
+    """An int action ``(kind, message, t, scale)`` as a SysAction."""
+    kind, message, t, scale = action
+    return SysAction(kind, message, None if t is None else Fraction(t, scale))
+
+
+def _head_scale(head) -> int:
+    """The LCM of the scales of a head's compiled zones and of the
+    denominators of its clock bounds."""
+    return lcm(*(zone.scale for zone in head.entry_zones),
+               *(zone.scale for opt in head.options
+                 for zone in opt.guard_zones),
+               *(const.denominator for _, const in head.clock_bounds))
+
+
+class _Option:
+    """One option of a head, compiled for a ``_Space``: its message, its
+    guard zones, the positions it resets and its continuation, whose head is
+    looked up when the option first fires."""
+
+    __slots__ = ("message", "zones", "resets", "node", "head")
+
+    def __init__(self, opt: ChoiceOption, space: "_Space"):
+        self.message = Message(opt.label, opt.payload)
+        self.zones = space.zones(opt.guard_zones)
+        unknown = opt.resets - set(space.clocks)
+        if unknown:
+            raise SpecError(f"reset of undeclared clock(s): {sorted(unknown)}")
+        self.resets = frozenset(space.clocks.index(clock)
+                                for clock in opt.resets)
+        self.node = opt.continuation
+        self.head: Optional[_Head] = None
+
+    def reset(self, values: tuple) -> tuple:
+        if not self.resets:
+            return values
+        return tuple(0 if i in self.resets else value
+                     for i, value in enumerate(values))
+
+
+class _Head:
+    """A head (a choice or end) compiled for a ``_Space``: its send options,
+    its first receive option per label, its entry zones, its clock bounds
+    (position, constant at scale d) and, when the space canonicalises, the
+    int cap min(cap, M_h(x) + 1)·d of each clock x, None if x is inactive."""
+
+    __slots__ = ("node", "printed", "final", "sends", "receives", "entry",
+                 "bounds", "caps")
+
+    def __init__(self, head, space: "_Space"):
+        self.node = head
+        self.printed = head.printed
+        self.final = not head.options
+        self.sends: Optional[List[_Option]] = None  # until ``compile``
+        self.caps = None
+        if space.cap is not None:
+            ceilings = head.clock_ceilings
+            self.caps = tuple(
+                _as_int(min(space.cap, ceilings[clock] + 1) * space.d)
+                if clock in ceilings else None for clock in space.clocks)
+
+    def compile(self, space: "_Space") -> "_Head":
+        """Compile what the step relation reads, on the first step from
+        this head (canonicalisation reads only the caps)."""
+        self.sends, self.receives = [], {}
+        for opt in self.node.options:
+            compiled = _Option(opt, space)
+            if opt.direction == SEND:
+                self.sends.append(compiled)
+            else:
+                self.receives.setdefault(opt.label, compiled)
+        self.entry = space.zones(self.node.entry_zones)
+        self.bounds = tuple(
+            (space.position(clock, "unknown clock {!r} in guard"),
+             const.numerator * (space.d // const.denominator))
+            for clock, const in self.node.clock_bounds)
+        return self
+
+    def receive(self, queue: tuple) -> Optional[_Option]:
+        """The receive option matching the queue head, if any; a label match
+        with a different payload sort is a protocol error."""
+        if not queue:
+            return None
+        message = queue[0]
+        opt = self.receives.get(message.label)
+        if opt is not None and opt.message.sort != message.sort:
+            raise ProtocolError(
+                f"unspecified reception: {message.label!r} carries "
+                f"{message.sort}, type expects {opt.message.sort}")
+        return opt
+
+    def delay_bound(self, queue: tuple, point, scale: int,
+                    first: int) -> Optional[int]:
+        """The delays t > 0 that the time rule admits on this side at the
+        int point, as the encoded bound they meet (t is admitted when
+        2t + 1 <= bound), or None when it admits every delay.
+
+        Persistency: ``Choice.entry`` is past-closed, so from a point inside
+        it the delays that stay inside form one initial interval, ending at
+        the largest upper end of the point's windows against the entry
+        zones; from a point outside it no window is non-empty and
+        persistency imposes nothing.  Urgency: the queue head's guard holds
+        somewhere in [0, t) exactly when t exceeds the smallest lower end of
+        the point's windows against its guard zones.  As in ``qconfig_time``,
+        the queue head is looked up (and a mismatched payload raises
+        ``ProtocolError``) only when persistency admits ``first``, the
+        smallest delay asked about."""
+        bound = None
+        windows = _windows(self.entry, point, scale)
+        if windows and all(hi is not None for _, hi in windows):
+            bound = max(hi for _, hi in windows)
+            if 2 * first + 1 > bound:  # no delay asked about passes
+                return bound
+        opt = self.receive(queue)
+        if opt is not None:
+            starts = [1 - (lo & -2) for lo, _ in _windows(opt.zones, point,
+                                                           scale)]
+            if starts:
+                bound = min(starts) if bound is None else min(bound, *starts)
+        return bound
+
+
+def _as_int(value: Fraction):
+    """value as an int when it is a whole number."""
+    return value.numerator if value.denominator == 1 else value
+
+
+class _Space:
+    """The int form of the states of one system, and its step relation.
+
+    A state is the tuple ``(den, L, printed_l, queue_l, R, printed_r,
+    queue_r)`` of ``_encode``.  d is the LCM of the denominators of the
+    guard constants (and of the horizon); the waits from a state are sampled
+    at ``S = 2·lcm(den, d)``, where every boundary c - v, every midpoint and
+    the horizon are ints.  After a step, ``canon`` maps a state to its
+    region representative (when the space has a cap) and reduces it so that
+    gcd(den, *L, *R) == 1: equal valuations give equal states.  The heads
+    met are compiled once per space, by printed form, as the state names
+    them; a space belongs to one call and is dropped with it."""
+
+    def __init__(self, clocks, d: int, cap: Optional[Fraction] = None):
+        self.clocks = tuple(clocks)
+        self.d = d
+        self.cap = cap
+        self.heads: Dict[str, _Head] = {}
+        # by id, with the node itself so that no id is reused
+        self.nodes: Dict[int, Tuple[TypeNode, _Head]] = {}
+
+    @classmethod
+    def of(cls, sys: System) -> "_Space":
+        """The space of ``check_progress`` on sys: d from every guard atom,
+        and regions capped one above the largest constant, unless a guard
+        compares two clocks (these regions are not sound for diagonal
+        guards: the states are then only reduced)."""
+        atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
+        cap = None
+        if all(atom.sub is None for atom in atoms):
+            cap = max((abs(atom.const) for atom in atoms),
+                      default=Fraction(0)) + 1
+        return cls(sorted(sys.left.nu),
+                   lcm(*(atom.const.denominator for atom in atoms)), cap)
+
+    @classmethod
+    def around(cls, clocks, nodes, *values: Fraction) -> "_Space":
+        """A space for steps from the given nodes only, without a region
+        map: d from the compiled attributes of their heads and from the
+        denominators of values, so that a warm state walks no guard."""
+        return cls(sorted(clocks), lcm(
+            *(value.denominator for value in values),
+            *(_head_scale(unfold_head(node)) for node in nodes)))
+
+    # -- tables --------------------------------------------------------------
+
+    def position(self, clock: str, missing: str) -> int:
+        """The position of a clock in a point, 0 being the reference."""
+        try:
+            return self.clocks.index(clock) + 1
+        except ValueError:
+            raise SpecError(missing.format(clock)) from None
+
+    def zones(self, zones) -> list:
+        """The non-empty zones of a ZoneSet in the form ``window_at`` reads,
+        positioned on this space's points."""
+        return [zone.window_bounds(
+                    [0] + [self.position(clock, "valuation lacks clock {!r}")
+                           for clock in zone.clocks])
+                for zone in zones if not zone.empty]
+
+    def head(self, node: TypeNode) -> _Head:
+        """The compiled head of a node, one for all unfolded heads that
+        print the same."""
+        found = self.nodes.get(id(node))
+        if found is None:
+            head = unfold_head(node)
+            compiled = self.heads.get(head.printed)
+            if compiled is None:
+                compiled = self.heads[head.printed] = _Head(head, self)
+            found = self.nodes[id(node)] = (node, compiled)
+        return found[1]
+
+    def stepping(self, printed: str) -> _Head:
+        """The head of that printed form, compiled for steps."""
+        head = self.heads[printed]
+        return head if head.sends is not None else head.compile(self)
+
+    def follow(self, opt: _Option) -> str:
+        """The printed head the option continues with."""
+        if opt.head is None:
+            opt.head = self.head(opt.node)
+        return opt.head.printed
+
+    def at_d(self, value: Fraction) -> int:
+        return value.numerator * (self.d // value.denominator)
+
+    # -- the boundary --------------------------------------------------------
+
+    def encode(self, sys: System) -> tuple:
+        """``_encode`` of a system of this space, with both heads
+        compiled."""
+        self.head(sys.left.node)
+        self.head(sys.right.node)
+        return _encode(sys)
+
+    def _nu(self, values, den: int) -> Valuation:
+        return {clock: Fraction(value, den)
+                for clock, value in zip(self.clocks, values)}
+
+    def system(self, state: tuple) -> System:
+        """A state as a System on the heads it names."""
+        den, left, pl, ql, right, pr, qr = state
+        return System(QConfig(self._nu(left, den), self.heads[pl].node, ql),
+                      QConfig(self._nu(right, den), self.heads[pr].node, qr))
+
+    def canonical(self, sys: System) -> System:
+        """sys with the valuations of its representative under ``canon``."""
+        den, left, _, _, right, _, _ = self.canon(self.encode(sys))
+        return System(QConfig(self._nu(left, den), sys.left.node,
+                              sys.left.queue),
+                      QConfig(self._nu(right, den), sys.right.node,
+                              sys.right.queue))
+
+    # -- the step relation ---------------------------------------------------
+
+    def is_final(self, state: tuple) -> bool:
+        return (not state[3] and not state[6] and self.heads[state[2]].final
+                and self.heads[state[5]].final)
+
+    def points(self, state: tuple) -> Tuple[int, tuple, tuple]:
+        """(S, point_l, point_r): both valuations at S = 2·lcm(den, d), the
+        reference clock's 0 first (the same object when they are equal)."""
+        den, left, right = state[0], state[1], state[4]
+        scale = 2 * lcm(den, self.d)
+        up = scale // den
+        point_l = (0, *[value * up for value in left])
+        point_r = point_l if right == left else (0, *[value * up
+                                                       for value in right])
+        return scale, point_l, point_r
+
+    def _moves(self, head: _Head, queue: tuple, values: tuple, point,
+               scale: int, kinds: Tuple[str, str]) -> list:
+        """The internal moves of one side: (action, values, printed, queue,
+        sent message or None), the sends in option order, then the receive
+        of the queue head."""
+        out = []
+        for opt in head.sends:
+            if _holds(opt.zones, point, scale):
+                out.append(((kinds[0], opt.message, None, None),
+                            opt.reset(values), self.follow(opt), queue,
+                            opt.message))
+        opt = head.receive(queue)
+        if opt is not None and _holds(opt.zones, point, scale):
+            out.append(((kinds[1], queue[0], None, None), opt.reset(values),
+                        self.follow(opt), queue[1:], None))
+        return out
+
+    def steps(self, state: tuple, horizon: Optional[int]) -> list:
+        """The (action, state) transitions of a state: deliveries and queue
+        consumptions of the left side, then of the right, then the admitted
+        waits (none when horizon, at scale d, is None).  A final|final state
+        has none.  Actions are ``(kind, message, t, S)``, t at S."""
+        if self.is_final(state):
+            return []
+        den, left, pl, ql, right, pr, qr = state
+        hl, hr = self.stepping(pl), self.stepping(pr)
+        scale, point_l, point_r = self.points(state)
+        out = []
+        for action, values, printed, queue, sent in self._moves(
+                hl, ql, left, point_l, scale, ("comm-l", "recv-l")):
+            out.append((action, (den, values, printed, queue, right, pr,
+                                 qr if sent is None else qr + (sent,))))
+        for action, values, printed, queue, sent in self._moves(
+                hr, qr, right, point_r, scale, ("comm-r", "recv-r")):
+            out.append((action, (den, left, pl,
+                                 ql if sent is None else ql + (sent,),
+                                 values, printed, queue)))
+        if horizon is not None:
+            for t in self.delays(state, scale, point_l, point_r, horizon):
+                out.append((("wait", None, t, scale),
+                            (scale, tuple(v + t for v in point_l[1:]), pl, ql,
+                             tuple(v + t for v in point_r[1:]), pr, qr)))
+        return out
+
+    def delays(self, state: tuple, scale: int, point_l, point_r,
+               horizon: int) -> List[int]:
+        """The admitted waits at S, sorted: the positive samples at the
+        boundaries both sides' heads can cross, at their midpoints and one
+        beyond the last, from both valuations, up to the tighter of the two
+        sides' ``_Head.delay_bound``."""
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
+        hl, hr = self.stepping(state[2]), self.stepping(state[5])
+        step = scale // self.d
+        horizon *= step
+        if not horizon:
+            return []
+        bounds = hl.bounds + hr.bounds
+        cuts = [_cuts(point_l, bounds, step, horizon)]
+        if point_r is not point_l:
+            cuts.append(_cuts(point_r, bounds, step, horizon))
+        first = min(cut[1] >> 1 if len(cut) > 1 else min(horizon, scale)
+                    for cut in cuts)
+        last = horizon  # no sample lies beyond the horizon
+        for head, queue, point in ((hl, state[3], point_l),
+                                   (hr, state[6], point_r)):
+            bound = head.delay_bound(queue, point, scale, first)
+            if bound is not None:
+                last = min(last, (bound - 1) >> 1)
+        out = set()
+        for cut in cuts:
+            a = 0
+            for b in cut[1:]:
+                if (a + b) >> 1 > last:
+                    break
+                out.add((a + b) >> 1)
+                if b > last:
+                    break
+                out.add(b)
+                a = b
+            else:
+                beyond = min(horizon, a + scale)
+                if a < beyond <= last:
+                    out.add(beyond)
+        return sorted(out)
+
+    def canon(self, state: tuple) -> tuple:
+        """The representative of a state: with a cap, each clock value v/den
+        is split by ``divmod(v·d, den)`` into a whole part and a remainder
+        (an inactive clock into 0, 0, a clock at or over its cap into the
+        cap's), and the ordered remainders are renumbered 0..k-1 over the
+        denominator k·d; then the state is reduced.  A cap that is not a
+        multiple of 1/d, which only ``region_canonical`` can be asked for,
+        stays a Fraction, and so does its remainder, ranked with the ints."""
+        den, left, pl, ql, right, pr, qr = state
+        if self.cap is None:
+            return _reduced(den, [*left, *right], state)
+        d = self.d
+        parts = []
+        for values, caps in ((left, self.heads[pl].caps),
+                             (right, self.heads[pr].caps)):
+            for value, cap in zip(values, caps):
+                if cap is None:
+                    parts.append((0, 0))
+                    continue
+                scaled, top = value * d, cap * den
+                parts.append(divmod(top if scaled >= top else scaled, den))
+        rems = sorted({rem for _, rem in parts}.union((0,)))
+        k = len(rems)
+        rank = {rem: i for i, rem in enumerate(rems)}
+        return _reduced(k * d, [whole * k + rank[rem] for whole, rem in parts],
+                        state)
+
+
+# ---------------------------------------------------------------------------
+# The Fraction converters
+# ---------------------------------------------------------------------------
+
+def _stepper(sys: System, *values: Fraction) -> Tuple[_Space, tuple]:
+    """A space for steps from sys, and the int state of sys in it."""
+    space = _Space.around(sys.left.nu, (sys.left.node, sys.right.node),
+                          *values)
+    return space, space.encode(sys)
+
+
+def delay_bound(qc: QConfig, first: Fraction
+                ) -> Optional[Tuple[Fraction, bool]]:
+    """The delays t > 0 that ``qconfig_time`` admits on qc, as their upper
+    end (value, closed), or None when it admits every delay: the int
+    ``_Head.delay_bound`` of qc's head, with ``first`` the smallest delay
+    asked about."""
+    first = Fraction(first)
+    space, state = _stepper(System(qc, qc), first)
+    scale, point, _ = space.points(state)
+    bound = space.stepping(state[2]).delay_bound(
+        qc.queue, point, scale, first.numerator * (scale // first.denominator))
+    return None if bound is None else (Fraction(bound >> 1, scale),
+                                       bool(bound & 1))
+
+
+def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
+    """Positive boundary-sample delays that both sides accept: the int
+    ``_Space.delays`` of sys."""
+    horizon = Fraction(horizon)
+    space, state = _stepper(sys, horizon)
+    scale, point_l, point_r = space.points(state)
+    return [Fraction(t, scale) for t in space.delays(
+        state, scale, point_l, point_r, space.at_d(horizon))]
+
+
 def tau_steps(sys: System) -> List[Tuple[SysAction, System]]:
     """The internal transitions: asynchronous deliveries and queue
     consumptions, both sides always computed."""
-    out: List[Tuple[SysAction, System]] = []
-    for action, left2 in qconfig_steps(sys.left):
-        if action.direction == SEND:
-            out.append((SysAction("comm-l", action.message),
-                        System(left2, enqueue(sys.right, action.message))))
-        else:
-            out.append((SysAction("recv-l", action.message),
-                        System(left2, sys.right)))
-    for action, right2 in qconfig_steps(sys.right):
-        if action.direction == SEND:
-            out.append((SysAction("comm-r", action.message),
-                        System(enqueue(sys.left, action.message), right2)))
-        else:
-            out.append((SysAction("recv-r", action.message),
-                        System(sys.left, right2)))
-    return out
+    space, state = _stepper(sys)
+    return [(_action(action), space.system(succ))
+            for action, succ in space.steps(state, None)]
 
 
 def system_steps(sys: System, horizon: Optional[Fraction] = None
@@ -352,18 +771,10 @@ def system_steps(sys: System, horizon: Optional[Fraction] = None
     admissible sampled waits.  A final|final system has no steps."""
     if sys.left.is_final() and sys.right.is_final():
         return []
-    if horizon is None:
-        horizon = default_horizon(sys)
-    out = tau_steps(sys)
-    # An admitted delay passed qconfig_time on both sides, whose successor
-    # is the shifted configuration.
-    left, right = sys.left, sys.right
-    for t in admissible_delays(sys, horizon):
-        out.append((SysAction("wait", t=t),
-                    System(QConfig(shift(left.nu, t), left.node, left.queue),
-                           QConfig(shift(right.nu, t), right.node,
-                                   right.queue))))
-    return out
+    horizon = Fraction(default_horizon(sys) if horizon is None else horizon)
+    space, state = _stepper(sys, horizon)
+    return [(_action(action), space.system(succ))
+            for action, succ in space.steps(state, space.at_d(horizon))]
 
 
 # ---------------------------------------------------------------------------
@@ -451,32 +862,15 @@ def _compatible(sys: System, memo: Dict,
 
 def region_canonical(sys: System, cap: Fraction, scale: int = 1) -> System:
     """Replace both valuations jointly by the canonical representative of
-    their region with time scaled by ``scale``.  Each side reads the
-    ``clock_ceilings`` of its unfolded head: a clock without a ceiling is
-    set to 0, every other clock is capped at the smaller of cap and its
-    ceiling + 1; each scaled value is split into a whole part and a
-    remainder, and the ordered remainders are renormalized.  Sound for
-    diagonal-free guards whose constants the scale makes integers (Alur &
-    Dill 1994, with the per-location ceilings of Behrmann, Bouyer, Fleury &
-    Larsen 2003); at scale 1, integer regions."""
-    parts = {}
-    for side, qc in enumerate((sys.left, sys.right)):
-        ceilings = unfold_head(qc.node).clock_ceilings
-        for clock, value in qc.nu.items():
-            if clock not in ceilings:  # inactive
-                parts[side, clock] = 0, 0
-                continue
-            num, den = min(value, cap,
-                           ceilings[clock] + 1).as_integer_ratio()
-            whole, rem = divmod(num * scale, den)
-            parts[side, clock] = whole, Fraction(rem, den) if rem else 0
-    rems = sorted({rem for _, rem in parts.values()} | {0})
-    k, rank = len(rems), {rem: i for i, rem in enumerate(rems)}
-    nus: Tuple[Valuation, Valuation] = ({}, {})
-    for (side, clock), (whole, rem) in parts.items():
-        nus[side][clock] = Fraction(whole * k + rank[rem], k * scale)
-    return System(QConfig(nus[0], sys.left.node, sys.left.queue),
-                  QConfig(nus[1], sys.right.node, sys.right.queue))
+    their region with time scaled by ``scale``: ``_Space.canon`` at d =
+    scale.  Each side reads the ``clock_ceilings`` of its unfolded head: a
+    clock without a ceiling is set to 0, every other clock is capped at the
+    smaller of cap and its ceiling + 1; each scaled value is split into a
+    whole part and a remainder, and the ordered remainders are
+    renormalized.  Sound for diagonal-free guards whose constants the scale
+    makes integers (Alur & Dill 1994, with the per-location ceilings of
+    Behrmann, Bouyer, Fleury & Larsen 2003); at scale 1, integer regions."""
+    return _Space(sorted(sys.left.nu), scale, Fraction(cap)).canonical(sys)
 
 
 def canonicaliser(sys: System) -> Callable[[System], System]:
@@ -485,37 +879,22 @@ def canonicaliser(sys: System) -> Callable[[System], System]:
     largest constant and per clock one above the ceilings of each side's
     head, or the identity when a guard compares two clocks (these regions
     are not sound for diagonal guards)."""
-    atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
-    if any(atom.sub is not None for atom in atoms):
-        return lambda state: state
-    scale = lcm(*(atom.const.denominator for atom in atoms))
-    cap = max((abs(atom.const) for atom in atoms), default=Fraction(0)) + 1
-    return lambda state: region_canonical(state, cap, scale)
+    space = _Space.of(sys)
+    return (lambda state: state) if space.cap is None else space.canonical
 
 
 def state_key(sys: System) -> tuple:
-    """The identity of a state: for each side, its valuation as sorted
-    items, the printed form of its unfolded head and its queue.  The
-    printed form, not the head object, because heads that print the same
-    act the same, and two paths can build two such heads."""
-    return _side_key(sys.left), _side_key(sys.right)
-
-
-def _side_key(qc: QConfig) -> tuple:
-    return tuple(sorted(qc.nu.items())), unfold_head(qc.node).printed, qc.queue
-
-
-def render_key(key: tuple) -> str:
-    """A state key as text: the state digest of traces and messages."""
-    return " || ".join(
-        "({} | {} | [{}])".format(
-            ",".join(f"{k}={format_rational(v)}" for k, v in nu), printed,
-            ";".join(map(str, queue)))
-        for nu, printed, queue in key)
+    """The identity of a state, the int state ``check_progress`` memoizes
+    on: ``(den, L, printed_l, queue_l, R, printed_r, queue_r)``, the clock
+    values over their least common denominator in sorted clock order, the
+    printed form of each unfolded head and each queue.  The printed form,
+    not the head object, because heads that print the same act the same,
+    and two paths can build two such heads."""
+    return _encode(sys)
 
 
 def digest_system(sys: System) -> str:
-    return render_key(state_key(sys))
+    return render_key(_encode(sys), sorted(sys.left.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -527,23 +906,25 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
     """Breadth-first verification that every reachable state is final or can
     act, possibly after an admissible delay.
 
-    States are mapped by ``canonicaliser(sys)`` (region representatives on
-    diagonal-free systems, so exploration terminates) and memoized on their
-    ``state_key``; a key is rendered to a digest only for a trace or a
-    monitor message.  Exceeding any bound makes the verdict bound-exceeded,
-    never ok.
+    The exploration runs on the int states of one ``_Space`` (region
+    representatives on diagonal-free systems, so exploration terminates),
+    memoized as they are; a state is rendered to a digest only for a trace
+    or a monitor message, and converted to a System only for the monitor.
+    Exceeding any bound makes the verdict bound-exceeded, never ok.
     """
     limits = limits or ExploreLimits()
-    canon = canonicaliser(sys)
-    horizon = default_horizon(sys)
+    space = _Space.of(sys)
+    horizon = space.at_d(default_horizon(sys))
 
-    start = canon(sys)
-    start_key = state_key(start)
-    parents: Dict[tuple, Tuple[Optional[tuple], Optional[SysAction]]] = {
-        start_key: (None, None)}
-    frontier = deque([(start, start_key, 0)])
+    start = space.canon(space.encode(sys))
+    parents: Dict[tuple, Tuple[Optional[tuple], Optional[tuple]]] = {
+        start: (None, None)}
+    frontier = deque([(start, 0)])
     violations: List[str] = []
     bound_reason = ""
+
+    def render(key: tuple) -> str:
+        return render_key(key, space.clocks)
 
     def build_trace(key: tuple) -> List[Tuple[SysAction, str]]:
         steps: List[Tuple[SysAction, str]] = []
@@ -551,7 +932,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
             parent, action = parents[key]
             if parent is None:
                 break
-            steps.append((action, render_key(key)))
+            steps.append((_action(action), render(key)))
             key = parent
         steps.reverse()
         return steps
@@ -560,35 +941,35 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
     # for the duality of the same few pairs of them on every state
     dual_memo: Dict = {}
 
-    def monitor_state(state: System, key: tuple) -> None:
+    def monitor_state(key: tuple) -> None:
+        state = space.system(key)
         for tag, qc in (("left", state.left), ("right", state.right)):
             dirs = {opt.direction for opt in unfold_head(qc.node).options
                     if eval_constraint(qc.nu, opt.guard)}
             if len(dirs) > 1:
                 violations.append(f"send and receive both enabled on {tag} "
-                                  f"at {render_key(key)}")
-        ok, why = _compatible(state, dual_memo, canon)
+                                  f"at {render(key)}")
+        ok, why = _compatible(state, dual_memo, space.canonical)
         if not ok:
             violations.append(
-                f"incompatible state ({why}) at {render_key(key)}")
+                f"incompatible state ({why}) at {render(key)}")
 
     while frontier:
-        state, key, depth = frontier.popleft()
+        key, depth = frontier.popleft()
         if monitor:
-            monitor_state(state, key)
+            monitor_state(key)
         try:
-            steps = system_steps(state, horizon)
+            steps = space.steps(key, horizon)
         except ProtocolError as exc:
             return ProgressReport("counterexample", len(parents),
                                   build_trace(key), str(exc), violations)
-        final = state.left.is_final() and state.right.is_final()
-        if not final:
-            passes = any(action.is_tau for action, _ in steps)
+        if not space.is_final(key):
+            passes = any(action[0] != "wait" for action, _ in steps)
             if not passes:
                 # a wait followed by an internal action
                 for action, succ in steps:
                     try:
-                        passes = bool(tau_steps(succ))
+                        passes = bool(space.steps(succ, None))
                     except ProtocolError:
                         continue
                     if passes:
@@ -599,17 +980,16 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
                     "reachable non-final state with no action after any "
                     "admissible delay", violations)
         for action, succ in steps:
-            if monitor and action.kind == "wait" and action.t > 0:
-                if state.left.queue or state.right.queue:
-                    violations.append(f"wait({action.t}) taken with non-empty "
-                                      f"queue at {render_key(key)}")
-            if (len(succ.left.queue) > limits.max_queue
-                    or len(succ.right.queue) > limits.max_queue):
+            if monitor and action[0] == "wait" and (key[3] or key[6]):
+                violations.append(
+                    f"wait({Fraction(action[2], action[3])}) taken with "
+                    f"non-empty queue at {render(key)}")
+            if (len(succ[3]) > limits.max_queue
+                    or len(succ[6]) > limits.max_queue):
                 bound_reason = "queue bound exceeded"
                 continue
-            succ = canon(succ)
-            succ_key = state_key(succ)
-            if succ_key in parents:
+            succ = space.canon(succ)
+            if succ in parents:
                 continue
             if len(parents) >= limits.max_states:
                 bound_reason = "state bound exceeded"
@@ -617,8 +997,8 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
             if depth + 1 > limits.max_depth:
                 bound_reason = "depth bound exceeded"
                 continue
-            parents[succ_key] = (key, action)
-            frontier.append((succ, succ_key, depth + 1))
+            parents[succ] = (key, action)
+            frontier.append((succ, depth + 1))
 
     if bound_reason:
         return ProgressReport("bound-exceeded", len(parents), [],

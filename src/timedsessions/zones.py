@@ -12,8 +12,9 @@ So the tighter of two bounds is the smaller int, their sum is
 ``1 - b``, and a zone is empty when some ``m[i][i] < 1``.  Zones of
 different scales are rescaled to the least common multiple before they are
 combined.  Membership tests compare ints at a common scale too, and so
-does ``Zone.delay_window``, the interval of delays that carry a point
-valuation into a zone; bounds are decoded to ``Fraction`` only for
+does ``window_at``, the interval of delays that carry an int point into a
+zone, read off the zone's ``Zone.window_bounds`` (``Zone.delay_window``
+converts a valuation for it); bounds are decoded to ``Fraction`` only for
 rendering back to constraints.
 
 ``to_zones`` walks the negation normal form of a constraint depth-first,
@@ -216,32 +217,32 @@ class Zone:
     def delay_window(self, nu: Mapping[str, Fraction]
                      ) -> Optional[Tuple[int, Optional[int], int]]:
         """The delays t >= 0 with nu + t in the zone, or None if there are
-        none.  They form one interval, returned as ``(lo, hi, scale)``: -t
-        meets the encoded bound lo and t meets hi (None: no upper end), both
-        at scale.  Decided in ints as in ``contains``: the bounds on a clock
-        alone bound t, and the clock differences do not move with t."""
+        none, as ``(lo, hi, scale)``: ``window_at`` at the LCM of the zone's
+        scale and the denominators of nu."""
         if self.empty:
             return None
-        scale, factor, ints = self._point(nu)
-        lo, hi = LE_ZERO, None  # -t <= 0, t unbounded
-        for i, (row, v_i) in enumerate(zip(self.m, ints)):
-            for j, (bound, v_j) in enumerate(zip(row, ints)):
+        scale, _, ints = self._point(nu)
+        window = window_at(self.window_bounds(range(len(ints))), ints, scale)
+        return None if window is None else (*window, scale)
+
+    def window_bounds(self, where: Sequence[int]) -> tuple:
+        """The bounds of this non-empty zone in the form ``window_at`` reads:
+        ``(scale, uppers, lowers, diffs)``, each bound split into its even
+        part and its closed bit, and each clock i of the zone (0 the
+        reference) named by its position ``where[i]`` in a point."""
+        uppers, lowers, diffs = [], [], []
+        for i, row in enumerate(self.m):
+            for j, bound in enumerate(row):
                 if bound is None or i == j:
                     continue
-                bound = (bound & -2) * factor + (bound & 1)
-                if j == 0:    # v_i + t meets bound
-                    bound -= 2 * v_i
-                    if hi is None or bound < hi:
-                        hi = bound
-                elif i == 0:  # -(v_j + t) meets bound
-                    bound += 2 * v_j
-                    if bound < lo:
-                        lo = bound
-                elif 2 * (v_i - v_j) + 1 > bound:
-                    return None
-        if hi is not None and ((lo & -2) + (hi & -2)) | (lo & hi & 1) < LE_ZERO:
-            return None
-        return lo, hi, scale
+                parts = (bound & -2, bound & 1)
+                if j == 0:
+                    uppers.append((where[i], *parts))
+                elif i == 0:
+                    lowers.append((where[j], *parts))
+                else:
+                    diffs.append((where[i], where[j], *parts))
+        return self.scale, tuple(uppers), tuple(lowers), tuple(diffs)
 
     def intersect(self, other: "Zone") -> "Zone":
         """The meet: this zone tightened by each bound of the other."""
@@ -330,6 +331,34 @@ class Zone:
                     low_b = self.bound(j, i)  # y - x bound
                 parts.extend(_bounds_to_atoms(clock, sub, up_b, low_b))
         return conj(*parts) if parts else TRUE
+
+
+def window_at(bounds: tuple, point: Sequence[int], scale: int
+              ) -> Optional[Tuple[int, Optional[int]]]:
+    """The delays t >= 0 that carry a point into a zone, or None if there
+    are none.  The point is a sequence of ints at ``scale``, a multiple of
+    the zone's, and the zone is given by its ``Zone.window_bounds``.  The
+    delays form one interval, returned as ``(lo, hi)``: -t meets the encoded
+    bound lo and t meets hi (None: no upper end), both at scale.  Decided in
+    ints as in ``Zone.contains``: the bounds on a clock alone bound t, and
+    the clock differences do not move with t."""
+    zone_scale, uppers, lowers, diffs = bounds
+    factor = scale // zone_scale
+    for i, j, even, closed in diffs:
+        if 2 * (point[i] - point[j]) + 1 > even * factor + closed:
+            return None
+    lo, hi = LE_ZERO, None  # -t <= 0, t unbounded
+    for i, even, closed in uppers:  # point_i + t meets the bound
+        bound = even * factor + closed - 2 * point[i]
+        if hi is None or bound < hi:
+            hi = bound
+    for j, even, closed in lowers:  # -(point_j + t) meets the bound
+        bound = even * factor + closed + 2 * point[j]
+        if bound < lo:
+            lo = bound
+    if hi is not None and ((lo & -2) + (hi & -2)) | (lo & hi & 1) < LE_ZERO:
+        return None
+    return lo, hi
 
 
 def _bounds_to_atoms(clock: str, sub: Optional[str],

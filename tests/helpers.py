@@ -8,6 +8,7 @@ operations can be checked against an independent route.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence
 
@@ -36,6 +37,11 @@ def past_by_sampling(nu: Mapping[str, Fraction], constraint: Constraint,
                      delays: Iterable[Fraction] = QUARTERS) -> bool:
     """Does some sampled delay make the constraint true from nu?"""
     return any(eval_constraint(shift(nu, t), constraint) for t in delays)
+
+
+def scaled_type(printed: str, d: int) -> str:
+    """The printed type with every guard constant divided by d."""
+    return re.sub(r"(?<=[<>=])(\d+)", rf"\1/{d}", printed)
 
 
 def replays_to_stuck(system, trace) -> bool:

@@ -4,14 +4,18 @@
 and against the `trajectory_zone` sweep, and `semantics.delay_bound` (the
 per-side bound `admissible_delays` filters with) against `qconfig_time` on
 every boundary sample, the midpoints between samples and the window
-endpoints themselves.  Valuations are drawn in halves and thirds, guards
-mix open and closed endpoints, equalities, differences and `true`.  Once
+endpoints themselves.  The int kernel the progress explorer runs on,
+`zones.window_at` and the guard test of its step relation, is checked
+against `eval_constraint` directly.  Valuations are drawn in halves and
+thirds, guards mix open and closed endpoints, equalities, differences and
+`true`.  Once
 a type has been explored, admitting waits on its states compiles nothing
 again and never asks the single-delay rule.
 """
 
 import random
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -23,8 +27,8 @@ from timedsessions.constraints import (TRUE, Not, atom_eq, atom_ge, atom_gt,
 from timedsessions.errors import ProtocolError
 from timedsessions.generate import random_constraint, well_formed_types
 from timedsessions.parser import parse_spec_file
-from timedsessions.semantics import (Message, QConfig, delay_bound,
-                                     qconfig_time, unfold_head)
+from timedsessions.semantics import (Message, QConfig, System, delay_bound,
+                                     qconfig_time, tau_steps, unfold_head)
 from timedsessions.sessiontypes import (BOOL, END, NONE, RECV, SEND, Choice,
                                         max_constant, option)
 from timedsessions.zones import to_zones, trajectory_zone
@@ -113,6 +117,67 @@ def test_delay_window_is_the_set_of_delays_into_the_zone(seed):
                                  and window_ends(window)[0] < t)
                 checked += 1
     assert checked > 1000
+
+
+def int_windows(guard_zones, clocks, nu, scale):
+    """window_at of each zone on nu at scale, a multiple of the zones'
+    scales and of the denominators of nu."""
+    point = [0] + [int(nu[clock] * scale) for clock in clocks]
+    return [zones.window_at(zone.window_bounds(
+                [0] + [clocks.index(clock) + 1 for clock in zone.clocks]),
+                point, scale)
+            for zone in guard_zones]
+
+
+def int_window_holds(window, t):
+    """Does the int window (lo, hi) at its scale contain the int delay t?"""
+    return (window is not None and 2 * -t + 1 <= window[0]
+            and (window[1] is None or 2 * t + 1 <= window[1]))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_int_guards_and_windows_agree_with_eval_constraint(seed):
+    """The int step relation fires a send, and the receive of a queued
+    message, exactly when `eval_constraint` holds the guard on nu; and
+    `window_at` of the guard's zones contains t exactly when the guard
+    holds at nu + t."""
+    rng = random.Random(300 + seed)
+    fired = probed = 0
+    for _ in range(150):
+        clocks = rng.choice(CLOCK_SETS[:2])
+        nu = random_nu(rng, clocks)
+        guard = random_guard(rng, clocks)
+        holds = constraints.eval_constraint(nu, guard)
+        sender = Choice((option(SEND, "a", guard),))
+        receiver = Choice((option(RECV, "a", guard),))
+        for system, fires in (
+                (System(QConfig(nu, sender), QConfig(dict(nu), END)),
+                 "comm-l(a)"),
+                (System(QConfig(nu, END),
+                        QConfig(dict(nu), receiver, (Message("a", NONE),))),
+                 "recv-r(a)")):
+            assert [str(action) for action, _ in tau_steps(system)] == (
+                [fires] if holds else [])
+        fired += holds
+
+        guard_zones = to_zones(guard)
+        scale = lcm(*(v.denominator for v in nu.values()),
+                    *(zone.scale for zone in guard_zones))
+        ends = []
+        for window in int_windows(guard_zones, clocks, nu, scale):
+            if window is not None:
+                lo, hi = window
+                ends.append(F(-(lo >> 1), scale))
+                if hi is not None:
+                    ends.append(F(hi >> 1, scale))
+        points = [F(0)] + probe_points(sorted(GRID), ends)
+        scale = lcm(scale, *(t.denominator for t in points))
+        windows = int_windows(guard_zones, clocks, nu, scale)
+        for t in points:
+            inside = any(int_window_holds(w, int(t * scale)) for w in windows)
+            assert inside == constraints.eval_constraint(shift(nu, t), guard)
+            probed += 1
+    assert 30 < fired < 120 and probed > 3000
 
 
 def random_qconfig(rng):

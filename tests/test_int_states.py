@@ -1,0 +1,127 @@
+"""The int states of the progress explorer against the Fraction oracles.
+
+`check_progress` explores S | dual(S) on int states: one reduced common
+denominator per state and each side's clock values as int tuples
+(`semantics.state_key`).  The public `system_steps` is a converter onto
+that one step relation, so a replay through it checks the explorer against
+itself.  Here the step relation is checked against the layer-two rules
+instead: `qconfig_steps`, whose guards `eval_constraint` decides, for the
+internal steps, and for the waits the `sample_delays` samples that
+`qconfig_time` admits on both sides.  A diagonal system, whose states are
+only reduced, pins the state identity that an unreduced denominator splits.
+"""
+
+import random
+from collections import deque
+from pathlib import Path
+
+import pytest
+
+from helpers import scaled_type
+from timedsessions.constraints import sample_delays
+from timedsessions.errors import ProtocolError
+from timedsessions.parser import parse_type
+from timedsessions.semantics import (
+    ExploreLimits,
+    canonicaliser,
+    check_progress,
+    default_horizon,
+    enqueue,
+    make_system,
+    qconfig_steps,
+    qconfig_time,
+    state_key,
+    system_steps,
+    unfold_head,
+)
+from timedsessions.sessiontypes import SEND, dual
+
+CORPORA = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+DIAGONAL = "rec r . !a(x<1, {y}).?b(y<1 and x-y<2, {x}).r"
+STATES_PER_SYSTEM = 60
+
+
+@pytest.mark.parametrize("depth, states", [(5, 28), (8, 82), (12, 210)])
+def test_diagonal_states_are_told_apart_by_value(depth, states):
+    node = parse_type(DIAGONAL)
+    report = check_progress(make_system(node, dual(node)),
+                            ExploreLimits(max_depth=depth))
+    assert (report.verdict, report.states_visited, report.reason) == (
+        "bound-exceeded", states, "depth bound exceeded")
+
+
+def oracle_steps(state, horizon):
+    """The transitions of a state by the layer-two rules, as (kind,
+    message, t, left, right)."""
+    left, right = state.left, state.right
+    if left.is_final() and right.is_final():
+        return []
+    out = []
+    for action, after in qconfig_steps(left):
+        if action.direction == SEND:
+            out.append(("comm-l", action.message, None, after,
+                        enqueue(right, action.message)))
+        else:
+            out.append(("recv-l", action.message, None, after, right))
+    for action, after in qconfig_steps(right):
+        if action.direction == SEND:
+            out.append(("comm-r", action.message, None,
+                        enqueue(left, action.message), after))
+        else:
+            out.append(("recv-r", action.message, None, left, after))
+    bounds = (unfold_head(left.node).clock_bounds
+              + unfold_head(right.node).clock_bounds)
+    samples = (set(sample_delays(left.nu, bounds, horizon))
+               | set(sample_delays(right.nu, bounds, horizon)))
+    for t in sorted(samples):
+        if t > 0:
+            left_after, _ = qconfig_time(left, t)
+            right_after, _ = qconfig_time(right, t)
+            if left_after is not None and right_after is not None:
+                out.append(("wait", None, t, left_after, right_after))
+    return out
+
+
+def described(kind, message, t, left, right):
+    return (kind, message, t) + tuple(
+        (qc.nu, unfold_head(qc.node).printed, qc.queue)
+        for qc in (left, right))
+
+
+def corpus_systems(corpus):
+    """The 40-system sample of a corpus, and its copy with every guard
+    constant halved."""
+    rows = (CORPORA / corpus).read_text().splitlines()
+    for n in sorted(random.Random(11).sample(range(len(rows)), 40)):
+        printed = rows[n].split("\t")[-1]
+        for d in (1, 2):
+            node = parse_type(scaled_type(printed, d))
+            yield make_system(node, dual(node), clocks=("x", "y"))
+
+
+@pytest.mark.parametrize("corpus", sorted(p.name for p in CORPORA.glob("*")))
+def test_system_steps_are_the_oracle_steps(corpus):
+    checked = waits = 0
+    for system in corpus_systems(corpus):
+        canon, horizon = canonicaliser(system), default_horizon(system)
+        frontier, seen = deque([canon(system)]), set()
+        while frontier and len(seen) < STATES_PER_SYSTEM:
+            state = frontier.popleft()
+            try:
+                steps = system_steps(state, horizon)
+            except ProtocolError:
+                with pytest.raises(ProtocolError):
+                    oracle_steps(state, horizon)
+                continue
+            assert [described(a.kind, a.message, a.t, s.left, s.right)
+                    for a, s in steps] == [
+                described(*step) for step in oracle_steps(state, horizon)]
+            checked += 1
+            waits += sum(a.kind == "wait" for a, _ in steps)
+            for _, succ in steps:
+                succ = canon(succ)
+                key = state_key(succ)
+                if key not in seen:
+                    seen.add(key)
+                    frontier.append(succ)
+    assert checked > 1800 and waits > 2000

@@ -10,13 +10,12 @@ a system by d must not change its verdict.
 """
 
 import random
-import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from helpers import replays_to_stuck
+from helpers import replays_to_stuck, scaled_type
 from timedsessions.parser import parse_type
 from timedsessions.semantics import (
     QConfig,
@@ -121,11 +120,6 @@ def test_scaled_values_keep_their_whole_part_and_remainder_order():
 
 
 # -- metamorphic: the verdict does not depend on the unit of time ------------
-
-def scaled_type(printed: str, d: int) -> str:
-    """The printed type with every guard constant divided by d."""
-    return re.sub(r"(?<=[<>=])(\d+)", rf"\1/{d}", printed)
-
 
 # The verdicts of `check_progress` on the seeded sample of each corpus that
 # test_progress_pinned.py pins, one letter each (ok, counterexample).
