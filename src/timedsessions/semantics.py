@@ -46,6 +46,7 @@ from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .constraints import (
+    Constraint,
     Valuation,
     apply_reset,
     eval_constraint,
@@ -373,7 +374,7 @@ class _Option:
 
     def __init__(self, opt: ChoiceOption, space: "_Space"):
         self.message = Message(opt.label, opt.payload)
-        self.zones = space.zones(opt.guard_zones)
+        self.zones = space.guard_windows(opt)
         unknown = opt.resets - set(space.clocks)
         if unknown:
             raise SpecError(f"reset of undeclared clock(s): {sorted(unknown)}")
@@ -420,7 +421,7 @@ class _Head:
                 self.sends.append(compiled)
             else:
                 self.receives.setdefault(opt.label, compiled)
-        self.entry = space.zones(self.node.entry_zones)
+        self.entry = space.entry_windows(self.node)
         self.bounds = tuple(
             (space.position(clock, "unknown clock {!r} in guard"),
              const.numerator * (space.d // const.denominator))
@@ -487,15 +488,20 @@ class _Space:
     region representative (when the space has a cap) and reduces it so that
     gcd(den, *L, *R) == 1: equal valuations give equal states.  The heads
     met are compiled once per space, by printed form, as the state names
-    them; a space belongs to one call and is dropped with it."""
+    them, and the guard windows they read are built once per guard object
+    (``guard_windows``, ``entry_windows``), so the heads of S, of dual(S)
+    and of their unfoldings, which share their guards, share them too; a
+    space belongs to one call and is dropped with it."""
 
     def __init__(self, clocks, d: int, cap: Optional[Fraction] = None):
         self.clocks = tuple(clocks)
         self.d = d
         self.cap = cap
         self.heads: Dict[str, _Head] = {}
-        # by id, with the node itself so that no id is reused
+        # by id, with the keyed objects themselves so that no id is reused
         self.nodes: Dict[int, Tuple[TypeNode, _Head]] = {}
+        self.guards: Dict[int, Tuple[Constraint, list]] = {}
+        self.entries: Dict[tuple, Tuple[tuple, list]] = {}
 
     @classmethod
     def of(cls, sys: System) -> "_Space":
@@ -536,6 +542,24 @@ class _Space:
                     [0] + [self.position(clock, "valuation lacks clock {!r}")
                            for clock in zone.clocks])
                 for zone in zones if not zone.empty]
+
+    def guard_windows(self, opt: ChoiceOption) -> list:
+        """``zones`` of the option's guard zones, one per guard object."""
+        found = self.guards.get(id(opt.guard))
+        if found is None:
+            found = self.guards[id(opt.guard)] = (
+                opt.guard, self.zones(opt.guard_zones))
+        return found[1]
+
+    def entry_windows(self, head) -> list:
+        """``zones`` of the head's entry zones, one per tuple of guard
+        objects: a choice's entry depends on its guards alone."""
+        guards = tuple(opt.guard for opt in head.options)
+        key = tuple(map(id, guards))
+        found = self.entries.get(key)
+        if found is None:
+            found = self.entries[key] = (guards, self.zones(head.entry_zones))
+        return found[1]
 
     def head(self, node: TypeNode) -> _Head:
         """The compiled head of a node, one for all unfolded heads that

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from operator import is_
+from types import MappingProxyType
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
                     Optional, Tuple, Union)
 
@@ -127,43 +128,25 @@ class Choice:
             for atom in atoms_of(opt.guard) if atom.sub is None))
 
     @cached_property
-    def clock_ceilings(self) -> Dict[str, Fraction]:
+    def clock_ceilings(self) -> Mapping[str, Fraction]:
         """M_h(x) of this head h for each clock x: the largest constant
         compared with x in a guard reachable from h before x is reset, a
         diagonal atom counting for both of its clocks.  A clock without
-        one is inactive at h.  The least fixpoint over the heads reachable
-        from h; delegated sessions are not followed, since no exploration
-        runs them."""
-        heads, stack = {id(self): self}, [self]
-        while stack:
-            for opt in stack.pop().options:
-                head = unfold_head(opt.continuation)
-                if id(head) not in heads:
-                    heads[id(head)] = head
-                    stack.append(head)
-        ceilings: Dict[int, Dict[str, Fraction]] = {key: {} for key in heads}
-        changed = True
-        while changed:
-            changed = False
-            for key, head in heads.items():
-                mine = ceilings[key]
-                for opt in head.options:
-                    after = ceilings[id(unfold_head(opt.continuation))]
-                    read = [(clock, abs(atom.const))
-                            for atom in atoms_of(opt.guard)
-                            for clock in (atom.clock, atom.sub) if clock]
-                    read += [(clock, const) for clock, const in after.items()
-                             if clock not in opt.resets]
-                    for clock, const in read:
-                        if const > mine.get(clock, -1):
-                            mine[clock] = const
-                            changed = True
-        return ceilings[id(self)]
+        one is inactive at h.  Delegated sessions are not followed, since
+        no exploration runs them.  The first request on any head runs
+        ``_ceilings_fixpoint`` over every head reachable from it, which
+        stores each head's result here."""
+        _ceilings_fixpoint(self)
+        return vars(self)["clock_ceilings"]
 
     @cached_property
     def printed(self) -> str:
-        """format_type of the choice, rendered once."""
-        return format_type(self)
+        """format_type of the choice, rendered once from the printed forms
+        of its continuations."""
+        rendered = [_format_option(opt) for opt in self.options]
+        if len(rendered) == 1:
+            return rendered[0]
+        return "{ " + " , ".join(rendered) + " }"
 
 
 @dataclass(frozen=True)
@@ -177,6 +160,11 @@ class Rec:
         object, so the unfoldings of a type form a finite graph."""
         return _subst_type(self.body, self.var, self)
 
+    @cached_property
+    def printed(self) -> str:
+        """format_type of the recursion, rendered once."""
+        return f"rec {self.var} . {format_type(self.body)}"
+
 
 @dataclass(frozen=True)
 class Var:
@@ -189,7 +177,7 @@ class End:
 
     options = ()
     clock_bounds = ()
-    clock_ceilings = {}
+    clock_ceilings = MappingProxyType({})  # read-only: shared by every End
     printed = "end"
     entry = TRUE
     entry_zones = property(lambda self: [Zone.universal(())])
@@ -221,6 +209,61 @@ def unfold_head(node: TypeNode) -> TypeNode:
     if isinstance(node, Var):
         raise SpecError(f"unguarded recursion variable {node.var!r} at head")
     return node
+
+
+def _ceilings_fixpoint(root: Choice) -> None:
+    """Store ``clock_ceilings`` on root and on every head reachable from it
+    whose ceilings are not known yet: one least fixpoint over all of them,
+    the static guard analysis of Behrmann, Bouyer, Fleury & Larsen (TACAS
+    2003).  Each head starts from the constants its own guards compare,
+    read once; then a worklist raises the heads before each raised head
+    along the reverse edges, minus the clocks each edge resets, until
+    nothing grows.  A head whose ceilings are known (end, or a head of an
+    earlier fixpoint) is fixed: it only raises the heads before it."""
+    ceilings: Dict[int, Dict[str, Fraction]] = {id(root): {}}
+    before: Dict[int, list] = {id(root): []}  # (head, resets) of each edge in
+    heads, stack = [root], [root]
+    while stack:
+        head = stack.pop()
+        mine = ceilings[id(head)]
+        for opt in head.options:
+            for atom in atoms_of(opt.guard):
+                const = abs(atom.const)
+                for clock in (atom.clock, atom.sub):
+                    if clock and const > mine.get(clock, -1):
+                        mine[clock] = const
+            after = unfold_head(opt.continuation)
+            if not after.options or "clock_ceilings" in vars(after):
+                _raise(mine, after.clock_ceilings, opt.resets)
+                continue
+            if id(after) not in ceilings:
+                ceilings[id(after)], before[id(after)] = {}, []
+                heads.append(after)
+                stack.append(after)
+            before[id(after)].append((head, opt.resets))
+    work, queued = list(heads), set(ceilings)
+    while work:
+        head = work.pop()
+        queued.discard(id(head))
+        for prior, resets in before[id(head)]:
+            if (_raise(ceilings[id(prior)], ceilings[id(head)], resets)
+                    and id(prior) not in queued):
+                queued.add(id(prior))
+                work.append(prior)
+    for head in heads:
+        vars(head)["clock_ceilings"] = ceilings[id(head)]
+
+
+def _raise(mine: Dict[str, Fraction], after: Mapping[str, Fraction],
+           resets: FrozenSet[str]) -> bool:
+    """Raise mine to the ceilings after an edge on the clocks it does not
+    reset; whether any grew."""
+    grew = False
+    for clock, const in after.items():
+        if clock not in resets and const > mine.get(clock, -1):
+            mine[clock] = const
+            grew = True
+    return grew
 
 
 def type_options(node: TypeNode, delegated: bool = False
@@ -312,17 +355,11 @@ def dual(node: TypeNode) -> TypeNode:
 # ---------------------------------------------------------------------------
 
 def format_type(node: TypeNode) -> str:
-    if isinstance(node, End):
-        return "end"
-    if isinstance(node, Var):
-        return node.var
-    if isinstance(node, Rec):
-        return f"rec {node.var} . {format_type(node.body)}"
-    assert isinstance(node, Choice)
-    rendered = [_format_option(opt) for opt in node.options]
-    if len(rendered) == 1:
-        return rendered[0]
-    return "{ " + " , ".join(rendered) + " }"
+    """The text of a type, which ``parse_type`` reads back.  Each choice and
+    recursion node renders once (its ``printed``), from the printed forms
+    of its children, so a head and its unfoldings share what they have
+    in common."""
+    return node.var if isinstance(node, Var) else node.printed
 
 
 def _format_option(opt: ChoiceOption) -> str:

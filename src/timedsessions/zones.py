@@ -398,11 +398,14 @@ ZoneSet = List[Zone]
 def to_zones(c: Constraint, clocks: Optional[Iterable[str]] = None) -> ZoneSet:
     """Equivalent ZoneSet over the clocks of c and clocks, built by a pruned
     depth-first walk of c."""
-    ordered = tuple(sorted(clocks_of(c) | set(clocks or ())))
-    index = {clock: k for k, clock in enumerate(ordered, 1)}
-    scale = 1
-    for atom in atoms_of(c):
+    names, scale = set(clocks or ()), 1
+    for atom in atoms_of(c):  # the clocks and the scale in one walk
+        names.add(atom.clock)
+        if atom.sub is not None:
+            names.add(atom.sub)
         scale = lcm(scale, atom.const.denominator)
+    ordered = tuple(sorted(names))
+    index = {clock: k for k, clock in enumerate(ordered, 1)}
     result: ZoneSet = []
     # A branch is its zone, the (node, positive) literals still to apply as
     # a linked list, and its deferred splits (i, j, encoded c), also linked.

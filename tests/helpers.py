@@ -1,4 +1,5 @@
-"""Shared sampling oracles and the counterexample replay of the test suite.
+"""Shared sampling oracles, the head-graph walk and the counterexample
+replay of the test suite.
 
 The oracles deliberately avoid the zone engine: satisfaction is decided by
 the structural evaluator over grids of exact rationals, so the zone-based
@@ -14,7 +15,8 @@ from typing import Iterable, List, Mapping, Sequence
 
 from timedsessions.constraints import Constraint, eval_constraint, shift
 from timedsessions.semantics import (canonicaliser, default_horizon,
-                                     digest_system, system_steps)
+                                     digest_system, system_steps,
+                                     unfold_head)
 
 QUARTERS = [Fraction(n, 4) for n in range(0, 29)]  # 0 .. 7 in quarter steps
 TWELFTHS = [Fraction(n, 12) for n in range(0, 85)]  # 0 .. 7 in twelfth steps
@@ -42,6 +44,23 @@ def past_by_sampling(nu: Mapping[str, Fraction], constraint: Constraint,
 def scaled_type(printed: str, d: int) -> str:
     """The printed type with every guard constant divided by d."""
     return re.sub(r"(?<=[<>=])(\d+)", rf"\1/{d}", printed)
+
+
+def head_graph(node, limit=100):
+    """The unfolded heads reachable from node, told apart by identity,
+    depth-first with node's head first, or None when there are more than
+    limit of them."""
+    heads = {}
+    stack = [unfold_head(node)]
+    while stack:
+        head = stack.pop()
+        if id(head) in heads:
+            continue
+        if len(heads) == limit:
+            return None
+        heads[id(head)] = head
+        stack.extend(unfold_head(o.continuation) for o in head.options)
+    return list(heads.values())
 
 
 def replays_to_stuck(system, trace) -> bool:

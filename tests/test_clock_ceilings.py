@@ -5,6 +5,10 @@ compared with x in a guard reachable from the head h before x is reset.
 `region_canonical` sets a clock without a ceiling (inactive) to 0 and caps
 every other clock at its ceiling + 1, so states that differ only in
 clocks no guard will read before a reset are one state.
+
+One fixpoint over a head graph stores the ceilings of every head in it;
+it must agree with the oracle below, a fixpoint of its own from each
+head, whatever head is asked first.
 """
 
 import random
@@ -14,7 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from timedsessions.parser import parse_type
+from helpers import head_graph, scaled_type
+from timedsessions.constraints import atoms_of
+from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import (
     ExploreLimits,
     QConfig,
@@ -28,10 +34,12 @@ from timedsessions.semantics import (
     system_steps,
     unfold_head,
 )
-from timedsessions.sessiontypes import END, dual, max_constant
+from timedsessions.sessiontypes import END, dual, format_type, max_constant
 
 F = Fraction
-CORPORA = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+ROOT = Path(__file__).resolve().parent.parent
+CORPORA = ROOT / "perfbench" / "corpus"
+FIXTURES = ROOT / "fixtures"
 
 
 def corpus_sample(corpus, count):
@@ -40,8 +48,87 @@ def corpus_sample(corpus, count):
     return [parse_type(rows[n].split("\t")[-1]) for n in chosen]
 
 
+def oracle_ceilings(head):
+    """M_h of one head by its own least fixpoint over the heads reachable
+    from it, round-robin until nothing grows."""
+    heads, stack = {id(head): head}, [head]
+    while stack:
+        for opt in stack.pop().options:
+            after = unfold_head(opt.continuation)
+            if id(after) not in heads:
+                heads[id(after)] = after
+                stack.append(after)
+    ceilings = {key: {} for key in heads}
+    changed = True
+    while changed:
+        changed = False
+        for key, node in heads.items():
+            mine = ceilings[key]
+            for opt in node.options:
+                after = ceilings[id(unfold_head(opt.continuation))]
+                read = [(clock, abs(atom.const))
+                        for atom in atoms_of(opt.guard)
+                        for clock in (atom.clock, atom.sub) if clock]
+                read += [(clock, const) for clock, const in after.items()
+                         if clock not in opt.resets]
+                for clock, const in read:
+                    if const > mine.get(clock, -1):
+                        mine[clock] = const
+                        changed = True
+    return ceilings[id(head)]
+
+
+def fresh_sides():
+    """Freshly parsed types, each with its dual: the 40-type sample of each
+    corpus, its copy with every constant halved, and the fixture types."""
+    for corpus in sorted(CORPORA.glob("*")):
+        rows = corpus.read_text().splitlines()
+        for n in sorted(random.Random(11).sample(range(len(rows)), 40)):
+            for d in (1, 2):
+                node = parse_type(scaled_type(rows[n].split("\t")[-1], d))
+                yield node, dual(node)
+    for path in sorted(FIXTURES.glob("*.toast")):
+        for node in parse_spec_file(path.read_text()).types.values():
+            yield node, dual(node)
+
+
+ORDERS = {
+    "root first": lambda heads: heads,
+    "an inner head first": lambda heads: (heads[len(heads) // 2:]
+                                          + heads[:len(heads) // 2]),
+    "reversed": lambda heads: heads[::-1],
+}
+
+
+@pytest.mark.parametrize("order", ORDERS)
+def test_one_fixpoint_per_graph_gives_each_head_its_own_fixpoint(order):
+    checked = 0
+    for sides in fresh_sides():
+        for side in sides:
+            heads = ORDERS[order](head_graph(side))
+            got = [head.clock_ceilings for head in heads]
+            assert got == [oracle_ceilings(head) for head in heads], (
+                format_type(side))
+            checked += len(heads)
+    assert checked > 1000
+
+
+def test_one_request_stores_the_ceilings_of_every_reachable_head():
+    for sides in fresh_sides():
+        for side in sides:
+            heads = head_graph(side)
+            heads[0].clock_ceilings
+            assert all("clock_ceilings" in vars(head)
+                       for head in heads if head.options), format_type(side)
+
+
 def test_end_has_no_ceilings():
     assert END.clock_ceilings == {}
+
+
+def test_the_ceilings_of_end_are_read_only():
+    with pytest.raises(TypeError):
+        END.clock_ceilings["x"] = F(1)
 
 
 def test_a_clock_reset_before_it_is_read_has_no_ceiling():

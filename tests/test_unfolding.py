@@ -5,6 +5,8 @@ before it was memoised on the nodes; the memoised heads must print the
 same, come back as the same object, and carry the same entry constraint.
 Substitution keeps every subtree in which the variable is not free, so the
 heads reachable from a type are finitely many objects, one per printed form.
+Each node renders its printed form once, from those of its children; a
+fresh renderer that memoises nothing must print the same.
 """
 
 import dataclasses
@@ -12,13 +14,14 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import grid_valuations
-from timedsessions.constraints import disj, eval_constraint
+from helpers import grid_valuations, head_graph
+from timedsessions.constraints import TRUE, disj, eval_constraint
 from timedsessions.generate import random_type
 from timedsessions.parser import parse_constraint, parse_spec_file, parse_type
 from timedsessions.semantics import QConfig, is_future_enabled, unfold_head
-from timedsessions.sessiontypes import (END, RECV, SEND, Choice, End, Rec,
-                                        Var, dual, format_type, gamma,
+from timedsessions.sessiontypes import (END, NONE, RECV, SEND, Choice,
+                                        Delegate, End, Rec, Var, dual,
+                                        format_type, gamma,
                                         map_continuations, option)
 from timedsessions.zones import past
 
@@ -125,22 +128,6 @@ def test_unfolding_is_built_once_per_recursion():
     assert head.printed is unfold_head(node).printed
 
 
-def head_graph(node, limit=100):
-    """The unfolded heads reachable from node, told apart by identity, or
-    None when there are more than limit of them."""
-    heads = {}
-    stack = [unfold_head(node)]
-    while stack:
-        head = stack.pop()
-        if id(head) in heads:
-            continue
-        if len(heads) == limit:
-            return None
-        heads[id(head)] = head
-        stack.extend(unfold_head(o.continuation) for o in head.options)
-    return list(heads.values())
-
-
 def test_the_heads_of_every_corpus_type_are_one_per_printed_form():
     total = 0
     for corpus in sorted(CORPORA.glob("*.txt")):
@@ -170,3 +157,51 @@ def test_map_continuations_keeps_what_it_does_not_change():
     assert ended is not head and ended.options[1] is head.options[1]
     flipped = map_continuations(head, lambda n: n, {SEND: RECV, RECV: SEND})
     assert [o.direction for o in flipped.options] == [SEND, RECV]
+
+
+def fresh_format(node):
+    """format_type without the printed forms memoised on the nodes."""
+    if isinstance(node, End):
+        return "end"
+    if isinstance(node, Var):
+        return node.var
+    if isinstance(node, Rec):
+        return f"rec {node.var} . {fresh_format(node.body)}"
+    rendered = []
+    for o in node.options:
+        out = o.direction + o.label
+        if isinstance(o.payload, Delegate):
+            out += (f"<({o.payload.init_constraint}, "
+                    f"{fresh_format(o.payload.session)})>")
+        elif o.payload != NONE:
+            out += f"<{o.payload}>"
+        bits = [str(o.guard)] if o.guard != TRUE else []
+        if o.resets:
+            bits.append("{" + ",".join(sorted(o.resets)) + "}")
+        if bits:
+            out += "(" + ", ".join(bits) + ")"
+        if not isinstance(o.continuation, End):
+            out += "." + fresh_format(o.continuation)
+        rendered.append(out)
+    return rendered[0] if len(rendered) == 1 else (
+        "{ " + " , ".join(rendered) + " }")
+
+
+def test_each_node_printed_once_prints_as_a_fresh_renderer():
+    types = [parse_type("!a<(z<1, ?b(z<7).end)>(x<2).rec r . ?c(z>1).r")]
+    for corpus in sorted(CORPORA.glob("*.txt")):
+        types.extend(parse_type(row.split("\t")[-1])
+                     for row in corpus.read_text().splitlines())
+    for path in sorted(FIXTURES.glob("*.toast")):
+        types.extend(parse_spec_file(path.read_text()).types.values())
+    checked = 0
+    for node in types:
+        for side in (node, dual(node)):
+            printed = format_type(side)
+            assert format_type(parse_type(printed)) == printed
+            # an unfolded head may nest a binder in its own scope, which
+            # the parser rejects, so heads are only compared
+            for part in [side, *head_graph(side)]:
+                assert format_type(part) == fresh_format(part)
+                checked += 1
+    assert checked > 5000
