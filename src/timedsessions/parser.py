@@ -188,6 +188,13 @@ class _Parser:
             self.pos += 1
         return tok
 
+    def accept(self, text: str) -> bool:
+        """Consume the next token if it is text; whether it was."""
+        if not self.at(text):
+            return False
+        self.advance()
+        return True
+
     def expect(self, text: str) -> Token:
         if not self.at(text):
             raise self.error(f"expected {text!r}, found {_shown(self.peek())!r}")
@@ -219,16 +226,14 @@ class _Parser:
     def separated(self, item: Callable[[], object], sep: str) -> list:
         """One or more items separated by sep."""
         items = [item()]
-        while self.at(sep):
-            self.advance()
+        while self.accept(sep):
             items.append(item())
         return items
 
     def braced(self, item: Callable[[], object]) -> list:
         """Items separated by commas in braces, or one item without them."""
-        if not self.at("{"):
+        if not self.accept("{"):
             return [item()]
-        self.advance()
         items = self.separated(item, ",")
         self.expect("}")
         return items
@@ -240,10 +245,9 @@ class _Parser:
         between items are optional and may repeat."""
         out: List[list] = [[]]
         while not self.at(close):
-            if self.at(","):
-                self.advance()
-            elif self.at(";") and len(out) < groups:
-                self.advance()
+            if self.accept(","):
+                continue
+            if len(out) < groups and self.accept(";"):
                 out.append([])
             else:
                 out[-1].append(item(len(out) - 1))
@@ -258,10 +262,7 @@ class _Parser:
         return self.at("-") and self.peek(1).kind == "num"
 
     def parse_number(self) -> Fraction:
-        negative = False
-        if self.at("-"):
-            self.advance()
-            negative = True
+        negative = self.accept("-")
         tok = self.peek()
         if tok.kind != "num":
             raise self.error("expected a number")
@@ -303,8 +304,7 @@ class _Parser:
 
     def _disjunction(self) -> Tuple[Constraint, int]:
         left, height = self._conjunction()
-        while self.at("or"):
-            self.advance()
+        while self.accept("or"):
             right, right_height = self._conjunction()
             left = Or(left, right)
             height = self._within(1 + max(height, right_height))
@@ -312,22 +312,19 @@ class _Parser:
 
     def _conjunction(self) -> Tuple[Constraint, int]:
         left, height = self._unary()
-        while self.at("and"):
-            self.advance()
+        while self.accept("and"):
             right, right_height = self._unary()
             left = And(left, right)
             height = self._within(1 + max(height, right_height))
         return left, height
 
     def _unary(self) -> Tuple[Constraint, int]:
-        if self.at("not"):
-            self.advance()
+        if self.accept("not"):
             self.deeper()  # the negation encloses its operand
             inner, height = self._unary()
             self.depth -= 1
             return Not(inner), self._within(height + 1)
-        if self.at("("):
-            self.advance()
+        if self.accept("("):
             self.parens += 1
             if self.parens > MAX_NESTING:
                 raise self.too_deep()
@@ -335,11 +332,9 @@ class _Parser:
             self.expect(")")
             self.parens -= 1
             return inner
-        if self.at("true"):
-            self.advance()
+        if self.accept("true"):
             node = TRUE
-        elif self.at("false"):
-            self.advance()
+        elif self.accept("false"):
             node = FALSE
         else:
             node = self.parse_relation()
@@ -387,9 +382,8 @@ class _Parser:
     def _clock_expr(self) -> Tuple[str, Optional[str]]:
         tok = self.peek()
         clock = self.clock_name()
-        if not self.at("-"):
+        if not self.accept("-"):
             return clock, None
-        self.advance()
         sub = self.clock_name()
         if sub == clock:
             raise ParseError(f"clock {clock!r} compared with itself", tok.line,
@@ -405,11 +399,9 @@ class _Parser:
     @_nesting
     def parse_type(self, bound: Tuple[str, ...] = ()) -> TypeNode:
         tok = self.peek()
-        if self.at("end"):
-            self.advance()
+        if self.accept("end"):
             return END
-        if self.at("rec"):
-            self.advance()
+        if self.accept("rec"):
             var = self.name("recursion variable")
             if var in bound:
                 raise ParseError(f"recursion variable {var!r} shadows an "
@@ -437,30 +429,28 @@ class _Parser:
         raise self.error("expected a type")
 
     def parse_option(self, bound: Tuple[str, ...]) -> ChoiceOption:
-        direction = SEND if self.at("!") else RECV
-        if not (self.at("!") or self.at("?")):
+        if self.accept("!"):
+            direction = SEND
+        elif self.accept("?"):
+            direction = RECV
+        else:
             raise self.error("expected ! or ?")
-        self.advance()
         label = self.name("label")
         payload = NONE
-        if self.at("<"):
-            self.advance()
+        if self.accept("<"):
             payload = self.parse_sort(bound)
             self.expect(">")
         guard: Constraint = TRUE
         resets: Tuple[str, ...] = ()
-        if self.at("("):
-            self.advance()
+        if self.accept("("):
             if not self.at("{"):
                 guard = self.parse_constraint()
-                if self.at(","):
-                    self.advance()
+                self.accept(",")
             if self.at("{"):
                 resets = self.parse_reset_set()
             self.expect(")")
         continuation: TypeNode = END
-        if self.at("."):
-            self.advance()
+        if self.accept("."):
             continuation = self.parse_type(bound)
         return ChoiceOption(direction, label, payload, guard,
                             frozenset(resets), continuation)
@@ -470,8 +460,7 @@ class _Parser:
         if tok.kind == "id" and tok.text in _SORTS:
             self.advance()
             return _SORTS[tok.text]
-        if self.at("("):
-            self.advance()
+        if self.accept("("):
             init = self.parse_constraint()
             self.expect(",")
             session = self.parse_type(())
@@ -500,10 +489,9 @@ class _Parser:
                     raise self.error("cannot subtract inf in a timeout")
                 self.advance()
                 infinite = True
-            elif self.at_number() or self.peek().kind == "num":
+            elif self.at_number():
                 value = self.parse_number()
-                if self.at("*"):
-                    self.advance()
+                if self.accept("*"):
                     name = self.name("timer name")
                     if value.denominator != 1:
                         raise self.error("timer coefficients must be integers")
@@ -515,11 +503,9 @@ class _Parser:
                 coeffs[name] = coeffs.get(name, 0) + sign
             else:
                 raise self.error("expected a timeout term")
-            if self.at("+"):
-                self.advance()
+            if self.accept("+"):
                 sign = 1
-            elif self.at("-"):
-                self.advance()
+            elif self.accept("-"):
                 sign = -1
             else:
                 break
@@ -528,7 +514,7 @@ class _Parser:
         if const < 0 and not coeffs:
             raise self.error("constant timeouts must be nonnegative")
         coeff_items = tuple(sorted((k, v) for k, v in coeffs.items() if v))
-        return LinearExpr(const, coeff_items, False)
+        return LinearExpr(const, coeff_items)
 
     # -- processes ---------------------------------------------------------------
 
@@ -546,37 +532,31 @@ class _Parser:
     @_nesting
     def parse_process_seq(self) -> ProcNode:
         tok = self.peek()
-        if self.at("end"):
-            self.advance()
+        if self.accept("end"):
             return P_END
-        if self.at("err"):
-            self.advance()
+        if self.accept("err"):
             return P_ERR
-        if self.at("set"):
-            self.advance()
+        if self.accept("set"):
             self.expect("(")
             timer = self.name("timer name")
             self.expect(")")
             self.expect(".")
             return SetTimer(timer, self.parse_process_seq())
-        if self.at("to"):
-            self.advance()
+        if self.accept("to"):
             endpoint = self.name("endpoint")
             self.expect("!")
             label = self.name("label")
             value = self.parse_payload()
             self.expect(".")
             return Send(endpoint, label, value, self.parse_process_seq())
-        if self.at("from"):
-            self.advance()
+        if self.accept("from"):
             endpoint = self.name("endpoint")
             self.expect("recv")
             branches = self.braced(self.parse_branch)
             _check_unique_labels(branches, "duplicate receive label {!r}", tok)
             after = None
             timeout = None
-            if self.at("after"):
-                self.advance()
+            if self.accept("after"):
                 after = self.parse_timeout_expr()
                 self.expect("{")
                 timeout = self.parse_process()
@@ -584,8 +564,7 @@ class _Parser:
                 if after is None:
                     timeout = None  # an explicit inf never fires
             return ReceiveAfter(endpoint, tuple(branches), after, timeout)
-        if self.at("if"):
-            self.advance()
+        if self.accept("if"):
             self.expect("(")
             cond = self.parse_constraint()
             self.expect(")")
@@ -594,8 +573,7 @@ class _Parser:
             self.expect("else")
             else_branch = self.parse_block()
             return IfTimer(cond, then_branch, else_branch)
-        if self.at("delay"):
-            self.advance()
+        if self.accept("delay"):
             self.expect("(")
             if self.at_number():
                 duration = self.parse_number()
@@ -613,8 +591,7 @@ class _Parser:
             self.expect(".")
             return DelayConstraint(next(iter(vars_used)), cond,
                                    self.parse_process_seq())
-        if self.at("def"):
-            self.advance()
+        if self.accept("def"):
             name = self.name("process name")
             self.expect("(")
             # values; timers; channels
@@ -623,8 +600,7 @@ class _Parser:
             body = self.parse_process_seq()
             self.expect("in")
             return Def(name, *params, body, self.parse_process_seq())
-        if self.at("new"):
-            self.advance()
+        if self.accept("new"):
             self.expect("(")
             left = self.name("endpoint")
             self.expect(",")
@@ -653,8 +629,7 @@ class _Parser:
         raise self.error("expected a process")
 
     def parse_block(self) -> ProcNode:
-        if self.at("{"):
-            self.advance()
+        if self.accept("{"):
             inner = self.parse_process()
             self.expect("}")
             return inner
@@ -663,8 +638,7 @@ class _Parser:
     def parse_branch(self) -> Branch:
         label = self.name("label")
         binder = None
-        if self.at("("):
-            self.advance()
+        if self.accept("("):
             binder = self.name("binder")
             self.expect(")")
         self.expect("->")
@@ -681,16 +655,15 @@ class _Parser:
 
     def parse_payload(self):
         """The ``(value)`` after a message label; without one, the unit."""
-        if not self.at("("):
+        if not self.accept("("):
             return UNIT
-        self.advance()
         value = UNIT if self.at(")") else self.parse_value()
         self.expect(")")
         return value
 
     def parse_value(self):
         tok = self.peek()
-        if tok.kind == "num" or (self.at("-") and self.peek(1).kind == "num"):
+        if self.at_number():
             value = self.parse_number()
             if value.denominator != 1:
                 return value
@@ -698,11 +671,9 @@ class _Parser:
         if tok.kind == "str":
             self.advance()
             return tok.text
-        if self.at("true"):
-            self.advance()
+        if self.accept("true"):
             return True
-        if self.at("false"):
-            self.advance()
+        if self.accept("false"):
             return False
         if self.at("(") and self.at(")", 1):
             self.advance()
@@ -736,9 +707,8 @@ class _Parser:
     # -- spec files --------------------------------------------------------------
 
     def system_ref(self) -> Tuple[str, bool]:
-        dual_of = self.at("dual")
+        dual_of = self.accept("dual")
         if dual_of:
-            self.advance()
             self.expect("of")
         return self.name("type name"), dual_of
 

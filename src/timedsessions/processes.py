@@ -18,6 +18,10 @@ children, and which children are active (the positions of ``Par``,
 ``Scope`` and ``Def`` through which time passes and where redexes are
 found).  Every traversal takes its recursion from ``children``,
 ``map_children`` or ``subterms`` and keeps only its own special cases.
+A position is a path of indices into ``children``.  Each redex carries
+the subterm it was found at and the buffer it reads or writes, so a step
+does not walk its path again.  A receive without a timeout has
+``after=None``; there is no infinite timeout value.
 """
 
 from __future__ import annotations
@@ -42,28 +46,14 @@ TimerEnv = Dict[str, Fraction]
 # Timeout expressions
 # ---------------------------------------------------------------------------
 
-class _Infinity:
-    def __repr__(self) -> str:
-        return "inf"
-
-
-INFTY = _Infinity()
-
-
 @dataclass(frozen=True)
 class LinearExpr:
-    """Linear expression over timers with nonnegative integer constants or inf."""
+    """Linear expression over timers: a constant plus integer coefficients."""
 
     const: Fraction = Fraction(0)
     coeffs: Tuple[Tuple[str, int], ...] = ()
-    infinite: bool = False
-
-    def timers(self) -> FrozenSet[str]:
-        return frozenset(name for name, _ in self.coeffs)
 
     def __str__(self) -> str:
-        if self.infinite:
-            return "inf"
         bits: List[str] = []
         if self.const or not self.coeffs:
             bits.append(format_rational(self.const))
@@ -76,10 +66,8 @@ class LinearExpr:
         return out[1:] if out.startswith("+") else out
 
 
-def eval_timeout(expr: LinearExpr, rho: Mapping[str, Fraction]):
-    """Evaluate against the timers; negative results clamp to 0, inf absorbs."""
-    if expr.infinite:
-        return INFTY
+def eval_timeout(expr: LinearExpr, rho: Mapping[str, Fraction]) -> Fraction:
+    """Evaluate against the timers; negative results clamp to 0."""
     total = Fraction(expr.const)
     for name, coef in expr.coeffs:
         if name not in rho:
@@ -484,10 +472,7 @@ def _resolve_after(p: ReceiveAfter, rho: Mapping[str, Fraction],
     if not isinstance(p.after, LinearExpr):
         return p
     shifted = {name: value + elapsed for name, value in rho.items()}
-    value = eval_timeout(p.after, shifted)
-    if value is INFTY:
-        return replace(p, after=None)
-    return replace(p, after=value)
+    return replace(p, after=eval_timeout(p.after, shifted))
 
 
 def phi(t: Fraction, p: ProcNode, rho: Optional[Mapping[str, Fraction]] = None,
@@ -602,8 +587,7 @@ def rename_names(p: ProcNode, mapping: Mapping[str, str]) -> ProcNode:
             after = node.after
             if isinstance(after, LinearExpr):
                 after = LinearExpr(after.const,
-                                   tuple((ren(n), c) for n, c in after.coeffs),
-                                   after.infinite)
+                                   tuple((ren(n), c) for n, c in after.coeffs))
             return ReceiveAfter(ren(node.endpoint), node.branches, after,
                                 node.timeout)
         if isinstance(node, IfTimer):
@@ -644,19 +628,16 @@ def instantiate_call(defn: Def, call: Call) -> ProcNode:
 # Instantaneous reduction
 # ---------------------------------------------------------------------------
 
-# A path addresses a subterm through active children: each step is
-# ("par", index), ("scope",) or ("def",) for a definition's continuation.
-Path = Tuple[Tuple, ...]
-
-
-def _active_slot(term: ProcNode, step: Tuple) -> int:
-    """The index among the children of term that a path step addresses."""
-    return _SHAPES[type(term)].active + (step[1] if len(step) > 1 else 0)
+# A path addresses a subterm: each step is an index into the children of
+# the node it leaves.  Redexes are found through active children only, so
+# the paths of redexes and buffers step through Par and Scope nodes.
+Path = Tuple[int, ...]
 
 
 def _get(term: ProcNode, path: Path) -> ProcNode:
-    for step in path:
-        term = children(term)[_active_slot(term, step)]
+    """The subterm of term at path."""
+    for i in path:
+        term = children(term)[i]
     return term
 
 
@@ -664,7 +645,7 @@ def _replace(term: ProcNode, path: Path, new: ProcNode) -> ProcNode:
     if not path:
         return new
     kids = list(children(term))
-    i = _active_slot(term, path[0])
+    i = path[0]
     kids[i] = _replace(kids[i], path[1:], new)
     return _SHAPES[type(term)].rebuild(term, kids)
 
@@ -679,7 +660,7 @@ def _replace_normal(term: ProcNode, path: Path, new: ProcNode) -> ProcNode:
     if not path:
         return _normal_node(new)
     kids = list(children(term))
-    i = _active_slot(term, path[0])
+    i = path[0]
     kids[i] = _replace_normal(kids[i], path[1:], new)
     return _normal_node(_SHAPES[type(term)].rebuild(term, kids))
 
@@ -689,7 +670,19 @@ class Redex:
     kind: str      # set | if | send | recv | det | def | call | err | stuck
     detail: str
     path: Path
+    node: ProcNode  # the subterm at path
+    # The buffer a send appends to or a receive reads, and its path.
     buffer_path: Optional[Path] = None
+    buffer: Optional[Buffer] = None
+
+
+def _path_str(term: ProcNode, path: Path) -> str:
+    """The path as messages print it: ``par<i>`` and ``scope`` steps."""
+    steps = []
+    for i in path:
+        steps.append(f"par{i}" if type(term) is Par else "scope")
+        term = children(term)[i]
+    return "/".join(steps) or "top"
 
 
 def _collect_redexes(root: ProcNode) -> List[Redex]:
@@ -706,22 +699,22 @@ def _collect_redexes(root: ProcNode) -> List[Redex]:
             local = dict(buffers)
             for i, part in enumerate(node.parts):
                 if isinstance(part, Buffer):
-                    local[(part.src, part.dst)] = (path + (("par", i),), part)
+                    local[(part.src, part.dst)] = (path + (i,), part)
             for i, part in enumerate(node.parts):
-                walk(part, path + (("par", i),), local)
+                walk(part, path + (i,), local)
         elif isinstance(node, Scope):
             visible = {chan: p for chan, p in buffers.items()
                        if node.left not in chan and node.right not in chan}
-            walk(node.body, path + (("scope",),), visible)
+            walk(node.body, path + (0,), visible)
         elif isinstance(node, Def):
-            out.append(Redex("def", node.name, path))
+            out.append(Redex("def", node.name, path, node))
         elif isinstance(node, SetTimer):
-            out.append(Redex("set", node.timer, path))
+            out.append(Redex("set", node.timer, path, node))
         elif isinstance(node, Send):
-            for chan, (buf_path, _) in buffers.items():
+            for chan, (buf_path, buf) in buffers.items():
                 if chan[0] == node.endpoint:
                     out.append(Redex("send", f"{node.endpoint}!{node.label}",
-                                     path, buf_path))
+                                     path, node, buf_path, buf))
                     return
         elif isinstance(node, ReceiveAfter):
             for chan, (buf_path, buf) in buffers.items():
@@ -732,23 +725,24 @@ def _collect_redexes(root: ProcNode) -> List[Redex]:
                 label = buf.items[0][0]
                 if any(b.label == label for b in node.branches):
                     out.append(Redex("recv", f"{node.endpoint}?{label}",
-                                     path, buf_path))
+                                     path, node, buf_path, buf))
                 else:
                     out.append(Redex(
                         "stuck",
                         f"unspecified reception: {label!r} at {node.endpoint}",
-                        path, buf_path))
+                        path, node, buf_path, buf))
                 return
             if node.after == Fraction(0):
-                out.append(Redex("recv", f"{node.endpoint} after-timeout", path))
+                out.append(Redex("recv", f"{node.endpoint} after-timeout",
+                                 path, node))
         elif isinstance(node, IfTimer):
-            out.append(Redex("if", str(node.cond), path))
+            out.append(Redex("if", str(node.cond), path, node))
         elif isinstance(node, DelayConstraint):
-            out.append(Redex("det", str(node.cond), path))
+            out.append(Redex("det", str(node.cond), path, node))
         elif isinstance(node, Call):
-            out.append(Redex("call", node.name, path))
+            out.append(Redex("call", node.name, path, node))
         elif isinstance(node, PErr):
-            out.append(Redex("err", "error process reached", path))
+            out.append(Redex("err", "error process reached", path, node))
 
     walk(root, (), {})
     return out
@@ -800,12 +794,13 @@ def _reduce(root: ProcNode, redex: Redex, rho: TimerEnv,
             registry: Dict[str, Def], picker: Optional[_DelayPicker]
             ) -> Tuple[TimerEnv, ProcNode, ProcNode]:
     """The timers after the step, root with the step's buffer updated, and
-    the subterm that replaces the redex at redex.path.
+    the subterm that replaces the redex at redex.path.  The redex must come
+    from ``_collect_redexes(root)``: its node and buffer are read as found.
 
     Every such subterm is a subterm of root, or a renaming or substitution
     of one, so it is normal below its head when root is normal.
     """
-    node = _get(root, redex.path)
+    node, buf = redex.node, redex.buffer
     if redex.kind == "def":
         assert isinstance(node, Def)
         registry[node.name] = node
@@ -821,18 +816,15 @@ def _reduce(root: ProcNode, redex: Redex, rho: TimerEnv,
             return rho, root, node.then_branch
         return rho, root, node.else_branch
     if redex.kind == "send":
-        assert isinstance(node, Send) and redex.buffer_path is not None
-        buf = _get(root, redex.buffer_path)
-        assert isinstance(buf, Buffer)
+        assert isinstance(node, Send) and isinstance(buf, Buffer)
         new_buf = Buffer(buf.src, buf.dst, buf.items + ((node.label, node.value),))
         return rho, _replace(root, redex.buffer_path, new_buf), node.cont
     if redex.kind == "recv":
         assert isinstance(node, ReceiveAfter)
-        if redex.buffer_path is None:  # timeout expiry (after 0, empty queue)
+        if buf is None:  # timeout expiry (after 0, empty queue)
             assert node.timeout is not None
             return rho, root, node.timeout
-        buf = _get(root, redex.buffer_path)
-        assert isinstance(buf, Buffer) and buf.items
+        assert buf.items
         label, value = buf.items[0]
         branch = next(b for b in node.branches if b.label == label)
         cont = branch.cont
@@ -885,7 +877,7 @@ def instant_step(rho: TimerEnv, p: ProcNode) -> List[Tuple[TimerEnv, ProcNode]]:
         if redex.kind in ("stuck", "err"):
             continue
         if redex.kind == "det":
-            node = _get(p, redex.path)
+            node = redex.node
             for t in node.candidates:
                 results.append((rho, _replace_normal(
                     p, redex.path, DelayExact(t, node.cont))))
@@ -921,10 +913,6 @@ class RunResult:
     elapsed: Fraction
     final: ProcNode
     timers: TimerEnv
-
-    @property
-    def completed(self) -> bool:
-        return self.status == RunStatus.COMPLETED
 
 
 def is_completed(p: ProcNode) -> bool:
@@ -989,10 +977,10 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         for redex in redexes:
             if redex.kind == "err":
                 return result(RunStatus.ERROR,
-                              f"err at {_path_str(redex.path)}")
+                              f"err at {_path_str(term, redex.path)}")
             if redex.kind == "stuck":
-                return result(RunStatus.STUCK,
-                              f"{redex.detail} at {_path_str(redex.path)}")
+                where = _path_str(term, redex.path)
+                return result(RunStatus.STUCK, f"{redex.detail} at {where}")
         if redexes:
             redex = redexes[0]
             steps += 1
@@ -1004,8 +992,8 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
                 trace.append(f"{steps} det delay({format_rational(new.duration)})"
                              f" for {redex.detail}")
             elif redex.kind == "if":
-                taken = "then" if eval_constraint(rho, _get(term, redex.path).cond) \
-                    else "else"
+                taken = ("then" if eval_constraint(rho, redex.node.cond)
+                         else "else")
                 trace.append(f"{steps} if ({redex.detail}) -> {taken}")
             else:
                 trace.append(f"{steps} {redex.kind} {redex.detail}")
@@ -1027,8 +1015,3 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         trace.append(f"{steps} delay({format_rational(t)})")
     term = _replace_normal(base, path, fresh)
     return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")
-
-
-def _path_str(path: Path) -> str:
-    return "/".join(step[0] + (str(step[1]) if len(step) > 1 else "")
-                    for step in path) or "top"

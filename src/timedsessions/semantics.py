@@ -499,7 +499,6 @@ class _Space:
         self.cap = cap
         self.heads: Dict[str, _Head] = {}
         # by id, with the keyed objects themselves so that no id is reused
-        self.nodes: Dict[int, Tuple[TypeNode, _Head]] = {}
         self.guards: Dict[int, Tuple[Constraint, list]] = {}
         self.entries: Dict[tuple, Tuple[tuple, list]] = {}
 
@@ -564,14 +563,11 @@ class _Space:
     def head(self, node: TypeNode) -> _Head:
         """The compiled head of a node, one for all unfolded heads that
         print the same."""
-        found = self.nodes.get(id(node))
-        if found is None:
-            head = unfold_head(node)
-            compiled = self.heads.get(head.printed)
-            if compiled is None:
-                compiled = self.heads[head.printed] = _Head(head, self)
-            found = self.nodes[id(node)] = (node, compiled)
-        return found[1]
+        head = unfold_head(node)
+        compiled = self.heads.get(head.printed)
+        if compiled is None:
+            compiled = self.heads[head.printed] = _Head(head, self)
+        return compiled
 
     def stepping(self, printed: str) -> _Head:
         """The head of that printed form, compiled for steps."""

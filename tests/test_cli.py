@@ -224,6 +224,27 @@ def test_simulate_bound_exceeded(capsys):
     assert "bound-exceeded" in out
 
 
+def test_simulate_protocol_error_and_stuck(capsys, tmp_path):
+    spec = tmp_path / "ends.toast"
+    spec.write_text("clocks x;\n"
+                    "type Nat1 = !a<Nat>.end\ntype Bool1 = ?a<Bool>.end\n"
+                    "type Now = !a.end\ntype Later = ?a(x>0).end\n"
+                    "system mismatch = Nat1 | Bool1\n"
+                    "system urgent = Now | Later\n")
+    code, out, _ = run_cli(capsys, "simulate", str(spec), "mismatch")
+    assert code == 1
+    assert out.endswith("  unspecified reception: 'a' carries Nat, type "
+                        "expects Bool\nverdict: protocol-error\n")
+    # once a is queued at x=0, urgency blocks every wait: x>0 would make it
+    # receivable at every positive instant
+    for seed in ("1", "2", "3"):
+        code, out, _ = run_cli(capsys, "simulate", str(spec), "urgent",
+                               "--seed", seed)
+        assert code == 1
+        assert out == ("0 comm-l(a) (x=0 | end | []) || (x=0 | ?a(x>0) | [a])"
+                       "\nverdict: stuck\n")
+
+
 def test_json_envelopes_deterministic(capsys):
     outs = []
     for _ in range(2):

@@ -78,10 +78,10 @@ def reference_run(program: ProcNode,
         for redex in redexes:
             if redex.kind == "err":
                 return result(RunStatus.ERROR,
-                              f"err at {_path_str(redex.path)}")
+                              f"err at {_path_str(term, redex.path)}")
             if redex.kind == "stuck":
                 return result(RunStatus.STUCK,
-                              f"{redex.detail} at {_path_str(redex.path)}")
+                              f"{redex.detail} at {_path_str(term, redex.path)}")
         if redexes:
             redex = redexes[0]
             steps += 1

@@ -166,6 +166,46 @@ def test_parse_unbraced_single_branch():
     assert node.after == LinearExpr(F(3))
 
 
+def test_parse_payload_literals():
+    node = parse_process('to p ! m("hi"). to p ! m(true). to p ! m(false). '
+                         "to p ! m(()). to p ! m(1/2). to p ! m(-3). end")
+    values = []
+    while isinstance(node, Send):
+        values.append(node.value)
+        node = node.cont
+    assert values == ["hi", True, False, UNIT, F(1, 2), -3]
+    assert [type(v) for v in values[1:3]] == [bool, bool]
+    assert type(values[-1]) is int
+
+
+def test_parse_timeout_terms():
+    # an explicit inf is no timeout at all: its body never runs
+    assert parse_process("from p recv { m -> end } after inf { err }") \
+        == recv(after=None, timeout=None)
+    node = parse_process("from p recv { m -> end } after 2*x + 1 - y { end }")
+    assert node.after == LinearExpr(F(1), (("x", 2), ("y", -1)))
+    assert str(node.after) == "1+2*x-y"
+    assert eval_timeout(node.after, {"x": F(1), "y": F(1, 2)}) == F(5, 2)
+
+
+@pytest.mark.parametrize("source, message", [
+    ("from p recv { m -> end } after 3 - inf { end }",
+     "1:36: cannot subtract inf in a timeout"),
+    ("from p recv { m -> end } after 1/2*x { end }",
+     "1:38: timer coefficients must be integers"),
+    ("from p recv { m -> end } after 1 - 3 { end }",
+     "1:38: constant timeouts must be nonnegative"),
+    ("delay(-1). end", "1:9: delays must be nonnegative"),
+    ("new (p,p) { end | end | pp:[] | pp:[] }",
+     "1:9: session endpoints must be distinct"),
+], ids=["subtract-inf", "fractional-coefficient", "negative-timeout",
+        "negative-delay", "one-endpoint"])
+def test_timeout_and_delay_errors_are_pinned(source, message):
+    with pytest.raises(ParseError) as err:
+        parse_process(source)
+    assert str(err.value) == message
+
+
 # ---------------------------------------------------------------------------
 # Structural congruence
 # ---------------------------------------------------------------------------
@@ -209,7 +249,6 @@ def test_eval_timeout_examples():
     e = LinearExpr(F(3), (("x", -1),))
     assert eval_timeout(e, {"x": F(1)}) == F(2)
     assert eval_timeout(e, {"x": F(5)}) == F(0)  # clamped: max(0, raw)
-    assert eval_timeout(LinearExpr(infinite=True), {}) is not None
 
 
 def test_eval_timeout_unknown_timer():
@@ -447,6 +486,58 @@ def test_received_value_substitutes_into_send():
 
 
 # ---------------------------------------------------------------------------
+# Parameterised definitions
+# ---------------------------------------------------------------------------
+
+# A call renames the definition's timer and channel parameters in its body
+# and substitutes its value parameters; an inner definition binds its own.
+@pytest.mark.parametrize("source, delays, trace, final, timers", [
+    # set, delay(constraint), if and after 2 - t on the renamed timer t := y,
+    # to and from on the renamed channel c := p
+    ("""new (p,q) {
+          def W(; t; c) = set(t). delay(z <= 1/2). if (t < 1) then {
+              from c recv { m -> end } after 2 - t { to c ! late. end }
+            } else { err }
+          in W<; y; p>
+        | from q recv { late -> end } | pq:[] | qp:[] }""",
+     [F(1, 2)],
+     ["1 def W", "2 call W", "3 set y",
+      "4 det delay(1/2) for not (z>1/2)", "5 delay(1/2)",
+      "6 if ((not (y>1) and not (y=1))) -> then", "7 delay(3/2)",
+      "8 recv p after-timeout", "9 send p!late", "10 recv q?late"],
+     "new (p,q) { end | end | pq:[] | qp:[] }", {"y": F(2)}),
+    # a value parameter passed on to a nested call
+    ("""new (p,q) {
+          def Outer(v;; c) = def Inner(w;; d) = to d ! m(w). end
+            in Inner<v;; c>
+          in Outer<5;; p>
+        | from q recv { m(x) -> to q ! back(x). end } | pq:[] | qp:[] }""",
+     None,
+     ["1 def Outer", "2 call Outer", "3 def Inner", "4 call Inner",
+      "5 send p!m", "6 recv q?m", "7 send q!back"],
+     "new (p,q) { end | end | pq:[] | qp:[back(5)] }", {}),
+    # an inner definition whose parameters shadow the outer ones: its v is
+    # its own argument and its t is renamed to u, not y
+    ("""new (p,q) {
+          def Outer(v; t; c) = set(t).
+            def Inner(v; t; d) = set(t). to d ! m(v). end in Inner<7; u; c>
+          in Outer<5; y; p>
+        | from q recv { m(x) -> to q ! back(x). end } | pq:[] | qp:[] }""",
+     None,
+     ["1 def Outer", "2 call Outer", "3 set y", "4 def Inner", "5 call Inner",
+      "6 set u", "7 send p!m", "8 recv q?m", "9 send q!back"],
+     "new (p,q) { end | end | pq:[] | qp:[back(7)] }",
+     {"u": F(0), "y": F(0)}),
+], ids=["renamed-timer-and-channel", "value-to-nested-call", "shadowing"])
+def test_parameterised_definitions_are_pinned(source, delays, trace, final,
+                                              timers):
+    res = run(parse_process(source), RunPolicy(delay_resolution=delays))
+    assert res.trace == trace
+    assert format_process(res.final) == final
+    assert res.timers == timers
+
+
+# ---------------------------------------------------------------------------
 # The scheduler
 # ---------------------------------------------------------------------------
 
@@ -482,6 +573,18 @@ def test_run_unspecified_reception_is_stuck():
     res = run(program)
     assert res.status == RunStatus.STUCK
     assert "unspecified reception" in res.detail
+
+
+@pytest.mark.parametrize("source, detail", [
+    ("err", "err at top"),
+    ("end | new (p,q) { end | err | pq:[] | qp:[] }",
+     "err at par1/scope/par1"),
+    ("set(x). end | new (p,q) { end | from q recv { a -> end } "
+     "| pq:[weird] | qp:[] }",
+     "unspecified reception: 'weird' at q at par1/scope/par1"),
+], ids=["top", "err", "stuck"])
+def test_run_names_the_position_it_stopped_at(source, detail):
+    assert run(parse_process(source)).detail == detail
 
 
 def test_run_fuel_exhaustion():

@@ -391,6 +391,39 @@ def test_progress_unbounded_sender_exceeds_bounds():
     assert report.verdict == "bound-exceeded"
 
 
+def test_progress_sort_mismatch_is_a_counterexample():
+    report = check_progress(make_system(parse_type("!a<Nat>.end"),
+                                        parse_type("?a<Bool>.end")))
+    assert report.verdict == "counterexample"
+    assert report.reason == ("unspecified reception: 'a' carries Nat, type "
+                             "expects Bool")
+    assert [str(action) for action, _ in report.trace] == ["comm-l(a<Nat>)"]
+
+
+def test_monitor_flags_a_send_and_a_receive_enabled_together():
+    s = parse_type("{ !a(x<2).end , ?b(x<2).end }")
+    report = check_progress(make_system(s, dual(s)), monitor=True)
+    assert report.invariant_violations[0].startswith(
+        "send and receive both enabled on left at (x=0 | ")
+
+
+def test_monitor_flags_a_wait_over_a_non_empty_queue():
+    sys = make_system(parse_type("!a(x<1).?c.end"),
+                      parse_type("{ ?a(x>2).end , !c(x<5).end }"))
+    report = check_progress(sys, monitor=True)
+    waits = [v for v in report.invariant_violations if v.startswith("wait(")]
+    assert waits[0].startswith("wait(1) taken with non-empty queue at "
+                               "(x=0 | ?c | []) || (x=0 | ")
+
+
+def test_progress_state_bound_exceeded():
+    s = parse_type("rec r . !a.r")
+    report = check_progress(make_system(s, dual(s)),
+                            ExploreLimits(max_states=3))
+    assert report.verdict == "bound-exceeded"
+    assert report.reason == "state bound exceeded"
+
+
 def test_progress_fifo_order():
     # two sends deliver in order; the receiver consumes oldest first
     s = parse_type("!a(x<9).!b(x<9).end")
