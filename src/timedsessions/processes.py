@@ -338,7 +338,7 @@ def format_process(p: ProcNode) -> str:
             b.label + (f"({b.binder})" if b.binder else "") + f" -> {format_process(b.cont)}"
             for b in p.branches)
         out = f"from {p.endpoint} recv {{ {branches} }}"
-        if p.after is not None or p.timeout is not None:
+        if p.after is not None:  # with no timeout, the body never runs
             expr = format_rational(p.after) if isinstance(p.after, Fraction) else str(p.after)
             out += f" after {expr} {{ {format_process(p.timeout)} }}"
         return out
@@ -601,8 +601,6 @@ def rename_names(p: ProcNode, mapping: Mapping[str, str]) -> ProcNode:
             return Call(node.name, tuple(map(ren_value, node.val_args)),
                         tuple(map(ren, node.timer_args)),
                         tuple(map(ren, node.chan_args)))
-        if isinstance(node, Buffer):
-            return Buffer(ren(node.src), ren(node.dst), node.items)
         return node
 
     return walk(p, dict(mapping))

@@ -10,8 +10,11 @@ disjunction of its head guards) and checks three conditions at every
 choice: feasibility (each option's reset image can still drive its
 continuation), mixed-choice safety (differently-directed options are never
 enabled at the same reachable instant), and delegation (delegated sessions
-are well-formed from their initial constraint).  The checker works on
-ZoneSets throughout: each option compiles its guard once
+are well-formed from their initial constraint).  Mixed-choice safety is
+judged against the region each subterm can be reached with; one walk also
+collects the answer under the universal region, which stands whenever a
+recursion is re-entered outside the region its binder was checked with.
+The checker works on ZoneSets throughout: each option compiles its guard once
 (``ChoiceOption.guard_zones``) and each choice its entry constraint, the
 down-closure of those guards (``Choice.entry_zones``); the checker widens
 them to the type's clocks, and ``Choice.entry`` renders the entry back to a
@@ -424,109 +427,105 @@ class WfReport:
 
 
 class _WfChecker:
-    """One checking pass over ZoneSets on the sorted clock tuple ``clocks``.
+    """One walk over ZoneSets on the sorted clock tuple ``clocks``.
 
     ``reach`` is the region of valuations a subterm can be entered with, and
     ``reach_env`` binds each recursion variable to the reach its binder was
-    analysed with.  Reach-tracking is disabled for the conservative second
-    pass when a recursion is re-entered outside its analysed reach; the
-    reach is then universal throughout.  Guards and entry constraints are
-    the ZoneSets compiled on the type nodes, widened to ``clocks``."""
+    analysed with.  ``violations`` lists, in walk order, the violations under
+    the universal reach, each marked with whether it also holds under the
+    tracked reach: only mixed-choice safety depends on the reach.  Once a
+    recursion is re-entered outside its analysed reach (``escaped``), only
+    the universal answer stands, and the walk goes on with ``reach`` None.
+    Guards and entry constraints are the ZoneSets compiled on the type
+    nodes, widened to ``clocks``."""
 
-    def __init__(self, clocks, track_reach: bool):
+    def __init__(self, clocks):
         self.clocks = tuple(sorted(clocks))
-        self.track_reach = track_reach
-        self.violations: List[Violation] = []
-        self.reach_escaped = False
+        self.violations: List[Tuple[Violation, bool]] = []
+        self.escaped = False
 
     def widened(self, zones: ZoneSet) -> ZoneSet:
         return [zone.widened(self.clocks) for zone in zones]
 
+    def add(self, path: Tuple[str, ...], condition: str, witness: str,
+            tracked: bool = True) -> None:
+        self.violations.append((Violation(path, condition, witness), tracked))
+
     def check(self, node: TypeNode, path: Tuple[str, ...],
               gamma_env: Dict[str, TypeNode],
-              reach_env: Dict[str, ZoneSet],
-              reach: ZoneSet) -> None:
+              reach_env: Dict[str, Optional[ZoneSet]],
+              reach: Optional[ZoneSet]) -> None:
         if isinstance(node, Var):
             if node.var not in gamma_env:
-                self.violations.append(
-                    Violation(path, "unbound-var", node.var))
-                return
-            if self.track_reach and not zoneset_entails(
+                self.add(path, "unbound-var", node.var)
+            elif reach is not None and not zoneset_entails(
                     reach, reach_env[node.var]):
-                self.reach_escaped = True
+                self.escaped = True
             return
         if isinstance(node, Rec):
-            genv = dict(gamma_env)
-            renv = dict(reach_env)
             try:
-                genv[node.var] = gamma_head(node.body, genv)
+                head = gamma_head(node.body, gamma_env)
             except SpecError as exc:
-                self.violations.append(Violation(path, "unbound-var", str(exc)))
+                self.add(path, "unbound-var", str(exc))
                 return
-            renv[node.var] = reach
-            self.check(node.body, path, genv, renv, reach)
+            self.check(node.body, path, {**gamma_env, node.var: head},
+                       {**reach_env, node.var: reach}, reach)
             return
         # a choice, or end, which has no options
         seen_labels = set()
         for opt in node.options:
             if opt.label in seen_labels:
-                self.violations.append(
-                    Violation(path, "duplicate-label", opt.label))
+                self.add(path, "duplicate-label", opt.label)
             seen_labels.add(opt.label)
         options = node.options
         guards = [self.widened(opt.guard_zones) for opt in options]
         # (mixed-choice) differently-directed options must be time-disjoint
         # at every valuation this choice can actually be reached with.
         for (a, ga), (b, gb) in combinations(zip(options, guards), 2):
-            if (a.direction != b.direction
-                    and zoneset_meet(reach, zoneset_meet(ga, gb))):
-                self.violations.append(Violation(
-                    path, "mixed-choice", f"{a.label}/{b.label}"))
+            overlap = a.direction != b.direction and zoneset_meet(ga, gb)
+            if overlap:
+                self.add(path, "mixed-choice", f"{a.label}/{b.label}", bool(
+                    reach is not None and zoneset_meet(reach, overlap)))
         for opt, guard in zip(options, guards):
             opt_path = path + (opt.label,)
             try:
                 cont = gamma_head(opt.continuation, gamma_env)
             except SpecError as exc:
-                self.violations.append(
-                    Violation(opt_path, "unbound-var", str(exc)))
+                self.add(opt_path, "unbound-var", str(exc))
                 continue
             # (feasibility) the reset image of the guard must still permit
             # the continuation to act.
             if not zoneset_entails([z.reset(opt.resets) for z in guard],
                                    self.widened(cont.entry_zones)):
-                self.violations.append(Violation(
-                    opt_path, "feasibility", str(cont.entry)))
+                self.add(opt_path, "feasibility", str(cont.entry))
             # (delegation) delegated sessions are checked from scratch.
             if isinstance(opt.payload, Delegate):
                 self.check_delegation(opt.payload, opt_path)
-            if self.track_reach:
-                next_reach = [z.reset(opt.resets).up()
-                              for z in zoneset_meet(reach, guard)]
-            else:
-                next_reach = reach
+            if self.escaped:
+                reach = None
             self.check(opt.continuation, opt_path, gamma_env, reach_env,
-                       next_reach)
+                       None if reach is None else
+                       [z.reset(opt.resets).up()
+                        for z in zoneset_meet(reach, guard)])
 
     def check_delegation(self, inner: Delegate, path: Tuple[str, ...]) -> None:
         """Check a delegated session from scratch, over its clocks and this
-        pass's: from the up-closure of its init zones, or from the universal
-        region in the conservative pass."""
+        walk's, from the up-closure of its init zones (no reach once this
+        walk has escaped)."""
         try:
             inner_head = gamma_head(inner.session)
         except SpecError as exc:
-            self.violations.append(Violation(path, "unbound-var", str(exc)))
+            self.add(path, "unbound-var", str(exc))
             return
         sub = _WfChecker(set(self.clocks) | type_clocks(inner.session)
-                         | clocks_of(inner.init_constraint), self.track_reach)
+                         | clocks_of(inner.init_constraint))
         init = to_zones(inner.init_constraint, sub.clocks)
         if not zoneset_entails(init, sub.widened(inner_head.entry_zones)):
-            self.violations.append(Violation(
-                path, "delegation", str(inner_head.entry)))
+            self.add(path, "delegation", str(inner_head.entry))
         sub.check(inner.session, path, {}, {},
-                  [z.up() for z in init] if self.track_reach
-                  else [Zone.universal(sub.clocks)])
+                  None if self.escaped else [z.up() for z in init])
         self.violations.extend(sub.violations)
-        self.reach_escaped |= sub.reach_escaped
+        self.escaped |= sub.escaped
 
 
 def check_well_formed(node: TypeNode,
@@ -537,7 +536,10 @@ def check_well_formed(node: TypeNode,
     The verdict is true iff the valuation satisfies the type's entry
     constraint and the feasibility, mixed-choice and delegation conditions
     hold at every choice.  Violations are reported with the option path that
-    produced them; nothing is thrown.
+    produced them; nothing is thrown.  One ``_WfChecker`` walks the type
+    once (plus one per delegated session); if a recursion escaped its
+    reach, the report lists the violations under the universal reach,
+    otherwise those under the tracked one.
     """
     clock_set = set(clocks) if clocks is not None else set()
     clock_set |= type_clocks(node)
@@ -549,18 +551,15 @@ def check_well_formed(node: TypeNode,
         for name in clock_set - set(nu):
             nu[name] = Fraction(0)
 
-    checker = _WfChecker(clock_set, track_reach=True)
+    checker = _WfChecker(clock_set)
     # the trajectory {nu + t | t >= 0}: nu's first unit of it, closed upward
     reach = ([trajectory_zone(nu, 1, include_end=True).up()] if nu
              else [Zone.universal(checker.clocks)])
     checker.check(node, (), {}, {}, reach)
-    if checker.reach_escaped:
-        # A recursion is re-entered outside the reach it was analysed with;
-        # fall back to a conservative pass with no reach restriction.
-        checker = _WfChecker(clock_set, track_reach=False)
-        checker.check(node, (), {}, {}, [Zone.universal(checker.clocks)])
-
-    violations = list(checker.violations)
+    # A recursion re-entered outside the reach it was analysed with leaves
+    # only the conservative answer, the violations under no reach restriction.
+    violations = [violation for violation, tracked in checker.violations
+                  if tracked or checker.escaped]
     try:
         if not eval_constraint(nu, gamma(node)):
             violations.append(Violation((), "feasibility",

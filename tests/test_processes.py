@@ -74,6 +74,15 @@ def test_parse_round_trip_session():
     assert parse_process(format_process(node)) == node
 
 
+def test_format_receive_without_timeout_drops_timeout_body():
+    # no timeout means the body can never run, as the parser reads
+    # "after inf { ... }": printing "after None" would name a timer None
+    text = format_process(recv(after=None, timeout=P_END))
+    assert text == "from p recv { m -> end }"
+    assert parse_process(text) == recv()
+    assert format_process(parse_process(text)) == text
+
+
 def test_parse_rejects_malformed_session():
     with pytest.raises(ParseError):
         parse_process("new (p,q) { end | end | pq:[] }")
