@@ -22,6 +22,13 @@ A position is a path of indices into ``children``.  Each redex carries
 the subterm it was found at and the buffer it reads or writes, so a step
 does not walk its path again.  A receive without a timeout has
 ``after=None``; there is no infinite timeout value.
+
+Redexes are found in two parts: one walk, ``_sites``, lists the active
+leaves with the buffers each sees, and ``_classify`` turns one leaf into
+a redex.  The scheduler keeps the classified list across instant steps
+and walks the term again only when a step changes its structure, or
+after a time step.  A time step renormalises only the active nodes of
+``phi``'s result, the only ones ``phi`` rebuilds.
 """
 
 from __future__ import annotations
@@ -390,11 +397,13 @@ def runtime_normalize(p: ProcNode) -> ProcNode:
     return _normalize(p, reorder=False)
 
 
-def _normalize(p: ProcNode, reorder: bool) -> ProcNode:
+def _normalize(p: ProcNode, reorder: bool, active: bool = False) -> ProcNode:
     """The normal form of p: ``_normal_node`` applied bottom-up to every
-    node, so every subterm of a normal term is normal."""
+    node, so every subterm of a normal term is normal.  If active is set,
+    only the active nodes are visited, which gives the normal form when
+    every inactive subterm is already normal."""
     def walk(node: ProcNode) -> ProcNode:
-        return _normal_node(map_children(node, walk), reorder)
+        return _normal_node(map_children(node, walk, active), reorder)
 
     return walk(p)
 
@@ -471,8 +480,10 @@ def _resolve_after(p: ReceiveAfter, rho: Mapping[str, Fraction],
     """Freeze a symbolic timeout to its numeric value at activation time."""
     if not isinstance(p.after, LinearExpr):
         return p
-    shifted = {name: value + elapsed for name, value in rho.items()}
-    return replace(p, after=eval_timeout(p.after, shifted))
+    if elapsed:
+        rho = {name: value + elapsed for name, value in rho.items()}
+    return ReceiveAfter(p.endpoint, p.branches, eval_timeout(p.after, rho),
+                        p.timeout)
 
 
 def phi(t: Fraction, p: ProcNode, rho: Optional[Mapping[str, Fraction]] = None,
@@ -491,11 +502,13 @@ def phi(t: Fraction, p: ProcNode, rho: Optional[Mapping[str, Fraction]] = None,
         return p
     if type(p) in _ACTIVE_KINDS:
         if isinstance(p, Par):
+            neqs = [neq_set(b) for b in p.parts]
             for i, a in enumerate(p.parts):
-                for j, b in enumerate(p.parts):
-                    if i != j and wait_set(a) & neq_set(b):
+                waits = wait_set(a)
+                for j, neq in enumerate(neqs):
+                    if i != j and waits & neq:
                         raise PhiUndefined(
-                            f"endpoint {sorted(wait_set(a) & neq_set(b))[0]!r} "
+                            f"endpoint {sorted(waits & neq)[0]!r} "
                             "is waiting on a non-empty queue", p)
         return map_children(p, lambda child: phi(t, child, rho, elapsed),
                             active=True)
@@ -516,11 +529,16 @@ def phi(t: Fraction, p: ProcNode, rho: Optional[Mapping[str, Fraction]] = None,
 
 
 def time_step(rho: TimerEnv, p: ProcNode, t: Fraction) -> Tuple[TimerEnv, ProcNode]:
-    """Advance every timer by t and distribute t over the composition."""
+    """Advance every timer by t and distribute t over the composition.
+
+    p must be normal, as ``runtime_normalize`` leaves it.  phi rebuilds
+    only active nodes, and every inactive subterm of its result is a
+    subterm of p, so only the active nodes of the result are renormalised.
+    """
     t = Fraction(t)
     new_p = phi(t, p, rho)
     new_rho = {name: value + t for name, value in rho.items()}
-    return new_rho, runtime_normalize(new_p)
+    return new_rho, _normalize(new_p, reorder=False, active=True)
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +701,25 @@ def _path_str(term: ProcNode, path: Path) -> str:
     return "/".join(steps) or "top"
 
 
-def _collect_redexes(root: ProcNode) -> List[Redex]:
-    """Enumerate instantaneous redexes in deterministic leftmost order.
+# The buffers a subterm sees, by (source, destination) endpoints, each with
+# its path.
+Buffers = Dict[Tuple[str, str], Tuple[Path, Buffer]]
 
-    Buffer lookups respect scoping: a send or receive sees the buffers that
-    are parallel siblings within its enclosing session scope.
+# An active leaf: a subterm reached through Par and Scope nodes only, with
+# its path and the buffers it sees.
+Site = Tuple[Path, ProcNode, Buffers]
+
+
+def _sites(root: ProcNode) -> List[Site]:
+    """The active leaves of root other than buffers, in leftmost order.
+
+    Buffer lookups respect scoping: a leaf sees the buffers that are
+    parallel siblings within its enclosing session scope.  Leaves of one
+    composition share one buffers dict.
     """
-    out: List[Redex] = []
+    out: List[Site] = []
 
-    def walk(node: ProcNode, path: Path,
-             buffers: Dict[Tuple[str, str], Tuple[Path, Buffer]]) -> None:
+    def walk(node: ProcNode, path: Path, buffers: Buffers) -> None:
         if isinstance(node, Par):
             local = dict(buffers)
             for i, part in enumerate(node.parts):
@@ -704,46 +731,56 @@ def _collect_redexes(root: ProcNode) -> List[Redex]:
             visible = {chan: p for chan, p in buffers.items()
                        if node.left not in chan and node.right not in chan}
             walk(node.body, path + (0,), visible)
-        elif isinstance(node, Def):
-            out.append(Redex("def", node.name, path, node))
-        elif isinstance(node, SetTimer):
-            out.append(Redex("set", node.timer, path, node))
-        elif isinstance(node, Send):
-            for chan, (buf_path, buf) in buffers.items():
-                if chan[0] == node.endpoint:
-                    out.append(Redex("send", f"{node.endpoint}!{node.label}",
-                                     path, node, buf_path, buf))
-                    return
-        elif isinstance(node, ReceiveAfter):
-            for chan, (buf_path, buf) in buffers.items():
-                if chan[1] != node.endpoint:
-                    continue
-                if not buf.items:
-                    continue
-                label = buf.items[0][0]
-                if any(b.label == label for b in node.branches):
-                    out.append(Redex("recv", f"{node.endpoint}?{label}",
-                                     path, node, buf_path, buf))
-                else:
-                    out.append(Redex(
-                        "stuck",
-                        f"unspecified reception: {label!r} at {node.endpoint}",
-                        path, node, buf_path, buf))
-                return
-            if node.after == Fraction(0):
-                out.append(Redex("recv", f"{node.endpoint} after-timeout",
-                                 path, node))
-        elif isinstance(node, IfTimer):
-            out.append(Redex("if", str(node.cond), path, node))
-        elif isinstance(node, DelayConstraint):
-            out.append(Redex("det", str(node.cond), path, node))
-        elif isinstance(node, Call):
-            out.append(Redex("call", node.name, path, node))
-        elif isinstance(node, PErr):
-            out.append(Redex("err", "error process reached", path, node))
+        elif not isinstance(node, Buffer):
+            out.append((path, node, buffers))
 
     walk(root, (), {})
     return out
+
+
+def _classify(path: Path, node: ProcNode, buffers: Buffers) -> Optional[Redex]:
+    """The redex at one site, or None if the leaf cannot act now."""
+    if isinstance(node, Def):
+        return Redex("def", node.name, path, node)
+    if isinstance(node, SetTimer):
+        return Redex("set", node.timer, path, node)
+    if isinstance(node, Send):
+        for chan, (buf_path, buf) in buffers.items():
+            if chan[0] == node.endpoint:
+                return Redex("send", f"{node.endpoint}!{node.label}",
+                             path, node, buf_path, buf)
+        return None
+    if isinstance(node, ReceiveAfter):
+        for chan, (buf_path, buf) in buffers.items():
+            if chan[1] != node.endpoint:
+                continue
+            if not buf.items:
+                continue
+            label = buf.items[0][0]
+            if any(b.label == label for b in node.branches):
+                return Redex("recv", f"{node.endpoint}?{label}",
+                             path, node, buf_path, buf)
+            return Redex(
+                "stuck", f"unspecified reception: {label!r} at {node.endpoint}",
+                path, node, buf_path, buf)
+        if node.after == 0:
+            return Redex("recv", f"{node.endpoint} after-timeout", path, node)
+        return None
+    if isinstance(node, IfTimer):
+        return Redex("if", str(node.cond), path, node)
+    if isinstance(node, DelayConstraint):
+        return Redex("det", str(node.cond), path, node)
+    if isinstance(node, Call):
+        return Redex("call", node.name, path, node)
+    if isinstance(node, PErr):
+        return Redex("err", "error process reached", path, node)
+    return None
+
+
+def _collect_redexes(root: ProcNode) -> List[Redex]:
+    """Enumerate instantaneous redexes in deterministic leftmost order."""
+    return [redex for redex in (_classify(*site) for site in _sites(root))
+            if redex is not None]
 
 
 class _DelayPicker:
@@ -945,8 +982,13 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
 
     An instant step rewrites one redex and at most one buffer, so it only
     renormalises the nodes on the redex's path (``_replace_normal``) and
-    only resolves the timeouts of the subterm it put there.  A time step
-    normalises and resolves the whole term.
+    only resolves the timeouts of the subterm it put there.  The term's
+    sites (``_sites``) and their redexes are kept from step to step: when
+    the new subterm is a leaf, no other site moves, so the step replaces
+    its own site and puts the buffer it rewrote into every site that sees
+    it.  A new composition, session scope or buffer moves paths or changes
+    what sites see, so the term is walked again, as after a time step,
+    which renormalises and resolves the active nodes of the whole term.
     """
     policy = policy or RunPolicy()
     picker = _DelayPicker(policy.seed, policy.delay_resolution)
@@ -960,6 +1002,11 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     # expressions.  After a time step the whole term is fresh.
     base = fresh = runtime_normalize(program)
     path: Path = ()
+    # The sites of base and their redexes, index for index; fresh replaces
+    # the site at index ``at``, or the term is walked again if it is None.
+    sites: List[Site] = []
+    redexes: List[Optional[Redex]] = []
+    at: Optional[int] = None
     steps = 0
 
     def result(status: str, detail: str) -> RunResult:
@@ -967,20 +1014,32 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
 
     while steps < policy.fuel:
         try:
-            term = _replace_normal(base, path, resolve_active(fresh, rho))
+            resolved = resolve_active(fresh, rho)
         except SpecError as exc:
             term = _replace_normal(base, path, fresh)
             return result(RunStatus.ERROR, str(exc))
-        redexes = _collect_redexes(term)
-        for redex in redexes:
+        term = _replace_normal(base, path, resolved)
+        if at is None:
+            sites = _sites(term)
+            redexes = [_classify(*site) for site in sites]
+        else:
+            buffers = sites[at][2]
+            sites[at] = (path, resolved, buffers)
+            redexes[at] = _classify(path, resolved, buffers)
+        first = None
+        for index, redex in enumerate(redexes):
+            if redex is None:
+                continue
             if redex.kind == "err":
                 return result(RunStatus.ERROR,
                               f"err at {_path_str(term, redex.path)}")
             if redex.kind == "stuck":
                 where = _path_str(term, redex.path)
                 return result(RunStatus.STUCK, f"{redex.detail} at {where}")
-        if redexes:
-            redex = redexes[0]
+            if first is None:
+                first = index
+        if first is not None:
+            redex = redexes[first]
             steps += 1
             try:
                 rho, base, new = _reduce(term, redex, rho, registry, picker)
@@ -996,6 +1055,17 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
             else:
                 trace.append(f"{steps} {redex.kind} {redex.detail}")
             path, fresh = redex.path, _normal_node(new)
+            at = None if isinstance(fresh, (Par, Scope, Buffer)) else first
+            if at is not None and redex.buffer_path is not None:
+                # Before fresh is classified, or a second send would
+                # append to the old buffer.
+                buf = _get(base, redex.buffer_path)
+                chan = (buf.src, buf.dst)
+                for index, (site_path, node, buffers) in enumerate(sites):
+                    seen = buffers.get(chan)
+                    if seen is not None and seen[0] == redex.buffer_path:
+                        buffers[chan] = (redex.buffer_path, buf)
+                        redexes[index] = _classify(site_path, node, buffers)
             continue
         if is_completed(term):
             return result(RunStatus.COMPLETED, "all components terminated")
@@ -1008,7 +1078,7 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
             rho, base = time_step(rho, term, t)
         except PhiUndefined as exc:
             return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
-        path, fresh = (), base
+        path, fresh, at = (), base, None
         elapsed += t
         trace.append(f"{steps} delay({format_rational(t)})")
     term = _replace_normal(base, path, fresh)

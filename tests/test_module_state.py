@@ -2,8 +2,8 @@
 
 Every dict, list and set bound at module level in the package is measured
 before and after a batch of well-formedness checks, monitored progress
-explorations and compatibility checks; a cache kept between calls would
-change a length.
+explorations, compatibility checks and interpreter runs; a cache kept
+between calls would change a length.
 """
 
 import importlib
@@ -14,6 +14,7 @@ from pathlib import Path
 import timedsessions
 from timedsessions.generate import random_type, well_formed_types
 from timedsessions.parser import parse_spec_file
+from timedsessions.processes import RunPolicy, run
 from timedsessions.semantics import (ExploreLimits, check_progress,
                                      compatible, make_system)
 from timedsessions.sessiontypes import check_well_formed, dual
@@ -50,6 +51,11 @@ def test_no_module_level_container_grows():
     for system in systems:
         check_progress(system, ExploreLimits(max_states=2000), monitor=True)
         compatible(system)
+    for name in ("mixed_pingpong", "throttling", "parametric_timeout",
+                 "deadline_err"):
+        spec = parse_spec_file((FIXTURES / f"{name}.toast").read_text())
+        for program in spec.processes.values():
+            run(program, RunPolicy(seed=3, fuel=200))
 
     after = module_state_lengths()
     assert {name: (before[name], after[name]) for name in before

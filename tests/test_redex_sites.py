@@ -1,0 +1,86 @@
+"""The run's kept redex list against the whole-term reference loop.
+
+``run`` walks the term for its sites only at the start, after a time step
+and after a step whose new subterm is a composition, a session scope or a
+buffer.  After any other instant step it replaces the one site the step
+rewrote and puts a rewritten buffer into every site that sees it.  Each
+program below makes one of those updates matter; ``reference_run`` collects
+the redexes of the whole term before every step.
+"""
+
+import pytest
+
+from timedsessions import processes
+from timedsessions.parser import parse_process
+from timedsessions.processes import (Buffer, Par, RunPolicy, Scope,
+                                     SetTimer, _normal_node, run)
+
+from test_incremental_step import PINGPONG, reference_run
+
+PROGRAMS = {
+    # the receive is classified before the send fills its buffer, so only
+    # the buffer refresh makes it a redex
+    "woken-receive": parse_process(
+        "new (p,q) { from p recv { m -> end } after 5 { end } "
+        "| to q ! m. end | pq:[] | qp:[] }"),
+    # an unexpected label arrives by a buffer write and makes it stuck
+    "stuck-receive": parse_process(
+        "new (p,q) { from p recv { m -> end } after 5 { end } "
+        "| to q ! other. end | pq:[] | qp:[] }"),
+    # the second send must append to the buffer the first one wrote
+    "two-sends": parse_process(
+        "new (p,q) { to q ! a. to q ! b. end "
+        "| from p recv { a -> from p recv { b -> end } } "
+        "| pq:[] | qp:[] }"),
+    # the called body opens a session: the new subterm is a Scope with
+    # buffers of its own
+    "call-opens-scope": parse_process(
+        "def S(;;) = new (a,b) { to a ! m. end | from b recv { m -> end } "
+        "| ab:[] | ba:[] } in S<>"),
+    # a step leaves a buffer, which the send beside it then sees (built
+    # by hand: the parser puts buffers only directly in a session)
+    "buffer-appears": Scope("p", "q", Par((
+        parse_process("to q ! m. end"),
+        SetTimer("x", Buffer("q", "p")),
+        parse_process("from p recv { m -> end } after 5 { end }"),
+        Buffer("p", "q")))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PROGRAMS))
+def test_kept_redex_list_matches_the_whole_term_loop(name):
+    program = PROGRAMS[name]
+    for fuel in range(12):
+        policy = RunPolicy(fuel=fuel)
+        assert run(program, policy) == reference_run(program, policy), fuel
+
+
+@pytest.mark.parametrize("program,policy", [
+    (PINGPONG, RunPolicy(seed=0, fuel=200)),
+    (PROGRAMS["call-opens-scope"], RunPolicy())],
+    ids=["pingpong", "call-opens-scope"])
+def test_term_is_walked_after_time_and_structural_steps_only(
+        monkeypatch, program, policy):
+    walks = 0
+    structural = []  # per instant step: is its new subterm structural?
+    sites, reduce = processes._sites, processes._reduce
+
+    def counting_sites(root):
+        nonlocal walks
+        walks += 1
+        return sites(root)
+
+    def counting_reduce(*args):
+        out = reduce(*args)
+        structural.append(isinstance(_normal_node(out[2]), (Par, Scope, Buffer)))
+        return out
+
+    monkeypatch.setattr(processes, "_sites", counting_sites)
+    monkeypatch.setattr(processes, "_reduce", counting_reduce)
+    result = run(program, policy)
+    time_steps = sum(line.split()[1].startswith("delay(")
+                     for line in result.trace)
+    # The last step is neither, so each of them was followed by a walk.
+    assert not result.trace[-1].split()[1].startswith("delay(")
+    assert not structural[-1]
+    assert walks == 1 + time_steps + sum(structural)

@@ -4,8 +4,8 @@ Every report (verdict, and each violation's path, condition and witness)
 for S and dual(S) is folded into one sha256, over seeded random_type
 candidates and hand-written types that random_type never produces:
 delegations good, bad and nested, a delegated recursion whose reach
-escapes its binder, a mixed choice inside a delegated session checked by
-the conservative pass, and a clockless type.  The digest was taken from the
+escapes its binder, a mixed choice inside a delegated session reported
+from the one walk's universal-reach list, and a clockless type.  The digest was taken from the
 checker when it still tracked reach as constraints rendered from zones; any
 change in verdicts, violation order or witness text changes it.
 """
@@ -38,15 +38,16 @@ HAND_WRITTEN = (
     # feasible only through the reset
     "!a(x>5, {x}).!b(x<1).end",
     # a delegated recursion whose reach leaves the diagonal z = w it was
-    # entered on, so the conservative pass runs and flags b/c; with one
-    # clock the reach cannot escape and b/c stays safe
+    # entered on, so the report is the one walk's universal-reach list,
+    # which flags b/c; with one clock the reach cannot escape and b/c
+    # stays safe
     "!h<(z=0 and w=0, rec r . !a(z<1, {z}).?b(w<9).r)>(x<1, {y})"
     ".{ !b(y<1 and x>2).end , ?c(x>2).end }",
     "!h<(z=0, rec r . !a(z<1, {z}).?b(z<9).r)>(x<1, {y})"
     ".{ !b(y<1 and x>2).end , ?c(x>2).end }",
     # a mixed choice inside a delegated session, while the outer recursion
-    # escapes its reach; the conservative pass must check b/c against the
-    # whole region, not against the delegated session's init zones
+    # escapes its reach; the universal-reach list must check b/c against
+    # the whole region, not against the delegated session's init zones
     "!h<(z=0 and w=0, !a(z<1 and w>0, {z}).{ !b(w-z>0).end , ?c(w-z>0).end })>"
     "(x<1 and y<1).rec r . !d(y<5, {x}).r",
     # a clockless type
