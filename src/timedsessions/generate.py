@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .constraints import (
     And,
@@ -46,6 +46,7 @@ from .sessiontypes import (
     SEND,
     TypeNode,
     Var,
+    WfReport,
     check_well_formed,
 )
 
@@ -155,25 +156,42 @@ def random_type(rng: random.Random, clocks: Sequence[str] = ("x", "y"),
     return END if isinstance(node, Var) else node
 
 
-def well_formed_types(count: int, seed: int = 0,
-                      clocks: Sequence[str] = ("x", "y"), depth: int = 3,
-                      max_constant: int = 5,
-                      max_attempts: int = 100000) -> List[TypeNode]:
-    """Sample until `count` types pass the well-formedness check."""
+def _sample_types(keep: Callable[[TypeNode, WfReport], object], what: str,
+                  count: int, seed: int, clocks: Sequence[str], depth: int,
+                  max_constant: int, max_attempts: int) -> list:
+    """Draw seeded random types, skip end, check each, and keep what
+    ``keep`` makes of a type and its report, unless that is None."""
     rng = random.Random(seed)
-    found: List[TypeNode] = []
+    found = []
     attempts = 0
     while len(found) < count and attempts < max_attempts:
         attempts += 1
         node = random_type(rng, clocks, depth, max_constant)
         if isinstance(node, type(END)):
             continue
-        if check_well_formed(node, clocks=clocks).verdict:
-            found.append(node)
+        kept = keep(node, check_well_formed(node, clocks=clocks))
+        if kept is not None:
+            found.append(kept)
     if len(found) < count:
         raise RuntimeError(
-            f"only {len(found)} well-formed types in {max_attempts} attempts")
+            f"only {len(found)} {what} types in {max_attempts} attempts")
     return found
+
+
+def well_formed_types(count: int, seed: int = 0,
+                      clocks: Sequence[str] = ("x", "y"), depth: int = 3,
+                      max_constant: int = 5,
+                      max_attempts: int = 100000) -> List[TypeNode]:
+    """Sample until `count` types pass the well-formedness check."""
+    return _sample_types(lambda node, report: node if report.verdict else None,
+                         "well-formed", count, seed, clocks, depth,
+                         max_constant, max_attempts)
+
+
+def _singly_ill_formed(node: TypeNode,
+                       report: WfReport) -> Optional[Tuple[TypeNode, str]]:
+    conditions = {v.condition for v in report.violations}
+    return (node, conditions.pop()) if len(conditions) == 1 else None
 
 
 def ill_formed_types(count: int, seed: int = 0,
@@ -181,24 +199,8 @@ def ill_formed_types(count: int, seed: int = 0,
                      max_constant: int = 5,
                      max_attempts: int = 200000) -> List[Tuple[TypeNode, str]]:
     """Sample types that violate exactly one well-formedness condition."""
-    rng = random.Random(seed)
-    found: List[Tuple[TypeNode, str]] = []
-    attempts = 0
-    while len(found) < count and attempts < max_attempts:
-        attempts += 1
-        node = random_type(rng, clocks, depth, max_constant)
-        if isinstance(node, type(END)):
-            continue
-        report = check_well_formed(node, clocks=clocks)
-        if report.verdict:
-            continue
-        conditions = {v.condition for v in report.violations}
-        if len(conditions) == 1:
-            found.append((node, conditions.pop()))
-    if len(found) < count:
-        raise RuntimeError(
-            f"only {len(found)} singly-ill-formed types in {max_attempts} attempts")
-    return found
+    return _sample_types(_singly_ill_formed, "singly-ill-formed", count, seed,
+                         clocks, depth, max_constant, max_attempts)
 
 
 # ---------------------------------------------------------------------------

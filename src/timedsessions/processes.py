@@ -905,6 +905,10 @@ def instant_step(rho: TimerEnv, p: ProcNode) -> List[Tuple[TimerEnv, ProcNode]]:
     """All one-step instantaneous reductions of p (deterministic order).
 
     A delay(constraint) contributes one successor per candidate duration.
+    A ``def`` step drops its definition and no registry outlives one call,
+    so a later call of the process it defined raises ``SpecError`` (step
+    two of ``Main`` in ``fixtures/mixed_pingpong.toast``); ``run`` keeps a
+    registry and steps on.
     """
     p = resolve_active(runtime_normalize(p), rho)
     results: List[Tuple[TimerEnv, ProcNode]] = []
@@ -981,8 +985,9 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     time step fires; delay(constraint) durations are resolved by the policy.
 
     An instant step rewrites one redex and at most one buffer, so it only
-    renormalises the nodes on the redex's path (``_replace_normal``) and
-    only resolves the timeouts of the subterm it put there.  The term's
+    rebuilds the nodes on the redex's path and only resolves the timeouts
+    of the subterm it put there.  Above a new leaf those nodes stay normal;
+    above anything else ``_replace_normal`` renormalises them.  The term's
     sites (``_sites``) and their redexes are kept from step to step: when
     the new subterm is a leaf, no other site moves, so the step replaces
     its own site and puts the buffer it rewrote into every site that sees
@@ -1018,11 +1023,12 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         except SpecError as exc:
             term = _replace_normal(base, path, fresh)
             return result(RunStatus.ERROR, str(exc))
-        term = _replace_normal(base, path, resolved)
         if at is None:
+            term = _replace_normal(base, path, resolved)
             sites = _sites(term)
             redexes = [_classify(*site) for site in sites]
         else:
+            term = _replace(base, path, resolved)
             buffers = sites[at][2]
             sites[at] = (path, resolved, buffers)
             redexes[at] = _classify(path, resolved, buffers)

@@ -17,12 +17,13 @@ sorted clock order, and each side's printed head and queue
 gcd(den, *L, *R) == 1, so equal valuations give equal states.  The waits
 from a state are sampled at S = 2·lcm(den, d), d the LCM of the guard
 constants' denominators, where every boundary, midpoint and the horizon is
-an int.  The sampled waits are admitted by delay windows: from a point the
-delays into a zone form one interval, so each side's time rule admits an
-initial interval of delays, read off its entry and queue-head guard zones
-once per state (``zones.window_at``); a guard holds where one of its
-windows contains 0.  Each state is then mapped to its region
-representative under the clock ceilings of each side's head
+an int.  Points are read by the one reader of ``zones``: from a point
+the delays into a zone form one interval (``zones.window_at``), so each
+side's time rule admits an initial interval of delays, read off its entry
+and queue-head guard zones once per state (``zones.windows_at``), and a
+guard holds where one of its windows contains 0 (``zones.holds_at``).
+Each state is then mapped to its region representative under the clock
+ceilings of each side's head
 (``Choice.clock_ceilings``, after Behrmann et al., TACAS 2003): a clock no
 guard reads before its next reset is inactive and set to 0 (Daws & Yovine,
 RTSS 1996), every other clock is capped one above its ceiling.  A system
@@ -69,7 +70,7 @@ from .sessiontypes import (
     unfold_head,
 )
 from .rational import format_rational
-from .zones import LE_ZERO, constraint_equiv, window_at
+from .zones import constraint_equiv, holds_at, windows_at
 
 # ---------------------------------------------------------------------------
 # States
@@ -252,7 +253,7 @@ def _receivable_during(nu: Valuation, opt: ChoiceOption, t: Fraction) -> bool:
 
     window = trajectory_zone(nu, t, include_end=False)
     for zone in opt.guard_zones:
-        if not zone.widened(nu).intersect(window).empty:
+        if zone.widened(nu).intersect(window) is not None:
             return True
     return False
 
@@ -279,23 +280,6 @@ def default_horizon(sys: System) -> Fraction:
 # ---------------------------------------------------------------------------
 # The int state space
 # ---------------------------------------------------------------------------
-
-def _holds(zones, point, scale: int) -> bool:
-    """Does a guard hold on an int point?  It does when the delay window of
-    one of its zones contains 0."""
-    for zone in zones:
-        window = window_at(zone, point, scale)
-        if (window is not None and window[0] >= LE_ZERO
-                and (window[1] is None or window[1] >= LE_ZERO)):
-            return True
-    return False
-
-
-def _windows(zones, point, scale: int) -> list:
-    """The non-empty delay windows of an int point against each zone."""
-    return [window for window in (window_at(zone, point, scale)
-                                  for zone in zones) if window is not None]
-
 
 def _cuts(point, bounds, step: int, horizon: int) -> List[int]:
     """The sorted distances from an int point to the boundaries (i, c) that
@@ -458,15 +442,15 @@ class _Head:
         ``ProtocolError``) only when persistency admits ``first``, the
         smallest delay asked about."""
         bound = None
-        windows = _windows(self.entry, point, scale)
+        windows = windows_at(self.entry, point, scale)
         if windows and all(hi is not None for _, hi in windows):
             bound = max(hi for _, hi in windows)
             if 2 * first + 1 > bound:  # no delay asked about passes
                 return bound
         opt = self.receive(queue)
         if opt is not None:
-            starts = [1 - (lo & -2) for lo, _ in _windows(opt.zones, point,
-                                                           scale)]
+            starts = [1 - (lo & -2) for lo, _ in windows_at(opt.zones, point,
+                                                             scale)]
             if starts:
                 bound = min(starts) if bound is None else min(bound, *starts)
         return bound
@@ -535,12 +519,12 @@ class _Space:
             raise SpecError(missing.format(clock)) from None
 
     def zones(self, zones) -> list:
-        """The non-empty zones of a ZoneSet in the form ``window_at`` reads,
+        """The zones of a ZoneSet in the form ``window_at`` reads,
         positioned on this space's points."""
         return [zone.window_bounds(
                     [0] + [self.position(clock, "valuation lacks clock {!r}")
                            for clock in zone.clocks])
-                for zone in zones if not zone.empty]
+                for zone in zones]
 
     def guard_windows(self, opt: ChoiceOption) -> list:
         """``zones`` of the option's guard zones, one per guard object."""
@@ -634,12 +618,12 @@ class _Space:
         of the queue head."""
         out = []
         for opt in head.sends:
-            if _holds(opt.zones, point, scale):
+            if holds_at(opt.zones, point, scale):
                 out.append(((kinds[0], opt.message, None, None),
                             opt.reset(values), self.follow(opt), queue,
                             opt.message))
         opt = head.receive(queue)
-        if opt is not None and _holds(opt.zones, point, scale):
+        if opt is not None and holds_at(opt.zones, point, scale):
             out.append(((kinds[1], queue[0], None, None), opt.reset(values),
                         self.follow(opt), queue[1:], None))
         return out

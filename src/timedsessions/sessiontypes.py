@@ -38,12 +38,11 @@ from .constraints import (
     TRUE,
     atoms_of,
     clocks_of,
-    eval_constraint,
     zero_valuation,
 )
 from .errors import SpecError
-from .zones import (Zone, ZoneSet, to_zones, trajectory_zone, zoneset_entails,
-                    zoneset_meet, zoneset_to_constraint)
+from .zones import (Zone, ZoneSet, to_zones, trajectory_zone, zoneset_contains,
+                    zoneset_entails, zoneset_meet, zoneset_to_constraint)
 
 # ---------------------------------------------------------------------------
 # Payload sorts
@@ -533,8 +532,8 @@ def check_well_formed(node: TypeNode,
                       clocks=None) -> WfReport:
     """Decide well-formedness of a type with respect to a valuation.
 
-    The verdict is true iff the valuation satisfies the type's entry
-    constraint and the feasibility, mixed-choice and delegation conditions
+    The verdict is true iff the valuation lies in the type's entry zones
+    and the feasibility, mixed-choice and delegation conditions
     hold at every choice.  Violations are reported with the option path that
     produced them; nothing is thrown.  One ``_WfChecker`` walks the type
     once (plus one per delegated session); if a recursion escaped its
@@ -561,7 +560,7 @@ def check_well_formed(node: TypeNode,
     violations = [violation for violation, tracked in checker.violations
                   if tracked or checker.escaped]
     try:
-        if not eval_constraint(nu, gamma(node)):
+        if not zoneset_contains(gamma_head(node).entry_zones, nu):
             violations.append(Violation((), "feasibility",
                                         "initial valuation outside entry constraint"))
     except SpecError as exc:

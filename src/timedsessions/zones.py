@@ -9,13 +9,16 @@ Automata: Semantics, Algorithms and Tools* (2004): ``2k+1`` means
 ``<= k/scale``, ``2k`` means ``< k/scale`` and ``None`` means no bound.
 So the tighter of two bounds is the smaller int, their sum is
 ``((a & -2) + (b & -2)) | (a & b & 1)``, the negation of a bound is
-``1 - b``, and a zone is empty when some ``m[i][i] < 1``.  Zones of
-different scales are rescaled to the least common multiple before they are
-combined.  Membership tests compare ints at a common scale too, and so
-does ``window_at``, the interval of delays that carry an int point into a
-zone, read off the zone's ``Zone.window_bounds`` (``Zone.delay_window``
-converts a valuation for it); bounds are decoded to ``Fraction`` only for
-rendering back to constraints.
+``1 - b``, and a matrix is empty when some ``m[i][i] < 1``.  A ``Zone``
+is never empty: ``tighten``, ``canonicalize`` and ``intersect`` return None
+where a zone would empty, and the ZoneSet builders keep only live zones.
+Zones of different scales are rescaled to the least common multiple before
+they are combined.  A point is read one way: ``int_point`` converts a
+valuation once to ints at a common scale, and ``window_at`` gives the
+interval of delays that carry the int point into a zone, read off the
+zone's ``Zone.window_bounds``; a point is in a zone when its window holds
+0 (``holds_at``), which is how ``zoneset_contains`` decides membership.
+Bounds are decoded to ``Fraction`` only for rendering back to constraints.
 
 ``to_zones`` walks the negation normal form of a constraint depth-first,
 left to right, tightening one canonical zone per branch in O(n^2) and
@@ -37,7 +40,7 @@ back to a ``Constraint`` and are the print boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -84,12 +87,14 @@ def decode_bound(bound: Optional[int],
 
 @dataclass
 class Zone:
-    """Canonical DBM over ``clocks`` plus the reference clock at index 0."""
+    """Non-empty canonical DBM over ``clocks`` plus the reference clock at
+    index 0."""
 
     clocks: Tuple[str, ...]
     m: Matrix
-    empty: bool = False
     scale: int = 1
+    bounds: Optional[tuple] = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     # -- construction -------------------------------------------------------
 
@@ -111,8 +116,7 @@ class Zone:
             raise SpecError(f"clock {clock!r} not in zone clock set {self.clocks}")
 
     def copy(self) -> "Zone":
-        return Zone(self.clocks, [row[:] for row in self.m], self.empty,
-                    self.scale)
+        return Zone(self.clocks, [row[:] for row in self.m], self.scale)
 
     def rescaled(self, scale: int) -> "Zone":
         """This zone at ``scale``, a multiple of its own (self if equal)."""
@@ -121,17 +125,18 @@ class Zone:
         factor = scale // self.scale
         m = [[None if b is None else (b & -2) * factor + (b & 1) for b in row]
              for row in self.m]
-        return Zone(self.clocks, m, self.empty, scale)
+        return Zone(self.clocks, m, scale)
 
     def bound(self, i: int, j: int) -> Tuple[Optional[Fraction], bool]:
         """The bound on x_i - x_j, decoded: (value or None, strict)."""
         return decode_bound(self.m[i][j], self.scale)
 
-    def tighten(self, i: int, j: int, bound: int) -> "Zone":
-        """Add the encoded bound on x_i - x_j and close again in O(n^2).
+    def tighten(self, i: int, j: int, bound: int) -> Optional["Zone"]:
+        """Add the encoded bound on x_i - x_j in place and close again in
+        O(n^2); None when the bound closes a negative cycle.
 
-        The zone must be canonical and non-empty.  It stays canonical, or is
-        flagged empty when the bound closes a negative cycle.
+        Only the zone's builder may hold it: the zone stays canonical, or
+        is to be dropped.
         """
         m = self.m
         current = m[i][j]
@@ -140,8 +145,8 @@ class Zone:
         value, weak = bound & -2, bound & 1
         back = m[j][i]
         if back is not None and ((back & -2) + value) | (back & weak) < LE_ZERO:
-            self.empty = True
-            return self
+            return None
+        self.bounds = None
         # x_k - x_l <= (x_k - x_i) + bound + (x_j - x_l); column i and row j
         # cannot improve, so the update is safe in place.
         row_j = m[j]
@@ -160,8 +165,9 @@ class Zone:
                     row[col] = cand
         return self
 
-    def canonicalize(self) -> "Zone":
-        """Shortest-path closure; flags emptiness on a negative cycle."""
+    def canonicalize(self) -> Optional["Zone"]:
+        """Shortest-path closure in place; None on a negative cycle."""
+        self.bounds = None
         m = self.m
         for k, row_k in enumerate(m):
             for row in m:
@@ -178,58 +184,26 @@ class Zone:
                         row[j] = cand
         for i, row in enumerate(m):
             if row[i] < LE_ZERO:
-                self.empty = True
-                break
+                return None
         return self
 
     # -- queries -------------------------------------------------------------
 
-    def _point(self, nu: Mapping[str, Fraction]
-               ) -> Tuple[int, int, List[int]]:
-        """(scale, factor, ints): the LCM of the zone's scale and the
-        denominators of nu, the factor that rescales a bound to it, and nu
-        at that scale with the reference clock's 0 first."""
-        values = []
-        for clock in self.clocks:
-            if clock not in nu:
-                raise SpecError(f"valuation lacks clock {clock!r}")
-            value = nu[clock]
-            values.append(value if isinstance(value, (int, Fraction))
-                          else Fraction(value))
-        scale = lcm(self.scale, *(value.denominator for value in values))
-        return scale, scale // self.scale, [0] + [
-            value.numerator * (scale // value.denominator) for value in values]
-
     def contains(self, nu: Mapping[str, Fraction]) -> bool:
-        """Is nu in the zone?  Decided in ints at the LCM of the zone's scale
-        and the denominators of nu, where v_i - v_j meets the encoded bound
-        b exactly when ``2 (v_i - v_j) + 1 <= b``."""
-        if self.empty:
-            return False
-        _, factor, ints = self._point(nu)
-        for row, v_i in zip(self.m, ints):
-            for bound, v_j in zip(row, ints):
-                if (bound is not None and 2 * (v_i - v_j) + 1
-                        > (bound & -2) * factor + (bound & 1)):
-                    return False
-        return True
+        """Is nu in the zone?  ``zoneset_contains`` of the zone alone."""
+        return zoneset_contains([self], nu)
 
-    def delay_window(self, nu: Mapping[str, Fraction]
-                     ) -> Optional[Tuple[int, Optional[int], int]]:
-        """The delays t >= 0 with nu + t in the zone, or None if there are
-        none, as ``(lo, hi, scale)``: ``window_at`` at the LCM of the zone's
-        scale and the denominators of nu."""
-        if self.empty:
-            return None
-        scale, _, ints = self._point(nu)
-        window = window_at(self.window_bounds(range(len(ints))), ints, scale)
-        return None if window is None else (*window, scale)
-
-    def window_bounds(self, where: Sequence[int]) -> tuple:
-        """The bounds of this non-empty zone in the form ``window_at`` reads:
+    def window_bounds(self, where: Optional[Sequence[int]] = None) -> tuple:
+        """The bounds of this zone in the form ``window_at`` reads:
         ``(scale, uppers, lowers, diffs)``, each bound split into its even
         part and its closed bit, and each clock i of the zone (0 the
-        reference) named by its position ``where[i]`` in a point."""
+        reference) named by its position ``where[i]`` in a point.  Without
+        ``where``, i is its own position, as in ``int_point``, and the
+        bounds are built once, into ``bounds``."""
+        if where is None:
+            if self.bounds is None:
+                self.bounds = self.window_bounds(range(len(self.m)))
+            return self.bounds
         uppers, lowers, diffs = [], [], []
         for i, row in enumerate(self.m):
             for j, bound in enumerate(row):
@@ -244,19 +218,17 @@ class Zone:
                     diffs.append((where[i], where[j], *parts))
         return self.scale, tuple(uppers), tuple(lowers), tuple(diffs)
 
-    def intersect(self, other: "Zone") -> "Zone":
-        """The meet: this zone tightened by each bound of the other."""
+    def intersect(self, other: "Zone") -> Optional["Zone"]:
+        """The meet: this zone tightened by each bound of the other, or None
+        when it is empty."""
         if self.clocks != other.clocks:
             raise SpecError("zone clock sets differ")
         scale = lcm(self.scale, other.scale)
-        out = self.copy().rescaled(scale)
-        out.empty |= other.empty
+        out = self.rescaled(scale) if scale != self.scale else self.copy()
         for i, row in enumerate(other.rescaled(scale).m):
             for j, bound in enumerate(row):
-                if out.empty:
-                    return out
-                if bound is not None:
-                    out.tighten(i, j, bound)
+                if bound is not None and out.tighten(i, j, bound) is None:
+                    return None
         return out
 
     def widened(self, clocks: Iterable[str]) -> "Zone":
@@ -274,7 +246,7 @@ class Zone:
             m[i] = [row[0]] * n
             for bound, j in zip(row, where):
                 m[i][j] = bound
-        return Zone(ordered, m, self.empty, self.scale)
+        return Zone(ordered, m, self.scale)
 
     # -- timed operations ----------------------------------------------------
 
@@ -315,8 +287,6 @@ class Zone:
 
     def to_constraint(self) -> Constraint:
         """Re-express this canonical zone in the surface constraint grammar."""
-        if self.empty:
-            return FALSE
         parts: List[Constraint] = []
         n = len(self.m)
         for i in range(n):
@@ -340,8 +310,9 @@ def window_at(bounds: tuple, point: Sequence[int], scale: int
     the zone's, and the zone is given by its ``Zone.window_bounds``.  The
     delays form one interval, returned as ``(lo, hi)``: -t meets the encoded
     bound lo and t meets hi (None: no upper end), both at scale.  Decided in
-    ints as in ``Zone.contains``: the bounds on a clock alone bound t, and
-    the clock differences do not move with t."""
+    ints: v_i - v_j meets the encoded bound b exactly when
+    ``2 (v_i - v_j) + 1 <= b``, the bounds on a clock alone bound t, and the
+    clock differences do not move with t."""
     zone_scale, uppers, lowers, diffs = bounds
     factor = scale // zone_scale
     for i, j, even, closed in diffs:
@@ -359,6 +330,39 @@ def window_at(bounds: tuple, point: Sequence[int], scale: int
     if hi is not None and ((lo & -2) + (hi & -2)) | (lo & hi & 1) < LE_ZERO:
         return None
     return lo, hi
+
+
+def holds_at(zones, point, scale: int) -> bool:
+    """Is an int point in one of the zones, given by their window bounds?
+    It is when the delay window of one of them contains 0."""
+    for zone in zones:
+        window = window_at(zone, point, scale)
+        if (window is not None and window[0] >= LE_ZERO
+                and (window[1] is None or window[1] >= LE_ZERO)):
+            return True
+    return False
+
+
+def windows_at(zones, point, scale: int) -> list:
+    """The non-empty delay windows of an int point against each zone."""
+    return [window for window in (window_at(zone, point, scale)
+                                  for zone in zones) if window is not None]
+
+
+def int_point(nu: Mapping[str, Fraction], clocks: Sequence[str],
+              scale: int) -> Tuple[int, List[int]]:
+    """nu on clocks as an int point, the reference clock's 0 first, at the
+    LCM of scale and the denominators of nu; returns (that LCM, point)."""
+    values = []
+    for clock in clocks:
+        if clock not in nu:
+            raise SpecError(f"valuation lacks clock {clock!r}")
+        value = nu[clock]
+        values.append(value if isinstance(value, (int, Fraction))
+                      else Fraction(value))
+    scale = lcm(scale, *(value.denominator for value in values))
+    return scale, [0] + [value.numerator * (scale // value.denominator)
+                         for value in values]
 
 
 def _bounds_to_atoms(clock: str, sub: Optional[str],
@@ -421,16 +425,16 @@ def to_zones(c: Constraint, clocks: Optional[Iterable[str]] = None) -> ZoneSet:
                 k = 2 * node.const.numerator * (scale // node.const.denominator)
                 if node.op == ">":
                     if positive:
-                        zone.tighten(j, i, -k)      # x_j - x_i < -c
+                        zone = zone.tighten(j, i, -k)      # x_j - x_i < -c
                     else:
-                        zone.tighten(i, j, k + 1)   # x_i - x_j <= c
+                        zone = zone.tighten(i, j, k + 1)   # x_i - x_j <= c
                 elif positive:
-                    zone.tighten(i, j, k + 1)
-                    if not zone.empty:
-                        zone.tighten(j, i, 1 - k)
+                    zone = zone.tighten(i, j, k + 1)
+                    if zone is not None:
+                        zone = zone.tighten(j, i, 1 - k)
                 else:
                     splits = ((i, j, k), splits)
-                if zone.empty:
+                if zone is None:
                     break
             elif kind is Not:
                 todo = ((node.inner, not positive), todo)
@@ -467,21 +471,27 @@ def _split(zone: Zone, splits, out: ZoneSet) -> None:
             continue
         i, j, k = order[at]
         above = piece.copy().tighten(j, i, -k)   # x_i - x_j > c
-        if not above.empty:
+        if above is not None:
             stack.append((above, at + 1))
-        piece.tighten(i, j, k)                   # x_i - x_j < c
-        if not piece.empty:
+        if piece.tighten(i, j, k) is not None:   # x_i - x_j < c
             stack.append((piece, at + 1))
 
 
 def zoneset_meet(a: ZoneSet, b: ZoneSet) -> ZoneSet:
     """The intersection of two ZoneSets: their non-empty pairwise meets."""
     meets = (x.intersect(y) for x in a for y in b)
-    return [zone for zone in meets if not zone.empty]
+    return [zone for zone in meets if zone is not None]
 
 
 def zoneset_contains(zones: ZoneSet, nu: Mapping[str, Fraction]) -> bool:
-    return any(zone.contains(nu) for zone in zones)
+    """Is nu in one of the zones?  nu is converted once, on the set's one
+    clock tuple at the LCM of the zones' scales, and read against their own
+    ``Zone.window_bounds``."""
+    if not zones:
+        return False
+    scale, point = int_point(nu, zones[0].clocks,
+                             lcm(*(zone.scale for zone in zones)))
+    return holds_at([zone.window_bounds() for zone in zones], point, scale)
 
 
 def zoneset_to_constraint(zones: ZoneSet) -> Constraint:
@@ -500,10 +510,6 @@ def is_sat(c: Constraint, clocks: Optional[Iterable[str]] = None) -> bool:
 
 def zone_minus(w: Zone, z: Zone) -> List[Zone]:
     """w with z removed, as disjoint zones: one piece per negated bound of z."""
-    if w.empty:
-        return []
-    if z.empty:
-        return [w]
     scale = lcm(w.scale, z.scale)
     remaining, z = w.rescaled(scale), z.rescaled(scale)
     owned = remaining is not w  # remaining may be tightened in place
@@ -519,13 +525,12 @@ def zone_minus(w: Zone, z: Zone) -> List[Zone]:
                 continue  # remaining meets the bound: its negation is empty
             # negation of  x_i - x_j (<|<=) c  is  x_j - x_i (<=|<) -c
             piece = remaining.copy().tighten(j, i, 1 - b)
-            if not piece.empty:
+            if piece is not None:
                 pieces.append(piece)
             # keep the bound on the remainder so pieces stay disjoint
             if not owned:
                 remaining, owned = remaining.copy(), True
-            remaining.tighten(i, j, b)
-            if remaining.empty:
+            if remaining.tighten(i, j, b) is None:
                 return pieces
     return pieces
 

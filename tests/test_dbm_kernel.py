@@ -2,8 +2,9 @@
 
 The oracle below keeps each bound as (value or None, strict) with exact
 Fraction arithmetic, written out here and shared with no production path.
-The kernel must agree on emptiness and, for non-empty zones, on every
-decoded bound and its strictness.
+The kernel must agree on emptiness (an operation that would empty a zone
+returns None) and, for non-empty zones, on every decoded bound and its
+strictness.
 """
 
 import random
@@ -81,8 +82,9 @@ def encoded_zone(bounds):
 
 
 def assert_agrees(zone, bounds):
+    """zone is the kernel's result, None when it found the zone empty."""
     expected, empty = oracle_closure(bounds)
-    assert zone.empty == empty
+    assert (zone is None) == empty
     if empty:
         return
     n = len(bounds)
@@ -114,7 +116,7 @@ def test_closure_matches_fraction_floyd_warshall():
         bounds = random_bounds(rng, n, integer=trial % 2 == 0)
         zone = encoded_zone(bounds).canonicalize()
         assert_agrees(zone, bounds)
-        empties += zone.empty
+        empties += zone is None
     assert 100 < empties < 500  # both outcomes are exercised
 
 
@@ -125,13 +127,13 @@ def test_incremental_tighten_matches_full_closure():
         n = rng.randint(2, 4)
         bounds = random_bounds(rng, n, integer=trial % 2 == 0)
         zone = encoded_zone(bounds).canonicalize()
-        if zone.empty:
+        if zone is None:
             continue
         i, j = rng.sample(range(n), 2)
         value = random_value(rng, integer=trial % 2 == 0)
         strict = rng.random() < 0.5
         zone = zone.rescaled(lcm(zone.scale, value.denominator))
-        zone.tighten(i, j, encode_bound(value, strict, zone.scale))
+        zone = zone.tighten(i, j, encode_bound(value, strict, zone.scale))
         closed, _ = oracle_closure(bounds)
         if tighter((value, strict), closed[i][j]):
             closed[i][j] = (value, strict)
@@ -259,9 +261,10 @@ def test_intersect_of_canonical_zones_is_the_closure_of_the_tighter_bounds():
         (a, closed_a), (b, closed_b) = first, second
         raw = [[x if tighter(x, y) else y for x, y in zip(row_a, row_b)]
                for row_a, row_b in zip(closed_a, closed_b)]
+        before = [row[:] for row in a.m], [row[:] for row in b.m]
         meet = a.intersect(b)
         assert_agrees(meet, raw)
         met += 1
-        empties += meet.empty
-        assert not a.empty and not b.empty  # the operands are untouched
+        empties += meet is None
+        assert (a.m, b.m) == before  # the operands are untouched
     assert met > 200 and 0 < empties < met

@@ -1,10 +1,11 @@
 """Delay windows against the single-delay time rule.
 
-`Zone.delay_window` is checked against membership of the shifted valuation
-and against the `trajectory_zone` sweep, and `semantics.delay_bound` (the
-per-side bound `admissible_delays` filters with) against `qconfig_time` on
-every boundary sample, the midpoints between samples and the window
-endpoints themselves.  The int kernel the progress explorer runs on,
+`zones.window_at` on a zone's own clocks is checked against
+`eval_constraint` of the shifted valuation on the zone's rendered
+constraint and against the `trajectory_zone` sweep, and
+`semantics.delay_bound` (the per-side bound `admissible_delays` filters
+with) against `qconfig_time` on every boundary sample, the midpoints
+between samples and the window endpoints themselves.  The int kernel the progress explorer runs on,
 `zones.window_at` and the guard test of its step relation, is checked
 against `eval_constraint` directly.  Valuations are drawn in halves and
 thirds, guards mix open and closed endpoints, equalities, differences and
@@ -94,6 +95,16 @@ def probe_points(samples, extra):
 CLOCK_SETS = [("x", "y"), ("x",), ()]
 
 
+def own_window(zone, nu):
+    """`window_at` of the zone on nu, as `(lo, hi, scale)` at the LCM of
+    the zone's scale and the denominators of nu, or None."""
+    scale = lcm(zone.scale, *(nu[clock].denominator for clock in zone.clocks))
+    point = [0] + [int(nu[clock] * scale) for clock in zone.clocks]
+    window = zones.window_at(zone.window_bounds(range(len(point))), point,
+                             scale)
+    return None if window is None else (*window, scale)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_delay_window_is_the_set_of_delays_into_the_zone(seed):
     rng = random.Random(seed)
@@ -102,17 +113,17 @@ def test_delay_window_is_the_set_of_delays_into_the_zone(seed):
         clocks = rng.choice(CLOCK_SETS[:2])
         nu = random_nu(rng, clocks)
         for zone in to_zones(random_guard(rng, clocks)):
-            window = zone.delay_window(nu)
+            window = own_window(zone, nu)
             ends = window_ends(window) if window else []
+            rendered = zone.to_constraint()
             for t in probe_points(sorted(GRID), ends):
-                inside = zone.contains(shift(nu, t))
+                inside = constraints.eval_constraint(shift(nu, t), rendered)
                 assert (window is not None and in_window(window, t)) == inside
                 # some delay in [0, t) reaches the zone: the window's lower
                 # end, open or closed, lies before t
                 own = {clock: nu[clock] for clock in zone.clocks}
-                swept = not (zone.intersect(
-                    trajectory_zone(own, t, include_end=False))
-                    if own else zone).empty
+                swept = not own or zone.intersect(trajectory_zone(
+                    own, t, include_end=False)) is not None
                 assert swept == (window is not None
                                  and window_ends(window)[0] < t)
                 checked += 1
@@ -216,7 +227,7 @@ def test_delay_bound_agrees_with_qconfig_time():
         if isinstance(head, Choice):
             zones = list(head.entry_zones)
             zones += [z for opt in head.options for z in opt.guard_zones]
-            windows = [zone.delay_window(qc.nu) for zone in zones]
+            windows = [own_window(zone, qc.nu) for zone in zones]
             ends = [e for window in windows if window
                     for e in window_ends(window)]
         points = probe_points(samples, ends)

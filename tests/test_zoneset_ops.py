@@ -50,7 +50,8 @@ def test_meet_is_nonempty_exactly_when_the_conjunction_is_satisfiable():
     for reach, guard, _ in cases():
         meet = zoneset_meet(to_zones(reach, CLOCKS), to_zones(guard, CLOCKS))
         assert bool(meet) == is_sat(And(reach, guard), CLOCKS)
-        assert all(not zone.empty for zone in meet)
+        # each zone is canonical and non-empty: its closure leaves it as is
+        assert all(zone.copy().canonicalize() == zone for zone in meet)
         met += bool(meet)
     assert 0 < met < CASES
 
