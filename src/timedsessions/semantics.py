@@ -47,7 +47,6 @@ from math import gcd, lcm
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .constraints import (
-    Constraint,
     Valuation,
     apply_reset,
     eval_constraint,
@@ -57,6 +56,7 @@ from .constraints import (
 from .errors import ProtocolError, SpecError
 from .sessiontypes import (
     ChoiceOption,
+    CompiledGuards,
     Delegate,
     End,
     PayloadSort,
@@ -70,7 +70,7 @@ from .sessiontypes import (
     unfold_head,
 )
 from .rational import format_rational
-from .zones import constraint_equiv, holds_at, windows_at
+from .zones import constraint_equiv, holds_at, trajectory_zone, windows_at
 
 # ---------------------------------------------------------------------------
 # States
@@ -81,6 +81,14 @@ from .zones import constraint_equiv, holds_at, windows_at
 class Message:
     label: str
     sort: PayloadSort
+
+    def __post_init__(self) -> None:
+        # hashed once: a queued message is hashed again with every state key
+        # that holds it
+        object.__setattr__(self, "_hash", hash((self.label, self.sort)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         return self.label if str(self.sort) == "None" else f"{self.label}<{self.sort}>"
@@ -240,22 +248,24 @@ def qconfig_time(qc: QConfig, t: Fraction):
         return None, "persistency"
     if qc.queue:
         opt = _head_receive_option(qc)
-        if opt is not None and _receivable_during(qc.nu, opt, t):
+        if opt is not None and _receivable_during(qc, opt, t):
             return None, "urgency"
     return QConfig(shifted, qc.node, qc.queue), None
 
 
-def _receivable_during(nu: Valuation, opt: ChoiceOption, t: Fraction) -> bool:
-    """Is the option's guard satisfied at nu + t' for some 0 <= t' < t?"""
+def _receivable_during(qc: QConfig, opt: ChoiceOption, t: Fraction) -> bool:
+    """Is the guard of the option of qc's head satisfied at nu + t' for
+    some 0 <= t' < t?"""
+    nu = qc.nu
     if not nu:
         return eval_constraint(nu, opt.guard)
-    from .zones import trajectory_zone
-
+    head = unfold_head(qc.node)
+    zones = next(zones for other, zones in zip(head.options,
+                                               head.compiled.zones)
+                 if other is opt)
     window = trajectory_zone(nu, t, include_end=False)
-    for zone in opt.guard_zones:
-        if zone.widened(nu).intersect(window) is not None:
-            return True
-    return False
+    return any(zone.widened(nu).intersect(window) is not None
+               for zone in zones)
 
 
 # ---------------------------------------------------------------------------
@@ -341,12 +351,13 @@ def _action(action: tuple) -> SysAction:
 
 
 def _head_scale(head) -> int:
-    """The LCM of the scales of a head's compiled zones and of the
-    denominators of its clock bounds."""
-    return lcm(*(zone.scale for zone in head.entry_zones),
-               *(zone.scale for opt in head.options
-                 for zone in opt.guard_zones),
-               *(const.denominator for _, const in head.clock_bounds))
+    """The LCM of the scales of a head's guard zones (its entry zones keep
+    theirs) and of the denominators of its clock bounds; 1 for end."""
+    if not head.options:
+        return 1
+    compiled = head.compiled
+    return lcm(*(zone.scale for zones in compiled.zones for zone in zones),
+               *(const.denominator for _, const in compiled.clock_bounds))
 
 
 class _Option:
@@ -356,9 +367,9 @@ class _Option:
 
     __slots__ = ("message", "zones", "resets", "node", "head")
 
-    def __init__(self, opt: ChoiceOption, space: "_Space"):
+    def __init__(self, opt: ChoiceOption, zones: list, space: "_Space"):
         self.message = Message(opt.label, opt.payload)
-        self.zones = space.guard_windows(opt)
+        self.zones = zones
         unknown = opt.resets - set(space.clocks)
         if unknown:
             raise SpecError(f"reset of undeclared clock(s): {sorted(unknown)}")
@@ -399,13 +410,13 @@ class _Head:
         """Compile what the step relation reads, on the first step from
         this head (canonicalisation reads only the caps)."""
         self.sends, self.receives = [], {}
-        for opt in self.node.options:
-            compiled = _Option(opt, space)
+        self.entry, guards = space.windows(self.node)
+        for opt, zones in zip(self.node.options, guards):
+            compiled = _Option(opt, zones, space)
             if opt.direction == SEND:
                 self.sends.append(compiled)
             else:
                 self.receives.setdefault(opt.label, compiled)
-        self.entry = space.entry_windows(self.node)
         self.bounds = tuple(
             (space.position(clock, "unknown clock {!r} in guard"),
              const.numerator * (space.d // const.denominator))
@@ -472,19 +483,18 @@ class _Space:
     region representative (when the space has a cap) and reduces it so that
     gcd(den, *L, *R) == 1: equal valuations give equal states.  The heads
     met are compiled once per space, by printed form, as the state names
-    them, and the guard windows they read are built once per guard object
-    (``guard_windows``, ``entry_windows``), so the heads of S, of dual(S)
-    and of their unfoldings, which share their guards, share them too; a
-    space belongs to one call and is dropped with it."""
+    them, and the windows they read are built once per choice family
+    (``windows``): the heads of S, of dual(S) and of their unfoldings hold
+    one ``Choice.compiled`` and share its windows too; a space belongs to
+    one call and is dropped with it."""
 
     def __init__(self, clocks, d: int, cap: Optional[Fraction] = None):
         self.clocks = tuple(clocks)
         self.d = d
         self.cap = cap
         self.heads: Dict[str, _Head] = {}
-        # by id, with the keyed objects themselves so that no id is reused
-        self.guards: Dict[int, Tuple[Constraint, list]] = {}
-        self.entries: Dict[tuple, Tuple[tuple, list]] = {}
+        # by id, with the keyed object itself so that no id is reused
+        self.families: Dict[int, Tuple[CompiledGuards, list, list]] = {}
 
     @classmethod
     def of(cls, sys: System) -> "_Space":
@@ -526,23 +536,18 @@ class _Space:
                            for clock in zone.clocks])
                 for zone in zones]
 
-    def guard_windows(self, opt: ChoiceOption) -> list:
-        """``zones`` of the option's guard zones, one per guard object."""
-        found = self.guards.get(id(opt.guard))
+    def windows(self, head) -> Tuple[list, list]:
+        """``zones`` of the head's entry zones, and of each option's guard
+        zones, once per choice family (``Choice.compiled``)."""
+        if not head.options:  # end
+            return self.zones(head.entry_zones), []
+        compiled = head.compiled
+        found = self.families.get(id(compiled))
         if found is None:
-            found = self.guards[id(opt.guard)] = (
-                opt.guard, self.zones(opt.guard_zones))
-        return found[1]
-
-    def entry_windows(self, head) -> list:
-        """``zones`` of the head's entry zones, one per tuple of guard
-        objects: a choice's entry depends on its guards alone."""
-        guards = tuple(opt.guard for opt in head.options)
-        key = tuple(map(id, guards))
-        found = self.entries.get(key)
-        if found is None:
-            found = self.entries[key] = (guards, self.zones(head.entry_zones))
-        return found[1]
+            found = self.families[id(compiled)] = (
+                compiled, self.zones(compiled.entry_zones),
+                [self.zones(zones) for zones in compiled.zones])
+        return found[1], found[2]
 
     def head(self, node: TypeNode) -> _Head:
         """The compiled head of a node, one for all unfolded heads that

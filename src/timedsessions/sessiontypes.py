@@ -14,11 +14,13 @@ are well-formed from their initial constraint).  Mixed-choice safety is
 judged against the region each subterm can be reached with; one walk also
 collects the answer under the universal region, which stands whenever a
 recursion is re-entered outside the region its binder was checked with.
-The checker works on ZoneSets throughout: each option compiles its guard once
-(``ChoiceOption.guard_zones``) and each choice its entry constraint, the
-down-closure of those guards (``Choice.entry_zones``); the checker widens
-them to the type's clocks, and ``Choice.entry`` renders the entry back to a
-constraint only for witnesses.
+The checker works on ZoneSets throughout.  A choice's guards are compiled
+once for its whole family, the choice and every choice rebuilt from it by
+duality, unfolding or substitution (``CompiledGuards``, read through
+``Choice.compiled``): each option's guard zones, the entry constraint, the
+down-closure of those guards (``Choice.entry_zones``), and the clock
+bounds.  The checker widens the zones to the type's clocks, and
+``Choice.entry`` renders the entry back to a constraint only for witnesses.
 """
 
 from __future__ import annotations
@@ -94,27 +96,31 @@ class ChoiceOption:
     resets: FrozenSet[str]
     continuation: "TypeNode"
 
+
+class CompiledGuards:
+    """The guards of a choice family, compiled once, each part on first
+    use.  A choice family is a choice and every choice that
+    ``map_continuations`` rebuilds from it (its dual, its unfoldings, its
+    substitutions): that function changes only directions and
+    continuations, so they all hold the same guard objects in the same
+    order, and they all hold this one object.  The zones are shared, never
+    copied: no reader tightens a zone it did not build."""
+
+    def __init__(self, guards: Tuple[Constraint, ...]):
+        self.guards = guards
+
     @cached_property
-    def guard_zones(self) -> ZoneSet:
-        """The guard as a ZoneSet over its own clocks, built once."""
-        return to_zones(self.guard)
-
-
-@dataclass(frozen=True)
-class Choice:
-    options: Tuple[ChoiceOption, ...]
-
-    def __post_init__(self) -> None:
-        if not self.options:
-            raise SpecError("a choice needs at least one option")
+    def zones(self) -> Tuple[ZoneSet, ...]:
+        """Each option's guard as a ZoneSet over its own clocks."""
+        return tuple(to_zones(guard) for guard in self.guards)
 
     @cached_property
     def entry_zones(self) -> ZoneSet:
         """gamma of the choice, the past of the disjunction of its guards:
         the down-closure of the guard ZoneSets over the guards' clocks."""
-        clocks = set().union(*(clocks_of(opt.guard) for opt in self.options))
+        clocks = set().union(*map(clocks_of, self.guards))
         return [zone.widened(clocks).down()
-                for opt in self.options for zone in opt.guard_zones]
+                for zones in self.zones for zone in zones]
 
     @cached_property
     def entry(self) -> Constraint:
@@ -126,8 +132,28 @@ class Choice:
         """The (clock, const) of every single-clock guard atom, in order and
         without repeats: the boundaries a delay can cross."""
         return tuple(dict.fromkeys(
-            (atom.clock, atom.const) for opt in self.options
-            for atom in atoms_of(opt.guard) if atom.sub is None))
+            (atom.clock, atom.const) for guard in self.guards
+            for atom in atoms_of(guard) if atom.sub is None))
+
+
+@dataclass(frozen=True)
+class Choice:
+    options: Tuple[ChoiceOption, ...]
+
+    def __post_init__(self) -> None:
+        if not self.options:
+            raise SpecError("a choice needs at least one option")
+
+    @cached_property
+    def compiled(self) -> CompiledGuards:
+        """The guards of the choice's family, compiled once for all of it;
+        ``map_continuations`` hands it on to every choice it rebuilds."""
+        return CompiledGuards(tuple(opt.guard for opt in self.options))
+
+    # read through the family's compile, so no choice compiles its own
+    entry_zones = property(lambda self: self.compiled.entry_zones)
+    entry = property(lambda self: self.compiled.entry)
+    clock_bounds = property(lambda self: self.compiled.clock_bounds)
 
     @cached_property
     def clock_ceilings(self) -> Mapping[str, Fraction]:
@@ -318,7 +344,10 @@ def map_continuations(node: TypeNode, f: Callable[[TypeNode], TypeNode],
 
     Returns node itself, and each option itself, when f returns every child
     unchanged and no direction changes, so a walk that changes nothing
-    builds nothing and keeps what the nodes compiled."""
+    builds nothing and keeps what the nodes compiled.  A rebuilt choice
+    keeps the guards of node, so it shares node's ``compiled``; what
+    depends on directions or continuations (``printed``,
+    ``clock_ceilings``) it builds anew."""
     if isinstance(node, Rec):
         body = f(node.body)
         return node if body is node.body else Rec(node.var, body)
@@ -333,7 +362,9 @@ def map_continuations(node: TypeNode, f: Callable[[TypeNode], TypeNode],
             options.append(o)
         if all(map(is_, options, node.options)):
             return node
-        return Choice(tuple(options))
+        rebuilt = Choice(tuple(options))
+        vars(rebuilt)["compiled"] = node.compiled  # the same guards
+        return rebuilt
     return node
 
 
@@ -435,8 +466,8 @@ class _WfChecker:
     tracked reach: only mixed-choice safety depends on the reach.  Once a
     recursion is re-entered outside its analysed reach (``escaped``), only
     the universal answer stands, and the walk goes on with ``reach`` None.
-    Guards and entry constraints are the ZoneSets compiled on the type
-    nodes, widened to ``clocks``."""
+    Guards and entry constraints are the ZoneSets each choice family
+    compiles once (``Choice.compiled``), widened to ``clocks``."""
 
     def __init__(self, clocks):
         self.clocks = tuple(sorted(clocks))
@@ -470,14 +501,15 @@ class _WfChecker:
             self.check(node.body, path, {**gamma_env, node.var: head},
                        {**reach_env, node.var: reach}, reach)
             return
-        # a choice, or end, which has no options
+        if not node.options:  # end
+            return
         seen_labels = set()
         for opt in node.options:
             if opt.label in seen_labels:
                 self.add(path, "duplicate-label", opt.label)
             seen_labels.add(opt.label)
         options = node.options
-        guards = [self.widened(opt.guard_zones) for opt in options]
+        guards = [self.widened(zones) for zones in node.compiled.zones]
         # (mixed-choice) differently-directed options must be time-disjoint
         # at every valuation this choice can actually be reached with.
         for (a, ga), (b, gb) in combinations(zip(options, guards), 2):

@@ -226,7 +226,7 @@ def test_delay_bound_agrees_with_qconfig_time():
         ends = []
         if isinstance(head, Choice):
             zones = list(head.entry_zones)
-            zones += [z for opt in head.options for z in opt.guard_zones]
+            zones += [z for opt in head.options for z in to_zones(opt.guard)]
             windows = [own_window(zone, qc.nu) for zone in zones]
             ends = [e for window in windows if window
                     for e in window_ends(window)]

@@ -80,7 +80,7 @@ class _TwoPassChecker:
                     Violation(path, "duplicate-label", opt.label))
             seen_labels.add(opt.label)
         options = node.options
-        guards = [self.widened(opt.guard_zones) for opt in options]
+        guards = [self.widened(to_zones(opt.guard)) for opt in options]
         for (a, ga), (b, gb) in combinations(zip(options, guards), 2):
             if (a.direction != b.direction
                     and zoneset_meet(reach, zoneset_meet(ga, gb))):
