@@ -27,7 +27,10 @@ Redexes are found in two parts: one walk, ``_sites``, lists the active
 leaves with the buffers each sees, and ``_classify`` turns one leaf into
 a redex.  The scheduler keeps the classified list across instant steps
 and walks the term again only when a step changes its structure, or
-after a time step.  A time step renormalises only the active nodes of
+after a time step.  An instant step that leaves a leaf only records its
+new leaf and buffer by path; the whole term is rebuilt from those
+pending replacements only when something reads it: a time step, a walk,
+the end of the run.  A time step renormalises only the active nodes of
 ``phi``'s result, the only ones ``phi`` rebuilds.
 """
 
@@ -138,12 +141,20 @@ class IfTimer:
     then_branch: "ProcNode"
     else_branch: "ProcNode"
 
+    @cached_property
+    def cond_text(self) -> str:
+        return str(self.cond)
+
 
 @dataclass(frozen=True)
 class DelayConstraint:
     var: str
     cond: Constraint
     cont: "ProcNode"
+
+    @cached_property
+    def cond_text(self) -> str:
+        return str(self.cond)
 
     @cached_property
     def candidates(self) -> Tuple[Fraction, ...]:
@@ -630,6 +641,8 @@ def instantiate_call(defn: Def, call: Call) -> ProcNode:
             or len(call.timer_args) != len(defn.timer_params)
             or len(call.chan_args) != len(defn.chan_params)):
         raise SpecError(f"arity mismatch calling {defn.name!r}")
+    if not (defn.val_params or defn.timer_params or defn.chan_params):
+        return defn.body
     body = defn.body
     renames = {}
     renames.update(dict(zip(defn.timer_params, call.timer_args)))
@@ -650,39 +663,31 @@ def instantiate_call(defn: Def, call: Call) -> ProcNode:
 Path = Tuple[int, ...]
 
 
-def _get(term: ProcNode, path: Path) -> ProcNode:
-    """The subterm of term at path."""
-    for i in path:
-        term = children(term)[i]
-    return term
+def _replace_normal(term: ProcNode, news: Mapping[Path, ProcNode]
+                    ) -> ProcNode:
+    """The normal form of term with news[path] put at each path, where term
+    is normal, each new subterm is normal below its head, and no path is a
+    prefix of another.
 
-
-def _replace(term: ProcNode, path: Path, new: ProcNode) -> ProcNode:
-    if not path:
-        return new
-    kids = list(children(term))
-    i = path[0]
-    kids[i] = _replace(kids[i], path[1:], new)
-    return _SHAPES[type(term)].rebuild(term, kids)
-
-
-def _replace_normal(term: ProcNode, path: Path, new: ProcNode) -> ProcNode:
-    """The normal form of term with new at path, where term is normal and
-    new is normal below its head.
-
-    Every other subterm is already normal, so only new's head and the nodes
-    on path are renormalised, bottom-up, as ``_normalize`` would.
+    Every other subterm is already normal, so only the new heads and the
+    nodes on the paths are renormalised, bottom-up, as ``_normalize`` would.
     """
-    if not path:
-        return _normal_node(new)
-    kids = list(children(term))
-    i = path[0]
-    kids[i] = _replace_normal(kids[i], path[1:], new)
-    return _normal_node(_SHAPES[type(term)].rebuild(term, kids))
+    def put(node: ProcNode, below: List[Tuple[Path, ProcNode]],
+            depth: int) -> ProcNode:
+        if len(below[0][0]) == depth:  # then it is the only one
+            return _normal_node(below[0][1])
+        by_child: Dict[int, List[Tuple[Path, ProcNode]]] = {}
+        for item in below:
+            by_child.setdefault(item[0][depth], []).append(item)
+        kids = list(children(node))
+        for i, items in by_child.items():
+            kids[i] = put(kids[i], items, depth + 1)
+        return _normal_node(_SHAPES[type(node)].rebuild(node, kids))
+
+    return put(term, list(news.items()), 0) if news else term
 
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(NamedTuple):
     kind: str      # set | if | send | recv | det | def | call | err | stuck
     detail: str
     path: Path
@@ -767,9 +772,9 @@ def _classify(path: Path, node: ProcNode, buffers: Buffers) -> Optional[Redex]:
             return Redex("recv", f"{node.endpoint} after-timeout", path, node)
         return None
     if isinstance(node, IfTimer):
-        return Redex("if", str(node.cond), path, node)
+        return Redex("if", node.cond_text, path, node)
     if isinstance(node, DelayConstraint):
-        return Redex("det", str(node.cond), path, node)
+        return Redex("det", node.cond_text, path, node)
     if isinstance(node, Call):
         return Redex("call", node.name, path, node)
     if isinstance(node, PErr):
@@ -821,65 +826,71 @@ def _apply_redex(root: ProcNode, redex: Redex, rho: TimerEnv,
                  picker: Optional[_DelayPicker]) -> Tuple[TimerEnv, ProcNode]:
     """One instant step from the normal term root: the timers after it and
     the normal form of the term it leads to."""
-    rho, root, new = _reduce(root, redex, rho, registry, picker)
-    return rho, _replace_normal(root, redex.path, new)
+    rho, new, buf, _ = _reduce(redex, rho, registry, picker, lambda: root)
+    news = {redex.path: new}
+    if buf is not None:
+        news[redex.buffer_path] = buf
+    return rho, _replace_normal(root, news)
 
 
-def _reduce(root: ProcNode, redex: Redex, rho: TimerEnv,
-            registry: Dict[str, Def], picker: Optional[_DelayPicker]
-            ) -> Tuple[TimerEnv, ProcNode, ProcNode]:
-    """The timers after the step, root with the step's buffer updated, and
-    the subterm that replaces the redex at redex.path.  The redex must come
-    from ``_collect_redexes(root)``: its node and buffer are read as found.
+def _reduce(redex: Redex, rho: TimerEnv, registry: Dict[str, Def],
+            picker: Optional[_DelayPicker], whole: Callable[[], ProcNode]
+            ) -> Tuple[TimerEnv, ProcNode, Optional[Buffer], str]:
+    """The timers after the step, the subterm that replaces the redex at
+    redex.path, the buffer that replaces the one at redex.buffer_path (None
+    if the step rewrites none), and the step as the trace prints it.
 
-    Every such subterm is a subterm of root, or a renaming or substitution
-    of one, so it is normal below its head when root is normal.
+    The redex's node and buffer are read as found; whole() gives the term
+    they were found in, and is read only to find a definition that is not
+    in registry.  Every new subterm is a subterm of that term, or a
+    renaming or substitution of one, so it is normal below its head when
+    the term is normal.
     """
     node, buf = redex.node, redex.buffer
     if redex.kind == "def":
         assert isinstance(node, Def)
         registry[node.name] = node
-        return rho, root, node.cont
+        return rho, node.cont, None, f"def {redex.detail}"
     if redex.kind == "set":
         assert isinstance(node, SetTimer)
         new_rho = dict(rho)
         new_rho[node.timer] = Fraction(0)
-        return new_rho, root, node.cont
+        return new_rho, node.cont, None, f"set {redex.detail}"
     if redex.kind == "if":
         assert isinstance(node, IfTimer)
         if eval_constraint(rho, node.cond):
-            return rho, root, node.then_branch
-        return rho, root, node.else_branch
+            return rho, node.then_branch, None, f"if ({redex.detail}) -> then"
+        return rho, node.else_branch, None, f"if ({redex.detail}) -> else"
     if redex.kind == "send":
         assert isinstance(node, Send) and isinstance(buf, Buffer)
         new_buf = Buffer(buf.src, buf.dst, buf.items + ((node.label, node.value),))
-        return rho, _replace(root, redex.buffer_path, new_buf), node.cont
+        return rho, node.cont, new_buf, f"send {redex.detail}"
     if redex.kind == "recv":
         assert isinstance(node, ReceiveAfter)
         if buf is None:  # timeout expiry (after 0, empty queue)
             assert node.timeout is not None
-            return rho, root, node.timeout
+            return rho, node.timeout, None, f"recv {redex.detail}"
         assert buf.items
         label, value = buf.items[0]
         branch = next(b for b in node.branches if b.label == label)
         cont = branch.cont
         if branch.binder is not None:
             cont = subst_value(cont, branch.binder, value)
-        root = _replace(root, redex.buffer_path,
-                        Buffer(buf.src, buf.dst, buf.items[1:]))
-        return rho, root, cont
+        return (rho, cont, Buffer(buf.src, buf.dst, buf.items[1:]),
+                f"recv {redex.detail}")
     if redex.kind == "det":
         assert isinstance(node, DelayConstraint)
         if picker is None:
             raise SpecError("delay(constraint) needs a resolution policy")
         t = picker.pick(node)
-        return rho, root, DelayExact(t, node.cont)
+        return (rho, DelayExact(t, node.cont), None,
+                f"det delay({format_rational(t)}) for {redex.detail}")
     if redex.kind == "call":
         assert isinstance(node, Call)
-        defn = registry.get(node.name) or _scan_defs(root, node.name)
+        defn = registry.get(node.name) or _scan_defs(whole(), node.name)
         if defn is None:
             raise SpecError(f"call to undefined process {node.name!r}")
-        return rho, root, instantiate_call(defn, node)
+        return rho, instantiate_call(defn, node), None, f"call {redex.detail}"
     raise SpecError(f"redex kind {redex.kind!r} is not reducible")
 
 
@@ -919,7 +930,7 @@ def instant_step(rho: TimerEnv, p: ProcNode) -> List[Tuple[TimerEnv, ProcNode]]:
             node = redex.node
             for t in node.candidates:
                 results.append((rho, _replace_normal(
-                    p, redex.path, DelayExact(t, node.cont))))
+                    p, {redex.path: DelayExact(t, node.cont)})))
             continue
         results.append(_apply_redex(p, redex, rho, {}, None))
     return results
@@ -984,16 +995,19 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     Instant steps are exhausted in leftmost order before the unique enabled
     time step fires; delay(constraint) durations are resolved by the policy.
 
-    An instant step rewrites one redex and at most one buffer, so it only
-    rebuilds the nodes on the redex's path and only resolves the timeouts
-    of the subterm it put there.  Above a new leaf those nodes stay normal;
-    above anything else ``_replace_normal`` renormalises them.  The term's
-    sites (``_sites``) and their redexes are kept from step to step: when
-    the new subterm is a leaf, no other site moves, so the step replaces
-    its own site and puts the buffer it rewrote into every site that sees
-    it.  A new composition, session scope or buffer moves paths or changes
-    what sites see, so the term is walked again, as after a time step,
-    which renormalises and resolves the active nodes of the whole term.
+    An instant step rewrites one redex and at most one buffer, and only
+    resolves the timeouts of the subterm it put there.  The term's sites
+    (``_sites``) and their redexes are kept from step to step: when the new
+    subterm is a leaf, no other site moves, so the step replaces its own
+    site and puts the buffer it rewrote into every site that sees it.  The
+    new leaf and buffer are kept by path as pending replacements, and the
+    whole term is rebuilt from them (``_replace_normal``) only when it is
+    read: before a time step, before a walk, for a definition missing from
+    the registry, and for the result.  A new composition, session scope or
+    buffer moves paths or changes what sites see, so the term is rebuilt,
+    renormalising the nodes above it, and walked again, as after a time
+    step, which renormalises and resolves the active nodes of the whole
+    term.
     """
     policy = policy or RunPolicy()
     picker = _DelayPicker(policy.seed, policy.delay_resolution)
@@ -1001,34 +1015,46 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     trace: List[str] = []
     elapsed = Fraction(0)
     rho: TimerEnv = {}
-    # The term is fresh put in at path into base.  Every active receive of
-    # base has its timeout resolved; those of fresh are resolved at the top
-    # of the next iteration, so a run that stops first returns them as
-    # expressions.  After a time step the whole term is fresh.
-    base = fresh = runtime_normalize(program)
+    # The term as last rebuilt, and the replacements made in it since, by
+    # path: the leaves and buffers of instant steps.  Every active receive
+    # of both has its timeout resolved.
+    term = runtime_normalize(program)
+    pending: Dict[Path, ProcNode] = {}
+    # The subterm the last step put at path.  Its receives are resolved at
+    # the top of the next iteration, so a run that stops first returns them
+    # as expressions.  After a time step it is the whole term.
     path: Path = ()
-    # The sites of base and their redexes, index for index; fresh replaces
-    # the site at index ``at``, or the term is walked again if it is None.
+    fresh = term
+    # The sites of the term and their redexes, index for index; fresh
+    # replaces the site at index ``at``, or the term is walked again if it
+    # is None.
     sites: List[Site] = []
     redexes: List[Optional[Redex]] = []
     at: Optional[int] = None
     steps = 0
 
+    def whole() -> ProcNode:
+        """The term with the pending replacements put in."""
+        nonlocal term
+        if pending:
+            term = _replace_normal(term, pending)
+            pending.clear()
+        return term
+
     def result(status: str, detail: str) -> RunResult:
-        return RunResult(status, detail, trace, elapsed, term, rho)
+        return RunResult(status, detail, trace, elapsed, whole(), rho)
 
     while steps < policy.fuel:
         try:
             resolved = resolve_active(fresh, rho)
         except SpecError as exc:
-            term = _replace_normal(base, path, fresh)
+            pending[path] = fresh
             return result(RunStatus.ERROR, str(exc))
+        pending[path] = resolved
         if at is None:
-            term = _replace_normal(base, path, resolved)
-            sites = _sites(term)
+            sites = _sites(whole())
             redexes = [_classify(*site) for site in sites]
         else:
-            term = _replace(base, path, resolved)
             buffers = sites[at][2]
             sites[at] = (path, resolved, buffers)
             redexes[at] = _classify(path, resolved, buffers)
@@ -1038,9 +1064,9 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
                 continue
             if redex.kind == "err":
                 return result(RunStatus.ERROR,
-                              f"err at {_path_str(term, redex.path)}")
+                              f"err at {_path_str(whole(), redex.path)}")
             if redex.kind == "stuck":
-                where = _path_str(term, redex.path)
+                where = _path_str(whole(), redex.path)
                 return result(RunStatus.STUCK, f"{redex.detail} at {where}")
             if first is None:
                 first = index
@@ -1048,24 +1074,19 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
             redex = redexes[first]
             steps += 1
             try:
-                rho, base, new = _reduce(term, redex, rho, registry, picker)
+                rho, new, buf, text = _reduce(redex, rho, registry, picker,
+                                              whole)
             except SpecError as exc:
                 return result(RunStatus.ERROR, str(exc))
-            if redex.kind == "det":
-                trace.append(f"{steps} det delay({format_rational(new.duration)})"
-                             f" for {redex.detail}")
-            elif redex.kind == "if":
-                taken = ("then" if eval_constraint(rho, redex.node.cond)
-                         else "else")
-                trace.append(f"{steps} if ({redex.detail}) -> {taken}")
-            else:
-                trace.append(f"{steps} {redex.kind} {redex.detail}")
+            trace.append(f"{steps} {text}")
             path, fresh = redex.path, _normal_node(new)
             at = None if isinstance(fresh, (Par, Scope, Buffer)) else first
-            if at is not None and redex.buffer_path is not None:
+            if buf is None:
+                continue
+            pending[redex.buffer_path] = buf
+            if at is not None:
                 # Before fresh is classified, or a second send would
                 # append to the old buffer.
-                buf = _get(base, redex.buffer_path)
                 chan = (buf.src, buf.dst)
                 for index, (site_path, node, buffers) in enumerate(sites):
                     seen = buffers.get(chan)
@@ -1073,6 +1094,7 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
                         buffers[chan] = (redex.buffer_path, buf)
                         redexes[index] = _classify(site_path, node, buffers)
             continue
+        term = whole()
         if is_completed(term):
             return result(RunStatus.COMPLETED, "all components terminated")
         candidates = _time_candidates(term)
@@ -1081,11 +1103,11 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         t = min(candidates)
         steps += 1
         try:
-            rho, base = time_step(rho, term, t)
+            rho, term = time_step(rho, term, t)
         except PhiUndefined as exc:
             return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
-        path, fresh, at = (), base, None
+        path, fresh, at = (), term, None
         elapsed += t
         trace.append(f"{steps} delay({format_rational(t)})")
-    term = _replace_normal(base, path, fresh)
+    pending[path] = fresh
     return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")

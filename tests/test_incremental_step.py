@@ -1,9 +1,11 @@
 """The interpreter's incremental step against the whole-term reference loop.
 
-``run`` renormalises only the rebuilt spine after an instant step and
-resolves only the subterm the step put there.  The reference below
-renormalises and resolves the whole term on every step, as the scheduler
-did before; both must give the same ``RunResult`` in every field.
+``run`` keeps an instant step's new leaf and buffer as pending
+replacements, rebuilds the term only when it reads it, and resolves only
+the subterm the step put there.  The reference below puts every step's
+buffer and subterm into the whole term, and renormalises and resolves the
+whole term on every step; both must give the same ``RunResult`` in every
+field.
 """
 
 import hashlib
@@ -30,13 +32,13 @@ from timedsessions.processes import (
     Scope,
     SetTimer,
     TimerEnv,
+    _SHAPES,
     _collect_redexes,
     _DelayPicker,
-    _get,
     _path_str,
     _reduce,
-    _replace,
     _time_candidates,
+    children,
     format_process,
     is_completed,
     resolve_active,
@@ -51,6 +53,22 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def load(name: str):
     return parse_spec_file((FIXTURES / name).read_text())
+
+
+def get(term: ProcNode, path) -> ProcNode:
+    """The subterm of term at path."""
+    for i in path:
+        term = children(term)[i]
+    return term
+
+
+def put(term: ProcNode, path, new: ProcNode) -> ProcNode:
+    """term with new at path, nothing renormalised."""
+    if not path:
+        return new
+    kids = list(children(term))
+    kids[path[0]] = put(kids[path[0]], path[1:], new)
+    return _SHAPES[type(term)].rebuild(term, kids)
 
 
 def reference_run(program: ProcNode,
@@ -87,17 +105,20 @@ def reference_run(program: ProcNode,
             steps += 1
             before = term
             try:
-                rho, root, new = _reduce(term, redex, rho, registry, picker)
+                rho, new, buf, _ = _reduce(redex, rho, registry, picker,
+                                           lambda: before)
             except SpecError as exc:
                 return result(RunStatus.ERROR, str(exc))
-            term = _replace(root, redex.path, new)
+            if buf is not None:
+                term = put(term, redex.buffer_path, buf)
+            term = put(term, redex.path, new)
             if redex.kind == "det":
-                resolved = _get(term, redex.path)
+                resolved = get(term, redex.path)
                 trace.append(f"{steps} det delay("
                              f"{format_rational(resolved.duration)})"
                              f" for {redex.detail}")
             elif redex.kind == "if":
-                cond = _get(before, redex.path).cond
+                cond = get(before, redex.path).cond
                 taken = "then" if eval_constraint(rho, cond) else "else"
                 trace.append(f"{steps} if ({redex.detail}) -> {taken}")
             else:

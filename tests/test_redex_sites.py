@@ -3,9 +3,11 @@
 ``run`` walks the term for its sites only at the start, after a time step
 and after a step whose new subterm is a composition, a session scope or a
 buffer.  After any other instant step it replaces the one site the step
-rewrote and puts a rewritten buffer into every site that sees it.  Each
-program below makes one of those updates matter; ``reference_run`` collects
-the redexes of the whole term before every step.
+rewrote and puts a rewritten buffer into every site that sees it, and
+keeps the new leaf and buffer as pending replacements until something
+reads the whole term.  Each program below makes one of those updates
+matter; ``reference_run`` collects the redexes of the whole term before
+every step.
 """
 
 import pytest
@@ -44,6 +46,10 @@ PROGRAMS = {
         SetTimer("x", Buffer("q", "p")),
         parse_process("from p recv { m -> end } after 5 { end }"),
         Buffer("p", "q")))),
+    # the parser shares one ``end`` between both branches, so the branch
+    # taken cannot be told from the subterm the step leaves
+    "shared-branches": parse_process(
+        "set(x). delay(5). if (x<=3) then { end } else { end }"),
 }
 
 
@@ -57,13 +63,16 @@ def test_kept_redex_list_matches_the_whole_term_loop(name):
 
 @pytest.mark.parametrize("program,policy", [
     (PINGPONG, RunPolicy(seed=0, fuel=200)),
-    (PROGRAMS["call-opens-scope"], RunPolicy())],
-    ids=["pingpong", "call-opens-scope"])
+    (PROGRAMS["call-opens-scope"], RunPolicy()),
+    (PROGRAMS["stuck-receive"], RunPolicy())],
+    ids=["pingpong", "call-opens-scope", "stuck-receive"])
 def test_term_is_walked_after_time_and_structural_steps_only(
         monkeypatch, program, policy):
-    walks = 0
+    expected = reference_run(program, policy)
+    walks = rebuilds = 0
     structural = []  # per instant step: is its new subterm structural?
     sites, reduce = processes._sites, processes._reduce
+    replace_normal = processes._replace_normal
 
     def counting_sites(root):
         nonlocal walks
@@ -72,15 +81,26 @@ def test_term_is_walked_after_time_and_structural_steps_only(
 
     def counting_reduce(*args):
         out = reduce(*args)
-        structural.append(isinstance(_normal_node(out[2]), (Par, Scope, Buffer)))
+        structural.append(isinstance(_normal_node(out[1]), (Par, Scope, Buffer)))
         return out
+
+    def counting_replace_normal(term, news):
+        nonlocal rebuilds
+        rebuilds += 1
+        return replace_normal(term, news)
 
     monkeypatch.setattr(processes, "_sites", counting_sites)
     monkeypatch.setattr(processes, "_reduce", counting_reduce)
+    monkeypatch.setattr(processes, "_replace_normal", counting_replace_normal)
     result = run(program, policy)
+    assert result == expected
     time_steps = sum(line.split()[1].startswith("delay(")
                      for line in result.trace)
     # The last step is neither, so each of them was followed by a walk.
     assert not result.trace[-1].split()[1].startswith("delay(")
     assert not structural[-1]
     assert walks == 1 + time_steps + sum(structural)
+    # The whole term is rebuilt before each walk, at most once before each
+    # time step (to read it) and at most once for the result: never for
+    # an instant step alone.
+    assert walks <= rebuilds <= walks + time_steps + 1
