@@ -3,10 +3,11 @@
 One token pattern feeds recursive-descent parsers.  Surface sugar
 (derived comparators, bounded intervals, omitted guards/resets/payloads,
 single-option choices without braces) is desugared here; the ASTs carry
-only the core forms.  Scoping problems (duplicate labels, unbound or
-shadowed recursion variables, unguarded recursion, malformed sessions,
-undefined calls, duplicate definitions, timers set by two parallel parts)
-are rejected at parse time with positions.
+only the core forms.  Scoping problems (duplicate labels, unbound
+recursion variables, unguarded recursion, malformed sessions, undefined
+calls, duplicate definitions, timers set by two parallel parts) are
+rejected at parse time with positions.  A recursion variable binds to
+the nearest ``rec`` of its name, so printed unfolded heads parse back.
 """
 
 from __future__ import annotations
@@ -403,9 +404,6 @@ class _Parser:
             return END
         if self.accept("rec"):
             var = self.name("recursion variable")
-            if var in bound:
-                raise ParseError(f"recursion variable {var!r} shadows an "
-                                 "enclosing binding", tok.line, tok.col)
             self.expect(".")
             body = self.parse_type(bound + (var,))
             node = Rec(var, body)

@@ -32,6 +32,10 @@ new leaf and buffer by path; the whole term is rebuilt from those
 pending replacements only when something reads it: a time step, a walk,
 the end of the run.  A time step renormalises only the active nodes of
 ``phi``'s result, the only ones ``phi`` rebuilds.
+
+A call and a receive with a binder substitute in one capture-avoiding
+walk, ``substitute``; a call reads its definition from the registry that
+``run``'s ``def`` steps fill.
 """
 
 from __future__ import annotations
@@ -45,11 +49,14 @@ from operator import is_
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
-from .constraints import Constraint, atoms_of, boundary_delays, eval_constraint
+from .constraints import (Constraint, atoms_of, boundary_delays, eval_constraint,
+                          map_clocks)
 from .errors import SpecError
 from .rational import format_rational
 
 TimerEnv = Dict[str, Fraction]
+
+_ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -78,12 +85,12 @@ class LinearExpr:
 
 def eval_timeout(expr: LinearExpr, rho: Mapping[str, Fraction]) -> Fraction:
     """Evaluate against the timers; negative results clamp to 0."""
-    total = Fraction(expr.const)
+    total = expr.const
     for name, coef in expr.coeffs:
         if name not in rho:
             raise SpecError(f"unknown timer {name!r} in timeout expression")
         total += coef * rho[name]
-    return total if total > 0 else Fraction(0)
+    return total if total > 0 else _ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +512,6 @@ def phi(t: Fraction, p: ProcNode, rho: Optional[Mapping[str, Fraction]] = None,
     while time is passing; elapsed tracks how far into the step that
     activation happens.
     """
-    t = Fraction(t)
     if t <= 0:
         raise ValueError("phi needs a positive duration")
     rho = rho or {}
@@ -556,83 +562,68 @@ def time_step(rho: TimerEnv, p: ProcNode, t: Fraction) -> Tuple[TimerEnv, ProcNo
 # Substitution
 # ---------------------------------------------------------------------------
 
-def subst_value(p: ProcNode, binder: str, value: Value) -> ProcNode:
-    """Replace references to a receive binder with the received value."""
-    target = Name(binder)
+def substitute(p: ProcNode, names: Mapping[str, str],
+               values: Mapping[str, Value]) -> ProcNode:
+    """p with each free endpoint and timer n renamed to names[n] and each
+    free value binder v replaced by values[v], all at once (a value that
+    is a name is renamed too).  Each binder hides its names below it: a
+    ``Def`` its parameters in its body, a ``Scope`` its endpoints, a
+    receive branch its binder as a value, and ``delay(c)`` its variable in
+    c.  Returns p itself when both maps are empty."""
+    def hide(m: Mapping[str, object], bound) -> Mapping[str, object]:
+        return {k: v for k, v in m.items() if k not in bound} if m else m
 
-    def walk(node: ProcNode) -> ProcNode:
-        if isinstance(node, Call):
-            args = tuple(value if v == target else v for v in node.val_args)
-            return Call(node.name, args, node.timer_args, node.chan_args)
-        if isinstance(node, Send) and node.value == target:
-            node = Send(node.endpoint, node.label, value, node.cont)
-        # A definition's value parameter or a branch's binder of the same
-        # name shadows the binder in that child.
-        if isinstance(node, Def):
-            shadowed = iter((binder in node.val_params, False))
-        elif isinstance(node, ReceiveAfter):
-            shadowed = iter([b.binder == binder for b in node.branches] + [False])
-        else:
-            return map_children(node, walk)
-        return map_children(
-            node, lambda child: child if next(shadowed) else walk(child))
-
-    return walk(p)
-
-
-def rename_names(p: ProcNode, mapping: Mapping[str, str]) -> ProcNode:
-    """Rename endpoints and timers (used when a call instantiates a body)."""
-    from .constraints import map_clocks
-
-    def walk(node: ProcNode, m: Mapping[str, str]) -> ProcNode:
-        if not m:
+    def walk(node: ProcNode, names: Mapping[str, str],
+             vals: Mapping[str, Value]) -> ProcNode:
+        if not (names or vals):
             return node
-        # A definition's timer and channel parameters and a session's
-        # endpoints are bound in its body.
-        if isinstance(node, Def):
-            bound = set(node.timer_params) | set(node.chan_params)
-            maps = iter(({k: v for k, v in m.items() if k not in bound}, m))
-        elif isinstance(node, Scope):
-            maps = iter(({k: v for k, v in m.items()
-                          if k not in (node.left, node.right)},))
+        kind = type(node)
+        if kind is Def:
+            bound = {*node.val_params, *node.timer_params, *node.chan_params}
+            maps = iter(((hide(names, bound), hide(vals, bound)),
+                         (names, vals)))
+        elif kind is Scope:
+            bound = {node.left, node.right}
+            maps = repeat((hide(names, bound), hide(vals, bound)))
+        elif kind is ReceiveAfter:
+            maps = iter([(names, hide(vals, {b.binder}))
+                         for b in node.branches] + [(names, vals)])
         else:
-            maps = repeat(m)
-        node = map_children(node, lambda child: walk(child, next(maps)))
-        return rename_fields(node, m)
+            maps = repeat((names, vals))
+        node = map_children(node, lambda child: walk(child, *next(maps)))
 
-    def rename_fields(node: ProcNode, m: Mapping[str, str]) -> ProcNode:
-        def ren(name: str) -> str:
-            return m.get(name, name)
+        def name(n: str) -> str:
+            return names.get(n, n)
 
-        def ren_value(v: Value) -> Value:
-            return Name(m[v.id]) if isinstance(v, Name) and v.id in m else v
+        def value(v: Value) -> Value:
+            return vals.get(v.id, v) if isinstance(v, Name) else v
 
-        if isinstance(node, SetTimer):
-            return SetTimer(ren(node.timer), node.cont)
-        if isinstance(node, Send):
-            return Send(ren(node.endpoint), node.label, ren_value(node.value),
+        if kind is SetTimer:
+            return SetTimer(name(node.timer), node.cont)
+        if kind is Send:
+            return Send(name(node.endpoint), node.label, value(node.value),
                         node.cont)
-        if isinstance(node, ReceiveAfter):
+        if kind is ReceiveAfter:
             after = node.after
             if isinstance(after, LinearExpr):
                 after = LinearExpr(after.const,
-                                   tuple((ren(n), c) for n, c in after.coeffs))
-            return ReceiveAfter(ren(node.endpoint), node.branches, after,
+                                   tuple((name(n), c) for n, c in after.coeffs))
+            return ReceiveAfter(name(node.endpoint), node.branches, after,
                                 node.timeout)
-        if isinstance(node, IfTimer):
-            return IfTimer(map_clocks(node.cond, m), node.then_branch,
+        if kind is IfTimer:
+            return IfTimer(map_clocks(node.cond, names), node.then_branch,
                            node.else_branch)
-        if isinstance(node, DelayConstraint):
-            inner = {k: v for k, v in m.items() if k != node.var}
-            return DelayConstraint(node.var, map_clocks(node.cond, inner),
-                                   node.cont)
-        if isinstance(node, Call):
-            return Call(node.name, tuple(map(ren_value, node.val_args)),
-                        tuple(map(ren, node.timer_args)),
-                        tuple(map(ren, node.chan_args)))
+        if kind is DelayConstraint:
+            return DelayConstraint(
+                node.var, map_clocks(node.cond, hide(names, {node.var})),
+                node.cont)
+        if kind is Call:
+            return Call(node.name, tuple(map(value, node.val_args)),
+                        tuple(map(name, node.timer_args)),
+                        tuple(map(name, node.chan_args)))
         return node
 
-    return walk(p, dict(mapping))
+    return walk(p, names, {**{k: Name(v) for k, v in names.items()}, **values})
 
 
 def instantiate_call(defn: Def, call: Call) -> ProcNode:
@@ -643,14 +634,10 @@ def instantiate_call(defn: Def, call: Call) -> ProcNode:
         raise SpecError(f"arity mismatch calling {defn.name!r}")
     if not (defn.val_params or defn.timer_params or defn.chan_params):
         return defn.body
-    body = defn.body
-    renames = {}
-    renames.update(dict(zip(defn.timer_params, call.timer_args)))
-    renames.update(dict(zip(defn.chan_params, call.chan_args)))
-    body = rename_names(body, renames)
-    for param, arg in zip(defn.val_params, call.val_args):
-        body = subst_value(body, param, arg)
-    return body
+    names = dict(zip(defn.timer_params + defn.chan_params,
+                     call.timer_args + call.chan_args))
+    return substitute(defn.body, names,
+                      dict(zip(defn.val_params, call.val_args)))
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +813,7 @@ def _apply_redex(root: ProcNode, redex: Redex, rho: TimerEnv,
                  picker: Optional[_DelayPicker]) -> Tuple[TimerEnv, ProcNode]:
     """One instant step from the normal term root: the timers after it and
     the normal form of the term it leads to."""
-    rho, new, buf, _ = _reduce(redex, rho, registry, picker, lambda: root)
+    rho, new, buf, _ = _reduce(redex, rho, registry, picker)
     news = {redex.path: new}
     if buf is not None:
         news[redex.buffer_path] = buf
@@ -834,17 +821,17 @@ def _apply_redex(root: ProcNode, redex: Redex, rho: TimerEnv,
 
 
 def _reduce(redex: Redex, rho: TimerEnv, registry: Dict[str, Def],
-            picker: Optional[_DelayPicker], whole: Callable[[], ProcNode]
+            picker: Optional[_DelayPicker]
             ) -> Tuple[TimerEnv, ProcNode, Optional[Buffer], str]:
     """The timers after the step, the subterm that replaces the redex at
     redex.path, the buffer that replaces the one at redex.buffer_path (None
     if the step rewrites none), and the step as the trace prints it.
 
-    The redex's node and buffer are read as found; whole() gives the term
-    they were found in, and is read only to find a definition that is not
-    in registry.  Every new subterm is a subterm of that term, or a
-    renaming or substitution of one, so it is normal below its head when
-    the term is normal.
+    The redex's node and buffer are read as found.  A call reads its
+    definition from registry only: an unfired ``Def`` is a redex, so its
+    step puts it there before any call in its continuation.  Every new
+    subterm is a subterm of the term the redex was found in, or a
+    ``substitute`` of one, so it is normal below its head when that is.
     """
     node, buf = redex.node, redex.buffer
     if redex.kind == "def":
@@ -854,7 +841,7 @@ def _reduce(redex: Redex, rho: TimerEnv, registry: Dict[str, Def],
     if redex.kind == "set":
         assert isinstance(node, SetTimer)
         new_rho = dict(rho)
-        new_rho[node.timer] = Fraction(0)
+        new_rho[node.timer] = _ZERO
         return new_rho, node.cont, None, f"set {redex.detail}"
     if redex.kind == "if":
         assert isinstance(node, IfTimer)
@@ -875,7 +862,7 @@ def _reduce(redex: Redex, rho: TimerEnv, registry: Dict[str, Def],
         branch = next(b for b in node.branches if b.label == label)
         cont = branch.cont
         if branch.binder is not None:
-            cont = subst_value(cont, branch.binder, value)
+            cont = substitute(cont, {}, {branch.binder: value})
         return (rho, cont, Buffer(buf.src, buf.dst, buf.items[1:]),
                 f"recv {redex.detail}")
     if redex.kind == "det":
@@ -887,18 +874,11 @@ def _reduce(redex: Redex, rho: TimerEnv, registry: Dict[str, Def],
                 f"det delay({format_rational(t)}) for {redex.detail}")
     if redex.kind == "call":
         assert isinstance(node, Call)
-        defn = registry.get(node.name) or _scan_defs(whole(), node.name)
+        defn = registry.get(node.name)
         if defn is None:
             raise SpecError(f"call to undefined process {node.name!r}")
         return rho, instantiate_call(defn, node), None, f"call {redex.detail}"
     raise SpecError(f"redex kind {redex.kind!r} is not reducible")
-
-
-def _scan_defs(term: ProcNode, name: str) -> Optional[Def]:
-    """Find a definition by name anywhere in the term (for standalone
-    stepping; the scheduler keeps its own registry)."""
-    return next((node for node in subterms(term)
-                 if isinstance(node, Def) and node.name == name), None)
 
 
 def resolve_active(root: ProcNode, rho: TimerEnv) -> ProcNode:
@@ -906,7 +886,7 @@ def resolve_active(root: ProcNode, rho: TimerEnv) -> ProcNode:
 
     def walk(node: ProcNode) -> ProcNode:
         if isinstance(node, ReceiveAfter) and isinstance(node.after, LinearExpr):
-            return _resolve_after(node, rho, Fraction(0))
+            return _resolve_after(node, rho, _ZERO)
         return map_children(node, walk, active=True)
 
     return walk(root)
@@ -1002,8 +982,9 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     site and puts the buffer it rewrote into every site that sees it.  The
     new leaf and buffer are kept by path as pending replacements, and the
     whole term is rebuilt from them (``_replace_normal``) only when it is
-    read: before a time step, before a walk, for a definition missing from
-    the registry, and for the result.  A new composition, session scope or
+    read: before a time step, before a walk, and for the result.  A call
+    finds its definition in the registry that the ``def`` steps fill.  A
+    new composition, session scope or
     buffer moves paths or changes what sites see, so the term is rebuilt,
     renormalising the nodes above it, and walked again, as after a time
     step, which renormalises and resolves the active nodes of the whole
@@ -1074,8 +1055,7 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
             redex = redexes[first]
             steps += 1
             try:
-                rho, new, buf, text = _reduce(redex, rho, registry, picker,
-                                              whole)
+                rho, new, buf, text = _reduce(redex, rho, registry, picker)
             except SpecError as exc:
                 return result(RunStatus.ERROR, str(exc))
             trace.append(f"{steps} {text}")

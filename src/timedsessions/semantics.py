@@ -303,11 +303,13 @@ def _cuts(point, bounds, step: int, horizon: int) -> List[int]:
     return sorted(cuts)
 
 
-def _encode(sys: System) -> tuple:
-    """The int state of a system: ``(den, L, printed_l, queue_l, R,
-    printed_r, queue_r)``, L and R the clock values over their least common
-    denominator den in sorted clock order, which leaves
-    gcd(den, *L, *R) == 1."""
+def state_key(sys: System) -> tuple:
+    """The identity of a state, the int state ``check_progress`` memoizes
+    on: ``(den, L, printed_l, queue_l, R, printed_r, queue_r)``, the clock
+    values over their least common denominator in sorted clock order, the
+    printed form of each unfolded head and each queue.  The printed form,
+    not the head object, because heads that print the same act the same,
+    and two paths can build two such heads."""
     left, right = sys.left, sys.right
     clocks = sorted(left.nu)
     if sorted(right.nu) != clocks:
@@ -476,7 +478,7 @@ class _Space:
     """The int form of the states of one system, and its step relation.
 
     A state is the tuple ``(den, L, printed_l, queue_l, R, printed_r,
-    queue_r)`` of ``_encode``.  d is the LCM of the denominators of the
+    queue_r)`` of ``state_key``.  d is the LCM of the denominators of the
     guard constants (and of the horizon); the waits from a state are sampled
     at ``S = 2·lcm(den, d)``, where every boundary c - v, every midpoint and
     the horizon are ints.  After a step, ``canon`` maps a state to its
@@ -575,11 +577,11 @@ class _Space:
     # -- the boundary --------------------------------------------------------
 
     def encode(self, sys: System) -> tuple:
-        """``_encode`` of a system of this space, with both heads
+        """``state_key`` of a system of this space, with both heads
         compiled."""
         self.head(sys.left.node)
         self.head(sys.right.node)
-        return _encode(sys)
+        return state_key(sys)
 
     def _nu(self, values, den: int) -> Valuation:
         return {clock: Fraction(value, den)
@@ -892,18 +894,8 @@ def canonicaliser(sys: System) -> Callable[[System], System]:
     return (lambda state: state) if space.cap is None else space.canonical
 
 
-def state_key(sys: System) -> tuple:
-    """The identity of a state, the int state ``check_progress`` memoizes
-    on: ``(den, L, printed_l, queue_l, R, printed_r, queue_r)``, the clock
-    values over their least common denominator in sorted clock order, the
-    printed form of each unfolded head and each queue.  The printed form,
-    not the head object, because heads that print the same act the same,
-    and two paths can build two such heads."""
-    return _encode(sys)
-
-
 def digest_system(sys: System) -> str:
-    return render_key(_encode(sys), sorted(sys.left.nu))
+    return render_key(state_key(sys), sorted(sys.left.nu))
 
 
 # ---------------------------------------------------------------------------

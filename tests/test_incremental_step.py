@@ -105,8 +105,7 @@ def reference_run(program: ProcNode,
             steps += 1
             before = term
             try:
-                rho, new, buf, _ = _reduce(redex, rho, registry, picker,
-                                           lambda: before)
+                rho, new, buf, _ = _reduce(redex, rho, registry, picker)
             except SpecError as exc:
                 return result(RunStatus.ERROR, str(exc))
             if buf is not None:

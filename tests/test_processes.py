@@ -36,6 +36,7 @@ from timedsessions.processes import (
     run,
     runtime_normalize,
     struct_normalize,
+    substitute,
     time_step,
     wait_set,
 )
@@ -317,6 +318,13 @@ def test_phi_delay_flows_into_continuation():
     assert phi(F(2), p) == DelayExact(F(3), P_END)
 
 
+def test_phi_takes_an_int_duration():
+    p = DelayExact(F(1), recv(after=F(3), timeout=P_END))
+    out = phi(2, p)
+    assert out == recv(after=F(2), timeout=P_END)
+    assert type(out.after) is Fraction
+
+
 def test_phi_fixed_points():
     assert phi(F(7), P_END) == P_END
     assert phi(F(7), P_ERR) == P_ERR
@@ -537,13 +545,36 @@ def test_received_value_substitutes_into_send():
       "6 set u", "7 send p!m", "8 recv q?m", "9 send q!back"],
      "new (p,q) { end | end | pq:[] | qp:[back(7)] }",
      {"u": F(0), "y": F(0)}),
-], ids=["renamed-timer-and-channel", "value-to-nested-call", "shadowing"])
+    # a := q and q := 3 at once: the argument q is not then replaced by 3
+    ("""new (p,q) {
+          def F(a, q;;) = to p ! m(a). end in F<q, 3;;>
+        | from q recv { m(x) -> to q ! back(x). end } | pq:[] | qp:[] }""",
+     None,
+     ["1 def F", "2 call F", "3 send p!m", "4 recv q?m", "5 send q!back"],
+     "new (p,q) { end | end | pq:[] | qp:[back(q)] }", {}),
+    # the branch binder c hides the value c from the call's c := p, so the
+    # received 7 replaces it, while the endpoint c is still renamed to p
+    ("""new (p,q) {
+          def F(;;c) = from c recv { m(c) -> to c ! back(c). end } in F<;;p>
+        | to q ! m(7). end | pq:[] | qp:[] }""",
+     None,
+     ["1 def F", "2 call F", "3 send q!m", "4 recv p?m", "5 send p!back"],
+     "new (p,q) { end | end | pq:[back(7)] | qp:[] }", {}),
+], ids=["renamed-timer-and-channel", "value-to-nested-call", "shadowing",
+        "simultaneous-values", "binder-shadows-channel"])
 def test_parameterised_definitions_are_pinned(source, delays, trace, final,
                                               timers):
     res = run(parse_process(source), RunPolicy(delay_resolution=delays))
     assert res.trace == trace
     assert format_process(res.final) == final
     assert res.timers == timers
+
+
+def test_substitution_with_empty_maps_is_the_identity():
+    program = parse_process("""new (p,q) {
+          def W(v; t; c) = set(t). to c ! m(v). end in W<1; y; p>
+        | from q recv { m(x) -> end } | pq:[] | qp:[] }""")
+    assert substitute(program, {}, {}) is program
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import QUARTERS
+from helpers import QUARTERS, head_graph
 from timedsessions.constraints import eval_constraint, shift, zero_valuation
 from timedsessions.errors import ParseError
 from timedsessions.generate import random_type, well_formed_types
@@ -16,6 +16,7 @@ from timedsessions.sessiontypes import (
     Rec,
     SEND,
     RECV,
+    Var,
     check_well_formed,
     dual,
     format_type,
@@ -70,9 +71,46 @@ def test_parse_rejects_unguarded_recursion():
         parse_type("rec a . rec b . a")
 
 
-def test_parse_rejects_shadowing():
-    with pytest.raises(ParseError):
-        parse_type("rec a . { !m.rec a . { !n.a } }")
+def test_parse_accepts_shadowing_and_binds_to_the_nearest_rec():
+    text = "rec a . { !m.rec a . { !n.a } }"
+    node = parse_type(text)
+    inner = node.body.options[0].continuation
+    assert isinstance(inner, Rec)
+    assert inner.body.options[0].continuation == Var("a")
+    printed = format_type(node)
+    assert printed == "rec a . !m.rec a . !n.a"
+    assert parse_type(printed) == node
+    # a is not free below the inner rec, so unfolding keeps it as it is
+    assert node.unfolded.options[0].continuation is inner
+
+
+def shadows(node, bound=()):
+    """Whether a recursion in node binds a variable that an enclosing one
+    binds."""
+    if isinstance(node, Rec):
+        return node.var in bound or shadows(node.body, bound + (node.var,))
+    return isinstance(node, Choice) and any(
+        shadows(opt.continuation, bound) for opt in node.options)
+
+
+def test_unfolded_heads_parse_back():
+    """Every unfolded head of the first 150 screening candidates prints a
+    text that parses back to an equal head with the same print, the 100
+    heads whose text nests a recursion in one of the same variable
+    included."""
+    rng = random.Random(20240801)
+    heads = []
+    for _ in range(150):
+        node = random_type(rng, ("x", "y"), 3, 5)
+        while isinstance(node, End):
+            node = random_type(rng, ("x", "y"), 3, 5)
+        heads.extend(head_graph(node, limit=10**6))
+    assert (len(heads), sum(map(shadows, heads))) == (1106, 100)
+    for head in heads:
+        text = format_type(head)
+        back = parse_type(text)
+        assert back == head
+        assert format_type(back) == text
 
 
 def test_parse_format_round_trip():

@@ -17,12 +17,12 @@ from pathlib import Path
 from helpers import grid_valuations, head_graph
 from timedsessions.constraints import TRUE, disj, eval_constraint
 from timedsessions.generate import random_type
-from timedsessions.parser import parse_constraint, parse_spec_file, parse_type
+from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import QConfig, is_future_enabled, unfold_head
 from timedsessions.sessiontypes import (END, NONE, RECV, SEND, Choice,
                                         Delegate, End, Rec, Var, dual,
                                         format_type, gamma,
-                                        map_continuations, option)
+                                        map_continuations)
 from timedsessions.zones import past
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -103,14 +103,10 @@ def test_memoised_unfolding_matches_fresh_substitution_on_random_types():
 
 
 def test_memoised_unfolding_matches_fresh_substitution_on_fixtures():
-    # the parser rejects shadowing, so the shadowed binder is built directly
-    inner = Rec("a", Choice((
-        option(RECV, "n", parse_constraint("x>1"), {"x"}, continuation=Var("a")),
-        option(SEND, "o", parse_constraint("x=1")))))
     types = [
         parse_type("rec a . rec b . { ?d(x<=1).a , !e(1<x).b }"),
-        Rec("a", Choice((option(SEND, "m", parse_constraint("x<1"),
-                                continuation=inner),))),
+        # the inner recursion shadows the outer one of the same variable
+        parse_type("rec a . !m(x<1).rec a . { ?n(x>1,{x}).a , !o(x=1).end }"),
     ]
     for path in sorted(FIXTURES.glob("*.toast")):
         types.extend(parse_spec_file(path.read_text()).types.values())
