@@ -621,6 +621,9 @@ def substitute(p: ProcNode, names: Mapping[str, str],
             return Call(node.name, tuple(map(value, node.val_args)),
                         tuple(map(name, node.timer_args)),
                         tuple(map(name, node.chan_args)))
+        if kind is Buffer and node.items:
+            return Buffer(node.src, node.dst, tuple(
+                (label, value(item)) for label, item in node.items))
         return node
 
     return walk(p, names, {**{k: Name(v) for k, v in names.items()}, **values})

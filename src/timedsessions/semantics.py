@@ -56,7 +56,6 @@ from .constraints import (
 from .errors import ProtocolError, SpecError
 from .sessiontypes import (
     ChoiceOption,
-    CompiledGuards,
     Delegate,
     End,
     PayloadSort,
@@ -260,12 +259,10 @@ def _receivable_during(qc: QConfig, opt: ChoiceOption, t: Fraction) -> bool:
     if not nu:
         return eval_constraint(nu, opt.guard)
     head = unfold_head(qc.node)
-    zones = next(zones for other, zones in zip(head.options,
-                                               head.compiled.zones)
-                 if other is opt)
+    zones = next(zones for other, zones in zip(
+        head.options, head.over(tuple(sorted(nu)))[0]) if other is opt)
     window = trajectory_zone(nu, t, include_end=False)
-    return any(zone.widened(nu).intersect(window) is not None
-               for zone in zones)
+    return any(zone.intersect(window) is not None for zone in zones)
 
 
 # ---------------------------------------------------------------------------
@@ -352,16 +349,6 @@ def _action(action: tuple) -> SysAction:
     return SysAction(kind, message, None if t is None else Fraction(t, scale))
 
 
-def _head_scale(head) -> int:
-    """The LCM of the scales of a head's guard zones (its entry zones keep
-    theirs) and of the denominators of its clock bounds; 1 for end."""
-    if not head.options:
-        return 1
-    compiled = head.compiled
-    return lcm(*(zone.scale for zones in compiled.zones for zone in zones),
-               *(const.denominator for _, const in compiled.clock_bounds))
-
-
 class _Option:
     """One option of a head, compiled for a ``_Space``: its message, its
     guard zones, the positions it resets and its continuation, whose head is
@@ -412,15 +399,17 @@ class _Head:
         """Compile what the step relation reads, on the first step from
         this head (canonicalisation reads only the caps)."""
         self.sends, self.receives = [], {}
-        self.entry, guards = space.windows(self.node)
+        guards, entry = self.node.over(space.clocks)
+        self.entry = [zone.window_bounds() for zone in entry]
         for opt, zones in zip(self.node.options, guards):
-            compiled = _Option(opt, zones, space)
+            compiled = _Option(opt, [zone.window_bounds() for zone in zones],
+                               space)
             if opt.direction == SEND:
                 self.sends.append(compiled)
             else:
                 self.receives.setdefault(opt.label, compiled)
         self.bounds = tuple(
-            (space.position(clock, "unknown clock {!r} in guard"),
+            (space.clocks.index(clock) + 1,
              const.numerator * (space.d // const.denominator))
             for clock, const in self.node.clock_bounds)
         return self
@@ -485,32 +474,30 @@ class _Space:
     region representative (when the space has a cap) and reduces it so that
     gcd(den, *L, *R) == 1: equal valuations give equal states.  The heads
     met are compiled once per space, by printed form, as the state names
-    them, and the windows they read are built once per choice family
-    (``windows``): the heads of S, of dual(S) and of their unfoldings hold
-    one ``Choice.compiled`` and share its windows too; a space belongs to
-    one call and is dropped with it."""
+    them.  They read the windows of their family's compile over the
+    space's clocks (``Choice.over``), each zone's cached
+    ``Zone.window_bounds``, which S, dual(S), their unfoldings and later
+    spaces on those clocks share; a space belongs to one call."""
 
     def __init__(self, clocks, d: int, cap: Optional[Fraction] = None):
         self.clocks = tuple(clocks)
         self.d = d
         self.cap = cap
         self.heads: Dict[str, _Head] = {}
-        # by id, with the keyed object itself so that no id is reused
-        self.families: Dict[int, Tuple[CompiledGuards, list, list]] = {}
 
     @classmethod
-    def of(cls, sys: System) -> "_Space":
-        """The space of ``check_progress`` on sys: d from every guard atom,
-        and regions capped one above the largest constant, unless a guard
-        compares two clocks (these regions are not sound for diagonal
-        guards: the states are then only reduced)."""
+    def of(cls, sys: System) -> Tuple["_Space", Fraction]:
+        """The space of ``check_progress`` on sys and its horizon, from one
+        walk of the guard atoms: d from every atom, regions capped one
+        above the largest constant, unless a guard compares two clocks
+        (these regions are not sound for diagonal guards: the states are
+        then only reduced), and ``default_horizon``, two above it."""
         atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
-        cap = None
-        if all(atom.sub is None for atom in atoms):
-            cap = max((abs(atom.const) for atom in atoms),
-                      default=Fraction(0)) + 1
+        top = max((abs(atom.const) for atom in atoms), default=Fraction(0))
+        cap = top + 1 if all(atom.sub is None for atom in atoms) else None
         return cls(sorted(sys.left.nu),
-                   lcm(*(atom.const.denominator for atom in atoms)), cap)
+                   lcm(*(atom.const.denominator for atom in atoms)),
+                   cap), top + 2
 
     @classmethod
     def around(cls, clocks, nodes, *values: Fraction) -> "_Space":
@@ -519,37 +506,10 @@ class _Space:
         denominators of values, so that a warm state walks no guard."""
         return cls(sorted(clocks), lcm(
             *(value.denominator for value in values),
-            *(_head_scale(unfold_head(node)) for node in nodes)))
+            *(head.compiled.scale for head in map(unfold_head, nodes)
+              if head.options)))
 
     # -- tables --------------------------------------------------------------
-
-    def position(self, clock: str, missing: str) -> int:
-        """The position of a clock in a point, 0 being the reference."""
-        try:
-            return self.clocks.index(clock) + 1
-        except ValueError:
-            raise SpecError(missing.format(clock)) from None
-
-    def zones(self, zones) -> list:
-        """The zones of a ZoneSet in the form ``window_at`` reads,
-        positioned on this space's points."""
-        return [zone.window_bounds(
-                    [0] + [self.position(clock, "valuation lacks clock {!r}")
-                           for clock in zone.clocks])
-                for zone in zones]
-
-    def windows(self, head) -> Tuple[list, list]:
-        """``zones`` of the head's entry zones, and of each option's guard
-        zones, once per choice family (``Choice.compiled``)."""
-        if not head.options:  # end
-            return self.zones(head.entry_zones), []
-        compiled = head.compiled
-        found = self.families.get(id(compiled))
-        if found is None:
-            found = self.families[id(compiled)] = (
-                compiled, self.zones(compiled.entry_zones),
-                [self.zones(zones) for zones in compiled.zones])
-        return found[1], found[2]
 
     def head(self, node: TypeNode) -> _Head:
         """The compiled head of a node, one for all unfolded heads that
@@ -890,7 +850,7 @@ def canonicaliser(sys: System) -> Callable[[System], System]:
     largest constant and per clock one above the ceilings of each side's
     head, or the identity when a guard compares two clocks (these regions
     are not sound for diagonal guards)."""
-    space = _Space.of(sys)
+    space = _Space.of(sys)[0]
     return (lambda state: state) if space.cap is None else space.canonical
 
 
@@ -914,8 +874,8 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
     Exceeding any bound makes the verdict bound-exceeded, never ok.
     """
     limits = limits or ExploreLimits()
-    space = _Space.of(sys)
-    horizon = space.at_d(default_horizon(sys))
+    space, horizon = _Space.of(sys)
+    horizon = space.at_d(horizon)
 
     start = space.canon(space.encode(sys))
     parents: Dict[tuple, Tuple[Optional[tuple], Optional[tuple]]] = {

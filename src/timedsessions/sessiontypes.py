@@ -17,10 +17,12 @@ recursion is re-entered outside the region its binder was checked with.
 The checker works on ZoneSets throughout.  A choice's guards are compiled
 once for its whole family, the choice and every choice rebuilt from it by
 duality, unfolding or substitution (``CompiledGuards``, read through
-``Choice.compiled``): each option's guard zones, the entry constraint, the
-down-closure of those guards (``Choice.entry_zones``), and the clock
-bounds.  The checker widens the zones to the type's clocks, and
-``Choice.entry`` renders the entry back to a constraint only for witnesses.
+``Choice.compiled``), and once for each clock tuple a reader asks for
+(``Choice.over``): each option's guard zones and the entry constraint, the
+down-closure of those guards.  The checker asks for the type's clocks and
+the progress explorer for a valuation's, so no reader widens a zone;
+``Choice.entry`` renders the entry over the guards' own clocks, only for
+witnesses.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
+from math import lcm
 from operator import is_
 from types import MappingProxyType
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
@@ -98,8 +101,9 @@ class ChoiceOption:
 
 
 class CompiledGuards:
-    """The guards of a choice family, compiled once, each part on first
-    use.  A choice family is a choice and every choice that
+    """The guards of a choice family, compiled once for each clock tuple a
+    reader asks for (``over``), and their other parts once, on first use.
+    A choice family is a choice and every choice that
     ``map_continuations`` rebuilds from it (its dual, its unfoldings, its
     substitutions): that function changes only directions and
     continuations, so they all hold the same guard objects in the same
@@ -108,24 +112,42 @@ class CompiledGuards:
 
     def __init__(self, guards: Tuple[Constraint, ...]):
         self.guards = guards
+        self.compiles: Dict[Tuple[str, ...], tuple] = {}  # by ``over``
 
     @cached_property
-    def zones(self) -> Tuple[ZoneSet, ...]:
-        """Each option's guard as a ZoneSet over its own clocks."""
-        return tuple(to_zones(guard) for guard in self.guards)
+    def clocks(self) -> Tuple[str, ...]:
+        """The sorted clocks the guards name."""
+        return tuple(sorted(set().union(*map(clocks_of, self.guards))))
 
-    @cached_property
-    def entry_zones(self) -> ZoneSet:
-        """gamma of the choice, the past of the disjunction of its guards:
-        the down-closure of the guard ZoneSets over the guards' clocks."""
-        clocks = set().union(*map(clocks_of, self.guards))
-        return [zone.widened(clocks).down()
-                for zones in self.zones for zone in zones]
+    def over(self, clocks: Tuple[str, ...]
+             ) -> Tuple[Tuple[ZoneSet, ...], ZoneSet]:
+        """Each option's guard ZoneSet and the entry ZoneSet (gamma of the
+        choice, the down-closure of the guard zones) over the sorted clock
+        tuple ``clocks``, built on its first request.  A canonical zone
+        built over more clocks is the one built over fewer and widened, so
+        no reader widens.  Readers ask with the clocks of a valuation,
+        which must hold every guard clock."""
+        found = self.compiles.get(clocks)
+        if found is None:
+            missing = set(self.clocks).difference(clocks)
+            if missing:
+                raise SpecError(f"valuation lacks clock {min(missing)!r}")
+            zones = tuple(to_zones(guard, clocks) for guard in self.guards)
+            found = self.compiles[clocks] = (
+                zones, [zone.down() for guard in zones for zone in guard])
+        return found
 
     @cached_property
     def entry(self) -> Constraint:
-        """``entry_zones`` rendered as a constraint, for witnesses."""
-        return zoneset_to_constraint(self.entry_zones)
+        """The entry over the guards' own clocks rendered as a constraint,
+        for witnesses."""
+        return zoneset_to_constraint(self.over(self.clocks)[1])
+
+    @cached_property
+    def scale(self) -> int:
+        """The LCM of the denominators of the guard constants."""
+        return lcm(*(atom.const.denominator for guard in self.guards
+                     for atom in atoms_of(guard)))
 
     @cached_property
     def clock_bounds(self) -> Tuple[Tuple[str, Fraction], ...]:
@@ -151,7 +173,7 @@ class Choice:
         return CompiledGuards(tuple(opt.guard for opt in self.options))
 
     # read through the family's compile, so no choice compiles its own
-    entry_zones = property(lambda self: self.compiled.entry_zones)
+    over = property(lambda self: self.compiled.over)
     entry = property(lambda self: self.compiled.entry)
     clock_bounds = property(lambda self: self.compiled.clock_bounds)
 
@@ -208,7 +230,10 @@ class End:
     clock_ceilings = MappingProxyType({})  # read-only: shared by every End
     printed = "end"
     entry = TRUE
-    entry_zones = property(lambda self: [Zone.universal(())])
+
+    def over(self, clocks: Tuple[str, ...]) -> Tuple[tuple, ZoneSet]:
+        """No guards, and the universal entry over ``clocks``."""
+        return (), [Zone.universal(clocks)]
 
 
 TypeNode = Union[Choice, Rec, Var, End]
@@ -467,15 +492,13 @@ class _WfChecker:
     recursion is re-entered outside its analysed reach (``escaped``), only
     the universal answer stands, and the walk goes on with ``reach`` None.
     Guards and entry constraints are the ZoneSets each choice family
-    compiles once (``Choice.compiled``), widened to ``clocks``."""
+    compiles once over ``clocks`` (``Choice.over``), so a type and its dual
+    read one compile."""
 
     def __init__(self, clocks):
         self.clocks = tuple(sorted(clocks))
         self.violations: List[Tuple[Violation, bool]] = []
         self.escaped = False
-
-    def widened(self, zones: ZoneSet) -> ZoneSet:
-        return [zone.widened(self.clocks) for zone in zones]
 
     def add(self, path: Tuple[str, ...], condition: str, witness: str,
             tracked: bool = True) -> None:
@@ -509,7 +532,7 @@ class _WfChecker:
                 self.add(path, "duplicate-label", opt.label)
             seen_labels.add(opt.label)
         options = node.options
-        guards = [self.widened(zones) for zones in node.compiled.zones]
+        guards = node.over(self.clocks)[0]
         # (mixed-choice) differently-directed options must be time-disjoint
         # at every valuation this choice can actually be reached with.
         for (a, ga), (b, gb) in combinations(zip(options, guards), 2):
@@ -527,7 +550,7 @@ class _WfChecker:
             # (feasibility) the reset image of the guard must still permit
             # the continuation to act.
             if not zoneset_entails([z.reset(opt.resets) for z in guard],
-                                   self.widened(cont.entry_zones)):
+                                   cont.over(self.clocks)[1]):
                 self.add(opt_path, "feasibility", str(cont.entry))
             # (delegation) delegated sessions are checked from scratch.
             if isinstance(opt.payload, Delegate):
@@ -551,7 +574,7 @@ class _WfChecker:
         sub = _WfChecker(set(self.clocks) | type_clocks(inner.session)
                          | clocks_of(inner.init_constraint))
         init = to_zones(inner.init_constraint, sub.clocks)
-        if not zoneset_entails(init, sub.widened(inner_head.entry_zones)):
+        if not zoneset_entails(init, inner_head.over(sub.clocks)[1]):
             self.add(path, "delegation", str(inner_head.entry))
         sub.check(inner.session, path, {}, {},
                   None if self.escaped else [z.up() for z in init])
@@ -592,7 +615,8 @@ def check_well_formed(node: TypeNode,
     violations = [violation for violation, tracked in checker.violations
                   if tracked or checker.escaped]
     try:
-        if not zoneset_contains(gamma_head(node).entry_zones, nu):
+        entry = gamma_head(node).over(checker.clocks)[1]
+        if not zoneset_contains(entry, nu):
             violations.append(Violation((), "feasibility",
                                         "initial valuation outside entry constraint"))
     except SpecError as exc:

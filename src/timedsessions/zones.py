@@ -34,7 +34,9 @@ form: ``zoneset_meet`` and ``zoneset_entails`` decide on it directly,
 ``Zone.widened`` adds clocks.  Each of these, and a meet, which tightens by
 the other zone's bounds, keeps a canonical zone canonical without a closure
 (Bengtsson & Yi), so ``Zone.canonicalize`` runs only on a matrix built from
-scratch.  ``past``, ``future`` and ``reset_constraint`` render their result
+scratch.  The package builds each ZoneSet over the clocks its reader asks
+for and never widens one; ``Zone.widened`` stays as the reference that a
+compile over more clocks is checked against.  ``past``, ``future`` and ``reset_constraint`` render their result
 back to a ``Constraint`` and are the print boundary.
 """
 

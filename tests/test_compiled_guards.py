@@ -12,10 +12,15 @@ candidates of the acceptance screening stream:
   and ``clock_ceilings`` equal those of a fresh parse;
 * no check tightens a shared zone in place;
 * whichever of S and dual(S) is checked first, the second check compiles
-  no guard.
+  no guard;
+* the compile over a reader's clock tuple equals the compile over the
+  guards' own clocks widened to that tuple, also on the stored progress
+  corpora, and no check widens a zone;
+* a guard clock missing from a system's valuations is a ``SpecError``.
 """
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,14 +28,19 @@ from helpers import head_graph
 from timedsessions import sessiontypes
 from timedsessions.generate import random_type
 from timedsessions.parser import parse_type
-from timedsessions.semantics import ExploreLimits, check_progress, make_system
+from timedsessions.errors import SpecError
+from timedsessions.semantics import (ExploreLimits, QConfig, System,
+                                     check_progress, make_system,
+                                     system_steps)
 from timedsessions.sessiontypes import (Choice, Delegate, End, Rec,
-                                        check_well_formed, dual, type_options)
-from timedsessions.zones import zoneset_entails
+                                        check_well_formed, dual, type_clocks,
+                                        type_options)
+from timedsessions.zones import Zone, to_zones, zoneset_entails
 
 STREAM = 20240801  # the acceptance screening stream of perfbench
 CANDIDATES = 150
 CLOCKS = ("x", "y")
+CORPORA = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 
 
 def screening_candidates(count=CANDIDATES):
@@ -104,13 +114,17 @@ def fresh_heads(side):
 
 
 def assert_compiled_like(head, fresh):
-    """The compile of a head against that of a fresh parse."""
+    """The compile of a head against that of a fresh parse, over the
+    guards' own clocks and over the checker's."""
     assert fresh.compiled is not head.compiled
     assert head.clock_bounds == fresh.clock_bounds
-    assert len(head.compiled.zones) == len(fresh.compiled.zones)
-    for ours, theirs in zip(head.compiled.zones, fresh.compiled.zones):
-        assert same_zones(ours, theirs)
-    assert same_zones(head.entry_zones, fresh.entry_zones)
+    for clocks in (head.compiled.clocks, CLOCKS):
+        (ours, our_entry), (theirs, their_entry) = (head.over(clocks),
+                                                    fresh.over(clocks))
+        assert len(ours) == len(theirs)
+        for our_zones, their_zones in zip(ours, theirs):
+            assert same_zones(our_zones, their_zones)
+        assert same_zones(our_entry, their_entry)
     assert str(head.entry) == str(fresh.entry)
 
 
@@ -154,10 +168,11 @@ def test_printed_and_ceilings_are_not_handed_on():
 
 
 def snapshot(compiled):
-    """The clocks, scale and matrix of every zone a compile holds."""
+    """The clocks, scale and matrix of every zone a compile holds over the
+    guards' own clocks and over the checker's."""
     return [(zone.clocks, zone.scale, [row[:] for row in zone.m])
-            for zones in (*compiled.zones, compiled.entry_zones)
-            for zone in zones]
+            for guards, entry in map(compiled.over, (compiled.clocks, CLOCKS))
+            for zones in (*guards, entry) for zone in zones]
 
 
 def test_no_check_tightens_a_shared_zone():
@@ -205,3 +220,78 @@ def test_the_second_of_a_type_and_its_dual_compiles_no_guard(
         assert len(calls) == compiled
         checked += 1
     assert checked > 100 and calls
+
+
+def own_entry_widened(head, clocks):
+    """The entry of a choice as a compile over each guard's own clocks
+    builds it: every guard zone widened to the clocks of all the guards,
+    closed downward, and widened again to clocks."""
+    own = set().union(*(zone.clocks for opt in head.options
+                        for zone in to_zones(opt.guard)))
+    return [zone.widened(own).down().widened(clocks)
+            for opt in head.options for zone in to_zones(opt.guard)]
+
+
+def keyed_inputs():
+    """(type, the checker's clock tuple for it): the first candidates of
+    the screening stream, checked over CLOCKS, and the first 50 types of
+    each stored corpus, checked over their own clocks."""
+    for node in screening_candidates():
+        yield node, tuple(sorted({*CLOCKS, *type_clocks(node)}))
+    for corpus in sorted(CORPORA.glob("*")):
+        for row in corpus.read_text().splitlines()[:50]:
+            node = parse_type(row.split("\t")[-1])
+            yield node, tuple(sorted(type_clocks(node)))
+
+
+def test_the_keyed_compile_is_the_widened_compile():
+    heads = widened = 0
+    for node, checker_clocks in keyed_inputs():
+        # "w" sorts before the type's clocks, so every position moves
+        for clocks in (checker_clocks, tuple(sorted({"w", *checker_clocks}))):
+            for head in head_graph(node):
+                guards, entry = head.over(clocks)
+                if isinstance(head, End):
+                    assert guards == () and entry == [Zone.universal(clocks)]
+                    continue
+                for opt, zones in zip(head.options, guards, strict=True):
+                    own = to_zones(opt.guard)
+                    assert zones == [zone.widened(clocks) for zone in own]
+                    widened += any(zone.clocks != clocks for zone in own)
+                assert entry == own_entry_widened(head, clocks)
+                assert head.over(clocks)[1] is entry  # compiled once
+                heads += 1
+    assert heads > 2000 and widened > 1000
+
+
+def test_no_check_widens_a_zone(monkeypatch):
+    calls = []
+    widen = Zone.widened
+
+    def counted(zone, clocks):
+        calls.append(zone)
+        return widen(zone, clocks)
+
+    monkeypatch.setattr(Zone, "widened", counted)
+    checked = 0
+    for node in screening_candidates():
+        check_well_formed(node, clocks=CLOCKS)
+        check_well_formed(dual(node), clocks=CLOCKS)
+        check_progress(make_system(node, dual(node), clocks=CLOCKS),
+                       ExploreLimits(max_states=2000))
+        checked += 1
+    assert calls == [] and checked == CANDIDATES
+    Zone.universal(("x",)).widened(CLOCKS)  # the wrapper does count
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("text", ["!a(y<2).end", "!a(x-y<1).end"],
+                         ids=["clock", "diagonal"])
+def test_a_guard_clock_the_valuations_lack_is_a_spec_error(text):
+    node = parse_type(text)
+    zero = {"x": 0}
+    system = System(QConfig(dict(zero), node), QConfig(dict(zero), dual(node)))
+    with pytest.raises(SpecError, match="'y'"):
+        system_steps(system)
+    with pytest.raises(SpecError, match="'y'"):
+        check_progress(system)

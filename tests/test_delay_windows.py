@@ -225,7 +225,7 @@ def test_delay_bound_agrees_with_qconfig_time():
         samples = sample_delays(qc.nu, bounds, max_constant(qc.node) + 2)
         ends = []
         if isinstance(head, Choice):
-            zones = list(head.entry_zones)
+            zones = list(head.over(head.compiled.clocks)[1])
             zones += [z for opt in head.options for z in to_zones(opt.guard)]
             windows = [own_window(zone, qc.nu) for zone in zones]
             ends = [e for window in windows if window

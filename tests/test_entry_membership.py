@@ -2,9 +2,10 @@
 
 ``zoneset_contains`` converts a valuation once, at the LCM of a ZoneSet's
 scales, and ``check_well_formed`` decides its initial valuation with it on
-the compiled entry zones.  ``Choice.entry_zones`` mixes scales, since each
-guard is zoned at its own, so both are checked where scales differ, against
-``eval_constraint`` on the rendered entry constraint.
+the compiled entry zones.  The entry compiled over the guards' own clocks
+mixes scales, since each guard is zoned at its own, so both are checked
+where scales differ, against ``eval_constraint`` on the rendered entry
+constraint.
 """
 
 import random
@@ -34,7 +35,7 @@ def test_entry_zones_of_mixed_scales_agree_with_the_evaluator():
                    random_constraint(rng, CLOCKS, constants, max_depth=2))
             for label, constants in zip("abc", (HALVES, THIRDS, HALVES)))
         choice = Choice(options[:rng.randint(2, 3)])
-        zones = choice.entry_zones
+        zones = choice.over(choice.compiled.clocks)[1]
         mixed += len({zone.scale for zone in zones}) > 1
         for values in (TWELFTHS, HALVES):
             for _ in range(10):
@@ -66,7 +67,8 @@ def test_initial_check_agrees_with_the_rendered_entry_on_the_stream():
         for side in (node, dual(node)):
             nu = {clock: rng.choice(TWELFTHS[1:]) for clock in CLOCKS}
             expected = eval_constraint(nu, gamma(side))
-            assert zoneset_contains(gamma_head(side).entry_zones,
+            head = gamma_head(side)
+            assert zoneset_contains(head.over(head.compiled.clocks)[1],
                                     nu) == expected
             report = check_well_formed(side, nu, clocks=CLOCKS)
             assert (OUTSIDE not in [violation.witness for violation

@@ -560,8 +560,15 @@ def test_received_value_substitutes_into_send():
      None,
      ["1 def F", "2 call F", "3 send q!m", "4 recv p?m", "5 send p!back"],
      "new (p,q) { end | end | pq:[back(7)] | qp:[] }", {}),
+    # a value parameter written into a buffer of the body is replaced too
+    ("""def F(v;;) = new (r,s) {
+          from s recv { m(x) -> to s ! got(x). end } | end
+        | rs:[m(v)] | sr:[] } in F<5;;>""",
+     None,
+     ["1 def F", "2 call F", "3 recv s?m", "4 send s!got"],
+     "new (r,s) { end | end | rs:[] | sr:[got(5)] }", {}),
 ], ids=["renamed-timer-and-channel", "value-to-nested-call", "shadowing",
-        "simultaneous-values", "binder-shadows-channel"])
+        "simultaneous-values", "binder-shadows-channel", "value-in-buffer"])
 def test_parameterised_definitions_are_pinned(source, delays, trace, final,
                                               timers):
     res = run(parse_process(source), RunPolicy(delay_resolution=delays))

@@ -49,6 +49,15 @@ class _TwoPassChecker:
     def widened(self, zones: ZoneSet) -> ZoneSet:
         return [zone.widened(self.clocks) for zone in zones]
 
+    def entry(self, head) -> ZoneSet:
+        """gamma of a head over this pass's clocks, compiled here from its
+        guards and widened: the down-closure of the guard zones, universal
+        for end."""
+        if not head.options:
+            return [Zone.universal(self.clocks)]
+        return [zone.widened(self.clocks).down()
+                for opt in head.options for zone in to_zones(opt.guard)]
+
     def check(self, node: TypeNode, path: Tuple[str, ...],
               gamma_env: Dict[str, TypeNode],
               reach_env: Dict[str, ZoneSet],
@@ -95,7 +104,7 @@ class _TwoPassChecker:
                     Violation(opt_path, "unbound-var", str(exc)))
                 continue
             if not zoneset_entails([z.reset(opt.resets) for z in guard],
-                                   self.widened(cont.entry_zones)):
+                                   self.entry(cont)):
                 self.violations.append(Violation(
                     opt_path, "feasibility", str(cont.entry)))
             if isinstance(opt.payload, Delegate):
@@ -118,7 +127,7 @@ class _TwoPassChecker:
                               | clocks_of(inner.init_constraint),
                               self.track_reach)
         init = to_zones(inner.init_constraint, sub.clocks)
-        if not zoneset_entails(init, sub.widened(inner_head.entry_zones)):
+        if not zoneset_entails(init, sub.entry(inner_head)):
             self.violations.append(Violation(
                 path, "delegation", str(inner_head.entry)))
         sub.check(inner.session, path, {}, {},

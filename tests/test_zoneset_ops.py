@@ -4,10 +4,10 @@ The well-formedness checker meets, resets, delays and compares ZoneSets
 directly; the same questions asked through constraints (``is_sat``,
 ``reset_constraint``, ``future``, ``entails``) must get the same answers.
 Constants mix thirds and halves, so zones of different scales meet.  The
-checker widens the ZoneSets compiled on the type nodes to the type's
-clocks, which must give the zones built over those clocks directly, and a
-choice's entry, compiled from its guards' ZoneSets, must print as the past
-of the disjunction of its guards.
+checker reads ZoneSets compiled straight over the type's clocks, which must
+be the zones built over fewer clocks and widened, and a choice's entry,
+compiled from its guards' ZoneSets, must print as the past of the
+disjunction of its guards.
 """
 
 import random
