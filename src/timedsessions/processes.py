@@ -25,13 +25,16 @@ does not walk its path again.  A receive without a timeout has
 
 Redexes are found in two parts: one walk, ``_sites``, lists the active
 leaves with the buffers each sees, and ``_classify`` turns one leaf into
-a redex.  The scheduler keeps the classified list across instant steps
-and walks the term again only when a step changes its structure, or
-after a time step.  An instant step that leaves a leaf only records its
-new leaf and buffer by path; the whole term is rebuilt from those
-pending replacements only when something reads it: a time step, a walk,
-the end of the run.  A time step renormalises only the active nodes of
-``phi``'s result, the only ones ``phi`` rebuilds.
+a redex.  The scheduler keeps the classified list across steps and walks
+the term again only after a step that puts a composition, a session
+scope or a buffer.  A time step is taken from the kept sites: its
+duration from their deadlines, and each new leaf from ``phi`` on the old
+one, renormalised on its active nodes, the only ones ``phi`` rebuilds.
+While some active buffer is non-empty, ``phi``'s Par premise can fail,
+and the whole term takes the step through ``time_step``.  A step records
+its new leaves and buffer by path; the whole term is rebuilt from those
+pending replacements only when something reads it: a walk, the
+completion check, the end of the run.
 
 A call and a receive with a binder substitute in one capture-avoiding
 walk, ``substitute``; a call reads its definition from the registry that
@@ -173,6 +176,15 @@ class DelayConstraint:
                                                 [self.cond], horizon)
                      if eval_constraint({self.var: t}, self.cond))
 
+    @cached_property
+    def interiors(self) -> Tuple[Optional[Fraction], ...]:
+        """Beside each adjacent pair of candidates, their midpoint, or None
+        where the midpoint fails the constraint; computed once."""
+        pool = self.candidates
+        mids = ((a + b) / 2 for a, b in zip(pool, pool[1:]))
+        return tuple(m if eval_constraint({self.var: m}, self.cond) else None
+                     for m in mids)
+
 
 @dataclass(frozen=True)
 class DelayExact:
@@ -308,13 +320,11 @@ def map_children(p: ProcNode, f: Callable[[ProcNode], ProcNode],
     nothing.
     """
     shape = _SHAPES.get(type(p))
-    if shape is None:
+    if shape is None or (active and shape.active is None):
         return p
     kids = shape.children(p)
     if not active:
         new = tuple(map(f, kids))
-    elif shape.active is None:
-        return p
     else:
         new = kids[:shape.active] + tuple(map(f, kids[shape.active:]))
     if all(map(is_, new, kids)):
@@ -705,16 +715,19 @@ Buffers = Dict[Tuple[str, str], Tuple[Path, Buffer]]
 Site = Tuple[Path, ProcNode, Buffers]
 
 
-def _sites(root: ProcNode) -> List[Site]:
-    """The active leaves of root other than buffers, in leftmost order.
+def _sites(root: ProcNode) -> Tuple[List[Site], int]:
+    """The active leaves of root other than buffers, in leftmost order, and
+    the number of active buffers that are not empty.
 
     Buffer lookups respect scoping: a leaf sees the buffers that are
     parallel siblings within its enclosing session scope.  Leaves of one
     composition share one buffers dict.
     """
     out: List[Site] = []
+    full = 0
 
     def walk(node: ProcNode, path: Path, buffers: Buffers) -> None:
+        nonlocal full
         if isinstance(node, Par):
             local = dict(buffers)
             for i, part in enumerate(node.parts):
@@ -726,11 +739,13 @@ def _sites(root: ProcNode) -> List[Site]:
             visible = {chan: p for chan, p in buffers.items()
                        if node.left not in chan and node.right not in chan}
             walk(node.body, path + (0,), visible)
-        elif not isinstance(node, Buffer):
+        elif isinstance(node, Buffer):
+            full += bool(node.items)
+        else:
             out.append((path, node, buffers))
 
     walk(root, (), {})
-    return out
+    return out, full
 
 
 def _classify(path: Path, node: ProcNode, buffers: Buffers) -> Optional[Redex]:
@@ -774,7 +789,7 @@ def _classify(path: Path, node: ProcNode, buffers: Buffers) -> Optional[Redex]:
 
 def _collect_redexes(root: ProcNode) -> List[Redex]:
     """Enumerate instantaneous redexes in deterministic leftmost order."""
-    return [redex for redex in (_classify(*site) for site in _sites(root))
+    return [redex for redex in (_classify(*site) for site in _sites(root)[0])
             if redex is not None]
 
 
@@ -804,9 +819,8 @@ class _DelayPicker:
         if not pool:
             raise SpecError(f"unsatisfiable delay constraint {cond}")
         if len(pool) > 1:
-            i = self.rng.randrange(len(pool) - 1)
-            interior = (pool[i] + pool[i + 1]) / 2
-            if eval_constraint({var: interior}, cond):
+            interior = node.interiors[self.rng.randrange(len(pool) - 1)]
+            if interior is not None:
                 pool = pool + (interior,)
         return self.rng.choice(pool)
 
@@ -958,18 +972,24 @@ def is_completed(p: ProcNode) -> bool:
             and all(map(is_completed, children(p, active=True))))
 
 
+def _deadline(node: ProcNode) -> Optional[Fraction]:
+    """The positive duration after which node changes as time passes: a
+    pending exact delay or a finite timeout; None if it has none."""
+    kind = type(node)
+    if kind is DelayExact:
+        t = node.duration
+    elif kind is ReceiveAfter and isinstance(node.after, Fraction):
+        t = node.after
+    else:
+        return None
+    return t if t > 0 else None
+
+
 def _time_candidates(root: ProcNode) -> List[Fraction]:
     """Durations after which something changes: pending exact delays and
     finite active timeouts."""
-    out: List[Fraction] = []
-    for node in subterms(root, active=True):
-        if isinstance(node, DelayExact):
-            if node.duration > 0:
-                out.append(node.duration)
-        elif isinstance(node, ReceiveAfter):
-            if isinstance(node.after, Fraction) and node.after > 0:
-                out.append(node.after)
-    return out
+    return [t for t in map(_deadline, subterms(root, active=True))
+            if t is not None]
 
 
 def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
@@ -978,20 +998,27 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     Instant steps are exhausted in leftmost order before the unique enabled
     time step fires; delay(constraint) durations are resolved by the policy.
 
-    An instant step rewrites one redex and at most one buffer, and only
-    resolves the timeouts of the subterm it put there.  The term's sites
-    (``_sites``) and their redexes are kept from step to step: when the new
-    subterm is a leaf, no other site moves, so the step replaces its own
-    site and puts the buffer it rewrote into every site that sees it.  The
-    new leaf and buffer are kept by path as pending replacements, and the
-    whole term is rebuilt from them (``_replace_normal``) only when it is
-    read: before a time step, before a walk, and for the result.  A call
-    finds its definition in the registry that the ``def`` steps fill.  A
-    new composition, session scope or
-    buffer moves paths or changes what sites see, so the term is rebuilt,
-    renormalising the nodes above it, and walked again, as after a time
-    step, which renormalises and resolves the active nodes of the whole
-    term.
+    The term's sites (``_sites``) and their redexes are kept from step to
+    step.  An instant step rewrites one redex and at most one buffer: it
+    replaces its own site and puts the buffer it rewrote into every site
+    that sees it.  A time step takes its duration from the sites' deadlines
+    and applies ``phi`` to each site's leaf, renormalising the active nodes
+    of the result.  Every new leaf is kept by path as a pending replacement
+    and reclassified, and only a fresh receive whose timeout is still an
+    expression, or a fresh composition, has its timeouts resolved.  The
+    whole term is rebuilt from the pending replacements (``_replace_normal``)
+    only when it is read: before a walk, for the completion check, for the
+    position of an ``err`` or ``stuck``, and for the result.  A new
+    composition, session scope or buffer moves paths or changes what sites
+    see, so after a step that puts one the term is rebuilt, renormalising
+    the nodes above it, and walked again.
+
+    The Par premise of ``phi`` (no waiting endpoint has a non-empty inbound
+    queue) can fail only while some active buffer is non-empty, and the
+    walk counts those buffers.  In that state the time step is taken by
+    ``time_step`` on the whole term, which checks the premise, and the term
+    is walked again.  A call finds its definition in the registry that the
+    ``def`` steps fill.
     """
     policy = policy or RunPolicy()
     picker = _DelayPicker(policy.seed, policy.delay_resolution)
@@ -1000,21 +1027,21 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     elapsed = Fraction(0)
     rho: TimerEnv = {}
     # The term as last rebuilt, and the replacements made in it since, by
-    # path: the leaves and buffers of instant steps.  Every active receive
-    # of both has its timeout resolved.
+    # path: the leaves and buffers of steps.
     term = runtime_normalize(program)
     pending: Dict[Path, ProcNode] = {}
-    # The subterm the last step put at path.  Its receives are resolved at
-    # the top of the next iteration, so a run that stops first returns them
-    # as expressions.  After a time step it is the whole term.
-    path: Path = ()
-    fresh = term
-    # The sites of the term and their redexes, index for index; fresh
-    # replaces the site at index ``at``, or the term is walked again if it
-    # is None.
+    # The subterms the last step put in, each with its path and the index
+    # of the site it replaces.  Their receives are resolved at the top of
+    # the next iteration, so a run that stops first returns them as
+    # expressions.  If walk is set, the term is walked again instead of
+    # those sites being replaced.
+    fresh: List[Tuple[int, Path, ProcNode]] = [(0, (), term)]
+    walk = True
+    # The sites of the term and their redexes, index for index, and the
+    # number of active buffers that are not empty.
     sites: List[Site] = []
     redexes: List[Optional[Redex]] = []
-    at: Optional[int] = None
+    full = 0
     steps = 0
 
     def whole() -> ProcNode:
@@ -1029,19 +1056,26 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         return RunResult(status, detail, trace, elapsed, whole(), rho)
 
     while steps < policy.fuel:
+        resolved = []
         try:
-            resolved = resolve_active(fresh, rho)
+            for at, path, node in fresh:
+                kind = type(node)
+                if kind is ReceiveAfter:
+                    node = _resolve_after(node, rho, _ZERO)
+                elif kind in _ACTIVE_KINDS:
+                    node = resolve_active(node, rho)
+                resolved.append((at, path, node))
         except SpecError as exc:
-            pending[path] = fresh
             return result(RunStatus.ERROR, str(exc))
-        pending[path] = resolved
-        if at is None:
-            sites = _sites(whole())
+        for at, path, node in resolved:
+            pending[path] = node
+            if not walk:
+                buffers = sites[at][2]
+                sites[at] = (path, node, buffers)
+                redexes[at] = _classify(path, node, buffers)
+        if walk:
+            sites, full = _sites(whole())
             redexes = [_classify(*site) for site in sites]
-        else:
-            buffers = sites[at][2]
-            sites[at] = (path, resolved, buffers)
-            redexes[at] = _classify(path, resolved, buffers)
         first = None
         for index, redex in enumerate(redexes):
             if redex is None:
@@ -1062,13 +1096,16 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
             except SpecError as exc:
                 return result(RunStatus.ERROR, str(exc))
             trace.append(f"{steps} {text}")
-            path, fresh = redex.path, _normal_node(new)
-            at = None if isinstance(fresh, (Par, Scope, Buffer)) else first
+            new = _normal_node(new)
+            pending[redex.path] = new
+            fresh = [(first, redex.path, new)]
+            walk = isinstance(new, (Par, Scope, Buffer))
             if buf is None:
                 continue
             pending[redex.buffer_path] = buf
-            if at is not None:
-                # Before fresh is classified, or a second send would
+            full += bool(buf.items) - bool(redex.buffer.items)
+            if not walk:
+                # Before the new leaf is classified, or a second send would
                 # append to the old buffer.
                 chan = (buf.src, buf.dst)
                 for index, (site_path, node, buffers) in enumerate(sites):
@@ -1077,20 +1114,32 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
                         buffers[chan] = (redex.buffer_path, buf)
                         redexes[index] = _classify(site_path, node, buffers)
             continue
-        term = whole()
-        if is_completed(term):
+        if (all(type(site[1]) is PEnd for site in sites)
+                and is_completed(whole())):
             return result(RunStatus.COMPLETED, "all components terminated")
-        candidates = _time_candidates(term)
+        candidates = [t for t in (_deadline(site[1]) for site in sites)
+                      if t is not None]
         if not candidates:
             return result(RunStatus.STUCK, "no action and no finite deadline")
         t = min(candidates)
         steps += 1
         try:
-            rho, term = time_step(rho, term, t)
+            if full:
+                rho, term = time_step(rho, whole(), t)
+                fresh, walk = [(0, (), term)], True
+            else:
+                news = [phi(t, node, rho) for _, node, _ in sites]
+                rho = {name: value + t for name, value in rho.items()}
+                fresh, walk = [], False
+                for at, (new, (path, node, _)) in enumerate(zip(news, sites)):
+                    if new is node:
+                        continue
+                    new = _normalize(new, reorder=False, active=True)
+                    pending[path] = new
+                    fresh.append((at, path, new))
+                    walk = walk or isinstance(new, (Par, Scope, Buffer))
         except PhiUndefined as exc:
             return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
-        path, fresh, at = (), term, None
         elapsed += t
         trace.append(f"{steps} delay({format_rational(t)})")
-    pending[path] = fresh
     return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")

@@ -23,6 +23,7 @@ from timedsessions.processes import (
     Buffer,
     Call,
     Def,
+    DelayExact,
     Par,
     PhiUndefined,
     ProcNode,
@@ -228,10 +229,51 @@ UNKNOWN_TIMER = parse_process(
     "| to q ! m. end | pq:[] | qp:[] }")
 
 
+# A delay that expires into a parallel composition, which must be spliced
+# into the session's composition and walked, while the receive beside it
+# counts down.
+DELAY_INTO_PAR = Scope("p", "q", Par((
+    DelayExact(Fraction(1), Par((
+        parse_process("to q ! m. end"),
+        parse_process("delay(1). from q recv { n -> end } after 2 { end }")))),
+    parse_process("from p recv { m -> to p ! n. end } after 3 { end }"),
+    Buffer("p", "q"), Buffer("q", "p"))))
+
+# Time passes while a buffer holds a message whose receiver is not yet
+# waiting: phi is defined, and the receive then takes the message.
+FULL_BUFFER = parse_process(
+    "new (p,q) { to q ! m. delay(2). end "
+    "| delay(1). from p recv { m -> end } | pq:[] | qp:[] }")
+
+# A waiting receive and a buffer to its endpoint that it does not see,
+# inside a sibling scope, which a send there fills: phi is then undefined.
+HIDDEN_QUEUE = Scope("p", "q", Par((
+    parse_process("from q recv { m -> end } after 5 { end }"),
+    Scope("a", "b", Par((parse_process("to p ! m. delay(1). end"),
+                         Buffer("p", "q"), Buffer("a", "b"),
+                         Buffer("b", "a")))),
+    Buffer("q", "p"))))
+
+# A send that sees no buffer is no redex, and time cannot pass over it.
+BLIND_SEND = parse_process("delay(1). end | to q ! m. end")
+
+# Timeouts whose continuation is a receive with an expression timeout: one
+# reached by an expiring delay in the time step, one by an expired receive
+# in the instant step after it.  Both read x after the step.
+EXPRESSION_AFTER_TIMEOUT = parse_process(
+    "new (p,q) { set(x). delay(2). from p recv { m -> end } after 3-x { end } "
+    "| set(y). from q recv { m -> end } after 1 "
+    "{ from q recv { m -> end } after 4-y { end } } | pq:[] | qp:[] }")
+
+
 @pytest.mark.parametrize("program,schedule", [
     (SPLICED, [0]), (SPLICED, [1]), (SPLICED, [Fraction(1, 2)]),
-    (UNKNOWN_TIMER, None)],
-    ids=["spliced-0", "spliced-1", "spliced-1/2", "unknown-timer"])
+    (UNKNOWN_TIMER, None), (DELAY_INTO_PAR, None), (FULL_BUFFER, None),
+    (HIDDEN_QUEUE, None), (BLIND_SEND, None),
+    (EXPRESSION_AFTER_TIMEOUT, None)],
+    ids=["spliced-0", "spliced-1", "spliced-1/2", "unknown-timer",
+         "delay-into-par", "full-buffer", "hidden-queue", "blind-send",
+         "expression-after-timeout"])
 def test_spliced_and_failing_steps_match_the_whole_term_loop(program,
                                                              schedule):
     for fuel in range(12):

@@ -1,13 +1,13 @@
 """The run's kept redex list against the whole-term reference loop.
 
-``run`` walks the term for its sites only at the start, after a time step
-and after a step whose new subterm is a composition, a session scope or a
-buffer.  After any other instant step it replaces the one site the step
-rewrote and puts a rewritten buffer into every site that sees it, and
-keeps the new leaf and buffer as pending replacements until something
-reads the whole term.  Each program below makes one of those updates
-matter; ``reference_run`` collects the redexes of the whole term before
-every step.
+``run`` walks the term for its sites only at the start and after a step
+that puts a composition, a session scope or a buffer.  After any other
+instant step it replaces the one site the step rewrote and puts a
+rewritten buffer into every site that sees it; after any other time step
+it replaces the sites whose leaves time changed.  It keeps the new leaves
+and buffers as pending replacements until something reads the whole term.
+Each program below makes one of those updates matter; ``reference_run``
+collects the redexes of the whole term before every step.
 """
 
 import pytest
@@ -17,7 +17,7 @@ from timedsessions.parser import parse_process
 from timedsessions.processes import (Buffer, Par, RunPolicy, Scope,
                                      SetTimer, _normal_node, run)
 
-from test_incremental_step import PINGPONG, reference_run
+from test_incremental_step import DELAY_INTO_PAR, PINGPONG, reference_run
 
 PROGRAMS = {
     # the receive is classified before the send fills its buffer, so only
@@ -94,13 +94,33 @@ def test_term_is_walked_after_time_and_structural_steps_only(
     monkeypatch.setattr(processes, "_replace_normal", counting_replace_normal)
     result = run(program, policy)
     assert result == expected
-    time_steps = sum(line.split()[1].startswith("delay(")
-                     for line in result.trace)
-    # The last step is neither, so each of them was followed by a walk.
-    assert not result.trace[-1].split()[1].startswith("delay(")
+    # No time step of these programs puts a composition, a scope or a
+    # buffer, and the last step is not structural, so each structural step
+    # was followed by a walk.
     assert not structural[-1]
-    assert walks == 1 + time_steps + sum(structural)
-    # The whole term is rebuilt before each walk, at most once before each
-    # time step (to read it) and at most once for the result: never for
-    # an instant step alone.
-    assert walks <= rebuilds <= walks + time_steps + 1
+    assert walks == 1 + sum(structural)
+    # The whole term is rebuilt before each walk and at most once more, for
+    # the result: never for a time step or an instant step alone.
+    assert walks <= rebuilds <= walks + 1
+
+
+@pytest.mark.parametrize("program,policy,counts", [
+    (PINGPONG, RunPolicy(seed=1, fuel=200), (1, 0)),
+    (DELAY_INTO_PAR, RunPolicy(), (3, 1))],
+    ids=["pingpong", "delay-into-par"])
+def test_time_steps_walk_only_for_new_structure(monkeypatch, program, policy,
+                                                counts):
+    """(walks, whole-term time steps).  Main's 12 time steps change only
+    leaves, with every buffer empty, so its term is walked once, at the
+    start, and ``time_step`` never runs.  In ``delay-into-par`` the first
+    time step puts a composition, and the second is taken while a buffer
+    holds a message, so the whole term takes it and is walked again."""
+    expected = reference_run(program, policy)
+    calls = {"_sites": 0, "time_step": 0}
+    for name in calls:
+        def counting(*args, _f=getattr(processes, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(processes, name, counting)
+    assert run(program, policy) == expected
+    assert (calls["_sites"], calls["time_step"]) == counts
