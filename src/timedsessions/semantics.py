@@ -10,24 +10,23 @@ are consumed as internal steps, and time passes only when both sides agree.
 
 Progress of a system is verified empirically by breadth-first exploration,
 sampling delays at guard boundaries, midpoints and one point beyond every
-boundary.  The exploration runs on int states (``_Space``): one common
+boundary, on int states (``_Space``, ``state_key``): one common
 denominator den, each side's clock values over it as an int tuple in
-sorted clock order, and each side's printed head and queue
-(``state_key``).  After every step a state is reduced so that
-gcd(den, *L, *R) == 1, so equal valuations give equal states.  The waits
-from a state are sampled at S = 2·lcm(den, d), d the LCM of the guard
-constants' denominators, where every boundary, midpoint and the horizon is
-an int.  Points are read by the one reader of ``zones``: from a point
-the delays into a zone form one interval (``zones.window_at``), so each
-side's time rule admits an initial interval of delays, read off its entry
-and queue-head guard zones once per state (``zones.windows_at``), and a
-guard holds where one of its windows contains 0 (``zones.holds_at``).
-Each state is then mapped to its region representative under the clock
-ceilings of each side's head
+sorted clock order, reduced so that gcd(den, *L, *R) == 1, and each side's
+printed head and queue.  A state is expanded in one pass
+(``_Space.successors``): each side's int point at S = 2·lcm(den, d), d the
+LCM of the guard constants' denominators (every boundary, midpoint and
+the horizon is then an int), and its queue head's receive option are built
+once for the moves and the time rule.  Points are read by the one reader
+of ``zones``: a guard holds where ``zones.holds_at`` says so, and a time
+rule admits the initial interval of delays read off the windows
+(``zones.window_at``) of its entry and queue-head guard zones.  Successors
+are region representatives under the clock ceilings of each side's head
 (``Choice.clock_ceilings``, after Behrmann et al., TACAS 2003): a clock no
 guard reads before its next reset is inactive and set to 0 (Daws & Yovine,
-RTSS 1996), every other clock is capped one above its ceiling.  A system
-with a diagonal guard keeps its exact values, only reduced.
+RTSS 1996), every other clock is capped one above its ceiling.  The waits
+are mapped in one loop; a move that resets no clock and keeps the caps
+keeps a state canonical.  A diagonal system's states are only reduced.
 
 ``Fraction`` remains only at the boundary: the digest text
 (``render_key``), the t of a wait action, the System a monitored state is
@@ -69,7 +68,7 @@ from .sessiontypes import (
     unfold_head,
 )
 from .rational import format_rational
-from .zones import constraint_equiv, holds_at, trajectory_zone, windows_at
+from .zones import constraint_equiv, holds_at, trajectory_zone, window_at
 
 # ---------------------------------------------------------------------------
 # States
@@ -288,18 +287,6 @@ def default_horizon(sys: System) -> Fraction:
 # The int state space
 # ---------------------------------------------------------------------------
 
-def _cuts(point, bounds, step: int, horizon: int) -> List[int]:
-    """The sorted distances from an int point to the boundaries (i, c) that
-    lie within the horizon, 0 for one already passed, and 0 itself;
-    c is at the space's scale d and ``step`` takes it to the point's."""
-    cuts = {0}
-    for i, const in bounds:
-        boundary = const * step - point[i]
-        if boundary <= horizon:
-            cuts.add(boundary if boundary > 0 else 0)
-    return sorted(cuts)
-
-
 def state_key(sys: System) -> tuple:
     """The identity of a state, the int state ``check_progress`` memoizes
     on: ``(den, L, printed_l, queue_l, R, printed_r, queue_r)``, the clock
@@ -320,13 +307,23 @@ def state_key(sys: System) -> tuple:
             tuple(ints[n:]), unfold_head(right.node).printed, right.queue)
 
 
-def _reduced(den: int, ints: List[int], state: tuple) -> tuple:
-    """state with its values replaced by ints over den, both divided by
-    their gcd."""
+def _region(values: list, m: int, d: int, state: tuple) -> tuple:
+    """state with the values v/m at scale d, each split into v // m and a
+    remainder v % m: the ordered remainders and 0 renumbered 0..k-1 over
+    k·d, then reduced so that gcd(den, *L, *R) == 1.  At m = 1 only a
+    Fraction cap (``region_canonical``'s) leaves a remainder."""
+    if m == 1 and type(sum(values)) is int:
+        ints, den = values, d
+    else:
+        rems = sorted({v % m for v in values}.union((0,)))
+        k = len(rems)
+        den = k * d
+        ints = ([v // m * k + rems.index(v % m) for v in values] if k > 1
+                else [v // m for v in values])
     g = gcd(den, *ints)
     if g > 1:
         den, ints = den // g, [value // g for value in ints]
-    n = len(state[1])
+    n = len(ints) >> 1
     return (den, tuple(ints[:n]), state[2], state[3], tuple(ints[n:]),
             state[5], state[6])
 
@@ -351,12 +348,14 @@ def _action(action: tuple) -> SysAction:
 
 class _Option:
     """One option of a head, compiled for a ``_Space``: its message, its
-    guard zones, the positions it resets and its continuation, whose head is
-    looked up when the option first fires."""
+    guard zones, the positions it resets, the head it continues with, and
+    whether it ``keeps`` a canonical state canonical (it resets no clock,
+    and its continuation has the caps of its own head)."""
 
-    __slots__ = ("message", "zones", "resets", "node", "head")
+    __slots__ = ("message", "zones", "resets", "head", "keeps")
 
-    def __init__(self, opt: ChoiceOption, zones: list, space: "_Space"):
+    def __init__(self, opt: ChoiceOption, zones: list, space: "_Space",
+                 caps: Optional[tuple]):
         self.message = Message(opt.label, opt.payload)
         self.zones = zones
         unknown = opt.resets - set(space.clocks)
@@ -364,14 +363,16 @@ class _Option:
             raise SpecError(f"reset of undeclared clock(s): {sorted(unknown)}")
         self.resets = frozenset(space.clocks.index(clock)
                                 for clock in opt.resets)
-        self.node = opt.continuation
-        self.head: Optional[_Head] = None
+        self.head = space.head(opt.continuation)
+        self.keeps = not self.resets and self.head.caps == caps
 
     def reset(self, values: tuple) -> tuple:
         if not self.resets:
             return values
-        return tuple(0 if i in self.resets else value
-                     for i, value in enumerate(values))
+        values = list(values)
+        for i in self.resets:
+            values[i] = 0
+        return tuple(values)
 
 
 class _Head:
@@ -389,11 +390,12 @@ class _Head:
         self.final = not head.options
         self.sends: Optional[List[_Option]] = None  # until ``compile``
         self.caps = None
-        if space.cap is not None:
+        if space.cap is not None:  # an int cap where it is a whole number
             ceilings = head.clock_ceilings
-            self.caps = tuple(
-                _as_int(min(space.cap, ceilings[clock] + 1) * space.d)
-                if clock in ceilings else None for clock in space.clocks)
+            caps = [min(space.cap, ceilings[clock] + 1) * space.d
+                    if clock in ceilings else None for clock in space.clocks]
+            self.caps = tuple(cap if cap is None or cap.denominator > 1
+                              else cap.numerator for cap in caps)
 
     def compile(self, space: "_Space") -> "_Head":
         """Compile what the step relation reads, on the first step from
@@ -403,7 +405,7 @@ class _Head:
         self.entry = [zone.window_bounds() for zone in entry]
         for opt, zones in zip(self.node.options, guards):
             compiled = _Option(opt, [zone.window_bounds() for zone in zones],
-                               space)
+                               space, self.caps)
             if opt.direction == SEND:
                 self.sends.append(compiled)
             else:
@@ -427,8 +429,8 @@ class _Head:
                 f"{message.sort}, type expects {opt.message.sort}")
         return opt
 
-    def delay_bound(self, queue: tuple, point, scale: int,
-                    first: int) -> Optional[int]:
+    def delay_bound(self, queue: tuple, opt: Optional[_Option], point,
+                    scale: int, first: int) -> Optional[int]:
         """The delays t > 0 that the time rule admits on this side at the
         int point, as the encoded bound they meet (t is admitted when
         2t + 1 <= bound), or None when it admits every delay.
@@ -436,48 +438,45 @@ class _Head:
         Persistency: ``Choice.entry`` is past-closed, so from a point inside
         it the delays that stay inside form one initial interval, ending at
         the largest upper end of the point's windows against the entry
-        zones; from a point outside it no window is non-empty and
-        persistency imposes nothing.  Urgency: the queue head's guard holds
-        somewhere in [0, t) exactly when t exceeds the smallest lower end of
-        the point's windows against its guard zones.  As in ``qconfig_time``,
-        the queue head is looked up (and a mismatched payload raises
-        ``ProtocolError``) only when persistency admits ``first``, the
-        smallest delay asked about."""
+        zones (outside it, no window is non-empty).  Urgency: the queue
+        head's guard holds somewhere in [0, t) exactly when t exceeds the
+        smallest lower end of the point's windows against its guard zones.
+        Without opt, that option is looked up (a mismatched payload raises)
+        only when persistency admits ``first``, as in ``qconfig_time``."""
         bound = None
-        windows = windows_at(self.entry, point, scale)
-        if windows and all(hi is not None for _, hi in windows):
-            bound = max(hi for _, hi in windows)
-            if 2 * first + 1 > bound:  # no delay asked about passes
-                return bound
-        opt = self.receive(queue)
+        for zone in self.entry:
+            window = window_at(zone, point, scale)
+            if window is not None:
+                if window[1] is None:  # persistency imposes nothing
+                    bound = None
+                    break
+                if bound is None or window[1] > bound:
+                    bound = window[1]
+        if bound is not None and 2 * first + 1 > bound:
+            return bound  # no delay asked about passes
+        opt = opt or self.receive(queue)
         if opt is not None:
-            starts = [1 - (lo & -2) for lo, _ in windows_at(opt.zones, point,
-                                                             scale)]
-            if starts:
-                bound = min(starts) if bound is None else min(bound, *starts)
+            for zone in opt.zones:
+                window = window_at(zone, point, scale)
+                if window is not None and (bound is None
+                                           or 1 - (window[0] & -2) < bound):
+                    bound = 1 - (window[0] & -2)
         return bound
-
-
-def _as_int(value: Fraction):
-    """value as an int when it is a whole number."""
-    return value.numerator if value.denominator == 1 else value
 
 
 class _Space:
     """The int form of the states of one system, and its step relation.
 
     A state is the tuple ``(den, L, printed_l, queue_l, R, printed_r,
-    queue_r)`` of ``state_key``.  d is the LCM of the denominators of the
-    guard constants (and of the horizon); the waits from a state are sampled
-    at ``S = 2·lcm(den, d)``, where every boundary c - v, every midpoint and
-    the horizon are ints.  After a step, ``canon`` maps a state to its
-    region representative (when the space has a cap) and reduces it so that
+    queue_r)`` of ``state_key``; d is the LCM of the denominators of the
+    guard constants (and of the horizon).  ``successors`` expands a state
+    in one pass from its ``sides`` and maps each successor as ``canon``
+    does, to its region representative (with a cap) reduced so that
     gcd(den, *L, *R) == 1: equal valuations give equal states.  The heads
-    met are compiled once per space, by printed form, as the state names
-    them.  They read the windows of their family's compile over the
-    space's clocks (``Choice.over``), each zone's cached
-    ``Zone.window_bounds``, which S, dual(S), their unfoldings and later
-    spaces on those clocks share; a space belongs to one call."""
+    met are compiled once per space, by printed form, from their family's
+    compile over the space's clocks (``Choice.over``): each zone's cached
+    ``Zone.window_bounds``, shared by S, dual(S), their unfoldings and
+    later spaces on those clocks.  A space belongs to one call."""
 
     def __init__(self, clocks, d: int, cap: Optional[Fraction] = None):
         self.clocks = tuple(clocks)
@@ -512,8 +511,7 @@ class _Space:
     # -- tables --------------------------------------------------------------
 
     def head(self, node: TypeNode) -> _Head:
-        """The compiled head of a node, one for all unfolded heads that
-        print the same."""
+        """The head of a node, one for all unfolded heads that print alike."""
         head = unfold_head(node)
         compiled = self.heads.get(head.printed)
         if compiled is None:
@@ -525,20 +523,13 @@ class _Space:
         head = self.heads[printed]
         return head if head.sends is not None else head.compile(self)
 
-    def follow(self, opt: _Option) -> str:
-        """The printed head the option continues with."""
-        if opt.head is None:
-            opt.head = self.head(opt.node)
-        return opt.head.printed
-
     def at_d(self, value: Fraction) -> int:
         return value.numerator * (self.d // value.denominator)
 
     # -- the boundary --------------------------------------------------------
 
     def encode(self, sys: System) -> tuple:
-        """``state_key`` of a system of this space, with both heads
-        compiled."""
+        """``state_key`` of a system of this space, with both heads met."""
         self.head(sys.left.node)
         self.head(sys.right.node)
         return state_key(sys)
@@ -569,82 +560,109 @@ class _Space:
 
     def points(self, state: tuple) -> Tuple[int, tuple, tuple]:
         """(S, point_l, point_r): both valuations at S = 2·lcm(den, d), the
-        reference clock's 0 first (the same object when they are equal)."""
-        den, left, right = state[0], state[1], state[4]
-        scale = 2 * lcm(den, self.d)
-        up = scale // den
-        point_l = (0, *[value * up for value in left])
-        point_r = point_l if right == left else (0, *[value * up
-                                                       for value in right])
-        return scale, point_l, point_r
+        reference clock's 0 first."""
+        scale = 2 * lcm(state[0], self.d)
+        up = scale // state[0]
+        return (scale, (0,) + tuple([v * up for v in state[1]]),
+                (0,) + tuple([v * up for v in state[4]]))
 
-    def _moves(self, head: _Head, queue: tuple, values: tuple, point,
-               scale: int, kinds: Tuple[str, str]) -> list:
-        """The internal moves of one side: (action, values, printed, queue,
-        sent message or None), the sends in option order, then the receive
-        of the queue head."""
-        out = []
-        for opt in head.sends:
-            if holds_at(opt.zones, point, scale):
-                out.append(((kinds[0], opt.message, None, None),
-                            opt.reset(values), self.follow(opt), queue,
-                            opt.message))
-        opt = head.receive(queue)
-        if opt is not None and holds_at(opt.zones, point, scale):
-            out.append(((kinds[1], queue[0], None, None), opt.reset(values),
-                        self.follow(opt), queue[1:], None))
-        return out
+    def sides(self, state: tuple) -> Tuple[int, tuple, tuple]:
+        """(S, left, right), per side its compiled head, queue, point at S
+        and queue head's receive option, built once for the moves and the
+        waits; the left side's payload mismatch raises first."""
+        scale, point_l, point_r = self.points(state)
+        hl, hr = self.stepping(state[2]), self.stepping(state[5])
+        return (scale, (hl, state[3], point_l, hl.receive(state[3])),
+                (hr, state[6], point_r, hr.receive(state[6])))
+
+    def moves(self, state: tuple, scale: int, left: tuple, right: tuple):
+        """The internal moves of a state from its ``sides``, (action,
+        successor, ``_Option.keeps``): the left side's deliveries in option
+        order and its queue consumption, then the right side's."""
+        for i, (head, queue, point, receive), send, recv in (
+                (1, left, "comm-l", "recv-l"), (4, right, "comm-r", "recv-r")):
+            for opt in head.sends:  # a side's values, head and queue at
+                if holds_at(opt.zones, point, scale):  # i..i+2, its peer's
+                    succ = list(state)  # queue at 7 - i
+                    succ[i:i + 2] = opt.reset(state[i]), opt.head.printed
+                    succ[7 - i] += (opt.message,)
+                    yield ((send, opt.message, None, None), tuple(succ),
+                           opt.keeps)
+            if receive is not None and holds_at(receive.zones, point, scale):
+                succ = list(state)
+                succ[i:i + 3] = (receive.reset(state[i]), receive.head.printed,
+                                 queue[1:])
+                yield (recv, queue[0], None, None), tuple(succ), receive.keeps
+
+    def can_move(self, state: tuple) -> bool:
+        """Has the state an internal move?  ``moves``, up to the first."""
+        return next(self.moves(state, *self.sides(state)), None) is not None
 
     def steps(self, state: tuple, horizon: Optional[int]) -> list:
-        """The (action, state) transitions of a state: deliveries and queue
-        consumptions of the left side, then of the right, then the admitted
-        waits (none when horizon, at scale d, is None).  A final|final state
-        has none.  Actions are ``(kind, message, t, S)``, t at S."""
+        """The (action, state) transitions of a state: its ``moves``, then
+        the admitted waits (none when horizon, at scale d, is None); none
+        from final|final.  An action is ``(kind, message, t, S)``, t at S."""
         if self.is_final(state):
             return []
-        den, left, pl, ql, right, pr, qr = state
-        hl, hr = self.stepping(pl), self.stepping(pr)
-        scale, point_l, point_r = self.points(state)
-        out = []
-        for action, values, printed, queue, sent in self._moves(
-                hl, ql, left, point_l, scale, ("comm-l", "recv-l")):
-            out.append((action, (den, values, printed, queue, right, pr,
-                                 qr if sent is None else qr + (sent,))))
-        for action, values, printed, queue, sent in self._moves(
-                hr, qr, right, point_r, scale, ("comm-r", "recv-r")):
-            out.append((action, (den, left, pl,
-                                 ql if sent is None else ql + (sent,),
-                                 values, printed, queue)))
-        if horizon is not None:
-            for t in self.delays(state, scale, point_l, point_r, horizon):
-                out.append((("wait", None, t, scale),
-                            (scale, tuple(v + t for v in point_l[1:]), pl, ql,
-                             tuple(v + t for v in point_r[1:]), pr, qr)))
+        scale, left, right = self.sides(state)
+        out = [step[:2] for step in self.moves(state, scale, left, right)]
+        _, _, pl, ql, _, pr, qr = state
+        for t in () if horizon is None else self.delays(scale, left, right,
+                                                         horizon):
+            out.append((("wait", None, t, scale),
+                        (scale, tuple(v + t for v in left[2][1:]), pl, ql,
+                         tuple(v + t for v in right[2][1:]), pr, qr)))
         return out
 
-    def delays(self, state: tuple, scale: int, point_l, point_r,
+    def successors(self, state: tuple, horizon: int) -> list:
+        """``steps`` of a canonical state, each successor mapped as by
+        ``canon``: a move that keeps it is canonical, and the waits are
+        mapped in one loop against the two heads' caps."""
+        if self.is_final(state):
+            return []
+        scale, left, right = self.sides(state)
+        out = [(action, succ if kept else self.canon(succ))
+               for action, succ, kept in self.moves(state, scale, left, right)]
+        delays = self.delays(scale, left, right, horizon)
+        if not delays:
+            return out
+        values = left[2][1:] + right[2][1:]
+        m, d, tops = 1, scale, [None] * len(values)  # v/S, only reduced
+        if self.cap is not None:  # v/S is (v/m)/d, an inactive clock's top 0
+            m, d = scale // self.d, self.d
+            tops = [0 if cap is None else cap * m
+                    for cap in left[0].caps + right[0].caps]
+        for t in delays:
+            out.append((("wait", None, t, scale), _region(
+                [v + t if top is None or v + t < top else top
+                 for v, top in zip(values, tops)], m, d, state)))
+        return out
+
+    def delays(self, scale: int, left: tuple, right: tuple,
                horizon: int) -> List[int]:
-        """The admitted waits at S, sorted: the positive samples at the
-        boundaries both sides' heads can cross, at their midpoints and one
-        beyond the last, from both valuations, up to the tighter of the two
-        sides' ``_Head.delay_bound``."""
+        """The admitted waits at S from a state's sides, sorted: the positive
+        samples at the boundaries both heads can cross, at their midpoints
+        and one beyond the last, from both points, up to the tighter of the
+        two sides' ``_Head.delay_bound``."""
         if horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        hl, hr = self.stepping(state[2]), self.stepping(state[5])
         step = scale // self.d
         horizon *= step
         if not horizon:
             return []
-        bounds = hl.bounds + hr.bounds
-        cuts = [_cuts(point_l, bounds, step, horizon)]
-        if point_r is not point_l:
-            cuts.append(_cuts(point_r, bounds, step, horizon))
-        first = min(cut[1] >> 1 if len(cut) > 1 else min(horizon, scale)
-                    for cut in cuts)
+        bounds = left[0].bounds + right[0].bounds
+        cuts, first = [], horizon  # first: the least delay asked about
+        for point in {left[2], right[2]}:  # per point: 0 and its distances
+            cut = {0}  # c - v to the boundaries in the horizon, 0 if passed
+            for i, const in bounds:
+                boundary = const * step - point[i]
+                if boundary <= horizon:
+                    cut.add(boundary if boundary > 0 else 0)
+            cuts.append(sorted(cut))
+            first = min(first, cuts[-1][1] >> 1 if len(cut) > 1 else scale)
         last = horizon  # no sample lies beyond the horizon
-        for head, queue, point in ((hl, state[3], point_l),
-                                   (hr, state[6], point_r)):
-            bound = head.delay_bound(queue, point, scale, first)
+        for head, queue, point, receive in (left, right):
+            bound = head.delay_bound(queue, receive, point, scale, first)
             if bound is not None:
                 last = min(last, (bound - 1) >> 1)
         out = set()
@@ -665,31 +683,18 @@ class _Space:
         return sorted(out)
 
     def canon(self, state: tuple) -> tuple:
-        """The representative of a state: with a cap, each clock value v/den
-        is split by ``divmod(v·d, den)`` into a whole part and a remainder
-        (an inactive clock into 0, 0, a clock at or over its cap into the
-        cap's), and the ordered remainders are renumbered 0..k-1 over the
-        denominator k·d; then the state is reduced.  A cap that is not a
-        multiple of 1/d, which only ``region_canonical`` can be asked for,
+        """The representative of a state: with a cap, each value v/den is
+        ``_region``'s v·d/den (an inactive clock's 0, a clock at or over its
+        cap the cap's); without one the state is only reduced.  A cap that
+        is not a multiple of 1/d (only ``region_canonical`` asks for one)
         stays a Fraction, and so does its remainder, ranked with the ints."""
-        den, left, pl, ql, right, pr, qr = state
+        den, left, pl, _, right, pr, _ = state
         if self.cap is None:
-            return _reduced(den, [*left, *right], state)
-        d = self.d
-        parts = []
-        for values, caps in ((left, self.heads[pl].caps),
-                             (right, self.heads[pr].caps)):
-            for value, cap in zip(values, caps):
-                if cap is None:
-                    parts.append((0, 0))
-                    continue
-                scaled, top = value * d, cap * den
-                parts.append(divmod(top if scaled >= top else scaled, den))
-        rems = sorted({rem for _, rem in parts}.union((0,)))
-        k = len(rems)
-        rank = {rem: i for i, rem in enumerate(rems)}
-        return _reduced(k * d, [whole * k + rank[rem] for whole, rem in parts],
-                        state)
+            return _region(left + right, 1, den, state)
+        d, caps = self.d, self.heads[pl].caps + self.heads[pr].caps
+        return _region([0 if cap is None else cap * den if v * d >= cap * den
+                        else v * d for v, cap in zip(left + right, caps)],
+                       den, d, state)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +718,8 @@ def delay_bound(qc: QConfig, first: Fraction
     space, state = _stepper(System(qc, qc), first)
     scale, point, _ = space.points(state)
     bound = space.stepping(state[2]).delay_bound(
-        qc.queue, point, scale, first.numerator * (scale // first.denominator))
+        qc.queue, None, point, scale,
+        first.numerator * (scale // first.denominator))
     return None if bound is None else (Fraction(bound >> 1, scale),
                                        bool(bound & 1))
 
@@ -722,10 +728,14 @@ def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
     """Positive boundary-sample delays that both sides accept: the int
     ``_Space.delays`` of sys."""
     horizon = Fraction(horizon)
+    if horizon < 0:  # before a head is compiled, as in ``system_steps``
+        raise ValueError("horizon must be nonnegative")
     space, state = _stepper(sys, horizon)
     scale, point_l, point_r = space.points(state)
     return [Fraction(t, scale) for t in space.delays(
-        state, scale, point_l, point_r, space.at_d(horizon))]
+        scale, (space.stepping(state[2]), state[3], point_l, None),
+        (space.stepping(state[5]), state[6], point_r, None),
+        space.at_d(horizon))]
 
 
 def tau_steps(sys: System) -> List[Tuple[SysAction, System]]:
@@ -920,26 +930,19 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
         if monitor:
             monitor_state(key)
         try:
-            steps = space.steps(key, horizon)
+            steps = space.successors(key, horizon)
         except ProtocolError as exc:
             return ProgressReport("counterexample", len(parents),
                                   build_trace(key), str(exc), violations)
-        if not space.is_final(key):
-            passes = any(action[0] != "wait" for action, _ in steps)
-            if not passes:
-                # a wait followed by an internal action
-                for action, succ in steps:
-                    try:
-                        passes = bool(space.steps(succ, None))
-                    except ProtocolError:
-                        continue
-                    if passes:
-                        break
-            if not passes:
-                return ProgressReport(
-                    "counterexample", len(parents), build_trace(key),
-                    "reachable non-final state with no action after any "
-                    "admissible delay", violations)
+        # a state acts now, or after a wait; a wait keeps the heads and
+        # queues, so its moves look up what the state's moves looked up
+        if not (steps and steps[0][0][0] != "wait"  # moves come first
+                or any(space.can_move(succ) for _, succ in steps)
+                or space.is_final(key)):
+            return ProgressReport(
+                "counterexample", len(parents), build_trace(key),
+                "reachable non-final state with no action after any "
+                "admissible delay", violations)
         for action, succ in steps:
             if monitor and action[0] == "wait" and (key[3] or key[6]):
                 violations.append(
@@ -948,18 +951,15 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
             if (len(succ[3]) > limits.max_queue
                     or len(succ[6]) > limits.max_queue):
                 bound_reason = "queue bound exceeded"
+            elif succ in parents:
                 continue
-            succ = space.canon(succ)
-            if succ in parents:
-                continue
-            if len(parents) >= limits.max_states:
+            elif len(parents) >= limits.max_states:
                 bound_reason = "state bound exceeded"
-                continue
-            if depth + 1 > limits.max_depth:
+            elif depth + 1 > limits.max_depth:
                 bound_reason = "depth bound exceeded"
-                continue
-            parents[succ] = (key, action)
-            frontier.append((succ, depth + 1))
+            else:
+                parents[succ] = (key, action)
+                frontier.append((succ, depth + 1))
 
     if bound_reason:
         return ProgressReport("bound-exceeded", len(parents), [],

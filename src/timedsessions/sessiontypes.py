@@ -22,7 +22,7 @@ duality, unfolding or substitution (``CompiledGuards``, read through
 down-closure of those guards.  The checker asks for the type's clocks and
 the progress explorer for a valuation's, so no reader widens a zone;
 ``Choice.entry`` renders the entry over the guards' own clocks, only for
-witnesses.
+witnesses, projected from a compile the family already holds.
 """
 
 from __future__ import annotations
@@ -140,8 +140,18 @@ class CompiledGuards:
     @cached_property
     def entry(self) -> Constraint:
         """The entry over the guards' own clocks rendered as a constraint,
-        for witnesses."""
-        return zoneset_to_constraint(self.over(self.clocks)[1])
+        for witnesses.  Every compile is over a superset of those clocks,
+        so the first one gives it projected onto them: the rows and columns
+        of a canonical zone for a subset of its clocks are the canonical
+        zone of its projection.  Only without a compile is one built."""
+        own = self.clocks
+        if not self.compiles:
+            return zoneset_to_constraint(self.over(own)[1])
+        clocks, (_, entry) = next(iter(self.compiles.items()))
+        where = [0, *(clocks.index(clock) + 1 for clock in own)]
+        return zoneset_to_constraint([
+            Zone(own, [[zone.m[i][j] for j in where] for i in where],
+                 zone.scale) for zone in entry])
 
     @cached_property
     def scale(self) -> int:

@@ -16,8 +16,11 @@ Zones of different scales are rescaled to the least common multiple before
 they are combined.  A point is read one way: ``int_point`` converts a
 valuation once to ints at a common scale, and ``window_at`` gives the
 interval of delays that carry the int point into a zone, read off the
-zone's ``Zone.window_bounds``; a point is in a zone when its window holds
-0 (``holds_at``), which is how ``zoneset_contains`` decides membership.
+zone's ``Zone.window_bounds``.  A point is in a zone when its window holds
+0, that is when every bound of the zone holds at the point: ``holds_at``
+reads the same bounds and leaves a zone at the first one that fails,
+without building the window, and ``zoneset_contains`` decides membership
+through it.
 Bounds are decoded to ``Fraction`` only for rendering back to constraints.
 
 ``to_zones`` walks the negation normal form of a constraint depth-first,
@@ -335,20 +338,26 @@ def window_at(bounds: tuple, point: Sequence[int], scale: int
 
 
 def holds_at(zones, point, scale: int) -> bool:
-    """Is an int point in one of the zones, given by their window bounds?
-    It is when the delay window of one of them contains 0."""
-    for zone in zones:
-        window = window_at(zone, point, scale)
-        if (window is not None and window[0] >= LE_ZERO
-                and (window[1] is None or window[1] >= LE_ZERO)):
-            return True
+    """Is an int point in one of the zones, given by their window bounds,
+    as ``window_at`` reads them?  It is when every bound of one of them
+    holds at the point, which is when that zone's delay window contains 0;
+    each zone is left at the first bound that fails."""
+    for zone_scale, uppers, lowers, diffs in zones:
+        factor = scale // zone_scale
+        for i, even, closed in uppers:  # point_i meets the bound
+            if 2 * point[i] + 1 > even * factor + closed:
+                break
+        else:
+            for j, even, closed in lowers:  # -point_j meets the bound
+                if 1 - 2 * point[j] > even * factor + closed:
+                    break
+            else:
+                for i, j, even, closed in diffs:
+                    if 2 * (point[i] - point[j]) + 1 > even * factor + closed:
+                        break
+                else:
+                    return True
     return False
-
-
-def windows_at(zones, point, scale: int) -> list:
-    """The non-empty delay windows of an int point against each zone."""
-    return [window for window in (window_at(zone, point, scale)
-                                  for zone in zones) if window is not None]
 
 
 def int_point(nu: Mapping[str, Fraction], clocks: Sequence[str],

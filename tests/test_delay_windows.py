@@ -9,7 +9,8 @@ between samples and the window endpoints themselves.  The int kernel the progres
 `zones.window_at` and the guard test of its step relation, is checked
 against `eval_constraint` directly.  Valuations are drawn in halves and
 thirds, guards mix open and closed endpoints, equalities, differences and
-`true`.  Once
+`true`.  The early-exit membership test `zones.holds_at` is checked
+against the window that contains 0 and against `eval_constraint`.  Once
 a type has been explored, admitting waits on its states compiles nothing
 again and never asks the single-delay rule.
 """
@@ -189,6 +190,56 @@ def test_int_guards_and_windows_agree_with_eval_constraint(seed):
             assert inside == constraints.eval_constraint(shift(nu, t), guard)
             probed += 1
     assert 30 < fired < 120 and probed > 3000
+
+
+def membership_guard(rng, clocks):
+    """An interval, a random constraint, or a band on x - y, each bound
+    open or closed, over halves and thirds."""
+    roll = rng.random()
+    if roll < 0.3:
+        return random_guard(rng, clocks)
+    if roll < 0.65:
+        return random_constraint(rng, clocks, CONSTANTS, max_depth=3)
+    low, high = sorted(rng.sample(CONSTANTS, 2))
+    sub = rng.random() < 0.5
+    return conj(rng.choice((atom_gt, atom_ge))("x", -low if sub else low,
+                                                "y" if sub else None),
+                rng.choice((atom_lt, atom_le))("x", high, "y"))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_holds_at_is_the_window_that_contains_zero(seed):
+    """`holds_at` leaves a zone at its first failing bound without building
+    a window; zone by zone it must say what "the `window_at` window
+    contains 0" says, and over the zone set what `eval_constraint` says,
+    at scales that are multiples of the zones' own."""
+    rng = random.Random(900 + seed)
+    clocks = ("x", "y")
+    seen = set()
+    for _ in range(250):
+        guard = membership_guard(rng, clocks)
+        guard_zones = to_zones(guard, clocks)
+        bounds = [zone.window_bounds() for zone in guard_zones]
+        nu = random_nu(rng, clocks)
+        scale = rng.choice((1, 2, 3)) * lcm(
+            *(v.denominator for v in nu.values()),
+            *(zone.scale for zone in guard_zones))
+        point = [0] + [int(nu[clock] * scale) for clock in clocks]
+        for zone, zone_bounds in zip(guard_zones, bounds):
+            window = zones.window_at(zone_bounds, point, scale)
+            inside = zones.holds_at([zone_bounds], point, scale)
+            assert inside == int_window_holds(window, 0) == (
+                constraints.eval_constraint(nu, zone.to_constraint()))
+            seen.add((inside, window is not None, zone.scale > 1, any(
+                atom.sub is not None for atom in constraints.atoms_of(guard))))
+        assert zones.holds_at(bounds, point, scale) == (
+            constraints.eval_constraint(nu, guard))
+    # in and out, out with and without a later window, at rational scales
+    # and with diagonal bounds
+    assert {(True, True), (False, True), (False, False)} <= {
+        key[:2] for key in seen}
+    assert {key[2] for key in seen} == {key[3] for key in seen} == {
+        True, False}
 
 
 def random_qconfig(rng):

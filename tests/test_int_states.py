@@ -9,6 +9,13 @@ instead: `qconfig_steps`, whose guards `eval_constraint` decides, for the
 internal steps, and for the waits the `sample_delays` samples that
 `qconfig_time` admits on both sides.  A diagonal system, whose states are
 only reduced, pins the state identity that an unreduced denominator splits.
+
+The explorer expands a state in one pass (`_Space.successors`): it maps
+the waits to their region representatives in one loop and skips `canon`
+on a move that keeps the state's valuation and caps.  On the states it
+meets, its successors are checked, in order, against `canon` of the raw
+`_Space.steps`, its look-ahead (`_Space.can_move`) against the internal
+steps, and a mismatched queued payload against the Fraction rule's error.
 """
 
 import random
@@ -23,6 +30,9 @@ from timedsessions.errors import ProtocolError
 from timedsessions.parser import parse_type
 from timedsessions.semantics import (
     ExploreLimits,
+    Message,
+    _head_receive_option,
+    _Space,
     canonicaliser,
     check_progress,
     default_horizon,
@@ -34,7 +44,7 @@ from timedsessions.semantics import (
     system_steps,
     unfold_head,
 )
-from timedsessions.sessiontypes import SEND, dual
+from timedsessions.sessiontypes import BOOL, NAT, SEND, dual
 
 CORPORA = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 DIAGONAL = "rec r . !a(x<1, {y}).?b(y<1 and x-y<2, {x}).r"
@@ -125,3 +135,68 @@ def test_system_steps_are_the_oracle_steps(corpus):
                     seen.add(key)
                     frontier.append(succ)
     assert checked > 1800 and waits > 2000
+
+
+def mismatched(space, state):
+    """state with a message first in each queue that a receive option of
+    that side's head expects with another payload sort, or None when a
+    head has no receive option."""
+    queues = []
+    for printed, queue in ((state[2], state[3]), (state[5], state[6])):
+        receives = space.stepping(printed).receives
+        if not receives:
+            return None
+        label, opt = next(iter(receives.items()))
+        queues.append((Message(label, NAT if opt.message.sort == BOOL
+                               else BOOL),) + queue)
+    return (*state[:3], queues[0], *state[4:6], queues[1])
+
+
+def outcome(call):
+    """What call returns, or the text of the ProtocolError it raises."""
+    try:
+        return call()
+    except ProtocolError as exc:
+        return f"ProtocolError: {exc}"
+
+
+@pytest.mark.parametrize("corpus", sorted(p.name for p in CORPORA.glob("*")))
+def test_the_explorer_enqueues_canon_of_the_steps(corpus):
+    checked = unchanged = waits = looked = raised = 0
+    for system in corpus_systems(corpus):
+        space, horizon = _Space.of(system)
+        horizon = space.at_d(horizon)
+        frontier = deque([space.canon(space.encode(system))])
+        seen = set(frontier)
+        while frontier and len(seen) < STATES_PER_SYSTEM:
+            state = frontier.popleft()
+            raw = outcome(lambda: space.steps(state, horizon))
+            expanded = outcome(lambda: space.successors(state, horizon))
+            if isinstance(raw, str):
+                assert expanded == raw
+                continue
+            assert expanded == [(action, space.canon(succ))
+                                for action, succ in raw]
+            checked += 1
+            unchanged += sum(a[0] != "wait" and s == succ
+                             for (a, s), (_, succ) in zip(expanded, raw))
+            waits += sum(a[0] == "wait" for a, _ in expanded)
+            for key in (state, *(succ for _, succ in expanded)):
+                assert outcome(lambda: space.can_move(key)) == outcome(
+                    lambda: bool(space.steps(key, None)))
+                looked += 1
+            bad = mismatched(space, state)
+            if bad is not None:  # the left side's mismatch is reported
+                left = outcome(lambda: _head_receive_option(
+                    space.system(bad).left))
+                assert left.startswith("ProtocolError")
+                assert (outcome(lambda: space.successors(bad, horizon))
+                        == outcome(lambda: space.steps(bad, None))
+                        == outcome(lambda: space.can_move(bad)) == left)
+                raised += 1
+            for _, succ in expanded:
+                if succ not in seen:
+                    seen.add(succ)
+                    frontier.append(succ)
+    assert checked > 2000 and waits > 2000 and looked > 6000
+    assert unchanged > 1000 and raised > 400

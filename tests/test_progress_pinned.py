@@ -4,8 +4,10 @@
 corpus in ``perfbench/corpus`` (well-formed and singly-ill-formed types),
 and the sha256 of every (verdict, states visited, trace, reason) is
 compared with a digest taken when states were first canonicalised against
-the clock ceilings of their heads (`Choice.clock_ceilings`).  A change in
-the admitted waits, in their order or in state identity shows here.
+the clock ceilings of their heads (`Choice.clock_ceilings`).  Every one of
+the 500 systems is pinned as well, by its report and the total of states
+visited.  A change in the admitted waits, in their order or in state
+identity shows here.
 
 `simulate` picks a step by drawing an index into the step list, so the
 order of that list is pinned through seeded `simulate` runs too.
@@ -36,10 +38,20 @@ PINNED_CORPUS = {
 }
 
 
-def _report_line(printed: str) -> str:
+# every system of both corpora, in file order, the corpora in name order:
+# the total of states visited and the digest of the report lines, taken
+# before each state was expanded in one pass into canonical successors
+PINNED_EVERY_SYSTEM = (
+    25899, "630a4da6490c935d24d01a34706e369f1a83bae9d3b186011ceb08b50157d469")
+
+
+def _report(printed: str):
     node = parse_type(printed)
-    report = check_progress(make_system(node, dual(node), clocks=("x", "y")),
-                            ExploreLimits())
+    return check_progress(make_system(node, dual(node), clocks=("x", "y")),
+                          ExploreLimits())
+
+
+def _line(report) -> str:
     return repr((report.verdict, report.states_visited,
                  [(str(action), key) for action, key in report.trace],
                  report.reason))
@@ -49,8 +61,17 @@ def _report_line(printed: str) -> str:
 def test_progress_on_a_corpus_sample_is_pinned(corpus):
     rows = (CORPORA / corpus).read_text().splitlines()
     chosen = sorted(random.Random(11).sample(range(len(rows)), 40))
-    text = "\n".join(_report_line(rows[n].split("\t")[-1]) for n in chosen)
+    text = "\n".join(_line(_report(rows[n].split("\t")[-1])) for n in chosen)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_CORPUS[corpus]
+
+
+def test_progress_on_every_corpus_system_is_pinned():
+    reports = [_report(row.split("\t")[-1]) for corpus in sorted(PINNED_CORPUS)
+               for row in (CORPORA / corpus).read_text().splitlines()]
+    text = "\n".join(map(_line, reports))
+    assert len(reports) == 500
+    assert (sum(report.states_visited for report in reports),
+            hashlib.sha256(text.encode()).hexdigest()) == PINNED_EVERY_SYSTEM
 
 
 SIMULATED = [
