@@ -307,19 +307,20 @@ def state_key(sys: System) -> tuple:
             tuple(ints[n:]), unfold_head(right.node).printed, right.queue)
 
 
-def _region(values: list, m: int, d: int, state: tuple) -> tuple:
-    """state with the values v/m at scale d, each split into v // m and a
-    remainder v % m: the ordered remainders and 0 renumbered 0..k-1 over
-    k·d, then reduced so that gcd(den, *L, *R) == 1.  At m = 1 only a
-    Fraction cap (``region_canonical``'s) leaves a remainder."""
-    if m == 1 and type(sum(values)) is int:
-        ints, den = values, d
-    else:
-        rems = sorted({v % m for v in values}.union((0,)))
-        k = len(rems)
-        den = k * d
-        ints = ([v // m * k + rems.index(v % m) for v in values] if k > 1
-                else [v // m for v in values])
+def _region(values: list, caps: Optional[tuple], m: int, d: int,
+            state: tuple) -> tuple:
+    """state with the values v/(m·d), each clock with a cap c/d (caps at
+    scale d, None for an inactive clock, which is set to 0) held at c/d from
+    there on, then split into v // m and a remainder v % m: the ordered
+    remainders and 0 renumbered 0..k-1 over k·d, and reduced so that
+    gcd(den, *L, *R) == 1.  With caps None the values are only reduced."""
+    if caps is not None:
+        values = [0 if cap is None else cap * m if v >= cap * m else v
+                  for v, cap in zip(values, caps)]
+    rems = sorted({v % m for v in values}.union((0,)))
+    k = len(rems)
+    den = k * d
+    ints = [v // m * k + rems.index(v % m) for v in values]
     g = gcd(den, *ints)
     if g > 1:
         den, ints = den // g, [value // g for value in ints]
@@ -627,15 +628,12 @@ class _Space:
         if not delays:
             return out
         values = left[2][1:] + right[2][1:]
-        m, d, tops = 1, scale, [None] * len(values)  # v/S, only reduced
-        if self.cap is not None:  # v/S is (v/m)/d, an inactive clock's top 0
-            m, d = scale // self.d, self.d
-            tops = [0 if cap is None else cap * m
-                    for cap in left[0].caps + right[0].caps]
+        m, d, caps = 1, scale, None  # v/S as (v/m)/d; no cap: only reduced
+        if self.cap is not None:
+            m, d, caps = scale // self.d, self.d, left[0].caps + right[0].caps
         for t in delays:
             out.append((("wait", None, t, scale), _region(
-                [v + t if top is None or v + t < top else top
-                 for v, top in zip(values, tops)], m, d, state)))
+                [v + t for v in values], caps, m, d, state)))
         return out
 
     def delays(self, scale: int, left: tuple, right: tuple,
@@ -683,18 +681,18 @@ class _Space:
         return sorted(out)
 
     def canon(self, state: tuple) -> tuple:
-        """The representative of a state: with a cap, each value v/den is
-        ``_region``'s v·d/den (an inactive clock's 0, a clock at or over its
-        cap the cap's); without one the state is only reduced.  A cap that
-        is not a multiple of 1/d (only ``region_canonical`` asks for one)
-        stays a Fraction, and so does its remainder, ranked with the ints."""
+        """The representative of a state: with a cap, ``_region`` of its
+        values v/den as v·d/(den·d) against the two heads' caps; without one
+        the state is only reduced.  A cap that is not a multiple of 1/d
+        (only ``region_canonical`` asks for one) stays a Fraction, and so
+        does its remainder, ranked with the ints."""
         den, left, pl, _, right, pr, _ = state
         if self.cap is None:
-            return _region(left + right, 1, den, state)
-        d, caps = self.d, self.heads[pl].caps + self.heads[pr].caps
-        return _region([0 if cap is None else cap * den if v * d >= cap * den
-                        else v * d for v, cap in zip(left + right, caps)],
-                       den, d, state)
+            return _region(left + right, None, 1, den, state)
+        d = self.d
+        return _region([v * d for v in left + right],
+                       self.heads[pl].caps + self.heads[pr].caps, den, d,
+                       state)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,9 @@ the waits to their region representatives in one loop and skips `canon`
 on a move that keeps the state's valuation and caps.  On the states it
 meets, its successors are checked, in order, against `canon` of the raw
 `_Space.steps`, its look-ahead (`_Space.can_move`) against the internal
-steps, and a mismatched queued payload against the Fraction rule's error.
+steps, on its own successors and on the region representative of each
+raw wait successor against that successor, and a mismatched queued
+payload against the Fraction rule's error.
 """
 
 import random
@@ -185,6 +187,10 @@ def test_the_explorer_enqueues_canon_of_the_steps(corpus):
                 assert outcome(lambda: space.can_move(key)) == outcome(
                     lambda: bool(space.steps(key, None)))
                 looked += 1
+            for action, succ in raw:  # a representative moves as its wait
+                if action[0] == "wait":
+                    assert outcome(lambda: space.can_move(space.canon(succ))) \
+                        == outcome(lambda: bool(space.steps(succ, None)))
             bad = mismatched(space, state)
             if bad is not None:  # the left side's mismatch is reported
                 left = outcome(lambda: _head_receive_option(
