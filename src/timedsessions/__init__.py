@@ -24,7 +24,6 @@ from .processes import (
     RunPolicy,
     RunStatus,
     eval_timeout,
-    instant_step,
     neq_set,
     phi,
     run,

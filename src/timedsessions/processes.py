@@ -16,29 +16,18 @@ Which fields of a node are subterms is decided in one place, the shape
 table ``_SHAPES``: each node kind's child slots, how to rebuild it from new
 children, and which children are active (the positions of ``Par``,
 ``Scope`` and ``Def`` through which time passes and where redexes are
-found).  Every traversal takes its recursion from ``children``,
-``map_children`` or ``subterms`` and keeps only its own special cases.
-A position is a path of indices into ``children``.  Each redex carries
-the subterm it was found at and the buffer it reads or writes, so a step
-does not walk its path again.  A receive without a timeout has
-``after=None``; there is no infinite timeout value.
+found).  Every traversal takes its recursion from ``children`` or
+``map_children`` and keeps only its own special cases.  A receive without
+a timeout has ``after=None``; there is no infinite timeout value.
 
-Redexes are found in two parts: one walk, ``_sites``, lists the active
-leaves with the buffers each sees, and ``_classify`` turns one leaf into
-a redex.  The scheduler keeps the classified list across steps and walks
-the term again only after a step that puts a composition, a session
-scope or a buffer.  A time step is taken from the kept sites: its
-duration from their deadlines, and each new leaf from ``phi`` on the old
-one, renormalised on its active nodes, the only ones ``phi`` rebuilds.
-While some active buffer is non-empty, ``phi``'s Par premise can fail,
-and the whole term takes the step through ``time_step``.  A step records
-its new leaves and buffer by path; the whole term is rebuilt from those
-pending replacements only when something reads it: a walk, the
-completion check, the end of the run.
-
-A call and a receive with a binder substitute in one capture-avoiding
-walk, ``substitute``; a call reads its definition from the registry that
-``run``'s ``def`` steps fill.
+The interpreter does not step the term.  Session scopes can move outward,
+so a running program is threads, buffers and timers: ``run`` keeps a
+layout of compositions and session scopes whose items are buffer cells
+and thread cells, each thread with its active leaf, its own definitions,
+the buffers it sees and its kept redex.  ``_classify`` turns a leaf into
+a redex and ``_reduce`` takes it; a call and a receive with a binder
+substitute in one capture-avoiding walk, ``substitute``.  The term is
+built from the layout only when something reads it.
 """
 
 from __future__ import annotations
@@ -49,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from operator import is_
-from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
+from typing import (Callable, Dict, FrozenSet, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .constraints import (Constraint, atoms_of, boundary_delays, eval_constraint,
@@ -332,16 +321,6 @@ def map_children(p: ProcNode, f: Callable[[ProcNode], ProcNode],
     return shape.rebuild(p, new)
 
 
-def subterms(p: ProcNode, active: bool = False) -> Iterator[ProcNode]:
-    """p and its subterms in preorder (through active children only if
-    active is set)."""
-    stack = [p]
-    while stack:
-        node = stack.pop()
-        yield node
-        stack.extend(reversed(children(node, active)))
-
-
 # ---------------------------------------------------------------------------
 # Printing
 # ---------------------------------------------------------------------------
@@ -415,8 +394,7 @@ def struct_normalize(p: ProcNode) -> ProcNode:
     Eliminates delay(0), flattens nested parallel compositions and orders
     their components canonically.  Idempotent.
     """
-    p = _normalize(p, reorder=True)
-    return p
+    return _normalize(p, reorder=True)
 
 
 def runtime_normalize(p: ProcNode) -> ProcNode:
@@ -657,140 +635,64 @@ def instantiate_call(defn: Def, call: Call) -> ProcNode:
 # Instantaneous reduction
 # ---------------------------------------------------------------------------
 
-# A path addresses a subterm: each step is an index into the children of
-# the node it leaves.  Redexes are found through active children only, so
-# the paths of redexes and buffers step through Par and Scope nodes.
-Path = Tuple[int, ...]
+class _Queue:
+    """A buffer cell of a running program: the buffer as it stands now."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: Buffer):
+        self.node = node
 
 
-def _replace_normal(term: ProcNode, news: Mapping[Path, ProcNode]
-                    ) -> ProcNode:
-    """The normal form of term with news[path] put at each path, where term
-    is normal, each new subterm is normal below its head, and no path is a
-    prefix of another.
-
-    Every other subterm is already normal, so only the new heads and the
-    nodes on the paths are renormalised, bottom-up, as ``_normalize`` would.
-    """
-    def put(node: ProcNode, below: List[Tuple[Path, ProcNode]],
-            depth: int) -> ProcNode:
-        if len(below[0][0]) == depth:  # then it is the only one
-            return _normal_node(below[0][1])
-        by_child: Dict[int, List[Tuple[Path, ProcNode]]] = {}
-        for item in below:
-            by_child.setdefault(item[0][depth], []).append(item)
-        kids = list(children(node))
-        for i, items in by_child.items():
-            kids[i] = put(kids[i], items, depth + 1)
-        return _normal_node(_SHAPES[type(node)].rebuild(node, kids))
-
-    return put(term, list(news.items()), 0) if news else term
+# The buffers a leaf sees, by (source, destination) endpoints.
+Buffers = Dict[Tuple[str, str], _Queue]
 
 
 class Redex(NamedTuple):
     kind: str      # set | if | send | recv | det | def | call | err | stuck
     detail: str
-    path: Path
-    node: ProcNode  # the subterm at path
-    # The buffer a send appends to or a receive reads, and its path.
-    buffer_path: Optional[Path] = None
-    buffer: Optional[Buffer] = None
+    node: ProcNode
+    # The cell of the buffer a send appends to or a receive reads.
+    queue: Optional[_Queue] = None
 
 
-def _path_str(term: ProcNode, path: Path) -> str:
-    """The path as messages print it: ``par<i>`` and ``scope`` steps."""
-    steps = []
-    for i in path:
-        steps.append(f"par{i}" if type(term) is Par else "scope")
-        term = children(term)[i]
-    return "/".join(steps) or "top"
-
-
-# The buffers a subterm sees, by (source, destination) endpoints, each with
-# its path.
-Buffers = Dict[Tuple[str, str], Tuple[Path, Buffer]]
-
-# An active leaf: a subterm reached through Par and Scope nodes only, with
-# its path and the buffers it sees.
-Site = Tuple[Path, ProcNode, Buffers]
-
-
-def _sites(root: ProcNode) -> Tuple[List[Site], int]:
-    """The active leaves of root other than buffers, in leftmost order, and
-    the number of active buffers that are not empty.
-
-    Buffer lookups respect scoping: a leaf sees the buffers that are
-    parallel siblings within its enclosing session scope.  Leaves of one
-    composition share one buffers dict.
-    """
-    out: List[Site] = []
-    full = 0
-
-    def walk(node: ProcNode, path: Path, buffers: Buffers) -> None:
-        nonlocal full
-        if isinstance(node, Par):
-            local = dict(buffers)
-            for i, part in enumerate(node.parts):
-                if isinstance(part, Buffer):
-                    local[(part.src, part.dst)] = (path + (i,), part)
-            for i, part in enumerate(node.parts):
-                walk(part, path + (i,), local)
-        elif isinstance(node, Scope):
-            visible = {chan: p for chan, p in buffers.items()
-                       if node.left not in chan and node.right not in chan}
-            walk(node.body, path + (0,), visible)
-        elif isinstance(node, Buffer):
-            full += bool(node.items)
-        else:
-            out.append((path, node, buffers))
-
-    walk(root, (), {})
-    return out, full
-
-
-def _classify(path: Path, node: ProcNode, buffers: Buffers) -> Optional[Redex]:
-    """The redex at one site, or None if the leaf cannot act now."""
+def _classify(node: ProcNode, buffers: Buffers) -> Optional[Redex]:
+    """The redex of one active leaf, or None if it cannot act now."""
     if isinstance(node, Def):
-        return Redex("def", node.name, path, node)
+        return Redex("def", node.name, node)
     if isinstance(node, SetTimer):
-        return Redex("set", node.timer, path, node)
+        return Redex("set", node.timer, node)
     if isinstance(node, Send):
-        for chan, (buf_path, buf) in buffers.items():
+        for chan, queue in buffers.items():
             if chan[0] == node.endpoint:
-                return Redex("send", f"{node.endpoint}!{node.label}",
-                             path, node, buf_path, buf)
+                return Redex("send", f"{node.endpoint}!{node.label}", node,
+                             queue)
         return None
     if isinstance(node, ReceiveAfter):
-        for chan, (buf_path, buf) in buffers.items():
+        for chan, queue in buffers.items():
             if chan[1] != node.endpoint:
                 continue
-            if not buf.items:
+            items = queue.node.items
+            if not items:
                 continue
-            label = buf.items[0][0]
+            label = items[0][0]
             if any(b.label == label for b in node.branches):
-                return Redex("recv", f"{node.endpoint}?{label}",
-                             path, node, buf_path, buf)
+                return Redex("recv", f"{node.endpoint}?{label}", node, queue)
             return Redex(
                 "stuck", f"unspecified reception: {label!r} at {node.endpoint}",
-                path, node, buf_path, buf)
+                node, queue)
         if node.after == 0:
-            return Redex("recv", f"{node.endpoint} after-timeout", path, node)
+            return Redex("recv", f"{node.endpoint} after-timeout", node)
         return None
     if isinstance(node, IfTimer):
-        return Redex("if", node.cond_text, path, node)
+        return Redex("if", node.cond_text, node)
     if isinstance(node, DelayConstraint):
-        return Redex("det", node.cond_text, path, node)
+        return Redex("det", node.cond_text, node)
     if isinstance(node, Call):
-        return Redex("call", node.name, path, node)
+        return Redex("call", node.name, node)
     if isinstance(node, PErr):
-        return Redex("err", "error process reached", path, node)
+        return Redex("err", "error process reached", node)
     return None
-
-
-def _collect_redexes(root: ProcNode) -> List[Redex]:
-    """Enumerate instantaneous redexes in deterministic leftmost order."""
-    return [redex for redex in (_classify(*site) for site in _sites(root)[0])
-            if redex is not None]
 
 
 class _DelayPicker:
@@ -825,35 +727,23 @@ class _DelayPicker:
         return self.rng.choice(pool)
 
 
-def _apply_redex(root: ProcNode, redex: Redex, rho: TimerEnv,
-                 registry: Dict[str, Def],
-                 picker: Optional[_DelayPicker]) -> Tuple[TimerEnv, ProcNode]:
-    """One instant step from the normal term root: the timers after it and
-    the normal form of the term it leads to."""
-    rho, new, buf, _ = _reduce(redex, rho, registry, picker)
-    news = {redex.path: new}
-    if buf is not None:
-        news[redex.buffer_path] = buf
-    return rho, _replace_normal(root, news)
-
-
-def _reduce(redex: Redex, rho: TimerEnv, registry: Dict[str, Def],
+def _reduce(redex: Redex, rho: TimerEnv, defs: Dict[str, Def],
             picker: Optional[_DelayPicker]
             ) -> Tuple[TimerEnv, ProcNode, Optional[Buffer], str]:
-    """The timers after the step, the subterm that replaces the redex at
-    redex.path, the buffer that replaces the one at redex.buffer_path (None
-    if the step rewrites none), and the step as the trace prints it.
+    """The timers after the step, the subterm that replaces the redex's
+    node, the buffer that replaces the one in its queue (None if the step
+    rewrites none), and the step as the trace prints it.
 
-    The redex's node and buffer are read as found.  A call reads its
-    definition from registry only: an unfired ``Def`` is a redex, so its
-    step puts it there before any call in its continuation.  Every new
-    subterm is a subterm of the term the redex was found in, or a
-    ``substitute`` of one, so it is normal below its head when that is.
+    The redex's node and queue are read as they stand.  A call reads its
+    definition from defs only: an unfired ``Def`` is a redex, so its step
+    puts it there before any call in its continuation.  Every new subterm
+    is a subterm of the term the redex was found in, or a ``substitute``
+    of one, so it is normal below its head when that is.
     """
-    node, buf = redex.node, redex.buffer
+    node = redex.node
     if redex.kind == "def":
         assert isinstance(node, Def)
-        registry[node.name] = node
+        defs[node.name] = node
         return rho, node.cont, None, f"def {redex.detail}"
     if redex.kind == "set":
         assert isinstance(node, SetTimer)
@@ -866,14 +756,16 @@ def _reduce(redex: Redex, rho: TimerEnv, registry: Dict[str, Def],
             return rho, node.then_branch, None, f"if ({redex.detail}) -> then"
         return rho, node.else_branch, None, f"if ({redex.detail}) -> else"
     if redex.kind == "send":
-        assert isinstance(node, Send) and isinstance(buf, Buffer)
+        assert isinstance(node, Send) and redex.queue is not None
+        buf = redex.queue.node
         new_buf = Buffer(buf.src, buf.dst, buf.items + ((node.label, node.value),))
         return rho, node.cont, new_buf, f"send {redex.detail}"
     if redex.kind == "recv":
         assert isinstance(node, ReceiveAfter)
-        if buf is None:  # timeout expiry (after 0, empty queue)
+        if redex.queue is None:  # timeout expiry (after 0, empty queue)
             assert node.timeout is not None
             return rho, node.timeout, None, f"recv {redex.detail}"
+        buf = redex.queue.node
         assert buf.items
         label, value = buf.items[0]
         branch = next(b for b in node.branches if b.label == label)
@@ -891,7 +783,7 @@ def _reduce(redex: Redex, rho: TimerEnv, registry: Dict[str, Def],
                 f"det delay({format_rational(t)}) for {redex.detail}")
     if redex.kind == "call":
         assert isinstance(node, Call)
-        defn = registry.get(node.name)
+        defn = defs.get(node.name)
         if defn is None:
             raise SpecError(f"call to undefined process {node.name!r}")
         return rho, instantiate_call(defn, node), None, f"call {redex.detail}"
@@ -909,28 +801,104 @@ def resolve_active(root: ProcNode, rho: TimerEnv) -> ProcNode:
     return walk(root)
 
 
-def instant_step(rho: TimerEnv, p: ProcNode) -> List[Tuple[TimerEnv, ProcNode]]:
-    """All one-step instantaneous reductions of p (deterministic order).
+# ---------------------------------------------------------------------------
+# The running program: threads, buffers and session scopes
+# ---------------------------------------------------------------------------
 
-    A delay(constraint) contributes one successor per candidate duration.
-    A ``def`` step drops its definition and no registry outlives one call,
-    so a later call of the process it defined raises ``SpecError`` (step
-    two of ``Main`` in ``fixtures/mixed_pingpong.toast``); ``run`` keeps a
-    registry and steps on.
+class _Thread:
+    """A thread cell: its active leaf and its own definitions; reading the
+    layout sets the buffers it sees, the composition it sits in and its
+    position, and classifying its leaf sets its kept redex."""
+
+    __slots__ = ("leaf", "defs", "buffers", "parent", "position", "redex")
+
+    def __init__(self, leaf: ProcNode, defs: Dict[str, Def]):
+        self.leaf, self.defs = leaf, defs
+
+
+class _Scope(NamedTuple):
+    """A session scope of the layout: its endpoints and its composition."""
+
+    left: str
+    right: str
+    items: List["_Item"]
+
+
+# A composition is a list of items in parallel, in order: one item stands
+# for itself, more for their parallel composition, as in a normal term.
+_Item = Union[_Thread, _Queue, _Scope]
+
+# The leaves a step may leave that go into the layout, not into a thread.
+_STRUCTURE = (Par, Scope, Buffer)
+
+# The thread leaves that can hold an active receive: a receive, and a
+# definition, whose continuation is active.
+_RECEIVING = frozenset({ReceiveAfter, Def})
+
+
+def _layout(node: ProcNode, defs: Dict[str, Def],
+            fresh: List[_Thread]) -> List[_Item]:
+    """The items of the normal term node.  Each thread gets its own copy
+    of defs and is added to fresh."""
+    kind = type(node)
+    if kind is Par:
+        return [item for part in node.parts
+                for item in _layout(part, defs, fresh)]
+    if kind is Scope:
+        return [_Scope(node.left, node.right, _layout(node.body, defs, fresh))]
+    if kind is Buffer:
+        return [_Queue(node)]
+    thread = _Thread(node, dict(defs))
+    fresh.append(thread)
+    return [thread]
+
+
+def _read_layout(root: List[_Item]) -> Tuple[List[_Thread], List[_Queue]]:
+    """The threads of the layout in leftmost order, and its buffer cells.
+
+    Each thread is told the composition it sits in, the buffers it sees
+    and its position in the term of the layout.  It sees the buffers of
+    its own composition and of the compositions around it, less those
+    whose endpoints a session scope between them binds.  Its position is
+    printed as messages print it, in ``par<i>`` and ``scope`` steps.
     """
-    p = resolve_active(runtime_normalize(p), rho)
-    results: List[Tuple[TimerEnv, ProcNode]] = []
-    for redex in _collect_redexes(p):
-        if redex.kind in ("stuck", "err"):
-            continue
-        if redex.kind == "det":
-            node = redex.node
-            for t in node.candidates:
-                results.append((rho, _replace_normal(
-                    p, {redex.path: DelayExact(t, node.cont)})))
-            continue
-        results.append(_apply_redex(p, redex, rho, {}, None))
-    return results
+    threads: List[_Thread] = []
+    queues: List[_Queue] = []
+
+    def walk(items: List[_Item], outer: Buffers, steps: Tuple[str, ...]) -> None:
+        buffers = dict(outer)
+        for item in items:
+            if type(item) is _Queue:
+                buffers[item.node.src, item.node.dst] = item
+                queues.append(item)
+        for i, item in enumerate(items):
+            here = steps + (f"par{i}",) if len(items) > 1 else steps
+            kind = type(item)
+            if kind is _Thread:
+                item.parent, item.buffers = items, buffers
+                item.position = "/".join(here) or "top"
+                threads.append(item)
+            elif kind is _Scope:
+                ends = (item.left, item.right)
+                walk(item.items, {chan: queue for chan, queue in buffers.items()
+                                  if chan[0] not in ends
+                                  and chan[1] not in ends}, here + ("scope",))
+
+    walk(root, {}, ())
+    return threads, queues
+
+
+def _build(root: List[_Item]) -> ProcNode:
+    """The normal term of the layout."""
+
+    def term(items: List[_Item]) -> ProcNode:
+        parts = tuple(item.leaf if type(item) is _Thread
+                      else item.node if type(item) is _Queue
+                      else Scope(item.left, item.right, term(item.items))
+                      for item in items)
+        return parts[0] if len(parts) == 1 else Par(parts)
+
+    return term(root)
 
 
 # ---------------------------------------------------------------------------
@@ -962,16 +930,6 @@ class RunResult:
     timers: TimerEnv
 
 
-def is_completed(p: ProcNode) -> bool:
-    """All components terminated and every buffer drained."""
-    if isinstance(p, PEnd):
-        return True
-    if isinstance(p, Buffer):
-        return not p.items
-    return (type(p) in _ACTIVE_KINDS
-            and all(map(is_completed, children(p, active=True))))
-
-
 def _deadline(node: ProcNode) -> Optional[Fraction]:
     """The positive duration after which node changes as time passes: a
     pending exact delay or a finite timeout; None if it has none."""
@@ -985,161 +943,110 @@ def _deadline(node: ProcNode) -> Optional[Fraction]:
     return t if t > 0 else None
 
 
-def _time_candidates(root: ProcNode) -> List[Fraction]:
-    """Durations after which something changes: pending exact delays and
-    finite active timeouts."""
-    return [t for t in map(_deadline, subterms(root, active=True))
-            if t is not None]
-
-
 def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     """Drive a process to completion, error, stuckness, or fuel exhaustion.
 
     Instant steps are exhausted in leftmost order before the unique enabled
     time step fires; delay(constraint) durations are resolved by the policy.
 
-    The term's sites (``_sites``) and their redexes are kept from step to
-    step.  An instant step rewrites one redex and at most one buffer: it
-    replaces its own site and puts the buffer it rewrote into every site
-    that sees it.  A time step takes its duration from the sites' deadlines
-    and applies ``phi`` to each site's leaf, renormalising the active nodes
-    of the result.  Every new leaf is kept by path as a pending replacement
-    and reclassified, and only a fresh receive whose timeout is still an
-    expression, or a fresh composition, has its timeouts resolved.  The
-    whole term is rebuilt from the pending replacements (``_replace_normal``)
-    only when it is read: before a walk, for the completion check, for the
-    position of an ``err`` or ``stuck``, and for the result.  A new
-    composition, session scope or buffer moves paths or changes what sites
-    see, so after a step that puts one the term is rebuilt, renormalising
-    the nodes above it, and walked again.
-
-    The Par premise of ``phi`` (no waiting endpoint has a non-empty inbound
-    queue) can fail only while some active buffer is non-empty, and the
-    walk counts those buffers.  In that state the time step is taken by
-    ``time_step`` on the whole term, which checks the premise, and the term
-    is walked again.  A call finds its definition in the registry that the
-    ``def`` steps fill.
+    An instant step rewrites one thread's leaf and at most one buffer
+    cell, and reclassifies the threads that see that buffer.  A time step
+    takes its duration from the threads' deadlines and applies ``phi`` to
+    each leaf; while some buffer is non-empty, ``phi`` on the built term
+    first decides its Par premise.  A new leaf has its timeouts resolved
+    at the top of the next iteration, so a run that stops first returns
+    them as expressions.  A new composition, scope or buffer goes into the
+    layout in place of its thread, each new thread with a copy of its
+    definitions, and the layout is read again.
     """
     policy = policy or RunPolicy()
     picker = _DelayPicker(policy.seed, policy.delay_resolution)
-    registry: Dict[str, Def] = {}
     trace: List[str] = []
     elapsed = Fraction(0)
     rho: TimerEnv = {}
-    # The term as last rebuilt, and the replacements made in it since, by
-    # path: the leaves and buffers of steps.
-    term = runtime_normalize(program)
-    pending: Dict[Path, ProcNode] = {}
-    # The subterms the last step put in, each with its path and the index
-    # of the site it replaces.  Their receives are resolved at the top of
-    # the next iteration, so a run that stops first returns them as
-    # expressions.  If walk is set, the term is walked again instead of
-    # those sites being replaced.
-    fresh: List[Tuple[int, Path, ProcNode]] = [(0, (), term)]
-    walk = True
-    # The sites of the term and their redexes, index for index, and the
-    # number of active buffers that are not empty.
-    sites: List[Site] = []
-    redexes: List[Optional[Redex]] = []
-    full = 0
+    # The threads whose leaves are new since the last iteration.
+    fresh: List[_Thread] = []
+    root = _layout(runtime_normalize(program), {}, fresh)
+    threads, queues = _read_layout(root)
+    relayout = False
     steps = 0
 
-    def whole() -> ProcNode:
-        """The term with the pending replacements put in."""
-        nonlocal term
-        if pending:
-            term = _replace_normal(term, pending)
-            pending.clear()
-        return term
-
     def result(status: str, detail: str) -> RunResult:
-        return RunResult(status, detail, trace, elapsed, whole(), rho)
+        return RunResult(status, detail, trace, elapsed, _build(root), rho)
+
+    def place(thread: _Thread, new: ProcNode) -> None:
+        nonlocal relayout
+        if isinstance(new, _STRUCTURE):
+            at = thread.parent.index(thread)
+            thread.parent[at:at + 1] = _layout(new, thread.defs, fresh)
+            relayout = True
+        else:
+            thread.leaf = new
+            fresh.append(thread)
 
     while steps < policy.fuel:
-        resolved = []
         try:
-            for at, path, node in fresh:
-                kind = type(node)
-                if kind is ReceiveAfter:
-                    node = _resolve_after(node, rho, _ZERO)
-                elif kind in _ACTIVE_KINDS:
-                    node = resolve_active(node, rho)
-                resolved.append((at, path, node))
+            resolved = [(thread, _resolve_after(thread.leaf, rho, _ZERO)
+                         if type(thread.leaf) is ReceiveAfter
+                         else resolve_active(thread.leaf, rho))
+                        for thread in fresh if type(thread.leaf) in _RECEIVING]
         except SpecError as exc:
             return result(RunStatus.ERROR, str(exc))
-        for at, path, node in resolved:
-            pending[path] = node
-            if not walk:
-                buffers = sites[at][2]
-                sites[at] = (path, node, buffers)
-                redexes[at] = _classify(path, node, buffers)
-        if walk:
-            sites, full = _sites(whole())
-            redexes = [_classify(*site) for site in sites]
+        for thread, leaf in resolved:
+            thread.leaf = leaf
+        if relayout:
+            threads, queues = _read_layout(root)
+            fresh[:] = threads
+            relayout = False
+        for thread in fresh:
+            thread.redex = _classify(thread.leaf, thread.buffers)
+        fresh.clear()
         first = None
-        for index, redex in enumerate(redexes):
+        for thread in threads:
+            redex = thread.redex
             if redex is None:
                 continue
             if redex.kind == "err":
-                return result(RunStatus.ERROR,
-                              f"err at {_path_str(whole(), redex.path)}")
+                return result(RunStatus.ERROR, f"err at {thread.position}")
             if redex.kind == "stuck":
-                where = _path_str(whole(), redex.path)
-                return result(RunStatus.STUCK, f"{redex.detail} at {where}")
+                return result(RunStatus.STUCK,
+                              f"{redex.detail} at {thread.position}")
             if first is None:
-                first = index
+                first = thread
         if first is not None:
-            redex = redexes[first]
+            redex = first.redex
             steps += 1
             try:
-                rho, new, buf, text = _reduce(redex, rho, registry, picker)
+                rho, new, buf, text = _reduce(redex, rho, first.defs, picker)
             except SpecError as exc:
                 return result(RunStatus.ERROR, str(exc))
             trace.append(f"{steps} {text}")
-            new = _normal_node(new)
-            pending[redex.path] = new
-            fresh = [(first, redex.path, new)]
-            walk = isinstance(new, (Par, Scope, Buffer))
-            if buf is None:
-                continue
-            pending[redex.buffer_path] = buf
-            full += bool(buf.items) - bool(redex.buffer.items)
-            if not walk:
-                # Before the new leaf is classified, or a second send would
-                # append to the old buffer.
-                chan = (buf.src, buf.dst)
-                for index, (site_path, node, buffers) in enumerate(sites):
-                    seen = buffers.get(chan)
-                    if seen is not None and seen[0] == redex.buffer_path:
-                        buffers[chan] = (redex.buffer_path, buf)
-                        redexes[index] = _classify(site_path, node, buffers)
+            place(first, _normal_node(new))
+            if buf is not None:
+                redex.queue.node = buf
+                for thread in threads:
+                    if thread.buffers.get((buf.src, buf.dst)) is redex.queue:
+                        thread.redex = _classify(thread.leaf, thread.buffers)
             continue
-        if (all(type(site[1]) is PEnd for site in sites)
-                and is_completed(whole())):
+        full = any(queue.node.items for queue in queues)
+        if not full and all(type(thread.leaf) is PEnd for thread in threads):
             return result(RunStatus.COMPLETED, "all components terminated")
-        candidates = [t for t in (_deadline(site[1]) for site in sites)
+        candidates = [t for t in (_deadline(thread.leaf) for thread in threads)
                       if t is not None]
         if not candidates:
             return result(RunStatus.STUCK, "no action and no finite deadline")
         t = min(candidates)
         steps += 1
         try:
-            if full:
-                rho, term = time_step(rho, whole(), t)
-                fresh, walk = [(0, (), term)], True
-            else:
-                news = [phi(t, node, rho) for _, node, _ in sites]
-                rho = {name: value + t for name, value in rho.items()}
-                fresh, walk = [], False
-                for at, (new, (path, node, _)) in enumerate(zip(news, sites)):
-                    if new is node:
-                        continue
-                    new = _normalize(new, reorder=False, active=True)
-                    pending[path] = new
-                    fresh.append((at, path, new))
-                    walk = walk or isinstance(new, (Par, Scope, Buffer))
+            if full:  # only a non-empty buffer can fail phi's Par premise
+                phi(t, _build(root), rho)
+            news = [phi(t, thread.leaf, rho) for thread in threads]
         except PhiUndefined as exc:
             return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
+        rho = {name: value + t for name, value in rho.items()}
+        for thread, new in zip(threads, news):
+            if new is not thread.leaf:
+                place(thread, _normalize(new, reorder=False, active=True))
         elapsed += t
         trace.append(f"{steps} delay({format_rational(t)})")
     return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")

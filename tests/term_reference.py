@@ -1,0 +1,247 @@
+"""The interpreter's whole-term reference: steps found and taken on the
+process term, and the scheduler that takes them.
+
+``processes.run`` keeps a running program flat, as thread and buffer
+cells.  The helpers here work on the term instead.  ``collect_redexes``
+walks it for its active leaves, each with its path and the buffers it
+sees, and classifies them with the interpreter's own ``_classify``;
+``apply_redex`` reduces one with its ``_reduce`` and puts the new subterm
+and buffer back at their paths.  ``instant_step`` lists every instant
+successor of a term, and ``reference_run`` is the scheduler over these
+steps: it resolves and walks the whole term before every step and
+renormalises it after every step, with one definition registry for the
+whole run.
+"""
+
+from fractions import Fraction
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+
+from timedsessions.constraints import eval_constraint
+from timedsessions.errors import SpecError
+from timedsessions.processes import (
+    _ACTIVE_KINDS,
+    _SHAPES,
+    Buffer,
+    Def,
+    DelayExact,
+    Par,
+    PEnd,
+    PhiUndefined,
+    ProcNode,
+    Redex,
+    RunPolicy,
+    RunResult,
+    RunStatus,
+    Scope,
+    TimerEnv,
+    _classify,
+    _deadline,
+    _DelayPicker,
+    _Queue,
+    _reduce,
+    children,
+    resolve_active,
+    runtime_normalize,
+    time_step,
+)
+from timedsessions.rational import format_rational
+
+# A path addresses a subterm: each step is an index into the children of
+# the node it leaves.  Redexes are found through active children only, so
+# the paths of redexes and buffers step through Par and Scope nodes.
+Path = Tuple[int, ...]
+
+
+def subterms(p: ProcNode, active: bool = False) -> Iterator[ProcNode]:
+    """p and its subterms in preorder (through active children only if
+    active is set)."""
+    stack = [p]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(children(node, active)))
+
+
+def get(term: ProcNode, path: Path) -> ProcNode:
+    """The subterm of term at path."""
+    for i in path:
+        term = children(term)[i]
+    return term
+
+
+def put(term: ProcNode, path: Path, new: ProcNode) -> ProcNode:
+    """term with new at path, nothing renormalised."""
+    if not path:
+        return new
+    kids = list(children(term))
+    kids[path[0]] = put(kids[path[0]], path[1:], new)
+    return _SHAPES[type(term)].rebuild(term, kids)
+
+
+def path_str(term: ProcNode, path: Path) -> str:
+    """The path as messages print it: ``par<i>`` and ``scope`` steps."""
+    steps = []
+    for i in path:
+        steps.append(f"par{i}" if type(term) is Par else "scope")
+        term = children(term)[i]
+    return "/".join(steps) or "top"
+
+
+def is_completed(p: ProcNode) -> bool:
+    """All components terminated and every buffer drained."""
+    if isinstance(p, PEnd):
+        return True
+    if isinstance(p, Buffer):
+        return not p.items
+    return (type(p) in _ACTIVE_KINDS
+            and all(map(is_completed, children(p, active=True))))
+
+
+class SiteRedex(NamedTuple):
+    path: Path  # of the leaf
+    redex: Redex
+    buffer_path: Optional[Path]  # of the buffer in the redex's queue
+
+
+def collect_redexes(root: ProcNode) -> List[SiteRedex]:
+    """The redexes of root's active leaves in leftmost order.
+
+    Buffer lookups respect scoping: a leaf sees the buffers that are
+    parallel siblings within its enclosing session scope.
+    """
+    out: List[SiteRedex] = []
+    paths: Dict[_Queue, Path] = {}
+
+    def walk(node: ProcNode, path: Path,
+             buffers: Dict[Tuple[str, str], _Queue]) -> None:
+        if isinstance(node, Par):
+            local = dict(buffers)
+            for i, part in enumerate(node.parts):
+                if isinstance(part, Buffer):
+                    queue = _Queue(part)
+                    paths[queue] = path + (i,)
+                    local[(part.src, part.dst)] = queue
+            for i, part in enumerate(node.parts):
+                walk(part, path + (i,), local)
+        elif isinstance(node, Scope):
+            visible = {chan: queue for chan, queue in buffers.items()
+                       if node.left not in chan and node.right not in chan}
+            walk(node.body, path + (0,), visible)
+        elif not isinstance(node, Buffer):
+            redex = _classify(node, buffers)
+            if redex is not None:
+                out.append(SiteRedex(path, redex, paths.get(redex.queue)))
+
+    walk(root, (), {})
+    return out
+
+
+def apply_redex(root: ProcNode, site: SiteRedex, rho: TimerEnv,
+                registry: Dict[str, Def],
+                picker: Optional[_DelayPicker]) -> Tuple[TimerEnv, ProcNode]:
+    """One instant step from the normal term root: the timers after it and
+    the normal form of the term it leads to."""
+    rho, new, buf, _ = _reduce(site.redex, rho, registry, picker)
+    if buf is not None:
+        root = put(root, site.buffer_path, buf)
+    return rho, runtime_normalize(put(root, site.path, new))
+
+
+def time_candidates(root: ProcNode) -> List[Fraction]:
+    """Durations after which something changes: pending exact delays and
+    finite active timeouts."""
+    return [t for t in map(_deadline, subterms(root, active=True))
+            if t is not None]
+
+
+def instant_step(rho: TimerEnv, p: ProcNode) -> List[Tuple[TimerEnv, ProcNode]]:
+    """All one-step instantaneous reductions of p (deterministic order).
+
+    A delay(constraint) contributes one successor per candidate duration.
+    A ``def`` step drops its definition and no registry outlives one call,
+    so a later call of the process it defined raises ``SpecError`` (step
+    two of ``Main`` in ``fixtures/mixed_pingpong.toast``); ``run`` keeps
+    each thread's definitions and steps on.
+    """
+    p = resolve_active(runtime_normalize(p), rho)
+    results: List[Tuple[TimerEnv, ProcNode]] = []
+    for site in collect_redexes(p):
+        node = site.redex.node
+        if site.redex.kind in ("stuck", "err"):
+            continue
+        if site.redex.kind == "det":
+            for t in node.candidates:
+                results.append((rho, runtime_normalize(
+                    put(p, site.path, DelayExact(t, node.cont)))))
+            continue
+        results.append(apply_redex(p, site, rho, {}, None))
+    return results
+
+
+def reference_run(program: ProcNode,
+                  policy: Optional[RunPolicy] = None) -> RunResult:
+    """The scheduler with a whole-term normalise after every step and a
+    whole-term resolve before every step."""
+    policy = policy or RunPolicy()
+    picker = _DelayPicker(policy.seed, policy.delay_resolution)
+    registry: Dict[str, Def] = {}
+    trace: List[str] = []
+    elapsed = Fraction(0)
+    rho: TimerEnv = {}
+    term = runtime_normalize(program)
+    steps = 0
+
+    def result(status: str, detail: str) -> RunResult:
+        return RunResult(status, detail, trace, elapsed, term, rho)
+
+    while steps < policy.fuel:
+        try:
+            term = resolve_active(term, rho)
+        except SpecError as exc:
+            return result(RunStatus.ERROR, str(exc))
+        redexes = collect_redexes(term)
+        for path, redex, _ in redexes:
+            if redex.kind == "err":
+                return result(RunStatus.ERROR,
+                              f"err at {path_str(term, path)}")
+            if redex.kind == "stuck":
+                return result(RunStatus.STUCK,
+                              f"{redex.detail} at {path_str(term, path)}")
+        if redexes:
+            path, redex, buffer_path = redexes[0]
+            steps += 1
+            before = term
+            try:
+                rho, new, buf, _ = _reduce(redex, rho, registry, picker)
+            except SpecError as exc:
+                return result(RunStatus.ERROR, str(exc))
+            if buf is not None:
+                term = put(term, buffer_path, buf)
+            term = put(term, path, new)
+            if redex.kind == "det":
+                resolved = get(term, path)
+                trace.append(f"{steps} det delay("
+                             f"{format_rational(resolved.duration)})"
+                             f" for {redex.detail}")
+            elif redex.kind == "if":
+                cond = get(before, path).cond
+                taken = "then" if eval_constraint(rho, cond) else "else"
+                trace.append(f"{steps} if ({redex.detail}) -> {taken}")
+            else:
+                trace.append(f"{steps} {redex.kind} {redex.detail}")
+            term = runtime_normalize(term)
+            continue
+        if is_completed(term):
+            return result(RunStatus.COMPLETED, "all components terminated")
+        candidates = time_candidates(term)
+        if not candidates:
+            return result(RunStatus.STUCK, "no action and no finite deadline")
+        t = min(candidates)
+        steps += 1
+        try:
+            rho, term = time_step(rho, term, t)
+        except PhiUndefined as exc:
+            return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
+        elapsed += t
+        trace.append(f"{steps} delay({format_rational(t)})")
+    return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")

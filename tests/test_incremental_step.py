@@ -1,23 +1,23 @@
-"""The interpreter's incremental step against the whole-term reference loop.
+"""The interpreter's flat configuration against the whole-term reference.
 
-``run`` keeps an instant step's new leaf and buffer as pending
-replacements, rebuilds the term only when it reads it, and resolves only
-the subterm the step put there.  The reference below puts every step's
-buffer and subterm into the whole term, and renormalises and resolves the
-whole term on every step; both must give the same ``RunResult`` in every
-field.
+``run`` keeps a running program as thread and buffer cells, resolves
+only the leaves a step put there, and builds the term only for its
+result.  The reference (``term_reference.reference_run``) puts every
+step's buffer and subterm into the whole term, and renormalises and
+resolves the whole term on every step; both must give the same
+``RunResult`` in every field.
 """
 
 import hashlib
 import json
+import random
 from fractions import Fraction
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import List
 
 import pytest
 
-from timedsessions.constraints import eval_constraint
-from timedsessions.errors import SpecError
+from timedsessions.generate import random_phi_term
 from timedsessions.parser import parse_process, parse_spec_file
 from timedsessions.processes import (
     Buffer,
@@ -25,120 +25,22 @@ from timedsessions.processes import (
     Def,
     DelayExact,
     Par,
-    PhiUndefined,
-    ProcNode,
     RunPolicy,
     RunResult,
-    RunStatus,
     Scope,
     SetTimer,
-    TimerEnv,
-    _SHAPES,
-    _collect_redexes,
-    _DelayPicker,
-    _path_str,
-    _reduce,
-    _time_candidates,
-    children,
     format_process,
-    is_completed,
-    resolve_active,
     run,
-    runtime_normalize,
-    time_step,
 )
 from timedsessions.rational import format_rational
+
+from term_reference import reference_run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def load(name: str):
     return parse_spec_file((FIXTURES / name).read_text())
-
-
-def get(term: ProcNode, path) -> ProcNode:
-    """The subterm of term at path."""
-    for i in path:
-        term = children(term)[i]
-    return term
-
-
-def put(term: ProcNode, path, new: ProcNode) -> ProcNode:
-    """term with new at path, nothing renormalised."""
-    if not path:
-        return new
-    kids = list(children(term))
-    kids[path[0]] = put(kids[path[0]], path[1:], new)
-    return _SHAPES[type(term)].rebuild(term, kids)
-
-
-def reference_run(program: ProcNode,
-                  policy: Optional[RunPolicy] = None) -> RunResult:
-    """The scheduler with a whole-term normalise after every step and a
-    whole-term resolve before every step."""
-    policy = policy or RunPolicy()
-    picker = _DelayPicker(policy.seed, policy.delay_resolution)
-    registry: Dict[str, Def] = {}
-    trace: List[str] = []
-    elapsed = Fraction(0)
-    rho: TimerEnv = {}
-    term = runtime_normalize(program)
-    steps = 0
-
-    def result(status: str, detail: str) -> RunResult:
-        return RunResult(status, detail, trace, elapsed, term, rho)
-
-    while steps < policy.fuel:
-        try:
-            term = resolve_active(term, rho)
-        except SpecError as exc:
-            return result(RunStatus.ERROR, str(exc))
-        redexes = _collect_redexes(term)
-        for redex in redexes:
-            if redex.kind == "err":
-                return result(RunStatus.ERROR,
-                              f"err at {_path_str(term, redex.path)}")
-            if redex.kind == "stuck":
-                return result(RunStatus.STUCK,
-                              f"{redex.detail} at {_path_str(term, redex.path)}")
-        if redexes:
-            redex = redexes[0]
-            steps += 1
-            before = term
-            try:
-                rho, new, buf, _ = _reduce(redex, rho, registry, picker)
-            except SpecError as exc:
-                return result(RunStatus.ERROR, str(exc))
-            if buf is not None:
-                term = put(term, redex.buffer_path, buf)
-            term = put(term, redex.path, new)
-            if redex.kind == "det":
-                resolved = get(term, redex.path)
-                trace.append(f"{steps} det delay("
-                             f"{format_rational(resolved.duration)})"
-                             f" for {redex.detail}")
-            elif redex.kind == "if":
-                cond = get(before, redex.path).cond
-                taken = "then" if eval_constraint(rho, cond) else "else"
-                trace.append(f"{steps} if ({redex.detail}) -> {taken}")
-            else:
-                trace.append(f"{steps} {redex.kind} {redex.detail}")
-            term = runtime_normalize(term)
-            continue
-        if is_completed(term):
-            return result(RunStatus.COMPLETED, "all components terminated")
-        candidates = _time_candidates(term)
-        if not candidates:
-            return result(RunStatus.STUCK, "no action and no finite deadline")
-        t = min(candidates)
-        steps += 1
-        try:
-            rho, term = time_step(rho, term, t)
-        except PhiUndefined as exc:
-            return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
-        elapsed += t
-        trace.append(f"{steps} delay({format_rational(t)})")
-    return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")
 
 
 def printed(result: RunResult) -> list:
@@ -279,3 +181,16 @@ def test_spliced_and_failing_steps_match_the_whole_term_loop(program,
     for fuel in range(12):
         policy = RunPolicy(fuel=fuel, delay_resolution=schedule)
         assert run(program, policy) == reference_run(program, policy), fuel
+
+
+def test_random_phi_terms_match_the_whole_term_loop():
+    """Seeded terms that mix scopes, buffers at every depth, receives with
+    and without timeouts, delays that expire into compositions, scopes and
+    buffers, and ``err``: shapes that no fixture has."""
+    rng = random.Random(31)
+    for number in range(1000):
+        program = random_phi_term(rng, 1 + number % 4)
+        for fuel in (3, 10, 40):
+            policy = RunPolicy(fuel=fuel)
+            assert run(program, policy) == reference_run(program, policy), (
+                format_process(program), fuel)

@@ -29,8 +29,6 @@ from timedsessions.processes import (
     UNIT,
     eval_timeout,
     format_process,
-    instant_step,
-    is_completed,
     neq_set,
     phi,
     run,
@@ -40,6 +38,9 @@ from timedsessions.processes import (
     time_step,
     wait_set,
 )
+
+from term_reference import (apply_redex, collect_redexes, instant_step,
+                            is_completed, time_candidates)
 
 F = Fraction
 
@@ -654,9 +655,31 @@ def test_run_unspecified_reception_is_stuck():
     ("set(x). end | new (p,q) { end | from q recv { a -> end } "
      "| pq:[weird] | qp:[] }",
      "unspecified reception: 'weird' at q at par1/scope/par1"),
-], ids=["top", "err", "stuck"])
+    # a delay expires into a call whose body opens a scope
+    ("end | new (p,q) { end | def E(;;) = new (a,b) { end | err "
+     "| ab:[] | ba:[] } in delay(1). E<> | pq:[] | qp:[] }",
+     "err at par1/scope/par1/scope/par1"),
+    # a call opens a scope in the first part of a composition
+    ("end | new (p,q) { def E(;;) = new (a,b) { end | from b recv "
+     "{ m -> end } | ab:[x] | ba:[] } in E<> | end | pq:[] | qp:[] }",
+     "unspecified reception: 'x' at b at par1/scope/par0/scope/par1"),
+], ids=["top", "err", "stuck", "err-after-delay", "stuck-after-call"])
 def test_run_names_the_position_it_stopped_at(source, detail):
     assert run(parse_process(source)).detail == detail
+
+
+def test_each_thread_calls_its_own_instance_of_a_nested_definition():
+    """Both instances of A define B, each with its own channel.  Each
+    thread keeps its own definitions, so each B sends on its own channel;
+    a registry keyed by name would run the B defined last twice."""
+    res = run(parse_process(
+        "new (p,q) { def A(;;c) = def B(;;) = to c ! m. end in "
+        "delay(1). B<> in new (r,s) { A<;;p> | A<;;q> | rs:[] | sr:[] } "
+        "| from q recv { m -> end } | pq:[] | qp:[] }"))
+    assert res.trace[7] == "8 send p!m"
+    assert res.trace[9] == "10 send q!m"
+    assert res.status == RunStatus.STUCK
+    assert format_process(res.final).endswith("| pq:[] | qp:[m] }")
 
 
 def test_run_fuel_exhaustion():
@@ -728,24 +751,20 @@ def test_timers_never_negative_along_runs():
       set(x). delay(z<3). from p recv { m -> end } after 5-x { end }
       | delay(2). to q ! m. end | pq:[] | qp:[] }
     """)
-    from timedsessions.processes import (_apply_redex, _collect_redexes,
-                                         _DelayPicker, resolve_active,
-                                         runtime_normalize)
+    from timedsessions.processes import _DelayPicker, resolve_active
 
     rho, term = {}, runtime_normalize(program)
     picker = _DelayPicker(3, None)
     registry = {}
     for _ in range(60):
         term = resolve_active(term, rho)
-        redexes = [r for r in _collect_redexes(term)
-                   if r.kind not in ("stuck", "err")]
+        redexes = [r for r in collect_redexes(term)
+                   if r.redex.kind not in ("stuck", "err")]
         if redexes:
-            rho, term = _apply_redex(term, redexes[0], rho, registry, picker)
+            rho, term = apply_redex(term, redexes[0], rho, registry, picker)
             term = runtime_normalize(term)
         else:
-            from timedsessions.processes import _time_candidates
-
-            candidates = _time_candidates(term)
+            candidates = time_candidates(term)
             if not candidates:
                 break
             rho, term = time_step(rho, term, min(candidates))

@@ -1,12 +1,12 @@
-"""The run's kept redex list against the whole-term reference loop.
+"""The run's flat configuration against the whole-term reference loop.
 
-``run`` walks the term for its sites only at the start and after a step
-that puts a composition, a session scope or a buffer.  After any other
-instant step it replaces the one site the step rewrote and puts a
-rewritten buffer into every site that sees it; after any other time step
-it replaces the sites whose leaves time changed.  It keeps the new leaves
-and buffers as pending replacements until something reads the whole term.
-Each program below makes one of those updates matter; ``reference_run``
+``run`` reads its layout of compositions and session scopes for what each
+thread sees only at the start and after a step that puts a composition, a
+session scope or a buffer.  After any other instant step it reclassifies
+the one thread the step rewrote and the threads that see a rewritten
+buffer; after any other time step, the threads whose leaves time changed.
+It builds the term from the layout only when something reads it.  Each
+program below makes one of those updates matter; ``reference_run``
 collects the redexes of the whole term before every step.
 """
 
@@ -17,7 +17,8 @@ from timedsessions.parser import parse_process
 from timedsessions.processes import (Buffer, Par, RunPolicy, Scope,
                                      SetTimer, _normal_node, run)
 
-from test_incremental_step import DELAY_INTO_PAR, PINGPONG, reference_run
+from term_reference import reference_run
+from test_incremental_step import DELAY_INTO_PAR, PINGPONG
 
 PROGRAMS = {
     # the receive is classified before the send fills its buffer, so only
@@ -69,58 +70,59 @@ def test_kept_redex_list_matches_the_whole_term_loop(name):
 def test_term_is_walked_after_time_and_structural_steps_only(
         monkeypatch, program, policy):
     expected = reference_run(program, policy)
-    walks = rebuilds = 0
+    reads = builds = 0
     structural = []  # per instant step: is its new subterm structural?
-    sites, reduce = processes._sites, processes._reduce
-    replace_normal = processes._replace_normal
+    read_layout, reduce = processes._read_layout, processes._reduce
+    build = processes._build
 
-    def counting_sites(root):
-        nonlocal walks
-        walks += 1
-        return sites(root)
+    def counting_read_layout(root):
+        nonlocal reads
+        reads += 1
+        return read_layout(root)
 
     def counting_reduce(*args):
         out = reduce(*args)
         structural.append(isinstance(_normal_node(out[1]), (Par, Scope, Buffer)))
         return out
 
-    def counting_replace_normal(term, news):
-        nonlocal rebuilds
-        rebuilds += 1
-        return replace_normal(term, news)
+    def counting_build(root):
+        nonlocal builds
+        builds += 1
+        return build(root)
 
-    monkeypatch.setattr(processes, "_sites", counting_sites)
+    monkeypatch.setattr(processes, "_read_layout", counting_read_layout)
     monkeypatch.setattr(processes, "_reduce", counting_reduce)
-    monkeypatch.setattr(processes, "_replace_normal", counting_replace_normal)
+    monkeypatch.setattr(processes, "_build", counting_build)
     result = run(program, policy)
     assert result == expected
     # No time step of these programs puts a composition, a scope or a
     # buffer, and the last step is not structural, so each structural step
-    # was followed by a walk.
+    # was followed by a read of the layout.
     assert not structural[-1]
-    assert walks == 1 + sum(structural)
-    # The whole term is rebuilt before each walk and at most once more, for
-    # the result: never for a time step or an instant step alone.
-    assert walks <= rebuilds <= walks + 1
+    assert reads == 1 + sum(structural)
+    # The term is built once, for the result: never for a step, since no
+    # time step of these programs is taken while a buffer is non-empty.
+    assert builds == 1
 
 
 @pytest.mark.parametrize("program,policy,counts", [
     (PINGPONG, RunPolicy(seed=1, fuel=200), (1, 0)),
-    (DELAY_INTO_PAR, RunPolicy(), (3, 1))],
+    (DELAY_INTO_PAR, RunPolicy(), (2, 0))],
     ids=["pingpong", "delay-into-par"])
 def test_time_steps_walk_only_for_new_structure(monkeypatch, program, policy,
                                                 counts):
-    """(walks, whole-term time steps).  Main's 12 time steps change only
-    leaves, with every buffer empty, so its term is walked once, at the
-    start, and ``time_step`` never runs.  In ``delay-into-par`` the first
-    time step puts a composition, and the second is taken while a buffer
-    holds a message, so the whole term takes it and is walked again."""
+    """(layout reads, ``time_step`` calls).  Main's 12 time steps change
+    only leaves, so its layout is read once, at the start.  In
+    ``delay-into-par`` the first time step puts a composition, so the
+    layout is read again; the second is taken while a buffer holds a
+    message, and ``phi`` on the built term decides it.  ``run`` never
+    calls ``time_step``."""
     expected = reference_run(program, policy)
-    calls = {"_sites": 0, "time_step": 0}
+    calls = {"_read_layout": 0, "time_step": 0}
     for name in calls:
         def counting(*args, _f=getattr(processes, name), _name=name):
             calls[_name] += 1
             return _f(*args)
         monkeypatch.setattr(processes, name, counting)
     assert run(program, policy) == expected
-    assert (calls["_sites"], calls["time_step"]) == counts
+    assert (calls["_read_layout"], calls["time_step"]) == counts
