@@ -27,7 +27,6 @@ from .processes import (
     neq_set,
     phi,
     run,
-    struct_normalize,
     time_step,
     wait_set,
 )
@@ -38,11 +37,8 @@ from .semantics import (
     admissible_delays,
     check_progress,
     compatible,
-    config_comm_steps,
-    config_tick,
     is_future_enabled,
     make_system,
-    qconfig_steps,
     qconfig_time,
     system_steps,
     unfold_head,
@@ -57,7 +53,6 @@ from .sessiontypes import (
 from .zones import (
     constraint_equiv,
     entails,
-    is_sat,
     past,
     reset_constraint,
     to_zones,

@@ -388,33 +388,25 @@ def format_process(p: ProcNode) -> str:
 # Structural congruence
 # ---------------------------------------------------------------------------
 
-def struct_normalize(p: ProcNode) -> ProcNode:
-    """Canonical form modulo structural congruence.
-
-    Eliminates delay(0), flattens nested parallel compositions and orders
-    their components canonically.  Idempotent.
-    """
-    return _normalize(p, reorder=True)
-
-
 def runtime_normalize(p: ProcNode) -> ProcNode:
-    """Like struct_normalize but preserves the user's parallel order, so the
-    deterministic scheduler's leftmost policy is stable."""
-    return _normalize(p, reorder=False)
+    """The normal form of p modulo structural congruence, with the user's
+    parallel order kept, so the deterministic scheduler's leftmost policy
+    is stable: ``_normal_node`` applied bottom-up to every node."""
+    return _normalize(p)
 
 
-def _normalize(p: ProcNode, reorder: bool, active: bool = False) -> ProcNode:
+def _normalize(p: ProcNode, active: bool = False) -> ProcNode:
     """The normal form of p: ``_normal_node`` applied bottom-up to every
     node, so every subterm of a normal term is normal.  If active is set,
     only the active nodes are visited, which gives the normal form when
     every inactive subterm is already normal."""
     def walk(node: ProcNode) -> ProcNode:
-        return _normal_node(map_children(node, walk, active), reorder)
+        return _normal_node(map_children(node, walk, active))
 
     return walk(p)
 
 
-def _normal_node(node: ProcNode, reorder: bool = False) -> ProcNode:
+def _normal_node(node: ProcNode) -> ProcNode:
     """The normal form of a node whose children are normal: delay(0) is
     dropped, a parallel part that is itself parallel is spliced in, and a
     composition of one part is that part."""
@@ -429,8 +421,6 @@ def _normal_node(node: ProcNode, reorder: bool = False) -> ProcNode:
             flat.extend(part.parts)
         else:
             flat.append(part)
-    if reorder:
-        flat.sort(key=format_process)
     if len(flat) == 1:
         return flat[0]
     if len(flat) == len(node.parts) and all(map(is_, flat, node.parts)):
@@ -543,7 +533,7 @@ def time_step(rho: TimerEnv, p: ProcNode, t: Fraction) -> Tuple[TimerEnv, ProcNo
     t = Fraction(t)
     new_p = phi(t, p, rho)
     new_rho = {name: value + t for name, value in rho.items()}
-    return new_rho, _normalize(new_p, reorder=False, active=True)
+    return new_rho, _normalize(new_p, active=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1046,7 +1036,7 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         rho = {name: value + t for name, value in rho.items()}
         for thread, new in zip(threads, news):
             if new is not thread.leaf:
-                place(thread, _normalize(new, reorder=False, active=True))
+                place(thread, _normalize(new, active=True))
         elapsed += t
         trace.append(f"{steps} delay({format_rational(t)})")
     return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")

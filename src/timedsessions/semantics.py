@@ -31,10 +31,12 @@ keeps a state canonical.  A diagonal system's states are only reduced.
 ``Fraction`` remains only at the boundary: the digest text
 (``render_key``), the t of a wait action, the System a monitored state is
 converted to, and the public converters onto the one int step relation
-(``system_steps``, ``tau_steps``, ``admissible_delays``, ``delay_bound``,
-``region_canonical``, ``canonicaliser``, ``state_key``,
-``digest_system``).  ``qconfig_steps`` and ``qconfig_time`` stay the
-single-step rules in ``Fraction`` and the reference for them.
+(``system_steps``, ``admissible_delays``, ``region_canonical``,
+``canonicaliser``, ``state_key``, ``digest_system``).  ``qconfig_time``
+stays the single-delay time rule in ``Fraction``.  The step rules of
+layers one and two in ``Fraction`` are the test suite's reference
+(``tests/reference_semantics.py``), which the int relation is checked
+against.
 """
 
 from __future__ import annotations
@@ -92,21 +94,6 @@ class Message:
         return self.label if str(self.sort) == "None" else f"{self.label}<{self.sort}>"
 
 
-@dataclass(frozen=True)
-class CommAction:
-    direction: str  # SEND or RECV
-    message: Message
-
-    def __str__(self) -> str:
-        return f"{self.direction}{self.message}"
-
-
-@dataclass
-class Config:
-    nu: Valuation
-    node: TypeNode
-
-
 @dataclass
 class QConfig:
     nu: Valuation
@@ -160,26 +147,8 @@ class ProgressReport:
 
 
 # ---------------------------------------------------------------------------
-# Configurations
+# Configurations with queues
 # ---------------------------------------------------------------------------
-
-def config_comm_steps(config: Config) -> List[Tuple[CommAction, Config]]:
-    """Enabled communication actions of a configuration: one per option
-    whose guard the valuation satisfies."""
-    out: List[Tuple[CommAction, Config]] = []
-    for opt in unfold_head(config.node).options:
-        if eval_constraint(config.nu, opt.guard):
-            action = CommAction(opt.direction, Message(opt.label, opt.payload))
-            out.append((action,
-                        Config(apply_reset(config.nu, opt.resets),
-                               opt.continuation)))
-    return out
-
-
-def config_tick(config: Config, t: Fraction) -> Config:
-    """Let t time units pass; unconditional at this layer."""
-    return Config(shift(config.nu, Fraction(t)), config.node)
-
 
 def is_future_enabled(state) -> bool:
     """Can some delay enable a communication action?  Decided exactly by the
@@ -187,14 +156,6 @@ def is_future_enabled(state) -> bool:
     guards); end is never future-enabled."""
     head = unfold_head(state.node)
     return bool(head.options) and eval_constraint(state.nu, head.entry)
-
-
-# ---------------------------------------------------------------------------
-# Configurations with queues
-# ---------------------------------------------------------------------------
-
-def enqueue(qc: QConfig, message: Message) -> QConfig:
-    return QConfig(qc.nu, qc.node, qc.queue + (message,))
 
 
 def _head_receive_option(qc: QConfig) -> Optional[ChoiceOption]:
@@ -214,22 +175,6 @@ def _head_receive_option(qc: QConfig) -> Optional[ChoiceOption]:
                     f"{head.sort}, type expects {opt.payload}")
             return opt
     return None
-
-
-def qconfig_steps(qc: QConfig) -> List[Tuple[CommAction, QConfig]]:
-    """Send actions (queue untouched) plus the receive of the queue head
-    when its label matches an enabled receive option."""
-    out = [(CommAction(SEND, Message(opt.label, opt.payload)),
-            QConfig(apply_reset(qc.nu, opt.resets), opt.continuation,
-                    qc.queue))
-           for opt in unfold_head(qc.node).options
-           if opt.direction == SEND and eval_constraint(qc.nu, opt.guard)]
-    opt = _head_receive_option(qc)
-    if opt is not None and eval_constraint(qc.nu, opt.guard):
-        out.append((CommAction(RECV, qc.queue[0]),
-                    QConfig(apply_reset(qc.nu, opt.resets), opt.continuation,
-                            qc.queue[1:])))
-    return out
 
 
 def qconfig_time(qc: QConfig, t: Fraction):
@@ -706,22 +651,6 @@ def _stepper(sys: System, *values: Fraction) -> Tuple[_Space, tuple]:
     return space, space.encode(sys)
 
 
-def delay_bound(qc: QConfig, first: Fraction
-                ) -> Optional[Tuple[Fraction, bool]]:
-    """The delays t > 0 that ``qconfig_time`` admits on qc, as their upper
-    end (value, closed), or None when it admits every delay: the int
-    ``_Head.delay_bound`` of qc's head, with ``first`` the smallest delay
-    asked about."""
-    first = Fraction(first)
-    space, state = _stepper(System(qc, qc), first)
-    scale, point, _ = space.points(state)
-    bound = space.stepping(state[2]).delay_bound(
-        qc.queue, None, point, scale,
-        first.numerator * (scale // first.denominator))
-    return None if bound is None else (Fraction(bound >> 1, scale),
-                                       bool(bound & 1))
-
-
 def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
     """Positive boundary-sample delays that both sides accept: the int
     ``_Space.delays`` of sys."""
@@ -736,18 +665,11 @@ def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
         space.at_d(horizon))]
 
 
-def tau_steps(sys: System) -> List[Tuple[SysAction, System]]:
-    """The internal transitions: asynchronous deliveries and queue
-    consumptions, both sides always computed."""
-    space, state = _stepper(sys)
-    return [(_action(action), space.system(succ))
-            for action, succ in space.steps(state, None)]
-
-
 def system_steps(sys: System, horizon: Optional[Fraction] = None
                  ) -> List[Tuple[SysAction, System]]:
-    """All system transitions: the internal ones of ``tau_steps`` and the
-    admissible sampled waits.  A final|final system has no steps."""
+    """All system transitions: the internal ones (asynchronous deliveries
+    and queue consumptions, both sides always computed) and the admissible
+    sampled waits.  A final|final system has no steps."""
     if sys.left.is_final() and sys.right.is_final():
         return []
     horizon = Fraction(default_horizon(sys) if horizon is None else horizon)

@@ -251,13 +251,6 @@ TypeNode = Union[Choice, Rec, Var, End]
 END = End()
 
 
-def option(direction: str, label: str, guard: Constraint = TRUE,
-           resets=(), payload: PayloadSort = NONE,
-           continuation: TypeNode = END) -> ChoiceOption:
-    return ChoiceOption(direction, label, payload, guard, frozenset(resets),
-                        continuation)
-
-
 # ---------------------------------------------------------------------------
 # Structural helpers
 # ---------------------------------------------------------------------------

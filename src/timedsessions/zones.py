@@ -33,14 +33,13 @@ decided zone by zone.
 
 A ZoneSet (a list of non-empty zones over one clock tuple) is the working
 form: ``zoneset_meet`` and ``zoneset_entails`` decide on it directly,
-``Zone.reset``/``Zone.up``/``Zone.down`` map it zone by zone and
-``Zone.widened`` adds clocks.  Each of these, and a meet, which tightens by
-the other zone's bounds, keeps a canonical zone canonical without a closure
-(Bengtsson & Yi), so ``Zone.canonicalize`` runs only on a matrix built from
-scratch.  The package builds each ZoneSet over the clocks its reader asks
-for and never widens one; ``Zone.widened`` stays as the reference that a
-compile over more clocks is checked against.  ``past``, ``future`` and ``reset_constraint`` render their result
-back to a ``Constraint`` and are the print boundary.
+``Zone.reset``/``Zone.up``/``Zone.down`` map it zone by zone.  Each of
+these, and a meet, which tightens by the other zone's bounds, keeps a
+canonical zone canonical without a closure (Bengtsson & Yi), so
+``Zone.canonicalize`` runs only on a matrix built from scratch.  The
+package builds each ZoneSet over the clocks its reader asks for and never
+widens one.  ``past``, ``future`` and ``reset_constraint`` render their
+result back to a ``Constraint`` and are the print boundary.
 """
 
 from __future__ import annotations
@@ -194,10 +193,6 @@ class Zone:
 
     # -- queries -------------------------------------------------------------
 
-    def contains(self, nu: Mapping[str, Fraction]) -> bool:
-        """Is nu in the zone?  ``zoneset_contains`` of the zone alone."""
-        return zoneset_contains([self], nu)
-
     def window_bounds(self, where: Optional[Sequence[int]] = None) -> tuple:
         """The bounds of this zone in the form ``window_at`` reads:
         ``(scale, uppers, lowers, diffs)``, each bound split into its even
@@ -235,23 +230,6 @@ class Zone:
                 if bound is not None and out.tighten(i, j, bound) is None:
                     return None
         return out
-
-    def widened(self, clocks: Iterable[str]) -> "Zone":
-        """This canonical zone over its clocks and the given ones, which it
-        leaves unconstrained (self if they add none).  A new clock y is at
-        least 0, so x_i - y meets x_i's upper bound, and the matrix stays
-        canonical."""
-        ordered = tuple(sorted(set(self.clocks).union(clocks)))
-        if ordered == self.clocks:
-            return self
-        n = len(ordered) + 1
-        m = [[LE_ZERO if i == j else None for j in range(n)] for i in range(n)]
-        where = [0] + [ordered.index(clock) + 1 for clock in self.clocks]
-        for row, i in zip(self.m, where):
-            m[i] = [row[0]] * n
-            for bound, j in zip(row, where):
-                m[i][j] = bound
-        return Zone(ordered, m, self.scale)
 
     # -- timed operations ----------------------------------------------------
 
@@ -514,10 +492,6 @@ def zoneset_to_constraint(zones: ZoneSet) -> Constraint:
 # ---------------------------------------------------------------------------
 # Decision operations on constraints
 # ---------------------------------------------------------------------------
-
-def is_sat(c: Constraint, clocks: Optional[Iterable[str]] = None) -> bool:
-    return bool(to_zones(c, clocks))
-
 
 def zone_minus(w: Zone, z: Zone) -> List[Zone]:
     """w with z removed, as disjoint zones: one piece per negated bound of z."""

@@ -1,0 +1,140 @@
+"""The paper's rules in ``Fraction`` arithmetic: the test-side reference.
+
+The package runs the layered semantics only through the int explorer of
+``semantics``.  The rules here are the paper's, read directly off the
+types and valuations, and the suite checks the explorer and the zones
+against them:
+
+* layer one, configurations: ``config_comm_steps`` fires each option whose
+  guard ``eval_constraint`` holds, and ``config_tick`` lets time pass;
+* layer two, configurations with queues: ``qconfig_steps`` sends as layer
+  one does and receives the queue head, and ``enqueue`` appends to a
+  queue;
+* ``option``, a choice option with the defaults of a bare send or
+  receive;
+* ``widened``, a canonical zone over more clocks;
+* ``struct_normalize``, the process term modulo structural congruence,
+  with the parts of each composition in a canonical order.
+
+Nothing here imports the int kernel (``_Space`` and the point readers of
+``zones``), so the two stay independent routes to one verdict.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from operator import is_
+from typing import Iterable, List, Tuple
+
+from timedsessions.constraints import (TRUE, Constraint, Valuation,
+                                       apply_reset, eval_constraint, shift)
+from timedsessions.processes import (Par, ProcNode, _normal_node,
+                                     format_process, map_children)
+from timedsessions.semantics import Message, QConfig, _head_receive_option
+from timedsessions.sessiontypes import (END, NONE, RECV, SEND, ChoiceOption,
+                                        PayloadSort, TypeNode, unfold_head)
+from timedsessions.zones import LE_ZERO, Zone
+
+# ---------------------------------------------------------------------------
+# Configurations
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CommAction:
+    direction: str  # SEND or RECV
+    message: Message
+
+    def __str__(self) -> str:
+        return f"{self.direction}{self.message}"
+
+
+@dataclass
+class Config:
+    nu: Valuation
+    node: TypeNode
+
+
+def config_comm_steps(config: Config) -> List[Tuple[CommAction, Config]]:
+    """Enabled communication actions of a configuration: one per option
+    whose guard the valuation satisfies."""
+    out: List[Tuple[CommAction, Config]] = []
+    for opt in unfold_head(config.node).options:
+        if eval_constraint(config.nu, opt.guard):
+            action = CommAction(opt.direction, Message(opt.label, opt.payload))
+            out.append((action,
+                        Config(apply_reset(config.nu, opt.resets),
+                               opt.continuation)))
+    return out
+
+
+def config_tick(config: Config, t: Fraction) -> Config:
+    """Let t time units pass; unconditional at this layer."""
+    return Config(shift(config.nu, Fraction(t)), config.node)
+
+
+# ---------------------------------------------------------------------------
+# Configurations with queues
+# ---------------------------------------------------------------------------
+
+def enqueue(qc: QConfig, message: Message) -> QConfig:
+    return QConfig(qc.nu, qc.node, qc.queue + (message,))
+
+
+def qconfig_steps(qc: QConfig) -> List[Tuple[CommAction, QConfig]]:
+    """Send actions (queue untouched) plus the receive of the queue head
+    when its label matches an enabled receive option."""
+    out = [(CommAction(SEND, Message(opt.label, opt.payload)),
+            QConfig(apply_reset(qc.nu, opt.resets), opt.continuation,
+                    qc.queue))
+           for opt in unfold_head(qc.node).options
+           if opt.direction == SEND and eval_constraint(qc.nu, opt.guard)]
+    opt = _head_receive_option(qc)
+    if opt is not None and eval_constraint(qc.nu, opt.guard):
+        out.append((CommAction(RECV, qc.queue[0]),
+                    QConfig(apply_reset(qc.nu, opt.resets), opt.continuation,
+                            qc.queue[1:])))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Types, zones and process terms
+# ---------------------------------------------------------------------------
+
+def option(direction: str, label: str, guard: Constraint = TRUE,
+           resets=(), payload: PayloadSort = NONE,
+           continuation: TypeNode = END) -> ChoiceOption:
+    return ChoiceOption(direction, label, payload, guard, frozenset(resets),
+                        continuation)
+
+
+def widened(zone: Zone, clocks: Iterable[str]) -> Zone:
+    """The canonical zone over its clocks and the given ones, which it
+    leaves unconstrained (zone itself if they add none).  A new clock y is
+    at least 0, so x_i - y meets x_i's upper bound, and the matrix stays
+    canonical."""
+    ordered = tuple(sorted(set(zone.clocks).union(clocks)))
+    if ordered == zone.clocks:
+        return zone
+    n = len(ordered) + 1
+    m = [[LE_ZERO if i == j else None for j in range(n)] for i in range(n)]
+    where = [0] + [ordered.index(clock) + 1 for clock in zone.clocks]
+    for row, i in zip(zone.m, where):
+        m[i] = [row[0]] * n
+        for bound, j in zip(row, where):
+            m[i][j] = bound
+    return Zone(ordered, m, zone.scale)
+
+
+def struct_normalize(p: ProcNode) -> ProcNode:
+    """Canonical form modulo structural congruence: the interpreter's
+    normal form (delay(0) dropped, nested compositions flattened), with
+    the parts of each composition ordered by their printed form.
+    Idempotent, and p itself when p is already canonical."""
+    def walk(node: ProcNode) -> ProcNode:
+        node = _normal_node(map_children(node, walk))
+        if type(node) is not Par:
+            return node
+        parts = sorted(node.parts, key=format_process)
+        return node if all(map(is_, parts, node.parts)) else Par(tuple(parts))
+
+    return walk(p)

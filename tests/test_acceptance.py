@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from helpers import QUARTERS, replays_to_stuck
+from reference_semantics import struct_normalize
 from timedsessions.constraints import eval_constraint, shift, zero_valuation
 from timedsessions.generate import (
     HALVES,
@@ -27,7 +28,6 @@ from timedsessions.processes import (
     RunStatus,
     phi,
     run,
-    struct_normalize,
 )
 from timedsessions.semantics import (
     ExploreLimits,

@@ -2,10 +2,11 @@
 
 `zones.window_at` on a zone's own clocks is checked against
 `eval_constraint` of the shifted valuation on the zone's rendered
-constraint and against the `trajectory_zone` sweep, and
-`semantics.delay_bound` (the per-side bound `admissible_delays` filters
-with) against `qconfig_time` on every boundary sample, the midpoints
-between samples and the window endpoints themselves.  The int kernel the progress explorer runs on,
+constraint and against the `trajectory_zone` sweep, and the per-side
+bound `admissible_delays` filters with (`_Head.delay_bound`, read here
+through the `delay_bound` converter) against `qconfig_time` on every
+boundary sample, the midpoints between samples and the window endpoints
+themselves.  The int kernel the progress explorer runs on,
 `zones.window_at` and the guard test of its step relation, is checked
 against `eval_constraint` directly.  Valuations are drawn in halves and
 thirds, guards mix open and closed endpoints, equalities, differences and
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from reference_semantics import option
 from timedsessions import constraints, semantics, sessiontypes, zones
 from timedsessions.constraints import (TRUE, Not, atom_eq, atom_ge, atom_gt,
                                        atom_le, atom_lt, conj, sample_delays,
@@ -29,10 +31,10 @@ from timedsessions.constraints import (TRUE, Not, atom_eq, atom_ge, atom_gt,
 from timedsessions.errors import ProtocolError
 from timedsessions.generate import random_constraint, well_formed_types
 from timedsessions.parser import parse_spec_file
-from timedsessions.semantics import (Message, QConfig, System, delay_bound,
-                                     qconfig_time, tau_steps, unfold_head)
+from timedsessions.semantics import (Message, QConfig, System, _action,
+                                     _stepper, qconfig_time, unfold_head)
 from timedsessions.sessiontypes import (BOOL, END, NONE, RECV, SEND, Choice,
-                                        max_constant, option)
+                                        max_constant)
 from timedsessions.zones import to_zones, trajectory_zone
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -68,6 +70,29 @@ def decoded(bound, scale):
 def meets(value, bound, scale):
     limit, closed = decoded(bound, scale)
     return value < limit or (closed and value == limit)
+
+
+def tau_steps(sys):
+    """The internal transitions of sys on the int step relation:
+    asynchronous deliveries and queue consumptions, both sides always
+    computed."""
+    space, state = _stepper(sys)
+    return [(_action(action), space.system(succ))
+            for action, succ in space.steps(state, None)]
+
+
+def delay_bound(qc, first):
+    """The delays t > 0 that the int time rule admits on qc, as their
+    upper end (value, closed), or None when it admits every delay: the
+    int ``_Head.delay_bound`` of qc's head, with ``first`` the smallest
+    delay asked about."""
+    first = F(first)
+    space, state = _stepper(System(qc, qc), first)
+    scale, point, _ = space.points(state)
+    bound = space.stepping(state[2]).delay_bound(
+        qc.queue, None, point, scale,
+        first.numerator * (scale // first.denominator))
+    return None if bound is None else decoded(bound, scale)
 
 
 def in_window(window, t):

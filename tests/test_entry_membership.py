@@ -11,11 +11,12 @@ constraint.
 import random
 from fractions import Fraction
 
+from reference_semantics import option
 from timedsessions.constraints import eval_constraint
 from timedsessions.generate import random_constraint, random_type
 from timedsessions.sessiontypes import (RECV, SEND, Choice, End,
                                         check_well_formed, dual, gamma,
-                                        gamma_head, option)
+                                        gamma_head)
 from timedsessions.zones import zoneset_contains
 
 F = Fraction

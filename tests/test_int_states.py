@@ -27,6 +27,7 @@ from pathlib import Path
 import pytest
 
 from helpers import scaled_type
+from reference_semantics import enqueue, qconfig_steps
 from timedsessions.constraints import sample_delays
 from timedsessions.errors import ProtocolError
 from timedsessions.parser import parse_type
@@ -38,9 +39,7 @@ from timedsessions.semantics import (
     canonicaliser,
     check_progress,
     default_horizon,
-    enqueue,
     make_system,
-    qconfig_steps,
     qconfig_time,
     state_key,
     system_steps,

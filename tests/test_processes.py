@@ -2,12 +2,13 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from timedsessions.errors import ParseError, SpecError
 from timedsessions.generate import random_phi_term
-from timedsessions.parser import parse_process
+from timedsessions.parser import parse_process, parse_spec_file
 from timedsessions.processes import (
     Branch,
     Buffer,
@@ -33,16 +34,17 @@ from timedsessions.processes import (
     phi,
     run,
     runtime_normalize,
-    struct_normalize,
     substitute,
     time_step,
     wait_set,
 )
 
+from reference_semantics import struct_normalize
 from term_reference import (apply_redex, collect_redexes, instant_step,
                             is_completed, time_candidates)
 
 F = Fraction
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def recv(endpoint="p", label="m", after=None, timeout=None, cont=P_END):
@@ -74,6 +76,28 @@ def test_parse_round_trip_session():
             "| pq:[] | qp:[] }")
     node = parse_process(text)
     assert parse_process(format_process(node)) == node
+
+
+def test_every_fixture_process_round_trips():
+    count = 0
+    for path in sorted(FIXTURES.glob("*.toast")):
+        for process in parse_spec_file(path.read_text()).processes.values():
+            assert parse_process(format_process(process)) == process
+            count += 1
+    assert count == 5
+
+
+def test_sent_values_and_an_echoed_binder_round_trip():
+    node = parse_process(
+        'new (p,q) { to p ! a(true). to p ! b(false). to p ! c("hi"). '
+        "to p ! d(3/2). to p ! e(()). end "
+        "| from q recv { a(v) -> to q ! echo(v). end } | pq:[] | qp:[] }")
+    assert parse_process(format_process(node)) == node
+    final = run(node).final  # the buffers now hold the values
+    assert format_process(final) == (
+        'new (p,q) { end | end | pq:[b(false), c("hi"), d(3/2), e] '
+        "| qp:[echo(true)] }")
+    assert parse_process(format_process(final)) == final
 
 
 def test_format_receive_without_timeout_drops_timeout_body():
@@ -593,14 +617,34 @@ def test_received_value_substitutes_into_send():
      None,
      ["1 def F", "2 call F", "3 recv s?m", "4 send s!got"],
      "new (r,s) { end | end | rs:[] | sr:[got(5)] }", {}),
+    # the timer t := x renamed inside a disjunction and next to true
+    ("set(x). def F(;t;) = delay(3). if (t<1 or t>2) then { end } "
+     "else { err } in F<;x;>",
+     None,
+     ["1 set x", "2 def F", "3 call F", "4 delay(3)",
+      "5 if (((not (x>1) and not (x=1)) or x>2)) -> then"],
+     "end", {"x": F(3)}),
+    ("set(x). def F(;t;) = delay(3). if (true and t>2) then { end } "
+     "else { err } in F<;x;>",
+     None,
+     ["1 set x", "2 def F", "3 call F", "4 delay(3)",
+      "5 if ((true and x>2)) -> then"],
+     "end", {"x": F(3)}),
 ], ids=["renamed-timer-and-channel", "value-to-nested-call", "shadowing",
-        "simultaneous-values", "binder-shadows-channel", "value-in-buffer"])
+        "simultaneous-values", "binder-shadows-channel", "value-in-buffer",
+        "renamed-timer-in-or", "renamed-timer-with-true"])
 def test_parameterised_definitions_are_pinned(source, delays, trace, final,
                                               timers):
     res = run(parse_process(source), RunPolicy(delay_resolution=delays))
     assert res.trace == trace
     assert format_process(res.final) == final
     assert res.timers == timers
+
+
+def test_a_call_with_the_wrong_number_of_arguments_is_an_error():
+    res = run(parse_process("def F(a;;) = end in F<>"))
+    assert res.status == RunStatus.ERROR
+    assert res.detail == "arity mismatch calling 'F'"
 
 
 def test_substitution_with_empty_maps_is_the_identity():

@@ -6,12 +6,13 @@ from pathlib import Path
 
 import pytest
 
+from reference_semantics import (Config, config_comm_steps, config_tick,
+                                 enqueue, qconfig_steps)
 from timedsessions.constraints import zero_valuation
 from timedsessions.errors import ProtocolError
 from timedsessions.generate import random_type, random_valuation
 from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import (
-    Config,
     ExploreLimits,
     Message,
     QConfig,
@@ -20,14 +21,10 @@ from timedsessions.semantics import (
     canonicaliser,
     check_progress,
     compatible,
-    config_comm_steps,
-    config_tick,
     default_horizon,
     digest_system,
-    enqueue,
     is_future_enabled,
     make_system,
-    qconfig_steps,
     qconfig_time,
     state_key,
     system_steps,
@@ -297,6 +294,16 @@ def test_compatible_needs_equal_valuations():
     right = QConfig({"x": F(2)}, dual(parse_type("!m(x<5).end")))
     ok, why = compatible(System(left, right))
     assert not ok and "valuations" in why
+
+
+def test_compatible_compares_delegated_sessions_up_to_their_zones():
+    left = parse_type("!hand<(x<2, ?m(x<5).end)>(x<1).end")
+    same = "?hand<(x<2 and x<3, ?m(not x>5 and not x=5).end)>(x<1).end"
+    assert compatible(make_system(left, parse_type(same))) == (
+        True, "dual types and same clock valuations")
+    wider = "?hand<(x<3, ?m(x<5).end)>(x<1).end"
+    assert compatible(make_system(left, parse_type(wider))) == (
+        False, "types are not dual")
 
 
 def test_progress_weak_persistency_ok():

@@ -18,6 +18,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from reference_semantics import widened
 from test_wellformed_pinned import HAND_WRITTEN
 from timedsessions.constraints import clocks_of, eval_constraint, zero_valuation
 from timedsessions.errors import SpecError
@@ -47,7 +48,7 @@ class _TwoPassChecker:
         self.reach_escaped = False
 
     def widened(self, zones: ZoneSet) -> ZoneSet:
-        return [zone.widened(self.clocks) for zone in zones]
+        return [widened(zone, self.clocks) for zone in zones]
 
     def entry(self, head) -> ZoneSet:
         """gamma of a head over this pass's clocks, compiled here from its
@@ -55,7 +56,7 @@ class _TwoPassChecker:
         for end."""
         if not head.options:
             return [Zone.universal(self.clocks)]
-        return [zone.widened(self.clocks).down()
+        return [widened(zone, self.clocks).down()
                 for opt in head.options for zone in to_zones(opt.guard)]
 
     def check(self, node: TypeNode, path: Tuple[str, ...],

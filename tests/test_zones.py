@@ -16,7 +16,6 @@ from timedsessions.parser import parse_constraint
 from timedsessions.zones import (
     constraint_equiv,
     entails,
-    is_sat,
     past,
     reset_constraint,
     to_zones,
@@ -31,15 +30,15 @@ F = Fraction
 def test_to_zones_true_is_one_universal_zone():
     zones = to_zones(parse_constraint("true"), ["x", "y"])
     assert len(zones) == 1
-    assert zones[0].contains({"x": F(0), "y": F(7, 3)})
+    assert zoneset_contains([zones[0]], {"x": F(0), "y": F(7, 3)})
 
 
 def test_to_zones_interval_single_zone():
     zones = to_zones(parse_constraint("x>3 and x<5"))
     assert len(zones) == 1
-    assert zones[0].contains({"x": F(4)})
-    assert not zones[0].contains({"x": F(3)})
-    assert not zones[0].contains({"x": F(5)})
+    assert zoneset_contains([zones[0]], {"x": F(4)})
+    assert not zoneset_contains([zones[0]], {"x": F(3)})
+    assert not zoneset_contains([zones[0]], {"x": F(5)})
 
 
 def test_to_zones_negated_equality_splits():
@@ -52,10 +51,10 @@ def test_to_zones_negated_equality_splits():
 
 
 def test_is_sat_examples():
-    assert not is_sat(parse_constraint("x>3 and x<3"))
-    assert is_sat(parse_constraint("(x<5) and (x=0)"))
+    assert not to_zones(parse_constraint("x>3 and x<3"))
+    assert to_zones(parse_constraint("(x<5) and (x=0)"))
     # y=2 can never be met when x moves with y from zero and x>3 already held
-    assert not is_sat(parse_constraint("y=2 and x-y=0 and x>3"))
+    assert not to_zones(parse_constraint("y=2 and x-y=0 and x>3"))
 
 
 def test_entails_examples():
@@ -173,10 +172,11 @@ def test_trajectory_zone_matches_dense_sampling():
         t = rng.choice(HALVES[1:])
         zone = trajectory_zone(nu, t, include_end=rng.random() < 0.5)
         for step in QUARTERS:
-            inside = step < t or (step == t and zone.contains(shift(nu, t)))
+            inside = step < t or (
+                step == t and zoneset_contains([zone], shift(nu, t)))
             if step > t:
                 inside = False
-            assert zone.contains(shift(nu, step)) == inside
+            assert zoneset_contains([zone], shift(nu, step)) == inside
 
 
 def test_zone_soundness_random():
@@ -196,7 +196,7 @@ def test_is_sat_matches_sampling_oracle():
         consts = [F(n) for n in range(6)]
         c = random_constraint(rng, ["x", "y"], consts, max_depth=2,
                               diagonals=False)
-        assert is_sat(c) == sat_by_sampling(c, ["x", "y"], QUARTERS)
+        assert bool(to_zones(c)) == sat_by_sampling(c, ["x", "y"], QUARTERS)
 
 
 # -- pruned construction ------------------------------------------------------
@@ -214,7 +214,7 @@ def test_strict_bounds_give_one_zone():
     zones = to_zones(c)
     assert len(zones) == 1
     for nu in grid_valuations(["x", "y"], QUARTERS[:25]):
-        assert eval_constraint(nu, c) == zones[0].contains(nu)
+        assert eval_constraint(nu, c) == zoneset_contains([zones[0]], nu)
 
 
 def test_zones_come_out_in_dnf_order():
@@ -227,7 +227,7 @@ def test_zones_come_out_in_dnf_order():
     zones = to_zones(c)
     assert len(zones) == 4
     for zone, nu in zip(zones, points):
-        assert zone.contains(nu)
+        assert zoneset_contains([zone], nu)
 
 
 # -- mixed denominators: thirds and halves --------------------------------------
@@ -253,7 +253,8 @@ def test_is_sat_and_entails_match_sampling_on_thirds_and_halves():
         # diagonal-free sixths constants: the twelfths grid meets every region
         a, b = (random_constraint(rng, ["x", "y"], SIXTHS, max_depth=2,
                                   diagonals=False) for _ in range(2))
-        assert is_sat(a) == sat_by_sampling(a, ["x", "y"], TWELFTHS[:73])
+        assert bool(to_zones(a)) == sat_by_sampling(a, ["x", "y"],
+                                                    TWELFTHS[:73])
         expected = all(eval_constraint(nu, b) for nu in grid
                        if eval_constraint(nu, a))
         assert entails(a, b) == expected
@@ -294,8 +295,8 @@ def test_operands_of_different_scales():
     for nu in grid_valuations(["x", "y"], TWELFTHS[:25]):
         in_thirds = eval_constraint(nu, thirds_c)
         in_halves = eval_constraint(nu, halves_c)
-        assert both.contains(nu) == (in_thirds and in_halves)
-        assert sum(piece.contains(nu) for piece in rest) == (
+        assert zoneset_contains([both], nu) == (in_thirds and in_halves)
+        assert sum(zoneset_contains([piece], nu) for piece in rest) == (
             in_thirds and not in_halves)
     assert entails(parse_constraint("x<=1/3"), parse_constraint("x<1/2"))
     assert not entails(parse_constraint("x<1/2"), parse_constraint("x<=1/3"))
