@@ -24,10 +24,16 @@ The interpreter does not step the term.  Session scopes can move outward,
 so a running program is threads, buffers and timers: ``run`` keeps a
 layout of compositions and session scopes whose items are buffer cells
 and thread cells, each thread with its active leaf, its own definitions,
-the buffers it sees and its kept redex.  ``_classify`` turns a leaf into
-a redex and ``_reduce`` takes it; a call and a receive with a binder
-substitute in one capture-avoiding walk, ``substitute``.  The term is
-built from the layout only when something reads it.
+the buffers it sees, its kept redex and the deadline of its leaf.
+``_classify`` turns a leaf into a redex and ``_reduce`` takes it; a call
+and a receive with a binder substitute in one capture-avoiding walk,
+``substitute``.  Time in a run is an int: every instant the run can reach
+is a whole number of units of one run scale, fixed before the first step,
+and a timer is kept as the instant it was set.  ``phi`` stays the
+specification of time passing; a time step of ``run`` moves the clock to
+the earliest deadline and changes only the leaves whose deadline it is.
+The term, with each countdown under way read off its deadline, is built
+from the layout only when something reads it.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
+from math import lcm
 from operator import is_
 from typing import (Callable, Dict, FrozenSet, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
@@ -80,9 +87,13 @@ def eval_timeout(expr: LinearExpr, rho: Mapping[str, Fraction]) -> Fraction:
     total = expr.const
     for name, coef in expr.coeffs:
         if name not in rho:
-            raise SpecError(f"unknown timer {name!r} in timeout expression")
+            raise _unknown_timer(name)
         total += coef * rho[name]
     return total if total > 0 else _ZERO
+
+
+def _unknown_timer(name: str) -> SpecError:
+    return SpecError(f"unknown timer {name!r} in timeout expression")
 
 
 # ---------------------------------------------------------------------------
@@ -646,19 +657,24 @@ class Redex(NamedTuple):
     queue: Optional[_Queue] = None
 
 
-def _classify(node: ProcNode, buffers: Buffers) -> Optional[Redex]:
-    """The redex of one active leaf, or None if it cannot act now."""
-    if isinstance(node, Def):
+def _classify(node: ProcNode, buffers: Buffers,
+              expired: Optional[bool] = None) -> Optional[Redex]:
+    """The redex of one active leaf, or None if it cannot act now.
+
+    expired tells whether a receive's timeout has run out; when it is not
+    given, it is read from the receive, as a countdown that reads 0."""
+    kind = type(node)
+    if kind is Def:
         return Redex("def", node.name, node)
-    if isinstance(node, SetTimer):
+    if kind is SetTimer:
         return Redex("set", node.timer, node)
-    if isinstance(node, Send):
+    if kind is Send:
         for chan, queue in buffers.items():
             if chan[0] == node.endpoint:
                 return Redex("send", f"{node.endpoint}!{node.label}", node,
                              queue)
         return None
-    if isinstance(node, ReceiveAfter):
+    if kind is ReceiveAfter:
         for chan, queue in buffers.items():
             if chan[1] != node.endpoint:
                 continue
@@ -671,16 +687,16 @@ def _classify(node: ProcNode, buffers: Buffers) -> Optional[Redex]:
             return Redex(
                 "stuck", f"unspecified reception: {label!r} at {node.endpoint}",
                 node, queue)
-        if node.after == 0:
+        if node.after == 0 if expired is None else expired:
             return Redex("recv", f"{node.endpoint} after-timeout", node)
         return None
-    if isinstance(node, IfTimer):
+    if kind is IfTimer:
         return Redex("if", node.cond_text, node)
-    if isinstance(node, DelayConstraint):
+    if kind is DelayConstraint:
         return Redex("det", node.cond_text, node)
-    if isinstance(node, Call):
+    if kind is Call:
         return Redex("call", node.name, node)
-    if isinstance(node, PErr):
+    if kind is PErr:
         return Redex("err", "error process reached", node)
     return None
 
@@ -717,16 +733,19 @@ class _DelayPicker:
         return self.rng.choice(pool)
 
 
-def _reduce(redex: Redex, rho: TimerEnv, defs: Dict[str, Def],
-            picker: Optional[_DelayPicker]
-            ) -> Tuple[TimerEnv, ProcNode, Optional[Buffer], str]:
+def _reduce(redex: Redex, rho: Mapping[str, Fraction],
+            defs: Dict[str, Def], picker: Optional[_DelayPicker]
+            ) -> Tuple[Mapping[str, Fraction], ProcNode, Optional[Buffer],
+                       str]:
     """The timers after the step, the subterm that replaces the redex's
     node, the buffer that replaces the one in its queue (None if the step
     rewrites none), and the step as the trace prints it.
 
-    The redex's node and queue are read as they stand.  A call reads its
-    definition from defs only: an unfired ``Def`` is a redex, so its step
-    puts it there before any call in its continuation.  Every new subterm
+    The timers are a ``TimerEnv`` or a run's ``_Timers``: a step reads
+    them as a mapping and sets a timer with ``|``, which leaves rho as it
+    was.  The redex's node and queue are read as they stand.  A call reads
+    its definition from defs only: an unfired ``Def`` is a redex, so its
+    step puts it there before any call in its continuation.  Every new subterm
     is a subterm of the term the redex was found in, or a ``substitute``
     of one, so it is normal below its head when that is.
     """
@@ -737,9 +756,7 @@ def _reduce(redex: Redex, rho: TimerEnv, defs: Dict[str, Def],
         return rho, node.cont, None, f"def {redex.detail}"
     if redex.kind == "set":
         assert isinstance(node, SetTimer)
-        new_rho = dict(rho)
-        new_rho[node.timer] = _ZERO
-        return new_rho, node.cont, None, f"set {redex.detail}"
+        return rho | {node.timer: _ZERO}, node.cont, None, f"set {redex.detail}"
     if redex.kind == "if":
         assert isinstance(node, IfTimer)
         if eval_constraint(rho, node.cond):
@@ -752,7 +769,7 @@ def _reduce(redex: Redex, rho: TimerEnv, defs: Dict[str, Def],
         return rho, node.cont, new_buf, f"send {redex.detail}"
     if redex.kind == "recv":
         assert isinstance(node, ReceiveAfter)
-        if redex.queue is None:  # timeout expiry (after 0, empty queue)
+        if redex.queue is None:  # timeout expiry (expired, empty queue)
             assert node.timeout is not None
             return rho, node.timeout, None, f"recv {redex.detail}"
         buf = redex.queue.node
@@ -780,7 +797,7 @@ def _reduce(redex: Redex, rho: TimerEnv, defs: Dict[str, Def],
     raise SpecError(f"redex kind {redex.kind!r} is not reducible")
 
 
-def resolve_active(root: ProcNode, rho: TimerEnv) -> ProcNode:
+def resolve_active(root: ProcNode, rho: Mapping[str, Fraction]) -> ProcNode:
     """Freeze the timeout expression of every active receive to a number."""
 
     def walk(node: ProcNode) -> ProcNode:
@@ -792,18 +809,132 @@ def resolve_active(root: ProcNode, rho: TimerEnv) -> ProcNode:
 
 
 # ---------------------------------------------------------------------------
+# The run's time: an int clock and the instants the timers were set
+# ---------------------------------------------------------------------------
+
+class _Clock:
+    """The time of a run, ``now``, in units of 1/``scale``.  The scale is
+    fixed before the first step (``_run_scale``) so that every instant the
+    run reaches is a whole number of units."""
+
+    __slots__ = ("now", "scale")
+
+    def __init__(self, scale: int):
+        self.now, self.scale = 0, scale
+
+    def units(self, t: Fraction) -> int:
+        """t in units of the clock; t is on its grid."""
+        assert self.scale % t.denominator == 0, (t, self.scale)
+        return t.numerator * (self.scale // t.denominator)
+
+    def time(self, units: int) -> Fraction:
+        return Fraction(units, self.scale)
+
+
+class _Timers(Mapping[str, Fraction]):
+    """The timers of a run, each kept as the instant it was set.  Read as
+    a mapping, as ``eval_constraint`` and ``eval_timeout`` read timers, a
+    timer gives its value now."""
+
+    __slots__ = ("clock", "set_at")
+
+    def __init__(self, clock: _Clock, set_at: Dict[str, int]):
+        self.clock, self.set_at = clock, set_at
+
+    def __getitem__(self, name: str) -> Fraction:
+        clock = self.clock
+        return Fraction(clock.now - self.set_at[name], clock.scale)
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.set_at
+
+    def __iter__(self):
+        return iter(self.set_at)
+
+    def __len__(self) -> int:
+        return len(self.set_at)
+
+    def __or__(self, values: Mapping[str, Fraction]) -> "_Timers":
+        """New timers, with each timer in values set so that it reads its
+        value there now, as ``|`` on a ``TimerEnv`` does."""
+        clock, set_at = self.clock, self.set_at.copy()
+        for name, value in values.items():
+            set_at[name] = clock.now - clock.units(value)
+        return _Timers(clock, set_at)
+
+    def deadline(self, after: Union[LinearExpr, Fraction]) -> int:
+        """The instant a countdown of after, started now, runs out: the
+        timeout expression evaluated as ``eval_timeout`` does, in ints."""
+        clock = self.clock
+        if not isinstance(after, LinearExpr):
+            return clock.now + clock.units(after)
+        total = clock.units(after.const)
+        for name, coef in after.coeffs:
+            if name not in self.set_at:
+                raise _unknown_timer(name)
+            total += coef * (clock.now - self.set_at[name])
+        return clock.now + max(total, 0)
+
+
+def _run_scale(program: ProcNode,
+               schedule: Optional[Sequence[Fraction]]) -> int:
+    """The scale of a run: a common multiple of the denominators of every
+    duration the program and the schedule can produce.
+
+    Those are the schedule's durations, exact delays, timeout constants,
+    and the boundaries of each ``delay(c)``, their midpoints and the
+    midpoints of those (``DelayConstraint.candidates`` and ``interiors``),
+    which lie on a quarter of the grid of c's constants.  Timers start on
+    the grid and timeouts have integer timer coefficients, so every
+    deadline and every instant the run reaches is on it too.
+    """
+    scale = lcm(*(t.denominator for t in schedule or ()))
+    stack = [program]
+    while stack:
+        node = stack.pop()
+        kind = type(node)
+        if kind is ReceiveAfter and node.after is not None:
+            after = node.after
+            if isinstance(after, LinearExpr):
+                after = after.const
+            scale = lcm(scale, after.denominator)
+        elif kind is DelayExact:
+            scale = lcm(scale, node.duration.denominator)
+        elif kind is DelayConstraint:
+            scale = lcm(scale, 4 * lcm(*(atom.const.denominator
+                                         for atom in atoms_of(node.cond))))
+        stack.extend(children(node))
+    return scale
+
+
+# ---------------------------------------------------------------------------
 # The running program: threads, buffers and session scopes
 # ---------------------------------------------------------------------------
 
 class _Thread:
-    """A thread cell: its active leaf and its own definitions; reading the
+    """A thread cell: its active leaf, its own definitions and its run's
+    clock; activating its leaf sets the leaf's deadline, reading the
     layout sets the buffers it sees, the composition it sits in and its
     position, and classifying its leaf sets its kept redex."""
 
-    __slots__ = ("leaf", "defs", "buffers", "parent", "position", "redex")
+    __slots__ = ("leaf", "defs", "clock", "deadline", "buffers", "parent",
+                 "position", "redex")
 
-    def __init__(self, leaf: ProcNode, defs: Dict[str, Def]):
-        self.leaf, self.defs = leaf, defs
+    def __init__(self, leaf: ProcNode, defs: Dict[str, Def], clock: _Clock):
+        self.leaf, self.defs, self.clock = leaf, defs, clock
+        # The instant the leaf's timeout or exact delay runs out; None
+        # while it has none, or has not been activated.
+        self.deadline: Optional[int] = None
+
+    def term(self) -> ProcNode:
+        """The leaf, with a countdown under way reading what is left."""
+        leaf, deadline = self.leaf, self.deadline
+        if deadline is None:
+            return leaf
+        left = self.clock.time(deadline - self.clock.now)
+        if type(leaf) is DelayExact:
+            return DelayExact(left, leaf.cont)
+        return ReceiveAfter(leaf.endpoint, leaf.branches, left, leaf.timeout)
 
 
 class _Scope(NamedTuple):
@@ -821,24 +952,39 @@ _Item = Union[_Thread, _Queue, _Scope]
 # The leaves a step may leave that go into the layout, not into a thread.
 _STRUCTURE = (Par, Scope, Buffer)
 
-# The thread leaves that can hold an active receive: a receive, and a
-# definition, whose continuation is active.
-_RECEIVING = frozenset({ReceiveAfter, Def})
+# The leaves that are activated when they are new: a receive and an exact
+# delay get their deadlines, and a definition, whose continuation is
+# active, resolves the timeouts of the receives there.
+_ACTIVATED = frozenset({ReceiveAfter, DelayExact, Def})
+
+# The leaves time can pass over when no step is enabled.
+_TIMED = frozenset({PEnd, ReceiveAfter, DelayExact})
 
 
-def _layout(node: ProcNode, defs: Dict[str, Def],
+def _activate(leaf: ProcNode, timers: _Timers
+              ) -> Tuple[ProcNode, Optional[int]]:
+    """A new leaf as it becomes active, and its deadline."""
+    if type(leaf) is Def:
+        return resolve_active(leaf, timers), None
+    if type(leaf) is DelayExact:
+        return leaf, timers.deadline(leaf.duration)
+    return leaf, None if leaf.after is None else timers.deadline(leaf.after)
+
+
+def _layout(node: ProcNode, defs: Dict[str, Def], clock: _Clock,
             fresh: List[_Thread]) -> List[_Item]:
     """The items of the normal term node.  Each thread gets its own copy
     of defs and is added to fresh."""
     kind = type(node)
     if kind is Par:
         return [item for part in node.parts
-                for item in _layout(part, defs, fresh)]
+                for item in _layout(part, defs, clock, fresh)]
     if kind is Scope:
-        return [_Scope(node.left, node.right, _layout(node.body, defs, fresh))]
+        return [_Scope(node.left, node.right,
+                       _layout(node.body, defs, clock, fresh))]
     if kind is Buffer:
         return [_Queue(node)]
-    thread = _Thread(node, dict(defs))
+    thread = _Thread(node, dict(defs), clock)
     fresh.append(thread)
     return [thread]
 
@@ -879,10 +1025,10 @@ def _read_layout(root: List[_Item]) -> Tuple[List[_Thread], List[_Queue]]:
 
 
 def _build(root: List[_Item]) -> ProcNode:
-    """The normal term of the layout."""
+    """The normal term of the layout, at its clock's now."""
 
     def term(items: List[_Item]) -> ProcNode:
-        parts = tuple(item.leaf if type(item) is _Thread
+        parts = tuple(item.term() if type(item) is _Thread
                       else item.node if type(item) is _Queue
                       else Scope(item.left, item.right, term(item.items))
                       for item in items)
@@ -920,76 +1066,71 @@ class RunResult:
     timers: TimerEnv
 
 
-def _deadline(node: ProcNode) -> Optional[Fraction]:
-    """The positive duration after which node changes as time passes: a
-    pending exact delay or a finite timeout; None if it has none."""
-    kind = type(node)
-    if kind is DelayExact:
-        t = node.duration
-    elif kind is ReceiveAfter and isinstance(node.after, Fraction):
-        t = node.after
-    else:
-        return None
-    return t if t > 0 else None
-
-
 def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     """Drive a process to completion, error, stuckness, or fuel exhaustion.
 
     Instant steps are exhausted in leftmost order before the unique enabled
     time step fires; delay(constraint) durations are resolved by the policy.
 
-    An instant step rewrites one thread's leaf and at most one buffer
-    cell, and reclassifies the threads that see that buffer.  A time step
-    takes its duration from the threads' deadlines and applies ``phi`` to
-    each leaf; while some buffer is non-empty, ``phi`` on the built term
-    first decides its Par premise.  A new leaf has its timeouts resolved
-    at the top of the next iteration, so a run that stops first returns
-    them as expressions.  A new composition, scope or buffer goes into the
-    layout in place of its thread, each new thread with a copy of its
-    definitions, and the layout is read again.
+    Time is an int clock at the run scale (``_run_scale``), and each timer
+    is the instant it was set.  A new leaf is activated at the top of the
+    next iteration, so a run that stops first returns its timeouts as
+    expressions: a receive with a timeout and an exact delay get the
+    instant they run out, their deadline, once; a definition resolves the
+    timeouts of its continuation.  An instant step rewrites one thread's
+    leaf and at most one buffer cell, and reclassifies the threads that
+    see that buffer.  A time step moves the clock to the earliest
+    deadline; a delay that runs out then becomes its continuation and a
+    receive whose timeout runs out is classified again.  While some
+    buffer is non-empty, ``phi`` on the built term first decides the Par
+    premise, and ``phi`` decides a leaf that time cannot pass over.  A
+    new composition, scope or buffer goes into the layout in place of its
+    thread, each new thread with a copy of its definitions, and the
+    layout is read again.  ``Fraction`` is used at the boundary only: for
+    the built term, the timers an ``if`` reads, and the result.
     """
     policy = policy or RunPolicy()
     picker = _DelayPicker(policy.seed, policy.delay_resolution)
+    program = runtime_normalize(program)
+    clock = _Clock(_run_scale(program, picker.schedule))
+    timers = _Timers(clock, {})
     trace: List[str] = []
-    elapsed = Fraction(0)
-    rho: TimerEnv = {}
     # The threads whose leaves are new since the last iteration.
     fresh: List[_Thread] = []
-    root = _layout(runtime_normalize(program), {}, fresh)
+    root = _layout(program, {}, clock, fresh)
     threads, queues = _read_layout(root)
     relayout = False
     steps = 0
 
     def result(status: str, detail: str) -> RunResult:
-        return RunResult(status, detail, trace, elapsed, _build(root), rho)
+        return RunResult(status, detail, trace, clock.time(clock.now),
+                         _build(root), dict(timers))
 
     def place(thread: _Thread, new: ProcNode) -> None:
         nonlocal relayout
         if isinstance(new, _STRUCTURE):
             at = thread.parent.index(thread)
-            thread.parent[at:at + 1] = _layout(new, thread.defs, fresh)
+            thread.parent[at:at + 1] = _layout(new, thread.defs, clock, fresh)
             relayout = True
         else:
-            thread.leaf = new
+            thread.leaf, thread.deadline = new, None
             fresh.append(thread)
 
     while steps < policy.fuel:
         try:
-            resolved = [(thread, _resolve_after(thread.leaf, rho, _ZERO)
-                         if type(thread.leaf) is ReceiveAfter
-                         else resolve_active(thread.leaf, rho))
-                        for thread in fresh if type(thread.leaf) in _RECEIVING]
+            activated = [(thread, *_activate(thread.leaf, timers))
+                         for thread in fresh if type(thread.leaf) in _ACTIVATED]
         except SpecError as exc:
             return result(RunStatus.ERROR, str(exc))
-        for thread, leaf in resolved:
-            thread.leaf = leaf
+        for thread, leaf, deadline in activated:
+            thread.leaf, thread.deadline = leaf, deadline
         if relayout:
             threads, queues = _read_layout(root)
             fresh[:] = threads
             relayout = False
         for thread in fresh:
-            thread.redex = _classify(thread.leaf, thread.buffers)
+            thread.redex = _classify(thread.leaf, thread.buffers,
+                                     thread.deadline == clock.now)
         fresh.clear()
         first = None
         for thread in threads:
@@ -1007,36 +1148,45 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
             redex = first.redex
             steps += 1
             try:
-                rho, new, buf, text = _reduce(redex, rho, first.defs, picker)
+                timers, new, buf, text = _reduce(redex, timers, first.defs,
+                                                 picker)
             except SpecError as exc:
                 return result(RunStatus.ERROR, str(exc))
             trace.append(f"{steps} {text}")
             place(first, _normal_node(new))
-            if buf is not None:
+            if buf is not None:  # first is new, and classified at the top
                 redex.queue.node = buf
+                chan = buf.src, buf.dst
                 for thread in threads:
-                    if thread.buffers.get((buf.src, buf.dst)) is redex.queue:
-                        thread.redex = _classify(thread.leaf, thread.buffers)
+                    if (thread is not first
+                            and thread.buffers.get(chan) is redex.queue):
+                        thread.redex = _classify(thread.leaf, thread.buffers,
+                                                 thread.deadline == clock.now)
             continue
         full = any(queue.node.items for queue in queues)
         if not full and all(type(thread.leaf) is PEnd for thread in threads):
             return result(RunStatus.COMPLETED, "all components terminated")
-        candidates = [t for t in (_deadline(thread.leaf) for thread in threads)
-                      if t is not None]
-        if not candidates:
+        deadlines = [thread.deadline for thread in threads
+                     if thread.deadline is not None]
+        if not deadlines:
             return result(RunStatus.STUCK, "no action and no finite deadline")
-        t = min(candidates)
+        then = min(deadlines)
+        t = clock.time(then - clock.now)
         steps += 1
         try:
             if full:  # only a non-empty buffer can fail phi's Par premise
-                phi(t, _build(root), rho)
-            news = [phi(t, thread.leaf, rho) for thread in threads]
+                phi(t, _build(root), timers)
+            for thread in threads:  # phi names a leaf that blocks time
+                if type(thread.leaf) not in _TIMED:
+                    phi(t, thread.leaf, timers)
         except PhiUndefined as exc:
             return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
-        rho = {name: value + t for name, value in rho.items()}
-        for thread, new in zip(threads, news):
-            if new is not thread.leaf:
-                place(thread, _normalize(new, active=True))
-        elapsed += t
+        clock.now = then
+        for thread in threads:
+            if thread.deadline == then:
+                if type(thread.leaf) is DelayExact:
+                    place(thread, thread.leaf.cont)
+                else:
+                    thread.redex = _classify(thread.leaf, thread.buffers, True)
         trace.append(f"{steps} delay({format_rational(t)})")
     return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")

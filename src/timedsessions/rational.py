@@ -1,9 +1,9 @@
 """Exact rational time values.
 
-Time values are `fractions.Fraction` at the toolkit's interfaces and in
-the process interpreter; the zone kernel and the progress explorer compute
+Time values are `fractions.Fraction` at the toolkit's interfaces; the
+zone kernel, the progress explorer and the process interpreter compute
 with ints over a common denominator and turn their results back into
-`Fraction` at the print boundary.  Floating point is never used.  This
+`Fraction` at the boundary.  Floating point is never used.  This
 module only renders the values in the surface syntax, which
 ``parser.parse_rational`` reads back.
 """

@@ -28,6 +28,7 @@ from timedsessions.processes import (
     PEnd,
     PhiUndefined,
     ProcNode,
+    ReceiveAfter,
     Redex,
     RunPolicy,
     RunResult,
@@ -35,7 +36,6 @@ from timedsessions.processes import (
     Scope,
     TimerEnv,
     _classify,
-    _deadline,
     _DelayPicker,
     _Queue,
     _reduce,
@@ -147,10 +147,23 @@ def apply_redex(root: ProcNode, site: SiteRedex, rho: TimerEnv,
     return rho, runtime_normalize(put(root, site.path, new))
 
 
+def deadline(node: ProcNode) -> Optional[Fraction]:
+    """The positive duration after which node changes as time passes: a
+    pending exact delay or a finite timeout; None if it has none."""
+    kind = type(node)
+    if kind is DelayExact:
+        t = node.duration
+    elif kind is ReceiveAfter and isinstance(node.after, Fraction):
+        t = node.after
+    else:
+        return None
+    return t if t > 0 else None
+
+
 def time_candidates(root: ProcNode) -> List[Fraction]:
     """Durations after which something changes: pending exact delays and
     finite active timeouts."""
-    return [t for t in map(_deadline, subterms(root, active=True))
+    return [t for t in map(deadline, subterms(root, active=True))
             if t is not None]
 
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,27 @@ def test_unfolded_heads_parse_back():
             node = random_type(rng, ("x", "y"), 3, 5)
         heads.extend(head_graph(node, limit=10**6))
     assert (len(heads), sum(map(shadows, heads))) == (1106, 100)
+    for head in heads:
+        text = format_type(head)
+        back = parse_type(text)
+        assert back == head
+        assert format_type(back) == text
+
+
+CORPUS = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
+
+
+def test_corpus_heads_parse_back():
+    """Every unfolded head of S and of dual(S), for every type of both
+    stored progress corpora, prints a text that parses back to an equal
+    head with the same print."""
+    heads = []
+    for path in sorted(CORPUS.glob("*.txt")):
+        for line in path.read_text().splitlines():
+            node = parse_type(line.split("\t")[-1])
+            heads += head_graph(node, limit=10**6)
+            heads += head_graph(dual(node), limit=10**6)
+    assert len(heads) == 4550
     for head in heads:
         text = format_type(head)
         back = parse_type(text)
