@@ -704,11 +704,13 @@ class _Parser:
 
     # -- spec files --------------------------------------------------------------
 
-    def system_ref(self) -> Tuple[str, bool]:
+    def system_ref(self) -> Tuple[Token, bool]:
         dual_of = self.accept("dual")
         if dual_of:
             self.expect("of")
-        return self.name("type name"), dual_of
+        tok = self.peek()
+        self.name("type name")
+        return tok, dual_of
 
     def parse_system(self) -> SystemDecl:
         left, left_dual = self.system_ref()
@@ -804,8 +806,8 @@ def parse_valuation(source: str) -> Dict[str, Fraction]:
 
 @dataclass
 class SystemDecl:
-    left: str
-    right: str
+    left: Token  # the type names, where they are read
+    right: Token
     left_dual: bool = False
     right_dual: bool = False
 
@@ -821,11 +823,8 @@ class SpecFile:
         if name not in self.systems:
             raise ParseError(f"unknown system {name!r}")
         decl = self.systems[name]
-        for ref in (decl.left, decl.right):
-            if ref not in self.types:
-                raise ParseError(f"system {name!r} references unknown type {ref!r}")
-        left = self.types[decl.left]
-        right = self.types[decl.right]
+        left = self.types[decl.left.text]
+        right = self.types[decl.right.text]
         if decl.left_dual:
             left = dual(left)
         if decl.right_dual:
@@ -859,6 +858,9 @@ def parse_spec_file(source: str) -> SpecFile:
         declared_clocks = sorted(set().union(*map(type_clocks,
                                                   spec.types.values())))
     spec.clocks = tuple(dict.fromkeys(declared_clocks))
-    for name in spec.systems:
-        spec.resolve_system(name)  # fail fast on dangling references
+    for name, decl in spec.systems.items():
+        for tok in (decl.left, decl.right):
+            if tok.text not in spec.types:  # fail fast, at the dangling name
+                raise ParseError(f"system {name!r} references unknown type "
+                                 f"{tok.text!r}", tok.line, tok.col)
     return spec

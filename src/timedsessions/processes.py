@@ -658,11 +658,9 @@ class Redex(NamedTuple):
 
 
 def _classify(node: ProcNode, buffers: Buffers,
-              expired: Optional[bool] = None) -> Optional[Redex]:
-    """The redex of one active leaf, or None if it cannot act now.
-
-    expired tells whether a receive's timeout has run out; when it is not
-    given, it is read from the receive, as a countdown that reads 0."""
+              expired: bool) -> Optional[Redex]:
+    """The redex of one active leaf, or None if it cannot act now; expired
+    tells whether a receive's timeout has run out."""
     kind = type(node)
     if kind is Def:
         return Redex("def", node.name, node)
@@ -687,7 +685,7 @@ def _classify(node: ProcNode, buffers: Buffers,
             return Redex(
                 "stuck", f"unspecified reception: {label!r} at {node.endpoint}",
                 node, queue)
-        if node.after == 0 if expired is None else expired:
+        if expired:
             return Redex("recv", f"{node.endpoint} after-timeout", node)
         return None
     if kind is IfTimer:

@@ -32,11 +32,14 @@ keeps a state canonical.  A diagonal system's states are only reduced.
 (``render_key``), the t of a wait action, the System a monitored state is
 converted to, and the public converters onto the one int step relation
 (``system_steps``, ``admissible_delays``, ``region_canonical``,
-``canonicaliser``, ``state_key``, ``digest_system``).  ``qconfig_time``
-stays the single-delay time rule in ``Fraction``.  The step rules of
-layers one and two in ``Fraction`` are the test suite's reference
-(``tests/reference_semantics.py``), which the int relation is checked
-against.
+``canonicaliser``, ``state_key``, ``digest_system``).  A system's grid d,
+cap and horizon come from one walk of its guard atoms, ``_Space.of``,
+which the explorer, ``canonicaliser``, ``default_horizon`` and the
+converters' steps (``_stepper``, without the region map) all read.
+``qconfig_time`` stays the single-delay time rule in ``Fraction``.  The
+step rules of layers one and two in ``Fraction`` are the test suite's
+reference (``tests/reference_semantics.py``), which the int relation is
+checked against.
 """
 
 from __future__ import annotations
@@ -65,7 +68,6 @@ from .sessiontypes import (
     TypeNode,
     dual,
     guard_atoms,
-    max_constant,
     type_clocks,
     unfold_head,
 )
@@ -221,11 +223,12 @@ def make_system(left: TypeNode, right: TypeNode, clocks=None) -> System:
 
 
 def default_horizon(sys: System) -> Fraction:
-    """The delay sampling horizon: the largest guard constant + 2.  Clocks
-    are never negative, so no boundary lies further away than the largest
-    constant, and the sample beyond the last one fits too: a larger horizon
-    samples the same delays, a smaller one would cut boundaries."""
-    return max(max_constant(sys.left.node), max_constant(sys.right.node)) + 2
+    """The delay sampling horizon, the one ``_Space.of`` gives: the largest
+    guard constant + 2.  Clocks are never negative, so no boundary lies
+    further away than the largest constant, and the sample beyond the last
+    one fits too: a larger horizon samples the same delays, a smaller one
+    would cut boundaries."""
+    return _Space.of(sys)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -431,28 +434,20 @@ class _Space:
         self.heads: Dict[str, _Head] = {}
 
     @classmethod
-    def of(cls, sys: System) -> Tuple["_Space", Fraction]:
+    def of(cls, sys: System, *values: Fraction) -> Tuple["_Space", Fraction]:
         """The space of ``check_progress`` on sys and its horizon, from one
-        walk of the guard atoms: d from every atom, regions capped one
-        above the largest constant, unless a guard compares two clocks
-        (these regions are not sound for diagonal guards: the states are
-        then only reduced), and ``default_horizon``, two above it."""
+        walk of the guard atoms: d from every atom and from the
+        denominators of values, regions capped one above the largest
+        constant, unless a guard compares two clocks (these regions are not
+        sound for diagonal guards: the states are then only reduced), and
+        the horizon two above that constant.  Every grid, cap and horizon
+        the package derives from a system comes from here."""
         atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
         top = max((abs(atom.const) for atom in atoms), default=Fraction(0))
         cap = top + 1 if all(atom.sub is None for atom in atoms) else None
-        return cls(sorted(sys.left.nu),
-                   lcm(*(atom.const.denominator for atom in atoms)),
-                   cap), top + 2
-
-    @classmethod
-    def around(cls, clocks, nodes, *values: Fraction) -> "_Space":
-        """A space for steps from the given nodes only, without a region
-        map: d from the compiled attributes of their heads and from the
-        denominators of values, so that a warm state walks no guard."""
-        return cls(sorted(clocks), lcm(
+        return cls(sorted(sys.left.nu), lcm(
             *(value.denominator for value in values),
-            *(head.compiled.scale for head in map(unfold_head, nodes)
-              if head.options)))
+            *(atom.const.denominator for atom in atoms)), cap), top + 2
 
     # -- tables --------------------------------------------------------------
 
@@ -644,11 +639,15 @@ class _Space:
 # The Fraction converters
 # ---------------------------------------------------------------------------
 
-def _stepper(sys: System, *values: Fraction) -> Tuple[_Space, tuple]:
-    """A space for steps from sys, and the int state of sys in it."""
-    space = _Space.around(sys.left.nu, (sys.left.node, sys.right.node),
-                          *values)
-    return space, space.encode(sys)
+def _stepper(sys: System, *values: Fraction
+             ) -> Tuple[_Space, tuple, Fraction]:
+    """A space for steps from sys, the int state of sys in it and
+    ``default_horizon``, from one ``_Space.of(sys, *values)``: the space
+    drops its cap, so it has no region map and asks for no
+    ``clock_ceilings``."""
+    space, horizon = _Space.of(sys, *values)
+    space.cap = None
+    return space, space.encode(sys), horizon
 
 
 def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
@@ -657,7 +656,7 @@ def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
     horizon = Fraction(horizon)
     if horizon < 0:  # before a head is compiled, as in ``system_steps``
         raise ValueError("horizon must be nonnegative")
-    space, state = _stepper(sys, horizon)
+    space, state, _ = _stepper(sys, horizon)
     scale, point_l, point_r = space.points(state)
     return [Fraction(t, scale) for t in space.delays(
         scale, (space.stepping(state[2]), state[3], point_l, None),
@@ -672,8 +671,9 @@ def system_steps(sys: System, horizon: Optional[Fraction] = None
     sampled waits.  A final|final system has no steps."""
     if sys.left.is_final() and sys.right.is_final():
         return []
-    horizon = Fraction(default_horizon(sys) if horizon is None else horizon)
-    space, state = _stepper(sys, horizon)
+    values = () if horizon is None else (Fraction(horizon),)
+    space, state, default = _stepper(sys, *values)
+    horizon = values[0] if values else default
     return [(_action(action), space.system(succ))
             for action, succ in space.steps(state, space.at_d(horizon))]
 

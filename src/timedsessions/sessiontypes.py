@@ -22,7 +22,7 @@ duality, unfolding or substitution (``CompiledGuards``, read through
 down-closure of those guards.  The checker asks for the type's clocks and
 the progress explorer for a valuation's, so no reader widens a zone;
 ``Choice.entry`` renders the entry over the guards' own clocks, only for
-witnesses, projected from a compile the family already holds.
+witnesses, from the family's compile over those clocks.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
 from operator import is_
 from types import MappingProxyType
 from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
@@ -140,24 +139,8 @@ class CompiledGuards:
     @cached_property
     def entry(self) -> Constraint:
         """The entry over the guards' own clocks rendered as a constraint,
-        for witnesses.  Every compile is over a superset of those clocks,
-        so the first one gives it projected onto them: the rows and columns
-        of a canonical zone for a subset of its clocks are the canonical
-        zone of its projection.  Only without a compile is one built."""
-        own = self.clocks
-        if not self.compiles:
-            return zoneset_to_constraint(self.over(own)[1])
-        clocks, (_, entry) = next(iter(self.compiles.items()))
-        where = [0, *(clocks.index(clock) + 1 for clock in own)]
-        return zoneset_to_constraint([
-            Zone(own, [[zone.m[i][j] for j in where] for i in where],
-                 zone.scale) for zone in entry])
-
-    @cached_property
-    def scale(self) -> int:
-        """The LCM of the denominators of the guard constants."""
-        return lcm(*(atom.const.denominator for guard in self.guards
-                     for atom in atoms_of(guard)))
+        for witnesses: the family's compile over those clocks."""
+        return zoneset_to_constraint(self.over(self.clocks)[1])
 
     @cached_property
     def clock_bounds(self) -> Tuple[Tuple[str, Fraction], ...]:

@@ -128,7 +128,8 @@ def collect_redexes(root: ProcNode) -> List[SiteRedex]:
                        if node.left not in chan and node.right not in chan}
             walk(node.body, path + (0,), visible)
         elif not isinstance(node, Buffer):
-            redex = _classify(node, buffers)
+            redex = _classify(node, buffers, type(node) is ReceiveAfter
+                              and node.after == 0)
             if redex is not None:
                 out.append(SiteRedex(path, redex, paths.get(redex.queue)))
 

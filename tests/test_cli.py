@@ -640,3 +640,88 @@ def test_preflight_exit_codes_follow_the_verdict_table(capsys):
         code, out, _ = run_cli(capsys, command, fx(fixture), *rest, "--json")
         verdict = json.loads(out)["verdict"]
         assert code == want == EXIT_CODES.get(verdict, 1), (fixture, verdict)
+
+
+MPP_SPEC = """clocks x;
+type T = rec t . { ?ping(x<=3,{x}).{ !pong(x<=3,{x}).t , ?timeout(x>3).end }
+                 , !pong(x>3,{x}).{ ?ping(x<=3,{x}).t , !timeout(x>3).end } }
+system fwd = T | dual of T
+system back = dual of T | T
+"""
+
+
+def test_a_system_may_take_the_dual_on_its_left(capsys, tmp_path):
+    spec = tmp_path / "sides.toast"
+    spec.write_text(MPP_SPEC)
+    fwd = run_cli(capsys, "progress", str(spec), "fwd")
+    back = run_cli(capsys, "progress", str(spec), "back")
+    assert fwd == (0, "fwd: ok (35 states)\n", "")
+    assert back == (0, "back: ok (35 states)\n", "")
+    assert run_cli(capsys, "compat", str(spec), "back") == (
+        0, "back: compatible (dual types and same clock valuations)\n", "")
+
+
+def test_progress_monitor_prints_the_invariant_violations(capsys):
+    code, out, _ = run_cli(capsys, "progress", fx("unsafe_mixed.toast"),
+                           "unsafe", "--monitor")
+    assert code == 1
+    invariants = [line for line in out.splitlines()
+                  if line.startswith("  invariant: ")]
+    assert len(invariants) == 5
+    assert invariants[0] == (
+        "  invariant: send and receive both enabled on left at "
+        "(x=0 | { ?a((not (x>5) and not (x=5))) , !b(x=0) } | []) || "
+        "(x=0 | { !a((not (x>5) and not (x=5))) , ?b(x=0) } | [])")
+
+
+def test_an_unsatisfiable_delay_ends_the_run_in_error(capsys, tmp_path):
+    spec = tmp_path / "never.toast"
+    spec.write_text("process P = new (p,q) { delay(z<0). end | end "
+                    "| pq:[] | qp:[] }\n")
+    detail = "unsatisfiable delay constraint (not (z>0) and not (z=0))"
+    assert run_cli(capsys, "run", str(spec), "P") == (
+        1, f"status: error ({detail}) after 0 time units\n", "")
+    code, out, _ = run_cli(capsys, "run", str(spec), "P", "--json")
+    envelope = json.loads(out)
+    assert code == 1 and envelope["verdict"] == "error"
+    assert envelope["diagnostics"] == {"status": "error", "detail": detail,
+                                       "elapsed": "0", "trace": []}
+
+
+def test_monitor_names_an_unspecified_reception(capsys, tmp_path):
+    spec = tmp_path / "sorts.toast"
+    spec.write_text("type A = !a<Nat>.end\ntype B = ?a<Bool>.end\n"
+                    "system s = A | B\n")
+    reason = "unspecified reception: 'a' carries Nat, type expects Bool"
+    code, out, _ = run_cli(capsys, "progress", str(spec), "s", "--monitor")
+    lines = out.splitlines()
+    assert code == 1
+    assert lines[:2] == ["s: counterexample (2 states)", f"  {reason}"]
+    assert lines[-1] == (f"  invariant: incompatible state ({reason}) at "
+                         "( | end | []) || ( | ?a<Bool> | [a<Nat>])")
+
+
+@pytest.mark.parametrize("source, argv, message", [
+    (MPP_SPEC, ("progress", "nosuch"), "unknown system 'nosuch'"),
+    ("type T = end\nsystem s = T | Nope\n", ("check", "T"),
+     "2:16: system 's' references unknown type 'Nope'"),
+    ("type T = end\nsystem s = dual of Nope | T\n", ("check", "T"),
+     "2:20: system 's' references unknown type 'Nope'"),
+    ("type T = end\ntype T = end\n", ("check", "T"),
+     "2:8: duplicate type name 'T'"),
+    ("process P = pq:[]\n", ("run", "P"),
+     "1:13: unexpected identifier 'pq' (a buffer only appears inside "
+     "new (...) { ... })"),
+    ("process P = new (p,q) { end | end | pq:[] | qr:[] }\n", ("run", "P"),
+     "1:45: buffer 'qr' does not name a channel between 'p' and 'q'"),
+    ("typo T = end\n", ("check", "T"),
+     "1:1: expected clocks, type, process, or system"),
+])
+def test_spec_file_errors_exit_2(capsys, tmp_path, source, argv, message):
+    spec = tmp_path / "bad.toast"
+    spec.write_text(source)
+    command, name = argv
+    assert run_cli(capsys, command, str(spec), name) == (
+        2, "", f"error: {message}\n")
+    assert _error_envelope(capsys, command, str(spec), name)[
+        "diagnostics"] == {"message": message}

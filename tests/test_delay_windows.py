@@ -12,8 +12,9 @@ against `eval_constraint` directly.  Valuations are drawn in halves and
 thirds, guards mix open and closed endpoints, equalities, differences and
 `true`.  The early-exit membership test `zones.holds_at` is checked
 against the window that contains 0 and against `eval_constraint`.  Once
-a type has been explored, admitting waits on its states compiles nothing
-again and never asks the single-delay rule.
+a type has been explored, admitting waits on its states zones nothing
+again and never asks the single-delay rule, and a second progress check
+of a system zones no guard at all.
 """
 
 import random
@@ -30,7 +31,7 @@ from timedsessions.constraints import (TRUE, Not, atom_eq, atom_ge, atom_gt,
                                        shift)
 from timedsessions.errors import ProtocolError
 from timedsessions.generate import random_constraint, well_formed_types
-from timedsessions.parser import parse_spec_file
+from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import (Message, QConfig, System, _action,
                                      _stepper, qconfig_time, unfold_head)
 from timedsessions.sessiontypes import (BOOL, END, NONE, RECV, SEND, Choice,
@@ -38,6 +39,7 @@ from timedsessions.sessiontypes import (BOOL, END, NONE, RECV, SEND, Choice,
 from timedsessions.zones import to_zones, trajectory_zone
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+CORPORA = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
 GRID = sorted({F(n, 2) for n in range(12)} | {F(n, 3) for n in range(18)})
 CONSTANTS = [c for c in GRID if c <= 4]
 BUILDERS = (atom_gt, atom_ge, atom_lt, atom_le, atom_eq)
@@ -76,7 +78,7 @@ def tau_steps(sys):
     """The internal transitions of sys on the int step relation:
     asynchronous deliveries and queue consumptions, both sides always
     computed."""
-    space, state = _stepper(sys)
+    space, state, _ = _stepper(sys)
     return [(_action(action), space.system(succ))
             for action, succ in space.steps(state, None)]
 
@@ -87,7 +89,7 @@ def delay_bound(qc, first):
     int ``_Head.delay_bound`` of qc's head, with ``first`` the smallest
     delay asked about."""
     first = F(first)
-    space, state = _stepper(System(qc, qc), first)
+    space, state, _ = _stepper(System(qc, qc), first)
     scale, point, _ = space.points(state)
     bound = space.stepping(state[2]).delay_bound(
         qc.queue, None, point, scale,
@@ -360,9 +362,40 @@ def test_admissible_delays_on_warm_types_compiles_nothing(monkeypatch):
     for module, name in ((semantics, "qconfig_time"),
                          (semantics, "_receivable_during"),
                          (zones, "to_zones"), (sessiontypes, "to_zones"),
-                         (zones, "trajectory_zone"),
-                         (constraints, "atoms_of"),
-                         (sessiontypes, "atoms_of")):
+                         (zones, "trajectory_zone")):
         monkeypatch.setattr(module, name, _forbidden(name))
     assert [semantics.admissible_delays(s, F(8)) for s in states] == expected
     assert any(expected) and not all(expected)
+
+
+def test_progress_on_warm_types_compiles_nothing(monkeypatch):
+    """A second ``check_progress`` of the same systems, mpp and S | dual(S)
+    for 60 corpus types, gives the same reports without zoning a guard
+    again or asking the single-delay rule."""
+    spec = parse_spec_file((FIXTURES / "mixed_pingpong.toast").read_text())
+    pairs = [spec.resolve_system("mpp")]
+    for corpus in sorted(CORPORA.glob("*")):
+        rows = corpus.read_text().splitlines()
+        for n in sorted(random.Random(3).sample(range(len(rows)), 30)):
+            node = parse_type(rows[n].split("\t")[-1])
+            pairs.append((node, sessiontypes.dual(node)))
+    systems = [semantics.make_system(left, right, clocks=("x", "y"))
+               for left, right in pairs]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return to_zones(*args, **kwargs)
+
+    monkeypatch.setattr(sessiontypes, "to_zones", counted)
+    expected = [semantics.check_progress(s) for s in systems]
+    assert calls
+    calls.clear()
+    for module, name in ((semantics, "qconfig_time"),
+                         (semantics, "_receivable_during"),
+                         (semantics, "trajectory_zone"),
+                         (zones, "trajectory_zone")):
+        monkeypatch.setattr(module, name, _forbidden(name))
+    assert [semantics.check_progress(s) for s in systems] == expected
+    assert not calls
+    assert {report.verdict for report in expected} >= {"ok", "counterexample"}
