@@ -24,16 +24,15 @@ The interpreter does not step the term.  Session scopes can move outward,
 so a running program is threads, buffers and timers: ``run`` keeps a
 layout of compositions and session scopes whose items are buffer cells
 and thread cells, each thread with its active leaf, its own definitions,
-the buffers it sees, its kept redex and the deadline of its leaf.
-``_classify`` turns a leaf into a redex and ``_reduce`` takes it; a call
-and a receive with a binder substitute in one capture-avoiding walk,
-``substitute``.  Time in a run is an int: every instant the run can reach
-is a whole number of units of one run scale, fixed before the first step,
-and a timer is kept as the instant it was set.  ``phi`` stays the
-specification of time passing; a time step of ``run`` moves the clock to
-the earliest deadline and changes only the leaves whose deadline it is.
-The term, with each countdown under way read off its deadline, is built
-from the layout only when something reads it.
+the buffers it sees, its kept redex and the deadline of its leaf.  Each
+leaf is compiled once into a step record cached on it, from which its
+thread is classified and its step taken (``_take``); a call and a receive
+with a binder substitute in one capture-avoiding walk, ``substitute``.
+Time in a run is an int at a scale fixed before the first step, and a
+timer is kept as the instant it was set.  ``phi`` stays the specification
+of time passing; a time step of ``run`` moves the clock to the earliest
+deadline and changes only the leaves whose deadline it is.  The term is
+built from the layout only when something reads it.
 """
 
 from __future__ import annotations
@@ -114,14 +113,29 @@ UNIT = ()
 Value = Union[int, bool, str, Tuple[()], Name]
 
 
+class _Node:
+    """The base of the process nodes, which caches what ``run`` needs."""
+
+    @cached_property
+    def run_prologue(self) -> Tuple["ProcNode", int]:
+        """This node as a program: its normal form and its grid."""
+        normal = runtime_normalize(self)
+        return normal, _run_scale(normal)
+
+    @cached_property
+    def step_record(self) -> "_Record":
+        """What ``run`` needs to step this node as a thread's leaf."""
+        return _compile(self)
+
+
 @dataclass(frozen=True)
-class SetTimer:
+class SetTimer(_Node):
     timer: str
     cont: "ProcNode"
 
 
 @dataclass(frozen=True)
-class Send:
+class Send(_Node):
     endpoint: str
     label: str
     value: Value
@@ -136,7 +150,7 @@ class Branch:
 
 
 @dataclass(frozen=True)
-class ReceiveAfter:
+class ReceiveAfter(_Node):
     endpoint: str
     branches: Tuple[Branch, ...]
     # None means no timeout (wait forever); a LinearExpr is unresolved; a
@@ -146,7 +160,7 @@ class ReceiveAfter:
 
 
 @dataclass(frozen=True)
-class IfTimer:
+class IfTimer(_Node):
     cond: Constraint
     then_branch: "ProcNode"
     else_branch: "ProcNode"
@@ -157,7 +171,7 @@ class IfTimer:
 
 
 @dataclass(frozen=True)
-class DelayConstraint:
+class DelayConstraint(_Node):
     var: str
     cond: Constraint
     cont: "ProcNode"
@@ -187,13 +201,13 @@ class DelayConstraint:
 
 
 @dataclass(frozen=True)
-class DelayExact:
+class DelayExact(_Node):
     duration: Fraction
     cont: "ProcNode"
 
 
 @dataclass(frozen=True)
-class Def:
+class Def(_Node):
     name: str
     val_params: Tuple[str, ...]
     timer_params: Tuple[str, ...]
@@ -203,7 +217,7 @@ class Def:
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     name: str
     val_args: Tuple[Value, ...] = ()
     timer_args: Tuple[str, ...] = ()
@@ -211,29 +225,29 @@ class Call:
 
 
 @dataclass(frozen=True)
-class PEnd:
+class PEnd(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class PErr:
+class PErr(_Node):
     pass
 
 
 @dataclass(frozen=True)
-class Scope:
+class Scope(_Node):
     left: str
     right: str
     body: "ProcNode"
 
 
 @dataclass(frozen=True)
-class Par:
+class Par(_Node):
     parts: Tuple["ProcNode", ...]
 
 
 @dataclass(frozen=True)
-class Buffer:
+class Buffer(_Node):
     src: str
     dst: str
     items: Tuple[Tuple[str, Value], ...] = ()
@@ -636,69 +650,6 @@ def instantiate_call(defn: Def, call: Call) -> ProcNode:
 # Instantaneous reduction
 # ---------------------------------------------------------------------------
 
-class _Queue:
-    """A buffer cell of a running program: the buffer as it stands now."""
-
-    __slots__ = ("node",)
-
-    def __init__(self, node: Buffer):
-        self.node = node
-
-
-# The buffers a leaf sees, by (source, destination) endpoints.
-Buffers = Dict[Tuple[str, str], _Queue]
-
-
-class Redex(NamedTuple):
-    kind: str      # set | if | send | recv | det | def | call | err | stuck
-    detail: str
-    node: ProcNode
-    # The cell of the buffer a send appends to or a receive reads.
-    queue: Optional[_Queue] = None
-
-
-def _classify(node: ProcNode, buffers: Buffers,
-              expired: bool) -> Optional[Redex]:
-    """The redex of one active leaf, or None if it cannot act now; expired
-    tells whether a receive's timeout has run out."""
-    kind = type(node)
-    if kind is Def:
-        return Redex("def", node.name, node)
-    if kind is SetTimer:
-        return Redex("set", node.timer, node)
-    if kind is Send:
-        for chan, queue in buffers.items():
-            if chan[0] == node.endpoint:
-                return Redex("send", f"{node.endpoint}!{node.label}", node,
-                             queue)
-        return None
-    if kind is ReceiveAfter:
-        for chan, queue in buffers.items():
-            if chan[1] != node.endpoint:
-                continue
-            items = queue.node.items
-            if not items:
-                continue
-            label = items[0][0]
-            if any(b.label == label for b in node.branches):
-                return Redex("recv", f"{node.endpoint}?{label}", node, queue)
-            return Redex(
-                "stuck", f"unspecified reception: {label!r} at {node.endpoint}",
-                node, queue)
-        if expired:
-            return Redex("recv", f"{node.endpoint} after-timeout", node)
-        return None
-    if kind is IfTimer:
-        return Redex("if", node.cond_text, node)
-    if kind is DelayConstraint:
-        return Redex("det", node.cond_text, node)
-    if kind is Call:
-        return Redex("call", node.name, node)
-    if kind is PErr:
-        return Redex("err", "error process reached", node)
-    return None
-
-
 class _DelayPicker:
     """Resolves delay(constraint) durations: boundary samples of the
     constraint plus one seeded interior point, or an explicit schedule."""
@@ -731,68 +682,55 @@ class _DelayPicker:
         return self.rng.choice(pool)
 
 
-def _reduce(redex: Redex, rho: Mapping[str, Fraction],
-            defs: Dict[str, Def], picker: Optional[_DelayPicker]
-            ) -> Tuple[Mapping[str, Fraction], ProcNode, Optional[Buffer],
-                       str]:
-    """The timers after the step, the subterm that replaces the redex's
-    node, the buffer that replaces the one in its queue (None if the step
-    rewrites none), and the step as the trace prints it.
+class _Record(NamedTuple):
+    """What ``run`` needs to step a leaf, free of any run's scale.  The
+    continuations of a leaf of a normal term are normal as they stand."""
 
-    The timers are a ``TimerEnv`` or a run's ``_Timers``: a step reads
-    them as a mapping and sets a timer with ``|``, which leaves rho as it
-    was.  The redex's node and queue are read as they stand.  A call reads
-    its definition from defs only: an unfired ``Def`` is a redex, so its
-    step puts it there before any call in its continuation.  Every new subterm
-    is a subterm of the term the redex was found in, or a ``substitute``
-    of one, so it is normal below its head when that is.
-    """
-    node = redex.node
-    if redex.kind == "def":
-        assert isinstance(node, Def)
-        defs[node.name] = node
-        return rho, node.cont, None, f"def {redex.detail}"
-    if redex.kind == "set":
-        assert isinstance(node, SetTimer)
-        return rho | {node.timer: _ZERO}, node.cont, None, f"set {redex.detail}"
-    if redex.kind == "if":
-        assert isinstance(node, IfTimer)
-        if eval_constraint(rho, node.cond):
-            return rho, node.then_branch, None, f"if ({redex.detail}) -> then"
-        return rho, node.else_branch, None, f"if ({redex.detail}) -> else"
-    if redex.kind == "send":
-        assert isinstance(node, Send) and redex.queue is not None
-        buf = redex.queue.node
-        new_buf = Buffer(buf.src, buf.dst, buf.items + ((node.label, node.value),))
-        return rho, node.cont, new_buf, f"send {redex.detail}"
-    if redex.kind == "recv":
-        assert isinstance(node, ReceiveAfter)
-        if redex.queue is None:  # timeout expiry (expired, empty queue)
-            assert node.timeout is not None
-            return rho, node.timeout, None, f"recv {redex.detail}"
-        buf = redex.queue.node
-        assert buf.items
-        label, value = buf.items[0]
-        branch = next(b for b in node.branches if b.label == label)
-        cont = branch.cont
-        if branch.binder is not None:
-            cont = substitute(cont, {}, {branch.binder: value})
-        return (rho, cont, Buffer(buf.src, buf.dst, buf.items[1:]),
-                f"recv {redex.detail}")
-    if redex.kind == "det":
-        assert isinstance(node, DelayConstraint)
-        if picker is None:
-            raise SpecError("delay(constraint) needs a resolution policy")
-        t = picker.pick(node)
-        return (rho, DelayExact(t, node.cont), None,
-                f"det delay({format_rational(t)}) for {redex.detail}")
-    if redex.kind == "call":
-        assert isinstance(node, Call)
-        defn = defs.get(node.name)
-        if defn is None:
-            raise SpecError(f"call to undefined process {node.name!r}")
-        return rho, instantiate_call(defn, node), None, f"call {redex.detail}"
-    raise SpecError(f"redex kind {redex.kind!r} is not reducible")
+    kind: Optional[str]  # of its instant step; None if it has none
+    # The trace text (of an if, per branch; of a receive, its timeout's)
+    # and the continuations (of a receive, its timeout body).
+    text: object = None
+    conts: tuple = ()
+    # A receive's label -> (text, continuation, binder); a delay(c)'s
+    # duration -> (leaf, text), filled as it picks.
+    table: Optional[dict] = None
+    # A timeout or exact delay: (numerator, denominator, timer coefficients).
+    after: Optional[tuple] = None
+
+
+def _compile(node: ProcNode) -> _Record:
+    """The step record of a leaf."""
+    kind = type(node)
+    if kind is ReceiveAfter:
+        table: dict = {}
+        for b in node.branches:  # a label takes its first branch
+            table.setdefault(b.label, (f"recv {node.endpoint}?{b.label}",
+                                       b.cont, b.binder))
+        after, coeffs = node.after, ()
+        if isinstance(after, LinearExpr):
+            after, coeffs = after.const, after.coeffs
+        return _Record("recv", f"recv {node.endpoint} after-timeout",
+                       (node.timeout,), table, None if after is None else (
+                           after.numerator, after.denominator, coeffs))
+    if kind is DelayExact:
+        return _Record(None, after=(node.duration.numerator,
+                                    node.duration.denominator, ()))
+    if kind is IfTimer:
+        return _Record("if", (f"if ({node.cond_text}) -> then",
+                              f"if ({node.cond_text}) -> else"),
+                       (node.then_branch, node.else_branch))
+    if kind is SetTimer:
+        return _Record("set", f"set {node.timer}", (node.cont,))
+    if kind is Send:
+        return _Record("send", f"send {node.endpoint}!{node.label}",
+                       (node.cont,))
+    if kind is Def:
+        return _Record("def", f"def {node.name}", (node.cont,))
+    if kind is Call:
+        return _Record("call", f"call {node.name}")
+    if kind is DelayConstraint:
+        return _Record("det", table={})
+    return _Record("err" if kind is PErr else None)
 
 
 def resolve_active(root: ProcNode, rho: Mapping[str, Fraction]) -> ProcNode:
@@ -819,11 +757,6 @@ class _Clock:
 
     def __init__(self, scale: int):
         self.now, self.scale = 0, scale
-
-    def units(self, t: Fraction) -> int:
-        """t in units of the clock; t is on its grid."""
-        assert self.scale % t.denominator == 0, (t, self.scale)
-        return t.numerator * (self.scale // t.denominator)
 
     def time(self, units: int) -> Fraction:
         return Fraction(units, self.scale)
@@ -852,41 +785,16 @@ class _Timers(Mapping[str, Fraction]):
     def __len__(self) -> int:
         return len(self.set_at)
 
-    def __or__(self, values: Mapping[str, Fraction]) -> "_Timers":
-        """New timers, with each timer in values set so that it reads its
-        value there now, as ``|`` on a ``TimerEnv`` does."""
-        clock, set_at = self.clock, self.set_at.copy()
-        for name, value in values.items():
-            set_at[name] = clock.now - clock.units(value)
-        return _Timers(clock, set_at)
 
-    def deadline(self, after: Union[LinearExpr, Fraction]) -> int:
-        """The instant a countdown of after, started now, runs out: the
-        timeout expression evaluated as ``eval_timeout`` does, in ints."""
-        clock = self.clock
-        if not isinstance(after, LinearExpr):
-            return clock.now + clock.units(after)
-        total = clock.units(after.const)
-        for name, coef in after.coeffs:
-            if name not in self.set_at:
-                raise _unknown_timer(name)
-            total += coef * (clock.now - self.set_at[name])
-        return clock.now + max(total, 0)
-
-
-def _run_scale(program: ProcNode,
-               schedule: Optional[Sequence[Fraction]]) -> int:
-    """The scale of a run: a common multiple of the denominators of every
-    duration the program and the schedule can produce.
-
-    Those are the schedule's durations, exact delays, timeout constants,
-    and the boundaries of each ``delay(c)``, their midpoints and the
-    midpoints of those (``DelayConstraint.candidates`` and ``interiors``),
-    which lie on a quarter of the grid of c's constants.  Timers start on
-    the grid and timeouts have integer timer coefficients, so every
-    deadline and every instant the run reaches is on it too.
-    """
-    scale = lcm(*(t.denominator for t in schedule or ()))
+def _run_scale(program: ProcNode) -> int:
+    """The grid of a program: a common multiple of the denominators of
+    every duration it can produce, its exact delays, timeout constants and
+    the boundaries of each ``delay(c)``, their midpoints and the midpoints
+    of those (``DelayConstraint.candidates`` and ``interiors``), which lie
+    on a quarter of the grid of c's constants.  Timers start on the grid
+    and timeouts have integer timer coefficients, so with the schedule's
+    durations folded in, every instant a run reaches is on it too."""
+    scale = 1
     stack = [program]
     while stack:
         node = stack.pop()
@@ -909,6 +817,15 @@ def _run_scale(program: ProcNode,
 # The running program: threads, buffers and session scopes
 # ---------------------------------------------------------------------------
 
+class _Queue:
+    """A buffer cell of a running program: the buffer as it stands now."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: Buffer):
+        self.node = node
+
+
 class _Thread:
     """A thread cell: its active leaf, its own definitions and its run's
     clock; activating its leaf sets the leaf's deadline, reading the
@@ -923,6 +840,29 @@ class _Thread:
         # The instant the leaf's timeout or exact delay runs out; None
         # while it has none, or has not been activated.
         self.deadline: Optional[int] = None
+
+    def classify(self) -> None:
+        """Keep the redex of the leaf: the kind of the step it can take now
+        (a receive with no branch for its message is ``stuck``), or None,
+        and the buffer cell a send appends to or a receive reads."""
+        leaf = self.leaf
+        kind = leaf.step_record.kind
+        if kind == "send":
+            for chan, queue in self.buffers.items():
+                if chan[0] == leaf.endpoint:
+                    self.redex = kind, queue
+                    return
+            kind = None
+        elif kind == "recv":
+            for chan, queue in self.buffers.items():
+                items = queue.node.items
+                if chan[1] == leaf.endpoint and items:
+                    self.redex = ("recv" if items[0][0] in leaf.step_record.table
+                                  else "stuck"), queue
+                    return
+            if self.deadline != self.clock.now:
+                kind = None
+        self.redex = kind, None
 
     def term(self) -> ProcNode:
         """The leaf, with a countdown under way reading what is left."""
@@ -950,9 +890,7 @@ _Item = Union[_Thread, _Queue, _Scope]
 # The leaves a step may leave that go into the layout, not into a thread.
 _STRUCTURE = (Par, Scope, Buffer)
 
-# The leaves that are activated when they are new: a receive and an exact
-# delay get their deadlines, and a definition, whose continuation is
-# active, resolves the timeouts of the receives there.
+# The leaves that are activated when they are new (``_activate``).
 _ACTIVATED = frozenset({ReceiveAfter, DelayExact, Def})
 
 # The leaves time can pass over when no step is enabled.
@@ -961,12 +899,66 @@ _TIMED = frozenset({PEnd, ReceiveAfter, DelayExact})
 
 def _activate(leaf: ProcNode, timers: _Timers
               ) -> Tuple[ProcNode, Optional[int]]:
-    """A new leaf as it becomes active, and its deadline."""
+    """A new leaf as it becomes active, and its deadline.  A receive and an
+    exact delay get the instant they run out, the timeout evaluated as
+    ``eval_timeout`` does, in ints; a definition, whose continuation is
+    active, resolves the timeouts of the receives there."""
     if type(leaf) is Def:
         return resolve_active(leaf, timers), None
-    if type(leaf) is DelayExact:
-        return leaf, timers.deadline(leaf.duration)
-    return leaf, None if leaf.after is None else timers.deadline(leaf.after)
+    after = leaf.step_record.after
+    if after is None:
+        return leaf, None
+    num, den, coeffs = after
+    clock, set_at = timers.clock, timers.set_at
+    assert clock.scale % den == 0, (den, clock.scale)
+    total = num * (clock.scale // den)
+    for name, coef in coeffs:
+        if name not in set_at:
+            raise _unknown_timer(name)
+        total += coef * (clock.now - set_at[name])
+    return leaf, clock.now + max(total, 0)
+
+
+def _take(thread: _Thread, timers: _Timers, picker: _DelayPicker
+          ) -> Tuple[ProcNode, str]:
+    """Take a thread's kept redex: the normal leaf it leads to and the trace
+    text.  A set writes its timer, a send or a receive its buffer cell and
+    a def the thread's definitions, in place, where a call reads them."""
+    leaf, (kind, queue) = thread.leaf, thread.redex
+    record = leaf.step_record
+    if kind == "if":
+        taken = 0 if eval_constraint(timers, leaf.cond) else 1
+        return record.conts[taken], record.text[taken]
+    if kind == "recv" and queue is not None:
+        buf = queue.node
+        label, value = buf.items[0]
+        queue.node = Buffer(buf.src, buf.dst, buf.items[1:])
+        text, cont, binder = record.table[label]
+        if binder is not None:
+            cont = substitute(cont, {}, {binder: value})
+        return cont, text
+    if kind == "send":
+        buf = queue.node
+        queue.node = Buffer(buf.src, buf.dst,
+                            buf.items + ((leaf.label, leaf.value),))
+    elif kind == "set":
+        timers.set_at[leaf.timer] = timers.clock.now
+    elif kind == "def":
+        thread.defs[leaf.name] = leaf
+    elif kind == "det":
+        t = picker.pick(leaf)
+        out = record.table.get(t)
+        if out is None:
+            out = record.table[t] = (
+                _normal_node(DelayExact(t, leaf.cont)),
+                f"det delay({format_rational(t)}) for {leaf.cond_text}")
+        return out
+    elif kind == "call":
+        defn = thread.defs.get(leaf.name)
+        if defn is None:
+            raise SpecError(f"call to undefined process {leaf.name!r}")
+        return instantiate_call(defn, leaf), record.text
+    return record.conts[0], record.text
 
 
 def _layout(node: ProcNode, defs: Dict[str, Def], clock: _Clock,
@@ -999,7 +991,8 @@ def _read_layout(root: List[_Item]) -> Tuple[List[_Thread], List[_Queue]]:
     threads: List[_Thread] = []
     queues: List[_Queue] = []
 
-    def walk(items: List[_Item], outer: Buffers, steps: Tuple[str, ...]) -> None:
+    def walk(items: List[_Item], outer: Dict[Tuple[str, str], _Queue],
+             steps: Tuple[str, ...]) -> None:
         buffers = dict(outer)
         for item in items:
             if type(item) is _Queue:
@@ -1070,27 +1063,26 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     Instant steps are exhausted in leftmost order before the unique enabled
     time step fires; delay(constraint) durations are resolved by the policy.
 
-    Time is an int clock at the run scale (``_run_scale``), and each timer
-    is the instant it was set.  A new leaf is activated at the top of the
-    next iteration, so a run that stops first returns its timeouts as
-    expressions: a receive with a timeout and an exact delay get the
-    instant they run out, their deadline, once; a definition resolves the
-    timeouts of its continuation.  An instant step rewrites one thread's
-    leaf and at most one buffer cell, and reclassifies the threads that
-    see that buffer.  A time step moves the clock to the earliest
-    deadline; a delay that runs out then becomes its continuation and a
-    receive whose timeout runs out is classified again.  While some
-    buffer is non-empty, ``phi`` on the built term first decides the Par
-    premise, and ``phi`` decides a leaf that time cannot pass over.  A
-    new composition, scope or buffer goes into the layout in place of its
-    thread, each new thread with a copy of its definitions, and the
-    layout is read again.  ``Fraction`` is used at the boundary only: for
-    the built term, the timers an ``if`` reads, and the result.
+    A program is normalised and its grid walked once (``run_prologue``),
+    and a leaf compiled once (``step_record``).  Time is an int clock at
+    the grid with the schedule's denominators folded in; a timer is the
+    instant it was set.  A new leaf is activated at the top of the next
+    iteration, so a run that stops first returns its timeouts unresolved.
+    An instant step (``_take``) rewrites one thread's leaf and at most one
+    buffer cell, and reclassifies the threads that see that buffer.  A time
+    step moves the clock to the earliest deadline, where a delay becomes
+    its continuation and a receive is classified again, once ``phi`` on the
+    built term has decided the Par premise while a buffer is non-empty and
+    ``phi`` any leaf time cannot pass over.  A new composition, scope or
+    buffer goes into the layout in place of its thread, each new thread
+    with a copy of its definitions.  ``Fraction`` is only for the built
+    term, an ``if``'s timers and the result.  A run whose threads are all
+    ``end`` and whose buffers are all empty has completed, out of fuel too.
     """
     policy = policy or RunPolicy()
     picker = _DelayPicker(policy.seed, policy.delay_resolution)
-    program = runtime_normalize(program)
-    clock = _Clock(_run_scale(program, picker.schedule))
+    program, grid = program.run_prologue
+    clock = _Clock(lcm(grid, *(t.denominator for t in picker.schedule or ())))
     timers = _Timers(clock, {})
     trace: List[str] = []
     # The threads whose leaves are new since the last iteration.
@@ -1103,6 +1095,10 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     def result(status: str, detail: str) -> RunResult:
         return RunResult(status, detail, trace, clock.time(clock.now),
                          _build(root), dict(timers))
+
+    def completed() -> bool:
+        return (all(type(thread.leaf) is PEnd for thread in threads)
+                and not any(queue.node.items for queue in queues))
 
     def place(thread: _Thread, new: ProcNode) -> None:
         nonlocal relayout
@@ -1127,42 +1123,36 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
             fresh[:] = threads
             relayout = False
         for thread in fresh:
-            thread.redex = _classify(thread.leaf, thread.buffers,
-                                     thread.deadline == clock.now)
+            thread.classify()
         fresh.clear()
         first = None
         for thread in threads:
-            redex = thread.redex
-            if redex is None:
+            kind, queue = thread.redex
+            if kind is None:
                 continue
-            if redex.kind == "err":
+            if kind == "err":
                 return result(RunStatus.ERROR, f"err at {thread.position}")
-            if redex.kind == "stuck":
-                return result(RunStatus.STUCK,
-                              f"{redex.detail} at {thread.position}")
+            if kind == "stuck":
+                return result(RunStatus.STUCK, (
+                    f"unspecified reception: {queue.node.items[0][0]!r} "
+                    f"at {thread.leaf.endpoint} at {thread.position}"))
             if first is None:
                 first = thread
         if first is not None:
-            redex = first.redex
             steps += 1
             try:
-                timers, new, buf, text = _reduce(redex, timers, first.defs,
-                                                 picker)
+                new, text = _take(first, timers, picker)
             except SpecError as exc:
                 return result(RunStatus.ERROR, str(exc))
             trace.append(f"{steps} {text}")
-            place(first, _normal_node(new))
-            if buf is not None:  # first is new, and classified at the top
-                redex.queue.node = buf
-                chan = buf.src, buf.dst
+            place(first, new)
+            queue = first.redex[1]
+            if queue is not None:  # first is new, and classified at the top
                 for thread in threads:
-                    if (thread is not first
-                            and thread.buffers.get(chan) is redex.queue):
-                        thread.redex = _classify(thread.leaf, thread.buffers,
-                                                 thread.deadline == clock.now)
+                    if thread is not first and queue in thread.buffers.values():
+                        thread.classify()
             continue
-        full = any(queue.node.items for queue in queues)
-        if not full and all(type(thread.leaf) is PEnd for thread in threads):
+        if completed():
             return result(RunStatus.COMPLETED, "all components terminated")
         deadlines = [thread.deadline for thread in threads
                      if thread.deadline is not None]
@@ -1172,7 +1162,8 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         t = clock.time(then - clock.now)
         steps += 1
         try:
-            if full:  # only a non-empty buffer can fail phi's Par premise
+            # only a non-empty buffer can fail phi's Par premise
+            if any(queue.node.items for queue in queues):
                 phi(t, _build(root), timers)
             for thread in threads:  # phi names a leaf that blocks time
                 if type(thread.leaf) not in _TIMED:
@@ -1185,6 +1176,10 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
                 if type(thread.leaf) is DelayExact:
                     place(thread, thread.leaf.cont)
                 else:
-                    thread.redex = _classify(thread.leaf, thread.buffers, True)
+                    thread.classify()
         trace.append(f"{steps} delay({format_rational(t)})")
+    if relayout:
+        threads, queues = _read_layout(root)
+    if completed():
+        return result(RunStatus.COMPLETED, "all components terminated")
     return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")

@@ -2,10 +2,12 @@
 process term, and the scheduler that takes them.
 
 ``processes.run`` keeps a running program flat, as thread and buffer
-cells.  The helpers here work on the term instead.  ``collect_redexes``
-walks it for its active leaves, each with its path and the buffers it
-sees, and classifies them with the interpreter's own ``_classify``;
-``apply_redex`` reduces one with its ``_reduce`` and puts the new subterm
+cells, and steps each leaf from a record compiled once from it.  The
+helpers here work on the term instead, with a step of their own:
+``_classify`` turns a leaf into a redex and ``_reduce`` takes it,
+formatting its trace text from the node.  ``collect_redexes`` walks the
+term for its active leaves, each with its path and the buffers it sees,
+and classifies them; ``apply_redex`` reduces one and puts the new subterm
 and buffer back at their paths.  ``instant_step`` lists every instant
 successor of a term, and ``reference_run`` is the scheduler over these
 steps: it resolves and walks the whole term before every step and
@@ -14,7 +16,7 @@ whole run.
 """
 
 from fractions import Fraction
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
 from timedsessions.constraints import eval_constraint
 from timedsessions.errors import SpecError
@@ -22,26 +24,31 @@ from timedsessions.processes import (
     _ACTIVE_KINDS,
     _SHAPES,
     Buffer,
+    Call,
     Def,
+    DelayConstraint,
     DelayExact,
+    IfTimer,
     Par,
     PEnd,
+    PErr,
     PhiUndefined,
     ProcNode,
     ReceiveAfter,
-    Redex,
     RunPolicy,
     RunResult,
     RunStatus,
     Scope,
+    Send,
+    SetTimer,
     TimerEnv,
-    _classify,
     _DelayPicker,
     _Queue,
-    _reduce,
     children,
+    instantiate_call,
     resolve_active,
     runtime_normalize,
+    substitute,
     time_step,
 )
 from timedsessions.rational import format_rational
@@ -50,6 +57,8 @@ from timedsessions.rational import format_rational
 # the node it leaves.  Redexes are found through active children only, so
 # the paths of redexes and buffers step through Par and Scope nodes.
 Path = Tuple[int, ...]
+
+_ZERO = Fraction(0)
 
 
 def subterms(p: ProcNode, active: bool = False) -> Iterator[ProcNode]:
@@ -85,6 +94,124 @@ def path_str(term: ProcNode, path: Path) -> str:
         steps.append(f"par{i}" if type(term) is Par else "scope")
         term = children(term)[i]
     return "/".join(steps) or "top"
+
+
+# The buffers a leaf sees, by (source, destination) endpoints.
+Buffers = Dict[Tuple[str, str], _Queue]
+
+
+class Redex(NamedTuple):
+    kind: str      # set | if | send | recv | det | def | call | err | stuck
+    detail: str
+    node: ProcNode
+    # The cell of the buffer a send appends to or a receive reads.
+    queue: Optional[_Queue] = None
+
+
+def _classify(node: ProcNode, buffers: Buffers,
+              expired: bool) -> Optional[Redex]:
+    """The redex of one active leaf, or None if it cannot act now; expired
+    tells whether a receive's timeout has run out."""
+    kind = type(node)
+    if kind is Def:
+        return Redex("def", node.name, node)
+    if kind is SetTimer:
+        return Redex("set", node.timer, node)
+    if kind is Send:
+        for chan, queue in buffers.items():
+            if chan[0] == node.endpoint:
+                return Redex("send", f"{node.endpoint}!{node.label}", node,
+                             queue)
+        return None
+    if kind is ReceiveAfter:
+        for chan, queue in buffers.items():
+            if chan[1] != node.endpoint:
+                continue
+            items = queue.node.items
+            if not items:
+                continue
+            label = items[0][0]
+            if any(b.label == label for b in node.branches):
+                return Redex("recv", f"{node.endpoint}?{label}", node, queue)
+            return Redex(
+                "stuck", f"unspecified reception: {label!r} at {node.endpoint}",
+                node, queue)
+        if expired:
+            return Redex("recv", f"{node.endpoint} after-timeout", node)
+        return None
+    if kind is IfTimer:
+        return Redex("if", node.cond_text, node)
+    if kind is DelayConstraint:
+        return Redex("det", node.cond_text, node)
+    if kind is Call:
+        return Redex("call", node.name, node)
+    if kind is PErr:
+        return Redex("err", "error process reached", node)
+    return None
+
+
+def _reduce(redex: Redex, rho: Mapping[str, Fraction],
+            defs: Dict[str, Def], picker: Optional[_DelayPicker]
+            ) -> Tuple[Mapping[str, Fraction], ProcNode, Optional[Buffer],
+                       str]:
+    """The timers after the step, the subterm that replaces the redex's
+    node, the buffer that replaces the one in its queue (None if the step
+    rewrites none), and the step as the trace prints it.
+
+    The timers are a ``TimerEnv``: a step reads them as a mapping and sets
+    a timer with ``|``, which leaves rho as it was.  The redex's node and
+    queue are read as they stand.  A call reads its definition from defs
+    only: an unfired ``Def`` is a redex, so its step puts it there before
+    any call in its continuation.  Every new subterm is a subterm of the
+    term the redex was found in, or a ``substitute`` of one, so it is
+    normal below its head when that is.
+    """
+    node = redex.node
+    if redex.kind == "def":
+        assert isinstance(node, Def)
+        defs[node.name] = node
+        return rho, node.cont, None, f"def {redex.detail}"
+    if redex.kind == "set":
+        assert isinstance(node, SetTimer)
+        return rho | {node.timer: _ZERO}, node.cont, None, f"set {redex.detail}"
+    if redex.kind == "if":
+        assert isinstance(node, IfTimer)
+        if eval_constraint(rho, node.cond):
+            return rho, node.then_branch, None, f"if ({redex.detail}) -> then"
+        return rho, node.else_branch, None, f"if ({redex.detail}) -> else"
+    if redex.kind == "send":
+        assert isinstance(node, Send) and redex.queue is not None
+        buf = redex.queue.node
+        new_buf = Buffer(buf.src, buf.dst, buf.items + ((node.label, node.value),))
+        return rho, node.cont, new_buf, f"send {redex.detail}"
+    if redex.kind == "recv":
+        assert isinstance(node, ReceiveAfter)
+        if redex.queue is None:  # timeout expiry (expired, empty queue)
+            assert node.timeout is not None
+            return rho, node.timeout, None, f"recv {redex.detail}"
+        buf = redex.queue.node
+        assert buf.items
+        label, value = buf.items[0]
+        branch = next(b for b in node.branches if b.label == label)
+        cont = branch.cont
+        if branch.binder is not None:
+            cont = substitute(cont, {}, {branch.binder: value})
+        return (rho, cont, Buffer(buf.src, buf.dst, buf.items[1:]),
+                f"recv {redex.detail}")
+    if redex.kind == "det":
+        assert isinstance(node, DelayConstraint)
+        if picker is None:
+            raise SpecError("delay(constraint) needs a resolution policy")
+        t = picker.pick(node)
+        return (rho, DelayExact(t, node.cont), None,
+                f"det delay({format_rational(t)}) for {redex.detail}")
+    if redex.kind == "call":
+        assert isinstance(node, Call)
+        defn = defs.get(node.name)
+        if defn is None:
+            raise SpecError(f"call to undefined process {node.name!r}")
+        return rho, instantiate_call(defn, node), None, f"call {redex.detail}"
+    raise SpecError(f"redex kind {redex.kind!r} is not reducible")
 
 
 def is_completed(p: ProcNode) -> bool:
@@ -258,4 +385,7 @@ def reference_run(program: ProcNode,
             return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
         elapsed += t
         trace.append(f"{steps} delay({format_rational(t)})")
+    # is_completed reads through an unfired def, which is still a redex
+    if is_completed(term) and not collect_redexes(term):
+        return result(RunStatus.COMPLETED, "all components terminated")
     return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")

@@ -72,7 +72,7 @@ def test_term_is_walked_after_time_and_structural_steps_only(
     expected = reference_run(program, policy)
     reads = builds = 0
     structural = []  # per instant step: is its new subterm structural?
-    read_layout, reduce = processes._read_layout, processes._reduce
+    read_layout, take = processes._read_layout, processes._take
     build = processes._build
 
     def counting_read_layout(root):
@@ -80,9 +80,9 @@ def test_term_is_walked_after_time_and_structural_steps_only(
         reads += 1
         return read_layout(root)
 
-    def counting_reduce(*args):
-        out = reduce(*args)
-        structural.append(isinstance(_normal_node(out[1]), (Par, Scope, Buffer)))
+    def counting_take(*args):
+        out = take(*args)
+        structural.append(isinstance(_normal_node(out[0]), (Par, Scope, Buffer)))
         return out
 
     def counting_build(root):
@@ -91,7 +91,7 @@ def test_term_is_walked_after_time_and_structural_steps_only(
         return build(root)
 
     monkeypatch.setattr(processes, "_read_layout", counting_read_layout)
-    monkeypatch.setattr(processes, "_reduce", counting_reduce)
+    monkeypatch.setattr(processes, "_take", counting_take)
     monkeypatch.setattr(processes, "_build", counting_build)
     result = run(program, policy)
     assert result == expected

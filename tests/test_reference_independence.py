@@ -1,9 +1,13 @@
-"""The Fraction reference stays independent of the int kernel.
+"""The references stay independent of the kernels they check.
 
 ``reference_semantics`` is the oracle the int explorer and the zones are
 checked against, so it must reach no part of them: not the int state
-space of ``semantics`` nor the point readers of ``zones``.  Any import or
-attribute of the module that names one of them fails here.
+space of ``semantics`` nor the point readers of ``zones``.
+``term_reference`` is the oracle ``processes.run`` is checked against: it
+classifies and reduces leaves with its own ``_classify`` and ``_reduce``,
+so it must reach none of the run's step records, threads, clock, timers
+or layout.  Any import or attribute of a reference that names one of them
+fails here.
 """
 
 import ast
@@ -12,9 +16,14 @@ from pathlib import Path
 KERNEL = {"_Space", "_Head", "_Option", "_region", "_stepper", "holds_at",
           "window_at", "int_point"}
 
+RUN = {"step_record", "_compile", "_Record", "run_prologue", "_take",
+       "_activate", "_Thread", "_Clock", "_Timers", "_layout",
+       "_read_layout", "_build"}
 
-def test_the_reference_names_nothing_of_the_int_kernel():
-    path = Path(__file__).resolve().parent / "reference_semantics.py"
+
+def names_in(reference: str) -> set:
+    """Every name the module imports, reads or takes an attribute by."""
+    path = Path(__file__).resolve().parent / reference
     names = set()
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
@@ -23,5 +32,19 @@ def test_the_reference_names_nothing_of_the_int_kernel():
             names.add(node.attr)
         elif isinstance(node, ast.Name):
             names.add(node.id)
+    return names
+
+
+def test_the_reference_names_nothing_of_the_int_kernel():
+    names = names_in("reference_semantics.py")
     assert "eval_constraint" in names  # the walk reads the module
     assert names & KERNEL == set()
+
+
+def test_the_term_reference_names_nothing_of_the_run():
+    names = names_in("term_reference.py")
+    path = Path(__file__).resolve().parent / "term_reference.py"
+    defined = {node.name for node in ast.parse(path.read_text()).body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert {"_classify", "_reduce", "Redex"} <= defined  # its own step
+    assert names & RUN == set()
