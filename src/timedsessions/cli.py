@@ -4,6 +4,7 @@ Subcommands: check (well-formedness), dual (direction flip), progress
 (bounded verification), compat (system compatibility), run (process
 interpreter), simulate (system walk).  Exit codes: 0 pass, 1 property
 violation or counterexample, 2 usage or parse error, 3 bound exceeded.
+A command imports the interpreter or the explorer only when it runs one.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 import time
@@ -18,16 +20,7 @@ from pathlib import Path
 
 from .errors import ParseError, ProtocolError, SpecError
 from .parser import parse_rationals, parse_spec_file, parse_valuation
-from .processes import RunPolicy, run as run_process
 from .rational import format_rational
-from .semantics import (
-    ExploreLimits,
-    check_progress,
-    compatible,
-    digest_system,
-    make_system,
-    system_steps,
-)
 from .sessiontypes import check_well_formed, dual, format_type, type_clocks
 
 EXIT_PASS = 0
@@ -44,6 +37,8 @@ EXIT_CODES = {"well-formed": EXIT_PASS, "ok": EXIT_PASS,
 def _named(spec, kind: str, name: str):
     """The type or process the command names, or its system as a System."""
     if kind == "system":
+        from .semantics import make_system
+
         return make_system(*spec.resolve_system(name), spec.clocks)
     table = spec.types if kind == "type" else spec.processes
     if name not in table:
@@ -88,6 +83,8 @@ def cmd_dual(args, spec, node):
 
 
 def cmd_progress(args, spec, system):
+    from .semantics import ExploreLimits, check_progress
+
     limits = ExploreLimits(max_depth=args.depth, max_queue=args.queue,
                            max_states=args.states)
     report = check_progress(system, limits, monitor=args.monitor)
@@ -108,16 +105,20 @@ def cmd_progress(args, spec, system):
 
 
 def cmd_compat(args, spec, system):
+    from .semantics import compatible
+
     ok, why = compatible(system)
     verdict = "compatible" if ok else "incompatible"
     return verdict, {"explanation": why}, [f"{args.name}: {verdict} ({why})"]
 
 
 def cmd_run(args, spec, node):
+    from .processes import RunPolicy, run
+
     schedule = parse_rationals(args.delays) if args.delays else None
     policy = RunPolicy(seed=args.seed, fuel=args.fuel,
                        delay_resolution=schedule)
-    result = run_process(node, policy)
+    result = run(node, policy)
     diags = {"status": result.status, "detail": result.detail,
              "elapsed": format_rational(result.elapsed),
              "trace": result.trace}
@@ -128,6 +129,8 @@ def cmd_run(args, spec, node):
 
 
 def cmd_simulate(args, spec, system):
+    from .semantics import digest_system, system_steps
+
     rng = random.Random(args.seed)
     lines = []
     trace = []
@@ -259,15 +262,21 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         verdict, diagnostics, lines = "error", {"message": str(exc)}, []
         code = EXIT_USAGE
-    if args.json:
-        print(json.dumps({"command": getattr(args, "command", None),
-                          "input": args.digest, "verdict": verdict,
-                          "diagnostics": diagnostics,
-                          "timing": round(time.monotonic() - started, 6)},
-                         sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if args.json:
+            print(json.dumps({"command": getattr(args, "command", None),
+                              "input": args.digest, "verdict": verdict,
+                              "diagnostics": diagnostics,
+                              "timing": round(time.monotonic() - started, 6)},
+                             sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``): drop the rest of the output
+        # and point stdout at devnull, so the flush at exit cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

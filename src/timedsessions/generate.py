@@ -1,8 +1,8 @@
-"""Seeded random generators for constraints, types, and processes.
+"""Seeded random generators for constraints and types.
 
-Used by the property and acceptance suites: random constraints exercise
-the zone engine against the structural evaluator, random types feed the
-empirical progress check, and random processes exercise time-passing.
+Used by the property and acceptance suites and the benchmark: random
+constraints exercise the zone engine against the structural evaluator, and
+random types feed the well-formedness and empirical progress checks.
 """
 
 from __future__ import annotations
@@ -23,18 +23,6 @@ from .constraints import (
     atom_le,
     atom_lt,
     atom_ne,
-)
-from .processes import (
-    Branch,
-    Buffer,
-    DelayExact,
-    LinearExpr,
-    P_END,
-    P_ERR,
-    Par,
-    ProcNode,
-    ReceiveAfter,
-    Scope,
 )
 from .sessiontypes import (
     Choice,
@@ -201,41 +189,3 @@ def ill_formed_types(count: int, seed: int = 0,
     """Sample types that violate exactly one well-formedness condition."""
     return _sample_types(_singly_ill_formed, "singly-ill-formed", count, seed,
                          clocks, depth, max_constant, max_attempts)
-
-
-# ---------------------------------------------------------------------------
-# Processes
-# ---------------------------------------------------------------------------
-
-def random_phi_term(rng: random.Random, depth: int = 3) -> ProcNode:
-    """Random terms over the time-permeable constructors, for exercising
-    the time-passing function."""
-    endpoints = ("p", "q")
-
-    def go(depth_left: int) -> ProcNode:
-        roll = rng.random()
-        if depth_left <= 0 or roll < 0.18:
-            return P_ERR if rng.random() < 0.2 else P_END
-        if roll < 0.40:
-            return DelayExact(Fraction(rng.randint(0, 6), rng.choice((1, 2))),
-                              go(depth_left - 1))
-        if roll < 0.70:
-            after: Optional[LinearExpr]
-            if rng.random() < 0.25:
-                after = None
-                timeout = None
-            else:
-                after = LinearExpr(Fraction(rng.randint(0, 5)))
-                timeout = go(depth_left - 1)
-            return ReceiveAfter(rng.choice(endpoints),
-                                (Branch("m", None, go(depth_left - 1)),),
-                                after, timeout)
-        if roll < 0.85:
-            return Par((go(depth_left - 1), go(depth_left - 1)))
-        if roll < 0.95:
-            return Buffer("q", "p", (("m", ()),) if rng.random() < 0.4 else ())
-        return Scope("p", "q", Par((
-            go(depth_left - 1), go(depth_left - 1),
-            Buffer("p", "q", ()), Buffer("q", "p", ()))))
-
-    return go(depth)

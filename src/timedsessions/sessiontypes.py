@@ -534,9 +534,10 @@ class _WfChecker:
                 self.add(opt_path, "unbound-var", str(exc))
                 continue
             # (feasibility) the reset image of the guard must still permit
-            # the continuation to act.
-            if not zoneset_entails([z.reset(opt.resets) for z in guard],
-                                   cont.over(self.clocks)[1]):
+            # the continuation to act; end can always act.
+            if cont.options and not zoneset_entails(
+                    [z.reset(opt.resets) for z in guard],
+                    cont.over(self.clocks)[1]):
                 self.add(opt_path, "feasibility", str(cont.entry))
             # (delegation) delegated sessions are checked from scratch.
             if isinstance(opt.payload, Delegate):

@@ -12,9 +12,10 @@ and buffer back at their paths.  ``instant_step`` lists every instant
 successor of a term, and ``reference_run`` is the scheduler over these
 steps: it resolves and walks the whole term before every step and
 renormalises it after every step, with one definition registry for the
-whole run.
+whole run.  ``random_phi_term`` draws the seeded terms the suites step.
 """
 
+import random
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
@@ -23,12 +24,16 @@ from timedsessions.errors import SpecError
 from timedsessions.processes import (
     _ACTIVE_KINDS,
     _SHAPES,
+    Branch,
     Buffer,
     Call,
     Def,
     DelayConstraint,
     DelayExact,
     IfTimer,
+    LinearExpr,
+    P_END,
+    P_ERR,
     Par,
     PEnd,
     PErr,
@@ -389,3 +394,37 @@ def reference_run(program: ProcNode,
     if is_completed(term) and not collect_redexes(term):
         return result(RunStatus.COMPLETED, "all components terminated")
     return result(RunStatus.FUEL_EXHAUSTED, "fuel exhausted")
+
+
+def random_phi_term(rng: random.Random, depth: int = 3) -> ProcNode:
+    """Random terms over the time-permeable constructors, for exercising
+    the time-passing function."""
+    endpoints = ("p", "q")
+
+    def go(depth_left: int) -> ProcNode:
+        roll = rng.random()
+        if depth_left <= 0 or roll < 0.18:
+            return P_ERR if rng.random() < 0.2 else P_END
+        if roll < 0.40:
+            return DelayExact(Fraction(rng.randint(0, 6), rng.choice((1, 2))),
+                              go(depth_left - 1))
+        if roll < 0.70:
+            after: Optional[LinearExpr]
+            if rng.random() < 0.25:
+                after = None
+                timeout = None
+            else:
+                after = LinearExpr(Fraction(rng.randint(0, 5)))
+                timeout = go(depth_left - 1)
+            return ReceiveAfter(rng.choice(endpoints),
+                                (Branch("m", None, go(depth_left - 1)),),
+                                after, timeout)
+        if roll < 0.85:
+            return Par((go(depth_left - 1), go(depth_left - 1)))
+        if roll < 0.95:
+            return Buffer("q", "p", (("m", ()),) if rng.random() < 0.4 else ())
+        return Scope("p", "q", Par((
+            go(depth_left - 1), go(depth_left - 1),
+            Buffer("p", "q", ()), Buffer("q", "p", ()))))
+
+    return go(depth)

@@ -10,12 +10,12 @@ from pathlib import Path
 
 from helpers import QUARTERS, replays_to_stuck
 from reference_semantics import struct_normalize
+from term_reference import random_phi_term
 from timedsessions.constraints import eval_constraint, shift, zero_valuation
 from timedsessions.generate import (
     HALVES,
     ill_formed_types,
     random_constraint,
-    random_phi_term,
     random_type,
     random_valuation,
     well_formed_types,

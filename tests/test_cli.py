@@ -2,8 +2,11 @@
 
 import hashlib
 import json
+import os
 import random
 import shlex
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -725,3 +728,25 @@ def test_spec_file_errors_exit_2(capsys, tmp_path, source, argv, message):
         2, "", f"error: {message}\n")
     assert _error_envelope(capsys, command, str(spec), name)[
         "diagnostics"] == {"message": message}
+
+
+@pytest.mark.parametrize("extra", [(), ("--json",)])
+def test_a_closed_stdout_ends_with_the_verdicts_code(extra):
+    # The run prints 10,001 trace lines (about 190 kB, more than a pipe
+    # holds), so it is still writing when the reader closes the pipe, as
+    # ``| head -1`` does.  The run keeps its verdict's exit code and prints
+    # no traceback, at the write or at the flush on exit.
+    src = str(FIXTURES.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "timedsessions.cli", "run",
+         fx("mixed_pingpong.toast"), "Main", *extra],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline(80)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 3  # fuel-exhausted
+    assert first.startswith(b'{"command": "run"' if extra else b"1 ")
+    assert err == b""

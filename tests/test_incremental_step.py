@@ -17,7 +17,6 @@ from typing import List
 
 import pytest
 
-from timedsessions.generate import random_phi_term
 from timedsessions.parser import parse_process, parse_spec_file
 from timedsessions.processes import (
     Buffer,
@@ -34,7 +33,7 @@ from timedsessions.processes import (
 )
 from timedsessions.rational import format_rational
 
-from term_reference import reference_run
+from term_reference import random_phi_term, reference_run
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

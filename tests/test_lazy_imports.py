@@ -1,0 +1,120 @@
+"""The package loads only what a caller runs.
+
+``timedsessions/__init__`` resolves its public names on first use, so a
+caller of one layer compiles only the modules that layer imports.  The
+export surface is pinned here, and each entry point's loaded modules are
+read in a fresh interpreter under ``PYTHONDONTWRITEBYTECODE=1``, which
+compiles every source it imports, as the benchmark's workers do.
+"""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import timedsessions
+
+ROOT = Path(__file__).resolve().parent.parent
+
+EXPORTS = {
+    "constraints": ["Valuation", "apply_reset", "boundary_delays",
+                    "eval_constraint", "shift", "zero_valuation"],
+    "parser": ["parse_constraint", "parse_process", "parse_spec_file",
+               "parse_type", "parse_valuation"],
+    "processes": ["RunPolicy", "RunStatus", "eval_timeout", "neq_set", "phi",
+                  "run", "time_step", "wait_set"],
+    "semantics": ["ExploreLimits", "ProgressReport", "System",
+                  "admissible_delays", "check_progress", "compatible",
+                  "is_future_enabled", "make_system", "qconfig_time",
+                  "system_steps", "unfold_head"],
+    "sessiontypes": ["WfReport", "check_well_formed", "dual", "format_type",
+                     "gamma"],
+    "zones": ["constraint_equiv", "entails", "past", "reset_constraint",
+              "to_zones", "trajectory_zone"],
+}
+
+
+def test_all_lists_the_pinned_names():
+    pinned = sorted(name for names in EXPORTS.values() for name in names)
+    assert len(pinned) == 41
+    assert sorted(timedsessions.__all__) == pinned
+
+
+def test_each_name_is_its_modules_object_and_is_kept():
+    for module, names in EXPORTS.items():
+        owner = importlib.import_module(f"timedsessions.{module}")
+        for name in names:
+            assert getattr(timedsessions, name) is getattr(owner, name)
+            assert vars(timedsessions)[name] is getattr(owner, name)
+
+
+def test_star_import_and_dir_list_the_names():
+    namespace = {}
+    exec("from timedsessions import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(timedsessions.__all__)
+    assert set(timedsessions.__all__) <= set(dir(timedsessions))
+
+
+@pytest.mark.parametrize("name", ["no_such_name", "_private", "__wrapped__"])
+def test_an_unknown_name_is_an_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(timedsessions, name)
+
+
+PROBE = """
+import contextlib, io, json, sys
+with contextlib.redirect_stdout(io.StringIO()):
+    exec(sys.argv[1])
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("timedsessions"))))
+"""
+
+
+def loaded(statement: str) -> set:
+    """The package modules a fresh interpreter holds after statement."""
+    src = str(ROOT / "src")
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", PROBE, statement], cwd=ROOT,
+                         env=env, capture_output=True, text=True, check=True)
+    return {name.removeprefix("timedsessions.")
+            for name in json.loads(out.stdout)}
+
+
+TYPE_LAYER = {"timedsessions", "errors", "rational", "constraints", "zones",
+              "sessiontypes"}
+
+
+@pytest.mark.parametrize("statement, modules", [
+    ("import timedsessions", {"timedsessions"}),
+    ("from timedsessions import sessiontypes", TYPE_LAYER),
+    ("from timedsessions import generate, sessiontypes",
+     TYPE_LAYER | {"generate"}),
+    ("import timedsessions; timedsessions.generate.random_type",
+     TYPE_LAYER | {"generate"}),
+    ("from timedsessions import check_well_formed", TYPE_LAYER),
+])
+def test_a_library_entry_loads_only_its_layer(statement, modules):
+    assert loaded(statement) == modules
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "fixtures/junk.toast", "S"),
+    ("dual", "fixtures/pingpong.toast", "PingPong", "--json"),
+    ("run", "fixtures/mixed_pingpong.toast", "Main", "--fuel", "20"),
+])
+def test_a_command_without_systems_loads_no_explorer(argv):
+    modules = loaded(f"from timedsessions.cli import main; main({argv!r})")
+    assert {"cli", "parser", "sessiontypes"} <= modules
+    assert "semantics" not in modules and "generate" not in modules
+
+
+def test_a_system_command_loads_the_explorer():
+    modules = loaded("from timedsessions.cli import main; "
+                     "main(['compat', 'fixtures/weak_persistency.toast', "
+                     "'weak'])")
+    assert "semantics" in modules and "generate" not in modules

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from timedsessions.errors import ParseError, SpecError
-from timedsessions.generate import random_phi_term
 from timedsessions.parser import parse_process, parse_spec_file
 from timedsessions.processes import (
     Branch,
@@ -41,7 +40,7 @@ from timedsessions.processes import (
 
 from reference_semantics import struct_normalize
 from term_reference import (apply_redex, collect_redexes, instant_step,
-                            is_completed, time_candidates)
+                            is_completed, random_phi_term, time_candidates)
 
 F = Fraction
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
