@@ -1,4 +1,4 @@
-"""Parsers for the constraint, type, and process DSLs and for spec files.
+"""Parsers for the constraint and type DSLs and for spec files.
 
 One token pattern feeds recursive-descent parsers.  Surface sugar
 (derived comparators, bounded intervals, omitted guards/resets/payloads,
@@ -8,6 +8,9 @@ recursion variables, unguarded recursion, malformed sessions, undefined
 calls, duplicate definitions, timers set by two parallel parts) are
 rejected at parse time with positions.  A recursion variable binds to
 the nearest ``rec`` of its name, so printed unfolded heads parse back.
+The process grammar, in ``process_parser``, is imported by the first
+process read (``parse_process`` or a spec file's ``process``), so types,
+constraints and process-free spec files compile no process code.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ import functools
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
-from typing import (Callable, Dict, FrozenSet, List, NamedTuple, Optional,
-                    Tuple)
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from .constraints import (
     And,
@@ -33,30 +34,8 @@ from .constraints import (
     atom_le,
     atom_lt,
     atom_ne,
-    clocks_of,
 )
 from .errors import ParseError
-from .processes import (
-    Branch,
-    Buffer,
-    Call,
-    Def,
-    DelayConstraint,
-    DelayExact,
-    IfTimer,
-    LinearExpr,
-    Name,
-    P_END,
-    P_ERR,
-    Par,
-    ProcNode,
-    ReceiveAfter,
-    Scope,
-    Send,
-    SetTimer,
-    UNIT,
-    children,
-)
 from .sessiontypes import (
     BOOL,
     ChoiceOption,
@@ -132,7 +111,8 @@ def tokenize(source: str) -> List[Token]:
             raise ParseError("unterminated string" if text == '"' else
                              f"unexpected character {text[0]!r}", line, col)
         tokens.append(Token(kind, text, line, col))
-    tokens.append(Token("eof", "", line, len(source) - line_start + 1))
+    # a second eof, so that peek(1) at the first needs no bounds check
+    tokens += [Token("eof", "", line, len(source) - line_start + 1)] * 2
     return tokens
 
 
@@ -177,10 +157,10 @@ class _Parser:
     # -- token plumbing ------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def at(self, text: str, offset: int = 0) -> bool:
-        tok = self.peek(offset)
+        tok = self.tokens[self.pos + offset]
         return tok.text == text and tok.kind in ("sym", "id")
 
     def advance(self) -> Token:
@@ -473,235 +453,6 @@ class _Parser:
         self.expect("}")
         return tuple(names)
 
-    # -- timeout expressions ---------------------------------------------------
-
-    def parse_timeout_expr(self) -> Optional[LinearExpr]:
-        """None encodes an infinite timeout."""
-        const = Fraction(0)
-        coeffs: Dict[str, int] = {}
-        infinite = False
-        sign = 1
-        while True:
-            if self.at("inf"):
-                if sign < 0:
-                    raise self.error("cannot subtract inf in a timeout")
-                self.advance()
-                infinite = True
-            elif self.at_number():
-                value = self.parse_number()
-                if self.accept("*"):
-                    name = self.name("timer name")
-                    if value.denominator != 1:
-                        raise self.error("timer coefficients must be integers")
-                    coeffs[name] = coeffs.get(name, 0) + sign * int(value)
-                else:
-                    const += sign * value
-            elif self.peek().kind == "id" and self.peek().text not in _KEYWORDS:
-                name = self.advance().text
-                coeffs[name] = coeffs.get(name, 0) + sign
-            else:
-                raise self.error("expected a timeout term")
-            if self.accept("+"):
-                sign = 1
-            elif self.accept("-"):
-                sign = -1
-            else:
-                break
-        if infinite:
-            return None
-        if const < 0 and not coeffs:
-            raise self.error("constant timeouts must be nonnegative")
-        coeff_items = tuple(sorted((k, v) for k, v in coeffs.items() if v))
-        return LinearExpr(const, coeff_items)
-
-    # -- processes ---------------------------------------------------------------
-
-    def parse_program(self) -> ProcNode:
-        """A whole process, checked as _check_program says."""
-        start = self.peek()
-        node = self.parse_process()
-        _check_program(node, start)
-        return node
-
-    def parse_process(self) -> ProcNode:
-        parts = self.separated(self.parse_process_seq, "|")
-        return parts[0] if len(parts) == 1 else Par(tuple(parts))
-
-    @_nesting
-    def parse_process_seq(self) -> ProcNode:
-        tok = self.peek()
-        if self.accept("end"):
-            return P_END
-        if self.accept("err"):
-            return P_ERR
-        if self.accept("set"):
-            self.expect("(")
-            timer = self.name("timer name")
-            self.expect(")")
-            self.expect(".")
-            return SetTimer(timer, self.parse_process_seq())
-        if self.accept("to"):
-            endpoint = self.name("endpoint")
-            self.expect("!")
-            label = self.name("label")
-            value = self.parse_payload()
-            self.expect(".")
-            return Send(endpoint, label, value, self.parse_process_seq())
-        if self.accept("from"):
-            endpoint = self.name("endpoint")
-            self.expect("recv")
-            branches = self.braced(self.parse_branch)
-            _check_unique_labels(branches, "duplicate receive label {!r}", tok)
-            after = None
-            timeout = None
-            if self.accept("after"):
-                after = self.parse_timeout_expr()
-                self.expect("{")
-                timeout = self.parse_process()
-                self.expect("}")
-                if after is None:
-                    timeout = None  # an explicit inf never fires
-            return ReceiveAfter(endpoint, tuple(branches), after, timeout)
-        if self.accept("if"):
-            self.expect("(")
-            cond = self.parse_constraint()
-            self.expect(")")
-            self.expect("then")
-            then_branch = self.parse_block()
-            self.expect("else")
-            else_branch = self.parse_block()
-            return IfTimer(cond, then_branch, else_branch)
-        if self.accept("delay"):
-            self.expect("(")
-            if self.at_number():
-                duration = self.parse_number()
-                if duration < 0:
-                    raise self.error("delays must be nonnegative")
-                self.expect(")")
-                self.expect(".")
-                return DelayExact(duration, self.parse_process_seq())
-            cond = self.parse_constraint()
-            vars_used = clocks_of(cond)
-            if len(vars_used) != 1:
-                raise self.error("delay constraints range over exactly one "
-                                 "bound variable")
-            self.expect(")")
-            self.expect(".")
-            return DelayConstraint(next(iter(vars_used)), cond,
-                                   self.parse_process_seq())
-        if self.accept("def"):
-            name = self.name("process name")
-            self.expect("(")
-            # values; timers; channels
-            params = self.grouped(")", lambda _: self.name("parameter"), 3)
-            self.expect("=")
-            body = self.parse_process_seq()
-            self.expect("in")
-            return Def(name, *params, body, self.parse_process_seq())
-        if self.accept("new"):
-            self.expect("(")
-            left = self.name("endpoint")
-            self.expect(",")
-            right = self.name("endpoint")
-            if left == right:
-                raise self.error("session endpoints must be distinct")
-            self.expect(")")
-            self.expect("{")
-            parts = self.separated(
-                lambda: self.parse_session_component(left, right), "|")
-            self.expect("}")
-            # two processes and the two directed buffers
-            channels = {(p.src, p.dst) for p in parts if isinstance(p, Buffer)}
-            if (len(parts) != 4 or channels != {(left, right), (right, left)}
-                    or sum(isinstance(p, Buffer) for p in parts) != 2):
-                raise ParseError(
-                    f"malformed session shape under new ({left},{right}): "
-                    "expected two processes and the two directed buffers",
-                    tok.line, tok.col)
-            return Scope(left, right, Par(tuple(parts)))
-        if tok.kind == "id" and tok.text not in _KEYWORDS:
-            if self.at("<", 1):
-                return self.parse_call()
-            raise self.error(f"unexpected identifier {tok.text!r} (a buffer "
-                             "only appears inside new (...) { ... })")
-        raise self.error("expected a process")
-
-    def parse_block(self) -> ProcNode:
-        if self.accept("{"):
-            inner = self.parse_process()
-            self.expect("}")
-            return inner
-        return self.parse_process_seq()
-
-    def parse_branch(self) -> Branch:
-        label = self.name("label")
-        binder = None
-        if self.accept("("):
-            binder = self.name("binder")
-            self.expect(")")
-        self.expect("->")
-        cont = self.parse_block()
-        return Branch(label, binder, cont)
-
-    def parse_call(self) -> Call:
-        name = self.name("process name")
-        self.expect("<")
-        # values; timers; channels
-        args = self.grouped(
-            ">", lambda i: self.name("argument") if i else self.parse_value(), 3)
-        return Call(name, *args)
-
-    def parse_payload(self):
-        """The ``(value)`` after a message label; without one, the unit."""
-        if not self.accept("("):
-            return UNIT
-        value = UNIT if self.at(")") else self.parse_value()
-        self.expect(")")
-        return value
-
-    def parse_value(self):
-        tok = self.peek()
-        if self.at_number():
-            value = self.parse_number()
-            if value.denominator != 1:
-                return value
-            return int(value)
-        if tok.kind == "str":
-            self.advance()
-            return tok.text
-        if self.accept("true"):
-            return True
-        if self.accept("false"):
-            return False
-        if self.at("(") and self.at(")", 1):
-            self.advance()
-            self.advance()
-            return UNIT
-        if tok.kind == "id" and tok.text not in _KEYWORDS:
-            self.advance()
-            return Name(tok.text)
-        raise self.error("expected a value")
-
-    def parse_session_component(self, left: str, right: str) -> ProcNode:
-        tok = self.peek()
-        if (tok.kind == "id" and tok.text not in _KEYWORDS
-                and self.at(":", 1)):
-            channel = self.advance().text
-            if channel == left + right:
-                src, dst = left, right
-            elif channel == right + left:
-                src, dst = right, left
-            else:
-                raise ParseError(
-                    f"buffer {channel!r} does not name a channel between "
-                    f"{left!r} and {right!r}", tok.line, tok.col)
-            self.expect(":")
-            self.expect("[")
-            items = self.grouped(
-                "]", lambda _: (self.name("label"), self.parse_payload()), 1)[0]
-            return Buffer(src, dst, items)
-        return self.parse_process_seq()
-
     # -- spec files --------------------------------------------------------------
 
     def system_ref(self) -> Tuple[Token, bool]:
@@ -724,35 +475,6 @@ def _check_unique_labels(items, message: str, tok: Token) -> None:
     for label in labels:
         if labels.count(label) > 1:
             raise ParseError(message.format(label), tok.line, tok.col)
-
-
-def _check_program(node: ProcNode, start: Token) -> None:
-    """Reject a call outside the scope of its definition, a definition name
-    used twice and a timer set by two parallel parts, at the process's first
-    token.  One walk, which returns the timers each subterm sets."""
-    defined = set()
-
-    def fail(message: str) -> ParseError:
-        return ParseError(message, start.line, start.col)
-
-    def walk(node: ProcNode, scope: FrozenSet[str]) -> FrozenSet[str]:
-        if isinstance(node, Def):
-            if node.name in defined:
-                raise fail(f"duplicate definition {node.name!r}")
-            defined.add(node.name)
-            scope = scope | {node.name}
-        elif isinstance(node, Call) and node.name not in scope:
-            raise fail(f"call to undefined process {node.name!r}")
-        sets = [walk(child, scope) for child in children(node)]
-        if isinstance(node, Par):
-            for a, b in combinations(sets, 2):
-                if a & b:
-                    raise fail(f"timer(s) {sorted(a & b)} set by more than one "
-                               "parallel component")
-        timers = frozenset().union(*sets)
-        return timers | {node.timer} if isinstance(node, SetTimer) else timers
-
-    walk(node, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -779,7 +501,13 @@ def parse_type(source: str) -> TypeNode:
 
 
 def parse_process(source: str) -> ProcNode:
-    return _parse_all(source, _Parser.parse_program)
+    return _parse_all(source, _parse_program)
+
+
+def _parse_program(parser: _Parser) -> ProcNode:
+    """A whole process, by the grammar that is loaded with the first one."""
+    from .process_parser import parse_program
+    return parse_program(parser)
 
 
 def parse_rational(source: str) -> Fraction:
@@ -836,7 +564,7 @@ def parse_spec_file(source: str) -> SpecFile:
     parser = _Parser(source)
     spec = SpecFile()
     declarations = {"type": (spec.types, _Parser.parse_type),
-                    "process": (spec.processes, _Parser.parse_program),
+                    "process": (spec.processes, _parse_program),
                     "system": (spec.systems, _Parser.parse_system)}
     declared_clocks: List[str] = []
     while parser.peek().kind != "eof":

@@ -118,3 +118,35 @@ def test_a_system_command_loads_the_explorer():
                      "main(['compat', 'fixtures/weak_persistency.toast', "
                      "'weak'])")
     assert "semantics" in modules and "generate" not in modules
+
+
+PROCESS_CODE = {"processes", "process_parser"}
+
+
+def test_parsing_a_type_compiles_no_process_code():
+    modules = loaded("from timedsessions.parser import parse_type; "
+                     "parse_type('!a(x<1).{ ?b.end, !c(x>2,{x}).end }')")
+    assert modules == TYPE_LAYER | {"parser"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "fixtures/junk.toast", "S"),
+    ("dual", "fixtures/pingpong.toast", "PingPong"),
+    ("progress", "fixtures/unsafe_mixed.toast", "unsafe"),
+    ("compat", "fixtures/weak_persistency.toast", "weak"),
+])
+def test_a_process_free_spec_loads_no_process_code(argv):
+    modules = loaded(f"from timedsessions.cli import main; main({argv!r})")
+    assert {"cli", "parser"} <= modules
+    assert not modules & PROCESS_CODE
+
+
+@pytest.mark.parametrize("statement", [
+    "from timedsessions.cli import main; "
+    "main(['check', 'fixtures/mixed_pingpong.toast', 'MPP'])",
+    "from timedsessions.parser import parse_process; "
+    "parse_process('new (p,q) { to q!a.end | from p recv a -> end "
+    "| pq:[] | qp:[] }')",
+], ids=["spec-with-a-process", "parse_process"])
+def test_reading_a_process_loads_its_grammar(statement):
+    assert PROCESS_CODE <= loaded(statement)

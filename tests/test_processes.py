@@ -240,6 +240,29 @@ def test_timeout_and_delay_errors_are_pinned(source, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("source, message", [
+    ("delay(z<1 and w<2).end",
+     "1:18: delay constraints range over exactly one bound variable"),
+    ("to p!a.", "1:8: expected a process"),
+    ("to p!a(<).end", "1:8: expected a value"),
+    ("new (p,q) { from p recv { a -> end, a -> end } | end | pq:[] | qp:[] }",
+     "1:13: duplicate receive label 'a'"),
+    ("set(t). from p recv { a -> end } after t + . { end }",
+     "1:44: expected a timeout term"),
+], ids=["two-delay-variables", "cut-after-send", "no-value",
+        "duplicate-receive-label", "no-timeout-term"])
+def test_process_grammar_errors_are_pinned(source, message):
+    with pytest.raises(ParseError) as err:
+        parse_process(source)
+    assert str(err.value) == message
+
+
+def test_a_duplicate_process_name_is_pinned():
+    with pytest.raises(ParseError) as err:
+        parse_spec_file("process P = end\nprocess P = err\n")
+    assert str(err.value) == "2:11: duplicate process name 'P'"
+
+
 # ---------------------------------------------------------------------------
 # Structural congruence
 # ---------------------------------------------------------------------------

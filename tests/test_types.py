@@ -319,6 +319,17 @@ def test_end_of_input_error_names_it():
     assert str(info.value) == "1:5: expected end of input, found 'end'"
 
 
+@pytest.mark.parametrize("source, message", [
+    ("!a(x<1", "1:7: expected ')', found 'end of input'"),
+    ("{ !a.end,\n  ?b(x<1, {y", "2:13: expected '}', found 'end of input'"),
+    ("{ !a.end,\n  ?b(x<1) . ", "2:13: expected a type"),
+], ids=["guard", "reset-set", "continuation"])
+def test_an_option_cut_short_reports_the_end_of_input(source, message):
+    with pytest.raises(ParseError) as info:
+        parse_type(source)
+    assert str(info.value) == message
+
+
 def test_empty_reset_set_is_no_reset():
     assert parse_type("!a({}).end") == parse_type("!a.end")
     assert parse_type("!a(x<1, {}).end") == parse_type("!a(x<1).end")
