@@ -21,8 +21,9 @@ _ORIGIN = {name: module for module, names in (
                   "time_step wait_set"),
     ("semantics", "ExploreLimits ProgressReport System admissible_delays "
                   "check_progress compatible is_future_enabled make_system "
-                  "qconfig_time system_steps unfold_head"),
-    ("sessiontypes", "WfReport check_well_formed dual format_type gamma"),
+                  "qconfig_time system_steps"),
+    ("sessiontypes", "WfReport check_well_formed dual format_type gamma "
+                     "unfold_head"),
     ("zones", "constraint_equiv entails past reset_constraint to_zones "
               "trajectory_zone"),
 ) for name in names.split()}

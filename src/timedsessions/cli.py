@@ -3,8 +3,9 @@
 Subcommands: check (well-formedness), dual (direction flip), progress
 (bounded verification), compat (system compatibility), run (process
 interpreter), simulate (system walk).  Exit codes: 0 pass, 1 property
-violation or counterexample, 2 usage or parse error, 3 bound exceeded.
-A command imports the interpreter or the explorer only when it runs one.
+violation or counterexample, 2 usage, parse or write error, 3 bound
+exceeded.  A command imports the interpreter or the explorer only when it
+runs one.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ import random
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
+from .constraints import format_rational
 from .errors import ParseError, ProtocolError, SpecError
 from .parser import parse_rationals, parse_spec_file, parse_valuation
-from .rational import format_rational
 from .sessiontypes import check_well_formed, dual, format_type, type_clocks
 
 EXIT_PASS = 0
@@ -115,7 +117,7 @@ def cmd_compat(args, spec, system):
 def cmd_run(args, spec, node):
     from .processes import RunPolicy, run
 
-    schedule = parse_rationals(args.delays) if args.delays else None
+    schedule = None if args.delays is None else parse_rationals(args.delays)
     policy = RunPolicy(seed=args.seed, fuel=args.fuel,
                        delay_resolution=schedule)
     result = run(node, policy)
@@ -160,6 +162,22 @@ def cmd_simulate(args, spec, system):
     return verdict, {"trace": trace}, lines
 
 
+def _write(stream, lines) -> Optional[OSError]:
+    """Write lines to a standard stream unless it is closed (None).  A write
+    that fails returns its error and points the stream at devnull, so that
+    the flush at exit cannot fail too and make the exit code 120."""
+    try:
+        if stream is not None:
+            stream.write("".join(f"{line}\n" for line in lines))
+            stream.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        return exc
+    return None
+
+
 class _UsageError(Exception):
     """A command line that argparse rejected; its usage text is already on
     stderr."""
@@ -171,7 +189,7 @@ class _ArgumentParser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        _write(sys.stderr, [f"{self.prog}: error: {message}"])
         raise _UsageError(message)
 
 
@@ -259,24 +277,21 @@ def main(argv=None) -> int:
         verdict, diagnostics, lines = "error", {"message": str(exc)}, []
         code = EXIT_USAGE
     except (ParseError, SpecError, OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, [f"error: {exc}"])
         verdict, diagnostics, lines = "error", {"message": str(exc)}, []
         code = EXIT_USAGE
-    try:
-        if args.json:
-            print(json.dumps({"command": getattr(args, "command", None),
-                              "input": args.digest, "verdict": verdict,
-                              "diagnostics": diagnostics,
-                              "timing": round(time.monotonic() - started, 6)},
-                             sort_keys=True))
-        else:
-            for line in lines:
-                print(line)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed stdout (``| head``): drop the rest of the output
-        # and point stdout at devnull, so the flush at exit cannot fail too.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if args.json:
+        lines = [json.dumps({"command": getattr(args, "command", None),
+                             "input": args.digest, "verdict": verdict,
+                             "diagnostics": diagnostics,
+                             "timing": round(time.monotonic() - started, 6)},
+                            sort_keys=True)]
+    # Output that cannot be written is dropped.  A reader that left early
+    # (``| head``) keeps the verdict's code; a full disk is an error.
+    failed = _write(sys.stdout, lines)
+    if failed is not None and not isinstance(failed, BrokenPipeError):
+        _write(sys.stderr, [f"error: cannot write output: {failed}"])
+        code = EXIT_USAGE
     return code
 
 

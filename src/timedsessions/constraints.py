@@ -20,7 +20,6 @@ from fractions import Fraction
 from typing import Dict, Iterator, Mapping, Set, Union
 
 from .errors import SpecError
-from .rational import format_rational
 
 Valuation = Dict[str, Fraction]
 
@@ -33,6 +32,13 @@ Valuation = Dict[str, Fraction]
 class TrueC:
     def __str__(self) -> str:
         return "true"
+
+
+def format_rational(value: Fraction) -> str:
+    """Render a Fraction so that parse_rational(format_rational(q)) == q."""
+    if value.denominator == 1:
+        return str(value.numerator)
+    return f"{value.numerator}/{value.denominator}"
 
 
 @dataclass(frozen=True)

@@ -75,9 +75,14 @@ def random_constraint(rng: random.Random, clocks: Sequence[str],
 
 _LABELS = "abcdefgh"
 
+# The clocks, depth and largest constant of the sampled corpora, which the
+# acceptance suite and the benchmark's stored corpora are drawn with.
+_CLOCKS, _DEPTH, _MAX_CONSTANT = ("x", "y"), 3, 5
 
-def random_type(rng: random.Random, clocks: Sequence[str] = ("x", "y"),
-                depth: int = 3, max_constant: int = 5) -> TypeNode:
+
+def random_type(rng: random.Random, clocks: Sequence[str] = _CLOCKS,
+                depth: int = _DEPTH, max_constant: int = _MAX_CONSTANT
+                ) -> TypeNode:
     """A random closed type: guarded choices with integer-constant guards,
     occasional recursion, no payloads."""
 
@@ -145,19 +150,18 @@ def random_type(rng: random.Random, clocks: Sequence[str] = ("x", "y"),
 
 
 def _sample_types(keep: Callable[[TypeNode, WfReport], object], what: str,
-                  count: int, seed: int, clocks: Sequence[str], depth: int,
-                  max_constant: int, max_attempts: int) -> list:
-    """Draw seeded random types, skip end, check each, and keep what
-    ``keep`` makes of a type and its report, unless that is None."""
+                  count: int, seed: int, max_attempts: int) -> list:
+    """Draw seeded random types over ``_CLOCKS``, skip end, check each, and
+    keep what ``keep`` makes of a type and its report, unless that is None."""
     rng = random.Random(seed)
     found = []
     attempts = 0
     while len(found) < count and attempts < max_attempts:
         attempts += 1
-        node = random_type(rng, clocks, depth, max_constant)
+        node = random_type(rng)
         if isinstance(node, type(END)):
             continue
-        kept = keep(node, check_well_formed(node, clocks=clocks))
+        kept = keep(node, check_well_formed(node, clocks=_CLOCKS))
         if kept is not None:
             found.append(kept)
     if len(found) < count:
@@ -166,14 +170,10 @@ def _sample_types(keep: Callable[[TypeNode, WfReport], object], what: str,
     return found
 
 
-def well_formed_types(count: int, seed: int = 0,
-                      clocks: Sequence[str] = ("x", "y"), depth: int = 3,
-                      max_constant: int = 5,
-                      max_attempts: int = 100000) -> List[TypeNode]:
+def well_formed_types(count: int, seed: int = 0) -> List[TypeNode]:
     """Sample until `count` types pass the well-formedness check."""
     return _sample_types(lambda node, report: node if report.verdict else None,
-                         "well-formed", count, seed, clocks, depth,
-                         max_constant, max_attempts)
+                         "well-formed", count, seed, 100000)
 
 
 def _singly_ill_formed(node: TypeNode,
@@ -182,10 +182,7 @@ def _singly_ill_formed(node: TypeNode,
     return (node, conditions.pop()) if len(conditions) == 1 else None
 
 
-def ill_formed_types(count: int, seed: int = 0,
-                     clocks: Sequence[str] = ("x", "y"), depth: int = 3,
-                     max_constant: int = 5,
-                     max_attempts: int = 200000) -> List[Tuple[TypeNode, str]]:
+def ill_formed_types(count: int, seed: int = 0) -> List[Tuple[TypeNode, str]]:
     """Sample types that violate exactly one well-formedness condition."""
     return _sample_types(_singly_ill_formed, "singly-ill-formed", count, seed,
-                         clocks, depth, max_constant, max_attempts)
+                         200000)

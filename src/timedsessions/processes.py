@@ -28,9 +28,9 @@ the buffers it sees, its kept redex and the deadline of its leaf.  Each
 leaf is compiled once into a step record cached on it, from which its
 thread is classified and its step taken (``_take``); a call and a receive
 with a binder substitute in one capture-avoiding walk, ``substitute``.
-Time in a run is an int at a scale fixed before the first step, and a
-timer is kept as the instant it was set.  ``phi`` stays the specification
-of time passing; a time step of ``run`` moves the clock to the earliest
+Time in a run is one int clock at a scale fixed before the first step,
+which keeps each timer as the instant it was set.  ``phi`` stays the
+specification of time passing; a time step of ``run`` moves the clock to the earliest
 deadline and changes only the leaves whose deadline it is.  The term is
 built from the layout only when something reads it.
 """
@@ -48,9 +48,8 @@ from typing import (Callable, Dict, FrozenSet, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .constraints import (Constraint, atoms_of, boundary_delays, eval_constraint,
-                          map_clocks)
+                          format_rational, map_clocks)
 from .errors import SpecError
-from .rational import format_rational
 
 TimerEnv = Dict[str, Fraction]
 
@@ -748,33 +747,23 @@ def resolve_active(root: ProcNode, rho: Mapping[str, Fraction]) -> ProcNode:
 # The run's time: an int clock and the instants the timers were set
 # ---------------------------------------------------------------------------
 
-class _Clock:
-    """The time of a run, ``now``, in units of 1/``scale``.  The scale is
-    fixed before the first step (``_run_scale``) so that every instant the
-    run reaches is a whole number of units."""
+class _Clock(Mapping[str, Fraction]):
+    """The time of a run, ``now``, in units of 1/``scale``, fixed before the
+    first step (``_run_scale``) so that every instant the run reaches is a
+    whole number of units, and its timers, each kept in ``set_at`` as the
+    instant it was set.  Read as a mapping, as ``eval_constraint`` and
+    ``eval_timeout`` read timers, it gives each timer's value now."""
 
-    __slots__ = ("now", "scale")
+    __slots__ = ("now", "scale", "set_at")
 
     def __init__(self, scale: int):
-        self.now, self.scale = 0, scale
+        self.now, self.scale, self.set_at = 0, scale, {}
 
     def time(self, units: int) -> Fraction:
         return Fraction(units, self.scale)
 
-
-class _Timers(Mapping[str, Fraction]):
-    """The timers of a run, each kept as the instant it was set.  Read as
-    a mapping, as ``eval_constraint`` and ``eval_timeout`` read timers, a
-    timer gives its value now."""
-
-    __slots__ = ("clock", "set_at")
-
-    def __init__(self, clock: _Clock, set_at: Dict[str, int]):
-        self.clock, self.set_at = clock, set_at
-
     def __getitem__(self, name: str) -> Fraction:
-        clock = self.clock
-        return Fraction(clock.now - self.set_at[name], clock.scale)
+        return Fraction(self.now - self.set_at[name], self.scale)
 
     def __contains__(self, name: object) -> bool:
         return name in self.set_at
@@ -897,29 +886,28 @@ _ACTIVATED = frozenset({ReceiveAfter, DelayExact, Def})
 _TIMED = frozenset({PEnd, ReceiveAfter, DelayExact})
 
 
-def _activate(leaf: ProcNode, timers: _Timers
+def _activate(leaf: ProcNode, clock: _Clock
               ) -> Tuple[ProcNode, Optional[int]]:
     """A new leaf as it becomes active, and its deadline.  A receive and an
     exact delay get the instant they run out, the timeout evaluated as
     ``eval_timeout`` does, in ints; a definition, whose continuation is
     active, resolves the timeouts of the receives there."""
     if type(leaf) is Def:
-        return resolve_active(leaf, timers), None
+        return resolve_active(leaf, clock), None
     after = leaf.step_record.after
     if after is None:
         return leaf, None
     num, den, coeffs = after
-    clock, set_at = timers.clock, timers.set_at
     assert clock.scale % den == 0, (den, clock.scale)
     total = num * (clock.scale // den)
     for name, coef in coeffs:
-        if name not in set_at:
+        if name not in clock.set_at:
             raise _unknown_timer(name)
-        total += coef * (clock.now - set_at[name])
+        total += coef * (clock.now - clock.set_at[name])
     return leaf, clock.now + max(total, 0)
 
 
-def _take(thread: _Thread, timers: _Timers, picker: _DelayPicker
+def _take(thread: _Thread, clock: _Clock, picker: _DelayPicker
           ) -> Tuple[ProcNode, str]:
     """Take a thread's kept redex: the normal leaf it leads to and the trace
     text.  A set writes its timer, a send or a receive its buffer cell and
@@ -927,7 +915,7 @@ def _take(thread: _Thread, timers: _Timers, picker: _DelayPicker
     leaf, (kind, queue) = thread.leaf, thread.redex
     record = leaf.step_record
     if kind == "if":
-        taken = 0 if eval_constraint(timers, leaf.cond) else 1
+        taken = 0 if eval_constraint(clock, leaf.cond) else 1
         return record.conts[taken], record.text[taken]
     if kind == "recv" and queue is not None:
         buf = queue.node
@@ -942,7 +930,7 @@ def _take(thread: _Thread, timers: _Timers, picker: _DelayPicker
         queue.node = Buffer(buf.src, buf.dst,
                             buf.items + ((leaf.label, leaf.value),))
     elif kind == "set":
-        timers.set_at[leaf.timer] = timers.clock.now
+        clock.set_at[leaf.timer] = clock.now
     elif kind == "def":
         thread.defs[leaf.name] = leaf
     elif kind == "det":
@@ -1083,7 +1071,6 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     picker = _DelayPicker(policy.seed, policy.delay_resolution)
     program, grid = program.run_prologue
     clock = _Clock(lcm(grid, *(t.denominator for t in picker.schedule or ())))
-    timers = _Timers(clock, {})
     trace: List[str] = []
     # The threads whose leaves are new since the last iteration.
     fresh: List[_Thread] = []
@@ -1094,7 +1081,7 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
 
     def result(status: str, detail: str) -> RunResult:
         return RunResult(status, detail, trace, clock.time(clock.now),
-                         _build(root), dict(timers))
+                         _build(root), dict(clock))
 
     def completed() -> bool:
         return (all(type(thread.leaf) is PEnd for thread in threads)
@@ -1112,7 +1099,7 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
 
     while steps < policy.fuel:
         try:
-            activated = [(thread, *_activate(thread.leaf, timers))
+            activated = [(thread, *_activate(thread.leaf, clock))
                          for thread in fresh if type(thread.leaf) in _ACTIVATED]
         except SpecError as exc:
             return result(RunStatus.ERROR, str(exc))
@@ -1141,7 +1128,7 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         if first is not None:
             steps += 1
             try:
-                new, text = _take(first, timers, picker)
+                new, text = _take(first, clock, picker)
             except SpecError as exc:
                 return result(RunStatus.ERROR, str(exc))
             trace.append(f"{steps} {text}")
@@ -1164,10 +1151,10 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         try:
             # only a non-empty buffer can fail phi's Par premise
             if any(queue.node.items for queue in queues):
-                phi(t, _build(root), timers)
+                phi(t, _build(root), clock)
             for thread in threads:  # phi names a leaf that blocks time
                 if type(thread.leaf) not in _TIMED:
-                    phi(t, thread.leaf, timers)
+                    phi(t, thread.leaf, clock)
         except PhiUndefined as exc:
             return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
         clock.now = then

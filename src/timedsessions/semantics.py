@@ -54,6 +54,7 @@ from .constraints import (
     Valuation,
     apply_reset,
     eval_constraint,
+    format_rational,
     shift,
     zero_valuation,
 )
@@ -71,7 +72,6 @@ from .sessiontypes import (
     type_clocks,
     unfold_head,
 )
-from .rational import format_rational
 from .zones import constraint_equiv, holds_at, trajectory_zone, window_at
 
 # ---------------------------------------------------------------------------

@@ -441,10 +441,9 @@ def gamma_head(node: TypeNode,
     return node
 
 
-def gamma(node: TypeNode,
-          env: Optional[Mapping[str, TypeNode]] = None) -> Constraint:
-    """gamma of the type as a constraint: the entry of its ``gamma_head``."""
-    return gamma_head(node, env).entry
+def gamma(node: TypeNode) -> Constraint:
+    """gamma of a closed type as a constraint: its ``gamma_head``'s entry."""
+    return gamma_head(node).entry
 
 
 # ---------------------------------------------------------------------------

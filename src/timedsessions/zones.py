@@ -193,16 +193,13 @@ class Zone:
 
     # -- queries -------------------------------------------------------------
 
-    def window_bounds(self, where: Optional[Sequence[int]] = None) -> tuple:
+    def window_bounds(self) -> tuple:
         """The bounds of this zone in the form ``window_at`` reads:
         ``(scale, uppers, lowers, diffs)``, each bound split into its even
-        part and its closed bit, and each clock i of the zone (0 the
-        reference) named by its position ``where[i]`` in a point.  Without
-        ``where``, i is its own position, as in ``int_point``, and the
-        bounds are built once, into ``bounds``."""
-        if where is None:
-            if self.bounds is None:
-                self.bounds = self.window_bounds(range(len(self.m)))
+        part and its closed bit, and each clock named by its index in the
+        zone (0 the reference), its position in a point that ``int_point``
+        builds over the zone's clocks.  Built once, into ``bounds``."""
+        if self.bounds is not None:
             return self.bounds
         uppers, lowers, diffs = [], [], []
         for i, row in enumerate(self.m):
@@ -211,12 +208,13 @@ class Zone:
                     continue
                 parts = (bound & -2, bound & 1)
                 if j == 0:
-                    uppers.append((where[i], *parts))
+                    uppers.append((i, *parts))
                 elif i == 0:
-                    lowers.append((where[j], *parts))
+                    lowers.append((j, *parts))
                 else:
-                    diffs.append((where[i], where[j], *parts))
-        return self.scale, tuple(uppers), tuple(lowers), tuple(diffs)
+                    diffs.append((i, j, *parts))
+        self.bounds = self.scale, tuple(uppers), tuple(lowers), tuple(diffs)
+        return self.bounds
 
     def intersect(self, other: "Zone") -> Optional["Zone"]:
         """The meet: this zone tightened by each bound of the other, or None
@@ -534,21 +532,20 @@ def zoneset_entails(zs1: ZoneSet, zs2: ZoneSet) -> bool:
     return not remaining
 
 
-def entails(c1: Constraint, c2: Constraint,
-            clocks: Optional[Iterable[str]] = None) -> bool:
-    """c1 |= c2, decided on their ZoneSets over the union of their clocks."""
-    ordered = sorted(clocks_of(c1) | clocks_of(c2) | set(clocks or ()))
+def entails(c1: Constraint, c2: Constraint) -> bool:
+    """c1 |= c2, decided on their ZoneSets over the union of their clocks
+    (a clock neither names is unconstrained on both sides)."""
+    ordered = sorted(clocks_of(c1) | clocks_of(c2))
     return zoneset_entails(to_zones(c1, ordered), to_zones(c2, ordered))
 
 
-def constraint_equiv(c1: Constraint, c2: Constraint,
-                     clocks: Optional[Iterable[str]] = None) -> bool:
-    return entails(c1, c2, clocks) and entails(c2, c1, clocks)
+def constraint_equiv(c1: Constraint, c2: Constraint) -> bool:
+    return entails(c1, c2) and entails(c2, c1)
 
 
-def past(c: Constraint, clocks: Optional[Iterable[str]] = None) -> Constraint:
-    """Weakest constraint holding now iff c holds after some delay."""
-    return zoneset_to_constraint([zone.down() for zone in to_zones(c, clocks)])
+def past(c: Constraint) -> Constraint:
+    """Weakest constraint over c's clocks holding now iff c holds later."""
+    return zoneset_to_constraint([zone.down() for zone in to_zones(c)])
 
 
 def future(c: Constraint, clocks: Optional[Iterable[str]] = None) -> Constraint:

@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Tuple
 
-from timedsessions.constraints import eval_constraint
+from timedsessions.constraints import eval_constraint, format_rational
 from timedsessions.errors import SpecError
 from timedsessions.processes import (
     _ACTIVE_KINDS,
@@ -56,7 +56,6 @@ from timedsessions.processes import (
     substitute,
     time_step,
 )
-from timedsessions.rational import format_rational
 
 # A path addresses a subterm: each step is an index into the children of
 # the node it leaves.  Redexes are found through active children only, so

@@ -1,6 +1,8 @@
 """Command-line interface: verdicts, exit codes, and report envelopes."""
 
+import errno
 import hashlib
+import io
 import json
 import os
 import random
@@ -730,19 +732,23 @@ def test_spec_file_errors_exit_2(capsys, tmp_path, source, argv, message):
         "diagnostics"] == {"message": message}
 
 
+def _cli_env() -> dict:
+    """The environment of a CLI subprocess: the package on its path."""
+    src = str(FIXTURES.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+
+
 @pytest.mark.parametrize("extra", [(), ("--json",)])
 def test_a_closed_stdout_ends_with_the_verdicts_code(extra):
     # The run prints 10,001 trace lines (about 190 kB, more than a pipe
     # holds), so it is still writing when the reader closes the pipe, as
     # ``| head -1`` does.  The run keeps its verdict's exit code and prints
     # no traceback, at the write or at the flush on exit.
-    src = str(FIXTURES.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.Popen(
         [sys.executable, "-m", "timedsessions.cli", "run",
          fx("mixed_pingpong.toast"), "Main", *extra],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     first = proc.stdout.readline(80)
     proc.stdout.close()
     err = proc.stderr.read()
@@ -750,3 +756,116 @@ def test_a_closed_stdout_ends_with_the_verdicts_code(extra):
     assert proc.wait(timeout=60) == 3  # fuel-exhausted
     assert first.startswith(b'{"command": "run"' if extra else b"1 ")
     assert err == b""
+
+
+def test_an_empty_delay_schedule_is_a_parse_error(capsys):
+    argv = ("run", fx("parametric_timeout.toast"), "Parametric", "--delays", "")
+    assert run_cli(capsys, *argv) == (2, "", "error: 1:1: expected a number\n")
+    assert _error_envelope(capsys, *argv)["diagnostics"] == {
+        "message": "1:1: expected a number"}
+
+
+class _Unwritable(io.TextIOBase):
+    """A standard stream every write to which fails with ``error``; its
+    descriptor is a scratch file's, which ``main`` may point at devnull."""
+
+    def __init__(self, fd: int, error: OSError):
+        self.fd, self.error = fd, error
+
+    def write(self, text):
+        raise self.error
+
+    def fileno(self):
+        return self.fd
+
+
+def _full() -> OSError:
+    return OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture
+def scratch_fd(tmp_path):
+    fd = os.open(tmp_path / "stream", os.O_WRONLY | os.O_CREAT)
+    yield fd
+    os.close(fd)
+
+
+def _is_devnull(fd: int) -> bool:
+    return os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+
+
+def test_a_missing_stdout_drops_the_output_and_keeps_the_code(
+        capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)
+    assert main(["dual", fx("pingpong.toast"), "PingPong"]) == 0
+    assert main(["check", fx("junk.toast"), "S", "--json"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_an_unwritable_stdout_is_a_write_error(capsys, monkeypatch,
+                                               scratch_fd):
+    monkeypatch.setattr(sys, "stdout", _Unwritable(scratch_fd, _full()))
+    assert main(["dual", fx("pingpong.toast"), "PingPong"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 28] No space left on device\n")
+    assert _is_devnull(scratch_fd)  # the flush at exit cannot fail now
+
+
+def test_a_reader_that_left_keeps_the_verdicts_code(capsys, monkeypatch,
+                                                    scratch_fd):
+    monkeypatch.setattr(sys, "stdout", _Unwritable(
+        scratch_fd, BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))))
+    assert main(["check", fx("junk.toast"), "S"]) == 1
+    assert capsys.readouterr().err == ""
+    assert _is_devnull(scratch_fd)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("check", "/nonexistent", "S"), 2),
+    (("check", "--bogus"), 2),
+    (("check", fx("junk.toast"), "S"), 1),
+], ids=["read-error", "usage-error", "verdict"])
+@pytest.mark.parametrize("broken", ["missing", "full"])
+def test_an_unwritable_stderr_never_changes_the_code(
+        capsys, monkeypatch, scratch_fd, argv, code, broken):
+    stderr = None if broken == "missing" else _Unwritable(scratch_fd, _full())
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(list(argv)) == code
+    monkeypatch.setattr(sys, "stdout", _Unwritable(scratch_fd, _full()))
+    assert main(["dual", fx("pingpong.toast"), "PingPong"]) == 2
+
+
+def _cli_to(stdout, *argv, stderr=subprocess.PIPE, shell_redirect=""):
+    """Run the CLI in a subprocess with the given stdout, or with stdout
+    closed by ``>&-``; return its exit code and its stderr."""
+    command = [sys.executable, "-m", "timedsessions.cli", *argv]
+    if shell_redirect:
+        command = ["sh", "-c", f'"$0" "$@" {shell_redirect}', *command]
+    proc = subprocess.run(command, stdout=stdout, stderr=stderr,
+                          env=_cli_env(), timeout=60)
+    return proc.returncode, proc.stderr
+
+
+def test_a_closed_stdout_descriptor_keeps_the_verdicts_code():
+    code, err = _cli_to(None, "dual", fx("pingpong.toast"), "PingPong",
+                        shell_redirect=">&-")
+    assert (code, err) == (0, b"")  # no traceback
+    code, err = _cli_to(None, "check", fx("junk.toast"), "S", "--json",
+                        shell_redirect=">&-")
+    assert (code, err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="the system has no /dev/full")
+def test_a_full_device_is_a_write_error_without_a_traceback():
+    with open("/dev/full", "wb") as full:
+        code, err = _cli_to(full, "dual", fx("pingpong.toast"), "PingPong")
+        assert code == 2
+        assert err == (b"error: cannot write output: "
+                       b"[Errno 28] No space left on device\n")
+        code, err = _cli_to(subprocess.PIPE, "check", "/nonexistent", "S",
+                            stderr=full)
+        assert (code, err) == (2, None)
+        code, err = _cli_to(full, "check", fx("junk.toast"), "S",
+                            stderr=full)
+        assert (code, err) == (2, None)  # the write error, which is not said

@@ -9,12 +9,12 @@ from timedsessions.constraints import (
     apply_reset,
     boundary_delays,
     eval_constraint,
+    format_rational,
     shift,
     zero_valuation,
 )
 from timedsessions.errors import SpecError
 from timedsessions.parser import parse_constraint, parse_rational
-from timedsessions.rational import format_rational
 
 F = Fraction
 

@@ -128,8 +128,7 @@ def own_window(zone, nu):
     the zone's scale and the denominators of nu, or None."""
     scale = lcm(zone.scale, *(nu[clock].denominator for clock in zone.clocks))
     point = [0] + [int(nu[clock] * scale) for clock in zone.clocks]
-    window = zones.window_at(zone.window_bounds(range(len(point))), point,
-                             scale)
+    window = zones.window_at(zone.window_bounds(), point, scale)
     return None if window is None else (*window, scale)
 
 
@@ -158,13 +157,13 @@ def test_delay_window_is_the_set_of_delays_into_the_zone(seed):
     assert checked > 1000
 
 
-def int_windows(guard_zones, clocks, nu, scale):
+def int_windows(guard_zones, nu, scale):
     """window_at of each zone on nu at scale, a multiple of the zones'
-    scales and of the denominators of nu."""
-    point = [0] + [int(nu[clock] * scale) for clock in clocks]
-    return [zones.window_at(zone.window_bounds(
-                [0] + [clocks.index(clock) + 1 for clock in zone.clocks]),
-                point, scale)
+    scales and of the denominators of nu, each on a point in the zone's
+    own clock order."""
+    return [zones.window_at(
+                zone.window_bounds(),
+                [0] + [int(nu[clock] * scale) for clock in zone.clocks], scale)
             for zone in guard_zones]
 
 
@@ -203,7 +202,7 @@ def test_int_guards_and_windows_agree_with_eval_constraint(seed):
         scale = lcm(*(v.denominator for v in nu.values()),
                     *(zone.scale for zone in guard_zones))
         ends = []
-        for window in int_windows(guard_zones, clocks, nu, scale):
+        for window in int_windows(guard_zones, nu, scale):
             if window is not None:
                 lo, hi = window
                 ends.append(F(-(lo >> 1), scale))
@@ -211,7 +210,7 @@ def test_int_guards_and_windows_agree_with_eval_constraint(seed):
                     ends.append(F(hi >> 1, scale))
         points = [F(0)] + probe_points(sorted(GRID), ends)
         scale = lcm(scale, *(t.denominator for t in points))
-        windows = int_windows(guard_zones, clocks, nu, scale)
+        windows = int_windows(guard_zones, nu, scale)
         for t in points:
             inside = any(int_window_holds(w, int(t * scale)) for w in windows)
             assert inside == constraints.eval_constraint(shift(nu, t), guard)

@@ -17,6 +17,7 @@ from typing import List
 
 import pytest
 
+from timedsessions.constraints import format_rational
 from timedsessions.parser import parse_process, parse_spec_file
 from timedsessions.processes import (
     Buffer,
@@ -31,7 +32,6 @@ from timedsessions.processes import (
     format_process,
     run,
 )
-from timedsessions.rational import format_rational
 
 from term_reference import random_phi_term, reference_run
 

@@ -30,9 +30,9 @@ EXPORTS = {
     "semantics": ["ExploreLimits", "ProgressReport", "System",
                   "admissible_delays", "check_progress", "compatible",
                   "is_future_enabled", "make_system", "qconfig_time",
-                  "system_steps", "unfold_head"],
+                  "system_steps"],
     "sessiontypes": ["WfReport", "check_well_formed", "dual", "format_type",
-                     "gamma"],
+                     "gamma", "unfold_head"],
     "zones": ["constraint_equiv", "entails", "past", "reset_constraint",
               "to_zones", "trajectory_zone"],
 }
@@ -85,7 +85,7 @@ def loaded(statement: str) -> set:
             for name in json.loads(out.stdout)}
 
 
-TYPE_LAYER = {"timedsessions", "errors", "rational", "constraints", "zones",
+TYPE_LAYER = {"timedsessions", "errors", "constraints", "zones",
               "sessiontypes"}
 
 
@@ -97,6 +97,7 @@ TYPE_LAYER = {"timedsessions", "errors", "rational", "constraints", "zones",
     ("import timedsessions; timedsessions.generate.random_type",
      TYPE_LAYER | {"generate"}),
     ("from timedsessions import check_well_formed", TYPE_LAYER),
+    ("from timedsessions import unfold_head", TYPE_LAYER),
 ])
 def test_a_library_entry_loads_only_its_layer(statement, modules):
     assert loaded(statement) == modules
