@@ -183,9 +183,19 @@ class _UsageError(Exception):
     stderr."""
 
 
+class _Help(Exception):
+    """The help text a command line asked for, which ``main`` writes as
+    its output."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
-    """An argument parser whose usage errors reach ``main``, so that under
-    ``--json`` they produce an envelope too.  The stderr text is argparse's."""
+    """An argument parser whose usage errors and help reach ``main``, so
+    that under ``--json`` a usage error produces an envelope too, and help
+    is written as any output is, with its write errors reported.  The
+    stderr text of a usage error is argparse's."""
+
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -270,8 +280,8 @@ def main(argv=None) -> int:
         verdict, diagnostics, lines = args.func(
             args, spec, _named(spec, args.kind, args.name))
         code = EXIT_CODES.get(verdict, EXIT_VIOLATION)
-    except SystemExit as exc:  # --help
-        return EXIT_USAGE if exc.code else EXIT_PASS
+    except _Help as exc:  # the help text, without an envelope
+        args.json, lines, code = False, str(exc).splitlines(), EXIT_PASS
     except _UsageError as exc:
         args.json = "--json" in argv
         verdict, diagnostics, lines = "error", {"message": str(exc)}, []

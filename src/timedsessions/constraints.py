@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterator, Mapping, Set, Union
+from typing import Callable, Dict, Iterator, Mapping, Set, Union
 
 from .errors import SpecError
 
@@ -205,11 +205,11 @@ def eval_constraint(nu: Mapping[str, Fraction], c: Constraint) -> bool:
         return True
     if isinstance(c, Atom):
         if c.clock not in nu:
-            raise SpecError(f"unknown clock {c.clock!r} in constraint")
+            raise _unknown_clock(c.clock)
         value = nu[c.clock]
         if c.sub is not None:
             if c.sub not in nu:
-                raise SpecError(f"unknown clock {c.sub!r} in constraint")
+                raise _unknown_clock(c.sub)
             value = value - nu[c.sub]
         return value > c.const if c.op == ">" else value == c.const
     if isinstance(c, Not):
@@ -218,6 +218,53 @@ def eval_constraint(nu: Mapping[str, Fraction], c: Constraint) -> bool:
         return eval_constraint(nu, c.left) and eval_constraint(nu, c.right)
     if isinstance(c, Or):
         return eval_constraint(nu, c.left) or eval_constraint(nu, c.right)
+    raise TypeError(f"not a constraint: {c!r}")
+
+
+def _unknown_clock(name: str) -> SpecError:
+    return SpecError(f"unknown clock {name!r} in constraint")
+
+
+# A constraint compiled to ints: test(now, set_at, scale) decides it where
+# each clock x reads (now - set_at[x]) / scale.
+IntTest = Callable[[int, Mapping[str, int], int], bool]
+
+
+def int_test(c: Constraint) -> IntTest:
+    """c compiled once into a test over int time: ``eval_constraint`` of c
+    on the clocks set at the instants ``set_at``, read at ``now``, all in
+    units of 1/``scale``.  An atom ``x>q`` compares (now - set_at[x])·den
+    with num·scale; a diagonal ``x-y>q`` compares (set_at[y] - set_at[x])·den.
+    Atoms are read in the order ``eval_constraint`` reads them and
+    short-circuit alike, so a clock that is not set raises the same error
+    at the same atom."""
+    if isinstance(c, TrueC):
+        return lambda now, set_at, scale: True
+    if isinstance(c, Atom):
+        clock, sub, gt = c.clock, c.sub, c.op == ">"
+        num, den = c.const.numerator, c.const.denominator
+
+        def atom(now: int, set_at: Mapping[str, int], scale: int) -> bool:
+            if clock not in set_at:
+                raise _unknown_clock(clock)
+            value = now - set_at[clock]
+            if sub is not None:
+                if sub not in set_at:
+                    raise _unknown_clock(sub)
+                value -= now - set_at[sub]
+            value, bound = value * den, num * scale
+            return value > bound if gt else value == bound
+        return atom
+    if isinstance(c, Not):
+        inner = int_test(c.inner)
+        return lambda now, set_at, scale: not inner(now, set_at, scale)
+    if isinstance(c, (And, Or)):
+        left, right = int_test(c.left), int_test(c.right)
+        if isinstance(c, And):
+            return lambda now, set_at, scale: (left(now, set_at, scale)
+                                               and right(now, set_at, scale))
+        return lambda now, set_at, scale: (left(now, set_at, scale)
+                                           or right(now, set_at, scale))
     raise TypeError(f"not a constraint: {c!r}")
 
 

@@ -22,17 +22,20 @@ a timeout has ``after=None``; there is no infinite timeout value.
 
 The interpreter does not step the term.  Session scopes can move outward,
 so a running program is threads, buffers and timers: ``run`` keeps a
-layout of compositions and session scopes whose items are buffer cells
-and thread cells, each thread with its active leaf, its own definitions,
-the buffers it sees, its kept redex and the deadline of its leaf.  Each
+layout of compositions and session scopes whose items are buffer cells,
+each holding its items and listing the threads that see it, and thread
+cells, each with its active leaf, its own definitions, the buffers it
+sees by endpoint, its kept redex and the deadline of its leaf.  Each
 leaf is compiled once into a step record cached on it, from which its
 thread is classified and its step taken (``_take``); a call and a receive
 with a binder substitute in one capture-avoiding walk, ``substitute``.
 Time in a run is one int clock at a scale fixed before the first step,
-which keeps each timer as the instant it was set.  ``phi`` stays the
-specification of time passing; a time step of ``run`` moves the clock to the earliest
-deadline and changes only the leaves whose deadline it is.  The term is
-built from the layout only when something reads it.
+which keeps each timer as the instant it was set, and an ``if`` is decided
+on its ints by a test compiled once from its condition
+(``constraints.int_test``).  ``phi`` stays the specification of time
+passing; a time step of ``run`` moves the clock to the earliest deadline
+and changes only the leaves whose deadline it is.  The term is built
+from the layout only when something reads it.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from typing import (Callable, Dict, FrozenSet, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
 from .constraints import (Constraint, atoms_of, boundary_delays, eval_constraint,
-                          format_rational, map_clocks)
+                          format_rational, int_test, map_clocks)
 from .errors import SpecError
 
 TimerEnv = Dict[str, Fraction]
@@ -695,6 +698,8 @@ class _Record(NamedTuple):
     table: Optional[dict] = None
     # A timeout or exact delay: (numerator, denominator, timer coefficients).
     after: Optional[tuple] = None
+    # An if's condition as an int test (``int_test``).
+    test: Optional[Callable] = None
 
 
 def _compile(node: ProcNode) -> _Record:
@@ -717,7 +722,8 @@ def _compile(node: ProcNode) -> _Record:
     if kind is IfTimer:
         return _Record("if", (f"if ({node.cond_text}) -> then",
                               f"if ({node.cond_text}) -> else"),
-                       (node.then_branch, node.else_branch))
+                       (node.then_branch, node.else_branch),
+                       test=int_test(node.cond))
     if kind is SetTimer:
         return _Record("set", f"set {node.timer}", (node.cont,))
     if kind is Send:
@@ -751,8 +757,9 @@ class _Clock(Mapping[str, Fraction]):
     """The time of a run, ``now``, in units of 1/``scale``, fixed before the
     first step (``_run_scale``) so that every instant the run reaches is a
     whole number of units, and its timers, each kept in ``set_at`` as the
-    instant it was set.  Read as a mapping, as ``eval_constraint`` and
-    ``eval_timeout`` read timers, it gives each timer's value now."""
+    instant it was set, which an ``if``'s int test reads.  Read as a
+    mapping, as ``eval_timeout`` and ``phi`` read timers, it gives each
+    timer's value now."""
 
     __slots__ = ("now", "scale", "set_at")
 
@@ -807,22 +814,26 @@ def _run_scale(program: ProcNode) -> int:
 # ---------------------------------------------------------------------------
 
 class _Queue:
-    """A buffer cell of a running program: the buffer as it stands now."""
+    """A buffer cell of a running program: its endpoints and the items it
+    holds now; reading the layout sets the threads that see it."""
 
-    __slots__ = ("node",)
+    __slots__ = ("src", "dst", "items", "readers")
 
-    def __init__(self, node: Buffer):
-        self.node = node
+    def __init__(self, buf: Buffer):
+        self.src, self.dst, self.items = buf.src, buf.dst, buf.items
+
+    def term(self) -> Buffer:
+        return Buffer(self.src, self.dst, self.items)
 
 
 class _Thread:
     """A thread cell: its active leaf, its own definitions and its run's
     clock; activating its leaf sets the leaf's deadline, reading the
-    layout sets the buffers it sees, the composition it sits in and its
-    position, and classifying its leaf sets its kept redex."""
+    layout sets the buffers it sees by endpoint, the composition it sits
+    in and its position, and classifying its leaf sets its kept redex."""
 
-    __slots__ = ("leaf", "defs", "clock", "deadline", "buffers", "parent",
-                 "position", "redex")
+    __slots__ = ("leaf", "defs", "clock", "deadline", "sends", "recvs",
+                 "parent", "position", "redex")
 
     def __init__(self, leaf: ProcNode, defs: Dict[str, Def], clock: _Clock):
         self.leaf, self.defs, self.clock = leaf, defs, clock
@@ -835,18 +846,17 @@ class _Thread:
         (a receive with no branch for its message is ``stuck``), or None,
         and the buffer cell a send appends to or a receive reads."""
         leaf = self.leaf
-        kind = leaf.step_record.kind
+        record = leaf.step_record
+        kind = record.kind
         if kind == "send":
-            for chan, queue in self.buffers.items():
-                if chan[0] == leaf.endpoint:
-                    self.redex = kind, queue
-                    return
-            kind = None
-        elif kind == "recv":
-            for chan, queue in self.buffers.items():
-                items = queue.node.items
-                if chan[1] == leaf.endpoint and items:
-                    self.redex = ("recv" if items[0][0] in leaf.step_record.table
+            queue = self.sends.get(leaf.endpoint)
+            self.redex = (kind if queue else None), queue
+            return
+        if kind == "recv":
+            for queue in self.recvs.get(leaf.endpoint, ()):
+                items = queue.items
+                if items:
+                    self.redex = ("recv" if items[0][0] in record.table
                                   else "stuck"), queue
                     return
             if self.deadline != self.clock.now:
@@ -877,7 +887,7 @@ class _Scope(NamedTuple):
 _Item = Union[_Thread, _Queue, _Scope]
 
 # The leaves a step may leave that go into the layout, not into a thread.
-_STRUCTURE = (Par, Scope, Buffer)
+_STRUCTURE = frozenset({Par, Scope, Buffer})
 
 # The leaves that are activated when they are new (``_activate``).
 _ACTIVATED = frozenset({ReceiveAfter, DelayExact, Def})
@@ -914,25 +924,27 @@ def _take(thread: _Thread, clock: _Clock, picker: _DelayPicker
     a def the thread's definitions, in place, where a call reads them."""
     leaf, (kind, queue) = thread.leaf, thread.redex
     record = leaf.step_record
-    if kind == "if":
-        taken = 0 if eval_constraint(clock, leaf.cond) else 1
-        return record.conts[taken], record.text[taken]
-    if kind == "recv" and queue is not None:
-        buf = queue.node
-        label, value = buf.items[0]
-        queue.node = Buffer(buf.src, buf.dst, buf.items[1:])
+    # the kinds in the order of how often a run takes them
+    if kind == "set":
+        clock.set_at[leaf.timer] = clock.now
+    elif kind == "recv" and queue is not None:
+        items = queue.items
+        label, value = items[0]
+        queue.items = items[1:]
         text, cont, binder = record.table[label]
         if binder is not None:
             cont = substitute(cont, {}, {binder: value})
         return cont, text
-    if kind == "send":
-        buf = queue.node
-        queue.node = Buffer(buf.src, buf.dst,
-                            buf.items + ((leaf.label, leaf.value),))
-    elif kind == "set":
-        clock.set_at[leaf.timer] = clock.now
-    elif kind == "def":
-        thread.defs[leaf.name] = leaf
+    elif kind == "call":
+        defn = thread.defs.get(leaf.name)
+        if defn is None:
+            raise SpecError(f"call to undefined process {leaf.name!r}")
+        return instantiate_call(defn, leaf), record.text
+    elif kind == "send":
+        queue.items += ((leaf.label, leaf.value),)
+    elif kind == "if":
+        taken = 0 if record.test(clock.now, clock.set_at, clock.scale) else 1
+        return record.conts[taken], record.text[taken]
     elif kind == "det":
         t = picker.pick(leaf)
         out = record.table.get(t)
@@ -941,11 +953,8 @@ def _take(thread: _Thread, clock: _Clock, picker: _DelayPicker
                 _normal_node(DelayExact(t, leaf.cont)),
                 f"det delay({format_rational(t)}) for {leaf.cond_text}")
         return out
-    elif kind == "call":
-        defn = thread.defs.get(leaf.name)
-        if defn is None:
-            raise SpecError(f"call to undefined process {leaf.name!r}")
-        return instantiate_call(defn, leaf), record.text
+    elif kind == "def":
+        thread.defs[leaf.name] = leaf
     return record.conts[0], record.text
 
 
@@ -973,8 +982,11 @@ def _read_layout(root: List[_Item]) -> Tuple[List[_Thread], List[_Queue]]:
     Each thread is told the composition it sits in, the buffers it sees
     and its position in the term of the layout.  It sees the buffers of
     its own composition and of the compositions around it, less those
-    whose endpoints a session scope between them binds.  Its position is
-    printed as messages print it, in ``par<i>`` and ``scope`` steps.
+    whose endpoints a session scope between them binds, and keeps them by
+    endpoint: the first it sees from each source (``sends``) and all it
+    sees to each destination, in order (``recvs``).  Each buffer cell is
+    told the threads that see it.  A position is printed as messages print
+    it, in ``par<i>`` and ``scope`` steps.
     """
     threads: List[_Thread] = []
     queues: List[_Queue] = []
@@ -984,15 +996,23 @@ def _read_layout(root: List[_Item]) -> Tuple[List[_Thread], List[_Queue]]:
         buffers = dict(outer)
         for item in items:
             if type(item) is _Queue:
-                buffers[item.node.src, item.node.dst] = item
+                buffers[item.src, item.dst] = item
+                item.readers = []
                 queues.append(item)
+        sends: Dict[str, _Queue] = {}
+        recvs: Dict[str, List[_Queue]] = {}
+        for (src, dst), queue in buffers.items():
+            sends.setdefault(src, queue)
+            recvs.setdefault(dst, []).append(queue)
         for i, item in enumerate(items):
             here = steps + (f"par{i}",) if len(items) > 1 else steps
             kind = type(item)
             if kind is _Thread:
-                item.parent, item.buffers = items, buffers
+                item.parent, item.sends, item.recvs = items, sends, recvs
                 item.position = "/".join(here) or "top"
                 threads.append(item)
+                for queue in buffers.values():
+                    queue.readers.append(item)
             elif kind is _Scope:
                 ends = (item.left, item.right)
                 walk(item.items, {chan: queue for chan, queue in buffers.items()
@@ -1007,9 +1027,8 @@ def _build(root: List[_Item]) -> ProcNode:
     """The normal term of the layout, at its clock's now."""
 
     def term(items: List[_Item]) -> ProcNode:
-        parts = tuple(item.term() if type(item) is _Thread
-                      else item.node if type(item) is _Queue
-                      else Scope(item.left, item.right, term(item.items))
+        parts = tuple(Scope(item.left, item.right, term(item.items))
+                      if type(item) is _Scope else item.term()
                       for item in items)
         return parts[0] if len(parts) == 1 else Par(parts)
 
@@ -1056,16 +1075,21 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     the grid with the schedule's denominators folded in; a timer is the
     instant it was set.  A new leaf is activated at the top of the next
     iteration, so a run that stops first returns its timeouts unresolved.
-    An instant step (``_take``) rewrites one thread's leaf and at most one
-    buffer cell, and reclassifies the threads that see that buffer.  A time
-    step moves the clock to the earliest deadline, where a delay becomes
-    its continuation and a receive is classified again, once ``phi`` on the
-    built term has decided the Par premise while a buffer is non-empty and
-    ``phi`` any leaf time cannot pass over.  A new composition, scope or
-    buffer goes into the layout in place of its thread, each new thread
-    with a copy of its definitions.  ``Fraction`` is only for the built
-    term, an ``if``'s timers and the result.  A run whose threads are all
-    ``end`` and whose buffers are all empty has completed, out of fuel too.
+    New leaves are activated all at once or, on an error, not at all.  An
+    instant step (``_take``) rewrites one thread's leaf and at most one
+    buffer cell, and reclassifies the threads that cell lists as seeing
+    it; a thread finds its buffers by endpoint.  A time step moves the
+    clock to the earliest deadline, where a delay becomes its continuation
+    and a receive is classified again, once ``phi`` on the built term has
+    decided the Par premise while a buffer is non-empty and ``phi`` any
+    leaf time cannot pass over.  A new composition, scope or buffer goes
+    into the layout in place of its thread, each new thread with a copy of
+    its definitions.  An ``if`` is decided in ints, by the test its step
+    record holds; ``Fraction`` is left to the durations a ``delay(c)``
+    picks, the timeouts a definition resolves, a time step's duration as
+    ``phi`` reads and the trace prints it, the built term and the result.
+    A run whose threads are all ``end`` and whose buffers are all empty has
+    completed, out of fuel too.
     """
     policy = policy or RunPolicy()
     picker = _DelayPicker(policy.seed, policy.delay_resolution)
@@ -1085,11 +1109,11 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
 
     def completed() -> bool:
         return (all(type(thread.leaf) is PEnd for thread in threads)
-                and not any(queue.node.items for queue in queues))
+                and not any(queue.items for queue in queues))
 
     def place(thread: _Thread, new: ProcNode) -> None:
         nonlocal relayout
-        if isinstance(new, _STRUCTURE):
+        if type(new) in _STRUCTURE:
             at = thread.parent.index(thread)
             thread.parent[at:at + 1] = _layout(new, thread.defs, clock, fresh)
             relayout = True
@@ -1098,13 +1122,19 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
             fresh.append(thread)
 
     while steps < policy.fuel:
-        try:
-            activated = [(thread, *_activate(thread.leaf, clock))
-                         for thread in fresh if type(thread.leaf) in _ACTIVATED]
-        except SpecError as exc:
-            return result(RunStatus.ERROR, str(exc))
-        for thread, leaf, deadline in activated:
-            thread.leaf, thread.deadline = leaf, deadline
+        # a list of activations only on a step that has one; all of them,
+        # or none on an error
+        for thread in fresh:
+            if type(thread.leaf) in _ACTIVATED:
+                try:
+                    activated = [(each, *_activate(each.leaf, clock))
+                                 for each in fresh
+                                 if type(each.leaf) in _ACTIVATED]
+                except SpecError as exc:
+                    return result(RunStatus.ERROR, str(exc))
+                for each, leaf, deadline in activated:
+                    each.leaf, each.deadline = leaf, deadline
+                break
         if relayout:
             threads, queues = _read_layout(root)
             fresh[:] = threads
@@ -1121,7 +1151,7 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
                 return result(RunStatus.ERROR, f"err at {thread.position}")
             if kind == "stuck":
                 return result(RunStatus.STUCK, (
-                    f"unspecified reception: {queue.node.items[0][0]!r} "
+                    f"unspecified reception: {queue.items[0][0]!r} "
                     f"at {thread.leaf.endpoint} at {thread.position}"))
             if first is None:
                 first = thread
@@ -1135,8 +1165,8 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
             place(first, new)
             queue = first.redex[1]
             if queue is not None:  # first is new, and classified at the top
-                for thread in threads:
-                    if thread is not first and queue in thread.buffers.values():
+                for thread in queue.readers:
+                    if thread is not first:
                         thread.classify()
             continue
         if completed():
@@ -1150,7 +1180,7 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         steps += 1
         try:
             # only a non-empty buffer can fail phi's Par premise
-            if any(queue.node.items for queue in queues):
+            if any(queue.items for queue in queues):
                 phi(t, _build(root), clock)
             for thread in threads:  # phi names a leaf that blocks time
                 if type(thread.leaf) not in _TIMED:

@@ -48,7 +48,6 @@ from timedsessions.processes import (
     SetTimer,
     TimerEnv,
     _DelayPicker,
-    _Queue,
     children,
     instantiate_call,
     resolve_active,
@@ -100,8 +99,18 @@ def path_str(term: ProcNode, path: Path) -> str:
     return "/".join(steps) or "top"
 
 
+class Cell:
+    """A buffer of the term as a leaf sees it: the node, and by its
+    identity the path it was read at."""
+
+    __slots__ = ("node",)
+
+    def __init__(self, node: Buffer):
+        self.node = node
+
+
 # The buffers a leaf sees, by (source, destination) endpoints.
-Buffers = Dict[Tuple[str, str], _Queue]
+Buffers = Dict[Tuple[str, str], Cell]
 
 
 class Redex(NamedTuple):
@@ -109,7 +118,7 @@ class Redex(NamedTuple):
     detail: str
     node: ProcNode
     # The cell of the buffer a send appends to or a receive reads.
-    queue: Optional[_Queue] = None
+    queue: Optional[Cell] = None
 
 
 def _classify(node: ProcNode, buffers: Buffers,
@@ -241,15 +250,15 @@ def collect_redexes(root: ProcNode) -> List[SiteRedex]:
     parallel siblings within its enclosing session scope.
     """
     out: List[SiteRedex] = []
-    paths: Dict[_Queue, Path] = {}
+    paths: Dict[Cell, Path] = {}
 
     def walk(node: ProcNode, path: Path,
-             buffers: Dict[Tuple[str, str], _Queue]) -> None:
+             buffers: Buffers) -> None:
         if isinstance(node, Par):
             local = dict(buffers)
             for i, part in enumerate(node.parts):
                 if isinstance(part, Buffer):
-                    queue = _Queue(part)
+                    queue = Cell(part)
                     paths[queue] = path + (i,)
                     local[(part.src, part.dst)] = queue
             for i, part in enumerate(node.parts):

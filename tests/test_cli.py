@@ -811,6 +811,22 @@ def test_an_unwritable_stdout_is_a_write_error(capsys, monkeypatch,
     assert _is_devnull(scratch_fd)  # the flush at exit cannot fail now
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"],
+                                  ["run", "-h", "--json"]],
+                         ids=["top", "check", "run-json"])
+def test_help_that_cannot_be_written_is_a_write_error(capsys, monkeypatch,
+                                                      scratch_fd, argv):
+    monkeypatch.setattr(sys, "stdout", _Unwritable(scratch_fd, _full()))
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write output: [Errno 28] No space left on device\n")
+    assert _is_devnull(scratch_fd)
+    monkeypatch.setattr(sys, "stdout", _Unwritable(
+        scratch_fd, BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))))
+    assert main(argv) == 0  # a reader that left keeps help's code
+    assert capsys.readouterr().err == ""
+
+
 def test_a_reader_that_left_keeps_the_verdicts_code(capsys, monkeypatch,
                                                     scratch_fd):
     monkeypatch.setattr(sys, "stdout", _Unwritable(
@@ -869,3 +885,14 @@ def test_a_full_device_is_a_write_error_without_a_traceback():
         code, err = _cli_to(full, "check", fx("junk.toast"), "S",
                             stderr=full)
         assert (code, err) == (2, None)  # the write error, which is not said
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"),
+                    reason="the system has no /dev/full")
+@pytest.mark.parametrize("argv", [["--help"], ["check", "--help"]],
+                         ids=["top", "check"])
+def test_help_to_a_full_device_is_a_write_error(argv):
+    with open("/dev/full", "wb") as full:
+        assert _cli_to(full, *argv) == (
+            2, b"error: cannot write output: "
+               b"[Errno 28] No space left on device\n")

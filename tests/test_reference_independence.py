@@ -5,9 +5,9 @@ checked against, so it must reach no part of them: not the int state
 space of ``semantics`` nor the point readers of ``zones``.
 ``term_reference`` is the oracle ``processes.run`` is checked against: it
 classifies and reduces leaves with its own ``_classify`` and ``_reduce``,
-so it must reach none of the run's step records, threads, clock, timers
-or layout.  Any import or attribute of a reference that names one of them
-fails here.
+so it must reach none of the run's step records, thread and buffer
+cells, clock or layout.  Any import or attribute of a reference that
+names one of them fails here.
 """
 
 import ast
@@ -17,7 +17,7 @@ KERNEL = {"_Space", "_Head", "_Option", "_region", "_stepper", "holds_at",
           "window_at", "int_point"}
 
 RUN = {"step_record", "_compile", "_Record", "run_prologue", "_take",
-       "_activate", "_Thread", "_Clock", "_Timers", "_layout",
+       "_activate", "_Thread", "_Queue", "_Clock", "_layout",
        "_read_layout", "_build"}
 
 

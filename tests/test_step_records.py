@@ -18,7 +18,8 @@ import pytest
 from timedsessions import processes
 from timedsessions.cli import main
 from timedsessions.parser import parse_process, parse_spec_file
-from timedsessions.processes import P_END, RunPolicy, RunStatus, run
+from timedsessions.processes import (P_END, RunPolicy, RunStatus,
+                                     format_process, run)
 
 from term_reference import reference_run
 
@@ -118,3 +119,20 @@ def test_cli_run_reports_completed_on_the_last_unit_of_fuel(capsys, tmp_path,
     diagnostics = json.loads(capsys.readouterr().out)["diagnostics"]
     assert diagnostics["status"] == "completed"
     assert len(diagnostics["trace"]) == fuel
+
+
+def test_new_leaves_are_activated_all_at_once_or_not_at_all():
+    """Both receives become active after the delay; the second reads the
+    unset timer z, so the run ends with neither timeout resolved."""
+    program = parse_process(
+        "new (p,q) { set(x). delay(1). from p recv { a -> end } after 3-x "
+        "{ end } | delay(1). from q recv { a -> end } after 2-z { end } "
+        "| pq:[] | qp:[] }")
+    result = run(program)
+    assert result == reference_run(program, RunPolicy())
+    assert (result.status, result.detail, result.trace) == (
+        RunStatus.ERROR, "unknown timer 'z' in timeout expression",
+        ["1 set x", "2 delay(1)"])
+    assert format_process(result.final) == (
+        "new (p,q) { from p recv { a -> end } after 3-x { end } "
+        "| from q recv { a -> end } after 2-z { end } | pq:[] | qp:[] }")
