@@ -131,33 +131,29 @@ def cmd_run(args, spec, node):
 
 
 def cmd_simulate(args, spec, system):
-    from .semantics import digest_system, system_steps
+    from .semantics import _action, _stepper, render_key
 
+    space, state, horizon = _stepper(system)
     rng = random.Random(args.seed)
-    lines = []
-    trace = []
-    verdict = "ok"
+    lines, trace, verdict = [], [], "ok"
     for depth in range(args.trace_len):
         try:
-            steps = system_steps(system)
+            steps = space.successors(state, space.at_d(horizon))
         except ProtocolError as exc:
             verdict = "protocol-error"
             lines.append(f"  {exc}")
             break
         if not steps:
-            if not (system.left.is_final() and system.right.is_final()):
+            if not space.is_final(state):
                 verdict = "stuck"
             break
-        action, system = steps[rng.randrange(len(steps))]
-        if (len(system.left.queue) > args.queue
-                or len(system.right.queue) > args.queue):
+        action, state = steps[rng.randrange(len(steps))]
+        if len(state[3]) > args.queue or len(state[6]) > args.queue:
             verdict = "bound-exceeded"
             break
-        line = (f"{depth} {action} "
-                f"{digest_system(system)}")
-        lines.append(line)
-        trace.append(dict(_sys_action_json(action),
-                          state=digest_system(system)))
+        action, digest = _action(action), render_key(state, space.clocks)
+        lines.append(f"{depth} {action} {digest}")
+        trace.append(dict(_sys_action_json(action), state=digest))
     lines.append(f"verdict: {verdict}")
     return verdict, {"trace": trace}, lines
 

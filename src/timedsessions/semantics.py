@@ -28,18 +28,19 @@ RTSS 1996), every other clock is capped one above its ceiling.  The waits
 are mapped in one loop; a move that resets no clock and keeps the caps
 keeps a state canonical.  A diagonal system's states are only reduced.
 
-``Fraction`` remains only at the boundary: the digest text
-(``render_key``), the t of a wait action, the System a monitored state is
-converted to, and the public converters onto the one int step relation
+Compatibility drains a queue by the explorer's own receive move, so
+compat, the monitor and simulate all run the int relation.  ``Fraction``
+remains only at the boundary: the digest text (``render_key``), the t of
+a wait action, and the public converters onto the int step relation
 (``system_steps``, ``admissible_delays``, ``region_canonical``,
-``canonicaliser``, ``state_key``, ``digest_system``).  A system's grid d,
-cap and horizon come from one walk of its guard atoms, ``_Space.of``,
-which the explorer, ``canonicaliser``, ``default_horizon`` and the
-converters' steps (``_stepper``, without the region map) all read.
-``qconfig_time`` stays the single-delay time rule in ``Fraction``.  The
-step rules of layers one and two in ``Fraction`` are the test suite's
-reference (``tests/reference_semantics.py``), which the int relation is
-checked against.
+``canonicaliser``, ``state_key``, ``digest_system``).  A system's grid
+d, cap and horizon come from one walk of its guard atoms, ``_Space.of``,
+which the explorer, ``canonicaliser``, ``default_horizon`` and the steps
+without the region map (``_stepper``) all read.  ``qconfig_time`` stays
+the single-delay time rule in ``Fraction``.  The step rules of layers
+one and two and the compatibility walk in ``Fraction`` are the test
+suite's reference (``tests/reference_semantics.py``), which the int
+relation is checked against.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .constraints import (
     Valuation,
-    apply_reset,
     eval_constraint,
     format_rational,
     shift,
@@ -719,42 +719,44 @@ def compatible(sys: System) -> Tuple[bool, str]:
     (1) at most one queue is non-empty; (2) if both are empty the valuations
     agree and the types are dual; (3)/(4) a queued head message is
     receivable immediately and the drained system is compatible again.
+    Sides on different clocks fail (1) or (2), or raise with one queue.
     """
-    return _compatible(sys, {}, lambda state: state)
-
-
-def _compatible(sys: System, memo: Dict,
-                canon: Callable[[System], System]) -> Tuple[bool, str]:
-    """`compatible` with the valuations of clause (2) compared after the
-    state map canon, so that the clocks it leaves inactive do not count,
-    keeping in ``memo`` the duality of each pair of type objects it
-    decides, with the pair itself so that no id is reused."""
     left, right = sys.left, sys.right
     if left.queue and right.queue:
         return False, "both queues non-empty"
-    if not left.queue and not right.queue:
-        mapped = canon(sys)
-        if mapped.left.nu != mapped.right.nu:
-            return False, "valuations differ with empty queues"
-        key = (id(left.node), id(right.node))
-        if key not in memo:
-            memo[key] = (left.node, right.node, _sem_equal_rec(
-                left.node, dual(right.node), frozenset()))
-        if not memo[key][2]:
-            return False, "types are not dual"
-        return True, "dual types and same clock valuations"
-    side, other, tag = ((left, right, "left") if left.queue
-                        else (right, left, "right"))
-    try:
-        opt = _head_receive_option(side)
-    except ProtocolError as exc:
-        return False, str(exc)
-    if opt is None or not eval_constraint(side.nu, opt.guard):
-        return False, f"{tag} queue head {side.queue[0]} not receivable now"
-    drained = QConfig(apply_reset(side.nu, opt.resets), opt.continuation,
-                      side.queue[1:])
-    rebuilt = System(drained, other) if tag == "left" else System(other, drained)
-    return _compatible(rebuilt, memo, canon)
+    if left.nu.keys() != right.nu.keys() and not (left.queue or right.queue):
+        return False, "valuations differ with empty queues"
+    return _compatible(*_stepper(sys)[:2], {})
+
+
+def _compatible(space: _Space, state: tuple, memo: Dict) -> Tuple[bool, str]:
+    """`compatible` on a state of space: the queued side drained by the
+    explorer's own receive move, the valuations compared after
+    ``space.canon`` (so that inactive clocks do not count; without a cap it
+    only reduces them), and in ``memo`` the duality of each printed pair."""
+    if state[3] and state[6]:
+        return False, "both queues non-empty"
+    while state[3] or state[6]:
+        tag, kind, queue = (("left", "recv-l", state[3]) if state[3]
+                            else ("right", "recv-r", state[6]))
+        try:
+            sides = space.sides(state)
+        except ProtocolError as exc:
+            return False, str(exc)
+        drained = next((succ for action, succ, _ in space.moves(state, *sides)
+                        if action[0] == kind), None)
+        if drained is None:
+            return False, f"{tag} queue head {queue[0]} not receivable now"
+        state = drained
+    _, left, pl, _, right, pr, _ = space.canon(state)
+    if left != right:
+        return False, "valuations differ with empty queues"
+    if (pl, pr) not in memo:
+        memo[pl, pr] = _sem_equal_rec(space.heads[pl].node,
+                                      dual(space.heads[pr].node), frozenset())
+    if not memo[pl, pr]:
+        return False, "types are not dual"
+    return True, "dual types and same clock valuations"
 
 
 # ---------------------------------------------------------------------------
@@ -800,7 +802,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
     The exploration runs on the int states of one ``_Space`` (region
     representatives on diagonal-free systems, so exploration terminates),
     memoized as they are; a state is rendered to a digest only for a trace
-    or a monitor message, and converted to a System only for the monitor.
+    or a monitor message.
     Exceeding any bound makes the verdict bound-exceeded, never ok.
     """
     limits = limits or ExploreLimits()
@@ -828,19 +830,19 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
         steps.reverse()
         return steps
 
-    # the types of one exploration are stable objects, and monitor mode asks
-    # for the duality of the same few pairs of them on every state
+    # monitor mode asks for the duality of the same few pairs of heads on
+    # every state
     dual_memo: Dict = {}
 
     def monitor_state(key: tuple) -> None:
-        state = space.system(key)
-        for tag, qc in (("left", state.left), ("right", state.right)):
-            dirs = {opt.direction for opt in unfold_head(qc.node).options
-                    if eval_constraint(qc.nu, opt.guard)}
-            if len(dirs) > 1:
+        scale, *points = space.points(key)
+        for tag, printed, point in zip(("left", "right"), key[2::3], points):
+            head = space.stepping(printed)
+            if all(any(holds_at(opt.zones, point, scale) for opt in opts)
+                   for opts in (head.sends, head.receives.values())):
                 violations.append(f"send and receive both enabled on {tag} "
                                   f"at {render(key)}")
-        ok, why = _compatible(state, dual_memo, space.canonical)
+        ok, why = _compatible(space, key, dual_memo)
         if not ok:
             violations.append(
                 f"incompatible state ({why}) at {render(key)}")

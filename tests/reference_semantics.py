@@ -10,6 +10,9 @@ against them:
 * layer two, configurations with queues: ``qconfig_steps`` sends as layer
   one does and receives the queue head, and ``enqueue`` appends to a
   queue;
+* layer three, compatibility: ``compatible`` drains the queued side one
+  receive at a time and compares the valuations after a state map and the
+  types up to duality;
 * ``option``, a choice option with the defaults of a bare send or
   receive;
 * ``widened``, a canonical zone over more clocks;
@@ -23,15 +26,18 @@ Nothing here imports the int kernel (``_Space`` and the point readers of
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import is_
-from typing import Iterable, List, Tuple
+from typing import Callable, Iterable, List, Tuple
 
 from timedsessions.constraints import (TRUE, Constraint, Valuation,
                                        apply_reset, eval_constraint, shift)
 from timedsessions.processes import (Par, ProcNode, _normal_node,
                                      format_process, map_children)
-from timedsessions.semantics import Message, QConfig, _head_receive_option
+from timedsessions.errors import ProtocolError
+from timedsessions.semantics import (Message, QConfig, System,
+                                     _head_receive_option, _sem_equal_rec)
 from timedsessions.sessiontypes import (END, NONE, RECV, SEND, ChoiceOption,
-                                        PayloadSort, TypeNode, unfold_head)
+                                        PayloadSort, TypeNode, dual,
+                                        unfold_head)
 from timedsessions.zones import LE_ZERO, Zone
 
 # ---------------------------------------------------------------------------
@@ -94,6 +100,41 @@ def qconfig_steps(qc: QConfig) -> List[Tuple[CommAction, QConfig]]:
                     QConfig(apply_reset(qc.nu, opt.resets), opt.continuation,
                             qc.queue[1:])))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Systems
+# ---------------------------------------------------------------------------
+
+def compatible(sys: System,
+               canon: Callable[[System], System]) -> Tuple[bool, str]:
+    """System compatibility with the valuations of clause (2) compared
+    after the state map canon: (1) at most one queue is non-empty; (2) if
+    both are empty the valuations agree and the types are dual; (3)/(4) a
+    queued head message is receivable now and the drained system is
+    compatible again."""
+    left, right = sys.left, sys.right
+    if left.queue and right.queue:
+        return False, "both queues non-empty"
+    if not left.queue and not right.queue:
+        mapped = canon(sys)
+        if mapped.left.nu != mapped.right.nu:
+            return False, "valuations differ with empty queues"
+        if not _sem_equal_rec(left.node, dual(right.node), frozenset()):
+            return False, "types are not dual"
+        return True, "dual types and same clock valuations"
+    side, other, tag = ((left, right, "left") if left.queue
+                        else (right, left, "right"))
+    try:
+        opt = _head_receive_option(side)
+    except ProtocolError as exc:
+        return False, str(exc)
+    if opt is None or not eval_constraint(side.nu, opt.guard):
+        return False, f"{tag} queue head {side.queue[0]} not receivable now"
+    drained = QConfig(apply_reset(side.nu, opt.resets), opt.continuation,
+                      side.queue[1:])
+    return compatible(System(drained, other) if tag == "left"
+                      else System(other, drained), canon)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The references stay independent of the kernels they check.
 
-``reference_semantics`` is the oracle the int explorer and the zones are
-checked against, so it must reach no part of them: not the int state
-space of ``semantics`` nor the point readers of ``zones``.
+``reference_semantics`` is the oracle the int explorer, the zones and the
+int compatibility walk are checked against, so it must reach no part of
+them: not the int state space of ``semantics``, its compatibility walk
+on int states, nor the point readers of ``zones``.
 ``term_reference`` is the oracle ``processes.run`` is checked against: it
 classifies and reduces leaves with its own ``_classify`` and ``_reduce``,
 so it must reach none of the run's step records, thread and buffer
@@ -13,8 +14,8 @@ names one of them fails here.
 import ast
 from pathlib import Path
 
-KERNEL = {"_Space", "_Head", "_Option", "_region", "_stepper", "holds_at",
-          "window_at", "int_point"}
+KERNEL = {"_Space", "_Head", "_Option", "_region", "_stepper", "_compatible",
+          "holds_at", "window_at", "int_point"}
 
 RUN = {"step_record", "_compile", "_Record", "run_prologue", "_take",
        "_activate", "_Thread", "_Queue", "_Clock", "_layout",
@@ -35,16 +36,22 @@ def names_in(reference: str) -> set:
     return names
 
 
+def defined_in(reference: str) -> set:
+    path = Path(__file__).resolve().parent / reference
+    return {node.name for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+
+
 def test_the_reference_names_nothing_of_the_int_kernel():
     names = names_in("reference_semantics.py")
     assert "eval_constraint" in names  # the walk reads the module
+    assert {"qconfig_steps", "compatible"} <= defined_in(
+        "reference_semantics.py")  # its own steps and compatibility walk
     assert names & KERNEL == set()
 
 
 def test_the_term_reference_names_nothing_of_the_run():
     names = names_in("term_reference.py")
-    path = Path(__file__).resolve().parent / "term_reference.py"
-    defined = {node.name for node in ast.parse(path.read_text()).body
-               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
-    assert {"_classify", "_reduce", "Redex"} <= defined  # its own step
+    assert {"_classify", "_reduce", "Redex"} <= defined_in(
+        "term_reference.py")  # its own step
     assert names & RUN == set()
