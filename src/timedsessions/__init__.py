@@ -13,8 +13,8 @@ from importlib import import_module as _import_module
 
 # Each public name and the module that defines it.
 _ORIGIN = {name: module for module, names in (
-    ("constraints", "Valuation apply_reset boundary_delays eval_constraint "
-                    "shift zero_valuation"),
+    ("constraints", "Valuation boundary_delays eval_constraint shift "
+                    "zero_valuation"),
     ("parser", "parse_constraint parse_process parse_spec_file parse_type "
                "parse_valuation"),
     ("processes", "RunPolicy RunStatus eval_timeout neq_set phi run "

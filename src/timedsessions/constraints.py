@@ -35,7 +35,8 @@ class TrueC:
 
 
 def format_rational(value: Fraction) -> str:
-    """Render a Fraction so that parse_rational(format_rational(q)) == q."""
+    """Render a Fraction so that parse_rationals(format_rational(q)) ==
+    [q]."""
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
@@ -188,15 +189,6 @@ def shift(nu: Mapping[str, Fraction], t: Fraction) -> Valuation:
     if t < 0:
         raise ValueError(f"cannot shift by negative time {t}")
     return {name: value + t for name, value in nu.items()}
-
-
-def apply_reset(nu: Mapping[str, Fraction], resets) -> Valuation:
-    """Zero the clocks in the reset set, leaving the others unchanged."""
-    resets = set(resets)
-    unknown = resets - set(nu)
-    if unknown:
-        raise SpecError(f"reset of undeclared clock(s): {sorted(unknown)}")
-    return {name: Fraction(0) if name in resets else value for name, value in nu.items()}
 
 
 def eval_constraint(nu: Mapping[str, Fraction], c: Constraint) -> bool:

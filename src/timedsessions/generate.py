@@ -1,8 +1,7 @@
-"""Seeded random generators for constraints and types.
+"""Seeded random session types.
 
-Used by the property and acceptance suites and the benchmark: random
-constraints exercise the zone engine against the structural evaluator, and
-random types feed the well-formedness and empirical progress checks.
+Used by the acceptance suite and the benchmark: random types feed the
+well-formedness and empirical progress checks.
 """
 
 from __future__ import annotations
@@ -14,15 +13,11 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from .constraints import (
     And,
     Constraint,
-    Not,
-    Or,
     TRUE,
-    atom_eq,
     atom_ge,
     atom_gt,
     atom_le,
     atom_lt,
-    atom_ne,
 )
 from .sessiontypes import (
     Choice,
@@ -37,41 +32,6 @@ from .sessiontypes import (
     WfReport,
     check_well_formed,
 )
-
-HALVES = [Fraction(n, 2) for n in range(0, 11)]
-
-
-def random_valuation(rng: random.Random, clocks: Sequence[str],
-                     values: Sequence[Fraction] = HALVES):
-    return {clock: rng.choice(values) for clock in clocks}
-
-
-_ATOM_BUILDERS = (atom_gt, atom_eq, atom_lt, atom_le, atom_ge, atom_ne)
-
-
-def random_constraint(rng: random.Random, clocks: Sequence[str],
-                      constants: Sequence[Fraction] = HALVES,
-                      max_depth: int = 3, diagonals: bool = True) -> Constraint:
-    def go(depth: int) -> Constraint:
-        roll = rng.random()
-        if depth <= 0 or roll < 0.45:
-            clock = rng.choice(clocks)
-            sub = None
-            if diagonals and len(clocks) > 1 and rng.random() < 0.25:
-                sub = rng.choice([c for c in clocks if c != clock])
-            return rng.choice(_ATOM_BUILDERS)(clock, rng.choice(constants), sub)
-        if roll < 0.60:
-            return Not(go(depth - 1))
-        if roll < 0.85:
-            return And(go(depth - 1), go(depth - 1))
-        return Or(go(depth - 1), go(depth - 1))
-
-    return go(max_depth)
-
-
-# ---------------------------------------------------------------------------
-# Types
-# ---------------------------------------------------------------------------
 
 _LABELS = "abcdefgh"
 

@@ -510,14 +510,9 @@ def _parse_program(parser: _Parser) -> ProcNode:
     return parse_program(parser)
 
 
-def parse_rational(source: str) -> Fraction:
-    """Parse one number as the DSL writes it: ``p``, ``p/q`` or a finite
-    decimal, possibly negative."""
-    return _parse_all(source, _Parser.parse_number)
-
-
 def parse_rationals(source: str) -> List[Fraction]:
-    """Parse comma-separated numbers, as ``parse_rational`` reads each."""
+    """Parse comma-separated numbers, each as the DSL writes it: ``p``,
+    ``p/q`` or a finite decimal, possibly negative."""
     return _parse_all(
         source, lambda parser: parser.separated(parser.parse_number, ","))
 

@@ -167,20 +167,12 @@ class IfTimer(_Node):
     then_branch: "ProcNode"
     else_branch: "ProcNode"
 
-    @cached_property
-    def cond_text(self) -> str:
-        return str(self.cond)
-
 
 @dataclass(frozen=True)
 class DelayConstraint(_Node):
     var: str
     cond: Constraint
     cont: "ProcNode"
-
-    @cached_property
-    def cond_text(self) -> str:
-        return str(self.cond)
 
     @cached_property
     def candidates(self) -> Tuple[Fraction, ...]:
@@ -720,8 +712,8 @@ def _compile(node: ProcNode) -> _Record:
         return _Record(None, after=(node.duration.numerator,
                                     node.duration.denominator, ()))
     if kind is IfTimer:
-        return _Record("if", (f"if ({node.cond_text}) -> then",
-                              f"if ({node.cond_text}) -> else"),
+        return _Record("if", (f"if ({node.cond}) -> then",
+                              f"if ({node.cond}) -> else"),
                        (node.then_branch, node.else_branch),
                        test=int_test(node.cond))
     if kind is SetTimer:
@@ -753,13 +745,12 @@ def resolve_active(root: ProcNode, rho: Mapping[str, Fraction]) -> ProcNode:
 # The run's time: an int clock and the instants the timers were set
 # ---------------------------------------------------------------------------
 
-class _Clock(Mapping[str, Fraction]):
+class _Clock:
     """The time of a run, ``now``, in units of 1/``scale``, fixed before the
     first step (``_run_scale``) so that every instant the run reaches is a
     whole number of units, and its timers, each kept in ``set_at`` as the
-    instant it was set, which an ``if``'s int test reads.  Read as a
-    mapping, as ``eval_timeout`` and ``phi`` read timers, it gives each
-    timer's value now."""
+    instant it was set, which an ``if``'s int test reads.  ``timers`` gives
+    each timer's value now, as ``eval_timeout`` and ``phi`` read timers."""
 
     __slots__ = ("now", "scale", "set_at")
 
@@ -769,17 +760,9 @@ class _Clock(Mapping[str, Fraction]):
     def time(self, units: int) -> Fraction:
         return Fraction(units, self.scale)
 
-    def __getitem__(self, name: str) -> Fraction:
-        return Fraction(self.now - self.set_at[name], self.scale)
-
-    def __contains__(self, name: object) -> bool:
-        return name in self.set_at
-
-    def __iter__(self):
-        return iter(self.set_at)
-
-    def __len__(self) -> int:
-        return len(self.set_at)
+    def timers(self) -> TimerEnv:
+        return {name: self.time(self.now - at)
+                for name, at in self.set_at.items()}
 
 
 def _run_scale(program: ProcNode) -> int:
@@ -903,7 +886,7 @@ def _activate(leaf: ProcNode, clock: _Clock
     ``eval_timeout`` does, in ints; a definition, whose continuation is
     active, resolves the timeouts of the receives there."""
     if type(leaf) is Def:
-        return resolve_active(leaf, clock), None
+        return resolve_active(leaf, clock.timers()), None
     after = leaf.step_record.after
     if after is None:
         return leaf, None
@@ -951,7 +934,7 @@ def _take(thread: _Thread, clock: _Clock, picker: _DelayPicker
         if out is None:
             out = record.table[t] = (
                 _normal_node(DelayExact(t, leaf.cont)),
-                f"det delay({format_rational(t)}) for {leaf.cond_text}")
+                f"det delay({format_rational(t)}) for {leaf.cond}")
         return out
     elif kind == "def":
         thread.defs[leaf.name] = leaf
@@ -1086,8 +1069,9 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     into the layout in place of its thread, each new thread with a copy of
     its definitions.  An ``if`` is decided in ints, by the test its step
     record holds; ``Fraction`` is left to the durations a ``delay(c)``
-    picks, the timeouts a definition resolves, a time step's duration as
-    ``phi`` reads and the trace prints it, the built term and the result.
+    picks, the timers a definition's timeouts and ``phi`` read, built only
+    for them (``_Clock.timers``), a time step's duration as ``phi`` reads
+    and the trace prints it, the built term and the result.
     A run whose threads are all ``end`` and whose buffers are all empty has
     completed, out of fuel too.
     """
@@ -1105,7 +1089,7 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
 
     def result(status: str, detail: str) -> RunResult:
         return RunResult(status, detail, trace, clock.time(clock.now),
-                         _build(root), dict(clock))
+                         _build(root), clock.timers())
 
     def completed() -> bool:
         return (all(type(thread.leaf) is PEnd for thread in threads)
@@ -1181,10 +1165,10 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         try:
             # only a non-empty buffer can fail phi's Par premise
             if any(queue.items for queue in queues):
-                phi(t, _build(root), clock)
+                phi(t, _build(root), clock.timers())
             for thread in threads:  # phi names a leaf that blocks time
                 if type(thread.leaf) not in _TIMED:
-                    phi(t, thread.leaf, clock)
+                    phi(t, thread.leaf, clock.timers())
         except PhiUndefined as exc:
             return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
         clock.now = then

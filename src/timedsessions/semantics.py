@@ -33,14 +33,14 @@ compat, the monitor and simulate all run the int relation.  ``Fraction``
 remains only at the boundary: the digest text (``render_key``), the t of
 a wait action, and the public converters onto the int step relation
 (``system_steps``, ``admissible_delays``, ``region_canonical``,
-``canonicaliser``, ``state_key``, ``digest_system``).  A system's grid
-d, cap and horizon come from one walk of its guard atoms, ``_Space.of``,
-which the explorer, ``canonicaliser``, ``default_horizon`` and the steps
-without the region map (``_stepper``) all read.  ``qconfig_time`` stays
-the single-delay time rule in ``Fraction``.  The step rules of layers
-one and two and the compatibility walk in ``Fraction`` are the test
-suite's reference (``tests/reference_semantics.py``), which the int
-relation is checked against.
+``state_key``, ``digest_system``).  A system's grid d, cap and horizon
+come from one walk of its guard atoms, ``_Space.of``, which the
+explorer, ``default_horizon`` and the steps without the region map
+(``_stepper``) all read.  ``qconfig_time`` stays the single-delay time
+rule in ``Fraction``.  The step rules of layers one and two and the
+compatibility walk in ``Fraction`` are the test suite's reference
+(``tests/reference_semantics.py``), which the int relation is checked
+against.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .constraints import (
     Valuation,
@@ -684,7 +684,7 @@ def system_steps(sys: System, horizon: Optional[Fraction] = None
 
 def _sem_equal_rec(a: TypeNode, b: TypeNode, assumed) -> bool:
     """Coinductive equality up to unfolding, with guards compared as zone
-    sets rather than syntax."""
+    sets rather than syntax; equal guards need no zones."""
     if (a, b) in assumed:
         return True
     assumed = assumed | {(a, b)}
@@ -697,7 +697,8 @@ def _sem_equal_rec(a: TypeNode, b: TypeNode, assumed) -> bool:
         if (ob is None or oa.direction != ob.direction
                 or oa.resets != ob.resets
                 or not _payload_equal(oa.payload, ob.payload, assumed)
-                or not constraint_equiv(oa.guard, ob.guard)
+                or (oa.guard != ob.guard
+                    and not constraint_equiv(oa.guard, ob.guard))
                 or not _sem_equal_rec(oa.continuation, ob.continuation,
                                       assumed)):
             return False
@@ -708,7 +709,8 @@ def _payload_equal(a: PayloadSort, b: PayloadSort, assumed) -> bool:
     if isinstance(a, Delegate) != isinstance(b, Delegate):
         return False
     if isinstance(a, Delegate):
-        return (constraint_equiv(a.init_constraint, b.init_constraint)
+        return ((a.init_constraint == b.init_constraint
+                 or constraint_equiv(a.init_constraint, b.init_constraint))
                 and _sem_equal_rec(a.session, b.session, assumed))
     return a == b
 
@@ -733,21 +735,38 @@ def _compatible(space: _Space, state: tuple, memo: Dict) -> Tuple[bool, str]:
     """`compatible` on a state of space: the queued side drained by the
     explorer's own receive move, the valuations compared after
     ``space.canon`` (so that inactive clocks do not count; without a cap it
-    only reduces them), and in ``memo`` the duality of each printed pair."""
+    only reduces them).  ``memo`` keeps the duality of each printed pair
+    and the answer of each state with a queue, which is the answer of the
+    state it drains to, so a drain stops at the first state answered."""
     if state[3] and state[6]:
         return False, "both queues non-empty"
-    while state[3] or state[6]:
+    chain = []
+    answer = memo.get(state)
+    while answer is None and (state[3] or state[6]):
+        chain.append(state)
         tag, kind, queue = (("left", "recv-l", state[3]) if state[3]
                             else ("right", "recv-r", state[6]))
         try:
             sides = space.sides(state)
         except ProtocolError as exc:
-            return False, str(exc)
-        drained = next((succ for action, succ, _ in space.moves(state, *sides)
-                        if action[0] == kind), None)
-        if drained is None:
-            return False, f"{tag} queue head {queue[0]} not receivable now"
-        state = drained
+            answer = False, str(exc)
+            break
+        state = next((succ for action, succ, _ in space.moves(state, *sides)
+                      if action[0] == kind), None)
+        if state is None:
+            answer = False, f"{tag} queue head {queue[0]} not receivable now"
+            break
+        answer = memo.get(state)
+    if answer is None:
+        answer = _drained_compatible(space, state, memo)
+    for each in chain:
+        memo[each] = answer
+    return answer
+
+
+def _drained_compatible(space: _Space, state: tuple,
+                        memo: Dict) -> Tuple[bool, str]:
+    """`_compatible` on a state whose queues are empty."""
     _, left, pl, _, right, pr, _ = space.canon(state)
     if left != right:
         return False, "valuations differ with empty queues"
@@ -774,16 +793,6 @@ def region_canonical(sys: System, cap: Fraction, scale: int = 1) -> System:
     makes integers (Alur & Dill 1994, with the per-location ceilings of
     Behrmann, Bouyer, Fleury & Larsen 2003); at scale 1, integer regions."""
     return _Space(sorted(sys.left.nu), scale, Fraction(cap)).canonical(sys)
-
-
-def canonicaliser(sys: System) -> Callable[[System], System]:
-    """The state map of ``check_progress`` on sys: ``region_canonical`` at
-    the LCM of the guard constants' denominators, capped one above the
-    largest constant and per clock one above the ceilings of each side's
-    head, or the identity when a guard compares two clocks (these regions
-    are not sound for diagonal guards)."""
-    space = _Space.of(sys)[0]
-    return (lambda state: state) if space.cap is None else space.canonical
 
 
 def digest_system(sys: System) -> str:

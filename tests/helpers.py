@@ -1,5 +1,5 @@
-"""Shared sampling oracles, the head-graph walk and the counterexample
-replay of the test suite.
+"""Shared sampling oracles, seeded random constraints and valuations, the
+head-graph walk and the counterexample replay of the test suite.
 
 The oracles deliberately avoid the zone engine: satisfaction is decided by
 the structural evaluator over grids of exact rationals, so the zone-based
@@ -9,17 +9,49 @@ operations can be checked against an independent route.
 from __future__ import annotations
 
 import itertools
+import random
 import re
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Sequence
+from typing import Callable, Iterable, List, Mapping, Sequence
 
-from timedsessions.constraints import Constraint, eval_constraint, shift
-from timedsessions.semantics import (canonicaliser, default_horizon,
+from timedsessions.constraints import (And, Constraint, Not, Or, atom_eq,
+                                       atom_ge, atom_gt, atom_le, atom_lt,
+                                       atom_ne, eval_constraint, shift)
+from timedsessions.semantics import (System, _Space, default_horizon,
                                      digest_system, system_steps,
                                      unfold_head)
 
 QUARTERS = [Fraction(n, 4) for n in range(0, 29)]  # 0 .. 7 in quarter steps
 TWELFTHS = [Fraction(n, 12) for n in range(0, 85)]  # 0 .. 7 in twelfth steps
+HALVES = [Fraction(n, 2) for n in range(0, 11)]
+
+
+def random_valuation(rng: random.Random, clocks: Sequence[str],
+                     values: Sequence[Fraction] = HALVES):
+    return {clock: rng.choice(values) for clock in clocks}
+
+
+_ATOM_BUILDERS = (atom_gt, atom_eq, atom_lt, atom_le, atom_ge, atom_ne)
+
+
+def random_constraint(rng: random.Random, clocks: Sequence[str],
+                      constants: Sequence[Fraction] = HALVES,
+                      max_depth: int = 3, diagonals: bool = True) -> Constraint:
+    def go(depth: int) -> Constraint:
+        roll = rng.random()
+        if depth <= 0 or roll < 0.45:
+            clock = rng.choice(clocks)
+            sub = None
+            if diagonals and len(clocks) > 1 and rng.random() < 0.25:
+                sub = rng.choice([c for c in clocks if c != clock])
+            return rng.choice(_ATOM_BUILDERS)(clock, rng.choice(constants), sub)
+        if roll < 0.60:
+            return Not(go(depth - 1))
+        if roll < 0.85:
+            return And(go(depth - 1), go(depth - 1))
+        return Or(go(depth - 1), go(depth - 1))
+
+    return go(max_depth)
 
 
 def grid_valuations(clocks: Sequence[str],
@@ -61,6 +93,15 @@ def head_graph(node, limit=100):
         heads[id(head)] = head
         stack.extend(unfold_head(o.continuation) for o in head.options)
     return list(heads.values())
+
+
+def canonicaliser(system: System) -> Callable[[System], System]:
+    """The state map of ``check_progress`` on system, from its
+    ``_Space.of``: each state mapped to its region representative in that
+    space, or the identity when a guard compares two clocks (the space
+    then has no cap)."""
+    space = _Space.of(system)[0]
+    return (lambda state: state) if space.cap is None else space.canonical
 
 
 def replays_to_stuck(system, trace) -> bool:

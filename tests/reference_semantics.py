@@ -5,6 +5,7 @@ The package runs the layered semantics only through the int explorer of
 types and valuations, and the suite checks the explorer and the zones
 against them:
 
+* ``apply_reset``, which zeroes the clocks an option resets;
 * layer one, configurations: ``config_comm_steps`` fires each option whose
   guard ``eval_constraint`` holds, and ``config_tick`` lets time pass;
 * layer two, configurations with queues: ``qconfig_steps`` sends as layer
@@ -26,13 +27,13 @@ Nothing here imports the int kernel (``_Space`` and the point readers of
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import is_
-from typing import Callable, Iterable, List, Tuple
+from typing import Callable, Iterable, List, Mapping, Tuple
 
 from timedsessions.constraints import (TRUE, Constraint, Valuation,
-                                       apply_reset, eval_constraint, shift)
+                                       eval_constraint, shift)
 from timedsessions.processes import (Par, ProcNode, _normal_node,
                                      format_process, map_children)
-from timedsessions.errors import ProtocolError
+from timedsessions.errors import ProtocolError, SpecError
 from timedsessions.semantics import (Message, QConfig, System,
                                      _head_receive_option, _sem_equal_rec)
 from timedsessions.sessiontypes import (END, NONE, RECV, SEND, ChoiceOption,
@@ -43,6 +44,15 @@ from timedsessions.zones import LE_ZERO, Zone
 # ---------------------------------------------------------------------------
 # Configurations
 # ---------------------------------------------------------------------------
+
+
+def apply_reset(nu: Mapping[str, Fraction], resets) -> Valuation:
+    """Zero the clocks in the reset set, leaving the others unchanged."""
+    resets = set(resets)
+    unknown = resets - set(nu)
+    if unknown:
+        raise SpecError(f"reset of undeclared clock(s): {sorted(unknown)}")
+    return {name: Fraction(0) if name in resets else value for name, value in nu.items()}
 
 
 @dataclass(frozen=True)

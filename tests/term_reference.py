@@ -153,9 +153,9 @@ def _classify(node: ProcNode, buffers: Buffers,
             return Redex("recv", f"{node.endpoint} after-timeout", node)
         return None
     if kind is IfTimer:
-        return Redex("if", node.cond_text, node)
+        return Redex("if", str(node.cond), node)
     if kind is DelayConstraint:
-        return Redex("det", node.cond_text, node)
+        return Redex("det", str(node.cond), node)
     if kind is Call:
         return Redex("call", node.name, node)
     if kind is PErr:

@@ -8,16 +8,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from helpers import QUARTERS, replays_to_stuck
+from helpers import (HALVES, QUARTERS, random_constraint, random_valuation,
+                     replays_to_stuck)
 from reference_semantics import struct_normalize
 from term_reference import random_phi_term
 from timedsessions.constraints import eval_constraint, shift, zero_valuation
 from timedsessions.generate import (
-    HALVES,
     ill_formed_types,
-    random_constraint,
     random_type,
-    random_valuation,
     well_formed_types,
 )
 from timedsessions.parser import parse_constraint, parse_spec_file

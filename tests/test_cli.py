@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import random_constraint
 from timedsessions.cli import main
 from timedsessions.constraints import And, Not, Or
 from timedsessions.errors import ParseError
-from timedsessions.generate import random_constraint
 from timedsessions.parser import MAX_NESTING, parse_constraint, parse_type
 from timedsessions.sessiontypes import format_type
 

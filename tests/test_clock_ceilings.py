@@ -18,14 +18,13 @@ from pathlib import Path
 
 import pytest
 
-from helpers import head_graph, scaled_type
+from helpers import canonicaliser, head_graph, scaled_type
 from timedsessions.constraints import atoms_of
 from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import (
     ExploreLimits,
     QConfig,
     System,
-    canonicaliser,
     check_progress,
     default_horizon,
     make_system,

@@ -17,12 +17,15 @@ from pathlib import Path
 import pytest
 
 import reference_semantics
+from helpers import canonicaliser
+from timedsessions import semantics, zones
+from timedsessions.cli import main
 from timedsessions.errors import SpecError
 from timedsessions.parser import parse_type
 from timedsessions.semantics import (ExploreLimits, Message, QConfig, System,
-                                     canonicaliser, check_progress,
-                                     compatible, default_horizon,
-                                     digest_system, make_system, system_steps)
+                                     check_progress, compatible,
+                                     default_horizon, digest_system,
+                                     make_system, system_steps)
 from timedsessions.sessiontypes import NONE, dual
 
 CORPORA = Path(__file__).resolve().parent.parent / "perfbench" / "corpus"
@@ -135,3 +138,44 @@ def test_sides_on_different_clocks():
         False, "both queues non-empty")
     with pytest.raises(SpecError, match="different clocks"):
         compatible(System(left, QConfig({"y": 0}, dual(node), queued)))
+
+
+def calls_of(monkeypatch, owner, name: str) -> list:
+    """A list that grows by one on each call of owner.name."""
+    calls, original = [], getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_compat_compares_equal_guards_without_zones(tmp_path, capsys,
+                                                    monkeypatch):
+    # the guard negates six equalities over six clocks: 2^6 zones, and one
+    # zone_minus per pair of zones to compare it as zone sets
+    clocks = [f"c{i}" for i in range(6)]
+    guard = " and ".join(f"not ({clock}=1)" for clock in clocks)
+    spec = tmp_path / "probe.toast"
+    spec.write_text(f"clocks {', '.join(clocks)};\n"
+                    f"type T = !a({guard}).end\n"
+                    "system s = T | dual of T\n")
+    calls = calls_of(monkeypatch, zones, "zone_minus")
+    assert main(["compat", str(spec), "s"]) == 0
+    assert capsys.readouterr().out.startswith("s: compatible (")
+    assert calls == []
+
+
+def test_the_monitor_drains_each_state_once(monkeypatch):
+    # state k queues k messages m; its drain ends at state k-1, answered
+    # already, so each state costs a bounded number of sides
+    node = parse_type("rec a . !m.a")
+    calls = calls_of(monkeypatch, semantics._Space, "sides")
+    report = check_progress(make_system(node, dual(node)),
+                            ExploreLimits(max_depth=3000, max_queue=200),
+                            monitor=True)
+    assert (report.verdict, report.states_visited) == ("bound-exceeded", 201)
+    assert report.invariant_violations == []
+    assert len(calls) <= 3 * report.states_visited

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import random_constraint, random_valuation
+from reference_semantics import apply_reset
 from timedsessions.constraints import (
-    apply_reset,
     boundary_delays,
     eval_constraint,
     format_rational,
@@ -14,7 +15,7 @@ from timedsessions.constraints import (
     zero_valuation,
 )
 from timedsessions.errors import SpecError
-from timedsessions.parser import parse_constraint, parse_rational
+from timedsessions.parser import parse_constraint, parse_rationals
 
 F = Fraction
 
@@ -109,16 +110,15 @@ def test_rational_round_trip():
     rng = random.Random(7)
     for _ in range(500):
         q = F(rng.randint(-1000, 1000), rng.randint(1, 99))
-        assert parse_rational(format_rational(q)) == q
-    assert parse_rational("1.5") == F(3, 2)
-    assert parse_rational("3/2") == F(3, 2)
+        assert parse_rationals(format_rational(q)) == [q]
+    assert parse_rationals("1.5") == [F(3, 2)]
+    assert parse_rationals("3/2") == [F(3, 2)]
 
 
 def test_boundary_samples_complete_for_integer_guards():
     # the boundary/midpoint/beyond samples reach a satisfying instant iff
     # the dense quarter-step grid does (region completeness for this class)
     rng = random.Random(43)
-    from timedsessions.generate import random_constraint, random_valuation
     from timedsessions.constraints import shift
 
     ints = [F(n) for n in range(6)]

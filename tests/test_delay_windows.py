@@ -24,13 +24,14 @@ from pathlib import Path
 
 import pytest
 
+from helpers import random_constraint
 from reference_semantics import option
 from timedsessions import constraints, semantics, sessiontypes, zones
 from timedsessions.constraints import (TRUE, Not, atom_eq, atom_ge, atom_gt,
                                        atom_le, atom_lt, conj, sample_delays,
                                        shift)
 from timedsessions.errors import ProtocolError
-from timedsessions.generate import random_constraint, well_formed_types
+from timedsessions.generate import well_formed_types
 from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import (Message, QConfig, System, _action,
                                      _stepper, qconfig_time, unfold_head)

@@ -11,9 +11,10 @@ constraint.
 import random
 from fractions import Fraction
 
+from helpers import random_constraint
 from reference_semantics import option
 from timedsessions.constraints import eval_constraint
-from timedsessions.generate import random_constraint, random_type
+from timedsessions.generate import random_type
 from timedsessions.sessiontypes import (RECV, SEND, Choice, End,
                                         check_well_formed, dual, gamma,
                                         gamma_head)

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import scaled_type
+from helpers import canonicaliser, scaled_type
 from reference_semantics import enqueue, qconfig_steps
 from timedsessions.constraints import sample_delays
 from timedsessions.errors import ProtocolError
@@ -36,7 +36,6 @@ from timedsessions.semantics import (
     Message,
     _head_receive_option,
     _Space,
-    canonicaliser,
     check_progress,
     default_horizon,
     make_system,

@@ -6,11 +6,12 @@ from pathlib import Path
 
 import pytest
 
+from helpers import canonicaliser, random_valuation
 from reference_semantics import (Config, config_comm_steps, config_tick,
                                  enqueue, qconfig_steps)
 from timedsessions.constraints import zero_valuation
 from timedsessions.errors import ProtocolError
-from timedsessions.generate import random_type, random_valuation
+from timedsessions.generate import random_type
 from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import (
     ExploreLimits,
@@ -18,7 +19,6 @@ from timedsessions.semantics import (
     QConfig,
     System,
     admissible_delays,
-    canonicaliser,
     check_progress,
     compatible,
     default_horizon,

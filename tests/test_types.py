@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import QUARTERS, head_graph
+from helpers import QUARTERS, canonicaliser, head_graph
 from timedsessions.constraints import eval_constraint, shift, zero_valuation
 from timedsessions.errors import ParseError
 from timedsessions.generate import random_type, well_formed_types
@@ -295,7 +295,7 @@ def test_delegation_round_trip():
 
 
 def test_type_walks_look_through_delegation_except_for_clocks():
-    from timedsessions.semantics import canonicaliser, make_system
+    from timedsessions.semantics import make_system
     from timedsessions.sessiontypes import max_constant, type_clocks
 
     node = parse_type("!a<(z<1, ?b(z-w>7/2).end)>(x<2).end")

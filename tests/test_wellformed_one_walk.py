@@ -18,11 +18,12 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from helpers import random_valuation
 from reference_semantics import widened
 from test_wellformed_pinned import HAND_WRITTEN
 from timedsessions.constraints import clocks_of, eval_constraint, zero_valuation
 from timedsessions.errors import SpecError
-from timedsessions.generate import random_type, random_valuation
+from timedsessions.generate import random_type
 from timedsessions.parser import parse_type
 from timedsessions.sessiontypes import (Choice, Delegate, End, Rec, TypeNode,
                                         Var, Violation, WfReport, _WfChecker,

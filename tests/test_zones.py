@@ -4,14 +4,17 @@ import random
 from fractions import Fraction
 
 from helpers import (
+    HALVES,
     QUARTERS,
     TWELFTHS,
     grid_valuations,
     past_by_sampling,
+    random_constraint,
+    random_valuation,
     sat_by_sampling,
 )
-from timedsessions.constraints import apply_reset, eval_constraint, shift
-from timedsessions.generate import HALVES, random_constraint, random_valuation
+from reference_semantics import apply_reset
+from timedsessions.constraints import eval_constraint, shift
 from timedsessions.parser import parse_constraint
 from timedsessions.zones import (
     constraint_equiv,

@@ -14,9 +14,10 @@ disjunction of its guards.
 import random
 from fractions import Fraction
 
+from helpers import random_constraint
 from reference_semantics import option, widened
 from timedsessions.constraints import And, disj
-from timedsessions.generate import random_constraint, random_type
+from timedsessions.generate import random_type
 from timedsessions.semantics import unfold_head
 from timedsessions.sessiontypes import RECV, SEND, Choice, dual
 from timedsessions.zones import (
