@@ -10,26 +10,85 @@ disjunction of guards.
 Satisfaction is decided here by direct structural evaluation over exact
 rationals.  The zone machinery in :mod:`timedsessions.zones` provides the
 canonical decision form; the two are kept independent so each can serve as
-an oracle for the other.
+an oracle for the other.  ``Struct``, the base of every value class of the
+package, lives here, in the module that every layer imports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Callable, Dict, Iterator, Mapping, Set, Union
 
 from .errors import SpecError
 
 Valuation = Dict[str, Fraction]
 
+_SET = object.__setattr__
+
+
+class Struct:
+    """The base of the value classes.  A class declares its fields as
+    annotations, in order, and a field's default as a class attribute.
+    Values are equal when their classes and their fields are, and print as
+    ``Name(field=value, ...)``.  A class is frozen, refusing assignment and
+    hashable, unless it says ``frozen=False``, which leaves it unhashable.
+    ``__init__`` runs ``__post_init__`` last."""
+
+    _fields = ()
+
+    def __init_subclass__(cls, frozen: bool = True) -> None:
+        cls._fields = fields = tuple(dict.fromkeys(
+            name for base in reversed(cls.__mro__)
+            for name in vars(base).get("__annotations__", ())))
+        cls._key = attrgetter(*fields or ("_fields",))  # one bare, none ()
+        if not frozen:
+            cls.__hash__, cls.__setattr__, cls.__delattr__ = (
+                None, _SET, object.__delattr__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):  # keywords, defaults, errors
+            cls, given = type(self), dict(zip(fields, args), **kwargs)
+            if (len(args) > len(fields) or len(given) < len(args) + len(kwargs)
+                    or not given.keys() <= set(fields) or not all(
+                        name in given or hasattr(cls, name) for name in fields)):
+                raise TypeError(f"{cls.__name__}{fields}: a field is "
+                                "missing, repeated or unknown")
+            args = [given[name] if name in given else getattr(cls, name)
+                    for name in fields]
+        # a new __dict__, built in C: unlike the split dict that CPython
+        # makes from inline values, it keeps reads specialised
+        _SET(self, "__dict__", dict(zip(fields, args)))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == self._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
 
 # ---------------------------------------------------------------------------
 # Constraint AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TrueC:
+class TrueC(Struct):
     def __str__(self) -> str:
         return "true"
 
@@ -42,8 +101,7 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(Struct):
     """Core atom ``clock op const`` or ``clock - sub op const`` (op is > or =)."""
 
     clock: str
@@ -62,16 +120,14 @@ class Atom:
         return f"{self.lhs()}{self.op}{format_rational(self.const)}"
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Struct):
     inner: "Constraint"
 
     def __str__(self) -> str:
         return f"not ({self.inner})"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Struct):
     left: "Constraint"
     right: "Constraint"
 
@@ -79,8 +135,7 @@ class And:
         return f"({self.left} and {self.right})"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Struct):
     left: "Constraint"
     right: "Constraint"
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -27,6 +26,7 @@ from .constraints import (
     FALSE,
     Not,
     Or,
+    Struct,
     TRUE,
     atom_eq,
     atom_ge,
@@ -527,20 +527,24 @@ def parse_valuation(source: str) -> Dict[str, Fraction]:
 # Spec files
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SystemDecl:
+class SystemDecl(Struct, frozen=False):
     left: Token  # the type names, where they are read
     right: Token
     left_dual: bool = False
     right_dual: bool = False
 
 
-@dataclass
-class SpecFile:
+class SpecFile(Struct, frozen=False):
     clocks: Tuple[str, ...] = ()
-    types: Dict[str, TypeNode] = field(default_factory=dict)
-    processes: Dict[str, ProcNode] = field(default_factory=dict)
-    systems: Dict[str, SystemDecl] = field(default_factory=dict)
+    # None: a new dict
+    types: Dict[str, TypeNode] = None
+    processes: Dict[str, ProcNode] = None
+    systems: Dict[str, SystemDecl] = None
+
+    def __post_init__(self) -> None:
+        for name in ("types", "processes", "systems"):
+            if getattr(self, name) is None:
+                setattr(self, name, {})
 
     def resolve_system(self, name: str) -> Tuple[TypeNode, TypeNode]:
         if name not in self.systems:

@@ -41,7 +41,6 @@ from the layout only when something reads it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -50,8 +49,9 @@ from operator import is_
 from typing import (Callable, Dict, FrozenSet, List, Mapping,
                     NamedTuple, Optional, Sequence, Tuple, Union)
 
-from .constraints import (Constraint, atoms_of, boundary_delays, eval_constraint,
-                          format_rational, int_test, map_clocks)
+from .constraints import (Constraint, Struct, atoms_of, boundary_delays,
+                          eval_constraint, format_rational, int_test,
+                          map_clocks)
 from .errors import SpecError
 
 TimerEnv = Dict[str, Fraction]
@@ -63,8 +63,7 @@ _ZERO = Fraction(0)
 # Timeout expressions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearExpr:
+class LinearExpr(Struct):
     """Linear expression over timers: a constant plus integer coefficients."""
 
     const: Fraction = Fraction(0)
@@ -101,8 +100,7 @@ def _unknown_timer(name: str) -> SpecError:
 # Values and process AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Name:
+class Name(Struct):
     """A reference to a binder, an endpoint, or a delegated channel."""
 
     id: str
@@ -115,7 +113,7 @@ UNIT = ()
 Value = Union[int, bool, str, Tuple[()], Name]
 
 
-class _Node:
+class _Node(Struct):
     """The base of the process nodes, which caches what ``run`` needs."""
 
     @cached_property
@@ -130,13 +128,11 @@ class _Node:
         return _compile(self)
 
 
-@dataclass(frozen=True)
 class SetTimer(_Node):
     timer: str
     cont: "ProcNode"
 
 
-@dataclass(frozen=True)
 class Send(_Node):
     endpoint: str
     label: str
@@ -144,14 +140,12 @@ class Send(_Node):
     cont: "ProcNode"
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Struct):
     label: str
     binder: Optional[str]
     cont: "ProcNode"
 
 
-@dataclass(frozen=True)
 class ReceiveAfter(_Node):
     endpoint: str
     branches: Tuple[Branch, ...]
@@ -161,14 +155,12 @@ class ReceiveAfter(_Node):
     timeout: Optional["ProcNode"]
 
 
-@dataclass(frozen=True)
 class IfTimer(_Node):
     cond: Constraint
     then_branch: "ProcNode"
     else_branch: "ProcNode"
 
 
-@dataclass(frozen=True)
 class DelayConstraint(_Node):
     var: str
     cond: Constraint
@@ -185,22 +177,21 @@ class DelayConstraint(_Node):
                      if eval_constraint({self.var: t}, self.cond))
 
     @cached_property
-    def interiors(self) -> Tuple[Optional[Fraction], ...]:
-        """Beside each adjacent pair of candidates, their midpoint, or None
-        where the midpoint fails the constraint; computed once."""
+    def durations(self) -> Tuple[Optional[Fraction], ...]:
+        """The candidates, then beside each adjacent pair of them their
+        midpoint, or None where the midpoint fails the constraint; computed
+        once.  A seeded pick is an index into it."""
         pool = self.candidates
         mids = ((a + b) / 2 for a, b in zip(pool, pool[1:]))
-        return tuple(m if eval_constraint({self.var: m}, self.cond) else None
-                     for m in mids)
+        return pool + tuple(m if eval_constraint({self.var: m}, self.cond)
+                            else None for m in mids)
 
 
-@dataclass(frozen=True)
 class DelayExact(_Node):
     duration: Fraction
     cont: "ProcNode"
 
 
-@dataclass(frozen=True)
 class Def(_Node):
     name: str
     val_params: Tuple[str, ...]
@@ -210,7 +201,6 @@ class Def(_Node):
     cont: "ProcNode"
 
 
-@dataclass(frozen=True)
 class Call(_Node):
     name: str
     val_args: Tuple[Value, ...] = ()
@@ -218,29 +208,24 @@ class Call(_Node):
     chan_args: Tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
 class PEnd(_Node):
     pass
 
 
-@dataclass(frozen=True)
 class PErr(_Node):
     pass
 
 
-@dataclass(frozen=True)
 class Scope(_Node):
     left: str
     right: str
     body: "ProcNode"
 
 
-@dataclass(frozen=True)
 class Par(_Node):
     parts: Tuple["ProcNode", ...]
 
 
-@dataclass(frozen=True)
 class Buffer(_Node):
     src: str
     dst: str
@@ -532,7 +517,7 @@ def phi(t: Fraction, p: ProcNode, rho: Optional[Mapping[str, Fraction]] = None,
             return p
         assert isinstance(p.after, Fraction)
         if p.after >= t:
-            return replace(p, after=p.after - t)
+            return ReceiveAfter(p.endpoint, p.branches, p.after - t, p.timeout)
         assert p.timeout is not None
         return phi(t - p.after, p.timeout, rho, elapsed + p.after)
     if isinstance(p, DelayExact):
@@ -653,7 +638,10 @@ class _DelayPicker:
         self.schedule = [Fraction(x) for x in schedule] if schedule is not None else None
         self.position = 0
 
-    def pick(self, node: DelayConstraint) -> Fraction:
+    def pick(self, node: DelayConstraint) -> Union[int, Fraction]:
+        """The next scheduled duration, or else the index in
+        ``node.durations`` of a seeded draw: one interior midpoint is drawn,
+        then one of the candidates and that midpoint, if it holds."""
         var, cond = node.var, node.cond
         if self.schedule is not None:
             if self.position >= len(self.schedule):
@@ -666,14 +654,15 @@ class _DelayPicker:
                 raise SpecError(
                     f"scheduled delay {t} does not satisfy {cond}")
             return t
-        pool = node.candidates
-        if not pool:
+        count = len(node.candidates)
+        if not count:
             raise SpecError(f"unsatisfiable delay constraint {cond}")
-        if len(pool) > 1:
-            interior = node.interiors[self.rng.randrange(len(pool) - 1)]
-            if interior is not None:
-                pool = pool + (interior,)
-        return self.rng.choice(pool)
+        if count > 1:
+            interior = count + self.rng.randrange(count - 1)
+            if node.durations[interior] is not None:
+                pick = self.rng.randrange(count + 1)
+                return interior if pick == count else pick
+        return self.rng.randrange(count)
 
 
 class _Record(NamedTuple):
@@ -685,8 +674,9 @@ class _Record(NamedTuple):
     # and the continuations (of a receive, its timeout body).
     text: object = None
     conts: tuple = ()
-    # A receive's label -> (text, continuation, binder); a delay(c)'s
-    # duration -> (leaf, text), filled as it picks.
+    # A receive's label -> (text, continuation, binder); a delay(c)'s pick,
+    # an index into its ``durations`` or (t,) for a scheduled duration t,
+    # -> (leaf, text), filled as it picks.
     table: Optional[dict] = None
     # A timeout or exact delay: (numerator, denominator, timer coefficients).
     after: Optional[tuple] = None
@@ -769,7 +759,7 @@ def _run_scale(program: ProcNode) -> int:
     """The grid of a program: a common multiple of the denominators of
     every duration it can produce, its exact delays, timeout constants and
     the boundaries of each ``delay(c)``, their midpoints and the midpoints
-    of those (``DelayConstraint.candidates`` and ``interiors``), which lie
+    of those (``DelayConstraint.durations``), which lie
     on a quarter of the grid of c's constants.  Timers start on the grid
     and timeouts have integer timer coefficients, so with the schedule's
     durations folded in, every instant a run reaches is on it too."""
@@ -929,10 +919,13 @@ def _take(thread: _Thread, clock: _Clock, picker: _DelayPicker
         taken = 0 if record.test(clock.now, clock.set_at, clock.scale) else 1
         return record.conts[taken], record.text[taken]
     elif kind == "det":
-        t = picker.pick(leaf)
-        out = record.table.get(t)
+        pick = picker.pick(leaf)
+        # a scheduled duration is keyed apart from the indices: Fraction(1) == 1
+        key = pick if type(pick) is int else (pick,)
+        out = record.table.get(key)
         if out is None:
-            out = record.table[t] = (
+            t = leaf.durations[pick] if type(pick) is int else pick
+            out = record.table[key] = (
                 _normal_node(DelayExact(t, leaf.cont)),
                 f"det delay({format_rational(t)}) for {leaf.cond}")
         return out
@@ -1029,16 +1022,14 @@ class RunStatus:
     FUEL_EXHAUSTED = "fuel-exhausted"
 
 
-@dataclass
-class RunPolicy:
+class RunPolicy(Struct, frozen=False):
     seed: int = 0
     fuel: int = 10000
     # None: seeded sampling; otherwise the exact durations to use, in order.
     delay_resolution: Optional[Sequence[Fraction]] = None
 
 
-@dataclass
-class RunResult:
+class RunResult(Struct, frozen=False):
     status: str
     detail: str
     trace: List[str]

@@ -46,12 +46,12 @@ against.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Optional, Tuple
 
 from .constraints import (
+    Struct,
     Valuation,
     eval_constraint,
     format_rational,
@@ -79,8 +79,7 @@ from .zones import constraint_equiv, holds_at, trajectory_zone, window_at
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Message:
+class Message(Struct):
     label: str
     sort: PayloadSort
 
@@ -96,8 +95,7 @@ class Message:
         return self.label if str(self.sort) == "None" else f"{self.label}<{self.sort}>"
 
 
-@dataclass
-class QConfig:
+class QConfig(Struct, frozen=False):
     nu: Valuation
     node: TypeNode
     queue: Tuple[Message, ...] = ()
@@ -106,14 +104,12 @@ class QConfig:
         return isinstance(unfold_head(self.node), End) and not self.queue
 
 
-@dataclass
-class System:
+class System(Struct, frozen=False):
     left: QConfig
     right: QConfig
 
 
-@dataclass(frozen=True)
-class SysAction:
+class SysAction(Struct):
     kind: str  # comm-l | comm-r | recv-l | recv-r | wait
     message: Optional[Message] = None
     t: Optional[Fraction] = None
@@ -128,8 +124,7 @@ class SysAction:
         return f"{self.kind}({self.message})"
 
 
-@dataclass(frozen=True)
-class ExploreLimits:
+class ExploreLimits(Struct):
     max_depth: int = 64
     max_queue: int = 8
     max_states: int = 100000
@@ -139,13 +134,16 @@ class ExploreLimits:
             raise ValueError("exploration limits must be positive")
 
 
-@dataclass
-class ProgressReport:
+class ProgressReport(Struct, frozen=False):
     verdict: str  # ok | counterexample | bound-exceeded
     states_visited: int
     trace: List[Tuple[SysAction, str]]
     reason: str = ""
-    invariant_violations: List[str] = field(default_factory=list)
+    invariant_violations: List[str] = None  # None: a new list
+
+    def __post_init__(self) -> None:
+        if self.invariant_violations is None:
+            self.invariant_violations = []
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ witnesses, from the family's compile over those clocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -39,6 +38,7 @@ from typing import (Callable, Dict, FrozenSet, Iterator, List, Mapping,
 from .constraints import (
     Atom,
     Constraint,
+    Struct,
     TRUE,
     atoms_of,
     clocks_of,
@@ -53,8 +53,7 @@ from .zones import (Zone, ZoneSet, to_zones, trajectory_zone, zoneset_contains,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BaseSort:
+class BaseSort(Struct):
     name: str  # Nat | Bool | Str | None
 
     def __str__(self) -> str:
@@ -67,8 +66,7 @@ STR = BaseSort("Str")
 NONE = BaseSort("None")
 
 
-@dataclass(frozen=True)
-class Delegate:
+class Delegate(Struct):
     """Higher-order payload: a session handed over with its entry constraint."""
 
     init_constraint: Constraint
@@ -89,8 +87,7 @@ SEND = "!"
 RECV = "?"
 
 
-@dataclass(frozen=True)
-class ChoiceOption:
+class ChoiceOption(Struct):
     direction: str  # SEND or RECV
     label: str
     payload: PayloadSort
@@ -151,8 +148,7 @@ class CompiledGuards:
             for atom in atoms_of(guard) if atom.sub is None))
 
 
-@dataclass(frozen=True)
-class Choice:
+class Choice(Struct):
     options: Tuple[ChoiceOption, ...]
 
     def __post_init__(self) -> None:
@@ -192,8 +188,7 @@ class Choice:
         return "{ " + " , ".join(rendered) + " }"
 
 
-@dataclass(frozen=True)
-class Rec:
+class Rec(Struct):
     var: str
     body: "TypeNode"
 
@@ -209,13 +204,11 @@ class Rec:
         return f"rec {self.var} . {format_type(self.body)}"
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Struct):
     var: str
 
 
-@dataclass(frozen=True)
-class End:
+class End(Struct):
     """The terminated type: a head with no options, enterable at any time."""
 
     options = ()
@@ -305,21 +298,28 @@ def _raise(mine: Dict[str, Fraction], after: Mapping[str, Fraction],
     return grew
 
 
-def type_options(node: TypeNode, delegated: bool = False
-                 ) -> Iterator[ChoiceOption]:
-    """Every option of every choice in the type (and, if delegated is set,
-    in the sessions its payloads delegate)."""
+def type_choices(node: TypeNode, delegated: bool = False
+                 ) -> Iterator[Choice]:
+    """Every choice in the type (and, if delegated is set, in the sessions
+    its payloads delegate)."""
     stack = [node]
     while stack:
         node = stack.pop()
         if isinstance(node, Rec):
             stack.append(node.body)
         elif isinstance(node, Choice):
+            yield node
             for opt in node.options:
-                yield opt
                 stack.append(opt.continuation)
                 if delegated and isinstance(opt.payload, Delegate):
                     stack.append(opt.payload.session)
+
+
+def type_options(node: TypeNode, delegated: bool = False
+                 ) -> Iterator[ChoiceOption]:
+    """Every option of every choice that ``type_choices`` walks."""
+    for choice in type_choices(node, delegated):
+        yield from choice.options
 
 
 def guard_atoms(node: TypeNode) -> Iterator[Atom]:
@@ -329,11 +329,14 @@ def guard_atoms(node: TypeNode) -> Iterator[Atom]:
 
 
 def type_clocks(node: TypeNode) -> set:
-    """All clock names mentioned in guards and resets (not delegated bodies)."""
+    """All clock names mentioned in guards and resets (not delegated
+    bodies); each choice family's guard clocks are read once, from its
+    compile (``CompiledGuards.clocks``)."""
     out: set = set()
-    for opt in type_options(node):
-        out |= clocks_of(opt.guard)
-        out |= opt.resets
+    for choice in type_choices(node):
+        out.update(choice.compiled.clocks)
+        for opt in choice.options:
+            out |= opt.resets
     return out
 
 
@@ -450,15 +453,13 @@ def gamma(node: TypeNode) -> Constraint:
 # Well-formedness
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Struct):
     path: Tuple[str, ...]
     condition: str  # feasibility | mixed-choice | delegation | unbound-var | duplicate-label
     witness: str
 
 
-@dataclass(frozen=True)
-class WfReport:
+class WfReport(Struct):
     verdict: bool
     violations: Tuple[Violation, ...]
 

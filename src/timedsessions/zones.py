@@ -44,7 +44,6 @@ result back to a ``Constraint`` and are the print boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
@@ -89,16 +88,26 @@ def decode_bound(bound: Optional[int],
     return Fraction(bound >> 1, scale), not bound & 1
 
 
-@dataclass
 class Zone:
     """Non-empty canonical DBM over ``clocks`` plus the reference clock at
-    index 0."""
+    index 0.  Zones are equal when their clocks, matrices and scales are;
+    ``bounds`` caches ``window_bounds`` and is neither compared nor shown."""
 
-    clocks: Tuple[str, ...]
-    m: Matrix
-    scale: int = 1
-    bounds: Optional[tuple] = field(default=None, init=False, repr=False,
-                                    compare=False)
+    __slots__ = ("clocks", "m", "scale", "bounds")
+    __hash__ = None  # tightened in place
+
+    def __init__(self, clocks: Tuple[str, ...], m: Matrix, scale: int = 1):
+        self.clocks, self.m, self.scale, self.bounds = clocks, m, scale, None
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Zone:
+            return NotImplemented
+        return ((self.clocks, self.m, self.scale)
+                == (other.clocks, other.m, other.scale))
+
+    def __repr__(self) -> str:
+        return (f"Zone(clocks={self.clocks!r}, m={self.m!r}, "
+                f"scale={self.scale!r})")
 
     # -- construction -------------------------------------------------------
 

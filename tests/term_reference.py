@@ -215,7 +215,8 @@ def _reduce(redex: Redex, rho: Mapping[str, Fraction],
         assert isinstance(node, DelayConstraint)
         if picker is None:
             raise SpecError("delay(constraint) needs a resolution policy")
-        t = picker.pick(node)
+        pick = picker.pick(node)
+        t = node.durations[pick] if type(pick) is int else pick
         return (rho, DelayExact(t, node.cont), None,
                 f"det delay({format_rational(t)}) for {redex.detail}")
     if redex.kind == "call":

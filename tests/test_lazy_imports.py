@@ -65,16 +65,22 @@ def test_an_unknown_name_is_an_attribute_error(name):
         getattr(timedsessions, name)
 
 
-PROBE = """
+# The modules that building classes with ``dataclasses`` loads; the
+# package's value classes build none of them.
+GENERATED = {"dataclasses", "inspect"}
+
+PROBE = f"""
 import contextlib, io, json, sys
 with contextlib.redirect_stdout(io.StringIO()):
     exec(sys.argv[1])
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("timedsessions"))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("timedsessions")
+                        or m in {sorted(GENERATED)!r})))
 """
 
 
 def loaded(statement: str) -> set:
-    """The package modules a fresh interpreter holds after statement."""
+    """The package modules a fresh interpreter holds after statement, and
+    those of ``GENERATED`` it holds."""
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=os.pathsep.join(
@@ -100,7 +106,27 @@ TYPE_LAYER = {"timedsessions", "errors", "constraints", "zones",
     ("from timedsessions import unfold_head", TYPE_LAYER),
 ])
 def test_a_library_entry_loads_only_its_layer(statement, modules):
+    """Exactly the layer's modules, so none of ``GENERATED`` either."""
     assert loaded(statement) == modules
+
+
+@pytest.mark.parametrize("statement", [
+    *(f"from timedsessions.cli import main; main({argv!r})" for argv in [
+        ("check", "fixtures/junk.toast", "S"),
+        ("dual", "fixtures/pingpong.toast", "PingPong", "--json"),
+        ("run", "fixtures/mixed_pingpong.toast", "Main", "--fuel", "20"),
+        ("compat", "fixtures/weak_persistency.toast", "weak"),
+        ("progress", "fixtures/unsafe_mixed.toast", "unsafe")]),
+    *("import sys; sys.path.insert(0, 'perfbench'); import worker; "
+      f"worker.WORKLOADS[{workload!r}](1, 20, 'acceptance')"
+      for workload in ("wellformed", "progress", "interpret")),
+])
+def test_no_command_or_benchmark_input_loads_dataclasses(statement):
+    """A command, or a benchmark workload's input builder, loads neither
+    ``dataclasses`` nor ``inspect``: the value classes share one written
+    base (``constraints.Struct``) and ``Zone`` is a slotted class."""
+    modules = loaded(statement)
+    assert "constraints" in modules and not modules & GENERATED
 
 
 @pytest.mark.parametrize("argv", [

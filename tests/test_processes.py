@@ -540,12 +540,13 @@ def test_instant_det_candidates_satisfy_constraint():
     "z>=3 and z<=3", "z<1 or z>=2 and z<=2 or z>3"])
 def test_delay_picks_match_midpoints_drawn_per_step(cond):
     """The picker's kept interior samples give the picks, and make the rng
-    calls, of drawing a pair and testing its midpoint on each step."""
+    calls, of drawing a pair and testing its midpoint on each step; a pick
+    is an index into ``durations``."""
     from timedsessions.constraints import eval_constraint
     from timedsessions.processes import _DelayPicker
     node = parse_process(f"delay({cond}).end")
     pool = node.candidates
-    assert node.interiors == tuple(
+    assert node.durations == pool + tuple(
         m if eval_constraint({"z": m}, node.cond) else None
         for m in ((a + b) / 2 for a, b in zip(pool, pool[1:])))
     for seed in range(5):
@@ -557,7 +558,7 @@ def test_delay_picks_match_midpoints_drawn_per_step(cond):
                 interior = (pool[i] + pool[i + 1]) / 2
                 if eval_constraint({"z": interior}, node.cond):
                     choices = pool + (interior,)
-            assert picker.pick(node) == rng.choice(choices)
+            assert node.durations[picker.pick(node)] == rng.choice(choices)
 
 
 def test_received_value_substitutes_into_send():

@@ -62,6 +62,25 @@ def test_a_record_carries_nothing_of_a_runs_scale():
         assert result.status == RunStatus.COMPLETED
 
 
+def test_seeded_picks_and_scheduled_durations_are_kept_apart():
+    """A seeded pick is keyed by its index in ``durations``, a scheduled
+    duration by the duration: after seeded runs of ``delay(z<6)``, whose
+    durations are 0, 3 and 3/2, have keyed indices 1 and 2, the schedules
+    [1] and [2] still take 1 and 2 (Fraction(1) == 1)."""
+    program = parse_process("delay(z<6).end")
+    leaf = program.run_prologue[0]
+    assert leaf.durations == (0, 3, Fraction(3, 2))
+    for seed in range(12):
+        policy = RunPolicy(seed=seed)
+        assert run(program, policy) == reference_run(program, policy)
+    assert {1, 2} <= set(leaf.step_record.table)
+    for t in (1, 2):
+        policy = RunPolicy(delay_resolution=[Fraction(t)])
+        result = run(program, policy)
+        assert result.trace[0] == f"1 det delay({t}) for (not (z>6) and not (z=6))"
+        assert result == reference_run(program, policy)
+
+
 PARAMETRIC = fresh("parametric_timeout.toast", "Parametric")
 THROTTLING = parse_spec_file((FIXTURES / "throttling.toast").read_text())
 

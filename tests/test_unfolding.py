@@ -9,7 +9,6 @@ Each node renders its printed form once, from those of its children; a
 fresh renderer that memoises nothing must print the same.
 """
 
-import dataclasses
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -20,7 +19,7 @@ from timedsessions.generate import random_type
 from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import QConfig, is_future_enabled, unfold_head
 from timedsessions.sessiontypes import (END, NONE, RECV, SEND, Choice,
-                                        Delegate, End, Rec, Var, dual,
+                                        ChoiceOption, Delegate, End, Rec, Var, dual,
                                         format_type, gamma,
                                         map_continuations)
 from timedsessions.zones import past
@@ -41,8 +40,8 @@ def reference_subst(node, var, repl):
         return Rec(node.var, reference_subst(node.body, var, repl))
     if isinstance(node, Choice):
         return Choice(tuple(
-            dataclasses.replace(
-                o, continuation=reference_subst(o.continuation, var, repl))
+            ChoiceOption(o.direction, o.label, o.payload, o.guard, o.resets,
+                         reference_subst(o.continuation, var, repl))
             for o in node.options))
     return node
 
