@@ -348,7 +348,7 @@ class _Head:
         """Compile what the step relation reads, on the first step from
         this head (canonicalisation reads only the caps)."""
         self.sends, self.receives = [], {}
-        guards, entry = self.node.over(space.clocks)
+        guards, entry, _ = self.node.over(space.clocks)
         self.entry = [zone.window_bounds() for zone in entry]
         for opt, zones in zip(self.node.options, guards):
             compiled = _Option(opt, [zone.window_bounds() for zone in zones],

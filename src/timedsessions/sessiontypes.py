@@ -18,11 +18,12 @@ The checker works on ZoneSets throughout.  A choice's guards are compiled
 once for its whole family, the choice and every choice rebuilt from it by
 duality, unfolding or substitution (``CompiledGuards``, read through
 ``Choice.compiled``), and once for each clock tuple a reader asks for
-(``Choice.over``): each option's guard zones and the entry constraint, the
-down-closure of those guards.  The checker asks for the type's clocks and
-the progress explorer for a valuation's, so no reader widens a zone;
-``Choice.entry`` renders the entry over the guards' own clocks, only for
-witnesses, from the family's compile over those clocks.
+(``Choice.over``): each option's guard zones, the entry constraint, the
+down-closure of those guards, and the guard overlaps and feasibility
+verdicts the checker derives from them.  The checker asks for the type's
+clocks and the progress explorer for a valuation's, so no reader widens a
+zone; ``Choice.entry`` renders the entry over the guards' own clocks, only
+for witnesses, from the family's compile over those clocks.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .constraints import (
 )
 from .errors import SpecError
 from .zones import (Zone, ZoneSet, to_zones, trajectory_zone, zoneset_contains,
-                    zoneset_entails, zoneset_meet, zoneset_to_constraint)
+                    zoneset_entails, zoneset_meet, zoneset_meets,
+                    zoneset_to_constraint)
 
 # ---------------------------------------------------------------------------
 # Payload sorts
@@ -102,9 +104,16 @@ class CompiledGuards:
     A choice family is a choice and every choice that
     ``map_continuations`` rebuilds from it (its dual, its unfoldings, its
     substitutions): that function changes only directions and
-    continuations, so they all hold the same guard objects in the same
-    order, and they all hold this one object.  The zones are shared, never
-    copied: no reader tightens a zone it did not build."""
+    continuations, so they all hold the same guard objects and resets in
+    the same order, and they all hold this one object.  The zones are
+    shared, never copied: no reader tightens a zone it did not build.
+
+    Each compile also holds the booleans the well-formedness walk derives
+    from the family alone, on first ask, so a type and its dual derive
+    them once: under ``(i, j)`` whether the guards of options i < j overlap
+    (asked where their directions differ, which duality flips for both),
+    under ``(i, F)`` whether option i's reset guard entails the entry of
+    the continuation family F."""
 
     def __init__(self, guards: Tuple[Constraint, ...]):
         self.guards = guards
@@ -116,13 +125,13 @@ class CompiledGuards:
         return tuple(sorted(set().union(*map(clocks_of, self.guards))))
 
     def over(self, clocks: Tuple[str, ...]
-             ) -> Tuple[Tuple[ZoneSet, ...], ZoneSet]:
-        """Each option's guard ZoneSet and the entry ZoneSet (gamma of the
-        choice, the down-closure of the guard zones) over the sorted clock
-        tuple ``clocks``, built on its first request.  A canonical zone
-        built over more clocks is the one built over fewer and widened, so
-        no reader widens.  Readers ask with the clocks of a valuation,
-        which must hold every guard clock."""
+             ) -> Tuple[Tuple[ZoneSet, ...], ZoneSet, dict]:
+        """Each option's guard ZoneSet, the entry ZoneSet (gamma of the
+        choice, the down-closure of the guard zones) and the facts over
+        the sorted clock tuple ``clocks``, built on its first request.  A
+        canonical zone built over more clocks is the one built over fewer
+        and widened, so no reader widens.  Readers ask with the clocks of a
+        valuation, which must hold every guard clock."""
         found = self.compiles.get(clocks)
         if found is None:
             missing = set(self.clocks).difference(clocks)
@@ -130,7 +139,7 @@ class CompiledGuards:
                 raise SpecError(f"valuation lacks clock {min(missing)!r}")
             zones = tuple(to_zones(guard, clocks) for guard in self.guards)
             found = self.compiles[clocks] = (
-                zones, [zone.down() for guard in zones for zone in guard])
+                zones, [zone.down() for guard in zones for zone in guard], {})
         return found
 
     @cached_property
@@ -217,9 +226,9 @@ class End(Struct):
     printed = "end"
     entry = TRUE
 
-    def over(self, clocks: Tuple[str, ...]) -> Tuple[tuple, ZoneSet]:
-        """No guards, and the universal entry over ``clocks``."""
-        return (), [Zone.universal(clocks)]
+    def over(self, clocks: Tuple[str, ...]) -> Tuple[tuple, ZoneSet, dict]:
+        """No guards, the universal entry over ``clocks`` and no facts."""
+        return (), [Zone.universal(clocks)], {}
 
 
 TypeNode = Union[Choice, Rec, Var, End]
@@ -477,9 +486,9 @@ class _WfChecker:
     tracked reach: only mixed-choice safety depends on the reach.  Once a
     recursion is re-entered outside its analysed reach (``escaped``), only
     the universal answer stands, and the walk goes on with ``reach`` None.
-    Guards and entry constraints are the ZoneSets each choice family
-    compiles once over ``clocks`` (``Choice.over``), so a type and its dual
-    read one compile."""
+    Guards, entry constraints and the facts derived from them alone are
+    what each choice family compiles once over ``clocks`` (``Choice.over``),
+    so a type and its dual read one compile."""
 
     def __init__(self, clocks):
         self.clocks = tuple(sorted(clocks))
@@ -518,15 +527,23 @@ class _WfChecker:
                 self.add(path, "duplicate-label", opt.label)
             seen_labels.add(opt.label)
         options = node.options
-        guards = node.over(self.clocks)[0]
+        guards, _, facts = node.over(self.clocks)
+        # each option's reach pieces: the reach met with its guard, fresh
+        met = None if reach is None else [
+            zoneset_meet(reach, guard) for guard in guards]
         # (mixed-choice) differently-directed options must be time-disjoint
         # at every valuation this choice can actually be reached with.
-        for (a, ga), (b, gb) in combinations(zip(options, guards), 2):
-            overlap = a.direction != b.direction and zoneset_meet(ga, gb)
+        for i, j in combinations(range(len(options)), 2):
+            a, b = options[i], options[j]
+            if a.direction == b.direction:
+                continue
+            overlap = facts.get((i, j))
+            if overlap is None:
+                overlap = facts[i, j] = zoneset_meets(guards[i], guards[j])
             if overlap:
-                self.add(path, "mixed-choice", f"{a.label}/{b.label}", bool(
-                    reach is not None and zoneset_meet(reach, overlap)))
-        for opt, guard in zip(options, guards):
+                self.add(path, "mixed-choice", f"{a.label}/{b.label}",
+                         met is not None and zoneset_meets(met[i], guards[j]))
+        for i, (opt, guard) in enumerate(zip(options, guards)):
             opt_path = path + (opt.label,)
             try:
                 cont = gamma_head(opt.continuation, gamma_env)
@@ -535,10 +552,15 @@ class _WfChecker:
                 continue
             # (feasibility) the reset image of the guard must still permit
             # the continuation to act; end can always act.
-            if cont.options and not zoneset_entails(
-                    [z.reset(opt.resets) for z in guard],
-                    cont.over(self.clocks)[1]):
-                self.add(opt_path, "feasibility", str(cont.entry))
+            if cont.options:
+                key = i, cont.compiled
+                feasible = facts.get(key)
+                if feasible is None:
+                    feasible = facts[key] = zoneset_entails(
+                        [z.reset(opt.resets) for z in guard]
+                        if opt.resets else guard, cont.over(self.clocks)[1])
+                if not feasible:
+                    self.add(opt_path, "feasibility", str(cont.entry))
             # (delegation) delegated sessions are checked from scratch.
             if isinstance(opt.payload, Delegate):
                 self.check_delegation(opt.payload, opt_path)
@@ -546,8 +568,7 @@ class _WfChecker:
                 reach = None
             self.check(opt.continuation, opt_path, gamma_env, reach_env,
                        None if reach is None else
-                       [z.reset(opt.resets).up()
-                        for z in zoneset_meet(reach, guard)])
+                       [z.reset_up(opt.resets) for z in met[i]])
 
     def check_delegation(self, inner: Delegate, path: Tuple[str, ...]) -> None:
         """Check a delegated session from scratch, over its clocks and this

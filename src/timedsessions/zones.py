@@ -34,12 +34,15 @@ decided zone by zone.
 A ZoneSet (a list of non-empty zones over one clock tuple) is the working
 form: ``zoneset_meet`` and ``zoneset_entails`` decide on it directly,
 ``Zone.reset``/``Zone.up``/``Zone.down`` map it zone by zone.  Each of
-these, and a meet, which tightens by the other zone's bounds, keeps a
-canonical zone canonical without a closure (Bengtsson & Yi), so
-``Zone.canonicalize`` runs only on a matrix built from scratch.  The
-package builds each ZoneSet over the clocks its reader asks for and never
-widens one.  ``past``, ``future`` and ``reset_constraint`` render their
-result back to a ``Constraint`` and are the print boundary.
+these, and a meet, which tightens a copy only by the other zone's bounds
+that are tighter than its own, keeps a canonical zone canonical without a
+closure (Bengtsson & Yi), so ``Zone.canonicalize`` runs only on a matrix
+built from scratch.  ``Zone.reset_up`` is ``reset`` then ``up`` in place,
+building no zone, and only for a zone its caller built and holds alone,
+such as a fresh meet.  The package builds each ZoneSet over the clocks its
+reader asks for and never widens one.  ``past``, ``future`` and
+``reset_constraint`` render their result back to a ``Constraint`` and are
+the print boundary.
 """
 
 from __future__ import annotations
@@ -69,15 +72,6 @@ from .errors import SpecError
 LE_ZERO = 1  # the encoded bound  <= 0
 
 Matrix = List[List[Optional[int]]]
-
-
-def encode_bound(value: Fraction, strict: bool, scale: int) -> int:
-    """The int encoding of ``< value`` (strict) or ``<= value`` at ``scale``."""
-    value = Fraction(value)
-    factor, rest = divmod(scale, value.denominator)
-    if rest:
-        raise ValueError(f"{value} is not a multiple of 1/{scale}")
-    return 2 * value.numerator * factor + (0 if strict else 1)
 
 
 def decode_bound(bound: Optional[int],
@@ -226,15 +220,16 @@ class Zone:
         return self.bounds
 
     def intersect(self, other: "Zone") -> Optional["Zone"]:
-        """The meet: this zone tightened by each bound of the other, or None
-        when it is empty."""
+        """The meet: this zone tightened by each bound of the other that is
+        tighter than its own, or None when it is empty."""
         if self.clocks != other.clocks:
             raise SpecError("zone clock sets differ")
         scale = lcm(self.scale, other.scale)
         out = self.rescaled(scale) if scale != self.scale else self.copy()
-        for i, row in enumerate(other.rescaled(scale).m):
-            for j, bound in enumerate(row):
-                if bound is not None and out.tighten(i, j, bound) is None:
+        for i, (mine, row) in enumerate(zip(out.m, other.rescaled(scale).m)):
+            for j, bound in enumerate(row):  # mine is tightened in place
+                if (bound is not None and (mine[j] is None or bound < mine[j])
+                        and out.tighten(i, j, bound) is None):
                     return None
         return out
 
@@ -263,15 +258,26 @@ class Zone:
 
     def reset(self, resets: Iterable[str]) -> "Zone":
         """Image under zeroing the given clocks."""
-        out = self.copy()
-        m = out.m
+        return self.copy().zero(resets)
+
+    def zero(self, resets: Iterable[str]) -> "Zone":
+        """``reset`` in place: only the zone's builder may call it."""
+        self.bounds = None
+        m = self.m
         for clock in resets:
-            x = out.index(clock)
+            x = self.index(clock)
             for j in range(len(m)):
                 m[x][j] = m[0][j]
                 m[j][x] = m[j][0]
             m[x][x] = LE_ZERO
-        return out
+        return self
+
+    def reset_up(self, resets: Iterable[str]) -> "Zone":
+        """``reset(resets).up()`` in place: only the zone's builder may."""
+        m = self.zero(resets).m
+        for i in range(1, len(m)):
+            m[i][0] = None
+        return self
 
     # -- rendering -----------------------------------------------------------
 
@@ -479,6 +485,11 @@ def zoneset_meet(a: ZoneSet, b: ZoneSet) -> ZoneSet:
     return [zone for zone in meets if zone is not None]
 
 
+def zoneset_meets(a: ZoneSet, b: ZoneSet) -> bool:
+    """Do two ZoneSets meet?  Stops at the first non-empty meet."""
+    return any(x.intersect(y) is not None for x in a for y in b)
+
+
 def zoneset_contains(zones: ZoneSet, nu: Mapping[str, Fraction]) -> bool:
     """Is nu in one of the zones?  nu is converted once, on the set's one
     clock tuple at the LCM of the zones' scales, and read against their own
@@ -585,16 +596,14 @@ def trajectory_zone(nu: Mapping[str, Fraction], t: Fraction,
     if not nu:
         raise SpecError("trajectory of an empty valuation")
     ordered = tuple(sorted(nu))
-    values = [Fraction(nu[clock]) for clock in ordered]
-    scale = lcm(t.denominator, *(value.denominator for value in values))
+    scale, point = int_point(nu, ordered, t.denominator)
     zone = Zone.universal(ordered, scale)
     m = zone.m
-    for a in range(1, len(ordered) + 1):
-        for b in range(a + 1, len(ordered) + 1):
-            diff = values[a - 1] - values[b - 1]
-            m[a][b] = encode_bound(diff, False, scale)
-            m[b][a] = encode_bound(-diff, False, scale)
-    start = values[0]
-    m[0][1] = min(m[0][1], encode_bound(-start, False, scale))
-    m[1][0] = encode_bound(start + t, not include_end, scale)
+    for a in range(1, len(point)):  # x_a - x_b <= its value at nu
+        for b in range(a + 1, len(point)):
+            diff = 2 * (point[a] - point[b])
+            m[a][b], m[b][a] = diff + 1, 1 - diff
+    m[0][1] = min(m[0][1], 1 - 2 * point[1])
+    m[1][0] = 2 * (point[1] + t.numerator * (scale // t.denominator)) + (
+        1 if include_end else 0)
     return zone.canonicalize()

@@ -1,5 +1,6 @@
 """Shared sampling oracles, seeded random constraints and valuations, the
-head-graph walk and the counterexample replay of the test suite.
+head-graph walk, the counterexample replay and the enumerator of small
+closed types of the test suite.
 
 The oracles deliberately avoid the zone engine: satisfaction is decided by
 the structural evaluator over grids of exact rationals, so the zone-based
@@ -20,6 +21,8 @@ from timedsessions.constraints import (And, Constraint, Not, Or, atom_eq,
 from timedsessions.semantics import (System, _Space, default_horizon,
                                      digest_system, system_steps,
                                      unfold_head)
+from timedsessions.sessiontypes import (END, NONE, RECV, SEND, Choice,
+                                        ChoiceOption, Rec, Var)
 
 QUARTERS = [Fraction(n, 4) for n in range(0, 29)]  # 0 .. 7 in quarter steps
 TWELFTHS = [Fraction(n, 12) for n in range(0, 85)]  # 0 .. 7 in twelfth steps
@@ -124,3 +127,47 @@ def replays_to_stuck(system, trace) -> bool:
     return not any(a.is_tau for a, _ in steps) and all(
         not any(a.is_tau for a, _ in system_steps(succ, horizon))
         for _, succ in steps)
+
+
+def closed_types(k: int, guards: Sequence[Constraint],
+                 resets: Sequence[frozenset], var: str = "t"):
+    """Every closed type of at most k options in all, each once up to the
+    order of a choice's labels.  An option has a direction, a guard from
+    guards, a reset set from resets and a continuation: end, a choice, or,
+    under the optional top-level ``rec var``, the variable.  As in
+    ``random_type``, the variable may close a loop only once the path from
+    its binder both sends and receives, and a rec whose body does not use
+    it is not generated (that type is the body).  A choice's options are a
+    multiset drawn from one fixed list, labelled a, b, ... in its order,
+    so no two choices differ only by the order of their labels."""
+    kinds = [(direction, guard, reset) for direction in (SEND, RECV)
+             for guard in guards for reset in resets]
+
+    # each yields (options in all, node, whether node uses the variable)
+    def continuations(budget, dirs, looped):
+        yield 0, END, False
+        if looped and len(dirs) == 2:
+            yield 0, Var(var), True
+        yield from choices(budget, dirs, looped)
+
+    def choices(budget, dirs, looped):
+        if budget <= 0:
+            return
+        options = [(1 + size, kind, cont, uses) for kind in kinds
+                   for size, cont, uses in continuations(
+                       budget - 1, dirs | {kind[0]}, looped)]
+        for count in range(1, budget + 1):
+            for picked in itertools.combinations_with_replacement(
+                    options, count):
+                size = sum(option[0] for option in picked)
+                if size <= budget:
+                    yield size, Choice(tuple(
+                        ChoiceOption(direction, label, NONE, guard, reset,
+                                     cont)
+                        for label, (_, (direction, guard, reset), cont, _)
+                        in zip("abcdefgh", picked))), any(
+                            option[3] for option in picked)
+
+    yield from (node for _, node, _ in choices(k, frozenset(), False))
+    yield from (Rec(var, body) for _, body, uses in choices(
+        k, frozenset(), True) if uses)

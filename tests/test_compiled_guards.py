@@ -120,8 +120,8 @@ def assert_compiled_like(head, fresh):
     assert fresh.compiled is not head.compiled
     assert head.clock_bounds == fresh.clock_bounds
     for clocks in (head.compiled.clocks, CLOCKS):
-        (ours, our_entry), (theirs, their_entry) = (head.over(clocks),
-                                                    fresh.over(clocks))
+        (ours, our_entry, _), (theirs, their_entry, _) = (
+            head.over(clocks), fresh.over(clocks))
         assert len(ours) == len(theirs)
         for our_zones, their_zones in zip(ours, theirs):
             assert same_zones(our_zones, their_zones)
@@ -172,7 +172,8 @@ def snapshot(compiled):
     """The clocks, scale and matrix of every zone a compile holds over the
     guards' own clocks and over the checker's."""
     return [(zone.clocks, zone.scale, [row[:] for row in zone.m])
-            for guards, entry in map(compiled.over, (compiled.clocks, CLOCKS))
+            for guards, entry, _ in map(compiled.over,
+                                        (compiled.clocks, CLOCKS))
             for zones in (*guards, entry) for zone in zones]
 
 
@@ -251,7 +252,7 @@ def test_the_keyed_compile_is_the_widened_compile():
         # "w" sorts before the type's clocks, so every position moves
         for clocks in (checker_clocks, tuple(sorted({"w", *checker_clocks}))):
             for head in head_graph(node):
-                guards, entry = head.over(clocks)
+                guards, entry, _ = head.over(clocks)
                 if isinstance(head, End):
                     assert guards == () and entry == [Zone.universal(clocks)]
                     continue

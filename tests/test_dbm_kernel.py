@@ -4,20 +4,35 @@ The oracle below keeps each bound as (value or None, strict) with exact
 Fraction arithmetic, written out here and shared with no production path.
 The kernel must agree on emptiness (an operation that would empty a zone
 returns None) and, for non-empty zones, on every decoded bound and its
-strictness.
+strictness.  The operations that build fewer zones are also held equal,
+matrix for matrix, to the plain ones they replace: ``intersect`` to a copy
+tightened by every bound of the other zone, ``reset_up`` to
+``reset(R).up()``, and the int ``trajectory_zone`` to one built from
+Fraction differences and ``encode_bound``.
 """
 
 import random
 from fractions import Fraction
 from math import lcm
 
-from timedsessions.zones import (Zone, decode_bound, encode_bound,
+from timedsessions.zones import (Zone, decode_bound, trajectory_zone,
                                  zoneset_contains)
 
 F = Fraction
 INF = (None, True)
 LE_ZERO = (F(0), False)
 DENOMINATORS = (1, 1, 2, 3, 4, 6)
+
+
+def encode_bound(value, strict, scale):
+    """The int encoding of ``< value`` (strict) or ``<= value`` at ``scale``:
+    the inverse of ``decode_bound``, kept with the tests that build zones
+    from Fraction bounds."""
+    value = Fraction(value)
+    factor, rest = divmod(scale, value.denominator)
+    if rest:
+        raise ValueError(f"{value} is not a multiple of 1/{scale}")
+    return 2 * value.numerator * factor + (0 if strict else 1)
 
 
 def tighter(a, b):
@@ -270,3 +285,80 @@ def test_intersect_of_canonical_zones_is_the_closure_of_the_tighter_bounds():
         empties += meet is None
         assert (a.m, b.m) == before  # the operands are untouched
     assert met > 200 and 0 < empties < met
+
+
+def copy_and_tighten_every_bound(a, b):
+    """The meet as a copy of a at the common scale tightened by every bound
+    of b, or None when it is empty."""
+    scale = lcm(a.scale, b.scale)
+    out = a.rescaled(scale).copy()
+    for i, row in enumerate(b.rescaled(scale).m):
+        for j, bound in enumerate(row):
+            if bound is not None and out.tighten(i, j, bound) is None:
+                return None
+    return out
+
+
+def test_intersect_equals_copy_and_tighten_every_bound():
+    rng = random.Random(31)
+    met = empties = mixed = 0
+    for trial in range(1500):
+        n = rng.randint(2, 4)
+        first = canonical_pair(rng, n, trial % 2 == 0)
+        second = canonical_pair(rng, n, trial % 3 == 0)
+        if first is None or second is None:
+            continue
+        a, b = first[0], second[0]
+        meet = a.intersect(b)
+        assert meet == copy_and_tighten_every_bound(a, b)
+        assert meet is not a and meet is not b
+        met += 1
+        empties += meet is None
+        mixed += a.scale != b.scale
+    assert met > 300 and 50 < empties < met - 50 and mixed > 100
+
+
+def test_reset_up_equals_reset_then_up():
+    checked = 0
+    for rng, (zone, _) in canonical_pairs(37):
+        resets = rng.sample(zone.clocks, rng.randint(0, len(zone.clocks)))
+        expected = zone.reset(resets).up()
+        built = zone.copy()
+        assert built.reset_up(resets) is built
+        assert built == expected
+        checked += 1
+    assert checked > 200
+
+
+def fraction_trajectory(nu, t, include_end):
+    """The trajectory zone of nu over t, built from Fraction differences
+    and ``encode_bound``."""
+    ordered = tuple(sorted(nu))
+    values = [F(nu[clock]) for clock in ordered]
+    scale = lcm(F(t).denominator, *(value.denominator for value in values))
+    zone = Zone.universal(ordered, scale)
+    m = zone.m
+    for a in range(1, len(ordered) + 1):
+        for b in range(a + 1, len(ordered) + 1):
+            diff = values[a - 1] - values[b - 1]
+            m[a][b] = encode_bound(diff, False, scale)
+            m[b][a] = encode_bound(-diff, False, scale)
+    m[0][1] = min(m[0][1], encode_bound(-values[0], False, scale))
+    m[1][0] = encode_bound(values[0] + t, not include_end, scale)
+    return zone.canonicalize()
+
+
+def test_int_trajectory_equals_the_fraction_one():
+    """Valuations on halves and thirds over one to three clocks."""
+    rng = random.Random(41)
+    checked = 0
+    for _ in range(500):
+        den = rng.choice((2, 3))
+        nu = {clock: F(rng.randint(0, 6 * den), den)
+              for clock in ("x", "y", "z")[:rng.randint(1, 3)]}
+        for t in (F(1, 2), F(1), F(3)):
+            for include_end in (False, True):
+                assert (trajectory_zone(nu, t, include_end)
+                        == fraction_trajectory(nu, t, include_end))
+                checked += 1
+    assert checked == 3000
