@@ -4,24 +4,21 @@ Subcommands: check (well-formedness), dual (direction flip), progress
 (bounded verification), compat (system compatibility), run (process
 interpreter), simulate (system walk).  Exit codes: 0 pass, 1 property
 violation or counterexample, 2 usage, parse or write error, 3 bound
-exceeded.  A command imports the interpreter or the explorer only when it
-runs one.
+exceeded.  A command imports the interpreter, the explorer, ``random``,
+``hashlib`` or ``json`` only when it uses one.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
-import random
 import sys
 import time
 from pathlib import Path
 from typing import Optional
 
 from .constraints import format_rational
-from .errors import ParseError, ProtocolError, SpecError
+from .errors import ParseError, ProtocolError, SpecError, ZoneLimitExceeded
 from .parser import parse_rationals, parse_spec_file, parse_valuation
 from .sessiontypes import check_well_formed, dual, format_type, type_clocks
 
@@ -131,10 +128,12 @@ def cmd_run(args, spec, node):
 
 
 def cmd_simulate(args, spec, system):
+    from random import Random
+
     from .semantics import _action, _stepper, render_key
 
     space, state, horizon = _stepper(system)
-    rng = random.Random(args.seed)
+    rng = Random(args.seed)
     lines, trace, verdict = [], [], "ok"
     for depth in range(args.trace_len):
         try:
@@ -266,12 +265,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse names the subcommand in args before it parses the
     # subcommand's own arguments, so a usage error can name it.
-    args = argparse.Namespace(digest=None)
+    args, source = argparse.Namespace(), None
     started = time.monotonic()
     try:
         build_parser().parse_args(argv, args)
         source = Path(args.file).read_text(encoding="utf-8")
-        args.digest = hashlib.sha256(source.encode("utf-8")).hexdigest()[:16]
         spec = parse_spec_file(source)
         verdict, diagnostics, lines = args.func(
             args, spec, _named(spec, args.kind, args.name))
@@ -286,9 +284,16 @@ def main(argv=None) -> int:
         _write(sys.stderr, [f"error: {exc}"])
         verdict, diagnostics, lines = "error", {"message": str(exc)}, []
         code = EXIT_USAGE
+    except ZoneLimitExceeded as exc:
+        verdict, diagnostics = "bound-exceeded", {"message": str(exc)}
+        lines, code = [f"{args.name}: {verdict}", f"  {exc}"], EXIT_BOUND
     if args.json:
+        import hashlib
+        import json
+        digest = None if source is None else hashlib.sha256(
+            source.encode("utf-8")).hexdigest()[:16]
         lines = [json.dumps({"command": getattr(args, "command", None),
-                             "input": args.digest, "verdict": verdict,
+                             "input": digest, "verdict": verdict,
                              "diagnostics": diagnostics,
                              "timing": round(time.monotonic() - started, 6)},
                             sort_keys=True)]

@@ -5,6 +5,13 @@ class SpecError(Exception):
     """A value violates a structural precondition (unknown clock, bad domain)."""
 
 
+class ZoneLimitExceeded(Exception):
+    """Over the zone limit: not a ``SpecError``, which judgements report."""
+
+    def __init__(self, what: str, limit: int):
+        super().__init__(f"{what} needs more than {limit} zones, the limit")
+
+
 class ParseError(Exception):
     """Syntax or scoping error in the surface DSLs, with source position."""
 

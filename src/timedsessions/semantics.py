@@ -537,26 +537,10 @@ class _Space:
         """Has the state an internal move?  ``moves``, up to the first."""
         return next(self.moves(state, *self.sides(state)), None) is not None
 
-    def steps(self, state: tuple, horizon: Optional[int]) -> list:
-        """The (action, state) transitions of a state: its ``moves``, then
-        the admitted waits (none when horizon, at scale d, is None); none
-        from final|final.  An action is ``(kind, message, t, S)``, t at S."""
-        if self.is_final(state):
-            return []
-        scale, left, right = self.sides(state)
-        out = [step[:2] for step in self.moves(state, scale, left, right)]
-        _, _, pl, ql, _, pr, qr = state
-        for t in () if horizon is None else self.delays(scale, left, right,
-                                                         horizon):
-            out.append((("wait", None, t, scale),
-                        (scale, tuple(v + t for v in left[2][1:]), pl, ql,
-                         tuple(v + t for v in right[2][1:]), pr, qr)))
-        return out
-
     def successors(self, state: tuple, horizon: int) -> list:
-        """``steps`` of a canonical state, each successor mapped as by
-        ``canon``: a move that keeps it is canonical, and the waits are
-        mapped in one loop against the two heads' caps."""
+        """The (action, state) transitions of a canonical state, none from
+        final|final: its ``moves`` (``canon`` of each that does not keep it
+        canonical), then its waits, mapped in one loop against the caps."""
         if self.is_final(state):
             return []
         scale, left, right = self.sides(state)
@@ -664,16 +648,14 @@ def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
 
 def system_steps(sys: System, horizon: Optional[Fraction] = None
                  ) -> List[Tuple[SysAction, System]]:
-    """All system transitions: the internal ones (asynchronous deliveries
-    and queue consumptions, both sides always computed) and the admissible
-    sampled waits.  A final|final system has no steps."""
-    if sys.left.is_final() and sys.right.is_final():
-        return []
+    """All system transitions, ``_Space.successors`` with no cap: the internal
+    ones (asynchronous deliveries and queue consumptions, both sides) and the
+    admissible sampled waits.  A final|final system has no steps."""
     values = () if horizon is None else (Fraction(horizon),)
     space, state, default = _stepper(sys, *values)
     horizon = values[0] if values else default
     return [(_action(action), space.system(succ))
-            for action, succ in space.steps(state, space.at_d(horizon))]
+            for action, succ in space.successors(state, space.at_d(horizon))]
 
 
 # ---------------------------------------------------------------------------

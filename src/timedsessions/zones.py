@@ -26,10 +26,13 @@ Bounds are decoded to ``Fraction`` only for rendering back to constraints.
 ``to_zones`` walks the negation normal form of a constraint depth-first,
 left to right, tightening one canonical zone per branch in O(n^2) and
 dropping a branch as soon as it is empty.  A negated equality splits a zone
-in two; the splits of a branch are made once its conjunction is complete,
-so the zones come out in the order of the disjunctive normal form.
+in two: a branch keeps its negated equalities in the order met and, once
+complete, each splits every piece into its part below, then above, so the
+zones come out in the order of the disjunctive normal form.
 Satisfiability, entailment, the past operator and reset images are then
-decided zone by zone.
+decided zone by zone.  Zones multiply in ``to_zones``, ``zoneset_meet``
+and ``zoneset_entails``; past ``ZONE_LIMIT`` each raises
+``ZoneLimitExceeded``, which the CLI reports as ``bound-exceeded``.
 
 A ZoneSet (a list of non-empty zones over one clock tuple) is the working
 form: ``zoneset_meet`` and ``zoneset_entails`` decide on it directly,
@@ -67,9 +70,10 @@ from .constraints import (
     conj,
     disj,
 )
-from .errors import SpecError
+from .errors import SpecError, ZoneLimitExceeded
 
 LE_ZERO = 1  # the encoded bound  <= 0
+ZONE_LIMIT = 1024  # zones a guard builds, or a meet or entailment step holds
 
 Matrix = List[List[Optional[int]]]
 
@@ -413,10 +417,13 @@ def to_zones(c: Constraint, clocks: Optional[Iterable[str]] = None) -> ZoneSet:
     ordered = tuple(sorted(names))
     index = {clock: k for k, clock in enumerate(ordered, 1)}
     result: ZoneSet = []
+    built = 1  # the zones this call has built, against ZONE_LIMIT
     # A branch is its zone, the (node, positive) literals still to apply as
-    # a linked list, and its deferred splits (i, j, encoded c), also linked.
-    stack = [(Zone.universal(ordered, scale), ((c, True), None), None)]
+    # a linked list, and its negated equalities (i, j, encoded c) in order.
+    stack = [(Zone.universal(ordered, scale), ((c, True), None), ())]
     while stack:
+        if built > ZONE_LIMIT:
+            raise ZoneLimitExceeded("a guard", ZONE_LIMIT)
         zone, todo, splits = stack.pop()
         while todo is not None:
             (node, positive), todo = todo
@@ -435,7 +442,7 @@ def to_zones(c: Constraint, clocks: Optional[Iterable[str]] = None) -> ZoneSet:
                     if zone is not None:
                         zone = zone.tighten(j, i, 1 - k)
                 else:
-                    splits = ((i, j, k), splits)
+                    splits += ((i, j, k),)
                 if zone is None:
                     break
             elif kind is Not:
@@ -448,41 +455,33 @@ def to_zones(c: Constraint, clocks: Optional[Iterable[str]] = None) -> ZoneSet:
                 if (kind is And) == positive:
                     todo = (left, (right, todo))
                 else:  # a disjunction: the right part waits its turn
+                    built += 1
                     stack.append((zone.copy(), (right, todo), splits))
                     todo = (left, todo)
             else:
                 raise TypeError(f"not a constraint: {node!r}")
         else:
-            _split(zone, splits, result)
+            pieces = [zone]
+            for i, j, k in splits:  # below x_i - x_j < c, then above > c
+                built += len(pieces)
+                if built > ZONE_LIMIT:
+                    raise ZoneLimitExceeded("a guard", ZONE_LIMIT)
+                pieces = [part for piece in pieces
+                          for part in (piece.copy().tighten(i, j, k),
+                                       piece.tighten(j, i, -k))
+                          if part is not None]
+            result += pieces
     return result
-
-
-def _split(zone: Zone, splits, out: ZoneSet) -> None:
-    """Append the non-empty pieces of zone minus each x_i - x_j = c, below
-    before above, in the order the negated equalities were met."""
-    order = []
-    while splits is not None:
-        split, splits = splits
-        order.append(split)
-    order.reverse()
-    stack = [(zone, 0)]
-    while stack:
-        piece, at = stack.pop()
-        if at == len(order):
-            out.append(piece)
-            continue
-        i, j, k = order[at]
-        above = piece.copy().tighten(j, i, -k)   # x_i - x_j > c
-        if above is not None:
-            stack.append((above, at + 1))
-        if piece.tighten(i, j, k) is not None:   # x_i - x_j < c
-            stack.append((piece, at + 1))
 
 
 def zoneset_meet(a: ZoneSet, b: ZoneSet) -> ZoneSet:
     """The intersection of two ZoneSets: their non-empty pairwise meets."""
-    meets = (x.intersect(y) for x in a for y in b)
-    return [zone for zone in meets if zone is not None]
+    out: ZoneSet = []
+    for x in a:
+        out += [zone for zone in map(x.intersect, b) if zone is not None]
+        if len(out) > ZONE_LIMIT:
+            raise ZoneLimitExceeded("a meet", ZONE_LIMIT)
+    return out
 
 
 def zoneset_meets(a: ZoneSet, b: ZoneSet) -> bool:
@@ -546,9 +545,14 @@ def zoneset_entails(zs1: ZoneSet, zs2: ZoneSet) -> bool:
     """
     remaining = zs1
     for z in zs2:
-        remaining = [piece for w in remaining for piece in zone_minus(w, z)]
-        if not remaining:
+        pieces: ZoneSet = []
+        for w in remaining:
+            pieces += zone_minus(w, z)
+            if len(pieces) > ZONE_LIMIT:
+                raise ZoneLimitExceeded("an entailment", ZONE_LIMIT)
+        if not pieces:
             return True
+        remaining = pieces
     return not remaining
 
 

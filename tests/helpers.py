@@ -107,6 +107,25 @@ def canonicaliser(system: System) -> Callable[[System], System]:
     return (lambda state: state) if space.cap is None else space.canonical
 
 
+def space_steps(space: _Space, state: tuple, horizon) -> list:
+    """The (action, state) transitions of an int state of space, mapped by
+    no ``canon``: its ``_Space.moves``, then the admitted waits (none when
+    horizon, at scale d, is None); none from final|final.  An action is
+    ``(kind, message, t, S)``, t at S.  ``_Space.successors`` is ``canon``
+    of these."""
+    if space.is_final(state):
+        return []
+    scale, left, right = space.sides(state)
+    out = [step[:2] for step in space.moves(state, scale, left, right)]
+    _, _, pl, ql, _, pr, qr = state
+    for t in () if horizon is None else space.delays(scale, left, right,
+                                                      horizon):
+        out.append((("wait", None, t, scale),
+                    (scale, tuple(v + t for v in left[2][1:]), pl, ql,
+                     tuple(v + t for v in right[2][1:]), pr, qr)))
+    return out
+
+
 def replays_to_stuck(system, trace) -> bool:
     """Replay a progress counterexample from system through the same
     canonicaliser and horizon as ``check_progress``: every step must match

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_constraint
+from helpers import random_constraint, space_steps
 from reference_semantics import option
 from timedsessions import constraints, semantics, sessiontypes, zones
 from timedsessions.constraints import (TRUE, Not, atom_eq, atom_ge, atom_gt,
@@ -81,7 +81,7 @@ def tau_steps(sys):
     computed."""
     space, state, _ = _stepper(sys)
     return [(_action(action), space.system(succ))
-            for action, succ in space.steps(state, None)]
+            for action, succ in space_steps(space, state, None)]
 
 
 def delay_bound(qc, first):

@@ -14,10 +14,10 @@ The explorer expands a state in one pass (`_Space.successors`): it maps
 the waits to their region representatives in one loop and skips `canon`
 on a move that keeps the state's valuation and caps.  On the states it
 meets, its successors are checked, in order, against `canon` of the raw
-`_Space.steps`, its look-ahead (`_Space.can_move`) against the internal
-steps, on its own successors and on the region representative of each
-raw wait successor against that successor, and a mismatched queued
-payload against the Fraction rule's error.
+steps (`helpers.space_steps`), its look-ahead (`_Space.can_move`)
+against the internal steps, on its own successors and on the region
+representative of each raw wait successor against that successor, and a
+mismatched queued payload against the Fraction rule's error.
 """
 
 import random
@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import canonicaliser, scaled_type
+from helpers import canonicaliser, scaled_type, space_steps
 from reference_semantics import enqueue, qconfig_steps
 from timedsessions.constraints import sample_delays
 from timedsessions.errors import ProtocolError
@@ -170,7 +170,7 @@ def test_the_explorer_enqueues_canon_of_the_steps(corpus):
         seen = set(frontier)
         while frontier and len(seen) < STATES_PER_SYSTEM:
             state = frontier.popleft()
-            raw = outcome(lambda: space.steps(state, horizon))
+            raw = outcome(lambda: space_steps(space, state, horizon))
             expanded = outcome(lambda: space.successors(state, horizon))
             if isinstance(raw, str):
                 assert expanded == raw
@@ -183,19 +183,20 @@ def test_the_explorer_enqueues_canon_of_the_steps(corpus):
             waits += sum(a[0] == "wait" for a, _ in expanded)
             for key in (state, *(succ for _, succ in expanded)):
                 assert outcome(lambda: space.can_move(key)) == outcome(
-                    lambda: bool(space.steps(key, None)))
+                    lambda: bool(space_steps(space, key, None)))
                 looked += 1
             for action, succ in raw:  # a representative moves as its wait
                 if action[0] == "wait":
-                    assert outcome(lambda: space.can_move(space.canon(succ))) \
-                        == outcome(lambda: bool(space.steps(succ, None)))
+                    assert outcome(
+                        lambda: space.can_move(space.canon(succ))) == outcome(
+                        lambda: bool(space_steps(space, succ, None)))
             bad = mismatched(space, state)
             if bad is not None:  # the left side's mismatch is reported
                 left = outcome(lambda: _head_receive_option(
                     space.system(bad).left))
                 assert left.startswith("ProtocolError")
                 assert (outcome(lambda: space.successors(bad, horizon))
-                        == outcome(lambda: space.steps(bad, None))
+                        == outcome(lambda: space_steps(space, bad, None))
                         == outcome(lambda: space.can_move(bad)) == left)
                 raised += 1
             for _, succ in expanded:

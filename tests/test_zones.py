@@ -220,6 +220,14 @@ def test_strict_bounds_give_one_zone():
         assert eval_constraint(nu, c) == zoneset_contains([zones[0]], nu)
 
 
+# One point in each zone of a branch's splits, in DNF order: each negated
+# equality splits every piece into below then above, in the order met.  With
+# x-y=0 negated too, (x<1, y>1) has no x>y piece and (x>1, y<1) no x<y one.
+TWO_SPLITS = [(0, 0), (0, 2), (2, 0), (2, 2)]
+THREE_SPLITS = [(F(1, 4), F(1, 2)), (F(1, 2), F(1, 4)), (F(1, 2), 2),
+                (2, F(1, 2)), (2, 3), (3, 2)]
+
+
 def test_zones_come_out_in_dnf_order():
     # the order of the zones is the order of the printed past and reset
     # images, so the split of not (x=1) must not run ahead of the choice
@@ -231,6 +239,18 @@ def test_zones_come_out_in_dnf_order():
     assert len(zones) == 4
     for zone, nu in zip(zones, points):
         assert zoneset_contains([zone], nu)
+    # two and three splits across clocks, then a disjunction: each branch,
+    # z<1 first, is split once complete.  A split made when met, or above
+    # before below, reorders the zones.
+    for guard, pieces in (("not (x=1) and not (y=1)", TWO_SPLITS),
+                          ("not (x=1) and not (y=1) and not (x-y=0)",
+                           THREE_SPLITS)):
+        zones = to_zones(parse_constraint(f"{guard} and (z<1 or z>2)"))
+        points = [{"x": F(x), "y": F(y), "z": F(z)}
+                  for z in (0, 3) for x, y in pieces]
+        assert len(zones) == len(points)
+        for zone, nu in zip(zones, points):
+            assert zoneset_contains([zone], nu)
 
 
 # -- mixed denominators: thirds and halves --------------------------------------
