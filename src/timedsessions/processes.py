@@ -71,7 +71,8 @@ class LinearExpr(Struct):
 
     def __str__(self) -> str:
         bits: List[str] = []
-        if self.const or not self.coeffs:
+        # a 0 leads a negative first term: the grammar has no leading minus
+        if self.const or not self.coeffs or self.coeffs[0][1] < 0:
             bits.append(format_rational(self.const))
         for name, coef in self.coeffs:
             sign = "-" if coef < 0 else "+"
@@ -284,9 +285,6 @@ _SHAPES: Dict[type, _Shape] = {
                   lambda p, k: Scope(p.left, p.right, k[0]), 0),
     Par: _Shape(lambda p: p.parts, lambda p, k: Par(tuple(k)), 0),
 }
-
-# The node kinds without subterms.
-_LEAVES = (Call, PEnd, PErr, Buffer)
 
 # The node kinds with active children: Par, Scope and Def.
 _ACTIVE_KINDS = frozenset(kind for kind, shape in _SHAPES.items()

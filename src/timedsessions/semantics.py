@@ -34,7 +34,8 @@ remains only at the boundary: the digest text (``render_key``), the t of
 a wait action, and the public converters onto the int step relation
 (``system_steps``, ``admissible_delays``, ``region_canonical``,
 ``state_key``, ``digest_system``).  A system's grid d, cap and horizon
-come from one walk of its guard atoms, ``_Space.of``, which the
+come from one walk of the guard atoms its sides run (``guard_atoms``:
+not those of the sessions a payload delegates), ``_Space.of``, which the
 explorer, ``default_horizon`` and the steps without the region map
 (``_stepper``) all read.  ``qconfig_time`` stays the single-delay time
 rule in ``Fraction``.  The step rules of layers one and two and the
@@ -434,7 +435,8 @@ class _Space:
     @classmethod
     def of(cls, sys: System, *values: Fraction) -> Tuple["_Space", Fraction]:
         """The space of ``check_progress`` on sys and its horizon, from one
-        walk of the guard atoms: d from every atom and from the
+        walk of the guard atoms the sides run (``guard_atoms``, which leaves
+        delegated sessions out): d from every atom and from the
         denominators of values, regions capped one above the largest
         constant, unless a guard compares two clocks (these regions are not
         sound for diagonal guards: the states are then only reduced), and

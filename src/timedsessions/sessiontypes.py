@@ -307,10 +307,9 @@ def _raise(mine: Dict[str, Fraction], after: Mapping[str, Fraction],
     return grew
 
 
-def type_choices(node: TypeNode, delegated: bool = False
-                 ) -> Iterator[Choice]:
-    """Every choice in the type (and, if delegated is set, in the sessions
-    its payloads delegate)."""
+def type_choices(node: TypeNode) -> Iterator[Choice]:
+    """Every choice in the type; the sessions its payloads delegate are
+    left out, since no exploration runs them."""
     stack = [node]
     while stack:
         node = stack.pop()
@@ -318,29 +317,21 @@ def type_choices(node: TypeNode, delegated: bool = False
             stack.append(node.body)
         elif isinstance(node, Choice):
             yield node
-            for opt in node.options:
-                stack.append(opt.continuation)
-                if delegated and isinstance(opt.payload, Delegate):
-                    stack.append(opt.payload.session)
-
-
-def type_options(node: TypeNode, delegated: bool = False
-                 ) -> Iterator[ChoiceOption]:
-    """Every option of every choice that ``type_choices`` walks."""
-    for choice in type_choices(node, delegated):
-        yield from choice.options
+            stack.extend(opt.continuation for opt in node.options)
 
 
 def guard_atoms(node: TypeNode) -> Iterator[Atom]:
-    """The atoms of every guard, delegated sessions included."""
-    for opt in type_options(node, delegated=True):
-        yield from atoms_of(opt.guard)
+    """The atoms of every guard of ``type_choices``: the guards an
+    exploration of the type runs."""
+    for choice in type_choices(node):
+        for opt in choice.options:
+            yield from atoms_of(opt.guard)
 
 
 def type_clocks(node: TypeNode) -> set:
-    """All clock names mentioned in guards and resets (not delegated
-    bodies); each choice family's guard clocks are read once, from its
-    compile (``CompiledGuards.clocks``)."""
+    """All clock names mentioned in the guards and resets of
+    ``type_choices``; each choice family's guard clocks are read once, from
+    its compile (``CompiledGuards.clocks``)."""
     out: set = set()
     for choice in type_choices(node):
         out.update(choice.compiled.clocks)
@@ -350,7 +341,8 @@ def type_clocks(node: TypeNode) -> set:
 
 
 def max_constant(node: TypeNode) -> Fraction:
-    """Largest guard constant, used for default horizons and clock capping."""
+    """Largest constant of ``guard_atoms``, used for default horizons and
+    clock capping."""
     return max((abs(atom.const) for atom in guard_atoms(node)),
                default=Fraction(0))
 

@@ -22,7 +22,8 @@ from timedsessions.semantics import (System, _Space, default_horizon,
                                      digest_system, system_steps,
                                      unfold_head)
 from timedsessions.sessiontypes import (END, NONE, RECV, SEND, Choice,
-                                        ChoiceOption, Rec, Var)
+                                        ChoiceOption, Delegate, Rec, Var,
+                                        type_choices)
 
 QUARTERS = [Fraction(n, 4) for n in range(0, 29)]  # 0 .. 7 in quarter steps
 TWELFTHS = [Fraction(n, 12) for n in range(0, 85)]  # 0 .. 7 in twelfth steps
@@ -96,6 +97,19 @@ def head_graph(node, limit=100):
         heads[id(head)] = head
         stack.extend(unfold_head(o.continuation) for o in head.options)
     return list(heads.values())
+
+
+def options_with_payloads(node):
+    """Every option of every choice of node and of the sessions its
+    payloads delegate, at any depth (the package's walks leave delegated
+    sessions out)."""
+    stack = [node]
+    while stack:
+        for choice in type_choices(stack.pop()):
+            for opt in choice.options:
+                yield opt
+                if isinstance(opt.payload, Delegate):
+                    stack.append(opt.payload.session)
 
 
 def canonicaliser(system: System) -> Callable[[System], System]:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import head_graph
+from helpers import head_graph, options_with_payloads
 from reference_semantics import widened
 from timedsessions import sessiontypes
 from timedsessions.generate import random_type
@@ -34,8 +34,7 @@ from timedsessions.semantics import (ExploreLimits, QConfig, System,
                                      check_progress, make_system,
                                      system_steps)
 from timedsessions.sessiontypes import (Choice, Delegate, End, Rec,
-                                        check_well_formed, dual, type_clocks,
-                                        type_options)
+                                        check_well_formed, dual, type_clocks)
 from timedsessions.zones import Zone, to_zones, zoneset_entails
 
 STREAM = 20240801  # the acceptance screening stream of perfbench
@@ -211,7 +210,7 @@ def test_the_second_of_a_type_and_its_dual_compiles_no_guard(
     checked = 0
     for node in screening_candidates():
         if any(isinstance(opt.payload, Delegate)
-               for opt in type_options(node, delegated=True)):
+               for opt in options_with_payloads(node)):
             continue
         # each side is built when it is checked, so the dual of a type
         # checked first is built after that type compiled its guards

@@ -1,10 +1,11 @@
 """The package keeps only what a command or the benchmark reaches.
 
-Every top-level function and class of ``src/timedsessions`` must be named
-somewhere it can be reached from: elsewhere in ``src/`` (outside its own
-body; the export table of ``__init__`` holds strings, which do not
-count), or in ``perfbench/*.py``, where a dotted string such as a
-``HOOKS`` entry names its parts too.  Code that only tests call belongs
+Every top-level function, class and assigned constant of
+``src/timedsessions`` must be named somewhere it can be reached from:
+elsewhere in ``src/`` (outside its own body; the export table of
+``__init__`` holds strings, which do not count), or in
+``perfbench/*.py``, where a dotted string such as a ``HOOKS`` entry names
+its parts too.  Code that only tests call belongs
 with the tests.  Each exception is listed in ``ALLOWED`` with its reason.
 """
 
@@ -43,18 +44,28 @@ def named_in(tree: ast.AST, strings: bool = False) -> set:
     return names
 
 
+def defined_by(node: ast.stmt) -> list:
+    """The names a top-level statement defines: a function's or class's,
+    or each name an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
 def definitions() -> dict:
-    """Each top-level function and class of the package, by module and
-    name: is it named by a top-level statement of the package other than
-    its own definition?"""
+    """Each top-level function, class and assigned constant of the
+    package, by module and name: is it named by a top-level statement of
+    the package other than its own definition?"""
     statements = [(path.name, node, named_in(node))
                   for path in sorted(SRC.glob("*.py"))
                   for node in ast.parse(path.read_text()).body]
     naming = Counter(name for _, _, names in statements for name in names)
-    return {(module, node.name): naming[node.name] > (node.name in names)
+    return {(module, name): naming[name] > (name in names)
             for module, node, names in statements
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef))}
+            for name in defined_by(node)}
 
 
 def bench_names() -> set:

@@ -86,6 +86,14 @@ def test_every_fixture_process_round_trips():
     assert count == 5
 
 
+@pytest.mark.parametrize("after", ["0-x", "0-2*x+y", "3-x", "x-2*y"])
+def test_a_timeout_with_a_negative_first_term_round_trips(after):
+    # the grammar has no leading minus, so 0-x must not print as -x
+    node = parse_process(f"from p recv {{ m -> end }} after {after} {{ end }}")
+    assert str(node.after) == after
+    assert parse_process(format_process(node)) == node
+
+
 def test_sent_values_and_an_echoed_binder_round_trip():
     node = parse_process(
         'new (p,q) { to p ! a(true). to p ! b(false). to p ! c("hi"). '
@@ -188,10 +196,11 @@ def test_program_checks_read_the_same_in_a_spec_file(source, message):
 def test_every_process_node_kind_has_a_shape():
     from typing import get_args
 
-    from timedsessions.processes import _LEAVES, _SHAPES, ProcNode
+    from timedsessions.processes import _SHAPES, PEnd, PErr, ProcNode
 
-    assert set(get_args(ProcNode)) == set(_SHAPES) | set(_LEAVES)
-    assert not set(_SHAPES) & set(_LEAVES)
+    leaves = {Call, PEnd, PErr, Buffer}  # the node kinds without subterms
+    assert set(get_args(ProcNode)) == set(_SHAPES) | leaves
+    assert not set(_SHAPES) & leaves
 
 
 def test_parse_unbraced_single_branch():

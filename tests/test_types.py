@@ -294,16 +294,20 @@ def test_delegation_round_trip():
     assert parse_type(format_type(node)) == node
 
 
-def test_type_walks_look_through_delegation_except_for_clocks():
+def test_type_walks_leave_delegated_sessions_out():
     from timedsessions.semantics import make_system
     from timedsessions.sessiontypes import max_constant, type_clocks
 
     node = parse_type("!a<(z<1, ?b(z-w>7/2).end)>(x<2).end")
     assert type_clocks(node) == {"x"}
-    assert max_constant(node) == F(7, 2)
-    # the delegated diagonal guard keeps the valuations raw
+    # no exploration runs the delegated session, so its diagonal guard over
+    # clocks the system lacks sets neither the constant nor the region map
+    assert max_constant(node) == 2
     system = make_system(node, dual(node))
-    assert canonicaliser(system)(system) is system
+    far = make_system(node, dual(node))
+    far.left.nu["x"] = far.right.nu["x"] = F(10)
+    near = canonicaliser(system)(far)
+    assert near.left.nu == near.right.nu == {"x": 3}
 
 
 def test_parse_errors_carry_positions():

@@ -18,7 +18,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
-from helpers import random_valuation
+from helpers import options_with_payloads, random_valuation
 from reference_semantics import widened
 from test_wellformed_pinned import HAND_WRITTEN
 from timedsessions.constraints import clocks_of, eval_constraint, zero_valuation
@@ -28,7 +28,7 @@ from timedsessions.parser import parse_type
 from timedsessions.sessiontypes import (Choice, Delegate, End, Rec, TypeNode,
                                         Var, Violation, WfReport, _WfChecker,
                                         check_well_formed, dual, gamma,
-                                        gamma_head, type_clocks, type_options)
+                                        gamma_head, type_clocks)
 from timedsessions.zones import (Zone, ZoneSet, to_zones, trajectory_zone,
                                  zoneset_entails, zoneset_meet)
 
@@ -239,7 +239,7 @@ def test_each_node_is_checked_once(monkeypatch, text):
     monkeypatch.setattr(_WfChecker, "check", counted_check)
     assert check_well_formed(node) == reference_check_well_formed(node)
     delegations = sum(isinstance(opt.payload, Delegate)
-                      for opt in type_options(node, delegated=True))
+                      for opt in options_with_payloads(node))
     assert len(checkers) == 1 + delegations
     assert checkers[0].escaped
     assert len(calls) == type_nodes(node)
