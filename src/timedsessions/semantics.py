@@ -33,15 +33,15 @@ compat, the monitor and simulate all run the int relation.  ``Fraction``
 remains only at the boundary: the digest text (``render_key``), the t of
 a wait action, and the public converters onto the int step relation
 (``system_steps``, ``admissible_delays``, ``region_canonical``,
-``state_key``, ``digest_system``).  A system's grid d, cap and horizon
-come from one walk of the guard atoms its sides run (``guard_atoms``:
-not those of the sessions a payload delegates), ``_Space.of``, which the
-explorer, ``default_horizon`` and the steps without the region map
-(``_stepper``) all read.  ``qconfig_time`` stays the single-delay time
-rule in ``Fraction``.  The step rules of layers one and two and the
-compatibility walk in ``Fraction`` are the test suite's reference
-(``tests/reference_semantics.py``), which the int relation is checked
-against.
+``state_key``, ``digest_system``).  A system's grid d, region flag and
+horizon come from one walk of the guard atoms its sides run
+(``guard_atoms``: not those of the sessions a payload delegates),
+``_Space.of``, which the explorer, ``default_horizon`` and the steps
+without the region map (``_stepper``) all read.  ``qconfig_time`` stays
+the single-delay time rule in ``Fraction``.  The step rules of layers one
+and two and the compatibility walk in ``Fraction`` are the test suite's
+reference (``tests/reference_semantics.py``), which the int relation is
+checked against.
 """
 
 from __future__ import annotations
@@ -294,6 +294,16 @@ def _action(action: tuple) -> SysAction:
     return SysAction(kind, message, None if t is None else Fraction(t, scale))
 
 
+def _system(clocks, state: tuple, left: TypeNode,
+            right: TypeNode) -> System:
+    """An int state as a System on the nodes left and right."""
+    return System(*(
+        QConfig({clock: Fraction(value, state[0])
+                 for clock, value in zip(clocks, values)}, node, queue)
+        for values, node, queue in ((state[1], left, state[3]),
+                                    (state[4], right, state[6]))))
+
+
 class _Option:
     """One option of a head, compiled for a ``_Space``: its message, its
     guard zones, the positions it resets, the head it continues with, and
@@ -326,8 +336,9 @@ class _Option:
 class _Head:
     """A head (a choice or end) compiled for a ``_Space``: its send options,
     its first receive option per label, its entry zones, its clock bounds
-    (position, constant at scale d) and, when the space canonicalises, the
-    int cap min(cap, M_h(x) + 1)·d of each clock x, None if x is inactive."""
+    (position, constant at scale d) and, when the space maps regions, the
+    int cap (M_h(x) + 1)·d of each clock x, None if x is inactive: M_h(x)
+    is a constant of a guard the sides run, so d makes it an int."""
 
     __slots__ = ("node", "printed", "final", "sends", "receives", "entry",
                  "bounds", "caps")
@@ -338,12 +349,11 @@ class _Head:
         self.final = not head.options
         self.sends: Optional[List[_Option]] = None  # until ``compile``
         self.caps = None
-        if space.cap is not None:  # an int cap where it is a whole number
+        if space.regions:
             ceilings = head.clock_ceilings
-            caps = [min(space.cap, ceilings[clock] + 1) * space.d
-                    if clock in ceilings else None for clock in space.clocks]
-            self.caps = tuple(cap if cap is None or cap.denominator > 1
-                              else cap.numerator for cap in caps)
+            self.caps = tuple(space.at_d(ceilings[clock]) + space.d
+                              if clock in ceilings else None
+                              for clock in space.clocks)
 
     def compile(self, space: "_Space") -> "_Head":
         """Compile what the step relation reads, on the first step from
@@ -419,17 +429,17 @@ class _Space:
     queue_r)`` of ``state_key``; d is the LCM of the denominators of the
     guard constants (and of the horizon).  ``successors`` expands a state
     in one pass from its ``sides`` and maps each successor as ``canon``
-    does, to its region representative (with a cap) reduced so that
-    gcd(den, *L, *R) == 1: equal valuations give equal states.  The heads
-    met are compiled once per space, by printed form, from their family's
-    compile over the space's clocks (``Choice.over``): each zone's cached
-    ``Zone.window_bounds``, shared by S, dual(S), their unfoldings and
-    later spaces on those clocks.  A space belongs to one call."""
+    does, to its region representative (when ``regions`` is set) reduced
+    so that gcd(den, *L, *R) == 1: equal valuations give equal states.  The
+    heads met are compiled once per space, by printed form, from their
+    family's compile over the space's clocks (``Choice.over``): each zone's
+    cached ``Zone.window_bounds``, shared by S, dual(S), their unfoldings
+    and later spaces on those clocks.  A space belongs to one call."""
 
-    def __init__(self, clocks, d: int, cap: Optional[Fraction] = None):
+    def __init__(self, clocks, d: int, regions: bool):
         self.clocks = tuple(clocks)
         self.d = d
-        self.cap = cap
+        self.regions = regions
         self.heads: Dict[str, _Head] = {}
 
     @classmethod
@@ -437,17 +447,17 @@ class _Space:
         """The space of ``check_progress`` on sys and its horizon, from one
         walk of the guard atoms the sides run (``guard_atoms``, which leaves
         delegated sessions out): d from every atom and from the
-        denominators of values, regions capped one above the largest
-        constant, unless a guard compares two clocks (these regions are not
-        sound for diagonal guards: the states are then only reduced), and
-        the horizon two above that constant.  Every grid, cap and horizon
-        the package derives from a system comes from here."""
+        denominators of values, the region map on unless a guard compares
+        two clocks (these regions are not sound for diagonal guards: the
+        states are then only reduced), and the horizon two above the
+        largest constant.  Every grid, region flag and horizon the package
+        derives from a system comes from here."""
         atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
         top = max((abs(atom.const) for atom in atoms), default=Fraction(0))
-        cap = top + 1 if all(atom.sub is None for atom in atoms) else None
         return cls(sorted(sys.left.nu), lcm(
             *(value.denominator for value in values),
-            *(atom.const.denominator for atom in atoms)), cap), top + 2
+            *(atom.const.denominator for atom in atoms)),
+            all(atom.sub is None for atom in atoms)), top + 2
 
     # -- tables --------------------------------------------------------------
 
@@ -475,23 +485,10 @@ class _Space:
         self.head(sys.right.node)
         return state_key(sys)
 
-    def _nu(self, values, den: int) -> Valuation:
-        return {clock: Fraction(value, den)
-                for clock, value in zip(self.clocks, values)}
-
     def system(self, state: tuple) -> System:
         """A state as a System on the heads it names."""
-        den, left, pl, ql, right, pr, qr = state
-        return System(QConfig(self._nu(left, den), self.heads[pl].node, ql),
-                      QConfig(self._nu(right, den), self.heads[pr].node, qr))
-
-    def canonical(self, sys: System) -> System:
-        """sys with the valuations of its representative under ``canon``."""
-        den, left, _, _, right, _, _ = self.canon(self.encode(sys))
-        return System(QConfig(self._nu(left, den), sys.left.node,
-                              sys.left.queue),
-                      QConfig(self._nu(right, den), sys.right.node,
-                              sys.right.queue))
+        return _system(self.clocks, state, self.heads[state[2]].node,
+                       self.heads[state[5]].node)
 
     # -- the step relation ---------------------------------------------------
 
@@ -552,8 +549,8 @@ class _Space:
         if not delays:
             return out
         values = left[2][1:] + right[2][1:]
-        m, d, caps = 1, scale, None  # v/S as (v/m)/d; no cap: only reduced
-        if self.cap is not None:
+        m, d, caps = 1, scale, None  # v/S as (v/m)/d; no caps: only reduced
+        if self.regions:
             m, d, caps = scale // self.d, self.d, left[0].caps + right[0].caps
         for t in delays:
             out.append((("wait", None, t, scale), _region(
@@ -605,13 +602,11 @@ class _Space:
         return sorted(out)
 
     def canon(self, state: tuple) -> tuple:
-        """The representative of a state: with a cap, ``_region`` of its
-        values v/den as v·d/(den·d) against the two heads' caps; without one
-        the state is only reduced.  A cap that is not a multiple of 1/d
-        (only ``region_canonical`` asks for one) stays a Fraction, and so
-        does its remainder, ranked with the ints."""
+        """The representative of a state: with the region map, ``_region``
+        of its values v/den as v·d/(den·d) against the two heads' int caps;
+        without it the state is only reduced."""
         den, left, pl, _, right, pr, _ = state
-        if self.cap is None:
+        if not self.regions:
             return _region(left + right, None, 1, den, state)
         d = self.d
         return _region([v * d for v in left + right],
@@ -627,10 +622,9 @@ def _stepper(sys: System, *values: Fraction
              ) -> Tuple[_Space, tuple, Fraction]:
     """A space for steps from sys, the int state of sys in it and
     ``default_horizon``, from one ``_Space.of(sys, *values)``: the space
-    drops its cap, so it has no region map and asks for no
-    ``clock_ceilings``."""
+    switches its region map off, so it asks for no ``clock_ceilings``."""
     space, horizon = _Space.of(sys, *values)
-    space.cap = None
+    space.regions = False
     return space, space.encode(sys), horizon
 
 
@@ -650,9 +644,10 @@ def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
 
 def system_steps(sys: System, horizon: Optional[Fraction] = None
                  ) -> List[Tuple[SysAction, System]]:
-    """All system transitions, ``_Space.successors`` with no cap: the internal
-    ones (asynchronous deliveries and queue consumptions, both sides) and the
-    admissible sampled waits.  A final|final system has no steps."""
+    """All system transitions, ``_Space.successors`` with no region map:
+    the internal ones (asynchronous deliveries and queue consumptions, both
+    sides) and the admissible sampled waits.  A final|final system has no
+    steps."""
     values = () if horizon is None else (Fraction(horizon),)
     space, state, default = _stepper(sys, *values)
     horizon = values[0] if values else default
@@ -716,10 +711,11 @@ def compatible(sys: System) -> Tuple[bool, str]:
 def _compatible(space: _Space, state: tuple, memo: Dict) -> Tuple[bool, str]:
     """`compatible` on a state of space: the queued side drained by the
     explorer's own receive move, the valuations compared after
-    ``space.canon`` (so that inactive clocks do not count; without a cap it
-    only reduces them).  ``memo`` keeps the duality of each printed pair
-    and the answer of each state with a queue, which is the answer of the
-    state it drains to, so a drain stops at the first state answered."""
+    ``space.canon`` (so that inactive clocks do not count; without the
+    region map it only reduces them).  ``memo`` keeps the duality of each
+    printed pair and the answer of each state with a queue, which is the
+    answer of the state it drains to, so a drain stops at the first state
+    answered."""
     if state[3] and state[6]:
         return False, "both queues non-empty"
     chain = []
@@ -766,15 +762,25 @@ def _drained_compatible(space: _Space, state: tuple,
 
 def region_canonical(sys: System, cap: Fraction, scale: int = 1) -> System:
     """Replace both valuations jointly by the canonical representative of
-    their region with time scaled by ``scale``: ``_Space.canon`` at d =
-    scale.  Each side reads the ``clock_ceilings`` of its unfolded head: a
-    clock without a ceiling is set to 0, every other clock is capped at the
-    smaller of cap and its ceiling + 1; each scaled value is split into a
-    whole part and a remainder, and the ordered remainders are
-    renormalized.  Sound for diagonal-free guards whose constants the scale
-    makes integers (Alur & Dill 1994, with the per-location ceilings of
-    Behrmann, Bouyer, Fleury & Larsen 2003); at scale 1, integer regions."""
-    return _Space(sorted(sys.left.nu), scale, Fraction(cap)).canonical(sys)
+    their region with time scaled by ``scale``: ``_region`` at d = scale.
+    Each side reads the ``clock_ceilings`` of its unfolded head: a clock
+    without a ceiling is set to 0, every other clock is capped at
+    min(cap, M_h(x) + 1)·scale, a Fraction where that is off the grid (the
+    explorer's caps, ``_Head.caps``, take no cap and are ints); each scaled
+    value is split into a whole part and a remainder, and the ordered
+    remainders are renormalized.  Sound for diagonal-free guards whose
+    constants the scale makes integers (Alur & Dill 1994, with the
+    per-location ceilings of Behrmann, Bouyer, Fleury & Larsen 2003); at
+    scale 1, integer regions."""
+    clocks, cap, caps = sorted(sys.left.nu), Fraction(cap), []
+    for side in (sys.left, sys.right):
+        ceilings = unfold_head(side.node).clock_ceilings
+        caps += [min(cap, ceilings[clock] + 1) * scale
+                 if clock in ceilings else None for clock in clocks]
+    state = state_key(sys)
+    return _system(clocks, _region(
+        [v * scale for v in state[1] + state[4]], caps, state[0], scale,
+        state), sys.left.node, sys.right.node)
 
 
 def digest_system(sys: System) -> str:

@@ -257,13 +257,13 @@ def _ceilings_fixpoint(root: Choice) -> None:
     whose ceilings are not known yet: one least fixpoint over all of them,
     the static guard analysis of Behrmann, Bouyer, Fleury & Larsen (TACAS
     2003).  Each head starts from the constants its own guards compare,
-    read once; then a worklist raises the heads before each raised head
-    along the reverse edges, minus the clocks each edge resets, until
-    nothing grows.  A head whose ceilings are known (end, or a head of an
-    earlier fixpoint) is fixed: it only raises the heads before it."""
+    read once; then plain rounds over the edges found, the last found
+    first, raise the head before each edge to the ceilings after it, minus
+    the clocks the edge resets, until a round raises nothing.  A head whose
+    ceilings are known (end, or a head of an earlier fixpoint) is fixed:
+    it only raises the heads before it."""
     ceilings: Dict[int, Dict[str, Fraction]] = {id(root): {}}
-    before: Dict[int, list] = {id(root): []}  # (head, resets) of each edge in
-    heads, stack = [root], [root]
+    heads, stack, edges = [root], [root], []  # edges: (mine, after, resets)
     while stack:
         head = stack.pop()
         mine = ceilings[id(head)]
@@ -275,36 +275,23 @@ def _ceilings_fixpoint(root: Choice) -> None:
                         mine[clock] = const
             after = unfold_head(opt.continuation)
             if not after.options or "clock_ceilings" in vars(after):
-                _raise(mine, after.clock_ceilings, opt.resets)
+                edges.append((mine, after.clock_ceilings, opt.resets))
                 continue
             if id(after) not in ceilings:
-                ceilings[id(after)], before[id(after)] = {}, []
+                ceilings[id(after)] = {}
                 heads.append(after)
                 stack.append(after)
-            before[id(after)].append((head, opt.resets))
-    work, queued = list(heads), set(ceilings)
-    while work:
-        head = work.pop()
-        queued.discard(id(head))
-        for prior, resets in before[id(head)]:
-            if (_raise(ceilings[id(prior)], ceilings[id(head)], resets)
-                    and id(prior) not in queued):
-                queued.add(id(prior))
-                work.append(prior)
+            edges.append((mine, ceilings[id(after)], opt.resets))
+    grew = True
+    while grew:
+        grew = False
+        for mine, after, resets in reversed(edges):
+            for clock, const in after.items():
+                if clock not in resets and const > mine.get(clock, -1):
+                    mine[clock] = const
+                    grew = True
     for head in heads:
         vars(head)["clock_ceilings"] = ceilings[id(head)]
-
-
-def _raise(mine: Dict[str, Fraction], after: Mapping[str, Fraction],
-           resets: FrozenSet[str]) -> bool:
-    """Raise mine to the ceilings after an edge on the clocks it does not
-    reset; whether any grew."""
-    grew = False
-    for clock, const in after.items():
-        if clock not in resets and const > mine.get(clock, -1):
-            mine[clock] = const
-            grew = True
-    return grew
 
 
 def type_choices(node: TypeNode) -> Iterator[Choice]:
@@ -341,8 +328,9 @@ def type_clocks(node: TypeNode) -> set:
 
 
 def max_constant(node: TypeNode) -> Fraction:
-    """Largest constant of ``guard_atoms``, used for default horizons and
-    clock capping."""
+    """Largest constant of ``guard_atoms``.  Only the benchmark's
+    counterexample replay reads it, for the cap one above it that it hands
+    to ``region_canonical``."""
     return max((abs(atom.const) for atom in guard_atoms(node)),
                default=Fraction(0))
 

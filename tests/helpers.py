@@ -18,9 +18,9 @@ from typing import Callable, Iterable, List, Mapping, Sequence
 from timedsessions.constraints import (And, Constraint, Not, Or, atom_eq,
                                        atom_ge, atom_gt, atom_le, atom_lt,
                                        atom_ne, eval_constraint, shift)
-from timedsessions.semantics import (System, _Space, default_horizon,
-                                     digest_system, system_steps,
-                                     unfold_head)
+from timedsessions.semantics import (System, _Space, _system,
+                                     default_horizon, digest_system,
+                                     system_steps, unfold_head)
 from timedsessions.sessiontypes import (END, NONE, RECV, SEND, Choice,
                                         ChoiceOption, Delegate, Rec, Var,
                                         type_choices)
@@ -114,11 +114,18 @@ def options_with_payloads(node):
 
 def canonicaliser(system: System) -> Callable[[System], System]:
     """The state map of ``check_progress`` on system, from its
-    ``_Space.of``: each state mapped to its region representative in that
-    space, or the identity when a guard compares two clocks (the space
-    then has no cap)."""
+    ``_Space.of``: each state mapped to the valuations of its region
+    representative under that space's ``canon``, its nodes and queues
+    kept, or the identity when a guard compares two clocks (the space
+    then has no region map)."""
     space = _Space.of(system)[0]
-    return (lambda state: state) if space.cap is None else space.canonical
+    if not space.regions:
+        return lambda state: state
+
+    def canonical(state: System) -> System:
+        return _system(space.clocks, space.canon(space.encode(state)),
+                       state.left.node, state.right.node)
+    return canonical
 
 
 def space_steps(space: _Space, state: tuple, horizon) -> list:

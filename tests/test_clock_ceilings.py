@@ -25,6 +25,7 @@ from timedsessions.semantics import (
     ExploreLimits,
     QConfig,
     System,
+    _Space,
     check_progress,
     default_horizon,
     make_system,
@@ -34,6 +35,7 @@ from timedsessions.semantics import (
     unfold_head,
 )
 from timedsessions.sessiontypes import END, dual, format_type, max_constant
+from timedsessions.sessiontypes import guard_atoms
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -188,3 +190,89 @@ def test_the_canonicaliser_is_region_canonical_at_the_largest_constant(corpus):
                 if key not in seen:
                     seen.add(key)
                     frontier.append(canon(succ))
+
+
+# -- the explorer's caps, and the caps region_canonical takes --------------
+
+DIAGONAL = parse_type("!a(x-y<1).?b(x<2).end")
+
+
+def fresh_systems():
+    """The systems of ``fresh_sides`` with the fixture types' own systems
+    in place of their types, and one system whose guards compare two
+    clocks."""
+    for corpus in sorted(CORPORA.glob("*")):
+        rows = corpus.read_text().splitlines()
+        for n in sorted(random.Random(11).sample(range(len(rows)), 40)):
+            for d in (1, 2):
+                node = parse_type(scaled_type(rows[n].split("\t")[-1], d))
+                yield make_system(node, dual(node), clocks=("x", "y"))
+    for path in sorted(FIXTURES.glob("*.toast")):
+        spec = parse_spec_file(path.read_text())
+        for name in spec.systems:
+            yield make_system(*spec.resolve_system(name), spec.clocks)
+    yield make_system(DIAGONAL, dual(DIAGONAL))
+
+
+def test_the_explorer_caps_each_clock_at_its_ceiling_plus_one_in_ints():
+    checked = 0
+    for system in fresh_systems():
+        space = _Space.of(system)[0]
+        sides = (system.left.node, system.right.node)
+        assert space.regions == all(
+            atom.sub is None for side in sides for atom in guard_atoms(side))
+        for side in sides:
+            for head in head_graph(side):
+                caps = space.head(head).caps
+                if not space.regions:
+                    assert caps is None
+                    continue
+                ceilings = head.clock_ceilings
+                for clock, cap in zip(space.clocks, caps):
+                    if clock not in ceilings:
+                        assert cap is None
+                    else:
+                        assert type(cap) is int, format_type(head)
+                        assert cap == (ceilings[clock] + 1) * space.d
+                        checked += 1
+    assert checked > 1000
+
+
+def reference_region(sys, cap, scale):
+    """region_canonical from its definition, in Fraction: each clock
+    capped at min(cap, M_h(x) + 1) (0 without a ceiling), scaled, split
+    into a whole part and a remainder, the remainders and 0 ranked 0..k-1
+    over k, and scaled back."""
+    scaled = []
+    for qc in (sys.left, sys.right):
+        ceilings = unfold_head(qc.node).clock_ceilings
+        scaled.append({clock: min(value, cap, ceilings[clock] + 1) * scale
+                       if clock in ceilings else F(0)
+                       for clock, value in qc.nu.items()})
+    rems = sorted({v - int(v) for nu in scaled for v in nu.values()} | {0})
+    return tuple({clock: (int(v) + F(rems.index(v - int(v)), len(rems)))
+                  / scale for clock, v in nu.items()} for nu in scaled)
+
+
+def test_a_ceiling_off_the_grid_caps_exactly():
+    # at scale 1 the ceiling + 1 of x is 3/2: 5/4 stays below it, whole
+    # part 1 and remainder 1/4, ranked 1 of 2; an int cap of 1 would give 1
+    node = parse_type("!a(x<1/2).end")
+    state = System(QConfig({"x": F(5, 4)}, node),
+                   QConfig({"x": F(5, 4)}, node))
+    got = region_canonical(state, F(10))
+    assert (got.left.nu, got.right.nu) == ({"x": F(3, 2)}, {"x": F(3, 2)})
+    assert (got.left.nu, got.right.nu) == reference_region(state, F(10), 1)
+    rng = random.Random(46)
+    nodes = [node, parse_type("!a(x<1/2, {x}).?b(y<5/3).end"),
+             parse_type("rec r . !a(x>2/3 and y<7/4).r")]
+    for _ in range(300):
+        left, right = rng.choice(nodes), rng.choice(nodes)
+        nu = [{clock: F(rng.randint(0, 30), rng.choice((1, 2, 3, 4, 6)))
+               for clock in ("x", "y")} for _ in range(2)]
+        state = System(QConfig(nu[0], left), QConfig(nu[1], right))
+        cap = F(rng.randint(1, 12), rng.choice((1, 2, 3)))
+        scale = rng.choice((1, 2, 3))
+        got = region_canonical(state, cap, scale)
+        assert (got.left.nu, got.right.nu) == reference_region(
+            state, cap, scale)
