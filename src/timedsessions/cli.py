@@ -133,12 +133,12 @@ def cmd_simulate(args, spec, system):
 
     from .semantics import _action, _stepper, render_key
 
-    space, state, horizon = _stepper(system)
+    space, state = _stepper(system)
     rng = Random(args.seed)
     lines, trace, verdict = [], [], "ok"
     for depth in range(args.trace_len):
         try:
-            steps = space.successors(state, space.at_d(horizon))
+            steps = space.successors(state)
         except ProtocolError as exc:
             verdict = "protocol-error"
             lines.append(f"  {exc}")

@@ -393,17 +393,10 @@ def format_process(p: ProcNode) -> str:
 def runtime_normalize(p: ProcNode) -> ProcNode:
     """The normal form of p modulo structural congruence, with the user's
     parallel order kept, so the deterministic scheduler's leftmost policy
-    is stable: ``_normal_node`` applied bottom-up to every node."""
-    return _normalize(p)
-
-
-def _normalize(p: ProcNode, active: bool = False) -> ProcNode:
-    """The normal form of p: ``_normal_node`` applied bottom-up to every
-    node, so every subterm of a normal term is normal.  If active is set,
-    only the active nodes are visited, which gives the normal form when
-    every inactive subterm is already normal."""
+    is stable: ``_normal_node`` applied bottom-up to every node, so a
+    normal term comes back as it is."""
     def walk(node: ProcNode) -> ProcNode:
-        return _normal_node(map_children(node, walk, active))
+        return _normal_node(map_children(node, walk))
 
     return walk(p)
 
@@ -526,16 +519,13 @@ def phi(t: Fraction, p: ProcNode, rho: Optional[Mapping[str, Fraction]] = None,
 
 
 def time_step(rho: TimerEnv, p: ProcNode, t: Fraction) -> Tuple[TimerEnv, ProcNode]:
-    """Advance every timer by t and distribute t over the composition.
-
-    p must be normal, as ``runtime_normalize`` leaves it.  phi rebuilds
-    only active nodes, and every inactive subterm of its result is a
-    subterm of p, so only the active nodes of the result are renormalised.
-    """
+    """Advance every timer by t and distribute t over the composition,
+    the result in ``runtime_normalize``'s normal form (phi rebuilds only
+    active nodes, and the subterms it keeps come back unchanged)."""
     t = Fraction(t)
     new_p = phi(t, p, rho)
     new_rho = {name: value + t for name, value in rho.items()}
-    return new_rho, _normalize(new_p, active=True)
+    return new_rho, runtime_normalize(new_p)
 
 
 # ---------------------------------------------------------------------------
@@ -1053,8 +1043,8 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
     it; a thread finds its buffers by endpoint.  A time step moves the
     clock to the earliest deadline, where a delay becomes its continuation
     and a receive is classified again, once ``phi`` on the built term has
-    decided the Par premise while a buffer is non-empty and ``phi`` any
-    leaf time cannot pass over.  A new composition, scope or buffer goes
+    passed, asked only while a buffer is non-empty or a leaf is one time
+    cannot pass over.  A new composition, scope or buffer goes
     into the layout in place of its thread, each new thread with a copy of
     its definitions.  An ``if`` is decided in ints, by the test its step
     record holds; ``Fraction`` is left to the durations a ``delay(c)``
@@ -1152,12 +1142,11 @@ def run(program: ProcNode, policy: Optional[RunPolicy] = None) -> RunResult:
         t = clock.time(then - clock.now)
         steps += 1
         try:
-            # only a non-empty buffer can fail phi's Par premise
-            if any(queue.items for queue in queues):
+            # phi fails only on a Par premise, which needs a non-empty
+            # buffer, or on a leaf that time cannot pass over
+            if any(queue.items for queue in queues) or any(
+                    type(thread.leaf) not in _TIMED for thread in threads):
                 phi(t, _build(root), clock.timers())
-            for thread in threads:  # phi names a leaf that blocks time
-                if type(thread.leaf) not in _TIMED:
-                    phi(t, thread.leaf, clock.timers())
         except PhiUndefined as exc:
             return result(RunStatus.STUCK, f"time blocked: {exc.reason}")
         clock.now = then

@@ -222,12 +222,13 @@ def make_system(left: TypeNode, right: TypeNode, clocks=None) -> System:
 
 
 def default_horizon(sys: System) -> Fraction:
-    """The delay sampling horizon, the one ``_Space.of`` gives: the largest
-    guard constant + 2.  Clocks are never negative, so no boundary lies
-    further away than the largest constant, and the sample beyond the last
-    one fits too: a larger horizon samples the same delays, a smaller one
-    would cut boundaries."""
-    return _Space.of(sys)[1]
+    """The delay sampling horizon that ``_Space.of`` gives a space by
+    default: the largest guard constant + 2.  Clocks are never negative, so
+    no boundary lies further away than the largest constant, and the sample
+    beyond the last one fits too: a larger horizon samples the same delays,
+    a smaller one would cut boundaries."""
+    space = _Space.of(sys)
+    return Fraction(space.horizon, space.d)
 
 
 # ---------------------------------------------------------------------------
@@ -426,38 +427,42 @@ class _Space:
     """The int form of the states of one system, and its step relation.
 
     A state is the tuple ``(den, L, printed_l, queue_l, R, printed_r,
-    queue_r)`` of ``state_key``; d is the LCM of the denominators of the
-    guard constants (and of the horizon).  ``successors`` expands a state
-    in one pass from its ``sides`` and maps each successor as ``canon``
-    does, to its region representative (when ``regions`` is set) reduced
-    so that gcd(den, *L, *R) == 1: equal valuations give equal states.  The
-    heads met are compiled once per space, by printed form, from their
-    family's compile over the space's clocks (``Choice.over``): each zone's
-    cached ``Zone.window_bounds``, shared by S, dual(S), their unfoldings
-    and later spaces on those clocks.  A space belongs to one call."""
+    queue_r)`` of ``state_key``; d is the LCM of the guard constants'
+    denominators and the ``horizon``'s, which the space holds as an int at
+    scale d.  ``successors`` expands a state in one pass from its ``sides``
+    and maps each successor as ``canon`` does, to its region representative
+    (when ``regions`` is set) reduced so that gcd(den, *L, *R) == 1: equal
+    valuations give equal states.  The heads met are compiled once per
+    space, by printed form, from their family's compile over the space's
+    clocks (``Choice.over``): each zone's cached ``Zone.window_bounds``,
+    shared by S, dual(S), their unfoldings and later spaces on those
+    clocks.  A space belongs to one call."""
 
-    def __init__(self, clocks, d: int, regions: bool):
+    def __init__(self, clocks, d: int, regions: bool, horizon: Fraction):
+        if horizon < 0:
+            raise ValueError("horizon must be nonnegative")
         self.clocks = tuple(clocks)
         self.d = d
         self.regions = regions
+        self.horizon = self.at_d(horizon)
         self.heads: Dict[str, _Head] = {}
 
     @classmethod
-    def of(cls, sys: System, *values: Fraction) -> Tuple["_Space", Fraction]:
-        """The space of ``check_progress`` on sys and its horizon, from one
-        walk of the guard atoms the sides run (``guard_atoms``, which leaves
-        delegated sessions out): d from every atom and from the
-        denominators of values, the region map on unless a guard compares
-        two clocks (these regions are not sound for diagonal guards: the
-        states are then only reduced), and the horizon two above the
+    def of(cls, sys: System, horizon: Optional[Fraction] = None) -> "_Space":
+        """The space of ``check_progress`` on sys, from one walk of the
+        guard atoms the sides run (``guard_atoms``, which leaves delegated
+        sessions out): d from every atom and from the horizon's
+        denominator, the region map on unless a guard compares two clocks
+        (these regions are not sound for diagonal guards: the states are
+        then only reduced), and the horizon, by default two above the
         largest constant.  Every grid, region flag and horizon the package
         derives from a system comes from here."""
         atoms = [*guard_atoms(sys.left.node), *guard_atoms(sys.right.node)]
-        top = max((abs(atom.const) for atom in atoms), default=Fraction(0))
+        horizon = Fraction(horizon if horizon is not None else max(
+            (abs(atom.const) for atom in atoms), default=0) + 2)
         return cls(sorted(sys.left.nu), lcm(
-            *(value.denominator for value in values),
-            *(atom.const.denominator for atom in atoms)),
-            all(atom.sub is None for atom in atoms)), top + 2
+            horizon.denominator, *(atom.const.denominator for atom in atoms)),
+            all(atom.sub is None for atom in atoms), horizon)
 
     # -- tables --------------------------------------------------------------
 
@@ -536,16 +541,17 @@ class _Space:
         """Has the state an internal move?  ``moves``, up to the first."""
         return next(self.moves(state, *self.sides(state)), None) is not None
 
-    def successors(self, state: tuple, horizon: int) -> list:
+    def successors(self, state: tuple) -> list:
         """The (action, state) transitions of a canonical state, none from
         final|final: its ``moves`` (``canon`` of each that does not keep it
-        canonical), then its waits, mapped in one loop against the caps."""
+        canonical), then its waits up to the space's horizon, mapped in one
+        loop against the caps."""
         if self.is_final(state):
             return []
         scale, left, right = self.sides(state)
         out = [(action, succ if kept else self.canon(succ))
                for action, succ, kept in self.moves(state, scale, left, right)]
-        delays = self.delays(scale, left, right, horizon)
+        delays = self.delays(scale, left, right)
         if not delays:
             return out
         values = left[2][1:] + right[2][1:]
@@ -557,16 +563,13 @@ class _Space:
                 [v + t for v in values], caps, m, d, state)))
         return out
 
-    def delays(self, scale: int, left: tuple, right: tuple,
-               horizon: int) -> List[int]:
+    def delays(self, scale: int, left: tuple, right: tuple) -> List[int]:
         """The admitted waits at S from a state's sides, sorted: the positive
         samples at the boundaries both heads can cross, at their midpoints
         and one beyond the last, from both points, up to the tighter of the
-        two sides' ``_Head.delay_bound``."""
-        if horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+        space's horizon and the two sides' ``_Head.delay_bound``."""
         step = scale // self.d
-        horizon *= step
+        horizon = self.horizon * step
         if not horizon:
             return []
         bounds = left[0].bounds + right[0].bounds
@@ -618,41 +621,36 @@ class _Space:
 # The Fraction converters
 # ---------------------------------------------------------------------------
 
-def _stepper(sys: System, *values: Fraction
-             ) -> Tuple[_Space, tuple, Fraction]:
-    """A space for steps from sys, the int state of sys in it and
-    ``default_horizon``, from one ``_Space.of(sys, *values)``: the space
-    switches its region map off, so it asks for no ``clock_ceilings``."""
-    space, horizon = _Space.of(sys, *values)
+def _stepper(sys: System, horizon: Optional[Fraction] = None
+             ) -> Tuple[_Space, tuple]:
+    """A space for steps from sys and the int state of sys in it, from one
+    ``_Space.of(sys, horizon)`` (so a negative horizon raises before a head
+    is compiled): the space switches its region map off, so it asks for no
+    ``clock_ceilings``."""
+    space = _Space.of(sys, horizon)
     space.regions = False
-    return space, space.encode(sys), horizon
+    return space, space.encode(sys)
 
 
 def admissible_delays(sys: System, horizon: Fraction) -> List[Fraction]:
-    """Positive boundary-sample delays that both sides accept: the int
-    ``_Space.delays`` of sys."""
-    horizon = Fraction(horizon)
-    if horizon < 0:  # before a head is compiled, as in ``system_steps``
-        raise ValueError("horizon must be nonnegative")
-    space, state, _ = _stepper(sys, horizon)
+    """Positive boundary-sample delays that both sides accept, up to the
+    horizon: the int ``_Space.delays`` of sys."""
+    space, state = _stepper(sys, horizon)
     scale, point_l, point_r = space.points(state)
     return [Fraction(t, scale) for t in space.delays(
         scale, (space.stepping(state[2]), state[3], point_l, None),
-        (space.stepping(state[5]), state[6], point_r, None),
-        space.at_d(horizon))]
+        (space.stepping(state[5]), state[6], point_r, None))]
 
 
 def system_steps(sys: System, horizon: Optional[Fraction] = None
                  ) -> List[Tuple[SysAction, System]]:
-    """All system transitions, ``_Space.successors`` with no region map:
-    the internal ones (asynchronous deliveries and queue consumptions, both
-    sides) and the admissible sampled waits.  A final|final system has no
-    steps."""
-    values = () if horizon is None else (Fraction(horizon),)
-    space, state, default = _stepper(sys, *values)
-    horizon = values[0] if values else default
+    """All system transitions up to the horizon (``default_horizon`` if
+    None), ``_Space.successors`` with no region map: the internal ones
+    (asynchronous deliveries and queue consumptions, both sides) and the
+    admissible sampled waits.  A final|final system has no steps."""
+    space, state = _stepper(sys, horizon)
     return [(_action(action), space.system(succ))
-            for action, succ in space.successors(state, space.at_d(horizon))]
+            for action, succ in space.successors(state)]
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +703,7 @@ def compatible(sys: System) -> Tuple[bool, str]:
         return False, "both queues non-empty"
     if left.nu.keys() != right.nu.keys() and not (left.queue or right.queue):
         return False, "valuations differ with empty queues"
-    return _compatible(*_stepper(sys)[:2], {})
+    return _compatible(*_stepper(sys), {})
 
 
 def _compatible(space: _Space, state: tuple, memo: Dict) -> Tuple[bool, str]:
@@ -803,8 +801,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
     Exceeding any bound makes the verdict bound-exceeded, never ok.
     """
     limits = limits or ExploreLimits()
-    space, horizon = _Space.of(sys)
-    horizon = space.at_d(horizon)
+    space = _Space.of(sys)
 
     start = space.canon(space.encode(sys))
     parents: Dict[tuple, Tuple[Optional[tuple], Optional[tuple]]] = {
@@ -849,7 +846,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
         if monitor:
             monitor_state(key)
         try:
-            steps = space.successors(key, horizon)
+            steps = space.successors(key)
         except ProtocolError as exc:
             return ProgressReport("counterexample", len(parents),
                                   build_trace(key), str(exc), violations)

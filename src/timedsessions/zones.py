@@ -64,7 +64,10 @@ from .constraints import (
     TRUE,
     TrueC,
     atom_eq,
+    atom_ge,
     atom_gt,
+    atom_le,
+    atom_lt,
     atoms_of,
     clocks_of,
     conj,
@@ -375,26 +378,16 @@ def _bounds_to_atoms(clock: str, sub: Optional[str],
                      upper: Tuple[Optional[Fraction], bool],
                      lower: Tuple[Optional[Fraction], bool]) -> List[Constraint]:
     """Atoms for  lo <= expr <= hi  where expr is a clock or a difference."""
-    out: List[Constraint] = []
     uv, ustrict = upper
     lv, lstrict = lower  # bound on -expr: expr >= -lv (strict if lstrict)
     if uv is not None and lv is not None and uv == -lv and not ustrict and not lstrict:
-        out.append(atom_eq(clock, uv, sub))
-        return out
-    if uv is not None:
-        # expr <= uv  (or < uv)
-        le = Not(atom_gt(clock, uv, sub))
-        if ustrict:
-            le = And(le, Not(atom_eq(clock, uv, sub)))
-        out.append(le)
-    if lv is not None:
-        low = -lv
-        # skip the implicit nonnegativity bound on single clocks
-        if not (sub is None and low == 0 and not lstrict):
-            if lstrict:
-                out.append(atom_gt(clock, low, sub))
-            elif not (sub is None and low <= 0):
-                out.append(Or(atom_gt(clock, low, sub), atom_eq(clock, low, sub)))
+        return [atom_eq(clock, uv, sub)]
+    out: List[Constraint] = []
+    if uv is not None:  # expr <= uv  (or < uv)
+        out.append((atom_lt if ustrict else atom_le)(clock, uv, sub))
+    # expr >= -lv (or > -lv), but not a single clock's implicit x >= 0
+    if lv is not None and (lstrict or sub is not None or -lv > 0):
+        out.append((atom_gt if lstrict else atom_ge)(clock, -lv, sub))
     return out
 
 

@@ -118,7 +118,7 @@ def canonicaliser(system: System) -> Callable[[System], System]:
     representative under that space's ``canon``, its nodes and queues
     kept, or the identity when a guard compares two clocks (the space
     then has no region map)."""
-    space = _Space.of(system)[0]
+    space = _Space.of(system)
     if not space.regions:
         return lambda state: state
 
@@ -128,19 +128,18 @@ def canonicaliser(system: System) -> Callable[[System], System]:
     return canonical
 
 
-def space_steps(space: _Space, state: tuple, horizon) -> list:
+def space_steps(space: _Space, state: tuple, waits: bool) -> list:
     """The (action, state) transitions of an int state of space, mapped by
-    no ``canon``: its ``_Space.moves``, then the admitted waits (none when
-    horizon, at scale d, is None); none from final|final.  An action is
-    ``(kind, message, t, S)``, t at S.  ``_Space.successors`` is ``canon``
-    of these."""
+    no ``canon``: its ``_Space.moves``, then, if waits is set, the waits
+    admitted up to the space's horizon; none from final|final.  An action
+    is ``(kind, message, t, S)``, t at S.  ``_Space.successors`` is
+    ``canon`` of these."""
     if space.is_final(state):
         return []
     scale, left, right = space.sides(state)
     out = [step[:2] for step in space.moves(state, scale, left, right)]
     _, _, pl, ql, _, pr, qr = state
-    for t in () if horizon is None else space.delays(scale, left, right,
-                                                      horizon):
+    for t in space.delays(scale, left, right) if waits else ():
         out.append((("wait", None, t, scale),
                     (scale, tuple(v + t for v in left[2][1:]), pl, ql,
                      tuple(v + t for v in right[2][1:]), pr, qr)))

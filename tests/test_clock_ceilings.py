@@ -217,7 +217,7 @@ def fresh_systems():
 def test_the_explorer_caps_each_clock_at_its_ceiling_plus_one_in_ints():
     checked = 0
     for system in fresh_systems():
-        space = _Space.of(system)[0]
+        space = _Space.of(system)
         sides = (system.left.node, system.right.node)
         assert space.regions == all(
             atom.sub is None for side in sides for atom in guard_atoms(side))

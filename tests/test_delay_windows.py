@@ -79,9 +79,9 @@ def tau_steps(sys):
     """The internal transitions of sys on the int step relation:
     asynchronous deliveries and queue consumptions, both sides always
     computed."""
-    space, state, _ = _stepper(sys)
+    space, state = _stepper(sys)
     return [(_action(action), space.system(succ))
-            for action, succ in space_steps(space, state, None)]
+            for action, succ in space_steps(space, state, False)]
 
 
 def delay_bound(qc, first):
@@ -90,7 +90,7 @@ def delay_bound(qc, first):
     int ``_Head.delay_bound`` of qc's head, with ``first`` the smallest
     delay asked about."""
     first = F(first)
-    space, state, _ = _stepper(System(qc, qc), first)
+    space, state = _stepper(System(qc, qc), first)
     scale, point, _ = space.points(state)
     bound = space.stepping(state[2]).delay_bound(
         qc.queue, None, point, scale,

@@ -158,6 +158,13 @@ HIDDEN_QUEUE = Scope("p", "q", Par((
 # A send that sees no buffer is no redex, and time cannot pass over it.
 BLIND_SEND = parse_process("delay(1). end | to q ! m. end")
 
+# Both ways phi can fail at once, once the hidden queue is filled: a
+# waiting receive with a non-empty queue and a send that sees no buffer.
+# phi names the first it meets in the term, so the order of the parts
+# decides which.
+HIDDEN_QUEUE_THEN_SEND = Par((HIDDEN_QUEUE, parse_process("to r ! a. end")))
+SEND_THEN_HIDDEN_QUEUE = Par(HIDDEN_QUEUE_THEN_SEND.parts[::-1])
+
 # Timeouts whose continuation is a receive with an expression timeout: one
 # reached by an expiring delay in the time step, one by an expired receive
 # in the instant step after it.  Both read x after the step.
@@ -171,15 +178,28 @@ EXPRESSION_AFTER_TIMEOUT = parse_process(
     (SPLICED, [0]), (SPLICED, [1]), (SPLICED, [Fraction(1, 2)]),
     (UNKNOWN_TIMER, None), (DELAY_INTO_PAR, None), (FULL_BUFFER, None),
     (HIDDEN_QUEUE, None), (BLIND_SEND, None),
-    (EXPRESSION_AFTER_TIMEOUT, None)],
+    (EXPRESSION_AFTER_TIMEOUT, None), (HIDDEN_QUEUE_THEN_SEND, None),
+    (SEND_THEN_HIDDEN_QUEUE, None)],
     ids=["spliced-0", "spliced-1", "spliced-1/2", "unknown-timer",
          "delay-into-par", "full-buffer", "hidden-queue", "blind-send",
-         "expression-after-timeout"])
+         "expression-after-timeout", "hidden-queue-then-send",
+         "send-then-hidden-queue"])
 def test_spliced_and_failing_steps_match_the_whole_term_loop(program,
                                                              schedule):
     for fuel in range(12):
         policy = RunPolicy(fuel=fuel, delay_resolution=schedule)
         assert run(program, policy) == reference_run(program, policy), fuel
+
+
+@pytest.mark.parametrize("program,detail", [
+    (HIDDEN_QUEUE_THEN_SEND, "endpoint 'q' is waiting on a non-empty queue"),
+    (SEND_THEN_HIDDEN_QUEUE, "time cannot pass over Send")],
+    ids=["hidden-queue-then-send", "send-then-hidden-queue"])
+def test_a_blocked_time_step_names_the_first_failure_in_the_term(program,
+                                                                 detail):
+    result = run(program, RunPolicy(fuel=12))
+    assert (result.status, result.detail, result.trace, result.elapsed) == (
+        "stuck", f"time blocked: {detail}", ["1 send p!m"], 0)
 
 
 def test_random_phi_terms_match_the_whole_term_loop():

@@ -164,14 +164,13 @@ def outcome(call):
 def test_the_explorer_enqueues_canon_of_the_steps(corpus):
     checked = unchanged = waits = looked = raised = 0
     for system in corpus_systems(corpus):
-        space, horizon = _Space.of(system)
-        horizon = space.at_d(horizon)
+        space = _Space.of(system)
         frontier = deque([space.canon(space.encode(system))])
         seen = set(frontier)
         while frontier and len(seen) < STATES_PER_SYSTEM:
             state = frontier.popleft()
-            raw = outcome(lambda: space_steps(space, state, horizon))
-            expanded = outcome(lambda: space.successors(state, horizon))
+            raw = outcome(lambda: space_steps(space, state, True))
+            expanded = outcome(lambda: space.successors(state))
             if isinstance(raw, str):
                 assert expanded == raw
                 continue
@@ -183,20 +182,20 @@ def test_the_explorer_enqueues_canon_of_the_steps(corpus):
             waits += sum(a[0] == "wait" for a, _ in expanded)
             for key in (state, *(succ for _, succ in expanded)):
                 assert outcome(lambda: space.can_move(key)) == outcome(
-                    lambda: bool(space_steps(space, key, None)))
+                    lambda: bool(space_steps(space, key, False)))
                 looked += 1
             for action, succ in raw:  # a representative moves as its wait
                 if action[0] == "wait":
                     assert outcome(
                         lambda: space.can_move(space.canon(succ))) == outcome(
-                        lambda: bool(space_steps(space, succ, None)))
+                        lambda: bool(space_steps(space, succ, False)))
             bad = mismatched(space, state)
             if bad is not None:  # the left side's mismatch is reported
                 left = outcome(lambda: _head_receive_option(
                     space.system(bad).left))
                 assert left.startswith("ProtocolError")
-                assert (outcome(lambda: space.successors(bad, horizon))
-                        == outcome(lambda: space_steps(space, bad, None))
+                assert (outcome(lambda: space.successors(bad))
+                        == outcome(lambda: space_steps(space, bad, False))
                         == outcome(lambda: space.can_move(bad)) == left)
                 raised += 1
             for _, succ in expanded:

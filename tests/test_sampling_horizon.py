@@ -6,6 +6,10 @@ above `default_horizon` (that constant + 2) therefore samples the same
 delays, and a smaller one can cut boundaries.  On the states of seeded
 walks from a corpus sample and from every fixture system, the steps at the
 default horizon, a third more and three times it must be the same.
+
+A system's space holds its horizon as an int at its grid d, which folds in
+the horizon's denominator; a negative horizon is rejected there, on every
+system, before any step is taken.
 """
 
 import random
@@ -17,12 +21,15 @@ import pytest
 from timedsessions.errors import ProtocolError
 from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import (
+    Message,
+    _Space,
+    admissible_delays,
     default_horizon,
     digest_system,
     make_system,
     system_steps,
 )
-from timedsessions.sessiontypes import dual
+from timedsessions.sessiontypes import NAT, dual
 
 F = Fraction
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,3 +91,26 @@ def test_horizons_from_the_default_up_sample_the_same_steps(systems):
             cut += steps_at(state, F(1)) != steps
     assert states > 100
     assert cut  # horizon 1 drops the samples of some state
+
+
+def test_a_negative_horizon_is_rejected_on_every_system():
+    end, node = parse_type("end"), parse_type("?a(x<1).end")
+    mismatched = make_system(node, dual(node))
+    mismatched.left.queue = (Message("a", NAT),)
+    with pytest.raises(ProtocolError):
+        system_steps(mismatched)
+    for system in (make_system(end, end, ["x"]), make_system(node, dual(node)),
+                   mismatched):
+        for call in (system_steps, admissible_delays):
+            with pytest.raises(ValueError, match="horizon must be nonnegative"):
+                call(system, -1)
+
+
+def test_the_space_holds_its_horizon_at_its_grid():
+    node = parse_type("!a(x<1/2).end")
+    space = _Space.of(make_system(node, dual(node)), F(1, 3))
+    assert space.d % 6 == 0 and space.horizon == space.d // 3
+    for system in fixture_systems():
+        space = _Space.of(system)
+        assert type(space.horizon) is int
+        assert default_horizon(system) == F(space.horizon, space.d)
