@@ -32,16 +32,16 @@ Compatibility drains a queue by the explorer's own receive move, so
 compat, the monitor and simulate all run the int relation.  ``Fraction``
 remains only at the boundary: the digest text (``render_key``), the t of
 a wait action, and the public converters onto the int step relation
-(``system_steps``, ``admissible_delays``, ``region_canonical``,
-``state_key``, ``digest_system``).  A system's grid d, region flag and
-horizon come from one walk of the guard atoms its sides run
-(``guard_atoms``: not those of the sessions a payload delegates),
+(``system_steps``, ``admissible_delays``, ``qconfig_time``,
+``region_canonical``, ``state_key``, ``digest_system``).  A system's grid
+d, region flag and horizon come from one walk of the guard atoms its sides
+run (``guard_atoms``: not those of the sessions a payload delegates),
 ``_Space.of``, which the explorer, ``default_horizon`` and the steps
-without the region map (``_stepper``) all read.  ``qconfig_time`` stays
-the single-delay time rule in ``Fraction``.  The step rules of layers one
-and two and the compatibility walk in ``Fraction`` are the test suite's
-reference (``tests/reference_semantics.py``), which the int relation is
-checked against.
+without the region map (``_stepper``) all read; ``is_future_enabled``
+reads the entry zones the explorer reads.  The step rules of layers one
+and two, their time rule and the compatibility walk in ``Fraction`` are
+the test suite's reference (``tests/reference_semantics.py``), which the
+int relation is checked against.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from typing import Dict, List, Optional, Tuple
 from .constraints import (
     Struct,
     Valuation,
-    eval_constraint,
     format_rational,
     shift,
     zero_valuation,
@@ -63,9 +62,9 @@ from .errors import ProtocolError, SpecError
 from .sessiontypes import (
     ChoiceOption,
     Delegate,
+    END,
     End,
     PayloadSort,
-    RECV,
     SEND,
     TypeNode,
     dual,
@@ -73,7 +72,7 @@ from .sessiontypes import (
     type_clocks,
     unfold_head,
 )
-from .zones import constraint_equiv, holds_at, trajectory_zone, window_at
+from .zones import constraint_equiv, holds_at, window_at, zoneset_contains
 
 # ---------------------------------------------------------------------------
 # States
@@ -153,61 +152,34 @@ class ProgressReport(Struct, frozen=False):
 
 def is_future_enabled(state) -> bool:
     """Can some delay enable a communication action?  Decided exactly by the
-    entry constraint of the unfolded head (``Choice.entry``, the past of its
-    guards); end is never future-enabled."""
+    entry zones of the unfolded head (the past of its guards, the zones the
+    explorer reads) on the valuation's clocks; end is never
+    future-enabled."""
     head = unfold_head(state.node)
-    return bool(head.options) and eval_constraint(state.nu, head.entry)
-
-
-def _head_receive_option(qc: QConfig) -> Optional[ChoiceOption]:
-    """The receive option matching the queue head, if any.
-
-    A label match with a different payload sort is a protocol error: the
-    reception is unspecified.
-    """
-    if not qc.queue:
-        return None
-    head = qc.queue[0]
-    for opt in unfold_head(qc.node).options:
-        if opt.direction == RECV and opt.label == head.label:
-            if opt.payload != head.sort:
-                raise ProtocolError(
-                    f"unspecified reception: {head.label!r} carries "
-                    f"{head.sort}, type expects {opt.payload}")
-            return opt
-    return None
+    return bool(head.options) and zoneset_contains(
+        head.over(tuple(sorted(state.nu)))[1], state.nu)
 
 
 def qconfig_time(qc: QConfig, t: Fraction):
-    """Let time pass under persistency and urgency.
+    """Let time pass under persistency and urgency: the int
+    ``_Head.delay_bound`` of qc's head, asked about t.
 
     Returns (QConfig, None) on success or (None, reason) when a premise
-    fails; reason is "persistency" or "urgency".
+    fails; reason is "persistency" or "urgency".  A mismatched payload at
+    the queue head raises only once persistency admits t.
     """
     t = Fraction(t)
     if t <= 0:
         raise ValueError("time steps must be positive")
-    shifted = shift(qc.nu, t)
-    if is_future_enabled(qc) and not is_future_enabled(QConfig(shifted, qc.node)):
-        return None, "persistency"
-    if qc.queue:
-        opt = _head_receive_option(qc)
-        if opt is not None and _receivable_during(qc, opt, t):
-            return None, "urgency"
-    return QConfig(shifted, qc.node, qc.queue), None
-
-
-def _receivable_during(qc: QConfig, opt: ChoiceOption, t: Fraction) -> bool:
-    """Is the guard of the option of qc's head satisfied at nu + t' for
-    some 0 <= t' < t?"""
-    nu = qc.nu
-    if not nu:
-        return eval_constraint(nu, opt.guard)
-    head = unfold_head(qc.node)
-    zones = next(zones for other, zones in zip(
-        head.options, head.over(tuple(sorted(nu)))[0]) if other is opt)
-    window = trajectory_zone(nu, t, include_end=False)
-    return any(zone.intersect(window) is not None for zone in zones)
+    # t as the horizon folds its denominator into d: t is an int at S
+    space, state = _stepper(System(qc, QConfig(dict(qc.nu), END)), t)
+    scale, point, _ = space.points(state)
+    head, delay = space.stepping(state[2]), space.horizon * (scale // space.d)
+    for queue, reason in (((), "persistency"), (qc.queue, "urgency")):
+        bound = head.delay_bound(queue, None, point, scale, delay)
+        if bound is not None and 2 * delay + 1 > bound:
+            return None, reason
+    return QConfig(shift(qc.nu, t), qc.node, qc.queue), None
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +373,7 @@ class _Head:
         head's guard holds somewhere in [0, t) exactly when t exceeds the
         smallest lower end of the point's windows against its guard zones.
         Without opt, that option is looked up (a mismatched payload raises)
-        only when persistency admits ``first``, as in ``qconfig_time``."""
+        only when persistency admits ``first``, the paper's premise order."""
         bound = None
         for zone in self.entry:
             window = window_at(zone, point, scale)

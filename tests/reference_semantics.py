@@ -9,8 +9,11 @@ against them:
 * layer one, configurations: ``config_comm_steps`` fires each option whose
   guard ``eval_constraint`` holds, and ``config_tick`` lets time pass;
 * layer two, configurations with queues: ``qconfig_steps`` sends as layer
-  one does and receives the queue head, and ``enqueue`` appends to a
-  queue;
+  one does and receives the queue head (``_head_receive_option``),
+  ``enqueue`` appends to a queue, and the time rule ``qconfig_time`` lets
+  time pass under persistency (``future_enabled``, which evaluates the
+  rendered ``Choice.entry``) and urgency (``_receivable_during``, which
+  sweeps the queue head's guard zones with ``trajectory_zone``);
 * layer three, compatibility: ``compatible`` drains the queued side one
   receive at a time and compares the valuations after a state map and the
   types up to duality;
@@ -27,19 +30,18 @@ Nothing here imports the int kernel (``_Space`` and the point readers of
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import is_
-from typing import Callable, Iterable, List, Mapping, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 from timedsessions.constraints import (TRUE, Constraint, Valuation,
                                        eval_constraint, shift)
 from timedsessions.processes import (Par, ProcNode, _normal_node,
                                      format_process, map_children)
 from timedsessions.errors import ProtocolError, SpecError
-from timedsessions.semantics import (Message, QConfig, System,
-                                     _head_receive_option, _sem_equal_rec)
+from timedsessions.semantics import Message, QConfig, System, _sem_equal_rec
 from timedsessions.sessiontypes import (END, NONE, RECV, SEND, ChoiceOption,
                                         PayloadSort, TypeNode, dual,
                                         unfold_head)
-from timedsessions.zones import LE_ZERO, Zone
+from timedsessions.zones import LE_ZERO, Zone, trajectory_zone
 
 # ---------------------------------------------------------------------------
 # Configurations
@@ -94,6 +96,65 @@ def config_tick(config: Config, t: Fraction) -> Config:
 
 def enqueue(qc: QConfig, message: Message) -> QConfig:
     return QConfig(qc.nu, qc.node, qc.queue + (message,))
+
+
+def future_enabled(state) -> bool:
+    """Can some delay enable a communication action?  Decided exactly by the
+    entry constraint of the unfolded head (``Choice.entry``, the past of its
+    guards); end is never future-enabled."""
+    head = unfold_head(state.node)
+    return bool(head.options) and eval_constraint(state.nu, head.entry)
+
+
+def _head_receive_option(qc: QConfig) -> Optional[ChoiceOption]:
+    """The receive option matching the queue head, if any.
+
+    A label match with a different payload sort is a protocol error: the
+    reception is unspecified.
+    """
+    if not qc.queue:
+        return None
+    head = qc.queue[0]
+    for opt in unfold_head(qc.node).options:
+        if opt.direction == RECV and opt.label == head.label:
+            if opt.payload != head.sort:
+                raise ProtocolError(
+                    f"unspecified reception: {head.label!r} carries "
+                    f"{head.sort}, type expects {opt.payload}")
+            return opt
+    return None
+
+
+def qconfig_time(qc: QConfig, t: Fraction):
+    """Let time pass under persistency and urgency.
+
+    Returns (QConfig, None) on success or (None, reason) when a premise
+    fails; reason is "persistency" or "urgency".
+    """
+    t = Fraction(t)
+    if t <= 0:
+        raise ValueError("time steps must be positive")
+    shifted = shift(qc.nu, t)
+    if future_enabled(qc) and not future_enabled(QConfig(shifted, qc.node)):
+        return None, "persistency"
+    if qc.queue:
+        opt = _head_receive_option(qc)
+        if opt is not None and _receivable_during(qc, opt, t):
+            return None, "urgency"
+    return QConfig(shifted, qc.node, qc.queue), None
+
+
+def _receivable_during(qc: QConfig, opt: ChoiceOption, t: Fraction) -> bool:
+    """Is the guard of the option of qc's head satisfied at nu + t' for
+    some 0 <= t' < t?"""
+    nu = qc.nu
+    if not nu:
+        return eval_constraint(nu, opt.guard)
+    head = unfold_head(qc.node)
+    zones = next(zones for other, zones in zip(
+        head.options, head.over(tuple(sorted(nu)))[0]) if other is opt)
+    window = trajectory_zone(nu, t, include_end=False)
+    return any(zone.intersect(window) is not None for zone in zones)
 
 
 def qconfig_steps(qc: QConfig) -> List[Tuple[CommAction, QConfig]]:

@@ -4,9 +4,13 @@
 `eval_constraint` of the shifted valuation on the zone's rendered
 constraint and against the `trajectory_zone` sweep, and the per-side
 bound `admissible_delays` filters with (`_Head.delay_bound`, read here
-through the `delay_bound` converter) against `qconfig_time` on every
-boundary sample, the midpoints between samples and the window endpoints
-themselves.  The int kernel the progress explorer runs on,
+through the `delay_bound` converter) against the reference's `Fraction`
+rule, `reference_semantics.qconfig_time`, on every boundary sample, the
+midpoints between samples and the window endpoints themselves.  The
+package's `qconfig_time`, a converter over that bound, and its
+`is_future_enabled`, which reads the entry zones, are checked against the
+reference's `qconfig_time` and `future_enabled` on seeded
+configurations.  The int kernel the progress explorer runs on,
 `zones.window_at` and the guard test of its step relation, is checked
 against `eval_constraint` directly.  Valuations are drawn in halves and
 thirds, guards mix open and closed endpoints, equalities, differences and
@@ -18,6 +22,7 @@ of a system zones no guard at all.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 from math import lcm
 from pathlib import Path
@@ -25,16 +30,17 @@ from pathlib import Path
 import pytest
 
 from helpers import random_constraint, space_steps
-from reference_semantics import option
+import reference_semantics
+from reference_semantics import option, qconfig_time
 from timedsessions import constraints, semantics, sessiontypes, zones
 from timedsessions.constraints import (TRUE, Not, atom_eq, atom_ge, atom_gt,
                                        atom_le, atom_lt, conj, sample_delays,
                                        shift)
-from timedsessions.errors import ProtocolError
+from timedsessions.errors import ProtocolError, SpecError
 from timedsessions.generate import well_formed_types
 from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import (Message, QConfig, System, _action,
-                                     _stepper, qconfig_time, unfold_head)
+                                     _stepper, unfold_head)
 from timedsessions.sessiontypes import (BOOL, END, NONE, RECV, SEND, Choice,
                                         max_constant)
 from timedsessions.zones import to_zones, trajectory_zone
@@ -337,6 +343,41 @@ def test_delay_bound_agrees_with_qconfig_time():
                      "bounded", "unbounded", "no clocks"}
 
 
+def rule_outcome(rule, qc, t):
+    """What rule(qc, t) returns, or the type and text of the error it
+    raises."""
+    try:
+        return rule(qc, t)
+    except (ProtocolError, SpecError) as exc:
+        return type(exc), str(exc)
+
+
+def test_qconfig_time_is_the_reference_rule():
+    """The package's ``qconfig_time``, a converter over ``_Head.delay_bound``,
+    is the paper's rule in ``Fraction``: the same waited configuration,
+    refused premise or error, at t on the guards' grid and off it; and
+    ``is_future_enabled``, which reads the entry zones, says what
+    ``future_enabled`` says of the rendered entry."""
+    rng = random.Random(49)
+    kinds = Counter()
+    for _ in range(3000):
+        qc = random_qconfig(rng)
+        assert semantics.is_future_enabled(qc) == (
+            reference_semantics.future_enabled(qc)), qc
+        for t in (F(rng.randint(1, 40), rng.choice((1, 2, 3, 5, 7))),
+                  F(1, 5), F(13, 2)):
+            got = rule_outcome(semantics.qconfig_time, qc, t)
+            assert got == rule_outcome(reference_semantics.qconfig_time, qc,
+                                       t), (qc, t)
+            kinds["protocol-error" if got[0] is ProtocolError
+                  else got[1] or "admitted"] += 1
+        kinds["no clocks"] += not qc.nu
+        kinds["end"] += qc.node is END
+    assert min(kinds[kind] for kind in (
+        "admitted", "persistency", "urgency", "protocol-error", "no clocks",
+        "end")) > 100, kinds
+
+
 def _forbidden(name):
     def call(*args, **kwargs):
         raise AssertionError(f"{name} called on a warm state")
@@ -360,7 +401,6 @@ def test_admissible_delays_on_warm_types_compiles_nothing(monkeypatch):
                          if len(succ.left.queue) + len(succ.right.queue) < 3]
     expected = [semantics.admissible_delays(s, F(8)) for s in states]
     for module, name in ((semantics, "qconfig_time"),
-                         (semantics, "_receivable_during"),
                          (zones, "to_zones"), (sessiontypes, "to_zones"),
                          (zones, "trajectory_zone")):
         monkeypatch.setattr(module, name, _forbidden(name))
@@ -392,8 +432,6 @@ def test_progress_on_warm_types_compiles_nothing(monkeypatch):
     assert calls
     calls.clear()
     for module, name in ((semantics, "qconfig_time"),
-                         (semantics, "_receivable_during"),
-                         (semantics, "trajectory_zone"),
                          (zones, "trajectory_zone")):
         monkeypatch.setattr(module, name, _forbidden(name))
     assert [semantics.check_progress(s) for s in systems] == expected

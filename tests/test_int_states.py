@@ -5,8 +5,9 @@ denominator per state and each side's clock values as int tuples
 (`semantics.state_key`).  The public `system_steps` is a converter onto
 that one step relation, so a replay through it checks the explorer against
 itself.  Here the step relation is checked against the layer-two rules
-instead: `qconfig_steps`, whose guards `eval_constraint` decides, for the
-internal steps, and for the waits the `sample_delays` samples that
+instead (`reference_semantics`): `qconfig_steps`, whose guards
+`eval_constraint` decides, for the internal steps, and for the waits the
+`sample_delays` samples that the reference's `Fraction` time rule
 `qconfig_time` admits on both sides.  A diagonal system, whose states are
 only reduced, pins the state identity that an unreduced denominator splits.
 
@@ -27,19 +28,18 @@ from pathlib import Path
 import pytest
 
 from helpers import canonicaliser, scaled_type, space_steps
-from reference_semantics import enqueue, qconfig_steps
+from reference_semantics import (_head_receive_option, enqueue, qconfig_steps,
+                                 qconfig_time)
 from timedsessions.constraints import sample_delays
 from timedsessions.errors import ProtocolError
 from timedsessions.parser import parse_type
 from timedsessions.semantics import (
     ExploreLimits,
     Message,
-    _head_receive_option,
     _Space,
     check_progress,
     default_horizon,
     make_system,
-    qconfig_time,
     state_key,
     system_steps,
     unfold_head,

@@ -1,9 +1,10 @@
 """The references stay independent of the kernels they check.
 
-``reference_semantics`` is the oracle the int explorer, the zones and the
-int compatibility walk are checked against, so it must reach no part of
-them: not the int state space of ``semantics``, its compatibility walk
-on int states, nor the point readers of ``zones``.
+``reference_semantics`` is the oracle the int explorer, the zones, the
+int compatibility walk and the time rule are checked against, so it must
+reach no part of them: not the int state space of ``semantics``, its
+compatibility walk on int states, nor the point readers of ``zones``;
+and ``semantics`` keeps no second, ``Fraction`` time rule.
 ``term_reference`` is the oracle ``processes.run`` is checked against: it
 classifies and reduces leaves with its own ``_classify`` and ``_reduce``,
 so it must reach none of the run's step records, thread and buffer
@@ -45,9 +46,21 @@ def defined_in(reference: str) -> set:
 def test_the_reference_names_nothing_of_the_int_kernel():
     names = names_in("reference_semantics.py")
     assert "eval_constraint" in names  # the walk reads the module
-    assert {"qconfig_steps", "compatible"} <= defined_in(
-        "reference_semantics.py")  # its own steps and compatibility walk
+    assert {"qconfig_steps", "compatible", "qconfig_time", "future_enabled",
+            "_head_receive_option"} <= defined_in(
+        "reference_semantics.py")  # its own steps, time rule and walk
     assert names & KERNEL == set()
+
+
+def test_the_package_keeps_one_time_rule():
+    """``semantics`` keeps its two time-rule names, but decides them through
+    the int kernel alone: the ``Fraction`` rule, which evaluates rendered
+    guards and sweeps trajectories, lives in the reference."""
+    semantics = "../src/timedsessions/semantics.py"
+    assert names_in(semantics) & {"eval_constraint", "trajectory_zone"} == set()
+    defined = defined_in(semantics)
+    assert {"qconfig_time", "is_future_enabled"} <= defined
+    assert defined & {"_receivable_during", "_head_receive_option"} == set()
 
 
 def test_the_term_reference_names_nothing_of_the_run():

@@ -1,16 +1,19 @@
 """Configuration, queue, and system transitions plus the progress checker."""
 
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from helpers import canonicaliser, random_valuation
+import reference_semantics
 from reference_semantics import (Config, config_comm_steps, config_tick,
                                  enqueue, qconfig_steps)
+from timedsessions import semantics
 from timedsessions.constraints import zero_valuation
-from timedsessions.errors import ProtocolError
+from timedsessions.errors import ProtocolError, SpecError
 from timedsessions.generate import random_type
 from timedsessions.parser import parse_spec_file, parse_type
 from timedsessions.semantics import (
@@ -23,9 +26,7 @@ from timedsessions.semantics import (
     compatible,
     default_horizon,
     digest_system,
-    is_future_enabled,
     make_system,
-    qconfig_time,
     state_key,
     system_steps,
     unfold_head,
@@ -47,6 +48,11 @@ WEAK_PERSISTENCY = "{ !data<Str>(x<3).end , ?timeout(x>4).end }"
 UNSAFE_LEFT = "{ ?a(x<5).end , !b(x=0).end }"
 UNSAFE_RIGHT = "{ !a(x<5).end , ?b(x=0).end }"
 PING_PONG = "rec t . { ?ping(x<=3,{x}).t , !pong(x>3,{x}).t }"
+# the package's time rule, a converter over the explorer's delay bound, and
+# the paper's rule in Fraction, which the paper's examples below pin alike
+TIME_RULES = (semantics.qconfig_time, reference_semantics.qconfig_time)
+FUTURE_ENABLED = (semantics.is_future_enabled,
+                  reference_semantics.future_enabled)
 
 
 def nu0(*clocks):
@@ -146,11 +152,12 @@ def test_config_tick():
 
 
 def test_future_enabled_examples():
-    assert is_future_enabled(QConfig(nu0(), parse_type(WEAK_PERSISTENCY)))
-    # past(2<x<5) = x<5 fails at x=10 (checked against the delay oracle)
-    assert not is_future_enabled(QConfig({"x": F(10)},
-                                         parse_type("?c(2<x<5).end")))
-    assert not is_future_enabled(QConfig(nu0(), parse_type("end")))
+    for is_future_enabled in FUTURE_ENABLED:
+        assert is_future_enabled(QConfig(nu0(), parse_type(WEAK_PERSISTENCY)))
+        # past(2<x<5) = x<5 fails at x=10 (checked against the delay oracle)
+        assert not is_future_enabled(QConfig({"x": F(10)},
+                                             parse_type("?c(2<x<5).end")))
+        assert not is_future_enabled(QConfig(nu0(), parse_type("end")))
 
 
 def test_qconfig_recv_consumes_head():
@@ -180,46 +187,83 @@ def test_sort_mismatch_is_protocol_error():
 
 def test_qconfig_time_weak_persistency_allows_timeout_branch():
     qc = QConfig(nu0(), parse_type(WEAK_PERSISTENCY))
-    after, reason = qconfig_time(qc, F(5))
-    assert reason is None
-    assert after.nu == {"x": F(5)}
+    for qconfig_time in TIME_RULES:
+        after, reason = qconfig_time(qc, F(5))
+        assert reason is None
+        assert after.nu == {"x": F(5)}
 
 
 def test_qconfig_time_urgency_blocks_receivable_head():
     qc = QConfig(nu0(), dual(parse_type(WEAK_PERSISTENCY)),
                  (Message("data", STR),))
-    blocked, reason = qconfig_time(qc, F(1))
-    assert blocked is None and reason == "urgency"
+    for qconfig_time in TIME_RULES:
+        blocked, reason = qconfig_time(qc, F(1))
+        assert blocked is None and reason == "urgency"
 
 
 def test_qconfig_time_urgency_vacuous_when_head_not_yet_receivable():
     # the receive guard 2<x<5 opens only later; waiting 1 never crosses it
     qc = QConfig(nu0(), parse_type("?c(2<x<5).end"), (Message("c", NONE),))
-    ok, reason = qconfig_time(qc, F(1))
-    assert reason is None
-    # but waiting past the opening is refused
-    blocked, reason = qconfig_time(qc, F(3))
-    assert blocked is None and reason == "urgency"
+    for qconfig_time in TIME_RULES:
+        ok, reason = qconfig_time(qc, F(1))
+        assert reason is None
+        # but waiting past the opening is refused
+        blocked, reason = qconfig_time(qc, F(3))
+        assert blocked is None and reason == "urgency"
 
 
 def test_qconfig_time_persistency_refusal():
     qc = QConfig(nu0(), parse_type("?c(2<x<5).end"))
-    blocked, reason = qconfig_time(qc, F(6))
-    assert blocked is None and reason == "persistency"
+    for qconfig_time in TIME_RULES:
+        blocked, reason = qconfig_time(qc, F(6))
+        assert blocked is None and reason == "persistency"
 
 
 def test_qconfig_time_end_vacuous():
     qc = QConfig(nu0(), parse_type("end"))
-    after, reason = qconfig_time(qc, F(9))
-    assert reason is None and after.nu == {"x": F(9)}
+    for qconfig_time in TIME_RULES:
+        after, reason = qconfig_time(qc, F(9))
+        assert reason is None and after.nu == {"x": F(9)}
 
 
 def test_wait_determinism():
     qc = QConfig(nu0(), parse_type(WEAK_PERSISTENCY))
-    one, _ = qconfig_time(qc, F(2))
-    two, _ = qconfig_time(one, F(3))
-    direct, _ = qconfig_time(qc, F(5))
-    assert two.nu == direct.nu and two.node == direct.node
+    for qconfig_time in TIME_RULES:
+        one, _ = qconfig_time(qc, F(2))
+        two, _ = qconfig_time(one, F(3))
+        direct, _ = qconfig_time(qc, F(5))
+        assert two.nu == direct.nu and two.node == direct.node
+
+
+@pytest.mark.parametrize("head, queue", [
+    ("!a(y<1).end", ()), ("?a(y<1).end", (Message("a", NONE),))])
+def test_a_valuation_without_a_guard_clock_is_refused_by_the_zones(head,
+                                                                    queue):
+    """The package's time rule reads the head's zones over the valuation's
+    clocks, so a guard clock the valuation lacks is refused as the step
+    relation refuses it, not as ``eval_constraint`` would."""
+    qc = QConfig(nu0(), parse_type(head), queue)
+    for call in (lambda: semantics.qconfig_time(qc, F(1)),
+                 lambda: semantics.is_future_enabled(qc)):
+        with pytest.raises(SpecError, match="^valuation lacks clock 'y'$"):
+            call()
+    with pytest.raises(SpecError, match="^valuation lacks clock 'y'$"):
+        system_steps(System(qc, QConfig(nu0(), parse_type("end"))))
+    for call in (lambda: reference_semantics.qconfig_time(qc, F(1)),
+                 lambda: reference_semantics.future_enabled(qc)):
+        with pytest.raises(SpecError, match="^unknown clock 'y' in constraint$"):
+            call()
+
+
+def test_a_reset_of_a_clock_the_valuation_lacks_refuses_the_wait():
+    qc = QConfig(nu0(), parse_type("!a(x<1, {y}).end"))
+    message = re.escape("reset of undeclared clock(s): ['y']")
+    with pytest.raises(SpecError, match=message):
+        semantics.qconfig_time(qc, F(1, 2))
+    with pytest.raises(SpecError, match=message):
+        system_steps(System(qc, QConfig(nu0(), parse_type("end"))))
+    # the Fraction rule never reads the resets, and admits the wait
+    assert reference_semantics.qconfig_time(qc, F(1, 2))[1] is None
 
 
 def test_system_steps_crossed_sends():
@@ -449,16 +493,16 @@ def test_urgency_boundary_with_open_guard():
     # boundary itself the system is genuinely stuck (the guard is still
     # false but every positive wait passes a receivable instant)
     qc = QConfig(nu0(), parse_type("?m(2<x<5).end"), (Message("m", NONE),))
-    ok, _ = qconfig_time(qc, F(2))
-    assert ok is not None
-    refused, reason = qconfig_time(qc, F(7, 2))
-    assert refused is None and reason == "urgency"
-
     at_boundary = QConfig({"x": F(2)}, parse_type("?m(2<x<5).end"),
                           (Message("m", NONE),))
     assert qconfig_steps(at_boundary) == []
-    blocked, reason = qconfig_time(at_boundary, F(1))
-    assert blocked is None and reason == "urgency"
+    for qconfig_time in TIME_RULES:
+        ok, _ = qconfig_time(qc, F(2))
+        assert ok is not None
+        refused, reason = qconfig_time(qc, F(7, 2))
+        assert refused is None and reason == "urgency"
+        blocked, reason = qconfig_time(at_boundary, F(1))
+        assert blocked is None and reason == "urgency"
 
     sender = QConfig({"x": F(2)}, parse_type("end"))
     report = check_progress(System(at_boundary, sender))
