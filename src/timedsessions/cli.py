@@ -4,8 +4,8 @@ Subcommands: check (well-formedness), dual (direction flip), progress
 (bounded verification), compat (system compatibility), run (process
 interpreter), simulate (system walk).  Exit codes: 0 pass, 1 property
 violation or counterexample, 2 usage, parse or write error, 3 bound
-exceeded.  A command imports the interpreter, the explorer, ``random``,
-``hashlib`` or ``json`` only when it uses one.
+exceeded.  A command formats what the library returns, and imports the
+interpreter, the explorer, ``hashlib`` or ``json`` only when it uses one.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional
 
 from .constraints import format_rational
-from .errors import ParseError, ProtocolError, SpecError, ZoneLimitExceeded
+from .errors import ParseError, SpecError, ZoneLimitExceeded
 from .parser import parse_rationals, parse_spec_file, parse_valuation
 from .sessiontypes import check_well_formed, dual, format_type, type_clocks
 
@@ -46,14 +46,19 @@ def _named(spec, kind: str, name: str):
     return table[name]
 
 
-def _sys_action_json(action) -> dict:
-    out = {"action": action.kind}
-    if action.t is not None:
-        out["t"] = format_rational(action.t)
-    if action.message is not None:
-        out["label"] = action.message.label
-        out["dir"] = "!" if action.kind.startswith("comm") else "?"
-    return out
+def _trace(trace) -> tuple:
+    """The text lines and JSON steps of a (SysAction, state) trace."""
+    steps = []
+    for action, state in trace:
+        step = {"action": action.kind, "state": state}
+        if action.t is not None:
+            step["t"] = format_rational(action.t)
+        if action.message is not None:
+            step["label"] = action.message.label
+            step["dir"] = "!" if action.kind.startswith("comm") else "?"
+        steps.append(step)
+    return [f"{depth} {action} {state}"
+            for depth, (action, state) in enumerate(trace)], steps
 
 
 # Each command takes the parsed arguments, the spec and what its name
@@ -88,8 +93,7 @@ def cmd_progress(args, spec, system):
     report = check_progress(system, ExploreLimits(
         max_depth=args.depth, max_queue=args.queue, max_states=args.states),
         monitor=args.monitor)
-    trace = [dict(_sys_action_json(action), state=state)
-             for action, state in report.trace]
+    text, trace = _trace(report.trace)
     diags = {"states": report.states_visited, "reason": report.reason,
              "trace": trace,
              "invariant_violations": report.invariant_violations}
@@ -97,10 +101,7 @@ def cmd_progress(args, spec, system):
              f"({report.states_visited} states)"]
     if report.reason:
         lines.append(f"  {report.reason}")
-    for depth, (action, state) in enumerate(report.trace):
-        lines.append(f"{depth} {action} {state}")
-    for violation in report.invariant_violations:
-        lines.append(f"  invariant: {violation}")
+    lines += text + [f"  invariant: {v}" for v in report.invariant_violations]
     return report.verdict, diags, lines
 
 
@@ -129,33 +130,15 @@ def cmd_run(args, spec, node):
 
 
 def cmd_simulate(args, spec, system):
-    from random import Random
+    from .semantics import simulate
 
-    from .semantics import _action, _stepper, render_key
-
-    space, state = _stepper(system)
-    rng = Random(args.seed)
-    lines, trace, verdict = [], [], "ok"
-    for depth in range(args.trace_len):
-        try:
-            steps = space.successors(state)
-        except ProtocolError as exc:
-            verdict = "protocol-error"
-            lines.append(f"  {exc}")
-            break
-        if not steps:
-            if not space.is_final(state):
-                verdict = "stuck"
-            break
-        action, state = rng.choice(steps)
-        if len(state[3]) > args.queue or len(state[6]) > args.queue:
-            verdict = "bound-exceeded"
-            break
-        action, digest = _action(action), render_key(state, space.clocks)
-        lines.append(f"{depth} {action} {digest}")
-        trace.append(dict(_sys_action_json(action), state=digest))
+    verdict, trace, error = simulate(system, args.seed, args.trace_len,
+                                     args.queue)
+    lines, steps = _trace(trace)
+    if error is not None:
+        lines.append(f"  {error}")
     lines.append(f"verdict: {verdict}")
-    return verdict, {"trace": trace}, lines
+    return verdict, {"trace": steps}, lines
 
 
 def _write(stream, lines) -> Optional[OSError]:

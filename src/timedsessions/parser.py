@@ -133,6 +133,18 @@ def _height(c: Constraint) -> int:
     return 1
 
 
+def _balanced(parts: list, node) -> Tuple[Constraint, int]:
+    """The (constraint, height) parts joined by node, split after the first
+    ceil(n/2) of n parts: up to three parts nest to the left, as ``conj``
+    and ``disj`` build them."""
+    if len(parts) == 1:
+        return parts[0]
+    half = (len(parts) + 1) // 2
+    left, left_height = _balanced(parts[:half], node)
+    right, right_height = _balanced(parts[half:], node)
+    return node(left, right), 1 + max(left_height, right_height)
+
+
 def _nesting(method):
     """Count each active call of a recursive parse method as one level."""
 
@@ -284,20 +296,16 @@ class _Parser:
         return self._disjunction()[0]
 
     def _disjunction(self) -> Tuple[Constraint, int]:
-        left, height = self._conjunction()
-        while self.accept("or"):
-            right, right_height = self._conjunction()
-            left = Or(left, right)
-            height = self._within(1 + max(height, right_height))
-        return left, height
+        return self._chain(self._conjunction, "or", Or)
 
     def _conjunction(self) -> Tuple[Constraint, int]:
-        left, height = self._unary()
-        while self.accept("and"):
-            right, right_height = self._unary()
-            left = And(left, right)
-            height = self._within(1 + max(height, right_height))
-        return left, height
+        return self._chain(self._unary, "and", And)
+
+    def _chain(self, part, word: str, node) -> Tuple[Constraint, int]:
+        """Parts separated by word, as a balanced tree of node, so that a
+        flat chain of n parts nests only about log2(n) levels deep."""
+        constraint, height = _balanced(self.separated(part, word), node)
+        return constraint, self._within(height)
 
     def _unary(self) -> Tuple[Constraint, int]:
         if self.accept("not"):

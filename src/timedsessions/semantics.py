@@ -28,20 +28,21 @@ RTSS 1996), every other clock is capped one above its ceiling.  The waits
 are mapped in one loop; a move that resets no clock and keeps the caps
 keeps a state canonical.  A diagonal system's states are only reduced.
 
-Compatibility drains a queue by the explorer's own receive move, so
-compat, the monitor and simulate all run the int relation.  ``Fraction``
-remains only at the boundary: the digest text (``render_key``), the t of
-a wait action, and the public converters onto the int step relation
-(``system_steps``, ``admissible_delays``, ``qconfig_time``,
-``region_canonical``, ``state_key``, ``digest_system``).  A system's grid
-d, region flag and horizon come from one walk of the guard atoms its sides
-run (``guard_atoms``: not those of the sessions a payload delegates),
-``_Space.of``, which the explorer, ``default_horizon`` and the steps
-without the region map (``_stepper``) all read; ``is_future_enabled``
-reads the entry zones the explorer reads.  The step rules of layers one
-and two, their time rule and the compatibility walk in ``Fraction`` are
-the test suite's reference (``tests/reference_semantics.py``), which the
-int relation is checked against.
+One stuck test, ``_Space.acts``, ends ``check_progress`` and the seeded
+walk ``simulate``; compatibility drains a queue by the explorer's own
+receive move, so compat, the monitor and simulate all run the int relation.
+``Fraction`` remains only at the boundary: the digest text
+(``render_key``), the t of a wait action, and the public converters onto
+the int step relation (``system_steps``, ``admissible_delays``,
+``qconfig_time``, ``region_canonical``, ``state_key``, ``digest_system``).
+A system's grid d, region flag and horizon come from one walk of the guard
+atoms its sides run (``guard_atoms``: not those of the sessions a payload
+delegates), ``_Space.of``, which the explorer, ``default_horizon`` and the
+steps without the region map (``_stepper``) all read; ``is_future_enabled``
+reads the entry zones the explorer reads.  The step rules of layers one and
+two, their time rule and the compatibility walk in ``Fraction`` are the
+test suite's reference (``tests/reference_semantics.py``), which the int
+relation is checked against.
 """
 
 from __future__ import annotations
@@ -513,6 +514,13 @@ class _Space:
         """Has the state an internal move?  ``moves``, up to the first."""
         return next(self.moves(state, *self.sides(state)), None) is not None
 
+    def acts(self, state: tuple, steps: list) -> bool:
+        """The stuck test: is the state final, or can it act now or after a
+        wait of steps, its ``successors`` (which keeps heads and queues)?"""
+        return (steps and steps[0][0][0] != "wait"  # moves come first
+                or any(self.can_move(succ) for _, succ in steps)
+                or self.is_final(state))
+
     def successors(self, state: tuple) -> list:
         """The (action, state) transitions of a canonical state, none from
         final|final: its ``moves`` (``canon`` of each that does not keep it
@@ -822,11 +830,7 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
         except ProtocolError as exc:
             return ProgressReport("counterexample", len(parents),
                                   build_trace(key), str(exc), violations)
-        # a state acts now, or after a wait; a wait keeps the heads and
-        # queues, so its moves look up what the state's moves looked up
-        if not (steps and steps[0][0][0] != "wait"  # moves come first
-                or any(space.can_move(succ) for _, succ in steps)
-                or space.is_final(key)):
+        if not space.acts(key, steps):
             return ProgressReport(
                 "counterexample", len(parents), build_trace(key),
                 "reachable non-final state with no action after any "
@@ -853,3 +857,27 @@ def check_progress(sys: System, limits: Optional[ExploreLimits] = None,
         return ProgressReport("bound-exceeded", len(parents), [],
                               bound_reason, violations)
     return ProgressReport("ok", len(parents), [], "", violations)
+
+
+def simulate(sys: System, seed: int, length: int, max_queue: int) -> tuple:
+    """A seeded walk of at most length steps over sys's int states:
+    (verdict, steps, error), a step a SysAction and its rendered state, error
+    a protocol error's text.  It ends stuck where ``_Space.acts`` fails."""
+    from random import Random
+
+    space, state = _stepper(sys)
+    rng, trace = Random(seed), []
+    for _ in range(length):
+        try:
+            steps = space.successors(state)
+        except ProtocolError as exc:
+            return "protocol-error", trace, str(exc)
+        if not space.acts(state, steps):
+            return "stuck", trace, None
+        if not steps:  # final
+            break
+        action, state = rng.choice(steps)
+        if len(state[3]) > max_queue or len(state[6]) > max_queue:
+            return "bound-exceeded", trace, None
+        trace.append((_action(action), render_key(state, space.clocks)))
+    return "ok", trace, None

@@ -69,15 +69,32 @@ def test_parse_error_exits_2(capsys, tmp_path):
 
 @pytest.mark.parametrize("command, source", [
     ("check", "type T = !a(" + "not " * 3000 + "x>1).end"),
-    ("check", "type T = !a(" + " and ".join(["x>1"] * 3000) + ").end"),
+    ("check", "type T = !a(" + "(" * 3000 + "x>1" + ")" * 3000 + ").end"),
     ("run", "process T = " + "set(x)." * 3000 + "end"),
-], ids=["negations", "conjunction", "timer-sets"])
+], ids=["negations", "parentheses", "timer-sets"])
 def test_deep_nesting_exits_2(capsys, tmp_path, command, source):
     deep = tmp_path / "deep.toast"
     deep.write_text(source)
     code, _, err = run_cli(capsys, command, str(deep), "T")
     assert code == 2
     assert f"nesting deeper than {MAX_NESTING} levels" in err
+
+
+def test_wide_flat_guards_parse(capsys, tmp_path):
+    # a flat chain builds a balanced tree, so its width is not nesting
+    flat = " and ".join(["x>1"] * 3000)
+    clocks = [f"c{i}" for i in range(48)]
+    wide = " and ".join(f"({clock}<1 or {clock}>2)" for clock in clocks)
+    spec = tmp_path / "wide.toast"
+    spec.write_text(f"clocks x, {', '.join(clocks)};\n"
+                    f"type Flat = !a({flat}).end\ntype Wide = !a({wide}).end\n")
+    code, out, _ = run_cli(capsys, "check", str(spec), "Flat")
+    assert (code, out) == (0, "Flat: well-formed\n")
+    node = parse_type(f"!a({flat}).end")
+    assert parse_type(format_type(node)) == node
+    # 2^48 zones: the guard ends at the zone limit, not at the parser
+    code, out, _ = run_cli(capsys, "check", str(spec), "Wide")
+    assert code == 3 and out.startswith("Wide: bound-exceeded\n")
 
 
 def test_nesting_just_under_the_limit_parses(capsys, tmp_path):
