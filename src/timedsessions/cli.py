@@ -135,10 +135,12 @@ def cmd_simulate(args, spec, system):
     verdict, trace, error = simulate(system, args.seed, args.trace_len,
                                      args.queue)
     lines, steps = _trace(trace)
+    diags = {"trace": steps}
     if error is not None:
         lines.append(f"  {error}")
+        diags["reason"] = error
     lines.append(f"verdict: {verdict}")
-    return verdict, {"trace": steps}, lines
+    return verdict, diags, lines
 
 
 def _write(stream, lines) -> Optional[OSError]:

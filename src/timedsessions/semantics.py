@@ -10,10 +10,11 @@ are consumed as internal steps, and time passes only when both sides agree.
 
 Progress of a system is verified empirically by breadth-first exploration,
 sampling delays at guard boundaries, midpoints and one point beyond every
-boundary, on int states (``_Space``, ``state_key``): one common
-denominator den, each side's clock values over it as an int tuple in
-sorted clock order, reduced so that gcd(den, *L, *R) == 1, and each side's
-printed head and queue.  A state is expanded in one pass
+boundary, only where no queue head is receivable now (there urgency alone
+settles the time rule), on int states (``_Space``, ``state_key``): one
+common denominator den, each side's clock values over it as an int tuple
+in sorted clock order, reduced so that gcd(den, *L, *R) == 1, and each
+side's printed head and queue.  A state is expanded in one pass
 (``_Space.successors``): each side's int point at S = 2·lcm(den, d), d the
 LCM of the guard constants' denominators (every boundary, midpoint and
 the horizon is then an int), and its queue head's receive option are built
@@ -525,12 +526,15 @@ class _Space:
         """The (action, state) transitions of a canonical state, none from
         final|final: its ``moves`` (``canon`` of each that does not keep it
         canonical), then its waits up to the space's horizon, mapped in one
-        loop against the caps."""
+        loop against the caps.  Waits are sampled only when no queue head is
+        receivable now: a receive move settles the time rule by urgency."""
         if self.is_final(state):
             return []
         scale, left, right = self.sides(state)
         out = [(action, succ if kept else self.canon(succ))
                for action, succ, kept in self.moves(state, scale, left, right)]
+        if any(action[0].startswith("recv") for action, _ in out):
+            return out  # urgency: a head receivable now admits no wait
         delays = self.delays(scale, left, right)
         if not delays:
             return out

@@ -255,8 +255,13 @@ def test_simulate_protocol_error_and_stuck(capsys, tmp_path):
                     "system urgent = Now | Later\n")
     code, out, _ = run_cli(capsys, "simulate", str(spec), "mismatch")
     assert code == 1
-    assert out.endswith("  unspecified reception: 'a' carries Nat, type "
-                        "expects Bool\nverdict: protocol-error\n")
+    reason = "unspecified reception: 'a' carries Nat, type expects Bool"
+    assert out.endswith(f"  {reason}\nverdict: protocol-error\n")
+    code, out, _ = run_cli(capsys, "simulate", str(spec), "mismatch",
+                           "--json")
+    envelope = json.loads(out)
+    assert code == 1 and envelope["verdict"] == "protocol-error"
+    assert envelope["diagnostics"]["reason"] == reason
     # once a is queued at x=0, urgency blocks every wait: x>0 would make it
     # receivable at every positive instant
     for seed in ("1", "2", "3"):

@@ -15,7 +15,9 @@ The explorer expands a state in one pass (`_Space.successors`): it maps
 the waits to their region representatives in one loop and skips `canon`
 on a move that keeps the state's valuation and caps.  On the states it
 meets, its successors are checked, in order, against `canon` of the raw
-steps (`helpers.space_steps`), its look-ahead (`_Space.can_move`)
+steps (`helpers.space_steps`, which samples waits in every state, so the
+states with a receive move, where urgency lets the explorer sample none,
+show that no wait is lost), its look-ahead (`_Space.can_move`)
 against the internal steps, on its own successors and on the region
 representative of each raw wait successor against that successor, and a
 mismatched queued payload against the Fraction rule's error.
@@ -162,7 +164,7 @@ def outcome(call):
 
 @pytest.mark.parametrize("corpus", sorted(p.name for p in CORPORA.glob("*")))
 def test_the_explorer_enqueues_canon_of_the_steps(corpus):
-    checked = unchanged = waits = looked = raised = 0
+    checked = unchanged = waits = urgent = looked = raised = 0
     for system in corpus_systems(corpus):
         space = _Space.of(system)
         frontier = deque([space.canon(space.encode(system))])
@@ -180,6 +182,7 @@ def test_the_explorer_enqueues_canon_of_the_steps(corpus):
             unchanged += sum(a[0] != "wait" and s == succ
                              for (a, s), (_, succ) in zip(expanded, raw))
             waits += sum(a[0] == "wait" for a, _ in expanded)
+            urgent += any(a[0].startswith("recv") for a, _ in expanded)
             for key in (state, *(succ for _, succ in expanded)):
                 assert outcome(lambda: space.can_move(key)) == outcome(
                     lambda: bool(space_steps(space, key, False)))
@@ -203,4 +206,24 @@ def test_the_explorer_enqueues_canon_of_the_steps(corpus):
                     seen.add(succ)
                     frontier.append(succ)
     assert checked > 2000 and waits > 2000 and looked > 6000
-    assert unchanged > 1000 and raised > 400
+    assert unchanged > 1000 and urgent > 1000 and raised > 400
+
+
+def test_a_receivable_queue_head_samples_no_wait(monkeypatch):
+    # a queued at x=0 for { ?a(x<5) , !b }: before a is sent, both sides
+    # let time pass; after, urgency forbids it, so the moves are the steps
+    system = make_system(parse_type("!a.end"),
+                         parse_type("{ ?a(x<5).end , !b.end }"))
+    space = _Space.of(system)
+    start = space.successors(space.canon(space.encode(system)))
+    assert [a[0] for a, _ in start][:2] == ["comm-l", "comm-r"]
+    assert any(a[0] == "wait" for a, _ in start)
+    state = start[0][1]
+    expected = space.successors(state)
+    assert [a[0] for a, _ in expected] == ["comm-r", "recv-r"]
+
+    def sampled(*args):
+        raise AssertionError("a wait was sampled")
+
+    monkeypatch.setattr(_Space, "delays", sampled)
+    assert space.successors(state) == expected

@@ -428,6 +428,17 @@ def test_progress_mixed_ping_pong_ok():
     assert report.invariant_violations == []
 
 
+def test_progress_wide_choice_ok():
+    # 50 time-disjoint options over one clock, option i open on 2i<x<2i+1,
+    # sends and receives alternating: each state samples a wait per boundary
+    # ahead of it, so the cost of a wide choice shows here
+    s = parse_type("{ " + " , ".join(
+        f"{'!?'[i % 2]}a{i}({2 * i}<x and x<{2 * i + 1}).end"
+        for i in range(50)) + " }")
+    report = check_progress(make_system(s, dual(s)))
+    assert (report.verdict, report.states_visited) == ("ok", 249)
+
+
 def test_progress_orphan_is_counterexample():
     left = QConfig(nu0(), parse_type("end"), (Message("m", NONE),))
     right = QConfig(nu0(), parse_type("end"))
