@@ -41,6 +41,7 @@ from .constraints import (
     Constraint,
     Struct,
     TRUE,
+    _SET,
     atoms_of,
     clocks_of,
     zero_valuation,
@@ -96,6 +97,14 @@ class ChoiceOption(Struct):
     guard: Constraint
     resets: FrozenSet[str]
     continuation: "TypeNode"
+
+    # written out, as in Choice and Violation: dual and the checker build
+    # these nodes on every walk, and the generic Struct.__init__ costs more
+    def __init__(self, direction, label, payload, guard, resets,
+                 continuation) -> None:
+        _SET(self, "__dict__", {
+            "direction": direction, "label": label, "payload": payload,
+            "guard": guard, "resets": resets, "continuation": continuation})
 
 
 class CompiledGuards:
@@ -160,9 +169,10 @@ class CompiledGuards:
 class Choice(Struct):
     options: Tuple[ChoiceOption, ...]
 
-    def __post_init__(self) -> None:
-        if not self.options:
+    def __init__(self, options) -> None:
+        if not options:
             raise SpecError("a choice needs at least one option")
+        _SET(self, "__dict__", {"options": options})
 
     @cached_property
     def compiled(self) -> CompiledGuards:
@@ -446,6 +456,10 @@ class Violation(Struct):
     path: Tuple[str, ...]
     condition: str  # feasibility | mixed-choice | delegation | unbound-var | duplicate-label
     witness: str
+
+    def __init__(self, path, condition, witness) -> None:
+        _SET(self, "__dict__", {
+            "path": path, "condition": condition, "witness": witness})
 
 
 class WfReport(Struct):

@@ -16,11 +16,15 @@ Zones of different scales are rescaled to the least common multiple before
 they are combined.  A point is read one way: ``int_point`` converts a
 valuation once to ints at a common scale, and ``window_at`` gives the
 interval of delays that carry the int point into a zone, read off the
-zone's ``Zone.window_bounds``.  A point is in a zone when its window holds
-0, that is when every bound of the zone holds at the point: ``holds_at``
-reads the same bounds and leaves a zone at the first one that fails,
-without building the window, and ``zoneset_contains`` decides membership
-through it.
+zone's ``Zone.window_bounds``.  A meet and a difference read the other
+zone's ``Zone.listed_bounds`` (its finite bounds off the diagonal, row by
+row, but the implicit ``0 - x <= 0``), never its whole matrix.  Both forms
+live in one cache, each built on its first read, and each in-place change
+clears it: ``tighten``, ``canonicalize`` and ``zero`` (so ``reset_up``).
+A point is in a zone when its window holds 0, that is when every bound of
+the zone holds at the point: ``holds_at`` reads the same bounds and leaves
+a zone at the first one that fails, without building the window, and
+``zoneset_contains`` decides membership through it.
 Bounds are decoded to ``Fraction`` only for rendering back to constraints.
 
 ``to_zones`` walks the negation normal form of a constraint depth-first,
@@ -37,13 +41,13 @@ and ``zoneset_entails``; past ``ZONE_LIMIT`` each raises
 A ZoneSet (a list of non-empty zones over one clock tuple) is the working
 form: ``zoneset_meet`` and ``zoneset_entails`` decide on it directly,
 ``Zone.reset``/``Zone.up``/``Zone.down`` map it zone by zone.  Each of
-these, and a meet, which tightens a copy only by the other zone's bounds
-that are tighter than its own, keeps a canonical zone canonical without a
-closure (Bengtsson & Yi), so ``Zone.canonicalize`` runs only on a matrix
-built from scratch.  ``Zone.reset_up`` is ``reset`` then ``up`` in place,
-building no zone, and only for a zone its caller built and holds alone,
-such as a fresh meet.  The package builds each ZoneSet over the clocks its
-reader asks for and never widens one.  ``past``, ``future`` and
+these, and a meet, which tightens a copy only by the other zone's listed
+bounds that are tighter than its own, keeps a canonical zone canonical
+without a closure (Bengtsson & Yi), so ``Zone.canonicalize`` runs only on
+a matrix built from scratch.  ``Zone.reset_up`` is ``reset`` then ``up``
+in place, building no zone, and only for a zone its caller built and holds
+alone, such as a fresh meet.  The package builds each ZoneSet over the
+clocks its reader asks for and never widens one.  ``past``, ``future`` and
 ``reset_constraint`` render their result back to a ``Constraint`` and are
 the print boundary.
 """
@@ -89,10 +93,19 @@ def decode_bound(bound: Optional[int],
     return Fraction(bound >> 1, scale), not bound & 1
 
 
+def _rescaled(listed: tuple, factor: int) -> list:
+    """Listed bounds at ``factor`` times their scale."""
+    out = list(listed)
+    out[2::3] = [(b & -2) * factor + (b & 1) for b in listed[2::3]]
+    return out
+
+
 class Zone:
     """Non-empty canonical DBM over ``clocks`` plus the reference clock at
     index 0.  Zones are equal when their clocks, matrices and scales are;
-    ``bounds`` caches ``window_bounds`` and is neither compared nor shown."""
+    ``bounds`` caches ``listed_bounds`` and ``window_bounds`` as one pair,
+    is cleared by every in-place change and is neither compared nor
+    shown."""
 
     __slots__ = ("clocks", "m", "scale", "bounds")
     __hash__ = None  # tightened in place
@@ -203,41 +216,66 @@ class Zone:
 
     # -- queries -------------------------------------------------------------
 
+    def listed_bounds(self) -> tuple:
+        """The bounds a meet or a difference with this zone reads, flat as
+        ``(i, j, b, i, j, b, ...)``: every finite entry off the diagonal in
+        row-major order, but each clock's implicit ``0 - x <= 0``.  Built
+        once, into ``bounds``; one tuple of ints, which the garbage
+        collector stops tracking, so a zone a type keeps adds no tracked
+        object per bound."""
+        listed, window = self.bounds or (None, None)
+        if listed is None:
+            listed = []
+            for i, row in enumerate(self.m):
+                for j, bound in enumerate(row):
+                    if bound is not None and i != j and (
+                            i or bound != LE_ZERO):
+                        listed += i, j, bound
+            listed = tuple(listed)
+            self.bounds = listed, window
+        return listed
+
     def window_bounds(self) -> tuple:
         """The bounds of this zone in the form ``window_at`` reads:
         ``(scale, uppers, lowers, diffs)``, each bound split into its even
         part and its closed bit, and each clock named by its index in the
         zone (0 the reference), its position in a point that ``int_point``
-        builds over the zone's clocks.  Built once, into ``bounds``."""
-        if self.bounds is not None:
-            return self.bounds
-        uppers, lowers, diffs = [], [], []
-        for i, row in enumerate(self.m):
-            for j, bound in enumerate(row):
-                if bound is None or i == j:
-                    continue
-                parts = (bound & -2, bound & 1)
-                if j == 0:
-                    uppers.append((i, *parts))
-                elif i == 0:
-                    lowers.append((j, *parts))
-                else:
-                    diffs.append((i, j, *parts))
-        self.bounds = self.scale, tuple(uppers), tuple(lowers), tuple(diffs)
-        return self.bounds
+        builds over the zone's clocks.  Built once, beside the listed
+        bounds in ``bounds``."""
+        listed, window = self.bounds or (None, None)
+        if window is None:
+            uppers, lowers, diffs = [], [], []
+            for i, row in enumerate(self.m):
+                for j, bound in enumerate(row):
+                    if bound is None or i == j:
+                        continue
+                    parts = (bound & -2, bound & 1)
+                    if j == 0:
+                        uppers.append((i, *parts))
+                    elif i == 0:
+                        lowers.append((j, *parts))
+                    else:
+                        diffs.append((i, j, *parts))
+            window = self.scale, tuple(uppers), tuple(lowers), tuple(diffs)
+            self.bounds = listed, window
+        return window
 
     def intersect(self, other: "Zone") -> Optional["Zone"]:
-        """The meet: this zone tightened by each bound of the other that is
-        tighter than its own, or None when it is empty."""
+        """The meet: this zone tightened by each listed bound of the other
+        that is tighter than its own, or None when it is empty."""
         if self.clocks != other.clocks:
             raise SpecError("zone clock sets differ")
         scale = lcm(self.scale, other.scale)
         out = self.rescaled(scale) if scale != self.scale else self.copy()
-        for i, (mine, row) in enumerate(zip(out.m, other.rescaled(scale).m)):
-            for j, bound in enumerate(row):  # mine is tightened in place
-                if (bound is not None and (mine[j] is None or bound < mine[j])
-                        and out.tighten(i, j, bound) is None):
-                    return None
+        m, listed = out.m, other.listed_bounds()
+        if scale != other.scale:
+            listed = _rescaled(listed, scale // other.scale)
+        it = iter(listed)
+        for i, j, bound in zip(it, it, it):  # m is tightened in place
+            have = m[i][j]
+            if ((have is None or bound < have)
+                    and out.tighten(i, j, bound) is None):
+                return None
         return out
 
     # -- timed operations ----------------------------------------------------
@@ -504,29 +542,28 @@ def zoneset_to_constraint(zones: ZoneSet) -> Constraint:
 # ---------------------------------------------------------------------------
 
 def zone_minus(w: Zone, z: Zone) -> List[Zone]:
-    """w with z removed, as disjoint zones: one piece per negated bound of z."""
+    """w with z removed, as disjoint zones: one piece per listed bound of z
+    that w does not meet, in the order z lists them."""
     scale = lcm(w.scale, z.scale)
-    remaining, z = w.rescaled(scale), z.rescaled(scale)
+    remaining, listed = w.rescaled(scale), z.listed_bounds()
+    if scale != z.scale:
+        listed = _rescaled(listed, scale // z.scale)
     owned = remaining is not w  # remaining may be tightened in place
     pieces: List[Zone] = []
-    for i, row in enumerate(z.m):
-        for j, b in enumerate(row):
-            if i == j or b is None:
-                continue
-            if i == 0 and b == LE_ZERO:
-                continue  # implicit nonnegativity: its negation is empty
-            have = remaining.m[i][j]
-            if have is not None and have <= b:
-                continue  # remaining meets the bound: its negation is empty
-            # negation of  x_i - x_j (<|<=) c  is  x_j - x_i (<=|<) -c
-            piece = remaining.copy().tighten(j, i, 1 - b)
-            if piece is not None:
-                pieces.append(piece)
-            # keep the bound on the remainder so pieces stay disjoint
-            if not owned:
-                remaining, owned = remaining.copy(), True
-            if remaining.tighten(i, j, b) is None:
-                return pieces
+    it = iter(listed)
+    for i, j, b in zip(it, it, it):
+        have = remaining.m[i][j]
+        if have is not None and have <= b:
+            continue  # remaining meets the bound: its negation is empty
+        # negation of  x_i - x_j (<|<=) c  is  x_j - x_i (<=|<) -c
+        piece = remaining.copy().tighten(j, i, 1 - b)
+        if piece is not None:
+            pieces.append(piece)
+        # keep the bound on the remainder so pieces stay disjoint
+        if not owned:
+            remaining, owned = remaining.copy(), True
+        if remaining.tighten(i, j, b) is None:
+            return pieces
     return pieces
 
 

@@ -7,16 +7,19 @@ returns None) and, for non-empty zones, on every decoded bound and its
 strictness.  The operations that build fewer zones are also held equal,
 matrix for matrix, to the plain ones they replace: ``intersect`` to a copy
 tightened by every bound of the other zone, ``reset_up`` to
-``reset(R).up()``, and the int ``trajectory_zone`` to one built from
-Fraction differences and ``encode_bound``.
+``reset(R).up()``, the int ``trajectory_zone`` to one built from
+Fraction differences and ``encode_bound``, and ``zone_minus``, which reads
+the other zone's listed bounds, to the scan of its whole matrix.  The
+listed bounds and the window bounds share one cache, which every in-place
+change must clear.
 """
 
 import random
 from fractions import Fraction
 from math import lcm
 
-from timedsessions.zones import (Zone, decode_bound, trajectory_zone,
-                                 zoneset_contains)
+from timedsessions.zones import (LE_ZERO as LE_ZERO_CODE, Zone, decode_bound,
+                                 trajectory_zone, zone_minus, zoneset_contains)
 
 F = Fraction
 INF = (None, True)
@@ -362,3 +365,118 @@ def test_int_trajectory_equals_the_fraction_one():
                         == fraction_trajectory(nu, t, include_end))
                 checked += 1
     assert checked == 3000
+
+
+def scanned_zone_minus(w, z):
+    """w minus z, one piece per bound of z found by scanning z's whole matrix
+    row by row, at the common scale: the difference as it was written
+    before zones listed their bounds."""
+    scale = lcm(w.scale, z.scale)
+    remaining, z = w.rescaled(scale), z.rescaled(scale)
+    owned = remaining is not w
+    pieces = []
+    for i, row in enumerate(z.m):
+        for j, b in enumerate(row):
+            if i == j or b is None or (i == 0 and b == LE_ZERO_CODE):
+                continue
+            have = remaining.m[i][j]
+            if have is not None and have <= b:
+                continue
+            piece = remaining.copy().tighten(j, i, 1 - b)
+            if piece is not None:
+                pieces.append(piece)
+            if not owned:
+                remaining, owned = remaining.copy(), True
+            if remaining.tighten(i, j, b) is None:
+                return pieces
+    return pieces
+
+
+def decoded(zone):
+    return [[zone.bound(i, j) for j in range(len(zone.m))]
+            for i in range(len(zone.m))]
+
+
+def test_zone_minus_equals_the_matrix_scan_and_partitions_the_difference():
+    """Matrix for matrix and in order against ``scanned_zone_minus``; then,
+    on grid points at half the finest step of the two zones, each point of
+    w outside z lies in exactly one piece and no other point in any."""
+    rng = random.Random(43)
+    pairs = mixed = diagonal = split = inside = 0
+    for trial in range(1200):
+        n = rng.randint(2, 4)
+        first = canonical_pair(rng, n, trial % 2 == 0)
+        second = canonical_pair(rng, n, trial % 3 == 0)
+        if first is None or second is None:
+            continue
+        (w, closed_w), (z, closed_z) = first, second
+        before = [row[:] for row in w.m], [row[:] for row in z.m]
+        pieces = zone_minus(w, z)
+        assert pieces == scanned_zone_minus(w, z)
+        assert (w.m, z.m) == before  # the operands are untouched
+        pairs += 1
+        mixed += w.scale != z.scale
+        diagonal += any(b is not None for row in z.m[1:]
+                        for b in row[1:]) and len(pieces) > 0
+        split += len(pieces) > 1
+        step = F(1, 2 * lcm(w.scale, z.scale))
+        grid = [k * step for k in range(int(7 / step) + 1)]
+        bounds = [decoded(piece) for piece in pieces]
+        for _ in range(40):
+            point = [F(0)] + [rng.choice(grid) for _ in range(n - 1)]
+            expected = (reference_contains(closed_w, point)
+                        and not reference_contains(closed_z, point))
+            hits = sum(reference_contains(b, point) for b in bounds)
+            assert hits == expected
+            inside += expected
+    assert pairs > 300 and mixed > 150 and diagonal > 150 and split > 40
+    assert inside > 1500
+
+
+def test_in_place_changes_clear_the_listed_and_the_window_bounds():
+    """Read both cached forms, change the zone in place, and meet and
+    subtract with it: the results must be those of a zone rebuilt from a
+    copy of its matrix, whose cache starts empty."""
+    rng = random.Random(47)
+    changed = {"tighten": 0, "canonicalize": 0, "zero": 0, "reset_up": 0}
+
+    def tighten(zone):
+        i, j = rng.sample(range(len(zone.m)), 2)
+        have = zone.m[i][j]
+        return zone.tighten(i, j, 2 * rng.randint(0, 4) + 1
+                            if have is None else have - rng.randint(1, 3))
+
+    def canonicalize(zone):  # a raw write, as a builder from scratch makes
+        i, j = rng.sample(range(1, len(zone.m)), 2) if len(zone.m) > 2 else (
+            1, 0)
+        have = zone.m[i][j]
+        zone.m[i][j] = 2 * rng.randint(0, 4) + 1 if have is None else have - 2
+        return zone.canonicalize()
+
+    def zero(zone):
+        return zone.zero(rng.sample(zone.clocks,
+                                    rng.randint(1, len(zone.clocks))))
+
+    def reset_up(zone):
+        return zone.reset_up(rng.sample(zone.clocks,
+                                        rng.randint(0, len(zone.clocks))))
+
+    for _, (zone, _) in canonical_pairs(53, trials=900):
+        other = canonical_pair(rng, len(zone.m), integer=rng.random() < 0.5)
+        if other is None:
+            continue
+        other = other[0]
+        for name, change in (("tighten", tighten),
+                             ("canonicalize", canonicalize),
+                             ("zero", zero), ("reset_up", reset_up)):
+            window, listed = zone.window_bounds(), zone.listed_bounds()
+            if change(zone) is None:
+                break  # the zone emptied: its builder drops it
+            fresh = Zone(zone.clocks, [row[:] for row in zone.m], zone.scale)
+            assert other.intersect(zone) == other.intersect(fresh)
+            assert zone_minus(other, zone) == zone_minus(other, fresh)
+            assert zone.window_bounds() == fresh.window_bounds()
+            assert zone.listed_bounds() == fresh.listed_bounds()
+            changed[name] += (fresh.listed_bounds() != listed
+                              or fresh.window_bounds() != window)
+    assert min(changed.values()) > 150, changed

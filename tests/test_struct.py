@@ -6,6 +6,9 @@ annotations and gets ``__init__``, ``__eq__``, ``__hash__`` and
 equality is class-exact, equal values hash equal, frozen classes refuse
 assignment while their ``cached_property`` caches still fill, mutable
 classes are unhashable, and a value prints as the dataclass printed it.
+``ChoiceOption``, ``Choice`` and ``Violation``, which every well-formedness
+walk builds, write their own positional ``__init__`` and keep the rest of
+that contract, keyword calls included.
 """
 
 from fractions import Fraction
@@ -13,13 +16,15 @@ from fractions import Fraction
 import pytest
 
 from timedsessions.constraints import And, Atom, Not, Or, TRUE, TrueC
+from timedsessions.errors import SpecError
 from timedsessions.parser import SpecFile, SystemDecl, parse_type
 from timedsessions.processes import (Call, P_END, PEnd, PErr, RunPolicy,
                                      RunResult, SetTimer)
 from timedsessions.semantics import (ExploreLimits, Message, ProgressReport,
                                      QConfig, System)
-from timedsessions.sessiontypes import (END, NAT, NONE, SEND, BaseSort,
-                                        ChoiceOption, dual, unfold_head)
+from timedsessions.sessiontypes import (END, NAT, NONE, RECV, SEND, BaseSort,
+                                        Choice, ChoiceOption, Violation, dual,
+                                        unfold_head)
 from timedsessions.zones import Zone, to_zones
 
 X_GT_1 = Atom("x", ">", Fraction(1))
@@ -40,10 +45,13 @@ def test_equality_is_class_exact():
     lambda: Not(Atom("y", "=", Fraction(3, 2))),
     lambda: Atom("x", ">", Fraction(1), "y"),
     lambda: ChoiceOption(SEND, "a", NONE, X_GT_1, frozenset({"x"}), END),
+    lambda: Choice((ChoiceOption(SEND, "a", NONE, X_GT_1, frozenset(), END),
+                    ChoiceOption(RECV, "b", NAT, TRUE, frozenset(), END))),
+    lambda: Violation(("a", "b"), "mixed-choice", "a/b"),
     lambda: Call("P", (1,), ("t",), ("c",)),
     lambda: ExploreLimits(max_queue=3),
-], ids=["TrueC", "PEnd", "Not", "Atom", "ChoiceOption", "Call",
-        "ExploreLimits"])
+], ids=["TrueC", "PEnd", "Not", "Atom", "ChoiceOption", "Choice", "Violation",
+        "Call", "ExploreLimits"])
 def test_equal_values_hash_equal(make):
     first, second = make(), make()
     assert first == second and first is not second
@@ -69,6 +77,10 @@ def test_a_frozen_value_refuses_assignment_and_keeps_its_caches():
     rebuilt = dual(head)
     assert vars(rebuilt)["compiled"] is compiled  # handed on, not rebuilt
     assert flipped.printed == rebuilt.printed
+    for mine, theirs in zip(head.options, rebuilt.options):  # new options
+        assert type(theirs) is ChoiceOption and theirs.guard is mine.guard
+        assert theirs.direction != mine.direction
+    assert dual(rebuilt) == head
 
 
 @pytest.mark.parametrize("value", [
@@ -103,6 +115,9 @@ def test_defaults_and_keywords_fill_fields():
     lambda: RunPolicy(budget=3),
     lambda: Atom("x", ">", Fraction(1), clock="y"),  # given twice
     lambda: Zone(("x",)),
+    lambda: ChoiceOption(SEND, "a", NONE, X_GT_1, frozenset()),  # 5 of 6
+    lambda: Violation((), "feasibility", "x>1", "extra"),
+    lambda: Choice(),
 ])
 def test_a_missing_or_extra_argument_is_a_type_error(call):
     with pytest.raises(TypeError):
@@ -138,3 +153,25 @@ def test_zones_compare_their_matrices_not_their_caches():
     assert zone.rescaled(2) != zone
     with pytest.raises(AttributeError):
         zone.extra = 1  # slotted
+
+
+def test_the_written_constructors_keep_the_struct_contract():
+    option = ChoiceOption(SEND, "a", NONE, X_GT_1, frozenset({"x"}), END)
+    assert option == ChoiceOption(
+        continuation=END, resets=frozenset({"x"}), guard=X_GT_1,
+        payload=NONE, label="a", direction=SEND)
+    assert Violation((), "feasibility", "x>1") == Violation(
+        witness="x>1", condition="feasibility", path=())
+    assert Choice(options=(option,)) == Choice((option,))
+    assert Choice((option,)) != Violation((), "feasibility", "x>1")
+    assert repr(Violation(("a",), "mixed-choice", "a/b")) == (
+        "Violation(path=('a',), condition='mixed-choice', witness='a/b')")
+    assert repr(Choice((option,))) == f"Choice(options=({option!r},))"
+    for value, name in ((option, "label"), (Choice((option,)), "options"),
+                        (Violation((), "feasibility", "x>1"), "witness")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+    with pytest.raises(SpecError) as raised:
+        Choice(())
+    assert str(raised.value) == "a choice needs at least one option"
+
