@@ -21,7 +21,8 @@ the horizon is then an int), and its queue head's receive option are built
 once for the moves and the time rule.  Points are read by the one reader
 of ``zones``: a guard holds where ``zones.holds_at`` says so, and a time
 rule admits the initial interval of delays read off the windows
-(``zones.window_at``) of its entry and queue-head guard zones.  Successors
+(``zones.window_at``) of its entry and queue-head guard zones, both from
+each zone's one bound list, ``Zone.listed_bounds``.  Successors
 are region representatives under the clock ceilings of each side's head
 (``Choice.clock_ceilings``, after Behrmann et al., TACAS 2003): a clock no
 guard reads before its next reset is inactive and set to 0 (Daws & Yovine,
@@ -310,10 +311,11 @@ class _Option:
 
 class _Head:
     """A head (a choice or end) compiled for a ``_Space``: its send options,
-    its first receive option per label, its entry zones, its clock bounds
-    (position, constant at scale d) and, when the space maps regions, the
-    int cap (M_h(x) + 1)·d of each clock x, None if x is inactive: M_h(x)
-    is a constant of a guard the sides run, so d makes it an int."""
+    its first receive option per label, its entry ZoneSet as
+    ``Choice.over`` gives it, its clock bounds (position, constant at scale
+    d) and, when the space maps regions, the int cap (M_h(x) + 1)·d of each
+    clock x, None if x is inactive: M_h(x) is a constant of a guard the
+    sides run, so d makes it an int."""
 
     __slots__ = ("node", "printed", "final", "sends", "receives", "entry",
                  "bounds", "caps")
@@ -335,10 +337,9 @@ class _Head:
         this head (canonicalisation reads only the caps)."""
         self.sends, self.receives = [], {}
         guards, entry, _ = self.node.over(space.clocks)
-        self.entry = [zone.window_bounds() for zone in entry]
+        self.entry = entry
         for opt, zones in zip(self.node.options, guards):
-            compiled = _Option(opt, [zone.window_bounds() for zone in zones],
-                               space, self.caps)
+            compiled = _Option(opt, zones, space, self.caps)
             if opt.direction == SEND:
                 self.sends.append(compiled)
             else:
@@ -408,9 +409,9 @@ class _Space:
     (when ``regions`` is set) reduced so that gcd(den, *L, *R) == 1: equal
     valuations give equal states.  The heads met are compiled once per
     space, by printed form, from their family's compile over the space's
-    clocks (``Choice.over``): each zone's cached ``Zone.window_bounds``,
-    shared by S, dual(S), their unfoldings and later spaces on those
-    clocks.  A space belongs to one call."""
+    clocks (``Choice.over``): its ZoneSets, each zone with its cached
+    ``Zone.listed_bounds``, shared by S, dual(S), their unfoldings and
+    later spaces on those clocks.  A space belongs to one call."""
 
     def __init__(self, clocks, d: int, regions: bool, horizon: Fraction):
         if horizon < 0:

@@ -592,7 +592,8 @@ def check_well_formed(node: TypeNode,
     The verdict is true iff the valuation lies in the type's entry zones
     and the feasibility, mixed-choice and delegation conditions
     hold at every choice.  Violations are reported with the option path that
-    produced them; nothing is thrown.  One ``_WfChecker`` walks the type
+    produced them; only a negative clock value is refused, with a
+    ``SpecError`` (``trajectory_zone``).  One ``_WfChecker`` walks the type
     once (plus one per delegated session); if a recursion escaped its
     reach, the report lists the violations under the universal reach,
     otherwise those under the tracked one.

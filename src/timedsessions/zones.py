@@ -13,18 +13,19 @@ So the tighter of two bounds is the smaller int, their sum is
 is never empty: ``tighten``, ``canonicalize`` and ``intersect`` return None
 where a zone would empty, and the ZoneSet builders keep only live zones.
 Zones of different scales are rescaled to the least common multiple before
-they are combined.  A point is read one way: ``int_point`` converts a
-valuation once to ints at a common scale, and ``window_at`` gives the
-interval of delays that carry the int point into a zone, read off the
-zone's ``Zone.window_bounds``.  A meet and a difference read the other
-zone's ``Zone.listed_bounds`` (its finite bounds off the diagonal, row by
-row, but the implicit ``0 - x <= 0``), never its whole matrix.  Both forms
-live in one cache, each built on its first read, and each in-place change
-clears it: ``tighten``, ``canonicalize`` and ``zero`` (so ``reset_up``).
-A point is in a zone when its window holds 0, that is when every bound of
-the zone holds at the point: ``holds_at`` reads the same bounds and leaves
-a zone at the first one that fails, without building the window, and
-``zoneset_contains`` decides membership through it.
+they are combined.  Each zone derives one form of its bounds,
+``Zone.listed_bounds``: its finite bounds off the diagonal, row by row,
+each clock's ``0 - x <= 0`` included, as one flat tuple of ints, built on
+its first read into a cache that every in-place change clears:
+``tighten``, ``canonicalize`` and ``zero`` (so ``reset_up``).  A meet
+and a difference read the other zone's list, never its whole matrix, and
+so does the point reader.  ``int_point``
+converts a valuation once to ints at a common scale, ``window_at`` gives
+the interval of delays that carry the int point into a zone, and
+``holds_at`` says whether the point is in one of some zones (every bound
+of one holds, so its window holds 0), leaving a zone at the first bound
+that fails, without building the window; ``zoneset_contains`` decides
+membership through it.
 Bounds are decoded to ``Fraction`` only for rendering back to constraints.
 
 ``to_zones`` walks the negation normal form of a constraint depth-first,
@@ -103,9 +104,8 @@ def _rescaled(listed: tuple, factor: int) -> list:
 class Zone:
     """Non-empty canonical DBM over ``clocks`` plus the reference clock at
     index 0.  Zones are equal when their clocks, matrices and scales are;
-    ``bounds`` caches ``listed_bounds`` and ``window_bounds`` as one pair,
-    is cleared by every in-place change and is neither compared nor
-    shown."""
+    ``bounds`` caches ``listed_bounds``, is cleared by every in-place
+    change and is neither compared nor shown."""
 
     __slots__ = ("clocks", "m", "scale", "bounds")
     __hash__ = None  # tightened in place
@@ -217,48 +217,22 @@ class Zone:
     # -- queries -------------------------------------------------------------
 
     def listed_bounds(self) -> tuple:
-        """The bounds a meet or a difference with this zone reads, flat as
-        ``(i, j, b, i, j, b, ...)``: every finite entry off the diagonal in
-        row-major order, but each clock's implicit ``0 - x <= 0``.  Built
-        once, into ``bounds``; one tuple of ints, which the garbage
-        collector stops tracking, so a zone a type keeps adds no tracked
-        object per bound."""
-        listed, window = self.bounds or (None, None)
+        """The bounds of this zone, flat as ``(i, j, b, i, j, b, ...)``:
+        every finite entry off the diagonal in row-major order, each clock's
+        ``0 - x <= 0`` included, and each clock named by its index in the
+        zone (0 the reference), its position in a point that ``int_point``
+        builds over the zone's clocks.  Built once, into ``bounds``; one
+        tuple of ints, which the garbage collector stops tracking, so a
+        zone a type keeps adds no tracked object per bound."""
+        listed = self.bounds
         if listed is None:
             listed = []
             for i, row in enumerate(self.m):
                 for j, bound in enumerate(row):
-                    if bound is not None and i != j and (
-                            i or bound != LE_ZERO):
+                    if bound is not None and i != j:
                         listed += i, j, bound
-            listed = tuple(listed)
-            self.bounds = listed, window
+            listed = self.bounds = tuple(listed)
         return listed
-
-    def window_bounds(self) -> tuple:
-        """The bounds of this zone in the form ``window_at`` reads:
-        ``(scale, uppers, lowers, diffs)``, each bound split into its even
-        part and its closed bit, and each clock named by its index in the
-        zone (0 the reference), its position in a point that ``int_point``
-        builds over the zone's clocks.  Built once, beside the listed
-        bounds in ``bounds``."""
-        listed, window = self.bounds or (None, None)
-        if window is None:
-            uppers, lowers, diffs = [], [], []
-            for i, row in enumerate(self.m):
-                for j, bound in enumerate(row):
-                    if bound is None or i == j:
-                        continue
-                    parts = (bound & -2, bound & 1)
-                    if j == 0:
-                        uppers.append((i, *parts))
-                    elif i == 0:
-                        lowers.append((j, *parts))
-                    else:
-                        diffs.append((i, j, *parts))
-            window = self.scale, tuple(uppers), tuple(lowers), tuple(diffs)
-            self.bounds = listed, window
-        return window
 
     def intersect(self, other: "Zone") -> Optional["Zone"]:
         """The meet: this zone tightened by each listed bound of the other
@@ -344,55 +318,49 @@ class Zone:
         return conj(*parts) if parts else TRUE
 
 
-def window_at(bounds: tuple, point: Sequence[int], scale: int
+def window_at(zone: Zone, point: Sequence[int], scale: int
               ) -> Optional[Tuple[int, Optional[int]]]:
     """The delays t >= 0 that carry a point into a zone, or None if there
     are none.  The point is a sequence of ints at ``scale``, a multiple of
-    the zone's, and the zone is given by its ``Zone.window_bounds``.  The
-    delays form one interval, returned as ``(lo, hi)``: -t meets the encoded
-    bound lo and t meets hi (None: no upper end), both at scale.  Decided in
+    the zone's, read against the zone's ``Zone.listed_bounds``.  The delays
+    form one interval, returned as ``(lo, hi)``: -t meets the encoded bound
+    lo and t meets hi (None: no upper end), both at scale.  Decided in
     ints: v_i - v_j meets the encoded bound b exactly when
     ``2 (v_i - v_j) + 1 <= b``, the bounds on a clock alone bound t, and the
     clock differences do not move with t."""
-    zone_scale, uppers, lowers, diffs = bounds
-    factor = scale // zone_scale
-    for i, j, even, closed in diffs:
-        if 2 * (point[i] - point[j]) + 1 > even * factor + closed:
-            return None
+    factor = scale // zone.scale
     lo, hi = LE_ZERO, None  # -t <= 0, t unbounded
-    for i, even, closed in uppers:  # point_i + t meets the bound
-        bound = even * factor + closed - 2 * point[i]
-        if hi is None or bound < hi:
-            hi = bound
-    for j, even, closed in lowers:  # -(point_j + t) meets the bound
-        bound = even * factor + closed + 2 * point[j]
-        if bound < lo:
-            lo = bound
+    it = iter(zone.listed_bounds())
+    for i, j, b in zip(it, it, it):
+        b = (b & -2) * factor + (b & 1)
+        if j == 0:  # point_i + t meets the bound
+            b -= 2 * point[i]
+            if hi is None or b < hi:
+                hi = b
+        elif i == 0:  # -(point_j + t) meets the bound
+            b += 2 * point[j]
+            if b < lo:
+                lo = b
+        elif 2 * (point[i] - point[j]) + 1 > b:
+            return None
     if hi is not None and ((lo & -2) + (hi & -2)) | (lo & hi & 1) < LE_ZERO:
         return None
     return lo, hi
 
 
-def holds_at(zones, point, scale: int) -> bool:
-    """Is an int point in one of the zones, given by their window bounds,
-    as ``window_at`` reads them?  It is when every bound of one of them
-    holds at the point, which is when that zone's delay window contains 0;
-    each zone is left at the first bound that fails."""
-    for zone_scale, uppers, lowers, diffs in zones:
-        factor = scale // zone_scale
-        for i, even, closed in uppers:  # point_i meets the bound
-            if 2 * point[i] + 1 > even * factor + closed:
+def holds_at(zones: Iterable[Zone], point: Sequence[int], scale: int) -> bool:
+    """Is an int point (its index 0 the reference clock, which reads 0) in
+    one of the zones?  It is when every listed bound of one of them holds
+    at the point, which is when that zone's ``window_at`` window contains
+    0; each zone is left at the first bound that fails."""
+    for zone in zones:
+        factor = scale // zone.scale
+        it = iter(zone.listed_bounds())
+        for i, j, b in zip(it, it, it):
+            if 2 * (point[i] - point[j]) + 1 > (b & -2) * factor + (b & 1):
                 break
         else:
-            for j, even, closed in lowers:  # -point_j meets the bound
-                if 1 - 2 * point[j] > even * factor + closed:
-                    break
-            else:
-                for i, j, even, closed in diffs:
-                    if 2 * (point[i] - point[j]) + 1 > even * factor + closed:
-                        break
-                else:
-                    return True
+            return True
     return False
 
 
@@ -522,13 +490,12 @@ def zoneset_meets(a: ZoneSet, b: ZoneSet) -> bool:
 
 def zoneset_contains(zones: ZoneSet, nu: Mapping[str, Fraction]) -> bool:
     """Is nu in one of the zones?  nu is converted once, on the set's one
-    clock tuple at the LCM of the zones' scales, and read against their own
-    ``Zone.window_bounds``."""
+    clock tuple at the LCM of the zones' scales, and read by ``holds_at``."""
     if not zones:
         return False
     scale, point = int_point(nu, zones[0].clocks,
                              lcm(*(zone.scale for zone in zones)))
-    return holds_at([zone.window_bounds() for zone in zones], point, scale)
+    return holds_at(zones, point, scale)
 
 
 def zoneset_to_constraint(zones: ZoneSet) -> Constraint:
@@ -622,7 +589,7 @@ def trajectory_zone(nu: Mapping[str, Fraction], t: Fraction,
 
     All pairwise clock differences stay fixed at nu's; the designated first
     clock ranges over [nu(x0), nu(x0)+t), closed at the right end when
-    include_end is set.
+    include_end is set.  A negative clock value is refused.
     """
     t = Fraction(t)
     if t <= 0:
@@ -631,6 +598,9 @@ def trajectory_zone(nu: Mapping[str, Fraction], t: Fraction,
         raise SpecError("trajectory of an empty valuation")
     ordered = tuple(sorted(nu))
     scale, point = int_point(nu, ordered, t.denominator)
+    for clock, value in zip(ordered, point[1:]):
+        if value < 0:
+            raise SpecError(f"clock {clock!r} cannot be negative")
     zone = Zone.universal(ordered, scale)
     m = zone.m
     for a in range(1, len(point)):  # x_a - x_b <= its value at nu

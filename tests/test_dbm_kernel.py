@@ -10,8 +10,8 @@ tightened by every bound of the other zone, ``reset_up`` to
 ``reset(R).up()``, the int ``trajectory_zone`` to one built from
 Fraction differences and ``encode_bound``, and ``zone_minus``, which reads
 the other zone's listed bounds, to the scan of its whole matrix.  The
-listed bounds and the window bounds share one cache, which every in-place
-change must clear.
+listed bounds, which the meet, the difference and the point reader all
+read, are cached per zone, and every in-place change must clear them.
 """
 
 import random
@@ -19,7 +19,8 @@ from fractions import Fraction
 from math import lcm
 
 from timedsessions.zones import (LE_ZERO as LE_ZERO_CODE, Zone, decode_bound,
-                                 trajectory_zone, zone_minus, zoneset_contains)
+                                 holds_at, trajectory_zone, window_at,
+                                 zone_minus, zoneset_contains)
 
 F = Fraction
 INF = (None, True)
@@ -434,10 +435,11 @@ def test_zone_minus_equals_the_matrix_scan_and_partitions_the_difference():
 
 
 def test_in_place_changes_clear_the_listed_and_the_window_bounds():
-    """Read both cached forms, change the zone in place, and meet and
-    subtract with it: the results must be those of a zone rebuilt from a
-    copy of its matrix, whose cache starts empty."""
-    rng = random.Random(47)
+    """Read the cached listed bounds, change the zone in place, then meet
+    and subtract with it and read its window and membership at a point:
+    the results must be those of a zone rebuilt from a copy of its matrix,
+    whose cache starts empty."""
+    rng, points = random.Random(47), random.Random(59)
     changed = {"tighten": 0, "canonicalize": 0, "zero": 0, "reset_up": 0}
 
     def tighten(zone):
@@ -469,14 +471,18 @@ def test_in_place_changes_clear_the_listed_and_the_window_bounds():
         for name, change in (("tighten", tighten),
                              ("canonicalize", canonicalize),
                              ("zero", zero), ("reset_up", reset_up)):
-            window, listed = zone.window_bounds(), zone.listed_bounds()
+            listed = zone.listed_bounds()
             if change(zone) is None:
                 break  # the zone emptied: its builder drops it
             fresh = Zone(zone.clocks, [row[:] for row in zone.m], zone.scale)
             assert other.intersect(zone) == other.intersect(fresh)
             assert zone_minus(other, zone) == zone_minus(other, fresh)
-            assert zone.window_bounds() == fresh.window_bounds()
+            scale = 2 * zone.scale
+            point = [0] + [points.randint(0, 8 * scale) for _ in zone.clocks]
+            assert (window_at(zone, point, scale)
+                    == window_at(fresh, point, scale))
+            assert (holds_at([zone], point, scale)
+                    == holds_at([fresh], point, scale))
             assert zone.listed_bounds() == fresh.listed_bounds()
-            changed[name] += (fresh.listed_bounds() != listed
-                              or fresh.window_bounds() != window)
+            changed[name] += fresh.listed_bounds() != listed
     assert min(changed.values()) > 150, changed

@@ -135,7 +135,7 @@ def own_window(zone, nu):
     the zone's scale and the denominators of nu, or None."""
     scale = lcm(zone.scale, *(nu[clock].denominator for clock in zone.clocks))
     point = [0] + [int(nu[clock] * scale) for clock in zone.clocks]
-    window = zones.window_at(zone.window_bounds(), point, scale)
+    window = zones.window_at(zone, point, scale)
     return None if window is None else (*window, scale)
 
 
@@ -169,8 +169,8 @@ def int_windows(guard_zones, nu, scale):
     scales and of the denominators of nu, each on a point in the zone's
     own clock order."""
     return [zones.window_at(
-                zone.window_bounds(),
-                [0] + [int(nu[clock] * scale) for clock in zone.clocks], scale)
+                zone, [0] + [int(nu[clock] * scale) for clock in zone.clocks],
+                scale)
             for zone in guard_zones]
 
 
@@ -252,20 +252,19 @@ def test_holds_at_is_the_window_that_contains_zero(seed):
     for _ in range(250):
         guard = membership_guard(rng, clocks)
         guard_zones = to_zones(guard, clocks)
-        bounds = [zone.window_bounds() for zone in guard_zones]
         nu = random_nu(rng, clocks)
         scale = rng.choice((1, 2, 3)) * lcm(
             *(v.denominator for v in nu.values()),
             *(zone.scale for zone in guard_zones))
         point = [0] + [int(nu[clock] * scale) for clock in clocks]
-        for zone, zone_bounds in zip(guard_zones, bounds):
-            window = zones.window_at(zone_bounds, point, scale)
-            inside = zones.holds_at([zone_bounds], point, scale)
+        for zone in guard_zones:
+            window = zones.window_at(zone, point, scale)
+            inside = zones.holds_at([zone], point, scale)
             assert inside == int_window_holds(window, 0) == (
                 constraints.eval_constraint(nu, zone.to_constraint()))
             seen.add((inside, window is not None, zone.scale > 1, any(
                 atom.sub is not None for atom in constraints.atoms_of(guard))))
-        assert zones.holds_at(bounds, point, scale) == (
+        assert zones.holds_at(guard_zones, point, scale) == (
             constraints.eval_constraint(nu, guard))
     # in and out, out with and without a later window, at rational scales
     # and with diagonal bounds

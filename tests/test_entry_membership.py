@@ -5,20 +5,28 @@ scales, and ``check_well_formed`` decides its initial valuation with it on
 the compiled entry zones.  The entry compiled over the guards' own clocks
 mixes scales, since each guard is zoned at its own, so both are checked
 where scales differ, against ``eval_constraint`` on the rendered entry
-constraint.
+constraint.  Clocks are never negative: every zone lists each clock's
+``0 - x <= 0``, which a point with a negative coordinate fails, and
+``check_well_formed`` refuses a negative initial value.
 """
 
 import random
 from fractions import Fraction
 
+import pytest
+
 from helpers import random_constraint
 from reference_semantics import option
-from timedsessions.constraints import eval_constraint
+from timedsessions.constraints import atom_lt, eval_constraint
+from timedsessions.errors import SpecError
 from timedsessions.generate import random_type
+from timedsessions.parser import parse_type
+from timedsessions.semantics import QConfig, is_future_enabled
 from timedsessions.sessiontypes import (RECV, SEND, Choice, End,
                                         check_well_formed, dual, gamma,
                                         gamma_head)
-from timedsessions.zones import zoneset_contains
+from timedsessions.zones import (holds_at, int_point, to_zones, window_at,
+                                 zoneset_contains)
 
 F = Fraction
 CLOCKS = ("x", "y")
@@ -78,3 +86,21 @@ def test_initial_check_agrees_with_the_rendered_entry_on_the_stream():
             outside += not expected
             checked += 1
     assert checked // 20 < outside < checked - checked // 20
+
+
+def test_a_point_with_a_negative_clock_is_in_no_zone():
+    """x = -1 is not in x<2, though the delays 1 <= t < 3 carry it there;
+    x = -3 is not future-enabled for a send guarded by x<2."""
+    zones = to_zones(atom_lt("x", F(2)))
+    assert not zoneset_contains(zones, {"x": F(-1)})
+    scale, point = int_point({"x": F(-1)}, ("x",), 1)
+    assert not holds_at(zones, point, scale)
+    assert window_at(zones[0], point, scale) == (-1, 6)  # -t <= -1, t < 3
+    assert not is_future_enabled(QConfig({"x": F(-3)},
+                                         parse_type("!a(x<2).end")))
+
+
+@pytest.mark.parametrize("value", [-5, -1])
+def test_a_negative_initial_clock_value_is_refused(value):
+    with pytest.raises(SpecError, match="clock 'x' cannot be negative"):
+        check_well_formed(parse_type("!a(x<2).?b(x<3).end"), {"x": value})

@@ -133,7 +133,7 @@ def test_repr_is_the_dataclass_text():
         "guard=Atom(clock='x', op='=', const=Fraction(1, 1), sub=None), "
         "resets=frozenset({'x'}), continuation=End())")
     zone = to_zones(X_GT_1, ("x", "y"))[0]
-    zone.window_bounds()  # fills the cache, which repr leaves out
+    zone.listed_bounds()  # fills the cache, which repr leaves out
     assert repr(zone) == ("Zone(clocks=('x', 'y'), "
                           "m=[[1, -2, 1], [None, 1, None], [None, None, 1]], "
                           "scale=1)")
@@ -147,7 +147,7 @@ def test_repr_is_the_dataclass_text():
 def test_zones_compare_their_matrices_not_their_caches():
     zone = to_zones(X_GT_1, ("x", "y"))[0]
     copy = zone.copy()
-    zone.window_bounds()
+    zone.listed_bounds()
     assert zone == copy and zone.bounds is not None and copy.bounds is None
     assert zone != Zone.universal(("x", "y"))
     assert zone.rescaled(2) != zone
